@@ -4,21 +4,40 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# soak NAME [VAR=value ...] 'SHELL COMMAND'
+# Runs the command, with the given environment, under a 10-minute GNU
+# timeout watchdog and tells a hang from a broken property: a wedged
+# fence or deadlocked eviction ends as exit 124/137 (surfaced as 124),
+# an assertion failure as any other non-zero exit (surfaced as 1).
+soak() {
+    local name="$1" rc=0
+    shift
+    env "${@:1:$#-1}" timeout --kill-after=30 600 sh -c "${!#}" || rc=$?
+    if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+        echo "$name HANG (watchdog fired)" >&2
+        exit 124
+    elif [ "$rc" -ne 0 ]; then
+        echo "$name FAILED (assertion)" >&2
+        exit 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q --no-fail-fast"
 cargo build --release
 # Hang watchdog: the fault-injection suites exercise deadline paths in the
 # thread-backed collectives; a regression there shows up as a hang, not a
 # failure. Kill the whole test run if it exceeds the budget.
-timeout --kill-after=30 900 cargo test -q
+# --no-fail-fast: one failing crate must not hide the crates after it.
+timeout --kill-after=30 900 cargo test -q --no-fail-fast
 
 echo "==> observability smoke: traced 2-rank training step"
-# One training iteration over a 2-rank DistMoeLayer with an injected
+# One training iteration over a 2-rank MoeLayer with an injected
 # stall; the example writes a Chrome trace and self-validates it (span
 # nesting, retry counters, expert-load histogram) via the in-tree
 # checker, exiting non-zero on any miss.
@@ -51,6 +70,13 @@ echo "==> compute-bench gate: packed GEMM GFLOPS floors"
 # per-dim minimum baked into the binary, so a microkernel regression
 # fails CI instead of silently shipping slower GEMMs.
 timeout --kill-after=30 300 cargo bench -q -p bench --bench harness
+
+echo "==> profiler shape budget: the real wire and GEMM fit alpha-beta"
+# The wall-clock half of the profiler's tests, which cargo test may not
+# assert: with min-of-15 sampling a 2-rank AllReduce must be roughly
+# linear in bytes (r2 >= 0.5) and the square GEMM in FLOPs (r2 >= 0.9),
+# both with a positive slope. Rewrites BENCH_profiler.json.
+timeout --kill-after=30 300 cargo bench -q -p bench --bench profiler
 
 echo "==> flight-recorder budget: always-on ring overhead"
 # Prices the per-event seqlock push, counts the ring events one real
@@ -103,50 +129,25 @@ timeout --kill-after=30 120 \
     cargo run --release -p models --example elastic_recovery -- target/elastic_recovery.json
 
 echo "==> elastic chaos soak: >= 8 seeds x 2-8 ranks under a hang watchdog"
-# ELASTIC_SOAK_WIDE=1 widens the soak to 6- and 8-rank worlds. The GNU
-# timeout watchdog distinguishes a hang (a deadlocked eviction shows up
-# as exit 124/137, surfaced as 124) from an assertion failure (any
-# other non-zero exit, surfaced as 1). The in-process flight watchdog
-# fires first (9 min) and drains the last-N ring events of every thread
-# to target/flight_elastic_soak.json, so a hang leaves a trace.
-set +e
-ELASTIC_SOAK_WIDE=1 FLIGHT_DUMP=target/flight_elastic_soak.json \
-    FLIGHT_WATCHDOG_MS=540000 timeout --kill-after=30 600 \
-    cargo test -q -p models --test elastic --test elastic_obs
-soak_rc=$?
-set -e
-if [ "$soak_rc" -eq 124 ] || [ "$soak_rc" -eq 137 ]; then
-    echo "elastic chaos soak HANG (watchdog fired)" >&2
-    exit 124
-elif [ "$soak_rc" -ne 0 ]; then
-    echo "elastic chaos soak FAILED (assertion)" >&2
-    exit 1
-fi
+# ELASTIC_SOAK_WIDE=1 widens the soak to 6- and 8-rank worlds. The
+# in-process flight watchdog fires before the GNU one (9 min) and drains
+# the last-N ring events of every thread to
+# target/flight_elastic_soak.json, so a hang leaves a trace.
+soak "elastic chaos soak" ELASTIC_SOAK_WIDE=1 \
+    FLIGHT_DUMP=target/flight_elastic_soak.json FLIGHT_WATCHDOG_MS=540000 \
+    'cargo test -q -p models --test elastic --test elastic_obs'
 
 echo "==> migration capstone: chaos+skew soak under the lock doctor"
 # Adversarially skewed (Zipf) workloads drive the imbalance detector
 # into live hot-expert migrations while straggler faults delay random
 # ranks mid-fence, with lock-order tracking armed the whole time. Runs
 # the fence protocol suite, the workload generator's distribution
-# tests, and the 4-seed migration soak; a wedged fence surfaces as a
-# hang (exit 124), a broken bit-identity/no-drop/imbalance property as
-# an assertion failure (exit 1).
-set +e
-LOCK_DOCTOR=1 FLIGHT_DUMP=target/flight_migration.json \
-    FLIGHT_WATCHDOG_MS=540000 timeout --kill-after=30 600 sh -c '
-    cargo test -q -p collectives --test migration_fence &&
-    cargo test -q -p workloadgen &&
-    cargo test -q -p models --test migrate
-'
-migrate_rc=$?
-set -e
-if [ "$migrate_rc" -eq 124 ] || [ "$migrate_rc" -eq 137 ]; then
-    echo "migration capstone soak HANG (watchdog fired)" >&2
-    exit 124
-elif [ "$migrate_rc" -ne 0 ]; then
-    echo "migration capstone soak FAILED (assertion)" >&2
-    exit 1
-fi
+# tests, and the 4-seed migration soak.
+soak "migration capstone soak" LOCK_DOCTOR=1 \
+    FLIGHT_DUMP=target/flight_migration.json FLIGHT_WATCHDOG_MS=540000 \
+    'cargo test -q -p collectives --test migration_fence &&
+     cargo test -q -p workloadgen &&
+     cargo test -q -p models --test migrate'
 
 echo "==> gray-failure smoke: 4-rank run surviving a browned-out rank"
 # Rank 3 limps (~5 ms per collective) but never dies. The health
@@ -164,22 +165,10 @@ echo "==> gray-failure soak: brownouts + escalation ladder under the lock doctor
 # gray-failure soak: per-seed brownout magnitudes and pricing horizons
 # force both ladder outcomes — limp to completion when eviction never
 # amortizes, or one clean live eviction with bit-identical survivors.
-# Lock-order tracking is armed; a wedged eviction surfaces as a hang
-# (exit 124), a broken property as an assertion failure (exit 1).
-set +e
-LOCK_DOCTOR=1 timeout --kill-after=30 600 sh -c '
-    cargo test -q -p collectives --test deadline &&
-    cargo test -q -p models --test health
-'
-gray_rc=$?
-set -e
-if [ "$gray_rc" -eq 124 ] || [ "$gray_rc" -eq 137 ]; then
-    echo "gray-failure soak HANG (watchdog fired)" >&2
-    exit 124
-elif [ "$gray_rc" -ne 0 ]; then
-    echo "gray-failure soak FAILED (assertion)" >&2
-    exit 1
-fi
+# Lock-order tracking is armed.
+soak "gray-failure soak" LOCK_DOCTOR=1 \
+    'cargo test -q -p collectives --test deadline &&
+     cargo test -q -p models --test health'
 
 echo "==> throughput-recovery budget: brownout detection to full speed"
 # Times a healthy 4-rank fleet, then the same fleet with rank 3 browned

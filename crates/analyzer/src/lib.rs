@@ -12,7 +12,7 @@
 //! * `no-std-sync` — `std::sync::{Mutex,RwLock,Condvar}` outside
 //!   `shims/` (a std lock is invisible to the lock doctor);
 //! * `no-unwrap` — `.unwrap()`/`.expect(` in the guarded distributed
-//!   core (`crates/collectives/src`, `crates/fsmoe/src/dist.rs`);
+//!   core (`crates/collectives/src`, `crates/fsmoe/src/{dist,layer}.rs`);
 //! * `obs-names` — string literals fed straight to obs record calls
 //!   instead of `obs::names` consts;
 //! * `obs-dead-name` — registry consts nothing references;
@@ -115,8 +115,9 @@ pub enum FileClass {
     DeadlineController,
     /// `crates/collectives/src/**` — unwrap-guarded distributed core.
     GuardedSource,
-    /// `crates/fsmoe/src/dist.rs` — unwrap-guarded *and* must
-    /// enumerate `CommError` variants.
+    /// `crates/fsmoe/src/{dist,layer}.rs` — the MoE layer and its wire
+    /// exchange, where the collectives are called from: unwrap-guarded
+    /// *and* must enumerate `CommError` variants.
     GuardedCommSource,
     /// `crates/fsmoe/src/**`, `crates/models/src/**` — must enumerate
     /// `CommError` variants.
@@ -140,7 +141,10 @@ pub fn classify(rel: &str) -> FileClass {
         FileClass::DeadlineController
     } else if rel.starts_with("crates/collectives/src/") {
         FileClass::GuardedSource
-    } else if rel == "crates/fsmoe/src/dist.rs" {
+    } else if matches!(
+        rel,
+        "crates/fsmoe/src/dist.rs" | "crates/fsmoe/src/layer.rs"
+    ) {
         FileClass::GuardedCommSource
     } else if rel.starts_with("crates/fsmoe/src/") || rel.starts_with("crates/models/src/") {
         FileClass::CommMatchSource

@@ -144,6 +144,10 @@ fn classification_matches_the_catalog() {
     );
     assert_eq!(
         classify("crates/fsmoe/src/layer.rs"),
+        FileClass::GuardedCommSource
+    );
+    assert_eq!(
+        classify("crates/fsmoe/src/grouped.rs"),
         FileClass::CommMatchSource
     );
     assert_eq!(
@@ -287,7 +291,7 @@ fn schedule_report_is_valid_and_divergence_free() {
     let report = analyzer::schedule::schedule_report(&root);
     let text = report.to_pretty_string().unwrap();
     let parsed = jsonio::Json::parse(&text).unwrap();
-    assert!(parsed.get("total_sites").unwrap().as_usize().unwrap() >= 18);
+    assert!(parsed.get("total_sites").unwrap().as_usize().unwrap() >= 14);
     let files = parsed.get("files").unwrap();
     let dist = files.get("crates/fsmoe/src/dist.rs").unwrap();
     let jsonio::Json::Obj(fns) = dist else {

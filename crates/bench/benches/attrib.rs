@@ -51,7 +51,13 @@ fn build_layer() -> (fsmoe::layer::MoeLayer, tensor::Tensor) {
         .top_k(2)
         .build()
         .expect("static config is valid");
-    let layer = fsmoe::layer::MoeLayer::gshard(&cfg, &mut rng).expect("layer builds");
+    let layer = fsmoe::layer::MoeLayer::gshard(
+        &cfg,
+        &collectives::Communicator::solo(),
+        &collectives::HybridTopology::flat(1).expect("one rank"),
+        7,
+    )
+    .expect("layer builds");
     let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     (layer, input)
 }
@@ -93,19 +99,9 @@ fn attribution_snapshot() -> obs::Snapshot {
         .build()
         .expect("bench config is valid");
     collectives::run_ranks(4, move |comm| {
-        let topo = collectives::HybridTopology::new(
-            1,
-            4,
-            collectives::ParallelDims {
-                dp: 4,
-                mp: 1,
-                ep: 4,
-                esp: 1,
-            },
-        )
-        .expect("4-rank EP layout is valid");
+        let topo = collectives::HybridTopology::flat(4).expect("4-rank EP layout is valid");
         let mut layer =
-            fsmoe::dist::DistMoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer builds");
+            fsmoe::layer::MoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer builds");
         let mut data_rng = TensorRng::seed_from(comm.rank() as u64);
         let input = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let target = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);

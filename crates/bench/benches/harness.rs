@@ -120,7 +120,13 @@ fn bench_moe() -> (Vec<Json>, usize, usize, f64) {
         .top_k(2)
         .build()
         .expect("static config is valid");
-    let mut layer = fsmoe::layer::MoeLayer::gshard(&cfg, &mut rng).expect("layer builds");
+    let mut layer = fsmoe::layer::MoeLayer::gshard(
+        &cfg,
+        &collectives::Communicator::solo(),
+        &collectives::HybridTopology::flat(1).expect("one rank"),
+        7,
+    )
+    .expect("layer builds");
     let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     let mut sweep = Vec::new();
     let mut serial_ms = f64::NAN;

@@ -5,7 +5,7 @@
 //! the world fences, the weights move, every rank rebinds, and training
 //! resumes — no snapshot reload, no world renumbering. This bench
 //! measures that pause end to end on a real 4-rank world: the wall time
-//! of `DistMoeLayer::migrate` from fence entry to new-placement
+//! of `MoeLayer::migrate` from fence entry to new-placement
 //! install, taken as the max across ranks (the slowest rank is the one
 //! training waits for), best-of several worlds.
 //!
@@ -19,9 +19,9 @@
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use collectives::{run_world, CommWorld, HybridTopology, ParallelDims};
+use collectives::{run_world, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
+use fsmoe::layer::MoeLayer;
 use jsonio::Json;
 use simnet::{price_migration, Testbed};
 use tensor::TensorRng;
@@ -34,17 +34,7 @@ const RUNS: usize = 5;
 const BUDGET_MS: f64 = 250.0;
 
 fn topology() -> HybridTopology {
-    HybridTopology::new(
-        1,
-        WORLD,
-        ParallelDims {
-            dp: WORLD,
-            mp: 1,
-            ep: WORLD,
-            esp: 1,
-        },
-    )
-    .expect("flat topology")
+    HybridTopology::flat(WORLD).expect("flat topology")
 }
 
 fn config() -> MoeConfig {
@@ -67,7 +57,7 @@ fn timed_migration() -> (Vec<f64>, f64) {
     let cfg = config();
     let results = run_world(CommWorld::new(WORLD), move |comm| {
         let topo = topology();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).expect("layer");
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).expect("layer");
         let mut rng = TensorRng::seed_from(100 + comm.rank() as u64);
         let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(42);

@@ -47,7 +47,13 @@ fn build_layer() -> (fsmoe::layer::MoeLayer, tensor::Tensor) {
         .top_k(2)
         .build()
         .expect("static config is valid");
-    let layer = fsmoe::layer::MoeLayer::gshard(&cfg, &mut rng).expect("layer builds");
+    let layer = fsmoe::layer::MoeLayer::gshard(
+        &cfg,
+        &collectives::Communicator::solo(),
+        &collectives::HybridTopology::flat(1).expect("one rank"),
+        7,
+    )
+    .expect("layer builds");
     let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     (layer, input)
 }

@@ -94,6 +94,25 @@ impl HybridTopology {
         })
     }
 
+    /// The flat topology: one node, `n` GPUs, pure expert+data
+    /// parallelism (`ep == dp == n`, no MP or ESP sharding). EP position
+    /// equals rank, which is what lets an evicted *rank* map directly to
+    /// an evicted *expert-parallel position*; `flat(1)` is local
+    /// execution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CommError::BadParallelism`] when `n` is zero.
+    pub fn flat(n: usize) -> Result<Self> {
+        let dims = ParallelDims {
+            dp: n,
+            mp: 1,
+            ep: n,
+            esp: 1,
+        };
+        HybridTopology::new(1, n, dims)
+    }
+
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.nodes

@@ -287,6 +287,12 @@ pub struct Communicator {
 }
 
 impl Communicator {
+    /// The lone communicator of a fresh one-rank world — what a layer
+    /// that runs locally is built over.
+    pub fn solo() -> Communicator {
+        CommWorld::new(1).into_communicators().remove(0)
+    }
+
     /// This rank's global rank.
     pub fn rank(&self) -> usize {
         self.rank

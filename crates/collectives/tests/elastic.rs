@@ -203,15 +203,21 @@ fn cascaded_evictions_keep_epoch_monotone() {
             comm.declare_dead(comm.rank());
             return None;
         }
-        let second = evict_and_rebind(&comm, 2);
-        assert_eq!(second.membership_epoch(), 1);
+        // The epoch is the one the vote returned: the new world's shared
+        // counter may already have moved on — once rank 1 is marked dead
+        // below (or by rank 0's proposal), rank 0 completes the next
+        // vote alone, possibly before this rank reads anything.
+        let first_epoch = comm.propose_evict(2).expect("vote completes");
+        assert_eq!(first_epoch, 1);
+        let second = comm.reconfigured().expect("survivor rebinds");
         if comm.rank() == 1 {
             // New rank 1 (old rank 1) dies in the second generation.
             second.declare_dead(second.rank());
             return Some(1);
         }
         // Old rank 0 == new rank 0 evicts new rank 1.
-        let third = evict_and_rebind(&second, 1);
+        assert_eq!(second.propose_evict(1).expect("lone survivor votes"), 2);
+        let third = second.reconfigured().expect("survivor rebinds");
         assert_eq!(third.world_size(), 1);
         assert_eq!(third.membership_epoch(), 2);
         // A one-rank world still runs collectives.

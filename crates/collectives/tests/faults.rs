@@ -3,7 +3,7 @@
 //! rank killed mid-AlltoAll must leave every surviving rank with a
 //! *typed error* within the deadline — never a hang.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use collectives::{run_world, run_world_within, CommError, CommWorld, FaultAction, FaultInjector};
 
@@ -17,18 +17,13 @@ fn kill_mid_all_to_all_errors_all_survivors_within_deadline() {
     let world = CommWorld::new(4)
         .with_deadline(DEADLINE)
         .with_faults(FaultInjector::new().kill(2, 0));
-    let start = Instant::now();
+    // `run_world_within` is the no-hang bound: it panics when any rank
+    // is still inside the collective after BUDGET.
     let results = run_world_within(world, BUDGET, |comm| {
         let g = comm.world_group();
         let data = vec![comm.rank() as f32; 4];
         g.all_to_all(&data)
     });
-    // No rank may take longer than the deadline plus scheduling slack.
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "survivors took {:?}",
-        start.elapsed()
-    );
     for (rank, res) in results.iter().enumerate() {
         let err = res.as_ref().expect_err("every rank must observe the fault");
         match err {

@@ -1,8 +1,11 @@
 //! Layer checkpointing: serialisable weight bundles.
 //!
 //! A [`LayerCheckpoint`] captures every trainable tensor of an
-//! [`MoeLayer`](crate::layer::MoeLayer) — gate projections and expert
-//! weights — as plain data with a JSON wire form, so training state
+//! [`MoeLayer`](crate::layer::MoeLayer) — gate projections and all `E`
+//! experts' weights, assembled by
+//! [`checkpoint_global`](crate::layer::MoeLayer::checkpoint_global) and
+//! installed by [`restore_full`](crate::layer::MoeLayer::restore_full) —
+//! as plain data with a JSON wire form, so training state
 //! survives process restarts (and, in the paper's setting,
 //! re-scheduling decisions: the checkpoint is schedule-independent
 //! because the data plane is).
@@ -18,7 +21,6 @@ use std::path::Path;
 use jsonio::Json;
 use tensor::Tensor;
 
-use crate::layer::MoeLayer;
 use crate::{MoeError, Result};
 
 /// All trainable weights of one MoE layer.
@@ -179,52 +181,26 @@ fn bad_json(e: jsonio::JsonError) -> MoeError {
     }
 }
 
-impl MoeLayer {
-    /// Captures the layer's trainable state.
-    pub fn checkpoint(&self) -> LayerCheckpoint {
-        LayerCheckpoint {
-            gate_name: self.gate().name().to_string(),
-            gate: self.gate().export_weights(),
-            experts: self
-                .experts()
-                .iter()
-                .map(|e| e.weights().into_iter().cloned().collect())
-                .collect(),
-        }
-    }
-
-    /// Restores a checkpoint into this layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MoeError::BadInput`] when the checkpoint's gate family,
-    /// expert count, or any tensor shape disagrees with the layer.
-    pub fn restore(&mut self, checkpoint: &LayerCheckpoint) -> Result<()> {
-        if checkpoint.gate_name != self.gate().name() {
-            return Err(MoeError::BadInput {
-                expected: format!("gate {:?}", self.gate().name()),
-                actual: vec![checkpoint.gate_name.len()],
-            });
-        }
-        if checkpoint.experts.len() != self.experts().len() {
-            return Err(MoeError::BadInput {
-                expected: format!("{} expert weight sets", self.experts().len()),
-                actual: vec![checkpoint.experts.len()],
-            });
-        }
-        self.gate_mut().import_weights(&checkpoint.gate)?;
-        for (expert, weights) in self.experts_mut().iter_mut().zip(&checkpoint.experts) {
-            expert.import_weights(weights)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MoeConfig;
+    use crate::layer::MoeLayer;
+    use collectives::{Communicator, HybridTopology};
     use tensor::TensorRng;
+
+    type Build = fn(&MoeConfig, &Communicator, &HybridTopology, u64) -> Result<MoeLayer>;
+
+    /// A one-rank layer (identity exchange).
+    fn local(build: Build, cfg: &MoeConfig, seed: u64) -> MoeLayer {
+        build(
+            cfg,
+            &Communicator::solo(),
+            &HybridTopology::flat(1).unwrap(),
+            seed,
+        )
+        .unwrap()
+    }
 
     fn config() -> MoeConfig {
         MoeConfig::builder()
@@ -243,7 +219,7 @@ mod tests {
     fn checkpoint_restore_reproduces_outputs() {
         let cfg = config();
         let mut rng = TensorRng::seed_from(1);
-        let mut original = MoeLayer::gshard(&cfg, &mut rng).unwrap();
+        let mut original = local(MoeLayer::gshard, &cfg, 1);
         let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
 
         // train a few steps so the weights moved off init
@@ -253,18 +229,17 @@ mod tests {
             let g = original.backward(&Tensor::ones(y.dims())).unwrap();
             original.apply_grads(&g, 0.05).unwrap();
         }
-        let snapshot = original.checkpoint();
+        let snapshot = original.checkpoint_global().unwrap();
         let expect = original.forward(&input, &mut route_rng).unwrap();
 
         // a fresh layer with different init must reproduce after restore
-        let mut other_rng = TensorRng::seed_from(999);
-        let mut restored = MoeLayer::gshard(&cfg, &mut other_rng).unwrap();
+        let mut restored = local(MoeLayer::gshard, &cfg, 999);
         let before = restored.forward(&input, &mut route_rng).unwrap();
         assert!(
             !before.allclose(&expect, 1e-4),
             "different init must differ"
         );
-        restored.restore(&snapshot).unwrap();
+        restored.restore_full(&snapshot).unwrap();
         let after = restored.forward(&input, &mut route_rng).unwrap();
         assert!(after.allclose(&expect, 1e-5));
     }
@@ -272,9 +247,9 @@ mod tests {
     #[test]
     fn checkpoint_survives_json_round_trip() {
         let cfg = config();
-        let mut rng = TensorRng::seed_from(2);
-        let layer = MoeLayer::sigmoid(&cfg, &mut rng).unwrap();
-        let snapshot = layer.checkpoint();
+        let snapshot = local(MoeLayer::sigmoid, &cfg, 2)
+            .checkpoint_global()
+            .unwrap();
         let json = snapshot.to_json();
         let back = LayerCheckpoint::from_json(&json).unwrap();
         assert_eq!(snapshot, back);
@@ -301,9 +276,9 @@ mod tests {
     #[test]
     fn save_is_atomic_and_load_round_trips() {
         let cfg = config();
-        let mut rng = TensorRng::seed_from(7);
-        let layer = MoeLayer::gshard(&cfg, &mut rng).unwrap();
-        let snap = layer.checkpoint();
+        let snap = local(MoeLayer::gshard, &cfg, 7)
+            .checkpoint_global()
+            .unwrap();
         let path = temp_path("atomic.json");
         snap.save(&path).unwrap();
         // the temporary staging file must not outlive the rename
@@ -327,8 +302,9 @@ mod tests {
     #[test]
     fn load_rejects_truncated_file() {
         let cfg = config();
-        let mut rng = TensorRng::seed_from(8);
-        let snap = MoeLayer::gshard(&cfg, &mut rng).unwrap().checkpoint();
+        let snap = local(MoeLayer::gshard, &cfg, 8)
+            .checkpoint_global()
+            .unwrap();
         let json = snap.to_json();
         let path = temp_path("truncated.json");
         // simulate a torn write: only half the bytes made it to disk
@@ -353,11 +329,12 @@ mod tests {
     #[test]
     fn restore_validates_compatibility() {
         let cfg = config();
-        let mut rng = TensorRng::seed_from(3);
-        let gshard = MoeLayer::gshard(&cfg, &mut rng).unwrap();
-        let mut sigmoid = MoeLayer::sigmoid(&cfg, &mut rng).unwrap();
+        let gshard = local(MoeLayer::gshard, &cfg, 3);
+        let mut sigmoid = local(MoeLayer::sigmoid, &cfg, 4);
         // wrong gate family
-        assert!(sigmoid.restore(&gshard.checkpoint()).is_err());
+        assert!(sigmoid
+            .restore_full(&gshard.checkpoint_global().unwrap())
+            .is_err());
         // wrong expert count
         let bigger = MoeConfig::builder()
             .batch_size(1)
@@ -369,8 +346,10 @@ mod tests {
             .no_drop()
             .build()
             .unwrap();
-        let mut big_layer = MoeLayer::sigmoid(&bigger, &mut rng).unwrap();
-        assert!(big_layer.restore(&sigmoid.checkpoint()).is_err());
+        let small = sigmoid.checkpoint_global().unwrap();
+        assert!(local(MoeLayer::sigmoid, &bigger, 5)
+            .restore_full(&small)
+            .is_err());
         // wrong shapes within a matching family
         let wide = MoeConfig::builder()
             .batch_size(1)
@@ -382,17 +361,18 @@ mod tests {
             .no_drop()
             .build()
             .unwrap();
-        let mut wide_layer = MoeLayer::sigmoid(&wide, &mut rng).unwrap();
-        assert!(wide_layer.restore(&sigmoid.checkpoint()).is_err());
+        assert!(local(MoeLayer::sigmoid, &wide, 6)
+            .restore_full(&small)
+            .is_err());
     }
 
     #[test]
     fn expert_choice_checkpoint_round_trips() {
         let cfg = config();
-        let mut rng = TensorRng::seed_from(4);
-        let mut layer = MoeLayer::expert_choice(&cfg, &mut rng).unwrap();
-        let snap = layer.checkpoint();
+        let mut layer = local(MoeLayer::expert_choice, &cfg, 4);
+        let snap = layer.checkpoint_global().unwrap();
         assert_eq!(snap.gate.len(), 1);
-        layer.restore(&snap).unwrap();
+        layer.restore_full(&snap).unwrap();
+        assert_eq!(layer.checkpoint_global().unwrap(), snap);
     }
 }

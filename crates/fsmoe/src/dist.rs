@@ -1,40 +1,39 @@
-//! Distributed MoE layer execution over the collectives runtime.
+//! The wire exchange of the MoE layer, and everything else on it that
+//! calls a collective.
 //!
-//! [`DistMoeLayer`] runs the exact data flow of the paper's Fig. 2 on
-//! real rank threads with real data movement:
+//! When a [`MoeLayer`]'s EP or ESP group spans several ranks, tokens
+//! reach their experts over the exact data flow of the paper's Fig. 2,
+//! on real rank threads with real data movement:
 //!
 //! ```text
-//! gate → order → AlltoAll(EP) → ESP-AllGather → expert shard
-//!      → ESP-ReduceScatter → AlltoAll(EP) → i-order
+//! order → AlltoAll(EP) → ESP-AllGather → expert shard
+//!       → ESP-ReduceScatter → AlltoAll(EP) → i-order
 //! ```
 //!
-//! Expert placement follows the paper: expert `e` is hosted by EP
-//! position `e / (E/N_EP)` — i.e. by one node — and sharded across that
-//! node's ESP group. Every `(expert, shard)` pair lives on exactly one
-//! GPU, so expert weights need no data-parallel gradient synchronisation
-//! (the Gradient-AllReduce of §5 covers the *dense* parameters, which
-//! are DP-replicated).
+//! `MoeLayer::wire_in` is the first half (and, by adjointness, the
+//! first half of backward), `MoeLayer::wire_out` the second. The
+//! forward legs run under a [`FaultPolicy`]; the elastic operations —
+//! collective checkpoint, restore, re-shard, migrate — live here too.
 //!
-//! The integration tests assert the distributed output equals the
-//! single-process [`MoeLayer`](crate::layer::MoeLayer) reference —
-//! distribution, like scheduling, must never change the numbers.
+//! The equivalence suite asserts every world shape matches the one-rank
+//! layer, whose exchange is the identity — distribution, like
+//! scheduling, must never change the numbers.
 
 use std::time::Duration;
 
-use collectives::{CommError, Communicator, GroupComm, HybridTopology};
+use collectives::{CommError, Communicator, HybridTopology};
 use tensor::{Tensor, TensorRng};
 
 use crate::checkpoint::LayerCheckpoint;
-use crate::config::MoeConfig;
-use crate::dispatch::{DispatchCtx, Dispatcher, NcclA2A};
-use crate::expert::{build_expert, for_each_expert, Expert, ExpertState};
-use crate::gate::{GShardGate, Gate};
-use crate::grouped::{self, GroupedState};
-use crate::hooks::{MoeHooks, NoopHooks};
-use crate::order::{combine_backward, order_backward, OrderFn, TutelOrdering};
-use crate::reshard::{permute_expert_blocks, unpermute_expert_blocks, ExpertMap, ReshardPlan};
-use crate::routing::Routing;
+use crate::dispatch::{DispatchCtx, Dispatcher};
+use crate::expert::{build_expert, Expert};
+use crate::layer::MoeLayer;
+use crate::reshard::{permute_expert_blocks, unpermute_expert_blocks, ReshardPlan};
 use crate::{MoeError, Result};
+
+/// The one layer under the names it had while the distributed layer
+/// was a type of its own.
+pub use crate::layer::{MoeGrads as DistMoeGrads, MoeLayer as DistMoeLayer};
 
 /// Retry/degradation policy for the EP-group AlltoAll collectives.
 ///
@@ -46,7 +45,7 @@ use crate::{MoeError, Result};
 /// gracefully: the exchange's tokens are dropped (zero-filled, the
 /// paper's capacity-drop semantics — dropped tokens ride the residual
 /// path) and the per-layer drop counter plus the
-/// [`MoeHooks::on_tokens_dropped`] hook record the loss, and the
+/// [`MoeHooks::on_tokens_dropped`](crate::hooks::MoeHooks::on_tokens_dropped) hook record the loss, and the
 /// abandoned exchange is skipped in the group's op stream
 /// ([`collectives::GroupComm::skip_op`]) so a straggler's late deposit
 /// for it fails with [`CommError::Abandoned`] instead of cross-wiring
@@ -106,6 +105,16 @@ impl FaultPolicy {
         // 53 high bits → uniform fraction in [0, 1); map to [0.5, 1.0).
         let frac = 0.5 + ((bits >> 11) as f64) / ((1u64 << 53) as f64) * 0.5;
         raw.mul_f64(frac)
+    }
+
+    /// This policy with retry and degradation off — the backward pass,
+    /// where a half-exchanged gradient must fail, not zero-fill.
+    pub(crate) fn strict(self) -> Self {
+        FaultPolicy {
+            max_retries: 0,
+            drop_on_failure: false,
+            ..self
+        }
     }
 }
 
@@ -174,74 +183,12 @@ fn a2a_with_policy(
         }
     }
 }
-
-/// Gradients produced by [`DistMoeLayer::backward`] on one rank.
-#[derive(Debug, Clone)]
-pub struct DistMoeGrads {
-    /// Gradient with respect to this rank's input block.
-    pub input: Tensor,
-    /// Weight gradients for this rank's local expert shards.
-    pub shards: Vec<Vec<Tensor>>,
-}
-
-/// How the shard compute of a forward pass was executed (the backward
-/// pass must mirror it).
-#[derive(Debug)]
-enum DistCompute {
-    /// One grouped GEMM pass over all local shards ([`crate::grouped`]).
-    Grouped(GroupedState),
-    /// Per-shard loop (custom or heterogeneous experts).
-    PerExpert(Vec<ExpertState>),
-}
-
-#[derive(Debug)]
-struct DistState {
-    routing: Routing,
-    compute: DistCompute,
-    gathered_rows: usize,
-}
-
-/// One rank's slice of a distributed MoE layer.
-pub struct DistMoeLayer {
-    config: MoeConfig,
-    gate: Box<dyn Gate>,
-    order: Box<dyn OrderFn>,
-    dispatcher: Box<dyn Dispatcher>,
-    /// ESP shards of this rank's local experts (`E / N_EP` of them).
-    shards: Vec<Box<dyn Expert>>,
-    ep_group: GroupComm,
-    esp_group: GroupComm,
-    experts_per_ep: usize,
-    /// Which global expert lives at which EP position (block placement
-    /// until a reshard installs something else).
-    expert_map: ExpertMap,
-    state: Option<DistState>,
-    /// This rank's global rank (to tell "a peer died" from "I died").
-    rank: usize,
-    fault_policy: FaultPolicy,
-    hooks: Box<dyn MoeHooks>,
-    /// Token assignments dropped by graceful degradation since
-    /// construction.
-    dropped_tokens: usize,
-}
-
-impl std::fmt::Debug for DistMoeLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistMoeLayer")
-            .field("gate", &self.gate.name())
-            .field("local_experts", &self.shards.len())
-            .field("ep", &self.ep_group.size())
-            .field("esp", &self.esp_group.size())
-            .finish()
-    }
-}
-
 /// Row-layout parameters of the gathered `[esp][ep][slot][row]`
 /// buffer, detached from the layer so shard workers can share it.
 ///
 /// Each EP position contributes `slots` expert blocks per source
 /// (padded to the placement-wide maximum —
-/// [`ExpertMap::slots_per_position`]); this rank's `local_experts`
+/// [`ExpertMap::slots_per_position`](crate::reshard::ExpertMap::slots_per_position)); this rank's `local_experts`
 /// real experts occupy the leading slots, trailing pad slots carry
 /// zeros and are never computed on.
 #[derive(Clone, Copy)]
@@ -260,30 +207,16 @@ impl ShardLayout {
         self.n_esp * self.n_ep * self.t
     }
 
+    /// Elements of the whole gathered buffer, pad slots included.
+    fn gathered_elems(&self) -> usize {
+        self.n_esp * self.n_ep * self.slots * self.t * self.m
+    }
+
     /// Uniform group offsets for the concatenated per-expert buffer.
     fn group_offsets(&self) -> Vec<usize> {
         (0..=self.local_experts)
             .map(|el| el * self.rows_per_expert())
             .collect()
-    }
-}
-
-/// Appends local expert `el`'s rows from the gathered buffer layout
-/// onto `out` — the dispatch-layout → grouped-layout gather.
-fn gather_expert_rows_into(layout: ShardLayout, gathered: &[f32], el: usize, out: &mut Vec<f32>) {
-    let ShardLayout {
-        m,
-        t,
-        n_esp,
-        n_ep,
-        slots,
-        ..
-    } = layout;
-    for s in 0..n_esp {
-        for p in 0..n_ep {
-            let row0 = ((s * n_ep + p) * slots + el) * t;
-            out.extend_from_slice(&gathered[row0 * m..(row0 + t) * m]);
-        }
     }
 }
 
@@ -308,127 +241,54 @@ fn scatter_expert_rows(layout: ShardLayout, buffer: &mut [f32], el: usize, rows:
     }
 }
 
-/// Gathers every local expert's rows into one concatenated grouped
-/// buffer (`local_experts` uniform groups of `rows_per_expert` rows).
+/// Gathers every local expert's rows out of the gathered layout into
+/// one concatenated grouped buffer (`local_experts` uniform groups of
+/// `rows_per_expert` rows) — the inverse of [`scatter_expert_rows`].
 fn grouped_input(layout: ShardLayout, gathered: &[f32]) -> Result<Tensor> {
-    let rows = layout.local_experts * layout.rows_per_expert();
-    let mut buf = Vec::with_capacity(rows * layout.m);
-    for el in 0..layout.local_experts {
-        gather_expert_rows_into(layout, gathered, el, &mut buf);
-    }
-    Ok(Tensor::from_vec(buf, &[rows, layout.m])?)
-}
-
-impl DistMoeLayer {
-    /// Builds this rank's slice with a GShard gate.
-    ///
-    /// Every rank must pass the same `seed`; gate weights are replicated
-    /// and full experts are materialised identically on all ranks, then
-    /// each rank keeps only its `(expert, shard)` slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `E` does not divide by `N_EP` or the hidden
-    /// size does not divide by `N_ESP`.
-    pub fn gshard(
-        config: &MoeConfig,
-        comm: &Communicator,
-        topo: &HybridTopology,
-        seed: u64,
-    ) -> Result<Self> {
-        let mut rng = TensorRng::seed_from(seed);
-        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
-        Self::with_gate(config, Box::new(gate), &mut rng, comm, topo)
-    }
-
-    /// Builds this rank's slice with an explicit gate. `rng` must be in
-    /// the same state on every rank (weights are drawn from it).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on indivisible expert or shard counts.
-    pub fn with_gate(
-        config: &MoeConfig,
-        gate: Box<dyn Gate>,
-        rng: &mut TensorRng,
-        comm: &Communicator,
-        topo: &HybridTopology,
-    ) -> Result<Self> {
-        let dims = topo.dims();
-        if !config.num_experts.is_multiple_of(dims.ep) {
-            return Err(MoeError::BadConfig {
-                field: "num_experts",
-                reason: format!("{} not divisible by N_EP {}", config.num_experts, dims.ep),
-            });
-        }
-        let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
-        let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
-        let experts_per_ep = config.num_experts / dims.ep;
-        let expert_map = ExpertMap::block(config.num_experts, dims.ep)?;
-
-        // Materialise the full expert set identically everywhere, then
-        // keep our shards.
-        let my_ep_pos = ep_group.group_index();
-        let my_shard = esp_group.group_index();
-        let mut shards = Vec::with_capacity(experts_per_ep);
-        for e in 0..config.num_experts {
-            let full = build_expert(config.ffn, config.embed_dim, config.hidden_dim, rng);
-            if expert_map.position_of(e) == my_ep_pos {
-                shards.push(full.shard(my_shard, dims.esp)?);
+    let ShardLayout {
+        m,
+        t,
+        n_esp,
+        n_ep,
+        slots,
+        local_experts,
+    } = layout;
+    let rows = local_experts * layout.rows_per_expert();
+    let mut buf = Vec::with_capacity(rows * m);
+    for el in 0..local_experts {
+        for s in 0..n_esp {
+            for p in 0..n_ep {
+                let row0 = ((s * n_ep + p) * slots + el) * t;
+                buf.extend_from_slice(&gathered[row0 * m..(row0 + t) * m]);
             }
         }
-        Ok(DistMoeLayer {
-            config: config.clone(),
-            gate,
-            order: Box::new(TutelOrdering::new()),
-            dispatcher: Box::new(NcclA2A),
-            shards,
-            ep_group,
-            esp_group,
-            experts_per_ep,
-            expert_map,
-            state: None,
-            rank: comm.rank(),
-            fault_policy: FaultPolicy::default(),
-            hooks: Box::new(NoopHooks),
-            dropped_tokens: 0,
+    }
+    Ok(Tensor::from_vec(buf, &[rows, m])?)
+}
+
+/// Splits one expert's flat wire weights back into tensors of `shapes`.
+fn unflatten(flat: &[f32], shapes: &[Vec<usize>]) -> Result<Vec<Tensor>> {
+    let mut off = 0usize;
+    shapes
+        .iter()
+        .map(|dims| {
+            let n: usize = dims.iter().product();
+            off += n;
+            Ok(Tensor::from_vec(flat[off - n..off].to_vec(), dims)?)
         })
-    }
+        .collect()
+}
 
-    /// Replaces the AlltoAll algorithm (flat dispatch context).
-    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
-        self.dispatcher = dispatcher;
-    }
-
-    /// Replaces the retry/degradation policy for dispatch collectives.
-    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.fault_policy = policy;
-    }
-
-    /// The active retry/degradation policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
-    }
-
-    /// Installs an extension hook set (degradation drops are reported to
-    /// [`MoeHooks::on_tokens_dropped`]).
-    pub fn set_hooks(&mut self, hooks: Box<dyn MoeHooks>) {
-        self.hooks = hooks;
-    }
-
-    /// Token assignments dropped by graceful degradation so far.
-    pub fn dropped_tokens(&self) -> usize {
-        self.dropped_tokens
-    }
-
+impl MoeLayer {
     /// Records a degraded exchange: `count` token assignments fell back
     /// to the residual path.
     ///
     /// This is the **single write path** for drop accounting: the
     /// per-layer counter, the process-wide obs counters
     /// (`moe.dropped_tokens` / `moe.drop_events`) and the
-    /// [`MoeHooks::on_tokens_dropped`] notification all fan out from
-    /// here, so no two views of the account can diverge.
+    /// [`MoeHooks::on_tokens_dropped`](crate::hooks::MoeHooks::on_tokens_dropped)
+    /// notification all fan out from here, so no two views of the
+    /// account can diverge.
     fn record_drop(&mut self, count: usize) {
         self.dropped_tokens += count;
         obs::counter_add(obs::names::MOE_DROPPED_TOKENS, count as u64);
@@ -436,19 +296,7 @@ impl DistMoeLayer {
         self.hooks.on_tokens_dropped(count);
     }
 
-    /// This rank's local expert shards.
-    pub fn shards(&self) -> &[Box<dyn Expert>] {
-        &self.shards
-    }
-
-    /// Routing from the latest forward pass.
-    pub fn last_routing(&self) -> Option<&Routing> {
-        self.state.as_ref().map(|s| &s.routing)
-    }
-
-    /// The row layout of the gathered buffer, as a plain-value struct so
-    /// per-shard workers can capture it without touching `self` (whose
-    /// gate/order/dispatcher fields are not `Sync`).
+    /// The row layout of the gathered buffer.
     fn shard_layout(&self) -> ShardLayout {
         ShardLayout {
             m: self.config.embed_dim,
@@ -456,310 +304,138 @@ impl DistMoeLayer {
             n_esp: self.esp_group.size(),
             n_ep: self.ep_group.size(),
             slots: self.expert_map.slots_per_position(),
-            local_experts: self.experts_per_ep,
+            local_experts: self.shards.len(),
         }
     }
 
-    /// Runs the distributed forward pass on this rank's `(tokens, M)`
-    /// input block.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches or collective failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in the collectives layer) if ranks disagree on the
-    /// sequence of collectives — an SPMD violation.
-    pub fn forward(&mut self, input: &Tensor, rng: &mut TensorRng) -> Result<Tensor> {
-        if input.rank() != 2 || input.dims()[1] != self.config.embed_dim {
-            return Err(MoeError::BadInput {
-                expected: format!("(tokens, {})", self.config.embed_dim),
-                actual: input.dims().to_vec(),
-            });
-        }
-        let mut fwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_FORWARD);
-        fwd_span.attr("rank", self.rank);
-        let m = self.config.embed_dim;
-        let t = self.config.capacity();
-        let routing = {
-            let _s = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_GATE);
-            self.gate.route(input, t, rng)?
-        };
-        if obs::is_enabled() {
-            for &load in &routing.expert_loads() {
-                obs::record_hist(obs::names::MOE_EXPERT_LOAD, load as f64);
+    /// One AlltoAll over the EP group under `policy`. An exchange the
+    /// policy gives up on comes back zero-filled, and the assignments
+    /// still `at_risk` this forward are recorded as dropped — taken, so
+    /// a second lost leg does not count them again.
+    fn ep_all_to_all(
+        &mut self,
+        data: &[f32],
+        policy: FaultPolicy,
+        at_risk: &mut Option<usize>,
+    ) -> Result<Vec<f32>> {
+        let ctx = DispatchCtx::flat(&self.ep_group);
+        let out = a2a_with_policy(self.dispatcher.as_ref(), policy, self.rank, data, &ctx)?;
+        Ok(out.unwrap_or_else(|| {
+            if let Some(count) = at_risk.take() {
+                self.record_drop(count);
             }
-        }
-        let buffer = self.order.order(input, &routing)?; // (E·T, M)
+            vec![0.0f32; data.len()]
+        }))
+    }
 
-        // The order buffer is in global-expert order; the AlltoAll
-        // exchanges contiguous per-position chunks, so under a
-        // non-block placement the expert blocks are permuted into
-        // slot layout first (and un-permuted after combine). Slot
-        // layouts pad non-uniform placements with zero blocks so the
-        // AlltoAll chunks stay equal-size. Pure data movement —
-        // resharding never changes the numbers.
-        let slot_layout = self.expert_map.slot_layout();
-        let block_elems = t * m;
-        let is_block = self.expert_map.is_block();
-        let permuted;
-        let send: &[f32] = if is_block {
-            buffer.data()
+    /// Tokens to experts: the `(E·T, M)` order buffer → AlltoAll(EP) →
+    /// ESP-AllGather → rows grouped per local shard, with their group
+    /// offsets. Backward runs its output-side gradients through the
+    /// same legs (the combine exchange's adjoint) under a strict
+    /// `policy`.
+    ///
+    /// The order buffer is in global-expert order; the AlltoAll
+    /// exchanges contiguous per-position chunks, so under a non-block
+    /// placement the expert blocks are permuted into slot layout first.
+    /// Slot layouts pad non-uniform placements with zero blocks so the
+    /// chunks stay equal-size. Pure data movement — resharding never
+    /// changes the numbers.
+    pub(crate) fn wire_in(
+        &mut self,
+        buffer: &Tensor,
+        policy: FaultPolicy,
+        at_risk: &mut Option<usize>,
+    ) -> Result<(Tensor, Vec<usize>)> {
+        let layout = self.shard_layout();
+        let received = if self.expert_map.is_block() {
+            self.ep_all_to_all(buffer.data(), policy, at_risk)?
         } else {
-            permuted = permute_expert_blocks(buffer.data(), block_elems, &slot_layout);
-            &permuted
+            let send = permute_expert_blocks(
+                buffer.data(),
+                layout.t * layout.m,
+                &self.expert_map.slot_layout(),
+            );
+            self.ep_all_to_all(&send, policy, at_risk)?
         };
-        let send_len = send.len();
-
-        // AlltoAll dispatch over the EP group, with retry/degradation:
-        // an unreachable peer drops this exchange's tokens (zero-fill)
-        // rather than failing the step. A degraded leg counts the routed
-        // assignments as dropped at most once per forward — losing the
-        // same tokens on both legs is still one loss.
-        let mut degraded = false;
-        let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
-        let dispatched = {
-            let ctx = DispatchCtx::flat(&self.ep_group);
-            a2a_with_policy(
-                self.dispatcher.as_ref(),
-                self.fault_policy,
-                self.rank,
-                send,
-                &ctx,
-            )?
-        };
-        let received = match dispatched {
-            Some(out) => out,
-            None => {
-                degraded = true;
-                self.record_drop(routing.assignments().len());
-                vec![0.0f32; send_len]
-            }
-        };
-
         // ESP-AllGather: replicate the node's token set to all shards.
         let gathered = self.esp_group.all_gather(&received)?;
-        drop(dispatch_span);
-        let gathered_rows = gathered.len() / m;
+        Ok((grouped_input(layout, &gathered)?, layout.group_offsets()))
+    }
 
-        // Expert shard computation: all local shards' rows run as one
-        // grouped GEMM pass (uniform groups here — the wire format pads
-        // to capacity — but the kernel is the same dropless grouped
-        // dispatch the single-process layer uses). Experts without a
-        // groupable FFN view fall back to the per-shard loop.
+    /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: grouped
+    /// shard rows → ESP-ReduceScatter (sum the shard partials, keep our
+    /// token slice) → AlltoAll(EP) (the transpose is its own inverse) →
+    /// the `(E·T, M)` buffer in global-expert order. Backward runs its
+    /// input-side gradients through it (the dispatch exchange's
+    /// adjoint).
+    pub(crate) fn wire_out(
+        &mut self,
+        rows: &Tensor,
+        policy: FaultPolicy,
+        at_risk: &mut Option<usize>,
+    ) -> Result<Tensor> {
         let layout = self.shard_layout();
         let offsets = layout.group_offsets();
-        let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let x = grouped_input(layout, &gathered)?;
-        let shards = &self.shards;
-        let threads = tensor::par::num_threads();
-        let (y_rows, compute) = match grouped::forward_ffn(shards, &x, &offsets, threads)? {
-            Some((y, st)) => (y, DistCompute::Grouped(st)),
-            None => {
-                let results = for_each_expert(self.experts_per_ep, threads, |el| {
-                    let xe = x.slice_rows(offsets[el], offsets[el + 1])?;
-                    shards[el].forward(&xe)
-                })?;
-                let mut out = Tensor::zeros(x.dims());
-                let mut states = Vec::with_capacity(self.experts_per_ep);
-                for (el, (y, st)) in results.into_iter().enumerate() {
-                    out.data_mut()[offsets[el] * m..offsets[el + 1] * m].copy_from_slice(y.data());
-                    states.push(st);
-                }
-                (out, DistCompute::PerExpert(states))
-            }
-        };
-        let mut shard_out = vec![0.0f32; gathered.len()];
-        for el in 0..self.experts_per_ep {
+        let mut shard_out = vec![0.0f32; layout.gathered_elems()];
+        for el in 0..layout.local_experts {
             scatter_expert_rows(
                 layout,
                 &mut shard_out,
                 el,
-                &y_rows.data()[offsets[el] * m..offsets[el + 1] * m],
+                &rows.data()[offsets[el] * layout.m..offsets[el + 1] * layout.m],
             );
         }
-        drop(compute_span);
-
-        let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
-        // ESP-ReduceScatter: sum shard partials, return our token slice.
         let reduced = self.esp_group.reduce_scatter(&shard_out)?;
-
-        // AlltoAll combine over the EP group (the transpose is its own
-        // inverse), degrading like the dispatch leg.
-        let combine = {
-            let ctx = DispatchCtx::flat(&self.ep_group);
-            a2a_with_policy(
-                self.dispatcher.as_ref(),
-                self.fault_policy,
-                self.rank,
-                &reduced,
-                &ctx,
-            )?
-        };
-        let combined = match combine {
-            Some(out) => out,
-            None => {
-                if !degraded {
-                    self.record_drop(routing.assignments().len());
-                }
-                vec![0.0f32; reduced.len()]
-            }
-        };
-        let combined = if is_block {
-            combined
-        } else {
-            unpermute_expert_blocks(
+        let mut combined = self.ep_all_to_all(&reduced, policy, at_risk)?;
+        let num_experts = self.config.num_experts;
+        if !self.expert_map.is_block() {
+            combined = unpermute_expert_blocks(
                 &combined,
-                block_elems,
-                &slot_layout,
-                self.config.num_experts,
-            )
-        };
-        let expert_out = Tensor::from_vec(combined, &[self.config.num_experts * t, m])?;
-
-        let output = self.order.inverse(&expert_out, &routing)?;
-        drop(combine_span);
-        self.state = Some(DistState {
-            routing,
-            compute,
-            gathered_rows,
-        });
-        Ok(output)
-    }
-
-    /// Backpropagates this rank's output gradient, mirroring the forward
-    /// collectives (the adjoint of AllGather is ReduceScatter and vice
-    /// versa; AlltoAll is self-adjoint).
-    ///
-    /// Unlike [`DistMoeLayer::forward`], backward does *not* degrade on
-    /// collective failure: a half-exchanged gradient would silently skew
-    /// the update, so faults propagate as errors and recovery is the
-    /// caller's job (checkpoint rollback, see `models::recovery`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MoeError::NoForwardState`] before any forward, and
-    /// propagates collective faults ([`MoeError::Comm`]).
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<DistMoeGrads> {
-        let mut bwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_BACKWARD);
-        bwd_span.attr("rank", self.rank);
-        let state = self.state.as_ref().ok_or(MoeError::NoForwardState)?;
-        let m = self.config.embed_dim;
-        let routing = &state.routing;
-
-        // i-order adjoint: scatter weighted grads into dispatch layout,
-        // then into map layout (the adjoint of the forward's inverse
-        // permutation is the forward permutation).
-        let grad_expert_out = combine_backward(grad_output, routing)?;
-        let slot_layout = self.expert_map.slot_layout();
-        let block_elems = self.config.capacity() * m;
-        let is_block = self.expert_map.is_block();
-        let permuted;
-        let grad_send: &[f32] = if is_block {
-            grad_expert_out.data()
-        } else {
-            permuted = permute_expert_blocks(grad_expert_out.data(), block_elems, &slot_layout);
-            &permuted
-        };
-
-        // combine-AlltoAll adjoint: AlltoAll back to expert hosts.
-        let ctx = DispatchCtx::flat(&self.ep_group);
-        let grad_reduced = self.dispatcher.all_to_all(grad_send, &ctx)?;
-
-        // ReduceScatter adjoint: AllGather the gradient slices.
-        let grad_shard_out = self.esp_group.all_gather(&grad_reduced)?;
-        debug_assert_eq!(grad_shard_out.len() / m, state.gathered_rows);
-
-        // Expert shard backward: one grouped pass mirroring the forward
-        // (or the per-shard loop when the forward fell back to it).
-        let layout = self.shard_layout();
-        let offsets = layout.group_offsets();
-        let gy = grouped_input(layout, &grad_shard_out)?;
-        let shards = &self.shards;
-        let threads = tensor::par::num_threads();
-        let (grad_rows, shard_grads) = match &state.compute {
-            DistCompute::Grouped(st) => grouped::backward_ffn(shards, &gy, st, &offsets, threads)?,
-            DistCompute::PerExpert(states) => {
-                let results = for_each_expert(self.experts_per_ep, threads, |el| {
-                    let ge = gy.slice_rows(offsets[el], offsets[el + 1])?;
-                    shards[el].backward(&ge, &states[el])
-                })?;
-                let mut grad_x = Tensor::zeros(gy.dims());
-                let mut grads = Vec::with_capacity(self.experts_per_ep);
-                for (el, g) in results.into_iter().enumerate() {
-                    grad_x.data_mut()[offsets[el] * m..offsets[el + 1] * m]
-                        .copy_from_slice(g.input.data());
-                    grads.push(g.weights);
-                }
-                (grad_x, grads)
-            }
-        };
-        let mut grad_gathered = vec![0.0f32; grad_shard_out.len()];
-        for el in 0..self.experts_per_ep {
-            scatter_expert_rows(
-                layout,
-                &mut grad_gathered,
-                el,
-                &grad_rows.data()[offsets[el] * m..offsets[el + 1] * m],
+                layout.t * layout.m,
+                &self.expert_map.slot_layout(),
+                num_experts,
             );
         }
-
-        // AllGather adjoint: ReduceScatter the input grads back to the
-        // rank that contributed each token slice.
-        let grad_received = self.esp_group.reduce_scatter(&grad_gathered)?;
-
-        // dispatch-AlltoAll adjoint: AlltoAll back to token sources,
-        // arriving in map layout; un-permute into expert order.
-        let grad_buffer_raw = self.dispatcher.all_to_all(&grad_received, &ctx)?;
-        let grad_buffer_raw = if is_block {
-            grad_buffer_raw
-        } else {
-            unpermute_expert_blocks(
-                &grad_buffer_raw,
-                block_elems,
-                &slot_layout,
-                self.config.num_experts,
-            )
-        };
-        let grad_buffer = Tensor::from_vec(
-            grad_buffer_raw,
-            &[self.config.num_experts * self.config.capacity(), m],
-        )?;
-
-        let grad_input = order_backward(&grad_buffer, routing)?;
-        Ok(DistMoeGrads {
-            input: grad_input,
-            shards: shard_grads,
-        })
+        Ok(Tensor::from_vec(
+            combined,
+            &[num_experts * layout.t, layout.m],
+        )?)
     }
 
-    /// Applies SGD updates to the local shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `grads` does not match the shard list.
-    pub fn apply_grads(&mut self, grads: &DistMoeGrads, lr: f32) -> Result<()> {
-        if grads.shards.len() != self.shards.len() {
-            return Err(MoeError::BadInput {
-                expected: format!("{} shard gradient sets", self.shards.len()),
-                actual: vec![grads.shards.len()],
-            });
-        }
-        for (shard, g) in self.shards.iter_mut().zip(&grads.shards) {
-            shard.apply_grads(g, lr)?;
-        }
-        Ok(())
+    /// This rank's ESP shard of a `config.ffn` expert holding the full
+    /// expert's `weights` verbatim.
+    fn shard_from_weights(&self, weights: &[Tensor]) -> Result<Box<dyn Expert>> {
+        // The build supplies the module structure; its random weights
+        // are overwritten by the import, so the rng is a throwaway.
+        let mut full = build_expert(
+            self.config.ffn,
+            self.config.embed_dim,
+            self.config.hidden_dim,
+            &mut TensorRng::seed_from(0),
+        );
+        full.import_weights(weights)?;
+        full.shard(self.esp_group.group_index(), self.esp_group.size())
     }
 
-    /// The active expert placement.
-    pub fn expert_map(&self) -> &ExpertMap {
-        &self.expert_map
+    /// The flat wire form of one un-sharded local expert: its weight
+    /// shapes and their total element count. All experts share one
+    /// architecture, so every rank sizes wire buffers from any local
+    /// expert.
+    fn expert_wire_shapes(&self) -> (Vec<Vec<usize>>, usize) {
+        let shapes: Vec<Vec<usize>> = self.shards[0]
+            .weights()
+            .iter()
+            .map(|w| w.dims().to_vec())
+            .collect();
+        let total = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        (shapes, total)
     }
 
     /// Rebuilds this rank's gate and expert shards from a *full*
     /// checkpoint (all `E` experts), keeping only the experts the
-    /// current [`ExpertMap`] places here. Forward state is discarded.
+    /// current [`ExpertMap`](crate::reshard::ExpertMap) places here, as
+    /// `config.ffn` experts (a layer assembled from custom expert types
+    /// does not keep them). Forward state is discarded.
     ///
     /// # Errors
     ///
@@ -779,26 +455,14 @@ impl DistMoeLayer {
             });
         }
         self.gate.import_weights(&checkpoint.gate)?;
-        let my_pos = self.ep_group.group_index();
-        let my_shard = self.esp_group.group_index();
-        let n_esp = self.esp_group.size();
-        let mut shards = Vec::with_capacity(self.experts_per_ep);
-        for &e in self.expert_map.experts_on(my_pos) {
-            // The build draws random weights that import_weights then
-            // overwrites; only the shapes matter, so the rng is a
-            // throwaway.
-            let mut scratch = TensorRng::seed_from(0);
-            let mut full = build_expert(
-                self.config.ffn,
-                self.config.embed_dim,
-                self.config.hidden_dim,
-                &mut scratch,
-            );
-            full.import_weights(&checkpoint.experts[e])?;
-            shards.push(full.shard(my_shard, n_esp)?);
-        }
+        let shards = self
+            .expert_map
+            .experts_on(self.ep_group.group_index())
+            .iter()
+            .map(|&e| self.shard_from_weights(&checkpoint.experts[e]))
+            .collect::<Result<_>>()?;
         self.shards = shards;
-        self.state = None;
+        self.clear_state();
         Ok(())
     }
 
@@ -807,7 +471,7 @@ impl DistMoeLayer {
     /// over the new communicator, and restores every locally hosted
     /// expert from `checkpoint`.
     ///
-    /// The drop account ([`DistMoeLayer::dropped_tokens`]) survives the
+    /// The drop account ([`MoeLayer::dropped_tokens`]) survives the
     /// reshard — tokens lost before the eviction stay counted exactly
     /// once.
     ///
@@ -845,7 +509,6 @@ impl DistMoeLayer {
         }
         self.ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
         self.esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
-        self.experts_per_ep = plan.map.experts_on(self.ep_group.group_index()).len();
         self.expert_map = plan.map.clone();
         self.rank = comm.rank();
         self.restore_full(checkpoint)
@@ -867,7 +530,7 @@ impl DistMoeLayer {
     /// 3. transfers the expert's weights rank-to-rank over a pair
     ///    broadcast (only the source and destination participate; the
     ///    bytes are copied verbatim, so weights stay bit-identical),
-    /// 4. rebinds: installs the new [`ExpertMap`] everywhere and
+    /// 4. rebinds: installs the new `ExpertMap` everywhere and
     ///    drops stale forward state, so the next dispatch targets the
     ///    new owner.
     ///
@@ -877,7 +540,7 @@ impl DistMoeLayer {
     ///
     /// Requires `N_ESP == 1` (un-sharded local experts) — the regime
     /// the elastic trainer runs in, same as
-    /// [`DistMoeLayer::checkpoint_global`].
+    /// [`MoeLayer::checkpoint_global`].
     ///
     /// # Errors
     ///
@@ -914,14 +577,7 @@ impl DistMoeLayer {
         // exchange: every rank shares the same collective outcome, so
         // a transfer fault cannot leave participants and bystanders
         // disagreeing about whether the new placement was installed.
-        // All experts share one architecture, so every rank sizes the
-        // wire buffer from any local expert.
-        let shapes: Vec<Vec<usize>> = self.shards[0]
-            .weights()
-            .iter()
-            .map(|w| w.dims().to_vec())
-            .collect();
-        let total: usize = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        let (shapes, total) = self.expert_wire_shapes();
         let mut flat;
         let mut source_local = None;
         if self.rank == from_rank {
@@ -950,36 +606,16 @@ impl DistMoeLayer {
             self.shards.remove(local);
         }
         if self.rank == to_rank {
-            // A scratch build supplies the module structure; its random
-            // weights are overwritten by the verbatim import, so the
-            // transferred expert stays bit-identical.
-            let mut scratch = TensorRng::seed_from(0);
-            let mut full = build_expert(
-                self.config.ffn,
-                self.config.embed_dim,
-                self.config.hidden_dim,
-                &mut scratch,
-            );
-            let mut weights = Vec::with_capacity(shapes.len());
-            let mut off = 0usize;
-            for dims in &shapes {
-                let n: usize = dims.iter().product();
-                weights.push(Tensor::from_vec(flat[off..off + n].to_vec(), dims)?);
-                off += n;
-            }
-            full.import_weights(&weights)?;
-            // `migrated` appends the expert to the destination's list,
-            // so the new shard goes to the end of ours.
-            self.shards
-                .push(full.shard(self.esp_group.group_index(), 1)?);
+            // The import is verbatim, so the transferred expert stays
+            // bit-identical. `migrated` appends the expert to the
+            // destination's list, so the new shard goes to the end of
+            // ours.
+            let weights = unflatten(&flat, &shapes)?;
+            self.shards.push(self.shard_from_weights(&weights)?);
             obs::counter_add(obs::names::MOE_MIGRATIONS, 1);
         }
         self.expert_map = new_map;
-        self.experts_per_ep = self
-            .expert_map
-            .experts_on(self.ep_group.group_index())
-            .len();
-        self.state = None;
+        self.clear_state();
         Ok(())
     }
 
@@ -1005,14 +641,7 @@ impl DistMoeLayer {
                 ),
             });
         }
-        // All experts share one architecture, so shapes come from any
-        // local expert and the flat wire format is uniform per expert.
-        let shapes: Vec<Vec<usize>> = self.shards[0]
-            .weights()
-            .iter()
-            .map(|w| w.dims().to_vec())
-            .collect();
-        let per_expert: usize = shapes.iter().map(|d| d.iter().product::<usize>()).sum();
+        let (shapes, per_expert) = self.expert_wire_shapes();
         // The AllGather needs equal contributions, so under a
         // non-uniform placement every rank pads its flat weights to the
         // placement-wide slot count (the same padding the dispatch
@@ -1032,14 +661,7 @@ impl DistMoeLayer {
         for p in 0..n_ep {
             let chunk = &gathered[p * flat.len()..(p + 1) * flat.len()];
             for (el, &e) in self.expert_map.experts_on(p).iter().enumerate() {
-                let mut off = el * per_expert;
-                let mut weights = Vec::with_capacity(shapes.len());
-                for dims in &shapes {
-                    let n: usize = dims.iter().product();
-                    weights.push(Tensor::from_vec(chunk[off..off + n].to_vec(), dims)?);
-                    off += n;
-                }
-                experts[e] = weights;
+                experts[e] = unflatten(&chunk[el * per_expert..(el + 1) * per_expert], &shapes)?;
             }
         }
         Ok(LayerCheckpoint {

@@ -135,9 +135,10 @@ pub trait Expert: std::fmt::Debug + Send + Sync {
 /// workers and returns the results in index order, failing fast on the
 /// first error (by index).
 ///
-/// This is the per-expert fan-out both the single-process layer and the
-/// distributed layer use for forward and backward: expert FFNs are
-/// independent GEMM chains, so they parallelise without any locking.
+/// This is the per-expert fan-out of the layer's fallback path
+/// ([`crate::grouped::forward_experts`] / `backward_experts`, for expert
+/// sets the grouped GEMM cannot batch): expert FFNs are independent
+/// GEMM chains, so they parallelise without any locking.
 /// With `threads <= 1` (or a single expert) everything runs on the
 /// calling thread, and because each expert's arithmetic is untouched by
 /// the split, results are identical for every worker count.

@@ -1,11 +1,12 @@
 //! Dropless grouped expert GEMM (the MegaBlocks formulation).
 //!
 //! Instead of padding every expert to the capacity `T` and looping
-//! expert by expert over `(T, M)` slices, the layer gathers each
-//! expert's routed tokens into one variable-size concatenated buffer —
-//! no token is dropped or padded by the compute path — and runs each
-//! FFN projection of **all** experts as a single
-//! [`Tensor::matmul_grouped`] pass. The grouped GEMM parallelises over
+//! expert by expert over `(T, M)` slices, a layer whose exchange is the
+//! identity ([`crate::layer`]) gathers each expert's routed tokens into
+//! one variable-size concatenated buffer — no token is dropped or padded
+//! by the compute path — and runs each FFN projection of **all** experts
+//! as a single [`Tensor::matmul_grouped`] pass (the wire path feeds the
+//! same pass uniform capacity-padded groups). The grouped GEMM parallelises over
 //! every output row across experts, so a skewed routing no longer
 //! serialises on the heaviest expert, and empty experts cost nothing.
 //!
@@ -16,7 +17,7 @@
 
 use tensor::{grad, Tensor};
 
-use crate::expert::{Expert, FfnWeights};
+use crate::expert::{for_each_expert, Expert, ExpertState, FfnWeights};
 use crate::routing::Routing;
 use crate::{MoeError, Result};
 
@@ -369,6 +370,64 @@ pub fn backward_ffn(
         }
         _ => Err(MoeError::NoForwardState),
     }
+}
+
+/// How the expert compute of a forward pass ran; [`backward_experts`]
+/// mirrors it.
+#[derive(Debug)]
+pub enum FfnState {
+    /// One grouped GEMM pass over all experts.
+    Grouped(GroupedState),
+    /// Per-expert loop (custom or heterogeneous experts).
+    PerExpert(Vec<ExpertState>),
+}
+
+/// Runs every expert over its group of `x`: [`forward_ffn`] when the
+/// set is groupable, else the per-expert loop over the same row slices,
+/// fanned out over scoped threads.
+///
+/// # Errors
+///
+/// Propagates expert and GEMM shape mismatches.
+pub fn forward_experts(
+    experts: &[Box<dyn Expert>],
+    x: &Tensor,
+    offsets: &[usize],
+    threads: usize,
+) -> Result<(Tensor, FfnState)> {
+    if let Some((y, state)) = forward_ffn(experts, x, offsets, threads)? {
+        return Ok((y, FfnState::Grouped(state)));
+    }
+    let results = for_each_expert(experts.len(), threads, |e| {
+        experts[e].forward(&x.slice_rows(offsets[e], offsets[e + 1])?)
+    })?;
+    let (ys, states): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    Ok((Tensor::cat(&ys)?, FfnState::PerExpert(states)))
+}
+
+/// Backward of [`forward_experts`]: input-gradient rows in the layout
+/// of the forward input plus per-expert weight gradients.
+///
+/// # Errors
+///
+/// As [`backward_ffn`], plus per-expert shape mismatches.
+pub fn backward_experts(
+    experts: &[Box<dyn Expert>],
+    grad_y: &Tensor,
+    state: &FfnState,
+    offsets: &[usize],
+    threads: usize,
+) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
+    let states = match state {
+        FfnState::Grouped(st) => return backward_ffn(experts, grad_y, st, offsets, threads),
+        FfnState::PerExpert(states) => states,
+    };
+    let results = for_each_expert(experts.len(), threads, |e| {
+        experts[e].backward(&grad_y.slice_rows(offsets[e], offsets[e + 1])?, &states[e])
+    })?;
+    let (grad_x, grads): (Vec<_>, Vec<_>) =
+        results.into_iter().map(|g| (g.input, g.weights)).unzip();
+    Ok((Tensor::cat(&grad_x)?, grads))
 }
 
 #[cfg(test)]

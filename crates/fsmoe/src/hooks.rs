@@ -3,7 +3,7 @@
 //! FSMoE exposes six hook points around the MoE layer so users can adapt
 //! inputs, compress communication, or collect statistics *without*
 //! modifying the layer. [`MoeLayer`](crate::layer::MoeLayer) invokes them
-//! in this order:
+//! in this order, whatever world it runs over:
 //!
 //! 1. [`MoeHooks::before_moe_start`] — reformat inputs (e.g. multimodal);
 //! 2. [`MoeHooks::before_dispatch`] — e.g. compress the dispatch buffer;
@@ -11,6 +11,13 @@
 //! 4. [`MoeHooks::before_combine`] — e.g. compress expert outputs;
 //! 5. [`MoeHooks::after_combine`] — e.g. decompress them;
 //! 6. [`MoeHooks::before_moe_end`] — final output adjustment.
+//!
+//! Hooks 2–5 bracket the two exchanges between tokens and experts. The
+//! buffers they see are in the exchange's layout: the dropless
+//! expert-grouped rows on a one-rank layer (where the exchange is the
+//! identity, so 2/3 and 4/5 see the same rows), the capacity-padded
+//! `(E·T, M)` order buffer outside and the per-local-expert rows inside
+//! on the wire path.
 
 use tensor::Tensor;
 
@@ -30,7 +37,8 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the ordered dispatch buffer just before the AlltoAll.
+    /// Runs on the ordered dispatch buffer just before the dispatch
+    /// exchange.
     ///
     /// # Errors
     ///
@@ -40,7 +48,8 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the received buffer just after the AlltoAll.
+    /// Runs on the rows the local experts are about to compute on, just
+    /// after the dispatch exchange.
     ///
     /// # Errors
     ///
@@ -50,7 +59,8 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the expert outputs before the combine AlltoAll.
+    /// Runs on the local experts' output rows before the combine
+    /// exchange.
     ///
     /// # Errors
     ///
@@ -60,7 +70,7 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the combined buffer after the combine AlltoAll.
+    /// Runs on the combined buffer after the combine exchange.
     ///
     /// # Errors
     ///
@@ -99,13 +109,13 @@ impl MoeHooks for NoopHooks {}
 /// A statistics hook exposing degradation drops — a thin **read**
 /// adapter over the process-wide `obs` counters.
 ///
-/// The layer is the single writer: `DistMoeLayer` records every drop
+/// The layer is the single writer: `MoeLayer` records every drop
 /// into [`obs::names::MOE_DROPPED_TOKENS`] / [`obs::names::MOE_DROP_EVENTS`]
 /// *before* invoking [`MoeHooks::on_tokens_dropped`], and this adapter
 /// only reads those counters back — so the hook's view and the registry
 /// can never diverge (they are the same account). Requires an enabled
 /// `obs` session ([`obs::session`]); with the registry disabled the
-/// counters stay 0 and the per-layer `DistMoeLayer::dropped_tokens`
+/// counters stay 0 and the per-layer `MoeLayer::dropped_tokens`
 /// field remains the local source of truth.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DropCounterHooks;

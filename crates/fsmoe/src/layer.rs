@@ -1,11 +1,23 @@
-//! The composed MoE layer (single-process execution).
+//! The composed MoE layer — one struct whatever the parallelism.
 //!
 //! [`MoeLayer`] wires the six sub-modules together exactly in the
-//! paper's order (Fig. 1): gate → order → (dispatch) → expert →
-//! (combine) → i-order, with the six hooks interleaved. This
-//! single-process variant keeps all `E` experts locally — it is the
-//! numerical reference the distributed layer
-//! ([`crate::dist::DistMoeLayer`]) and every schedule must match.
+//! paper's order (Fig. 1): gate → order → dispatch → expert → combine →
+//! i-order, with the six hooks interleaved. One rank's slice of the
+//! layer runs over the EP and ESP groups its topology assigns it, and
+//! the **exchange** between tokens and experts is the only thing that
+//! depends on them:
+//!
+//! * when both groups hold one rank (and placement is the block map)
+//!   the exchange is the identity over the dropless [`TokenGroups`]
+//!   gather/scatter — no capacity padding, no collectives. This is local
+//!   execution, and the numerical reference every other world shape must
+//!   match;
+//! * otherwise it is the wire path of [`crate::dist`] (Fig. 2):
+//!   capacity-padded order buffer → AlltoAll(EP) → ESP-AllGather →
+//!   expert shards → ESP-ReduceScatter → AlltoAll(EP) → i-order.
+//!
+//! A local layer is the same type built over a one-rank world
+//! ([`Communicator::solo`] and `HybridTopology::flat(1)`).
 //!
 //! # Backward semantics
 //!
@@ -18,56 +30,70 @@
 //! and keeps the reproduction's scheduling-relevant compute identical;
 //! DESIGN.md records the simplification.
 
+use collectives::{Communicator, GroupComm, HybridTopology};
 use tensor::{Tensor, TensorRng};
 
 use crate::config::MoeConfig;
-use crate::expert::{build_expert, for_each_expert, Expert, ExpertState};
+use crate::dispatch::{Dispatcher, NcclA2A};
+use crate::dist::FaultPolicy;
+use crate::expert::{build_expert, Expert};
 use crate::gate::{ExpertChoiceGate, GShardGate, Gate, SigmoidGate, SoftMoeGate, XMoeGate};
-use crate::grouped::{self, GroupedState, TokenGroups};
+use crate::grouped::{self, FfnState, TokenGroups};
 use crate::hooks::{MoeHooks, NoopHooks};
-use crate::order::{OrderFn, TutelOrdering};
+use crate::order::{combine_backward, order_backward, OrderFn, TutelOrdering};
+use crate::reshard::ExpertMap;
 use crate::routing::Routing;
 use crate::{MoeError, Result};
 
-/// Gradients produced by [`MoeLayer::backward`].
+/// Gradients produced by [`MoeLayer::backward`] on one rank.
 #[derive(Debug, Clone)]
 pub struct MoeGrads {
-    /// Gradient with respect to the layer input.
+    /// Gradient with respect to this rank's input block.
     pub input: Tensor,
-    /// Per-expert weight gradients, indexable by expert.
-    pub experts: Vec<Vec<Tensor>>,
-}
-
-/// How the expert compute of a forward pass was executed (the backward
-/// pass must mirror it).
-#[derive(Debug)]
-enum ComputeState {
-    /// One grouped GEMM pass over all experts ([`crate::grouped`]).
-    Grouped(GroupedState),
-    /// Per-expert loop over variable-size gathered slices (custom or
-    /// heterogeneous experts).
-    PerExpert(Vec<ExpertState>),
+    /// Weight gradients for this rank's local expert shards.
+    pub shards: Vec<Vec<Tensor>>,
 }
 
 #[derive(Debug)]
 struct ForwardState {
     routing: Routing,
-    groups: TokenGroups,
-    compute: ComputeState,
+    /// The gather plan of an identity exchange; `None` on the wire path.
+    groups: Option<TokenGroups>,
+    compute: FfnState,
 }
 
-/// A Mixture-of-Experts layer with swappable sub-modules.
+/// One rank's slice of a Mixture-of-Experts layer with swappable
+/// sub-modules.
+///
+/// Expert placement follows the paper: expert `e` is hosted by EP
+/// position `e / (E/N_EP)` — i.e. by one node — and sharded across that
+/// node's ESP group. Every `(expert, shard)` pair lives on exactly one
+/// GPU, so expert weights need no data-parallel gradient
+/// synchronisation (the Gradient-AllReduce of §5 covers the *dense*
+/// parameters, which are DP-replicated).
 pub struct MoeLayer {
-    config: MoeConfig,
-    gate: Box<dyn Gate>,
-    /// The padded `(E·T, M)` ordering reference. The single-process
-    /// compute path is the dropless gathered layout (see
-    /// [`crate::grouped`]), so this is kept for the distributed wire
-    /// format and as the numerical reference implementation.
+    pub(crate) config: MoeConfig,
+    pub(crate) gate: Box<dyn Gate>,
+    /// The padded `(E·T, M)` wire-format ordering (unused by the
+    /// identity exchange, which gathers droplessly).
     order: Box<dyn OrderFn>,
-    experts: Vec<Box<dyn Expert>>,
-    hooks: Box<dyn MoeHooks>,
+    pub(crate) dispatcher: Box<dyn Dispatcher>,
+    /// ESP shards of this rank's local experts, in
+    /// [`ExpertMap::experts_on`] order.
+    pub(crate) shards: Vec<Box<dyn Expert>>,
+    pub(crate) ep_group: GroupComm,
+    pub(crate) esp_group: GroupComm,
+    /// Which global expert lives at which EP position (block placement
+    /// until a reshard installs something else).
+    pub(crate) expert_map: ExpertMap,
     state: Option<ForwardState>,
+    /// This rank's global rank (to tell "a peer died" from "I died").
+    pub(crate) rank: usize,
+    pub(crate) fault_policy: FaultPolicy,
+    pub(crate) hooks: Box<dyn MoeHooks>,
+    /// Token assignments dropped by graceful degradation since
+    /// construction.
+    pub(crate) dropped_tokens: usize,
     /// Worker-count override for expert compute; `None` uses
     /// [`tensor::par::num_threads`].
     compute_threads: Option<usize>,
@@ -78,25 +104,32 @@ impl std::fmt::Debug for MoeLayer {
         f.debug_struct("MoeLayer")
             .field("gate", &self.gate.name())
             .field("order", &self.order.name())
-            .field("experts", &self.experts.len())
+            .field("local_experts", &self.shards.len())
+            .field("ep", &self.ep_group.size())
+            .field("esp", &self.esp_group.size())
             .finish()
     }
 }
 
 impl MoeLayer {
-    /// Assembles a layer from explicit sub-modules — the fully flexible
-    /// constructor (everything else is sugar over this).
+    /// Assembles this rank's slice from explicit sub-modules — the fully
+    /// flexible constructor (everything else is sugar over this).
+    /// `experts` is the full set of `E` un-sharded experts, identical on
+    /// every rank; the layer keeps its `(expert, shard)` slices.
     ///
     /// # Errors
     ///
     /// Returns [`MoeError::BadConfig`] when the module set disagrees with
-    /// the config (expert count, gate width).
+    /// the config (expert count, gate width), `E` does not divide by
+    /// `N_EP`, or the hidden size does not divide by `N_ESP`.
     pub fn with_modules(
         config: &MoeConfig,
         gate: Box<dyn Gate>,
         order: Box<dyn OrderFn>,
         experts: Vec<Box<dyn Expert>>,
         hooks: Box<dyn MoeHooks>,
+        comm: &Communicator,
+        topo: &HybridTopology,
     ) -> Result<Self> {
         if gate.num_experts() != config.num_experts {
             return Err(MoeError::BadConfig {
@@ -118,24 +151,46 @@ impl MoeLayer {
                 ),
             });
         }
+        let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
+        let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
+        let expert_map = ExpertMap::block(config.num_experts, ep_group.size())?;
+        let shards = expert_map
+            .experts_on(ep_group.group_index())
+            .iter()
+            .map(|&e| experts[e].shard(esp_group.group_index(), esp_group.size()))
+            .collect::<Result<_>>()?;
         Ok(MoeLayer {
             config: config.clone(),
             gate,
             order,
-            experts,
-            hooks,
+            dispatcher: Box::new(NcclA2A),
+            shards,
+            ep_group,
+            esp_group,
+            expert_map,
             state: None,
+            rank: comm.rank(),
+            fault_policy: FaultPolicy::default(),
+            hooks,
+            dropped_tokens: 0,
             compute_threads: None,
         })
     }
 
-    /// A layer around an arbitrary gate, with default experts, ordering,
-    /// and hooks.
+    /// A layer around an arbitrary gate, with default experts, ordering
+    /// and hooks. `rng` must be in the same state on every rank (the
+    /// expert weights are drawn from it).
     ///
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn with_gate(config: &MoeConfig, gate: Box<dyn Gate>, rng: &mut TensorRng) -> Result<Self> {
+    pub fn with_gate(
+        config: &MoeConfig,
+        gate: Box<dyn Gate>,
+        rng: &mut TensorRng,
+        comm: &Communicator,
+        topo: &HybridTopology,
+    ) -> Result<Self> {
         let experts = (0..config.num_experts)
             .map(|_| build_expert(config.ffn, config.embed_dim, config.hidden_dim, rng))
             .collect();
@@ -145,17 +200,27 @@ impl MoeLayer {
             Box::new(TutelOrdering::new()),
             experts,
             Box::new(NoopHooks),
+            comm,
+            topo,
         )
     }
 
-    /// A layer with the GShard top-k gate.
+    /// A layer with the GShard top-k gate. Every rank must pass the same
+    /// `seed` (gate weights are replicated; experts are materialised
+    /// identically everywhere before sharding).
     ///
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn gshard(config: &MoeConfig, rng: &mut TensorRng) -> Result<Self> {
-        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, rng);
-        MoeLayer::with_gate(config, Box::new(gate), rng)
+    pub fn gshard(
+        config: &MoeConfig,
+        comm: &Communicator,
+        topo: &HybridTopology,
+        seed: u64,
+    ) -> Result<Self> {
+        let mut rng = TensorRng::seed_from(seed);
+        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
+        MoeLayer::with_gate(config, Box::new(gate), &mut rng, comm, topo)
     }
 
     /// A layer with the sigmoid (BASE/StableMoE) gate.
@@ -163,9 +228,15 @@ impl MoeLayer {
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn sigmoid(config: &MoeConfig, rng: &mut TensorRng) -> Result<Self> {
-        let gate = SigmoidGate::new(config.embed_dim, config.num_experts, config.top_k, rng);
-        MoeLayer::with_gate(config, Box::new(gate), rng)
+    pub fn sigmoid(
+        config: &MoeConfig,
+        comm: &Communicator,
+        topo: &HybridTopology,
+        seed: u64,
+    ) -> Result<Self> {
+        let mut rng = TensorRng::seed_from(seed);
+        let gate = SigmoidGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
+        MoeLayer::with_gate(config, Box::new(gate), &mut rng, comm, topo)
     }
 
     /// A layer with the X-MoE cosine gate (low rank = M/4, min 2).
@@ -173,16 +244,22 @@ impl MoeLayer {
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn xmoe(config: &MoeConfig, rng: &mut TensorRng) -> Result<Self> {
+    pub fn xmoe(
+        config: &MoeConfig,
+        comm: &Communicator,
+        topo: &HybridTopology,
+        seed: u64,
+    ) -> Result<Self> {
+        let mut rng = TensorRng::seed_from(seed);
         let low_rank = (config.embed_dim / 4).max(2);
         let gate = XMoeGate::new(
             config.embed_dim,
             low_rank,
             config.num_experts,
             config.top_k,
-            rng,
+            &mut rng,
         );
-        MoeLayer::with_gate(config, Box::new(gate), rng)
+        MoeLayer::with_gate(config, Box::new(gate), &mut rng, comm, topo)
     }
 
     /// A layer with the SoftMoE gate.
@@ -190,9 +267,15 @@ impl MoeLayer {
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn softmoe(config: &MoeConfig, rng: &mut TensorRng) -> Result<Self> {
-        let gate = SoftMoeGate::new(config.embed_dim, config.num_experts, config.top_k, rng);
-        MoeLayer::with_gate(config, Box::new(gate), rng)
+    pub fn softmoe(
+        config: &MoeConfig,
+        comm: &Communicator,
+        topo: &HybridTopology,
+        seed: u64,
+    ) -> Result<Self> {
+        let mut rng = TensorRng::seed_from(seed);
+        let gate = SoftMoeGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
+        MoeLayer::with_gate(config, Box::new(gate), &mut rng, comm, topo)
     }
 
     /// A layer with the expert-choice gate.
@@ -200,9 +283,15 @@ impl MoeLayer {
     /// # Errors
     ///
     /// Propagates construction errors.
-    pub fn expert_choice(config: &MoeConfig, rng: &mut TensorRng) -> Result<Self> {
-        let gate = ExpertChoiceGate::new(config.embed_dim, config.num_experts, rng);
-        MoeLayer::with_gate(config, Box::new(gate), rng)
+    pub fn expert_choice(
+        config: &MoeConfig,
+        comm: &Communicator,
+        topo: &HybridTopology,
+        seed: u64,
+    ) -> Result<Self> {
+        let mut rng = TensorRng::seed_from(seed);
+        let gate = ExpertChoiceGate::new(config.embed_dim, config.num_experts, &mut rng);
+        MoeLayer::with_gate(config, Box::new(gate), &mut rng, comm, topo)
     }
 
     /// The layer's configuration.
@@ -215,24 +304,35 @@ impl MoeLayer {
         self.gate.as_ref()
     }
 
-    /// Mutable gate access (checkpoint restore).
-    pub fn gate_mut(&mut self) -> &mut dyn Gate {
-        self.gate.as_mut()
+    /// This rank's local expert shards (the full experts on a layer
+    /// without ESP sharding), in [`ExpertMap::experts_on`] order.
+    pub fn shards(&self) -> &[Box<dyn Expert>] {
+        &self.shards
     }
 
-    /// The experts (e.g. for weight synchronisation across DP replicas).
-    pub fn experts(&self) -> &[Box<dyn Expert>] {
-        &self.experts
+    /// The active expert placement.
+    pub fn expert_map(&self) -> &ExpertMap {
+        &self.expert_map
     }
 
-    /// Mutable expert access (weight updates).
-    pub fn experts_mut(&mut self) -> &mut [Box<dyn Expert>] {
-        &mut self.experts
+    /// Replaces the AlltoAll algorithm (flat dispatch context).
+    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
+        self.dispatcher = dispatcher;
     }
 
-    /// The ordering implementation installed at construction.
-    pub fn order(&self) -> &dyn OrderFn {
-        self.order.as_ref()
+    /// Replaces the retry/degradation policy for dispatch collectives.
+    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
+        self.fault_policy = policy;
+    }
+
+    /// The active retry/degradation policy.
+    pub fn fault_policy(&self) -> FaultPolicy {
+        self.fault_policy
+    }
+
+    /// Installs an extension hook set.
+    pub fn set_hooks(&mut self, hooks: Box<dyn MoeHooks>) {
+        self.hooks = hooks;
     }
 
     /// Overrides the worker count used for expert compute (`None`
@@ -248,16 +348,48 @@ impl MoeLayer {
             .unwrap_or_else(tensor::par::num_threads)
     }
 
+    /// Token assignments dropped by graceful degradation so far.
+    pub fn dropped_tokens(&self) -> usize {
+        self.dropped_tokens
+    }
+
     /// The routing decision of the most recent forward pass.
     pub fn last_routing(&self) -> Option<&Routing> {
         self.state.as_ref().map(|s| &s.routing)
     }
 
-    /// Runs the layer on a `(B·L, M)` input.
+    /// Discards the saved forward state (the weights or placement it
+    /// was computed under are gone).
+    pub(crate) fn clear_state(&mut self) {
+        self.state = None;
+    }
+
+    /// Whether tokens reach every expert without leaving this rank: both
+    /// groups are singletons and local shard order is global expert
+    /// order. A one-rank world left with a dealt (non-block) placement
+    /// by evictions takes the wire path, whose slot permutation handles
+    /// any placement.
+    fn exchange_is_identity(&self) -> bool {
+        self.ep_group.size() == 1 && self.esp_group.size() == 1 && self.expert_map.is_block()
+    }
+
+    /// Runs the layer on this rank's `(tokens, M)` input block.
+    ///
+    /// On the wire path a dispatch or combine AlltoAll that stays
+    /// unreachable under the [`FaultPolicy`] drops this forward's routed
+    /// assignments (zero-fill, counted at most once — losing the same
+    /// tokens on both legs is still one loss) rather than failing the
+    /// step.
     ///
     /// # Errors
     ///
-    /// Returns an error on a shape mismatch or sub-module failure.
+    /// Returns an error on a shape mismatch, a sub-module or hook
+    /// failure, or a collective fault the policy does not absorb.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in the collectives layer) if ranks disagree on the
+    /// sequence of collectives — an SPMD violation.
     pub fn forward(&mut self, input: &Tensor, rng: &mut TensorRng) -> Result<Tensor> {
         if input.rank() != 2 || input.dims()[1] != self.config.embed_dim {
             return Err(MoeError::BadInput {
@@ -265,7 +397,8 @@ impl MoeLayer {
                 actual: input.dims().to_vec(),
             });
         }
-        let _fwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_FORWARD);
+        let mut fwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_FORWARD);
+        fwd_span.attr("rank", self.rank);
         let mut input = input.clone();
         self.hooks.before_moe_start(&mut input)?;
 
@@ -278,49 +411,42 @@ impl MoeLayer {
                 obs::record_hist(obs::names::MOE_EXPERT_LOAD, load as f64);
             }
         }
-        // Dropless dispatch: gather each expert's routed tokens into one
-        // variable-size concatenated buffer — no capacity padding, no
-        // tokens dropped by the compute path.
-        let groups = TokenGroups::from_routing(&routing);
+        let groups = self
+            .exchange_is_identity()
+            .then(|| TokenGroups::from_routing(&routing));
+        let mut at_risk = Some(routing.assignments().len());
+
+        // order: dropless gather, or the capacity-padded (E·T, M) buffer
+        let mut buffer = match &groups {
+            Some(g) => g.gather(&input)?,
+            None => self.order.order(&input, &routing)?,
+        };
         let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
-        let mut buffer = groups.gather(&input)?;
         self.hooks.before_dispatch(&mut buffer, &routing)?;
-        // single-process: dispatch is the identity (all experts local)
-        self.hooks.after_dispatch(&mut buffer, &routing)?;
+        let (mut x, offsets) = match &groups {
+            Some(g) => (buffer, g.offsets().to_vec()),
+            None => self.wire_in(&buffer, self.fault_policy, &mut at_risk)?,
+        };
+        self.hooks.after_dispatch(&mut x, &routing)?;
         drop(dispatch_span);
 
-        let m = self.config.embed_dim;
-        let threads = self.compute_threads();
-        let experts = &self.experts;
         let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let (mut expert_out, compute) =
-            match grouped::forward_ffn(experts, &buffer, groups.offsets(), threads)? {
-                Some((y, st)) => (y, ComputeState::Grouped(st)),
-                None => {
-                    // custom/heterogeneous experts: per-expert loop over
-                    // the same gathered slices, fanned out over scoped
-                    // threads
-                    let offsets = groups.offsets();
-                    let results = for_each_expert(experts.len(), threads, |e| {
-                        let slice = buffer.slice_rows(offsets[e], offsets[e + 1])?;
-                        experts[e].forward(&slice)
-                    })?;
-                    let mut out = Tensor::zeros(&[groups.num_rows(), m]);
-                    let mut states = Vec::with_capacity(experts.len());
-                    for (e, (y, st)) in results.into_iter().enumerate() {
-                        out.data_mut()[offsets[e] * m..offsets[e + 1] * m]
-                            .copy_from_slice(y.data());
-                        states.push(st);
-                    }
-                    (out, ComputeState::PerExpert(states))
-                }
-            };
+        let (mut y, compute) =
+            grouped::forward_experts(&self.shards, &x, &offsets, self.compute_threads())?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
-        self.hooks.before_combine(&mut expert_out, &routing)?;
-        self.hooks.after_combine(&mut expert_out, &routing)?;
-        let mut output = groups.scatter_combine(&expert_out)?;
+        self.hooks.before_combine(&mut y, &routing)?;
+        let mut combined = match &groups {
+            Some(_) => y,
+            None => self.wire_out(&y, self.fault_policy, &mut at_risk)?,
+        };
+        self.hooks.after_combine(&mut combined, &routing)?;
+        // i-order: weighted scatter back to token rows
+        let mut output = match &groups {
+            Some(g) => g.scatter_combine(&combined)?,
+            None => self.order.inverse(&combined, &routing)?,
+        };
         self.hooks.before_moe_end(&mut output)?;
         drop(combine_span);
 
@@ -332,305 +458,78 @@ impl MoeLayer {
         Ok(output)
     }
 
-    /// Backpropagates through the most recent forward pass.
+    /// Backpropagates this rank's output gradient through the most
+    /// recent forward pass, mirroring its exchange (the adjoint of
+    /// AllGather is ReduceScatter and vice versa; AlltoAll is
+    /// self-adjoint).
+    ///
+    /// Unlike [`MoeLayer::forward`], backward does *not* degrade on
+    /// collective failure: a half-exchanged gradient would silently skew
+    /// the update, so faults propagate as errors and recovery is the
+    /// caller's job (checkpoint rollback, see `models::elastic`).
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::NoForwardState`] before any forward, or shape
-    /// errors when `grad_output` disagrees with the forward output.
+    /// Returns [`MoeError::NoForwardState`] before any forward, shape
+    /// errors when `grad_output` disagrees with the forward output, and
+    /// propagates collective faults ([`MoeError::Comm`]).
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<MoeGrads> {
-        let _bwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_BACKWARD);
-        let state = self.state.as_ref().ok_or(MoeError::NoForwardState)?;
-        let groups = &state.groups;
-        // adjoint of the combine scatter: weighted gather of output grads
-        let grad_rows = groups.gather_weighted(grad_output)?;
+        let mut bwd_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_MOE_BACKWARD);
+        bwd_span.attr("rank", self.rank);
+        let state = self.state.take().ok_or(MoeError::NoForwardState)?;
+        let result = self.backward_through(&state, grad_output);
+        self.state = Some(state);
+        result
+    }
 
-        let m = self.config.embed_dim;
-        let threads = self.compute_threads();
-        let experts = &self.experts;
-        let (grad_dispatch, expert_grads) = match &state.compute {
-            ComputeState::Grouped(st) => {
-                grouped::backward_ffn(experts, &grad_rows, st, groups.offsets(), threads)?
-            }
-            ComputeState::PerExpert(states) => {
-                let offsets = groups.offsets();
-                let results = for_each_expert(experts.len(), threads, |e| {
-                    let gslice = grad_rows.slice_rows(offsets[e], offsets[e + 1])?;
-                    experts[e].backward(&gslice, &states[e])
-                })?;
-                let mut grad_x = Tensor::zeros(&[groups.num_rows(), m]);
-                let mut grads = Vec::with_capacity(experts.len());
-                for (e, g) in results.into_iter().enumerate() {
-                    grad_x.data_mut()[offsets[e] * m..offsets[e + 1] * m]
-                        .copy_from_slice(g.input.data());
-                    grads.push(g.weights);
-                }
-                (grad_x, grads)
+    fn backward_through(&mut self, state: &ForwardState, grad_output: &Tensor) -> Result<MoeGrads> {
+        let strict = self.fault_policy.strict();
+        // i-order adjoint: weighted gather of output grads, then the
+        // combine exchange's adjoint back to the expert hosts
+        let (grad_y, offsets) = match &state.groups {
+            Some(g) => (g.gather_weighted(grad_output)?, g.offsets().to_vec()),
+            None => {
+                let grad_combined = combine_backward(grad_output, &state.routing)?;
+                self.wire_in(&grad_combined, strict, &mut None)?
             }
         };
-
-        // adjoint of the gather: unweighted scatter-add back to tokens
-        let grad_input = groups.scatter_add(&grad_dispatch)?;
+        let (grad_x, shard_grads) = grouped::backward_experts(
+            &self.shards,
+            &grad_y,
+            &state.compute,
+            &offsets,
+            self.compute_threads(),
+        )?;
+        // dispatch exchange's adjoint back to the token sources, then
+        // the order adjoint: unweighted scatter-add to token rows
+        let grad_input = match &state.groups {
+            Some(g) => g.scatter_add(&grad_x)?,
+            None => {
+                let grad_buffer = self.wire_out(&grad_x, strict, &mut None)?;
+                order_backward(&grad_buffer, &state.routing)?
+            }
+        };
         Ok(MoeGrads {
             input: grad_input,
-            experts: expert_grads,
+            shards: shard_grads,
         })
     }
 
-    /// Applies SGD updates to every expert.
+    /// Applies SGD updates to the local shards.
     ///
     /// # Errors
     ///
-    /// Returns an error when `grads` does not match the expert list.
+    /// Returns an error when `grads` does not match the shard list.
     pub fn apply_grads(&mut self, grads: &MoeGrads, lr: f32) -> Result<()> {
-        if grads.experts.len() != self.experts.len() {
+        if grads.shards.len() != self.shards.len() {
             return Err(MoeError::BadInput {
-                expected: format!("{} expert gradient sets", self.experts.len()),
-                actual: vec![grads.experts.len()],
+                expected: format!("{} shard gradient sets", self.shards.len()),
+                actual: vec![grads.shards.len()],
             });
         }
-        for (expert, g) in self.experts.iter_mut().zip(&grads.experts) {
-            expert.apply_grads(g, lr)?;
+        for (shard, g) in self.shards.iter_mut().zip(&grads.shards) {
+            shard.apply_grads(g, lr)?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::FfnKind;
-    use crate::order::GShardOrdering;
-
-    fn small_config() -> MoeConfig {
-        MoeConfig::builder()
-            .batch_size(2)
-            .seq_len(6)
-            .embed_dim(8)
-            .hidden_dim(16)
-            .num_experts(4)
-            .top_k(2)
-            .no_drop()
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn forward_preserves_shape_for_every_gate() {
-        let config = small_config();
-        let mut rng = TensorRng::seed_from(0);
-        let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
-        let builders: Vec<fn(&MoeConfig, &mut TensorRng) -> Result<MoeLayer>> = vec![
-            MoeLayer::gshard,
-            MoeLayer::sigmoid,
-            MoeLayer::xmoe,
-            MoeLayer::softmoe,
-            MoeLayer::expert_choice,
-        ];
-        for build in builders {
-            let mut layer = build(&config, &mut rng).unwrap();
-            let out = layer.forward(&input, &mut rng).unwrap();
-            assert_eq!(out.dims(), input.dims());
-            assert!(out.data().iter().all(|v| v.is_finite()));
-        }
-    }
-
-    #[test]
-    fn orderings_produce_identical_outputs() {
-        let config = small_config();
-        let mut rng = TensorRng::seed_from(1);
-        let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
-
-        let mut rng_a = TensorRng::seed_from(7);
-        let mut layer_a = MoeLayer::gshard(&config, &mut rng_a).unwrap();
-        let mut rng_b = TensorRng::seed_from(7);
-        let mut layer_b = {
-            let gate = GShardGate::new(
-                config.embed_dim,
-                config.num_experts,
-                config.top_k,
-                &mut rng_b,
-            );
-            let experts = (0..config.num_experts)
-                .map(|_| build_expert(config.ffn, config.embed_dim, config.hidden_dim, &mut rng_b))
-                .collect();
-            MoeLayer::with_modules(
-                &config,
-                Box::new(gate),
-                Box::new(GShardOrdering::new()),
-                experts,
-                Box::new(NoopHooks),
-            )
-            .unwrap()
-        };
-        let out_a = layer_a.forward(&input, &mut rng).unwrap();
-        let out_b = layer_b.forward(&input, &mut rng).unwrap();
-        assert!(out_a.allclose(&out_b, 1e-4));
-    }
-
-    #[test]
-    fn expert_weight_grads_match_finite_difference() {
-        let config = MoeConfig::builder()
-            .batch_size(1)
-            .seq_len(4)
-            .embed_dim(4)
-            .hidden_dim(8)
-            .num_experts(2)
-            .top_k(1)
-            .no_drop()
-            .build()
-            .unwrap();
-        let mut rng = TensorRng::seed_from(2);
-        let mut layer = MoeLayer::sigmoid(&config, &mut rng).unwrap();
-        let input = rng.normal(&[4, 4], 0.0, 1.0);
-
-        let out = layer.forward(&input, &mut rng).unwrap();
-        let grads = layer.backward(&Tensor::ones(out.dims())).unwrap();
-
-        // finite difference on one weight of expert 0 (routing is
-        // independent of expert weights, so fd is exact here)
-        let h = 1e-2f32;
-        let loss =
-            |layer: &mut MoeLayer, rng: &mut TensorRng| layer.forward(&input, rng).unwrap().sum();
-        // nudge w1[0][0] of expert 0 via apply_grads trick
-        let mut delta: Vec<Vec<Tensor>> = layer
-            .experts()
-            .iter()
-            .map(|e| {
-                e.weights()
-                    .iter()
-                    .map(|w| Tensor::zeros(w.dims()))
-                    .collect()
-            })
-            .collect();
-        delta[0][0].data_mut()[0] = 1.0;
-        let zero = MoeGrads {
-            input: Tensor::zeros(&[4, 4]),
-            experts: delta.clone(),
-        };
-        layer.apply_grads(&zero, -h).unwrap(); // +h
-        let lp = loss(&mut layer, &mut rng);
-        layer.apply_grads(&zero, 2.0 * h).unwrap(); // -h from original
-        let lm = loss(&mut layer, &mut rng);
-        layer.apply_grads(&zero, -h).unwrap(); // restore
-        let fd = (lp - lm) / (2.0 * h);
-        let analytic = grads.experts[0][0].data()[0];
-        assert!(
-            (fd - analytic).abs() < 5e-2,
-            "fd {fd} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
-    fn backward_before_forward_errors() {
-        let config = small_config();
-        let mut rng = TensorRng::seed_from(3);
-        let mut layer = MoeLayer::gshard(&config, &mut rng).unwrap();
-        assert!(matches!(
-            layer.backward(&Tensor::zeros(&[12, 8])),
-            Err(MoeError::NoForwardState)
-        ));
-    }
-
-    #[test]
-    fn hooks_are_invoked() {
-        use crate::hooks::QuantizeHooks;
-        let config = small_config();
-        let mut rng_a = TensorRng::seed_from(4);
-        let mut plain = MoeLayer::gshard(&config, &mut rng_a).unwrap();
-        let mut rng_b = TensorRng::seed_from(4);
-        let mut quantized = {
-            let gate = GShardGate::new(
-                config.embed_dim,
-                config.num_experts,
-                config.top_k,
-                &mut rng_b,
-            );
-            let experts = (0..config.num_experts)
-                .map(|_| build_expert(config.ffn, config.embed_dim, config.hidden_dim, &mut rng_b))
-                .collect();
-            MoeLayer::with_modules(
-                &config,
-                Box::new(gate),
-                Box::new(TutelOrdering::new()),
-                experts,
-                Box::new(QuantizeHooks::new(0.5)),
-            )
-            .unwrap()
-        };
-        let mut rng = TensorRng::seed_from(5);
-        let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
-        let a = plain.forward(&input, &mut rng).unwrap();
-        let b = quantized.forward(&input, &mut rng).unwrap();
-        assert!(!a.allclose(&b, 1e-6), "quantisation must perturb output");
-    }
-
-    #[test]
-    fn construction_validation() {
-        let config = small_config();
-        let mut rng = TensorRng::seed_from(6);
-        // wrong expert count
-        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, &mut rng);
-        let experts = vec![build_expert(
-            config.ffn,
-            config.embed_dim,
-            config.hidden_dim,
-            &mut rng,
-        )];
-        assert!(MoeLayer::with_modules(
-            &config,
-            Box::new(gate),
-            Box::new(TutelOrdering::new()),
-            experts,
-            Box::new(NoopHooks),
-        )
-        .is_err());
-        // wrong gate width
-        let gate = GShardGate::new(config.embed_dim, 2, 1, &mut rng);
-        let experts = (0..config.num_experts)
-            .map(|_| build_expert(config.ffn, config.embed_dim, config.hidden_dim, &mut rng))
-            .collect();
-        assert!(MoeLayer::with_modules(
-            &config,
-            Box::new(gate),
-            Box::new(TutelOrdering::new()),
-            experts,
-            Box::new(NoopHooks),
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn training_step_reduces_loss() {
-        let config = MoeConfig::builder()
-            .batch_size(1)
-            .seq_len(8)
-            .embed_dim(6)
-            .hidden_dim(12)
-            .num_experts(2)
-            .top_k(1)
-            .ffn(FfnKind::Mixtral)
-            .no_drop()
-            .build()
-            .unwrap();
-        let mut rng = TensorRng::seed_from(8);
-        let mut layer = MoeLayer::sigmoid(&config, &mut rng).unwrap();
-        let input = rng.normal(&[8, 6], 0.0, 1.0);
-        // loss = sum(output)
-        let y0 = layer.forward(&input, &mut rng).unwrap().sum();
-        let out = layer.forward(&input, &mut rng).unwrap();
-        let grads = layer.backward(&Tensor::ones(out.dims())).unwrap();
-        layer.apply_grads(&grads, 0.02).unwrap();
-        let y1 = layer.forward(&input, &mut rng).unwrap().sum();
-        assert!(y1 < y0, "{y1} !< {y0}");
-    }
-
-    #[test]
-    fn input_shape_validated() {
-        let config = small_config();
-        let mut rng = TensorRng::seed_from(9);
-        let mut layer = MoeLayer::gshard(&config, &mut rng).unwrap();
-        assert!(layer.forward(&Tensor::zeros(&[4, 5]), &mut rng).is_err());
-        assert!(layer.forward(&Tensor::zeros(&[8]), &mut rng).is_err());
     }
 }

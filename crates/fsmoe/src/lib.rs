@@ -21,10 +21,11 @@
 //! * [`MoeHooks`](hooks::MoeHooks) — the six non-invasive extension
 //!   hooks.
 //!
-//! [`layer::MoeLayer`] composes the sub-modules into a single-process
-//! layer with a hand-written backward pass; [`dist::DistMoeLayer`] runs
-//! the same computation across ranks over the `collectives` runtime with
-//! real AlltoAll / ESP-AllGather / ESP-ReduceScatter data movement.
+//! [`layer::MoeLayer`] composes the sub-modules into one rank's slice of
+//! the layer, with a hand-written backward pass. Built over a one-rank
+//! world it executes locally; over larger EP/ESP groups the same struct
+//! moves tokens over the `collectives` runtime with real AlltoAll /
+//! ESP-AllGather / ESP-ReduceScatter data movement ([`dist`]).
 //!
 //! The numerical contract that makes schedule experiments trustworthy:
 //! **schedules never change results**. The integration tests verify that
@@ -34,7 +35,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use fsmoe::config::{FfnKind, MoeConfig};
+//! use collectives::{Communicator, HybridTopology};
+//! use fsmoe::config::MoeConfig;
 //! use fsmoe::layer::MoeLayer;
 //! use tensor::TensorRng;
 //!
@@ -47,8 +49,10 @@
 //!     .num_experts(4)
 //!     .top_k(2)
 //!     .build()?;
-//! let mut rng = TensorRng::seed_from(0);
-//! let mut layer = MoeLayer::gshard(&config, &mut rng)?;
+//! // one rank: the exchange between tokens and experts is the identity
+//! let (comm, topo) = (Communicator::solo(), HybridTopology::flat(1)?);
+//! let mut layer = MoeLayer::gshard(&config, &comm, &topo, 0)?;
+//! let mut rng = TensorRng::seed_from(1);
 //! let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
 //! let output = layer.forward(&input, &mut rng)?;
 //! assert_eq!(output.dims(), input.dims());

@@ -7,6 +7,7 @@
 //! picks. The imbalance detector trusts this signal; a gate that leaks
 //! or double-counts assignments would skew every migration decision.
 
+use collectives::{Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;
 use fsmoe::gate::{ExpertChoiceGate, GShardGate, Gate, SigmoidGate, SoftMoeGate, XMoeGate};
 use fsmoe::layer::MoeLayer;
@@ -55,7 +56,8 @@ fn expert_load_histogram_sums_to_tokens_times_k_under_every_gate() {
         let cfg = config(is_expert_choice);
         let name = gate.name().to_string();
         let mut rng = TensorRng::seed_from(SEED);
-        let mut layer = MoeLayer::with_gate(&cfg, gate, &mut rng).unwrap();
+        let (comm, topo) = (Communicator::solo(), HybridTopology::flat(1).unwrap());
+        let mut layer = MoeLayer::with_gate(&cfg, gate, &mut rng, &comm, &topo).unwrap();
         let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(3);
         layer.forward(&input, &mut route_rng).unwrap();

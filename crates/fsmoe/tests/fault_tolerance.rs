@@ -7,12 +7,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use collectives::{
-    run_world_within, CommError, CommWorld, FaultInjector, HybridTopology, ParallelDims,
-};
+use collectives::{run_world_within, CommError, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::{DistMoeLayer, FaultPolicy};
+use fsmoe::dist::FaultPolicy;
 use fsmoe::hooks::{MoeHooks, NoopHooks};
+use fsmoe::layer::MoeLayer;
 use fsmoe::MoeError;
 use tensor::{Tensor, TensorRng};
 
@@ -21,17 +20,7 @@ const BUDGET: Duration = Duration::from_secs(30);
 
 /// Two GPUs on one node, pure expert parallelism (one expert each).
 fn two_rank_topology() -> HybridTopology {
-    HybridTopology::new(
-        1,
-        2,
-        ParallelDims {
-            dp: 2,
-            mp: 1,
-            ep: 2,
-            esp: 1,
-        },
-    )
-    .unwrap()
+    HybridTopology::flat(2).unwrap()
 }
 
 fn config() -> MoeConfig {
@@ -75,7 +64,7 @@ fn dead_peer_degrades_survivor_and_errors_the_dead_rank() {
     let results = run_world_within(world, BUDGET, move |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         layer.set_hooks(Box::new(SharedDropCounter(Arc::clone(&hook_drops2))));
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);
@@ -118,7 +107,7 @@ fn strict_policy_propagates_instead_of_dropping() {
     let results = run_world_within(world, BUDGET, |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         layer.set_fault_policy(FaultPolicy {
             max_retries: 1,
             base_backoff: Duration::from_millis(1),
@@ -160,7 +149,7 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
     let reference = run_world_within(CommWorld::new(2), BUDGET, |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);
         let first = layer.forward(&x, &mut rng).unwrap();
@@ -175,7 +164,7 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
     let results = run_world_within(world, BUDGET, move |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         layer.set_fault_policy(FaultPolicy {
             max_retries: 1,
             base_backoff: Duration::from_millis(5),
@@ -229,7 +218,7 @@ fn straggling_peer_within_deadline_costs_nothing() {
     let results = run_world_within(world, BUDGET, |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         layer.set_hooks(Box::new(NoopHooks));
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);

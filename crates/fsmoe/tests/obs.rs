@@ -4,9 +4,8 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology, ParallelDims};
+use collectives::{run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology};
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
 use fsmoe::hooks::DropCounterHooks;
 use fsmoe::layer::MoeLayer;
 use tensor::{Tensor, TensorRng};
@@ -15,17 +14,7 @@ const SEED: u64 = 77;
 const BUDGET: Duration = Duration::from_secs(30);
 
 fn two_rank_topology() -> HybridTopology {
-    HybridTopology::new(
-        1,
-        2,
-        ParallelDims {
-            dp: 2,
-            mp: 1,
-            ep: 2,
-            esp: 1,
-        },
-    )
-    .unwrap()
+    HybridTopology::flat(2).unwrap()
 }
 
 fn config() -> MoeConfig {
@@ -53,7 +42,7 @@ fn drop_account_is_unified_across_layer_obs_and_hook() {
     let results = run_world_within(world, BUDGET, |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         layer.set_hooks(Box::new(DropCounterHooks));
         let mut rng = TensorRng::seed_from(4000 + comm.rank() as u64);
         let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
@@ -92,7 +81,7 @@ fn fault_free_distributed_forward_traces_spans_and_load_histogram() {
     run_world_within(CommWorld::new(2), BUDGET, |comm| {
         let topo = two_rank_topology();
         let cfg = config();
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         let mut rng = TensorRng::seed_from(4000 + comm.rank() as u64);
         let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(0);
@@ -139,11 +128,12 @@ fn fault_free_distributed_forward_traces_spans_and_load_histogram() {
 }
 
 #[test]
-fn single_process_layer_traces_the_same_taxonomy() {
+fn one_rank_layer_traces_the_same_taxonomy_without_collectives() {
     let session = obs::session();
     let cfg = config();
     let mut rng = TensorRng::seed_from(1);
-    let mut layer = MoeLayer::gshard(&cfg, &mut rng).unwrap();
+    let topo = HybridTopology::flat(1).unwrap();
+    let mut layer = MoeLayer::gshard(&cfg, &Communicator::solo(), &topo, 1).unwrap();
     let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     let out = layer.forward(&input, &mut rng).unwrap();
     layer.backward(&Tensor::ones(out.dims())).unwrap();
@@ -161,4 +151,7 @@ fn single_process_layer_traces_the_same_taxonomy() {
     }
     let hist = snap.histogram(obs::names::MOE_EXPERT_LOAD).unwrap();
     assert_eq!(hist.count, cfg.num_experts as u64);
+    // the exchange is the identity: nothing went over the wire
+    assert!(snap.spans_named(obs::names::SPAN_ALL_TO_ALL).is_empty());
+    assert!(snap.spans_named(obs::names::SPAN_ALL_GATHER).is_empty());
 }

@@ -6,10 +6,10 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, HybridTopology, ParallelDims};
+use collectives::{run_world_within, CommWorld, HybridTopology};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
+use fsmoe::layer::MoeLayer;
 use fsmoe::reshard::{ExpertMap, ReshardPlan};
 use tensor::{Tensor, TensorRng};
 
@@ -18,17 +18,7 @@ const BUDGET: Duration = Duration::from_secs(60);
 
 /// Pure expert parallelism over `n` ranks on one node.
 fn flat_topology(n: usize) -> HybridTopology {
-    HybridTopology::new(
-        1,
-        n,
-        ParallelDims {
-            dp: n,
-            mp: 1,
-            ep: n,
-            esp: 1,
-        },
-    )
-    .unwrap()
+    HybridTopology::flat(n).unwrap()
 }
 
 fn config(num_experts: usize) -> MoeConfig {
@@ -50,7 +40,7 @@ fn input_block(cfg: &MoeConfig, rank: usize) -> Tensor {
 }
 
 /// One forward+backward on `layer`, returning bit-comparable outputs.
-fn run_step(layer: &mut DistMoeLayer, cfg: &MoeConfig, rank: usize) -> (Vec<f32>, Vec<f32>) {
+fn run_step(layer: &mut MoeLayer, cfg: &MoeConfig, rank: usize) -> (Vec<f32>, Vec<f32>) {
     let x = input_block(cfg, rank);
     let mut route_rng = TensorRng::seed_from(42);
     let y = layer.forward(&x, &mut route_rng).unwrap();
@@ -67,7 +57,7 @@ fn placement_is_invariant() {
         let cfg = cfg.clone();
         move |comm| {
             let topo = flat_topology(2);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             run_step(&mut layer, &cfg, comm.rank())
         }
     });
@@ -75,7 +65,7 @@ fn placement_is_invariant() {
         let cfg = cfg.clone();
         move |comm| {
             let topo = flat_topology(2);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let ckpt = layer.checkpoint_global().unwrap();
             let map = ExpertMap::from_lists(vec![vec![3, 1], vec![0, 2]]).unwrap();
             layer
@@ -100,7 +90,7 @@ fn non_uniform_placement_is_invariant_too() {
         let cfg = cfg.clone();
         move |comm| {
             let topo = flat_topology(2);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             run_step(&mut layer, &cfg, comm.rank())
         }
     });
@@ -108,7 +98,7 @@ fn non_uniform_placement_is_invariant_too() {
         let cfg = cfg.clone();
         move |comm| {
             let topo = flat_topology(2);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let ckpt = layer.checkpoint_global().unwrap();
             let map = ExpertMap::from_lists(vec![vec![4], vec![0, 5, 1, 3, 2]]).unwrap();
             layer
@@ -127,7 +117,7 @@ fn non_uniform_placement_is_invariant_too() {
             let cfg = cfg.clone();
             move |comm| {
                 let topo = flat_topology(2);
-                let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+                let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
                 // Block {0,1,2} | {3,4,5} -> move expert 1 across.
                 layer.migrate(1, 1, &comm).unwrap();
                 assert_eq!(layer.expert_map().experts_on(0), &[0, 2]);
@@ -146,7 +136,7 @@ fn checkpoint_global_gathers_all_experts_identically() {
         let cfg = cfg.clone();
         move |comm| {
             let topo = flat_topology(2);
-            let layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             layer.checkpoint_global().unwrap()
         }
     });
@@ -159,7 +149,7 @@ fn checkpoint_global_gathers_all_experts_identically() {
         let ckpt = ckpts[0].clone();
         move |comm| {
             let topo = flat_topology(2);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let before = run_step(&mut layer, &cfg, comm.rank());
             layer.restore_full(&ckpt).unwrap();
             let after = run_step(&mut layer, &cfg, comm.rank());
@@ -180,7 +170,7 @@ fn eviction_reshards_across_survivors() {
         BUDGET,
         move |comm| {
             let topo = flat_topology(3);
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             if comm.rank() == 1 {
                 // The victim contributes its gather deposit but may see
                 // the fence before collecting — either way it is gone.
@@ -215,7 +205,7 @@ fn reshard_rejects_mismatched_plans() {
     let cfg = config(4);
     run_world_within(CommWorld::new(2), BUDGET, move |comm| {
         let topo = flat_topology(2);
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         let ckpt = layer.checkpoint_global().unwrap();
         // Wrong expert count.
         let small = ExpertMap::block(2, 2).unwrap();
@@ -240,7 +230,7 @@ fn restore_full_rejects_foreign_checkpoints() {
     let cfg = config(4);
     run_world_within(CommWorld::new(2), BUDGET, move |comm| {
         let topo = flat_topology(2);
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
         let mut ckpt = layer.checkpoint_global().unwrap();
         ckpt.gate_name = "sigmoid".to_string();
         assert!(layer.restore_full(&ckpt).is_err());

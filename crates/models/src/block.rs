@@ -12,7 +12,9 @@
 //! the hand-written backward compact; the scheduling experiments are
 //! unaffected.
 
+use collectives::{Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;
+use fsmoe::gate::GShardGate;
 use fsmoe::layer::{MoeGrads, MoeLayer};
 use fsmoe::{MoeError, Result};
 use tensor::{grad, Tensor, TensorRng};
@@ -59,15 +61,19 @@ impl std::fmt::Debug for TransformerBlock {
 }
 
 impl TransformerBlock {
-    /// Builds a block with a GShard-gated MoE feed-forward.
+    /// Builds a block with a GShard-gated MoE feed-forward that runs
+    /// locally (the layer over a one-rank world).
     ///
     /// # Errors
     ///
     /// Propagates construction errors from either sub-module.
     pub fn new(config: &MoeConfig, heads: usize, rng: &mut TensorRng) -> Result<Self> {
+        let attention = MultiHeadAttention::new(config.embed_dim, heads, rng)?.causal();
+        let gate = GShardGate::new(config.embed_dim, config.num_experts, config.top_k, rng);
+        let (comm, topo) = (Communicator::solo(), HybridTopology::flat(1)?);
         Ok(TransformerBlock {
-            attention: MultiHeadAttention::new(config.embed_dim, heads, rng)?.causal(),
-            moe: MoeLayer::gshard(config, rng)?,
+            attention,
+            moe: MoeLayer::with_gate(config, Box::new(gate), rng, &comm, &topo)?,
             state: None,
         })
     }
@@ -270,7 +276,7 @@ mod tests {
         let grads = block.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(grads.input.dims(), x.dims());
         assert_eq!(grads.attention.weights.len(), 4);
-        assert_eq!(grads.moe.experts.len(), 4);
+        assert_eq!(grads.moe.shards.len(), 4);
     }
 
     #[test]

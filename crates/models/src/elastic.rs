@@ -1,46 +1,57 @@
-//! Elastic training: surviving *permanent* rank loss.
+//! The trainer: snapshot, roll back, and survive *permanent* rank loss.
 //!
-//! [`RecoveryDriver`](crate::recovery::RecoveryDriver) rolls a
-//! single-process layer back to a snapshot; [`ElasticTrainer`] goes
-//! further and keeps a *distributed* run alive when a rank dies for
-//! good. On a blamable step failure it drives the full elastic
-//! pipeline:
+//! [`ElasticTrainer`] drives [`dist_train_step`] over one [`MoeLayer`]
+//! of any world size, snapshotting every
+//! [`ElasticPolicy::snapshot_interval`] steps — the layer's full
+//! checkpoint *and* the routing RNG, both needed for exact replay
+//! because gates consume randomness every step. A step that fails
+//! leaves weights and RNG in partial state; what happens next depends
+//! on the fault:
 //!
-//! 1. **blame** — classify the fault onto a dead peer
-//!    ([`CommError::RankDown`] names it; timeouts and abandoned ops are
-//!    pinned on any peer already known dead);
-//! 2. **evict** — survivors agree via
-//!    [`Communicator::propose_evict`], which bumps the membership epoch
-//!    and fences the old world;
-//! 3. **reconfigure** — each survivor rebinds into the shrunken world
-//!    ([`Communicator::reconfigured`]) with contiguous ranks;
-//! 4. **re-shard** — the dead rank's experts are dealt round-robin
-//!    across the survivors ([`ReshardPlan::round_robin`]) and every
-//!    survivor restores its (new) expert set from the last snapshot;
-//! 5. **resume** — routing RNG and step counter roll back to the
-//!    snapshot and training continues on the smaller world.
+//! * a fault with no dead peer to blame (this rank's own link, a
+//!   corrupted step) propagates, and the caller rolls the trainer back
+//!   in place with [`ElasticTrainer::rollback`]: weights, RNG stream and
+//!   step counter return to the snapshot and the loop replays from
+//!   there;
+//! * a fault blamed on a dead peer drives the elastic pipeline:
 //!
-//! The property that makes this trustworthy (pinned by the elastic
-//! tests): a 4-rank run that permanently loses a rank finishes with
-//! weights **bit-identical** to a fresh 3-rank run started from the
-//! same snapshot. Expert placement is pure data movement, so the
-//! survivors' answer is *the* answer.
+//!   1. **blame** — classify the fault onto a dead peer
+//!      ([`CommError::RankDown`] names it; timeouts and abandoned ops
+//!      are pinned on any peer already known dead);
+//!   2. **evict** — survivors agree via
+//!      [`Communicator::propose_evict`], which bumps the membership
+//!      epoch and fences the old world;
+//!   3. **reconfigure** — each survivor rebinds into the shrunken world
+//!      ([`Communicator::reconfigured`]) with contiguous ranks;
+//!   4. **re-shard** — the dead rank's experts are dealt round-robin
+//!      across the survivors ([`ReshardPlan::round_robin_uneven`]);
+//!   5. **roll back** — the same rollback, restoring every survivor's
+//!      (new) expert set from the last snapshot.
 //!
-//! Snapshots are collective ([`DistMoeLayer::checkpoint_global`]): all
+//! The property that makes this trustworthy (pinned by the recovery and
+//! elastic tests): a run that faults and rolls back ends with weights
+//! **bit-identical** to a run that never faulted, and a 4-rank run that
+//! permanently loses a rank finishes bit-identical to a fresh 3-rank
+//! run started from the same snapshot. Expert placement is pure data
+//! movement, so the survivors' answer is *the* answer.
+//!
+//! Snapshots are collective ([`MoeLayer::checkpoint_global`]): all
 //! ranks assemble the full expert set, so any survivor subset can
 //! restore any expert. Rank 0 also persists each snapshot to disk when
-//! a checkpoint directory is configured; recovery prefers the on-disk
+//! a checkpoint directory is configured; rollback prefers the on-disk
 //! copy (the restart path) but falls back to the in-memory snapshot —
 //! with a typed error recorded, never a panic or silent zero weights —
-//! when the file is truncated, NaN-bearing, or disagrees with memory.
+//! when the file is missing, truncated, NaN-bearing, or disagrees with
+//! memory.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use collectives::{CommError, Communicator, HybridTopology, ParallelDims};
+use collectives::{CommError, Communicator, HybridTopology};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::{DistMoeLayer, FaultPolicy};
+use fsmoe::dist::FaultPolicy;
+use fsmoe::layer::MoeLayer;
 use fsmoe::reshard::ReshardPlan;
 use fsmoe::{MoeError, Result};
 use tensor::{Tensor, TensorRng};
@@ -48,28 +59,6 @@ use tensor::{Tensor, TensorRng};
 use crate::health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor};
 use crate::imbalance::{ImbalanceDetector, MigrationDecision};
 use crate::train::dist_train_step;
-
-/// The flat elastic topology: one node, `n` GPUs, pure expert+data
-/// parallelism (`ep == dp == n`, no MP or ESP sharding). EP position
-/// equals rank, which is what lets an evicted *rank* map directly to an
-/// evicted *expert-parallel position*.
-///
-/// # Errors
-///
-/// Returns an error when `n` is zero.
-pub fn flat_topology(n: usize) -> Result<HybridTopology> {
-    HybridTopology::new(
-        1,
-        n,
-        ParallelDims {
-            dp: n,
-            mp: 1,
-            ep: n,
-            esp: 1,
-        },
-    )
-    .map_err(MoeError::Comm)
-}
 
 /// Knobs for the elastic pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +99,7 @@ struct ElasticSnapshot {
 #[derive(Debug)]
 pub struct ElasticTrainer {
     comm: Communicator,
-    layer: DistMoeLayer,
+    layer: MoeLayer,
     policy: ElasticPolicy,
     route_rng: TensorRng,
     step: usize,
@@ -140,8 +129,9 @@ enum HealthOutcome {
 }
 
 impl ElasticTrainer {
-    /// Builds the distributed layer over the flat topology and takes
-    /// the initial collective snapshot (all ranks must call together).
+    /// Builds the GShard layer over the flat topology of `comm`'s world
+    /// and takes the initial collective snapshot (all ranks must call
+    /// together).
     ///
     /// # Errors
     ///
@@ -153,34 +143,27 @@ impl ElasticTrainer {
         route_rng: TensorRng,
         policy: ElasticPolicy,
     ) -> Result<Self> {
-        let topo = flat_topology(comm.world_size())?;
-        let layer = DistMoeLayer::gshard(config, &comm, &topo, seed)?;
+        let topo = HybridTopology::flat(comm.world_size())?;
+        let layer = MoeLayer::gshard(config, &comm, &topo, seed)?;
+        Self::from_layer(layer, comm, route_rng, policy)
+    }
+
+    /// Wraps a prebuilt `layer` (custom gate, hooks, …) built over
+    /// `comm`'s flat topology, taking the initial collective snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates snapshot failures.
+    pub fn from_layer(
+        layer: MoeLayer,
+        comm: Communicator,
+        route_rng: TensorRng,
+        policy: ElasticPolicy,
+    ) -> Result<Self> {
         let checkpoint = layer.checkpoint_global()?;
-        let snapshot = ElasticSnapshot {
-            step: 0,
-            checkpoint,
-            route_rng: route_rng.clone(),
-        };
-        Ok(ElasticTrainer {
-            comm,
-            layer,
-            policy,
-            route_rng,
-            step: 0,
-            snapshot,
-            last_snapshot_step: 0,
-            checkpoint_dir: None,
-            evictions: 0,
-            strikes: 0,
-            last_fallback: None,
-            rebalancer: None,
-            migrations: 0,
-            last_migration: None,
-            health: None,
-            gray: None,
-            quarantined: Vec::new(),
-            quarantines: 0,
-        })
+        Ok(Self::at_snapshot(
+            layer, comm, checkpoint, route_rng, 0, policy,
+        ))
     }
 
     /// Builds a trainer that *resumes* from `checkpoint` at `step` —
@@ -199,21 +182,39 @@ impl ElasticTrainer {
         step: usize,
         policy: ElasticPolicy,
     ) -> Result<Self> {
-        let topo = flat_topology(comm.world_size())?;
-        let mut layer = DistMoeLayer::gshard(config, &comm, &topo, seed)?;
+        let topo = HybridTopology::flat(comm.world_size())?;
+        let mut layer = MoeLayer::gshard(config, &comm, &topo, seed)?;
         layer.restore_full(checkpoint)?;
-        let snapshot = ElasticSnapshot {
+        Ok(Self::at_snapshot(
+            layer,
+            comm,
+            checkpoint.clone(),
+            route_rng,
             step,
-            checkpoint: checkpoint.clone(),
-            route_rng: route_rng.clone(),
-        };
-        Ok(ElasticTrainer {
+            policy,
+        ))
+    }
+
+    /// A trainer whose layer holds `checkpoint`'s weights at `step`.
+    fn at_snapshot(
+        layer: MoeLayer,
+        comm: Communicator,
+        checkpoint: LayerCheckpoint,
+        route_rng: TensorRng,
+        step: usize,
+        policy: ElasticPolicy,
+    ) -> Self {
+        ElasticTrainer {
             comm,
             layer,
             policy,
+            snapshot: ElasticSnapshot {
+                step,
+                checkpoint,
+                route_rng: route_rng.clone(),
+            },
             route_rng,
             step,
-            snapshot,
             last_snapshot_step: step,
             checkpoint_dir: None,
             evictions: 0,
@@ -226,7 +227,7 @@ impl ElasticTrainer {
             gray: None,
             quarantined: Vec::new(),
             quarantines: 0,
-        })
+        }
     }
 
     /// Also persists snapshots to `dir` (rank 0 writes, atomically) and
@@ -245,7 +246,7 @@ impl ElasticTrainer {
     /// Enables automatic load rebalancing: after every completed step
     /// the fleet-wide expert loads feed `detector`, and a sustained-skew
     /// decision drives an eviction-free hot-expert migration
-    /// ([`DistMoeLayer::migrate`]).
+    /// ([`MoeLayer::migrate`]).
     ///
     /// SPMD: every rank must enable rebalancing with an identically
     /// configured detector, or ranks disagree about when to fence.
@@ -298,8 +299,8 @@ impl ElasticTrainer {
         self.last_migration
     }
 
-    /// The wrapped distributed layer.
-    pub fn layer(&self) -> &DistMoeLayer {
+    /// The wrapped layer.
+    pub fn layer(&self) -> &MoeLayer {
         &self.layer
     }
 
@@ -440,9 +441,43 @@ impl ElasticTrainer {
         self.last_fallback = Some(err);
     }
 
+    /// Rolls back to the latest snapshot in place: weights, routing RNG
+    /// stream and step counter. Returns the step training resumes from;
+    /// replay from there is bit-identical to a run that never faulted.
+    ///
+    /// Purely local (no collective): after a fault every rank saw, every
+    /// rank calls it. The weights come from the on-disk snapshot when a
+    /// valid one exists (the path a restarted process would take), else
+    /// from memory — see [`ElasticTrainer::last_fallback`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates restore failures (a snapshot always matches the layer
+    /// it was taken from, so none are expected).
+    pub fn rollback(&mut self) -> Result<usize> {
+        self.rollback_with(|layer, checkpoint| layer.restore_full(checkpoint))
+    }
+
+    /// The rollback body; `restore` installs the recovery checkpoint
+    /// into the layer (in place, or onto a new placement).
+    fn rollback_with(
+        &mut self,
+        restore: impl FnOnce(&mut MoeLayer, &LayerCheckpoint) -> Result<()>,
+    ) -> Result<usize> {
+        let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_RECOVER);
+        span.attr("to_step", self.snapshot.step);
+        let checkpoint = self.load_recovery_checkpoint();
+        restore(&mut self.layer, &checkpoint)?;
+        self.route_rng = self.snapshot.route_rng.clone();
+        self.step = self.snapshot.step;
+        self.last_snapshot_step = self.snapshot.step;
+        self.strikes = 0;
+        Ok(self.step)
+    }
+
     /// The full elastic pipeline: evict `victim`, rebind into the
-    /// shrunken world, deal its experts across the survivors, restore
-    /// from the last snapshot, and roll the clock back to it.
+    /// shrunken world, deal its experts across the survivors, and roll
+    /// back onto the new placement.
     fn recover_from_eviction(&mut self, victim: usize) -> Result<()> {
         let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_ELASTIC_RECONFIGURE);
         span.attr("victim", victim);
@@ -463,15 +498,10 @@ impl ElasticTrainer {
         // quarantine drain thins the victim's list before eviction, so
         // its orphan count rarely divides over the survivors.
         let plan = ReshardPlan::round_robin_uneven(self.layer.expert_map(), victim)?;
-        let checkpoint = self.load_recovery_checkpoint();
-        let topo = flat_topology(new_comm.world_size())?;
-        self.layer.reshard(&plan, &checkpoint, &new_comm, &topo)?;
+        let topo = HybridTopology::flat(new_comm.world_size())?;
+        self.rollback_with(|layer, checkpoint| layer.reshard(&plan, checkpoint, &new_comm, &topo))?;
         self.comm = new_comm;
-        self.route_rng = self.snapshot.route_rng.clone();
-        self.step = self.snapshot.step;
-        self.last_snapshot_step = self.snapshot.step;
         self.evictions += 1;
-        self.strikes = 0;
         Ok(())
     }
 

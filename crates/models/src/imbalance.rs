@@ -6,7 +6,7 @@
 //! above a threshold for a full window, it emits a
 //! [`MigrationDecision`]: move one hot expert from the most loaded
 //! position to the least loaded one — the input to eviction-free
-//! migration ([`fsmoe::dist::DistMoeLayer::migrate`]).
+//! migration ([`fsmoe::layer::MoeLayer::migrate`]).
 //!
 //! Every rule breaks ties by lowest index and consumes only data that
 //! is identical on all ranks (all-reduced loads, the shared map), so in

@@ -21,14 +21,12 @@ pub mod iteration;
 pub mod layerspec;
 pub mod pipeline;
 pub mod presets;
-pub mod recovery;
 pub mod train;
 
-pub use elastic::{flat_topology, ElasticPolicy, ElasticTrainer};
+pub use elastic::{ElasticPolicy, ElasticTrainer};
 pub use health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, HealthPolicy};
 pub use imbalance::{ImbalanceDetector, MigrationDecision};
 pub use iteration::{build_iteration_graph, iteration_time, plan_iteration, IterationPlan};
 pub use layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 pub use presets::ModelPreset;
-pub use recovery::RecoveryDriver;
 pub use train::dist_train_step;

@@ -1,13 +1,13 @@
-//! A distributed training step with an iteration-level span tree.
+//! The training step, with an iteration-level span tree.
 //!
 //! [`dist_train_step`] is the smallest complete "one training
-//! iteration" over a [`DistMoeLayer`]: MSE loss against a regression
-//! target, backward, SGD update. Each call opens a `models/train_step`
-//! span so an exported trace nests models → fsmoe → collectives — the
-//! top of the span taxonomy DESIGN.md §7 documents and the
-//! `trace_training_step` example renders.
+//! iteration" over a [`MoeLayer`] of any world shape: MSE loss against
+//! a regression target, backward, SGD update. Each call opens a
+//! `models/train_step` span so an exported trace nests models → fsmoe →
+//! collectives — the top of the span taxonomy DESIGN.md §7 documents and
+//! the `trace_training_step` example renders.
 
-use fsmoe::dist::DistMoeLayer;
+use fsmoe::layer::MoeLayer;
 use fsmoe::Result;
 use tensor::{Tensor, TensorRng};
 
@@ -23,7 +23,7 @@ use tensor::{Tensor, TensorRng};
 ///
 /// Propagates layer failures (shape errors, collective faults).
 pub fn dist_train_step(
-    layer: &mut DistMoeLayer,
+    layer: &mut MoeLayer,
     input: &Tensor,
     target: &Tensor,
     lr: f32,
@@ -46,7 +46,7 @@ pub fn dist_train_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collectives::{run_world_within, CommWorld, HybridTopology, ParallelDims};
+    use collectives::{run_world_within, CommWorld, HybridTopology};
     use fsmoe::config::MoeConfig;
     use std::time::Duration;
 
@@ -63,18 +63,8 @@ mod tests {
             .build()
             .unwrap();
         let losses = run_world_within(CommWorld::new(2), Duration::from_secs(30), move |comm| {
-            let topo = HybridTopology::new(
-                1,
-                2,
-                ParallelDims {
-                    dp: 2,
-                    mp: 1,
-                    ep: 2,
-                    esp: 1,
-                },
-            )
-            .unwrap();
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, 9).unwrap();
+            let topo = HybridTopology::flat(2).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 9).unwrap();
             let mut rng = TensorRng::seed_from(100 + comm.rank() as u64);
             let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
             let target = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);

@@ -7,15 +7,14 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, FaultInjector};
+use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
 use fsmoe::gate::GShardGate;
+use fsmoe::layer::MoeLayer;
 use fsmoe::reshard::ExpertMap;
 use models::{
-    dist_train_step, flat_topology, ElasticPolicy, ElasticTrainer, ImbalanceDetector,
-    MigrationDecision,
+    dist_train_step, ElasticPolicy, ElasticTrainer, ImbalanceDetector, MigrationDecision,
 };
 use tensor::{Tensor, TensorRng};
 use workloadgen::{Distribution, WorkloadGen};
@@ -65,8 +64,8 @@ fn migrating_run(
     run_world_within(world(n), BUDGET, {
         let cfg = cfg.clone();
         move |comm| {
-            let topo = flat_topology(n).unwrap();
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let topo = HybridTopology::flat(n).unwrap();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
             let mut route_rng = route_rng_for(comm.rank());
             let (x, t) = rank_data(&cfg, comm.rank());
             for step in 0..total {

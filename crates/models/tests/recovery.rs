@@ -1,9 +1,13 @@
-//! The recovery driver's central guarantee: a training run that faults
-//! mid-step and rolls back to the last checkpoint ends with weights
-//! **bit-identical** to a run that never faulted. Exactness — not
-//! approximate closeness — is what lets a resumed job keep its loss
-//! curve.
+//! The trainer's rollback guarantee: a training run that faults mid-step
+//! and rolls back to the last snapshot ends with weights
+//! **bit-identical** to a run that never faulted — on one rank and on
+//! two. Exactness — not approximate closeness — is what lets a resumed
+//! job keep its loss curve.
 
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use collectives::{run_world_within, CommError, CommWorld, Communicator, HybridTopology};
 use fsmoe::checkpoint::LayerCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::expert::build_expert;
@@ -13,12 +17,13 @@ use fsmoe::layer::MoeLayer;
 use fsmoe::order::TutelOrdering;
 use fsmoe::routing::Routing;
 use fsmoe::{MoeError, Result};
-use models::RecoveryDriver;
+use models::{dist_train_step, ElasticPolicy, ElasticTrainer};
 use tensor::{Tensor, TensorRng};
 
 const STEPS: usize = 9;
 const INTERVAL: usize = 3;
 const LR: f32 = 0.05;
+const BUDGET: Duration = Duration::from_secs(60);
 
 fn config() -> MoeConfig {
     MoeConfig::builder()
@@ -26,7 +31,7 @@ fn config() -> MoeConfig {
         .seq_len(8)
         .embed_dim(8)
         .hidden_dim(16)
-        .num_experts(3)
+        .num_experts(4)
         .top_k(2)
         .no_drop()
         .build()
@@ -34,10 +39,13 @@ fn config() -> MoeConfig {
 }
 
 /// A hook that fails `before_combine` on one specific invocation —
-/// mid-step, *after* the gate consumed routing randomness, so naive
-/// resumption without RNG rollback would silently diverge.
+/// mid-step, *after* the gate consumed routing randomness and the
+/// dispatch exchange ran, so naive resumption without RNG rollback
+/// would silently diverge. The fault names this rank itself (its own
+/// link flapped), so the trainer has no peer to evict and propagates.
 #[derive(Debug)]
 struct FaultOnce {
+    rank: usize,
     calls: usize,
     fail_at: Option<usize>,
 }
@@ -48,147 +56,193 @@ impl MoeHooks for FaultOnce {
         self.calls += 1;
         if self.fail_at == Some(call) {
             self.fail_at = None; // transient fault: next attempt succeeds
-            return Err(MoeError::Comm(collectives::CommError::RankDown { rank: 0 }));
+            return Err(MoeError::Comm(CommError::RankDown { rank: self.rank }));
         }
         Ok(())
     }
 }
 
-/// Builds the GShard layer `MoeLayer::gshard` would, but with a custom
-/// hook set (the sugar constructors pin `NoopHooks`) and the *noisy*
-/// gate variant, so routing consumes RNG every step — the recovery
-/// driver must then restore the stream position, not just weights, for
-/// replay to be exact.
-fn gshard_with_hooks(cfg: &MoeConfig, seed: u64, hooks: Box<dyn MoeHooks>) -> MoeLayer {
+/// Builds the GShard layer `MoeLayer::gshard` would, but with the
+/// *noisy* gate variant, so routing consumes RNG every step — the
+/// trainer must then restore the stream position, not just weights, for
+/// replay to be exact — and a hook set failing at call `fail_at`.
+fn noisy_gshard(
+    cfg: &MoeConfig,
+    seed: u64,
+    comm: &Communicator,
+    fail_at: Option<usize>,
+) -> MoeLayer {
     let mut rng = TensorRng::seed_from(seed);
     let gate = GShardGate::new(cfg.embed_dim, cfg.num_experts, cfg.top_k, &mut rng).with_noise();
     let experts = (0..cfg.num_experts)
         .map(|_| build_expert(cfg.ffn, cfg.embed_dim, cfg.hidden_dim, &mut rng))
         .collect();
-    MoeLayer::with_modules(
-        cfg,
-        Box::new(gate),
-        Box::new(TutelOrdering::new()),
-        experts,
-        hooks,
-    )
-    .unwrap()
+    let hooks: Box<dyn MoeHooks> = match fail_at {
+        None => Box::new(NoopHooks),
+        Some(_) => Box::new(FaultOnce {
+            rank: comm.rank(),
+            calls: 0,
+            fail_at,
+        }),
+    };
+    let topo = HybridTopology::flat(comm.world_size()).unwrap();
+    let order = Box::new(TutelOrdering::new());
+    MoeLayer::with_modules(cfg, Box::new(gate), order, experts, hooks, comm, &topo).unwrap()
 }
 
-/// Per-step input, deterministic in the step index (a replayable data
-/// loader — the other half of exact recovery).
-fn step_input(cfg: &MoeConfig, step: usize) -> Tensor {
-    let mut rng = TensorRng::seed_from(1000 + step as u64);
-    rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0)
+/// Per-step input and target, deterministic in step and rank (a
+/// replayable data loader — the other half of exact recovery).
+fn step_batch(cfg: &MoeConfig, step: usize, rank: usize) -> (Tensor, Tensor) {
+    let mut rng = TensorRng::seed_from(1000 + (step * 16 + rank) as u64);
+    let dims = [cfg.tokens(), cfg.embed_dim];
+    (rng.normal(&dims, 0.0, 1.0), rng.normal(&dims, 0.0, 1.0))
 }
 
-fn run_to_completion(mut driver: RecoveryDriver, cfg: &MoeConfig) -> (LayerCheckpoint, usize) {
-    while driver.current_step() < STEPS {
-        let input = step_input(cfg, driver.current_step());
-        match driver.step(&input, LR) {
-            Ok(_) => {}
-            Err(MoeError::Comm(_)) => {
-                let resumed = driver.recover().unwrap();
-                assert_eq!(resumed, driver.current_step());
+fn policy() -> ElasticPolicy {
+    ElasticPolicy {
+        snapshot_interval: INTERVAL,
+        ..ElasticPolicy::default()
+    }
+}
+
+/// Trains `STEPS` steps on every rank of a `ranks`-rank world, rolling
+/// back on a fault; returns each rank's final full checkpoint and how
+/// many rollbacks it took.
+fn run(
+    ranks: usize,
+    seed: u64,
+    fail_at: Option<usize>,
+    dir: Option<PathBuf>,
+) -> Vec<(LayerCheckpoint, usize)> {
+    let cfg = config();
+    run_world_within(CommWorld::new(ranks), BUDGET, move |comm| {
+        let rank = comm.rank();
+        let layer = noisy_gshard(&cfg, seed, &comm, fail_at);
+        let mut trainer =
+            ElasticTrainer::from_layer(layer, comm, TensorRng::seed_from(7), policy()).unwrap();
+        if let Some(dir) = &dir {
+            trainer = trainer.with_checkpoint_dir(dir.clone());
+        }
+        let mut rollbacks = 0;
+        while trainer.step() < STEPS {
+            let (x, target) = step_batch(&cfg, trainer.step(), rank);
+            match trainer.train_step(&x, &target, LR) {
+                Ok(_) => {}
+                Err(MoeError::Comm(CommError::RankDown { rank: r })) if r == rank => {
+                    let resumed = trainer.rollback().unwrap();
+                    assert_eq!(resumed, trainer.step());
+                    assert_eq!(resumed, trainer.last_snapshot_step());
+                    rollbacks += 1;
+                }
+                Err(e) => panic!("unexpected failure: {e:?}"),
             }
-            Err(e) => panic!("unexpected failure: {e:?}"),
+        }
+        assert_eq!(trainer.evictions(), 0, "a rollback is not an eviction");
+        assert!(
+            trainer.last_fallback().is_none(),
+            "{:?}",
+            trainer.last_fallback()
+        );
+        (trainer.full_checkpoint().unwrap(), rollbacks)
+    })
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fsmoe-recovery-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn rollback_reproduces_fault_free_run_bit_exactly() {
+    for ranks in [1, 2] {
+        // Reference: no faults, straight through.
+        let clean = run(ranks, 42, None, None);
+        // Faulty: step 7's combine fails mid-step (after 7 clean steps
+        // the hook has seen 7 calls) on every rank, forcing a rollback
+        // to the step-6 snapshot and a replay of steps 6..9.
+        let recovered = run(ranks, 42, Some(7), None);
+        for ((clean_weights, clean_rollbacks), (weights, rollbacks)) in clean.iter().zip(&recovered)
+        {
+            assert_eq!(*clean_rollbacks, 0);
+            assert_eq!(*rollbacks, 1, "exactly one fault was injected");
+            // Bit-identical: PartialEq on checkpoints compares raw f32 data.
+            assert_eq!(
+                clean_weights, weights,
+                "{ranks} rank(s): post-rollback weights must match the fault-free run exactly"
+            );
         }
     }
-    let recoveries = driver.recoveries();
-    (driver.layer().checkpoint(), recoveries)
 }
 
 #[test]
-fn recovery_reproduces_fault_free_run_bit_exactly() {
-    let cfg = config();
-
-    // Reference: no faults, straight through.
-    let clean = gshard_with_hooks(&cfg, 42, Box::new(NoopHooks));
-    let (clean_weights, clean_recoveries) = run_to_completion(
-        RecoveryDriver::new(clean, TensorRng::seed_from(7), INTERVAL),
-        &cfg,
-    );
-    assert_eq!(clean_recoveries, 0);
-
-    // Faulty: step 7's combine fails mid-step (after 7 clean steps the
-    // hook has seen 7 calls), forcing a rollback to the step-6 snapshot
-    // and a replay of steps 6..9.
-    let faulty = gshard_with_hooks(
-        &cfg,
-        42,
-        Box::new(FaultOnce {
-            calls: 0,
-            fail_at: Some(7),
-        }),
-    );
-    let (recovered_weights, recoveries) = run_to_completion(
-        RecoveryDriver::new(faulty, TensorRng::seed_from(7), INTERVAL),
-        &cfg,
-    );
-    assert_eq!(recoveries, 1, "exactly one fault was injected");
-
-    // Bit-identical: PartialEq on checkpoints compares raw f32 data.
-    assert_eq!(
-        clean_weights, recovered_weights,
-        "post-recovery weights must match the fault-free run exactly"
-    );
+fn rollback_from_disk_checkpoints_is_bit_exact() {
+    for ranks in [1, 2] {
+        let dir = temp_dir(&format!("disk-{ranks}"));
+        let clean = run(ranks, 11, None, None);
+        // fault in step 4: roll back to the step-3 snapshot, which rank 0
+        // persisted and every rank prefers over its in-memory copy
+        let recovered = run(ranks, 11, Some(4), Some(dir.clone()));
+        for ((clean_weights, _), (weights, rollbacks)) in clean.iter().zip(&recovered) {
+            assert_eq!(*rollbacks, 1);
+            assert_eq!(clean_weights, weights, "{ranks} rank(s)");
+        }
+        // Snapshots landed on disk at the interval marks, fully readable.
+        let on_disk = LayerCheckpoint::load(&dir.join("elastic-step-3.json")).unwrap();
+        assert!(on_disk.num_params() > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
-fn recovery_from_disk_checkpoints_is_bit_exact() {
+fn rollback_before_first_step_falls_back_to_memory() {
+    // A fault can land before any snapshot has been persisted: with a
+    // checkpoint directory configured but no file on disk yet, rollback
+    // must use the in-memory snapshot instead of failing on a missing
+    // file — and a file that *is* there but corrupt is a typed fallback,
+    // never garbage weights.
     let cfg = config();
-    let dir = std::env::temp_dir().join(format!("fsmoe-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let clean = gshard_with_hooks(&cfg, 11, Box::new(NoopHooks));
-    let (clean_weights, _) = run_to_completion(
-        RecoveryDriver::new(clean, TensorRng::seed_from(3), INTERVAL),
-        &cfg,
-    );
-
-    let faulty = gshard_with_hooks(
-        &cfg,
-        11,
-        Box::new(FaultOnce {
-            calls: 0,
-            fail_at: Some(4),
-        }),
-    );
-    let driver = RecoveryDriver::new(faulty, TensorRng::seed_from(3), INTERVAL)
+    let dir = temp_dir("fresh");
+    let comm = Communicator::solo();
+    let layer = noisy_gshard(&cfg, 23, &comm, None);
+    let initial = layer.checkpoint_global().unwrap();
+    let mut trainer = ElasticTrainer::from_layer(layer, comm, TensorRng::seed_from(1), policy())
+        .unwrap()
         .with_checkpoint_dir(dir.clone());
-    let (recovered_weights, recoveries) = run_to_completion(driver, &cfg);
+    assert_eq!(trainer.rollback().unwrap(), 0);
+    assert!(
+        trainer.last_fallback().is_none(),
+        "a missing file is not corruption"
+    );
+    assert_eq!(trainer.full_checkpoint().unwrap(), initial);
 
-    assert_eq!(recoveries, 1);
-    assert_eq!(clean_weights, recovered_weights);
-    // Snapshots landed on disk at the interval marks, fully readable.
-    let on_disk = LayerCheckpoint::load(&dir.join("step-3.json")).unwrap();
-    assert!(on_disk.num_params() > 0);
+    // Training proceeds normally afterwards and persists at the marks.
+    for step in 0..=INTERVAL {
+        let (x, target) = step_batch(&cfg, step, 0);
+        trainer.train_step(&x, &target, LR).unwrap();
+    }
+    let path = dir.join(format!("elastic-step-{INTERVAL}.json"));
+    let on_disk = LayerCheckpoint::load(&path).unwrap();
+
+    // Tear the file: rollback distrusts it, says why, and restores the
+    // same weights from memory.
+    truncate(&path);
+    assert_eq!(trainer.rollback().unwrap(), INTERVAL);
+    assert!(
+        matches!(
+            trainer.last_fallback(),
+            Some(MoeError::CorruptCheckpoint { .. })
+        ),
+        "{:?}",
+        trainer.last_fallback()
+    );
+    assert_eq!(trainer.full_checkpoint().unwrap(), on_disk);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn recover_before_first_step_falls_back_to_memory() {
-    // A fault can land before the first step() has persisted anything:
-    // with a checkpoint directory configured but no file on disk yet,
-    // recovery must fall back to the in-memory snapshot instead of
-    // failing on a missing step-0.json.
-    let cfg = config();
-    let dir = std::env::temp_dir().join(format!("fsmoe-recovery-fresh-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let layer = gshard_with_hooks(&cfg, 23, Box::new(NoopHooks));
-    let initial = layer.checkpoint();
-    let mut driver = RecoveryDriver::new(layer, TensorRng::seed_from(1), INTERVAL)
-        .with_checkpoint_dir(dir.clone());
-    let resumed = driver.recover().unwrap();
-    assert_eq!(resumed, 0);
-    assert_eq!(driver.layer().checkpoint(), initial);
-    // Training proceeds normally afterwards (and now persists to disk).
-    driver.step(&step_input(&cfg, 0), LR).unwrap();
-    let on_disk = LayerCheckpoint::load(&dir.join("step-0.json")).unwrap();
-    assert_eq!(on_disk, initial);
-
-    std::fs::remove_dir_all(&dir).unwrap();
+fn truncate(path: &Path) {
+    let text = std::fs::read_to_string(path).unwrap();
+    std::fs::write(path, &text[..text.len() / 2]).unwrap();
 }
 
 #[test]
@@ -198,22 +252,21 @@ fn without_rng_rollback_the_stream_would_diverge() {
     // the weights. If this ever stops holding, the bit-exactness tests
     // above stop proving anything.
     let cfg = config();
-    let layer_a = gshard_with_hooks(&cfg, 5, Box::new(NoopHooks));
-    let mut rng_a = TensorRng::seed_from(9);
-    let layer_b = gshard_with_hooks(&cfg, 5, Box::new(NoopHooks));
-    let mut rng_b = TensorRng::seed_from(9);
-    let _ = rng_b.normal_scalar(); // the stray draw
-
-    let run = |mut layer: MoeLayer, rng: &mut TensorRng| {
-        for step in 0..3 {
-            let input = step_input(&cfg, step);
-            let y = layer.forward(&input, rng).unwrap();
-            let g = layer.backward(&Tensor::ones(y.dims())).unwrap();
-            layer.apply_grads(&g, LR).unwrap();
+    let run = |stray_draws: usize| {
+        let mut layer = noisy_gshard(&cfg, 5, &Communicator::solo(), None);
+        let mut rng = TensorRng::seed_from(9);
+        for _ in 0..stray_draws {
+            let _ = rng.normal_scalar();
         }
-        layer.checkpoint()
+        for step in 0..3 {
+            let (x, target) = step_batch(&cfg, step, 0);
+            dist_train_step(&mut layer, &x, &target, LR, &mut rng).unwrap();
+        }
+        layer.checkpoint_global().unwrap()
     };
-    let wa = run(layer_a, &mut rng_a);
-    let wb = run(layer_b, &mut rng_b);
-    assert_ne!(wa, wb, "RNG stream position must matter for routing");
+    assert_ne!(
+        run(0),
+        run(1),
+        "RNG stream position must matter for routing"
+    );
 }

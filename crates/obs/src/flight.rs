@@ -550,11 +550,13 @@ pub fn init_from_env() {
 mod tests {
     use super::*;
 
-    /// Toggling the global recorder lives in a lib test (nothing else in
-    /// this binary asserts on ring contents, so the brief off-window
-    /// cannot race another test's expectations).
+    /// Toggling the global recorder lives in a lib test. Both tests that
+    /// record through `crate::span` hold the session lock: it keeps the
+    /// off-window here from racing the ring assertions below, and keeps
+    /// their spans out of whatever session another test has open.
     #[test]
     fn disabled_recorder_records_nothing() {
+        let _serial = crate::session();
         set_enabled(false);
         annotate("flight.test.disabled");
         {
@@ -571,6 +573,7 @@ mod tests {
 
     #[test]
     fn spans_counters_and_marks_land_in_the_ring() {
+        let _serial = crate::session();
         let before = events_recorded();
         {
             let _s = crate::span("flighttest", "ring.span");

@@ -119,6 +119,16 @@ pub fn measure_collective(
         .collect()
 }
 
+/// Fits `millis = α + β·bytes` to measured (or synthetic) samples.
+///
+/// # Errors
+///
+/// Propagates fit errors for degenerate sample sets.
+pub fn fit_samples(samples: &[CommSample]) -> numopt::Result<FittedModel> {
+    let points: Vec<_> = samples.iter().map(|s| (s.bytes, s.millis)).collect();
+    fit_cost_model(&points)
+}
+
 /// Measures and fits this machine's model for one collective; also
 /// mirrors the sweep into the obs registry exactly like the replayed
 /// [`microbench`](crate::microbench) sweeps, so real and modeled fits
@@ -134,12 +144,7 @@ pub fn profile_collective(
     runs: usize,
 ) -> numopt::Result<FittedModel> {
     let samples = measure_collective(op, world_size, sizes, runs);
-    let fitted = fit_cost_model(
-        &samples
-            .iter()
-            .map(|s| (s.bytes, s.millis))
-            .collect::<Vec<_>>(),
-    )?;
+    let fitted = fit_samples(&samples)?;
     if obs::is_enabled() {
         let name = op.name();
         for s in &samples {
@@ -154,43 +159,67 @@ pub fn profile_collective(
 
 #[cfg(test)]
 mod tests {
+    //! No assertion here compares wall-clock readings with each other or
+    //! with a literal: measured sweeps are checked for structure, the fit
+    //! on synthetic points. Whether the real wire is linear in bytes is a
+    //! budget of `cargo bench -p bench --bench profiler`.
     use super::*;
+
+    fn well_formed(samples: &[CommSample]) -> bool {
+        samples
+            .iter()
+            .all(|s| s.millis.is_finite() && s.millis > 0.0)
+    }
 
     #[test]
     fn payloads_round_up_to_world_multiples() {
         let samples = measure_collective(CommOp::AllToAll, 3, &[7, 9], 1);
         assert_eq!(samples[0].elements, 9);
         assert_eq!(samples[1].elements, 9);
-        assert!(samples.iter().all(|s| s.millis > 0.0));
         assert_eq!(samples[0].bytes, 36.0);
+        assert!(well_formed(&samples), "{samples:?}");
     }
 
     #[test]
-    fn real_collective_times_grow_with_payload() {
-        let samples = measure_collective(CommOp::AllToAll, 2, &[1 << 10, 1 << 16, 1 << 20], 3);
-        assert_eq!(samples.len(), 3);
-        assert!(
-            samples[2].millis > samples[0].millis,
-            "1M floats must cost more than 1K: {samples:?}"
-        );
+    fn sweep_yields_one_sample_per_payload_in_order() {
+        let sizes = [1 << 10, 1 << 12, 1 << 14];
+        let samples = measure_collective(CommOp::AllToAll, 2, &sizes, 3);
+        let elements: Vec<usize> = samples.iter().map(|s| s.elements).collect();
+        assert_eq!(elements, sizes);
+        let bytes: Vec<f64> = samples.iter().map(|s| s.bytes).collect();
+        assert_eq!(bytes, [4096.0, 16384.0, 65536.0]);
+        assert!(well_formed(&samples), "{samples:?}");
     }
 
     #[test]
-    fn linear_model_fits_the_real_wire() {
-        // Per-rank payloads from 256 KiB to 4 MiB: large enough that the
-        // copy cost dominates thread-scheduler noise.
-        let sizes: Vec<usize> = (1..=8).map(|i| i << 16).collect();
+    fn linear_model_recovers_a_synthetic_wire() {
+        // α = 0.05 ms startup, β = 2e-7 ms/byte, exactly
+        let (alpha, beta) = (0.05, 2.0e-7);
+        let samples: Vec<CommSample> = (1..=8)
+            .map(|i| {
+                let elements = i << 16;
+                let bytes = (elements * 4) as f64;
+                CommSample {
+                    elements,
+                    bytes,
+                    millis: alpha + beta * bytes,
+                }
+            })
+            .collect();
+        let fitted = fit_samples(&samples).expect("distinct sizes");
+        assert!((fitted.model.alpha - alpha).abs() < 1e-9, "{fitted:?}");
+        assert!((fitted.model.beta - beta).abs() < 1e-15, "{fitted:?}");
+        assert!(fitted.r_squared > 1.0 - 1e-9, "{fitted:?}");
+        assert!(fit_samples(&samples[..1]).is_err(), "one point is no line");
+    }
+
+    #[test]
+    fn profiling_the_real_wire_yields_a_finite_fit() {
+        let sizes: Vec<usize> = (1..=4).map(|i| i << 12).collect();
         let fitted =
-            profile_collective(CommOp::AllReduce, 2, &sizes, 3).expect("sweep has distinct sizes");
-        assert!(
-            fitted.model.beta > 0.0,
-            "per-byte cost must be positive: {fitted:?}"
-        );
-        assert!(
-            fitted.r_squared > 0.5,
-            "the wire should be roughly linear in bytes, r² = {}",
-            fitted.r_squared
-        );
+            profile_collective(CommOp::AllReduce, 2, &sizes, 1).expect("sweep has distinct sizes");
+        assert!(fitted.model.alpha.is_finite() && fitted.model.beta.is_finite());
+        assert!(fitted.r_squared.is_finite());
     }
 
     #[test]
@@ -202,7 +231,7 @@ mod tests {
             CommOp::ReduceScatter,
         ] {
             let samples = measure_collective(op, 2, &[1 << 12], 1);
-            assert!(samples[0].millis > 0.0, "{} measures", op.name());
+            assert!(well_formed(&samples), "{} measures", op.name());
         }
     }
 }

@@ -79,38 +79,56 @@ pub fn profile_cpu_gemm_with_threads(
     runs: usize,
     threads: usize,
 ) -> numopt::Result<FittedModel> {
-    let samples = measure_gemm_with_threads(dims, runs, threads);
-    fit_cost_model(
-        &samples
-            .iter()
-            .map(|s| (s.flops, s.millis))
-            .collect::<Vec<_>>(),
-    )
+    fit_samples(&measure_gemm_with_threads(dims, runs, threads))
+}
+
+/// Fits `millis = α + β·flops` to measured (or synthetic) samples.
+///
+/// # Errors
+///
+/// Propagates fit errors for degenerate sample sets.
+pub fn fit_samples(samples: &[GemmSample]) -> numopt::Result<FittedModel> {
+    let points: Vec<_> = samples.iter().map(|s| (s.flops, s.millis)).collect();
+    fit_cost_model(&points)
 }
 
 #[cfg(test)]
 mod tests {
+    //! Structure of measured sweeps and the fit on synthetic points only;
+    //! "bigger GEMMs take longer" and "the real GEMM is linear in FLOPs"
+    //! are budgets of `cargo bench -p bench --bench profiler`.
     use super::*;
 
     #[test]
-    fn real_gemm_times_grow_with_size() {
+    fn sweep_yields_one_sample_per_dim_with_its_flops() {
         let samples = measure_gemm(&[16, 64, 128], 3);
-        assert_eq!(samples.len(), 3);
-        assert!(samples[2].millis > samples[0].millis);
-        assert!(samples.iter().all(|s| s.millis > 0.0));
+        let dims: Vec<usize> = samples.iter().map(|s| s.dim).collect();
+        assert_eq!(dims, [16, 64, 128]);
+        assert_eq!(samples[1].flops, 2.0 * 64.0f64.powi(3));
+        assert!(samples
+            .iter()
+            .all(|s| s.millis.is_finite() && s.millis > 0.0));
     }
 
     #[test]
-    fn linear_model_fits_real_gemm_reasonably() {
-        // cubic-in-dim = linear-in-FLOPs; r² should be high even on a
-        // noisy shared machine
-        let fitted = profile_cpu_gemm(&[32, 48, 64, 96, 128, 160], 3).unwrap();
-        assert!(
-            fitted.r_squared > 0.9,
-            "r² = {} — linear-in-FLOPs fit should hold",
-            fitted.r_squared
-        );
-        assert!(fitted.model.beta > 0.0);
+    fn linear_model_recovers_a_synthetic_gemm() {
+        // cubic-in-dim = linear-in-FLOPs: α = 0.01 ms, 40 GFLOP/s
+        let (alpha, beta) = (0.01, 1.0 / 40.0e6);
+        let samples: Vec<GemmSample> = [32usize, 48, 64, 96, 128, 160]
+            .iter()
+            .map(|&dim| {
+                let flops = 2.0 * (dim as f64).powi(3);
+                GemmSample {
+                    dim,
+                    flops,
+                    millis: alpha + beta * flops,
+                }
+            })
+            .collect();
+        let fitted = fit_samples(&samples).unwrap();
+        assert!((fitted.model.alpha - alpha).abs() < 1e-9, "{fitted:?}");
+        assert!((fitted.model.beta - beta).abs() < 1e-15, "{fitted:?}");
+        assert!(fitted.r_squared > 1.0 - 1e-9, "{fitted:?}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   which expert each candidate actually routes to, then emits
 //!   batches of those calibrated token vectors so a *real* gate
 //!   produces the requested skew. This is what drives the chaos+skew
-//!   soak against `MoeLayer`/`DistMoeLayer`.
+//!   soak against `MoeLayer`.
 //!
 //! Everything is deterministic under a fixed seed: the same generator
 //! state produces the same batches, so skew soaks replay exactly.

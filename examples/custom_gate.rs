@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release -p models --example custom_gate`.
 
+use collectives::{Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;
 use fsmoe::expert::build_expert;
 use fsmoe::gate::Gate;
@@ -95,6 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(TutelOrdering::new()),
         experts,
         Box::new(ByteCounter::default()),
+        &Communicator::solo(),
+        &HybridTopology::flat(1)?,
     )?;
 
     let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);

@@ -7,7 +7,7 @@
 
 use collectives::{run_ranks, HybridTopology, ParallelDims};
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
+use fsmoe::layer::MoeLayer;
 use tensor::TensorRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         )
         .expect("Fig. 2 dims are valid");
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, 99).expect("layer construction");
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 99).expect("layer construction");
 
         // each rank trains on its own token block
         let mut data_rng = TensorRng::seed_from(500 + comm.rank() as u64);

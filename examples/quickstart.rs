@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo run --release -p models --example quickstart`.
 
+use collectives::{Communicator, HybridTopology};
 use fsmoe::config::{FfnKind, MoeConfig};
 use fsmoe::layer::MoeLayer;
 use tensor::TensorRng;
@@ -22,8 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ffn(FfnKind::Mixtral)
         .build()?;
 
-    let mut rng = TensorRng::seed_from(42);
-    let mut layer = MoeLayer::gshard(&config, &mut rng)?;
+    // One rank: the exchange between tokens and experts is the identity.
+    // Over a larger world the same constructor builds that rank's slice
+    // (see examples/distributed_training.rs).
+    let (comm, topo) = (Communicator::solo(), HybridTopology::flat(1)?);
+    let mut layer = MoeLayer::gshard(&config, &comm, &topo, 42)?;
+    let mut rng = TensorRng::seed_from(43);
     let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
 
     println!(

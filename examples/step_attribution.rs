@@ -27,9 +27,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology, ParallelDims};
+use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::config::MoeConfig;
-use fsmoe::dist::DistMoeLayer;
+use fsmoe::layer::MoeLayer;
 use models::dist_train_step;
 use obs::attrib::{self, Phase, StepReport};
 use simnet::{CostModel, StepModel};
@@ -83,18 +83,8 @@ fn run_and_attribute(seq_len: usize, faults: Option<FaultInjector>) -> (obs::Ses
     }
     let cfg = config_for(seq_len);
     let _losses = run_world_within(world, Duration::from_secs(120), move |comm| {
-        let topo = HybridTopology::new(
-            1,
-            RANKS,
-            ParallelDims {
-                dp: RANKS,
-                mp: 1,
-                ep: RANKS,
-                esp: 1,
-            },
-        )
-        .expect("4-rank EP layout is valid");
-        let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer construction");
+        let topo = HybridTopology::flat(RANKS).expect("4-rank EP layout is valid");
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer construction");
         let mut data_rng = TensorRng::seed_from(900 + comm.rank() as u64);
         let input = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let target = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);

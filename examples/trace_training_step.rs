@@ -1,7 +1,7 @@
 //! Trace one distributed training iteration end to end.
 //!
 //! Runs a single [`models::dist_train_step`] over a 2-rank
-//! [`DistMoeLayer`] built from the `Smoke` preset, with one injected
+//! [`MoeLayer`] built from the `Smoke` preset, with one injected
 //! fault (rank 1 stalls 400 ms entering its first collective while the
 //! deadline is 80 ms) so the trace shows the retry machinery at work.
 //! The resulting span tree nests `models` → `fsmoe` → `collectives`.
@@ -16,8 +16,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology, ParallelDims};
-use fsmoe::dist::{DistMoeLayer, FaultPolicy};
+use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
+use fsmoe::dist::FaultPolicy;
+use fsmoe::layer::MoeLayer;
 use models::{dist_train_step, ModelPreset};
 use tensor::TensorRng;
 
@@ -44,19 +45,8 @@ fn main() {
     let cfg = preset.moe_config_for(2).expect("smoke preset is valid");
     let run_cfg = cfg.clone();
     let losses = run_world_within(world, Duration::from_secs(60), move |comm| {
-        let topo = HybridTopology::new(
-            1,
-            2,
-            ParallelDims {
-                dp: 2,
-                mp: 1,
-                ep: 2,
-                esp: 1,
-            },
-        )
-        .expect("2-rank EP layout is valid");
-        let mut layer =
-            DistMoeLayer::gshard(&run_cfg, &comm, &topo, 42).expect("layer construction");
+        let topo = HybridTopology::flat(2).expect("2-rank EP layout is valid");
+        let mut layer = MoeLayer::gshard(&run_cfg, &comm, &topo, 42).expect("layer construction");
         // Generous retry budget: the stall should cost retries, never
         // dropped tokens.
         layer.set_fault_policy(FaultPolicy {

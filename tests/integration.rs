@@ -11,9 +11,8 @@
 //!    paper's headline result, FSMoE ≥ every baseline.
 
 use baselines::ScheduleKind;
-use collectives::{run_ranks, HybridTopology, ParallelDims};
+use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
 use fsmoe::config::{FfnKind, MoeConfig};
-use fsmoe::dist::DistMoeLayer;
 use fsmoe::layer::MoeLayer;
 use models::iteration::iteration_time;
 use models::ModelPreset;
@@ -22,7 +21,24 @@ use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
 use simnet::{OpCosts, Testbed};
 use tensor::{Tensor, TensorRng};
 
-type GateBuilder = fn(&MoeConfig, &mut TensorRng) -> fsmoe::Result<MoeLayer>;
+type GateBuilder = fn(&MoeConfig, &Communicator, &HybridTopology, u64) -> fsmoe::Result<MoeLayer>;
+
+/// The layer over a one-rank world: local execution.
+fn local(build: GateBuilder, cfg: &MoeConfig, seed: u64) -> MoeLayer {
+    let topo = HybridTopology::flat(1).expect("one rank");
+    build(cfg, &Communicator::solo(), &topo, seed).expect("layer")
+}
+
+/// The paper's Fig. 2 topology: 4 GPUs, all four dims = 2.
+fn fig2_topology() -> HybridTopology {
+    let dims = ParallelDims {
+        dp: 2,
+        mp: 2,
+        ep: 2,
+        esp: 2,
+    };
+    HybridTopology::new(2, 2, dims).expect("valid dims")
+}
 
 fn small_config() -> MoeConfig {
     MoeConfig::builder()
@@ -54,8 +70,7 @@ fn data_plane_is_schedule_invariant() {
         .expect("valid");
     let seed = 77u64;
 
-    let mut rng = TensorRng::seed_from(seed);
-    let mut reference = MoeLayer::gshard(&cfg, &mut rng).expect("layer");
+    let mut reference = local(MoeLayer::gshard, &cfg, seed);
     let mut route_rng = TensorRng::seed_from(0);
     let expected: Vec<Tensor> = (0..4)
         .map(|r| {
@@ -67,18 +82,8 @@ fn data_plane_is_schedule_invariant() {
 
     let cfg2 = cfg.clone();
     let outputs = run_ranks(4, move |comm| {
-        let topo = HybridTopology::new(
-            2,
-            2,
-            ParallelDims {
-                dp: 2,
-                mp: 2,
-                ep: 2,
-                esp: 2,
-            },
-        )
-        .expect("valid dims");
-        let mut layer = DistMoeLayer::gshard(&cfg2, &comm, &topo, seed).expect("layer");
+        let topo = fig2_topology();
+        let mut layer = MoeLayer::gshard(&cfg2, &comm, &topo, seed).expect("layer");
         let mut drng = TensorRng::seed_from(300 + comm.rank() as u64);
         let x = drng.normal(&[cfg2.tokens(), cfg2.embed_dim], 0.0, 1.0);
         let mut rrng = TensorRng::seed_from(0);
@@ -180,18 +185,8 @@ fn mixtral_and_gpt_experts_both_train_distributed() {
             .build()
             .expect("valid");
         let results = run_ranks(4, move |comm| {
-            let topo = HybridTopology::new(
-                2,
-                2,
-                ParallelDims {
-                    dp: 2,
-                    mp: 2,
-                    ep: 2,
-                    esp: 2,
-                },
-            )
-            .expect("valid dims");
-            let mut layer = DistMoeLayer::gshard(&cfg, &comm, &topo, 5).expect("layer");
+            let topo = fig2_topology();
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 5).expect("layer");
             let mut drng = TensorRng::seed_from(comm.rank() as u64);
             let x = drng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
             let target = drng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
@@ -231,7 +226,7 @@ fn capacity_semantics_flow_through_the_stack() {
         .build()
         .expect("valid");
     let mut rng = TensorRng::seed_from(1);
-    let mut layer = MoeLayer::gshard(&cfg, &mut rng).expect("layer");
+    let mut layer = local(MoeLayer::gshard, &cfg, 1);
     let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     let y = layer.forward(&x, &mut rng).expect("forward");
     let routing = layer.last_routing().expect("routed");
@@ -267,7 +262,7 @@ fn chunked_execution_equals_unchunked() {
     ];
     for (name, build) in builders {
         let mut rng = TensorRng::seed_from(21);
-        let mut layer = build(&cfg, &mut rng).expect(name);
+        let mut layer = local(build, &cfg, 21);
         let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(0);
         let full = layer.forward(&x, &mut route_rng).expect(name);
@@ -303,7 +298,7 @@ fn all_five_gates_run_through_the_full_layer() {
     ];
     let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
     for (name, build) in builders {
-        let mut layer = build(&cfg, &mut rng).expect(name);
+        let mut layer = local(build, &cfg, 3);
         let y = layer.forward(&x, &mut rng).expect(name);
         let grads = layer.backward(&Tensor::ones(y.dims())).expect(name);
         assert_eq!(grads.input.dims(), x.dims(), "{name}");
