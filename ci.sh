@@ -63,36 +63,15 @@ echo "==> chaos suite (default threading)"
 timeout --kill-after=30 300 \
     cargo test -q -p collectives --test chaos --test faults
 
-echo "==> compute-bench gate: packed GEMM GFLOPS floors"
-# The compute harness sweeps explicit thread counts, rewrites
-# BENCH_compute.json, and (like the obs budget bench) asserts its own
-# floor: best-thread-count GFLOPS at dims >= 256 must clear the
-# per-dim minimum baked into the binary, so a microkernel regression
-# fails CI instead of silently shipping slower GEMMs.
-timeout --kill-after=30 300 cargo bench -q -p bench --bench harness
-
-echo "==> profiler shape budget: the real wire and GEMM fit alpha-beta"
-# The wall-clock half of the profiler's tests, which cargo test may not
-# assert: with min-of-15 sampling a 2-rank AllReduce must be roughly
-# linear in bytes (r2 >= 0.5) and the square GEMM in FLOPs (r2 >= 0.9),
-# both with a positive slope. Rewrites BENCH_profiler.json.
-timeout --kill-after=30 300 cargo bench -q -p bench --bench profiler
-
-echo "==> flight-recorder budget: always-on ring overhead"
-# Prices the per-event seqlock push, counts the ring events one real
-# forward records, and asserts the always-on recording costs < 2% of a
-# forward with the recorder on and off; also times obs::attrib over a
-# real 4-rank session. Rewrites BENCH_attrib.json.
-timeout --kill-after=30 300 cargo bench -q -p bench --bench attrib
-
 echo "==> conformance: workspace invariant linter"
 # Static gates: no std::sync locks outside shims/, no unjustified
 # unwrap/expect in the guarded crates, obs names only via the registry,
 # no wildcard arms over CommError where Reconfigured/Abandoned must be
-# distinguished — plus the SPMD determinism auditor (unordered
-# iteration, rank-divergent collectives, wall-clock decisions, float
-# accumulation order). Non-zero exit on any violation; on failure the
-# findings are re-emitted as JSON for one-glance triage.
+# distinguished — plus the dataflow auditor (unordered iteration,
+# rank-divergent collectives, wall-clock decisions, float accumulation
+# order, wall-clock assertions in tests). Non-zero exit on any
+# violation; on failure the findings are re-emitted as JSON for
+# one-glance triage.
 if ! cargo run --release -p analyzer; then
     echo "analyzer findings (JSON):" >&2
     cargo run --release -p analyzer -- --json >&2 || true
@@ -158,7 +137,7 @@ echo "==> gray-failure smoke: 4-rank run surviving a browned-out rank"
 # reconfigure spans, bit-identity against a fresh 3-rank world, and the
 # exported trace.
 timeout --kill-after=30 180 \
-    cargo run --release -p models --example gray_failure -- target/gray_failure.json
+    cargo run --release -p bench --example gray_failure -- target/gray_failure.json
 
 echo "==> gray-failure soak: brownouts + escalation ladder under the lock doctor"
 # The brownout chaos proptests (collectives) plus the trainer-level
@@ -170,18 +149,24 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
     'cargo test -q -p collectives --test deadline &&
      cargo test -q -p models --test health'
 
-echo "==> throughput-recovery budget: brownout detection to full speed"
-# Times a healthy 4-rank fleet, then the same fleet with rank 3 browned
-# out and the defense armed: the run must quarantine, evict, and settle
-# at >= 90% of the healthy step rate within 20 steps of the eviction,
-# bit-identical to a fresh 3-rank world. Rewrites BENCH_health.json.
-timeout --kill-after=30 300 cargo bench -q -p bench --bench health
-
-echo "==> migration pause budget: fence-to-resume wall time"
-# Measures the end-to-end training pause of one hot-expert migration on
-# a 4-rank world (max across ranks, best of 5) against the enforced
-# budget, and rewrites BENCH_migrate.json with measured vs modeled
-# phase costs.
-timeout --kill-after=30 300 cargo bench -q -p bench --bench migrate
+# The budget gates: every [[bench]] target of crates/bench, all on the
+# one harness (crates/bench/src/gate.rs) — each rewrites its
+# BENCH_<name>.json, appends results/bench_history.jsonl and exits
+# non-zero listing every budget it missed:
+#   harness     packed-GEMM GFLOPS floors at dims >= 256 (BENCH_compute)
+#   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run
+#   migrate     hot-expert migration pause < 250 ms (best of 5)
+#   attrib      instrumentation overhead < 2% of a forward, flight
+#               recorder on and everything off
+#   health      >= 90% of the healthy step rate within 20 steps of a
+#               gray-failure eviction (best of 3), bit-identical to a
+#               fresh 3-rank world
+#   profiler    the real wire and GEMM fit alpha-beta (r2 >= 0.5 / 0.9)
+gates=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"/\1/p}' crates/bench/Cargo.toml)
+[ -n "$gates" ] || { echo "no [[bench]] targets found" >&2; exit 1; }
+for gate in $gates; do
+    echo "==> budget gate: $gate"
+    timeout --kill-after=30 300 cargo bench -q -p bench --bench "$gate"
+done
 
 echo "CI OK"

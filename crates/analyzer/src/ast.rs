@@ -1,13 +1,14 @@
 //! Token tree: the delimiter-balanced layer between the flat token
-//! stream ([`crate::lexer`]) and the dataflow rules ([`crate::flow`],
-//! [`crate::schedule`]).
+//! stream ([`crate::lexer`]) and every rule ([`crate::rules`],
+//! [`crate::flow`], [`crate::schedule`]).
 //!
 //! The tree pairs every `{`/`(`/`[` with its closer and nests the
-//! tokens in between, so rules can ask structural questions ("is this
-//! collective call inside the body of that `if`?") instead of counting
-//! depth by hand. Stray closers are tolerated — a lint must never
-//! panic on the code it is linting — by closing the innermost open
-//! group and dropping the orphan.
+//! tokens in between, so rules ask structural questions ("is this
+//! collective call inside the body of that `if`?", "which arms does
+//! this `match` have?") instead of counting depth by hand. Stray
+//! closers are tolerated — a lint must never panic on the code it is
+//! linting — by closing the innermost open group and dropping the
+//! orphan.
 
 use crate::lexer::{Tok, Token};
 
@@ -79,6 +80,68 @@ impl Node {
             Node::Group(g) => g.open_line,
         }
     }
+}
+
+/// Calls `f(siblings, i)` for every node of the forest, each with the
+/// sibling list it sits in, parents before children — the one
+/// traversal the pattern rules share.
+pub fn visit<'a>(nodes: &'a [Node], f: &mut impl FnMut(&'a [Node], usize)) {
+    for (i, n) in nodes.iter().enumerate() {
+        f(nodes, i);
+        if let Node::Group(g) = n {
+            visit(&g.children, f);
+        }
+    }
+}
+
+/// The index just past a `::` starting at `nodes[at]`, if one does.
+#[must_use]
+pub fn colons_at(nodes: &[Node], at: usize) -> Option<usize> {
+    (nodes.get(at)?.is_punct(':') && nodes.get(at + 1)?.is_punct(':')).then_some(at + 2)
+}
+
+/// Whether `nodes[i..]` spells the path `segs[0] :: segs[1] :: …`;
+/// returns the index just past its last segment.
+#[must_use]
+pub fn path_at(nodes: &[Node], i: usize, segs: &[&str]) -> Option<usize> {
+    let mut at = i;
+    for (k, seg) in segs.iter().enumerate() {
+        if k > 0 {
+            at = colons_at(nodes, at)?;
+        }
+        if !nodes.get(at)?.is_ident(seg) {
+            return None;
+        }
+        at += 1;
+    }
+    Some(at)
+}
+
+/// Splits a `match` body into `(pattern, value)` arms: `pat => expr,` /
+/// `pat => { block }`. The pattern keeps its `if` guard; an expression
+/// value runs to the next top-level `,`.
+#[must_use]
+pub fn match_arms(body: &[Node]) -> Vec<(&[Node], &[Node])> {
+    let mut arms = Vec::new();
+    let mut i = 0usize;
+    while let Some(arrow) = body[i..]
+        .windows(2)
+        .position(|w| w[0].is_punct('=') && w[1].is_punct('>'))
+    {
+        let start = i + arrow + 2;
+        let end = if body.get(start).is_some_and(|n| n.group_with('{').is_some()) {
+            start + 1
+        } else {
+            body[start..]
+                .iter()
+                .position(|n| n.is_punct(','))
+                .map_or(body.len(), |p| start + p)
+        };
+        arms.push((&body[i..i + arrow], &body[start..end]));
+        // The `,` after an arm is optional behind a block.
+        i = end + usize::from(body.get(end).is_some_and(|n| n.is_punct(',')));
+    }
+    arms
 }
 
 fn closer(open: char) -> char {
@@ -280,5 +343,39 @@ mod tests {
         let fns = functions(&nodes);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["outer", "inner"]);
+    }
+
+    #[test]
+    fn visit_reaches_every_node_with_its_siblings() {
+        let nodes = tree("a(b, [c]) { d }");
+        let mut idents = Vec::new();
+        visit(&nodes, &mut |sibs, i| idents.extend(sibs[i].ident()));
+        assert_eq!(idents, ["a", "b", "c", "d"], "parents before children");
+    }
+
+    #[test]
+    fn paths_match_segment_by_segment() {
+        let nodes = tree("use std::sync::Mutex; Duration::from_secs(1)");
+        assert_eq!(path_at(&nodes, 1, &["std", "sync"]), Some(5));
+        assert_eq!(path_at(&nodes, 1, &["std", "sync", "Mutex"]), Some(8));
+        assert_eq!(path_at(&nodes, 1, &["std", "cell"]), None);
+        assert_eq!(colons_at(&nodes, 5), Some(7));
+        assert_eq!(colons_at(&nodes, 8), None, "`;` is not `::`");
+    }
+
+    #[test]
+    fn match_arms_split_patterns_guards_and_values() {
+        let nodes = tree("A | B => x.f(1, 2), C { d: _ } if ok => { y } _ => z");
+        let arms = match_arms(&nodes);
+        assert_eq!(arms.len(), 3, "the `,` after a block arm is optional");
+        fn idents(ns: &[Node]) -> Vec<&str> {
+            ns.iter().filter_map(Node::ident).collect()
+        }
+        assert_eq!(idents(arms[0].0), ["A", "B"]);
+        assert_eq!(idents(arms[0].1), ["x", "f"]);
+        assert_eq!(idents(arms[1].0), ["C", "if", "ok"]);
+        assert!(arms[1].1[0].group_with('{').is_some());
+        assert_eq!(idents(arms[2].0), ["_"]);
+        assert_eq!(idents(arms[2].1), ["z"]);
     }
 }

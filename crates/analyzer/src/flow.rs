@@ -29,11 +29,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{functions, FnItem, Group, Node};
+use crate::ast::{self, functions, FnItem, Group, Node};
 use crate::rules::{
-    TestRegions, RULE_FLOAT_ACCUM, RULE_RANK_COLLECTIVE, RULE_UNORDERED_ITER, RULE_WALLCLOCK,
+    TestRegions, RULE_FLOAT_ACCUM, RULE_RANK_COLLECTIVE, RULE_TEST_WALLCLOCK, RULE_UNORDERED_ITER,
+    RULE_WALLCLOCK,
 };
-use crate::schedule::COLLECTIVE_OPS;
+use crate::schedule::collective_call_at;
 use crate::Violation;
 
 /// Methods that iterate a container in storage order.
@@ -84,39 +85,12 @@ fn contains_ident(nodes: &[Node], pred: &dyn Fn(&str) -> bool) -> bool {
     })
 }
 
-/// Splits a node list into statements at top-level `;` (the `;` is not
-/// included in any statement).
-fn statements(nodes: &[Node]) -> Vec<&[Node]> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for (i, n) in nodes.iter().enumerate() {
-        if n.is_punct(';') {
-            if i > start {
-                out.push(&nodes[start..i]);
-            }
-            start = i + 1;
-        }
-    }
-    if start < nodes.len() {
-        out.push(&nodes[start..]);
-    }
-    out
-}
-
-/// Splits a paren-group's children into comma-separated arguments.
-fn split_args(args: &Group) -> Vec<&[Node]> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for (i, n) in args.children.iter().enumerate() {
-        if n.is_punct(',') {
-            out.push(&args.children[start..i]);
-            start = i + 1;
-        }
-    }
-    if start < args.children.len() {
-        out.push(&args.children[start..]);
-    }
-    out
+/// Splits a node list at top-level `sep` — statements at `;`,
+/// arguments at `,` — dropping the separators and empty pieces.
+fn split_on(nodes: &[Node], sep: char) -> impl Iterator<Item = &[Node]> {
+    nodes
+        .split(move |n| n.is_punct(sep))
+        .filter(|piece| !piece.is_empty())
 }
 
 /// Field names declared with an unordered-container type anywhere in
@@ -124,56 +98,43 @@ fn split_args(args: &Group) -> Vec<&[Node]> {
 /// rooted at `self.field` / `x.field` resolve.
 fn unordered_fields(nodes: &[Node]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    collect_unordered_fields(nodes, &mut out);
-    out
-}
-
-fn collect_unordered_fields(nodes: &[Node], out: &mut BTreeSet<String>) {
-    let mut i = 0usize;
-    while i < nodes.len() {
-        if nodes[i].is_ident("struct") {
-            if let Some(body) = nodes
-                .iter()
-                .skip(i + 1)
-                .take(8) // name + generics, then the body
-                .find_map(|n| n.group_with('{'))
-            {
-                let mut field: Option<&str> = None;
-                let mut j = 0usize;
-                while j < body.children.len() {
-                    let n = &body.children[j];
-                    if n.is_punct(':') {
-                        // type runs to the next top-level `,`
-                        let ty_end = body.children[j + 1..]
-                            .iter()
-                            .position(|n| n.is_punct(','))
-                            .map_or(body.children.len(), |p| j + 1 + p);
-                        let ty = &body.children[j + 1..ty_end];
-                        if let Some(f) = field {
-                            if contains_ident(ty, &is_unordered_type) {
-                                out.insert(f.to_string());
-                            }
-                        }
-                        j = ty_end;
-                        continue;
-                    }
-                    field = n.ident().or(field);
-                    j += 1;
+    ast::visit(nodes, &mut |sibs, i| {
+        let body = sibs[i..]
+            .iter()
+            .skip(1)
+            .take(8) // name + generics, then the body
+            .find_map(|n| n.group_with('{'));
+        let (true, Some(body)) = (sibs[i].is_ident("struct"), body) else {
+            return;
+        };
+        let mut field: Option<&str> = None;
+        let mut j = 0usize;
+        while j < body.children.len() {
+            let n = &body.children[j];
+            if n.is_punct(':') {
+                // type runs to the next top-level `,`
+                let ty_end = body.children[j + 1..]
+                    .iter()
+                    .position(|n| n.is_punct(','))
+                    .map_or(body.children.len(), |p| j + 1 + p);
+                if contains_ident(&body.children[j + 1..ty_end], &is_unordered_type) {
+                    out.extend(field.map(String::from));
                 }
+                j = ty_end;
+                continue;
             }
+            field = n.ident().or(field);
+            j += 1;
         }
-        if let Node::Group(g) = &nodes[i] {
-            collect_unordered_fields(&g.children, out);
-        }
-        i += 1;
-    }
+    });
+    out
 }
 
 /// Binding names of unordered containers in one function: annotated or
 /// constructed `let`s, plus parameters typed `HashMap`/`HashSet`.
 fn unordered_bindings(item: &FnItem<'_>) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
-    for arg in split_args(item.params) {
+    for arg in split_on(&item.params.children, ',') {
         let Some(colon) = arg.iter().position(|n| n.is_punct(':')) else {
             continue;
         };
@@ -188,7 +149,7 @@ fn unordered_bindings(item: &FnItem<'_>) -> BTreeSet<String> {
 }
 
 fn collect_let_bindings(nodes: &[Node], set: &mut BTreeSet<String>) {
-    for stmt in statements(nodes) {
+    for stmt in split_on(nodes, ';') {
         if stmt.first().is_some_and(|n| n.is_ident("let")) {
             let mut k = 1usize;
             while stmt.get(k).is_some_and(|n| n.is_ident("mut")) {
@@ -385,8 +346,7 @@ pub fn check_unordered_iteration(nodes: &[Node], tests: &TestRegions, out: &mut 
 }
 
 fn scan_iteration(nodes: &[Node], ctx: &IterCtx<'_>, out: &mut Vec<Violation>) {
-    let stmts = statements(nodes);
-    for stmt in &stmts {
+    for stmt in split_on(nodes, ';') {
         scan_for_loops(stmt, ctx, out);
         for i in 0..stmt.len() {
             let Some(method) = stmt[i].ident() else {
@@ -408,7 +368,7 @@ fn scan_iteration(nodes: &[Node], ctx: &IterCtx<'_>, out: &mut Vec<Violation>) {
             let (links, _) = read_chain(stmt, i + 2);
             judge_chain(stmt, method, root, line, &links, ctx, out);
         }
-        for n in *stmt {
+        for n in stmt {
             if let Node::Group(g) = n {
                 scan_iteration(&g.children, ctx, out);
             }
@@ -565,8 +525,7 @@ fn param_sink_summaries(nodes: &[Node]) -> BTreeMap<String, BTreeSet<usize>> {
 
 /// Non-`self` parameter names in declaration order.
 fn param_names(item: &FnItem<'_>) -> Vec<String> {
-    split_args(item.params)
-        .into_iter()
+    split_on(&item.params.children, ',')
         .filter_map(|arg| {
             let colon = arg.iter().position(|n| n.is_punct(':'))?;
             arg[..colon]
@@ -600,61 +559,48 @@ fn find_decision_flows(
     sinks: &BTreeMap<String, BTreeSet<usize>>,
 ) -> Vec<(u32, String)> {
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < nodes.len() {
-        let n = &nodes[i];
-        if let Some(kw) = n.ident() {
-            if matches!(kw, "if" | "while" | "match") {
-                // Header runs to the first `{` group at this level.
-                let end = nodes[i..]
-                    .iter()
-                    .position(|n| n.group_with('{').is_some())
-                    .map_or(nodes.len(), |p| i + p);
-                let header = &nodes[i + 1..end];
-                if set_contains_any(header, tainted) || has_wallclock_source(header) {
-                    out.push((n.line(), format!("`{kw}` condition at line {}", n.line())));
-                }
-                // Fall through: the body group is scanned when reached.
+    ast::visit(nodes, &mut |sibs, i| {
+        let n = &sibs[i];
+        if let Some(kw @ ("if" | "while" | "match")) = n.ident() {
+            // Header runs to the first `{` group at this level; the
+            // body group is scanned when the visit reaches it.
+            let end = sibs[i..]
+                .iter()
+                .position(|n| n.group_with('{').is_some())
+                .map_or(sibs.len(), |p| i + p);
+            let header = &sibs[i + 1..end];
+            if set_contains_any(header, tainted) || has_wallclock_source(header) {
+                out.push((n.line(), format!("`{kw}` condition at line {}", n.line())));
             }
         }
         // `.collective(args)` with a tainted payload.
-        if n.is_punct('.') {
-            if let (Some(op), Some(args)) = (
-                nodes.get(i + 1).and_then(Node::ident),
-                nodes.get(i + 2).and_then(|n| n.group_with('(')),
-            ) {
-                if COLLECTIVE_OPS.contains(&op) && set_contains_any(&args.children, tainted) {
-                    out.push((
-                        nodes[i + 1].line(),
-                        format!("collective `{op}` payload at line {}", nodes[i + 1].line()),
-                    ));
-                }
+        if let Some((op, args)) = collective_call_at(sibs, i) {
+            if set_contains_any(&args.children, tainted) {
+                let line = sibs[i + 1].line();
+                out.push((line, format!("collective `{op}` payload at line {line}")));
             }
         }
         // `callee(args)` / `.callee(args)` with a tainted arg in a
         // sink position of a summarised same-file function.
-        if let (Some(callee), Some(args)) =
-            (n.ident(), nodes.get(i + 1).and_then(|n| n.group_with('(')))
+        let call = n
+            .ident()
+            .zip(sibs.get(i + 1).and_then(|n| n.group_with('(')));
+        if let Some((callee, args, positions)) =
+            call.and_then(|(callee, args)| Some((callee, args, sinks.get(callee)?)))
         {
-            if let Some(positions) = sinks.get(callee) {
-                for (pos, arg) in split_args(args).into_iter().enumerate() {
-                    if positions.contains(&pos) && set_contains_any(arg, tainted) {
-                        out.push((
-                            n.line(),
-                            format!(
-                                "`{callee}` parameter {pos} (a decision input) at line {}",
-                                n.line()
-                            ),
-                        ));
-                    }
+            for (pos, arg) in split_on(&args.children, ',').enumerate() {
+                if positions.contains(&pos) && set_contains_any(arg, tainted) {
+                    out.push((
+                        n.line(),
+                        format!(
+                            "`{callee}` parameter {pos} (a decision input) at line {}",
+                            n.line()
+                        ),
+                    ));
                 }
             }
         }
-        if let Node::Group(g) = n {
-            out.extend(find_decision_flows(&g.children, tainted, sinks));
-        }
-        i += 1;
-    }
+    });
     out
 }
 
@@ -687,7 +633,7 @@ fn value_contains(nodes: &[Node], pred: &dyn Fn(&str) -> bool) -> bool {
 }
 
 fn propagate_taint(nodes: &[Node], tainted: &mut BTreeSet<String>) {
-    for stmt in statements(nodes) {
+    for stmt in split_on(nodes, ';') {
         if let Some(eq) = stmt.iter().position(|n| n.is_punct('=')) {
             // Skip `==`, `>=`, `<=`, `!=`, `=>` comparators (compound
             // assignments like `+=` keep firing: `+` is not a
@@ -758,6 +704,67 @@ pub fn check_wallclock(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violat
 }
 
 // ---------------------------------------------------------------------------
+// test-wallclock-assert
+// ---------------------------------------------------------------------------
+
+/// Rule `test-wallclock-assert` over one file's tree: inside a test
+/// region, an `assert*!`/`debug_assert*!`/`prop_assert*!` whose
+/// condition (the first argument; the first two of the `_eq`/`_ne`
+/// forms) reads `Instant`/`SystemTime`, calls `elapsed()`, or names a
+/// binding [`wallclock_taint`] derives from one. A reading that only
+/// feeds the failure message is fine. How fast a machine runs a test is
+/// not a property of the code, so such an assertion fails on a loaded
+/// box; wall-clock budgets live in `benches/`.
+pub fn check_test_wallclock(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    /// How many leading arguments of the assertion macro `name` form its
+    /// condition (`None` for any other identifier).
+    fn compared_args(name: &str) -> Option<usize> {
+        let form = ["assert", "debug_assert", "prop_assert"]
+            .iter()
+            .find_map(|m| name.strip_prefix(m))?;
+        match form {
+            "" => Some(1),
+            "_eq" | "_ne" => Some(2),
+            _ => None,
+        }
+    }
+
+    for item in functions(nodes) {
+        if !tests.contains(item.line) {
+            continue;
+        }
+        let tainted = wallclock_taint(&item);
+        ast::visit(&item.body.children, &mut |sibs, i| {
+            let (Some((name, compared)), Some(args)) = (
+                sibs[i].ident().and_then(|n| Some((n, compared_args(n)?))),
+                sibs.get(i + 1)
+                    .filter(|n| n.is_punct('!'))
+                    .and_then(|_| sibs.get(i + 2)?.group_with('(')),
+            ) else {
+                return;
+            };
+            let timed = split_on(&args.children, ',').take(compared).any(|arg| {
+                contains_ident(arg, &|id| {
+                    id == "elapsed" || WALLCLOCK_SOURCES.contains(&id) || tainted.contains(id)
+                })
+            });
+            if timed {
+                out.push(Violation::new(
+                    RULE_TEST_WALLCLOCK,
+                    sibs[i].line(),
+                    format!(
+                        "`{name}!` in test `{}` depends on a wall-clock reading — `cargo test` \
+                         must pass on any machine under any load; move the budget to a bench, \
+                         or justify with `// lint: allow(test-wallclock-assert) — <reason>`",
+                        item.name
+                    ),
+                ));
+            }
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // spmd-rank-divergent-collective
 // ---------------------------------------------------------------------------
 
@@ -767,75 +774,33 @@ fn is_rank_conditional(header: &[Node]) -> bool {
     contains_ident(header, &|id| id == "rank" || id.ends_with("_rank"))
 }
 
-/// Collects `.op(…)` collective calls anywhere under `nodes`.
-fn collective_calls(nodes: &[Node], out: &mut Vec<(String, u32)>) {
-    let mut i = 0usize;
-    while i < nodes.len() {
-        if nodes[i].is_punct('.') {
-            if let (Some(op), Some(_)) = (
-                nodes.get(i + 1).and_then(Node::ident),
-                nodes.get(i + 2).and_then(|n| n.group_with('(')),
-            ) {
-                if COLLECTIVE_OPS.contains(&op) {
-                    out.push((op.to_string(), nodes[i + 1].line()));
-                }
-            }
-        }
-        if let Node::Group(g) = &nodes[i] {
-            collective_calls(&g.children, out);
-        }
-        i += 1;
-    }
-}
-
 /// Rule `spmd-rank-divergent-collective` over one file's tree: a
 /// collective issued inside the brace tree of a rank-conditional
 /// branch means some ranks issue it and others do not — the static
 /// shape of a mismatched-schedule deadlock. Scoped by the caller to
 /// the comm-issuing crates (`fsmoe`, `models`).
 pub fn check_rank_divergent(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
-    scan_rank_branches(nodes, tests, out);
-    out.dedup_by_key(|v| (v.rule, v.line));
-}
-
-fn scan_rank_branches(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i < nodes.len() {
-        let n = &nodes[i];
-        if n.is_ident("if") || n.is_ident("match") {
-            let kw_line = n.line();
-            let Some(body_off) = nodes[i..].iter().position(|n| n.group_with('{').is_some()) else {
-                i += 1;
-                continue;
-            };
-            let header = &nodes[i + 1..i + body_off];
-            if is_rank_conditional(header) {
-                // Flag collectives in the branch body and every
-                // `else`/`else if` continuation: whichever side holds
-                // the collective, only some ranks issue it.
-                let mut calls = Vec::new();
-                let mut j = i + body_off;
-                loop {
-                    if let Some(g) = nodes.get(j).and_then(|n| n.group_with('{')) {
-                        collective_calls(&g.children, &mut calls);
-                        j += 1;
-                    }
-                    if nodes.get(j).is_some_and(|n| n.is_ident("else")) {
-                        j += 1;
-                        if nodes.get(j).is_some_and(|n| n.is_ident("if")) {
-                            // skip the else-if header; its body is the
-                            // next `{` group picked up above
-                            j += 1;
-                            while j < nodes.len() && nodes[j].group_with('{').is_none() {
-                                j += 1;
-                            }
-                            continue;
-                        }
-                        continue;
-                    }
-                    break;
-                }
-                for (op, line) in calls {
+    ast::visit(nodes, &mut |sibs, i| {
+        if !(sibs[i].is_ident("if") || sibs[i].is_ident("match")) {
+            return;
+        }
+        let kw_line = sibs[i].line();
+        let Some(body_off) = sibs[i..].iter().position(|n| n.group_with('{').is_some()) else {
+            return;
+        };
+        if !is_rank_conditional(&sibs[i + 1..i + body_off]) {
+            return;
+        }
+        // The branch body and every `else`/`else if` continuation:
+        // whichever side holds the collective, only some ranks issue it.
+        let mut j = i + body_off;
+        loop {
+            if let Some(body) = sibs.get(j).and_then(|n| n.group_with('{')) {
+                ast::visit(&body.children, &mut |inner, k| {
+                    let Some((op, _)) = collective_call_at(inner, k) else {
+                        return;
+                    };
+                    let line = inner[k + 1].line();
                     if !tests.contains(line) {
                         out.push(Violation::new(
                             RULE_RANK_COLLECTIVE,
@@ -848,14 +813,21 @@ fn scan_rank_branches(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violati
                             ),
                         ));
                     }
-                }
+                });
+                j += 1;
+            }
+            if !sibs.get(j).is_some_and(|n| n.is_ident("else")) {
+                break;
+            }
+            // Skip `else` and an `else if` header; the next `{` group
+            // is that arm's body.
+            j += 1;
+            while j < sibs.len() && sibs[j].group_with('{').is_none() {
+                j += 1;
             }
         }
-        if let Node::Group(g) = n {
-            scan_rank_branches(&g.children, tests, out);
-        }
-        i += 1;
-    }
+    });
+    out.dedup_by_key(|v| (v.rule, v.line));
 }
 
 #[cfg(test)]

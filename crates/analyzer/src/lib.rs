@@ -3,11 +3,11 @@
 //! `shims/parking_lot`).
 //!
 //! A source-level lint over the repository's own conventions, built on
-//! a lightweight tokenizer ([`lexer`]), a delimiter-balanced token
-//! tree ([`ast`]) and per-function dataflow ([`flow`]) — no `syn`, no
-//! external dependencies. `cargo run --release -p analyzer` walks the
-//! workspace and exits non-zero on any violation; ci.sh gates on it.
-//! The lexical rules live in [`rules`] (DESIGN.md §8):
+//! a lightweight tokenizer ([`lexer`]) and one delimiter-balanced token
+//! tree ([`ast`]) that every rule reads — no `syn`, no external
+//! dependencies. `cargo run --release -p analyzer` walks the workspace
+//! and exits non-zero on any violation; ci.sh gates on it. The pattern
+//! rules live in [`rules`] (DESIGN.md §8):
 //!
 //! * `no-std-sync` — `std::sync::{Mutex,RwLock,Condvar}` outside
 //!   `shims/` (a std lock is invisible to the lock doctor);
@@ -24,7 +24,7 @@
 //!   carry a line-scoped allow naming what they are);
 //! * `allow-needs-reason` — an allow directive without justification.
 //!
-//! The SPMD determinism rules live in [`flow`] (DESIGN.md §13):
+//! The per-function dataflow rules live in [`flow`] (DESIGN.md §13):
 //!
 //! * `spmd-unordered-iteration` — `HashMap`/`HashSet` iteration in
 //!   verdict logic without an order-insensitive consumer;
@@ -34,7 +34,10 @@
 //!   flowing into branch conditions or collective payloads in verdict
 //!   modules;
 //! * `float-accum-order` — `sum`/`fold` reductions over unordered
-//!   containers.
+//!   containers;
+//! * `test-wallclock-assert` — a test assertion whose condition depends
+//!   on an `Instant`/`SystemTime`/`elapsed()` reading (timing belongs in
+//!   benches with budgets, not in `cargo test`).
 //!
 //! [`schedule`] additionally extracts the per-function static
 //! collective op-graph (`--schedule-report`) and cross-checks that
@@ -60,10 +63,9 @@ pub mod schedule;
 
 use lexer::tokenize;
 use rules::{
-    check_comm_wildcard, check_dead_names, check_deadline_literals, check_obs_names,
-    check_std_sync, check_unwrap, ident_set, registry_consts, rules_for, test_regions,
-    RULE_ALLOW_REASON, RULE_FLOAT_ACCUM, RULE_OBS_DEAD_NAME, RULE_RANK_COLLECTIVE,
-    RULE_UNORDERED_ITER, RULE_WALLCLOCK,
+    check_dead_names, ident_set, registry_consts, rules_for, TestRegions, RULE_ALLOW_REASON,
+    RULE_FLOAT_ACCUM, RULE_OBS_DEAD_NAME, RULE_RANK_COLLECTIVE, RULE_UNORDERED_ITER,
+    RULE_WALLCLOCK,
 };
 
 /// One lint finding.
@@ -252,43 +254,18 @@ fn allow_directives(src: &str) -> Vec<AllowDirective> {
 #[must_use]
 pub fn check_file(rel: &str, src: &str) -> Vec<Violation> {
     let class = classify(rel);
-    let active = rules_for(class);
+    let checks = rules_for(class, rel);
     let directives = allow_directives(src);
-    // The dataflow rules (DESIGN.md §13) scope by file role: iteration
-    // and accumulation order in verdict logic, rank-conditional
-    // collectives anywhere comm is issued, wall-clock flow in verdict
-    // modules (the deadline controller is the sanctioned clock user).
-    let spmd = spmd_decision(rel);
-    let rank_scope = matches!(
-        class,
-        FileClass::GuardedCommSource | FileClass::CommMatchSource
-    );
-    let wallclock_scope = spmd && class != FileClass::DeadlineController;
     let mut raw = Vec::new();
-    if !active.is_empty() || spmd || rank_scope {
-        let toks = tokenize(src);
-        let tests = test_regions(&toks);
-        for &rule in active {
-            match rule {
-                rules::RULE_STD_SYNC => check_std_sync(&toks, &mut raw),
-                rules::RULE_UNWRAP => check_unwrap(&toks, &tests, &mut raw),
-                rules::RULE_OBS_NAMES => check_obs_names(&toks, &tests, &mut raw),
-                rules::RULE_COMM_WILDCARD => check_comm_wildcard(&toks, &tests, &mut raw),
-                rules::RULE_DEADLINE_LITERALS => check_deadline_literals(&toks, &tests, &mut raw),
-                _ => {}
-            }
-        }
-        if spmd || rank_scope {
-            let tree = ast::build(&toks);
-            if spmd {
-                flow::check_unordered_iteration(&tree, &tests, &mut raw);
-            }
-            if wallclock_scope {
-                flow::check_wallclock(&tree, &tests, &mut raw);
-            }
-            if rank_scope {
-                flow::check_rank_divergent(&tree, &tests, &mut raw);
-            }
+    if !checks.is_empty() {
+        let tree = ast::build(&tokenize(src));
+        let tests = if class == FileClass::Test {
+            TestRegions::whole_file()
+        } else {
+            TestRegions::of(&tree)
+        };
+        for check in checks {
+            check(&tree, &tests, &mut raw);
         }
     }
     let mut out: Vec<Violation> = raw

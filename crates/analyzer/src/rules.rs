@@ -1,11 +1,15 @@
-//! The lint rule catalog. Each rule is a pure function over a file's
-//! token stream (plus, for the registry check, the workspace-wide name
-//! table). DESIGN.md §8 documents rule semantics and the allow policy.
+//! The pattern rule catalog. Each rule is a pure function over a file's
+//! token tree ([`crate::ast`]): one [`visit`] over every sibling list,
+//! matching a path, a call or a `match` where it stands — the tree has
+//! already balanced the delimiters, so no rule counts depth. (The
+//! registry check works on the workspace-wide name table instead.)
+//! DESIGN.md §8 documents rule semantics and the allow policy.
 
 use std::collections::HashSet;
 
+use crate::ast::{self, colons_at, match_arms, path_at, visit, Node};
 use crate::lexer::{Tok, Token};
-use crate::{FileClass, Violation};
+use crate::{flow, FileClass, Violation};
 
 /// Rule id: `std::sync::{Mutex,RwLock,Condvar}` outside `shims/`.
 pub const RULE_STD_SYNC: &str = "no-std-sync";
@@ -35,6 +39,9 @@ pub const RULE_WALLCLOCK: &str = "spmd-wallclock-decision";
 /// Rule id: `sum`/`fold`/`product` reduction over an unordered
 /// container ([`crate::flow`]).
 pub const RULE_FLOAT_ACCUM: &str = "float-accum-order";
+/// Rule id: a test assertion whose condition depends on a wall-clock
+/// reading ([`crate::flow`]).
+pub const RULE_TEST_WALLCLOCK: &str = "test-wallclock-assert";
 
 /// The std primitives that must come from `shims/parking_lot` instead
 /// (the lock doctor instruments the shim — a std lock is invisible to
@@ -42,20 +49,17 @@ pub const RULE_FLOAT_ACCUM: &str = "float-accum-order";
 const BANNED_SYNC: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
 /// The obs record functions whose name argument must be a registry
-/// const. Read-side helpers (`spans_named`, `counter_value`, …) are
-/// deliberately not listed: literals there can only fail a test, not
-/// silently fork the name space.
-const OBS_RECORD_FNS: [&str; 5] = [
-    "span",
-    "deferred_span",
-    "counter_add",
-    "record_hist",
-    "set_gauge",
+/// const, by path. Read-side helpers (`spans_named`, `counter_value`, …)
+/// are deliberately not listed: literals there can only fail a test,
+/// not silently fork the name space.
+const OBS_RECORD_FNS: [&[&str]; 6] = [
+    &["obs", "span"],
+    &["obs", "deferred_span"],
+    &["obs", "counter_add"],
+    &["obs", "record_hist"],
+    &["obs", "set_gauge"],
+    &["obs", "flight", "annotate"],
 ];
-
-/// Record fns living one module below `obs` whose name arguments must
-/// also come from the `obs::names` registry.
-const OBS_MODULE_RECORD_FNS: [(&str, &str); 1] = [("flight", "annotate")];
 
 /// Line spans (1-based, inclusive) covered by `#[cfg(test)]` items and
 /// `#[test]` functions. Rules that exempt test code consult this.
@@ -70,179 +74,168 @@ impl TestRegions {
     pub fn contains(&self, line: u32) -> bool {
         self.spans.iter().any(|&(a, b)| (a..=b).contains(&line))
     }
+
+    /// One region covering the whole file (files under `tests/`).
+    #[must_use]
+    pub fn whole_file() -> TestRegions {
+        TestRegions {
+            spans: vec![(1, u32::MAX)],
+        }
+    }
+
+    /// Finds `#[cfg(test)]` / `#[test]` attributes and marks the lines
+    /// from each through the body of the item it sits on — the next
+    /// brace group among the attribute's siblings (none for a bodyless
+    /// item such as `mod tests;`).
+    #[must_use]
+    pub fn of(tree: &[Node]) -> TestRegions {
+        let mut spans = Vec::new();
+        visit(tree, &mut |sibs, i| {
+            let attr = match (&sibs[i], sibs.get(i + 1).and_then(|n| n.group_with('['))) {
+                (hash, Some(attr)) if hash.is_punct('#') => attr,
+                _ => return,
+            };
+            let is_test = match attr.children.as_slice() {
+                [name] => name.is_ident("test"),
+                [cfg, Node::Group(arg)] => {
+                    cfg.is_ident("cfg")
+                        && matches!(arg.children.as_slice(), [t] if t.is_ident("test"))
+                }
+                _ => false,
+            };
+            let body = sibs[i + 2..]
+                .iter()
+                .take_while(|n| !n.is_punct(';'))
+                .find_map(|n| n.group_with('{'));
+            if let (true, Some(body)) = (is_test, body) {
+                spans.push((sibs[i].line(), body.close_line));
+            }
+        });
+        TestRegions { spans }
+    }
 }
 
-/// Finds `#[cfg(test)]` / `#[test]` attributes and marks the line span
-/// of the brace-delimited item that follows each.
+/// [`TestRegions::of`] for callers holding only the token stream.
 #[must_use]
 pub fn test_regions(toks: &[Token]) -> TestRegions {
-    let mut regions = TestRegions::default();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            let is_test_attr = toks.get(i + 2).is_some_and(|t| t.is_ident("test"))
-                && toks.get(i + 3).is_some_and(|t| t.is_punct(']'));
-            let is_cfg_test = toks.get(i + 2).is_some_and(|t| t.is_ident("cfg"))
-                && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 4).is_some_and(|t| t.is_ident("test"))
-                && toks.get(i + 5).is_some_and(|t| t.is_punct(')'))
-                && toks.get(i + 6).is_some_and(|t| t.is_punct(']'));
-            if is_test_attr || is_cfg_test {
-                let start_line = toks[i].line;
-                // Scan to the item's opening brace, then balance.
-                let mut j = i + if is_test_attr { 4 } else { 7 };
-                while j < toks.len() && !toks[j].is_punct('{') {
-                    j += 1;
-                }
-                let mut depth = 0i32;
-                while j < toks.len() {
-                    if toks[j].is_punct('{') {
-                        depth += 1;
-                    } else if toks[j].is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                let end_line = toks.get(j).map_or(u32::MAX, |t| t.line);
-                regions.spans.push((start_line, end_line));
-                i = j + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    regions
+    TestRegions::of(&ast::build(toks))
 }
 
 /// `no-std-sync`: flags `std :: sync :: {Mutex|RwLock|Condvar}` and
 /// `std :: sync :: { … Mutex … }` use-groups. Everything outside
 /// `shims/` must route locks through the shim so the lock doctor sees
 /// them.
-pub fn check_std_sync(toks: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i + 5 < toks.len() {
-        if toks[i].is_ident("std")
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("sync")
-            && toks[i + 4].is_punct(':')
-            && toks[i + 5].is_punct(':')
-        {
-            let line = toks[i].line;
-            match toks.get(i + 6).map(|t| &t.tok) {
-                Some(Tok::Ident(name)) if BANNED_SYNC.contains(&name.as_str()) => {
-                    out.push(Violation::new(
-                        RULE_STD_SYNC,
-                        line,
-                        format!("std::sync::{name} — use the parking_lot shim so the lock doctor can see this lock"),
-                    ));
-                }
-                Some(Tok::Punct('{')) => {
-                    let mut j = i + 7;
-                    while j < toks.len() && !toks[j].is_punct('}') {
-                        if let Some(name) = toks[j].ident() {
-                            if BANNED_SYNC.contains(&name) {
-                                out.push(Violation::new(
-                                    RULE_STD_SYNC,
-                                    toks[j].line,
-                                    format!("std::sync::{{{name}}} — use the parking_lot shim so the lock doctor can see this lock"),
-                                ));
-                            }
-                        }
-                        j += 1;
-                    }
-                }
-                _ => {}
+pub fn check_std_sync(tree: &[Node], _tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        let Some(next) = path_at(sibs, i, &["std", "sync"]).and_then(|e| colons_at(sibs, e)) else {
+            return;
+        };
+        let mut flag = |name: &Node, line: u32| {
+            if let Some(name) = name.ident().filter(|n| BANNED_SYNC.contains(n)) {
+                out.push(Violation::new(
+                    RULE_STD_SYNC,
+                    line,
+                    format!("std::sync::{name} — use the parking_lot shim so the lock doctor can see this lock"),
+                ));
             }
+        };
+        match sibs.get(next) {
+            Some(Node::Group(names)) => {
+                visit(&names.children, &mut |names, j| {
+                    flag(&names[j], names[j].line())
+                });
+            }
+            Some(name) => flag(name, sibs[i].line()),
+            None => {}
         }
-        i += 1;
-    }
+    });
 }
 
 /// `no-unwrap`: flags `.unwrap()` and `.expect(` outside test regions.
 /// The distributed stack's guarded crates must surface failures as
 /// typed errors; provable infallibility uses the allow escape hatch.
-pub fn check_unwrap(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation>) {
-    for w in toks.windows(3) {
-        if !w[0].is_punct('.') || !w[2].is_punct('(') {
-            continue;
-        }
-        let Some(name) = w[1].ident() else { continue };
-        if (name == "unwrap" || name == "expect") && !tests.contains(w[1].line) {
+pub fn check_unwrap(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        let (Some(name), Some(_)) = (
+            sibs[i]
+                .ident()
+                .filter(|_| i > 0 && sibs[i - 1].is_punct('.')),
+            sibs.get(i + 1).and_then(|n| n.group_with('(')),
+        ) else {
+            return;
+        };
+        if (name == "unwrap" || name == "expect") && !tests.contains(sibs[i].line()) {
             out.push(Violation::new(
                 RULE_UNWRAP,
-                w[1].line,
+                sibs[i].line(),
                 format!(".{name}( — return a typed error, or justify with `// lint: allow(unwrap) — <reason>`"),
             ));
         }
-    }
+    });
 }
 
-/// `obs-names`: flags string literals inside the parens of an
-/// `obs::<record fn>(…)` call outside test regions — span and marker
+/// `obs-names`: flags string literals anywhere inside the argument list
+/// of an [`OBS_RECORD_FNS`] call outside test regions — span and marker
 /// names included, not just counters. Names must come from
 /// `obs::names`, the single registry the dead-name check audits.
-/// Record fns one module deep (`obs::flight::annotate`) are matched
-/// via [`OBS_MODULE_RECORD_FNS`].
-pub fn check_obs_names(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i + 4 < toks.len() {
-        let (fn_name, open) =
-            if toks[i].is_ident("obs") && toks[i + 1].is_punct(':') && toks[i + 2].is_punct(':') {
-                let direct = toks[i + 3]
-                    .ident()
-                    .filter(|n| OBS_RECORD_FNS.contains(n))
-                    .filter(|_| toks[i + 4].is_punct('('));
-                let nested = if i + 7 < toks.len()
-                    && toks[i + 4].is_punct(':')
-                    && toks[i + 5].is_punct(':')
-                    && toks[i + 7].is_punct('(')
-                {
-                    toks[i + 3]
-                        .ident()
-                        .zip(toks[i + 6].ident())
-                        .filter(|&(m, f)| OBS_MODULE_RECORD_FNS.contains(&(m, f)))
-                } else {
-                    None
-                };
-                if let Some(f) = direct {
-                    (Some(f.to_string()), i + 5)
-                } else if let Some((m, f)) = nested {
-                    (Some(format!("{m}::{f}")), i + 8)
-                } else {
-                    (None, 0)
-                }
-            } else {
-                (None, 0)
+pub fn check_obs_names(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        if !sibs[i].is_ident("obs") || tests.contains(sibs[i].line()) {
+            return;
+        }
+        for path in OBS_RECORD_FNS {
+            let Some(args) = path_at(sibs, i, path).and_then(|e| sibs.get(e)?.group_with('('))
+            else {
+                continue;
             };
-        let Some(fn_name) = fn_name else {
-            i += 1;
-            continue;
-        };
-        if tests.contains(toks[i].line) {
-            i += 1;
-            continue;
+            visit(&args.children, &mut |inner, j| {
+                if let Node::Leaf(Token {
+                    tok: Tok::Str(s),
+                    line,
+                }) = &inner[j]
+                {
+                    out.push(Violation::new(
+                        RULE_OBS_NAMES,
+                        *line,
+                        format!(
+                            "string literal \"{s}\" passed to {} — declare it in obs::names",
+                            path.join("::")
+                        ),
+                    ));
+                }
+            });
         }
-        let mut depth = 1i32;
-        let mut j = open;
-        while j < toks.len() && depth > 0 {
-            match &toks[j].tok {
-                Tok::Punct('(') => depth += 1,
-                Tok::Punct(')') => depth -= 1,
-                Tok::Str(s) => out.push(Violation::new(
-                    RULE_OBS_NAMES,
-                    toks[j].line,
-                    format!("string literal \"{s}\" passed to obs::{fn_name} — declare it in obs::names"),
-                )),
-                Tok::Ident(_) | Tok::Punct(_) => {}
-            }
-            j += 1;
+    });
+}
+
+/// Whether `nodes` name `CommError`, not looking into nested `match`
+/// expressions (each is judged on its own).
+fn mentions_comm_error(nodes: &[Node]) -> bool {
+    let mut i = 0usize;
+    while let Some(n) = nodes.get(i) {
+        if n.is_ident("match") {
+            i += match_body_at(&nodes[i..]).map_or(nodes.len(), |(at, _)| at + 1);
+        } else if n.is_ident("CommError")
+            || n.group().is_some_and(|g| mentions_comm_error(&g.children))
+        {
+            return true;
+        } else {
+            i += 1;
         }
-        i = j;
     }
+    false
+}
+
+/// The body of the `match` keyword at `nodes[0]`, with its index: the
+/// first brace group of the statement (scrutinee parens and brackets
+/// are groups of their own, so they cannot be mistaken for it).
+fn match_body_at(nodes: &[Node]) -> Option<(usize, &ast::Group)> {
+    nodes
+        .iter()
+        .enumerate()
+        .skip(1)
+        .take_while(|(_, n)| !n.is_punct(';'))
+        .find_map(|(at, n)| Some((at, n.group_with('{')?)))
 }
 
 /// `comm-wildcard`: flags a `_ =>` arm at the top level of any `match`
@@ -251,115 +244,24 @@ pub fn check_obs_names(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violat
 /// a compile error, not a silently swallowed case. Nested matches are
 /// analyzed independently — an inner match over a different enum keeps
 /// its wildcard.
-pub fn check_comm_wildcard(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("match") && !tests.contains(toks[i].line) {
-            // Find the match body's opening brace (skip the scrutinee;
-            // balance parens/brackets so struct-ish exprs don't confuse
-            // us — a `{` at depth 0 opens the body).
-            let mut j = i + 1;
-            let mut pdepth = 0i32;
-            while j < toks.len() {
-                match &toks[j].tok {
-                    Tok::Punct('(') | Tok::Punct('[') => pdepth += 1,
-                    Tok::Punct(')') | Tok::Punct(']') => pdepth -= 1,
-                    Tok::Punct('{') if pdepth == 0 => break,
-                    Tok::Punct(';') if pdepth == 0 => {
-                        // `match` used as an ident-ish thing; bail.
-                        j = toks.len();
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j >= toks.len() {
-                i += 1;
-                continue;
-            }
-            check_match_body(toks, j, tests, out);
+pub fn check_comm_wildcard(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        if !sibs[i].is_ident("match") || tests.contains(sibs[i].line()) {
+            return;
         }
-        i += 1;
-    }
-}
-
-/// Analyzes one match body (opening brace at `open`). Returns the index
-/// of the matching close brace.
-fn check_match_body(
-    toks: &[Token],
-    open: usize,
-    tests: &TestRegions,
-    out: &mut Vec<Violation>,
-) -> usize {
-    let mut mentions_comm_error = false;
-    let mut wildcard_at: Option<u32> = None;
-    let mut depth = 0i32; // brace depth relative to the body
-    let mut pdepth = 0i32; // paren/bracket depth at brace depth 1
-    let mut j = open;
-    while j < toks.len() {
-        match &toks[j].tok {
-            Tok::Punct('{') => {
-                depth += 1;
-            }
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            Tok::Punct('(') | Tok::Punct('[') if depth == 1 => pdepth += 1,
-            Tok::Punct(')') | Tok::Punct(']') if depth == 1 => pdepth -= 1,
-            Tok::Ident(name) if depth >= 1 => {
-                if name == "CommError" {
-                    mentions_comm_error = true;
-                } else if name == "match" && j > open {
-                    // Nested match: skip its body (analyzed on its own
-                    // by the outer scan) so its arms don't count here.
-                    let mut k = j + 1;
-                    let mut pd = 0i32;
-                    while k < toks.len() {
-                        match &toks[k].tok {
-                            Tok::Punct('(') | Tok::Punct('[') => pd += 1,
-                            Tok::Punct(')') | Tok::Punct(']') => pd -= 1,
-                            Tok::Punct('{') if pd == 0 => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    if k < toks.len() {
-                        let mut d = 0i32;
-                        while k < toks.len() {
-                            if toks[k].is_punct('{') {
-                                d += 1;
-                            } else if toks[k].is_punct('}') {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            k += 1;
-                        }
-                        j = k;
-                    }
-                } else if name == "_" && depth == 1 && pdepth == 0 && !tests.contains(toks[j].line)
-                {
-                    // A bare `_` pattern at arm level: `_ =>` or `_ if`.
-                    let arm = match (toks.get(j + 1), toks.get(j + 2)) {
-                        (Some(a), Some(b)) if a.is_punct('=') && b.is_punct('>') => true,
-                        (Some(a), _) if a.is_ident("if") => true,
-                        _ => false,
-                    };
-                    if arm {
-                        wildcard_at.get_or_insert(toks[j].line);
-                    }
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    if mentions_comm_error {
-        if let Some(line) = wildcard_at {
+        let Some((_, body)) = match_body_at(&sibs[i..]) else {
+            return;
+        };
+        // A bare `_` at arm level, `… _ =>` or `… _ if guard =>`; a `_`
+        // inside a destructuring pattern sits in a group of its own.
+        let wildcard = match_arms(&body.children)
+            .into_iter()
+            .find_map(|(pattern, _)| {
+                let guard = pattern.iter().position(|n| n.is_ident("if"));
+                let bare = pattern[..guard.unwrap_or(pattern.len())].last()?;
+                bare.is_ident("_").then(|| bare.line())
+            });
+        if let (Some(line), true) = (wildcard, mentions_comm_error(&body.children)) {
             out.push(Violation::new(
                 RULE_COMM_WILDCARD,
                 line,
@@ -368,8 +270,7 @@ fn check_match_body(
                     .to_string(),
             ));
         }
-    }
-    j
+    });
 }
 
 /// `deadline-literals`: flags `Duration :: from_*(…)` constructions in
@@ -378,26 +279,25 @@ fn check_match_body(
 /// `collectives/src` is either an op budget that belongs in the
 /// `DeadlineController` (the one exempt file) or a genuine non-budget
 /// constant that must carry a line-scoped allow naming its purpose.
-pub fn check_deadline_literals(toks: &[Token], tests: &TestRegions, out: &mut Vec<Violation>) {
-    let mut i = 0usize;
-    while i + 3 < toks.len() {
-        if toks[i].is_ident("Duration") && toks[i + 1].is_punct(':') && toks[i + 2].is_punct(':') {
-            if let Some(name) = toks[i + 3].ident() {
-                if name.starts_with("from_") && !tests.contains(toks[i].line) {
-                    out.push(Violation::new(
-                        RULE_DEADLINE_LITERALS,
-                        toks[i].line,
-                        format!(
-                            "Duration::{name} — op budgets come from the DeadlineController \
-                             (collectives/src/deadline.rs); a true non-budget duration needs \
-                             `// lint: allow(deadline-literals) — <what it is>`"
-                        ),
-                    ));
-                }
+pub fn check_deadline_literals(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        let ctor = path_at(sibs, i, &["Duration"])
+            .and_then(|e| colons_at(sibs, e))
+            .and_then(|e| sibs.get(e)?.ident());
+        if let Some(name) = ctor.filter(|n| n.starts_with("from_")) {
+            if !tests.contains(sibs[i].line()) {
+                out.push(Violation::new(
+                    RULE_DEADLINE_LITERALS,
+                    sibs[i].line(),
+                    format!(
+                        "Duration::{name} — op budgets come from the DeadlineController \
+                         (collectives/src/deadline.rs); a true non-budget duration needs \
+                         `// lint: allow(deadline-literals) — <what it is>`"
+                    ),
+                ));
             }
         }
-        i += 1;
-    }
+    });
 }
 
 /// Extracts the `pub const NAME` declarations from the registry module
@@ -444,27 +344,48 @@ pub fn check_dead_names(
     }
 }
 
-/// Which rules run on a file of the given class.
+/// A rule over one file's tree, exempting the given test regions.
+pub type Check = fn(&[Node], &TestRegions, &mut Vec<Violation>);
+
+/// Which rules run on the file at `rel`, in order: the pattern rules of
+/// its class, then the dataflow rules scoped by file role (DESIGN.md
+/// §13) — test assertions everywhere, iteration and accumulation order
+/// in verdict logic, wall-clock flow in verdict modules (the deadline
+/// controller is the sanctioned clock user), rank-conditional
+/// collectives wherever comm is issued.
 #[must_use]
-pub fn rules_for(class: FileClass) -> &'static [&'static str] {
-    match class {
-        FileClass::Shim => &[],
-        FileClass::ObsCrate => &[RULE_STD_SYNC],
-        FileClass::GuardedSource => &[
-            RULE_STD_SYNC,
-            RULE_UNWRAP,
-            RULE_OBS_NAMES,
-            RULE_DEADLINE_LITERALS,
+pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
+    let mut checks: Vec<Check> = match class {
+        FileClass::Shim => return Vec::new(),
+        FileClass::ObsCrate | FileClass::Test => vec![check_std_sync],
+        FileClass::GuardedSource => vec![
+            check_std_sync,
+            check_unwrap,
+            check_obs_names,
+            check_deadline_literals,
         ],
-        FileClass::DeadlineController => &[RULE_STD_SYNC, RULE_UNWRAP, RULE_OBS_NAMES],
-        FileClass::GuardedCommSource => &[
-            RULE_STD_SYNC,
-            RULE_UNWRAP,
-            RULE_OBS_NAMES,
-            RULE_COMM_WILDCARD,
+        FileClass::DeadlineController => vec![check_std_sync, check_unwrap, check_obs_names],
+        FileClass::GuardedCommSource => vec![
+            check_std_sync,
+            check_unwrap,
+            check_obs_names,
+            check_comm_wildcard,
         ],
-        FileClass::CommMatchSource => &[RULE_STD_SYNC, RULE_OBS_NAMES, RULE_COMM_WILDCARD],
-        FileClass::Source => &[RULE_STD_SYNC, RULE_OBS_NAMES],
-        FileClass::Test => &[RULE_STD_SYNC],
+        FileClass::CommMatchSource => vec![check_std_sync, check_obs_names, check_comm_wildcard],
+        FileClass::Source => vec![check_std_sync, check_obs_names],
+    };
+    checks.push(flow::check_test_wallclock);
+    if crate::spmd_decision(rel) {
+        checks.push(flow::check_unordered_iteration);
+        if class != FileClass::DeadlineController {
+            checks.push(flow::check_wallclock);
+        }
     }
+    if matches!(
+        class,
+        FileClass::GuardedCommSource | FileClass::CommMatchSource
+    ) {
+        checks.push(flow::check_rank_divergent);
+    }
+    checks
 }

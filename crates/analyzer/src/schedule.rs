@@ -22,9 +22,9 @@ use std::path::Path;
 
 use jsonio::Json;
 
-use crate::ast::{build, functions, parse_fn_at, Node};
+use crate::ast::{self, build, functions, parse_fn_at, Group, Node};
 use crate::lexer::tokenize;
-use crate::rules::test_regions;
+use crate::rules::TestRegions;
 
 /// The collective operations whose call sites form the schedule.
 /// Sorted; covers both the transport verbs (`GroupComm`) and the
@@ -104,6 +104,17 @@ pub struct Divergence {
     pub line: u32,
     /// Flattened op names per non-exiting arm.
     pub arms: Vec<Vec<String>>,
+}
+
+/// The collective call `.op(args)` whose `.` is `nodes[i]`: the op's
+/// name and its argument group.
+pub(crate) fn collective_call_at(nodes: &[Node], i: usize) -> Option<(&str, &Group)> {
+    if !nodes[i].is_punct('.') {
+        return None;
+    }
+    let op = nodes.get(i + 1)?.ident()?;
+    let args = nodes.get(i + 2)?.group_with('(')?;
+    COLLECTIVE_OPS.contains(&op).then_some((op, args))
 }
 
 fn is_exit_ident(nodes: &[Node], i: usize) -> bool {
@@ -217,22 +228,14 @@ pub fn extract_seq(nodes: &[Node]) -> Seq {
             continue;
         }
         // `.op(args)`: argument ops evaluate first, then the call.
-        if n.is_punct('.') {
-            if let (Some(op), Some(args)) = (
-                nodes.get(i + 1).and_then(Node::ident),
-                nodes.get(i + 2).and_then(|n| n.group_with('(')),
-            ) {
-                if COLLECTIVE_OPS.contains(&op) {
-                    let arg_seq = extract_seq(&args.children);
-                    seq.nodes.extend(arg_seq.nodes);
-                    seq.nodes.push(OpNode::Op {
-                        op: op.to_string(),
-                        line: nodes[i + 1].line(),
-                    });
-                    i += 3;
-                    continue;
-                }
-            }
+        if let Some((op, args)) = collective_call_at(nodes, i) {
+            seq.nodes.extend(extract_seq(&args.children).nodes);
+            seq.nodes.push(OpNode::Op {
+                op: op.to_string(),
+                line: nodes[i + 1].line(),
+            });
+            i += 3;
+            continue;
         }
         // Any other group (call args, indexing, let-else blocks, plain
         // blocks): splice its ops into the current path. Exits inside
@@ -247,35 +250,16 @@ pub fn extract_seq(nodes: &[Node]) -> Seq {
     seq
 }
 
-/// Splits a `match` body into per-arm sequences: `pat => expr,` /
-/// `pat => { block }`.
-fn match_arms(nodes: &[Node]) -> Vec<Seq> {
-    let mut arms = Vec::new();
-    let mut i = 0usize;
-    while i < nodes.len() {
-        // Find the next `=>`.
-        let Some(arrow) = nodes[i..]
-            .windows(2)
-            .position(|w| w[0].is_punct('=') && w[1].is_punct('>'))
-        else {
-            break;
-        };
-        let start = i + arrow + 2;
-        let end = if let Some(g) = nodes.get(start).and_then(|n| n.group_with('{')) {
-            arms.push(extract_seq(&g.children));
-            start + 1
-        } else {
-            // Expression arm: runs to the next top-level `,`.
-            let stop = nodes[start..]
-                .iter()
-                .position(|n| n.is_punct(','))
-                .map_or(nodes.len(), |p| start + p);
-            arms.push(extract_seq(&nodes[start..stop]));
-            stop
-        };
-        i = end + 1;
-    }
-    arms
+/// The per-arm sequences of a `match` body. A block arm is its own
+/// path (its exits count); an expression arm is scanned in place.
+fn match_arms(body: &[Node]) -> Vec<Seq> {
+    ast::match_arms(body)
+        .into_iter()
+        .map(|(_, value)| match value {
+            [Node::Group(block)] if block.delim == '{' => extract_seq(&block.children),
+            _ => extract_seq(value),
+        })
+        .collect()
 }
 
 /// Flattens a sequence to its canonical op-name list. Branches
@@ -378,9 +362,8 @@ fn node_to_json(node: &OpNode) -> Json {
 /// issues at least one collective.
 #[must_use]
 pub fn file_schedules(src: &str) -> Vec<FnSchedule> {
-    let toks = tokenize(src);
-    let tests = test_regions(&toks);
-    let tree = build(&toks);
+    let tree = build(&tokenize(src));
+    let tests = TestRegions::of(&tree);
     functions(&tree)
         .into_iter()
         .filter(|f| !tests.contains(f.line))

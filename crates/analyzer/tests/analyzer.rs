@@ -240,6 +240,30 @@ fn wallclock_fixture_fires_on_branch_payload_and_call_hop() {
     .is_empty());
 }
 
+#[test]
+fn test_wallclock_assert_fixture_fires_in_test_regions_only() {
+    let fixture = fixture("test_wallclock_assert.rs");
+    let violations = check_file("crates/demo/src/lib.rs", &fixture);
+    assert_eq!(
+        keyed(&violations),
+        [
+            ("test-wallclock-assert", 19), // assert!(t0.elapsed() < …)
+            ("test-wallclock-assert", 27), // ms derives from start.elapsed()
+            ("test-wallclock-assert", 33), // assert_eq! on a SystemTime
+            ("test-wallclock-assert", 34), // prop_assert! on elapsed()
+        ],
+        "{violations:#?}"
+    );
+    assert!(violations[1].message.contains("through_a_binding"));
+    // Under `tests/` the whole file is test code, so the budget in
+    // `production_budget` (line 8) is a test assertion too.
+    let as_test = check_file("crates/demo/tests/timing.rs", &fixture);
+    assert_eq!(as_test.len(), 5, "{as_test:#?}");
+    assert_eq!(as_test[0].line, 8);
+    // The shims implement the conventions; no rule runs there.
+    assert!(check_file("shims/demo/src/lib.rs", &fixture).is_empty());
+}
+
 /// Every collective call site in the comm-issuing crates appears in
 /// the schedule report: the extractor's site count must equal a direct
 /// token-level count of `.op(` patterns outside test regions.

@@ -94,27 +94,28 @@ impl ScheduleKind {
             ScheduleKind::DsMoe => 1,
             ScheduleKind::FasterMoe => 2,
             ScheduleKind::Tutel | ScheduleKind::TutelImproved | ScheduleKind::PipeMoeLina => {
-                let m0 = m.with_t_gar(0.0);
-                (1..=16u32)
-                    .min_by(|&a, &b| {
-                        simulate_layer(self, &m0, a, &[])
-                            .partial_cmp(&simulate_layer(self, &m0, b, &[]))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("non-empty range")
+                self.scan_degree(&m.with_t_gar(0.0), &[])
             }
             ScheduleKind::FsMoeNoIio => {
                 let gar: Vec<f64> = if m.t_gar > 0.0 { vec![m.t_gar] } else { vec![] };
-                (1..=16u32)
-                    .min_by(|&a, &b| {
-                        simulate_layer(self, m, a, &gar)
-                            .partial_cmp(&simulate_layer(self, m, b, &gar))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("non-empty range")
+                self.scan_degree(m, &gar)
             }
             ScheduleKind::FsMoe => find_optimal_pipeline_degree(m).r,
         }
+    }
+
+    /// The degree in `1..=16` whose lowering under `self` simulates
+    /// fastest, each candidate simulated once; ties (and incomparable
+    /// makespans) keep the lowest degree, as `Iterator::min_by` does.
+    fn scan_degree(self, m: &MoePerfModel, gar: &[f64]) -> u32 {
+        let mut best = (1u32, simulate_layer(self, m, 1, gar));
+        for r in 2..=16u32 {
+            let t = simulate_layer(self, m, r, gar);
+            if t < best.1 {
+                best = (r, t);
+            }
+        }
+        best.0
     }
 }
 

@@ -17,32 +17,19 @@
 //!   the paper benchmarks against SLSQP.
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
-//! (override with the first positional argument) so successive runs can
-//! be diffed. Like the observability bench, this binary enforces its own
-//! budget: a GFLOPS floor per GEMM dim (`GFLOPS_FLOORS`) that the packed
-//! microkernel must clear, so a kernel regression fails `ci.sh` instead
-//! of silently shipping.
+//! so successive runs can be diffed. The gate's budget is a GFLOPS
+//! floor per GEMM dim (`GFLOPS_FLOORS`) that the packed microkernel
+//! must clear, so a kernel regression fails `ci.sh` instead of silently
+//! shipping.
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-use bench::table4_grid;
+use bench::gate::{best_of_ms, reference_layer, Gate};
+use bench::{perf_model, table4_grid};
 use jsonio::Json;
 use numopt::LinearFit;
 use profiler::microbench::{comm_message_sizes, profile_op};
 use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
 use simnet::Testbed;
 use tensor::TensorRng;
-
-/// Best-of-`runs` wall time of `f`, in milliseconds.
-fn best_of_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 /// Square GEMM dimensions for the sweep; 64 sits below the
 /// `PAR_MIN_MACS` serial-fallback threshold, the rest above it.
@@ -110,32 +97,12 @@ fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
 /// Times one end-to-end MoE forward per explicit thread count; returns
 /// the JSON sweep plus `(tokens, experts, best_ms)`.
 fn bench_moe() -> (Vec<Json>, usize, usize, f64) {
-    let mut rng = TensorRng::seed_from(7);
-    let cfg = fsmoe::config::MoeConfig::builder()
-        .batch_size(1)
-        .seq_len(512)
-        .embed_dim(128)
-        .hidden_dim(256)
-        .num_experts(8)
-        .top_k(2)
-        .build()
-        .expect("static config is valid");
-    let mut layer = fsmoe::layer::MoeLayer::gshard(
-        &cfg,
-        &collectives::Communicator::solo(),
-        &collectives::HybridTopology::flat(1).expect("one rank"),
-        7,
-    )
-    .expect("layer builds");
-    let input = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
+    let (mut layer, input) = reference_layer();
+    let (tokens, experts) = (layer.config().tokens(), layer.config().num_experts);
     let mut sweep = Vec::new();
     let mut serial_ms = f64::NAN;
     let mut best_ms = f64::INFINITY;
-    println!(
-        "\nMoE layer forward ({} tokens, {} experts):",
-        cfg.tokens(),
-        cfg.num_experts
-    );
+    println!("\nMoE layer forward ({tokens} tokens, {experts} experts):");
     for &t in &THREAD_SWEEP {
         layer.set_compute_threads(Some(t));
         let ms = best_of_ms(MOE_RUNS, || {
@@ -147,7 +114,7 @@ fn bench_moe() -> (Vec<Json>, usize, usize, f64) {
         }
         best_ms = best_ms.min(ms);
         let speedup = serial_ms / ms;
-        let tokens_per_s = cfg.tokens() as f64 / (ms * 1e-3);
+        let tokens_per_s = tokens as f64 / (ms * 1e-3);
         println!("  threads {t}: {ms:.3} ms ({speedup:.2}x vs serial), {tokens_per_s:.0} tokens/s");
         sweep.push(Json::obj(vec![
             ("threads", Json::from(t)),
@@ -156,7 +123,7 @@ fn bench_moe() -> (Vec<Json>, usize, usize, f64) {
             ("tokens_per_s", Json::from(tokens_per_s)),
         ]));
     }
-    (sweep, cfg.tokens(), cfg.num_experts, best_ms)
+    (sweep, tokens, experts, best_ms)
 }
 
 fn bench_control_plane() -> Vec<(&'static str, f64)> {
@@ -167,17 +134,8 @@ fn bench_control_plane() -> Vec<(&'static str, f64)> {
         .iter()
         .step_by(97)
         .map(|cfg| {
-            let s = cfg.layer_spec(&tb).expect("valid").moe;
-            MoePerfModel::new(
-                &tb.costs,
-                s.n_a2a,
-                s.n_ag,
-                s.n_rs,
-                s.n_exp,
-                s.gemms,
-                Phase::Backward,
-                1.0,
-            )
+            let spec = cfg.layer_spec(&tb).expect("valid").moe;
+            perf_model(&tb, &spec, Phase::Backward, 1.0)
         })
         .collect();
     let solver_ms = best_of_ms(GEMM_RUNS, || {
@@ -201,18 +159,11 @@ fn bench_control_plane() -> Vec<(&'static str, f64)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // default to the workspace root regardless of cargo's bench cwd
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .cloned()
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compute.json").to_string()
-        });
-
-    let hardware = tensor::par::hardware_threads();
-    println!("hardware threads: {hardware} (sweeps use explicit thread counts)\n");
+    let mut gate = Gate::new("compute");
+    println!(
+        "hardware threads: {} (sweeps use explicit thread counts)\n",
+        tensor::par::hardware_threads()
+    );
 
     let (gemm_rows, best_per_dim) = bench_gemm();
     let (moe_sweep, tokens, experts, moe_best_ms) = bench_moe();
@@ -223,14 +174,22 @@ fn main() {
         println!("  {name}: {ms:.4} ms");
     }
 
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = Json::obj(vec![
-        ("bench", Json::from("compute")),
-        ("unix_time", Json::from(unix_time as f64)),
-        ("hardware_threads", Json::from(hardware)),
+    for (dim, floor) in GFLOPS_FLOORS {
+        let best = best_per_dim
+            .iter()
+            .find(|(d, _)| *d == dim)
+            .map(|(_, g)| *g)
+            .expect("floor dim is in GEMM_DIMS");
+        gate.require(
+            best >= floor,
+            format!(
+                "GEMM dim {dim}: best {best:.1} GFLOPS is below the {floor:.1} floor — \
+                 the packed microkernel regressed"
+            ),
+        );
+    }
+
+    gate.finish(vec![
         (
             "thread_sweep",
             Json::from(
@@ -275,22 +234,4 @@ fn main() {
             ),
         ),
     ]);
-    let text = json.to_string().expect("all benchmark numbers are finite");
-    std::fs::write(&out_path, text + "\n").expect("write baseline json");
-    println!("\nwrote {out_path}");
-
-    // The budget check, after the JSON is on disk so a failing run still
-    // leaves its numbers behind for diagnosis.
-    for (dim, floor) in GFLOPS_FLOORS {
-        let best = best_per_dim
-            .iter()
-            .find(|(d, _)| *d == dim)
-            .map(|(_, g)| *g)
-            .expect("floor dim is in GEMM_DIMS");
-        assert!(
-            best >= floor,
-            "GEMM dim {dim}: best {best:.1} GFLOPS is below the {floor:.1} floor — \
-             the packed microkernel regressed"
-        );
-    }
 }

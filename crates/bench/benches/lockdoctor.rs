@@ -13,26 +13,12 @@
 //! * for context: the same workload with the doctor enabled (tracking
 //!   is allowed to cost more — it buys the order graph).
 //!
-//! Results go to `BENCH_lockdoctor.json` (override with the first
-//! positional argument). Exits non-zero when the disabled overhead
-//! exceeds 2%.
+//! Results go to `BENCH_lockdoctor.json`; exits non-zero when the
+//! disabled overhead exceeds 2%.
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
+use bench::gate::{best_of_ms, per_call_ns, Gate};
 use collectives::{run_world, CommWorld};
-use jsonio::Json;
 use parking_lot::lock_doctor;
-
-/// Best-of-`runs` wall time of `f`, in milliseconds.
-fn best_of_ms<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
 
 const LOCK_CALLS: usize = 2_000_000;
 const WORKLOAD_RUNS: usize = 5;
@@ -54,13 +40,7 @@ fn collectives_workload() {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lockdoctor.json").to_string()
-        });
-
+    let mut gate = Gate::new("lockdoctor");
     assert!(
         !lock_doctor::is_enabled(),
         "doctor must start disabled (unset LOCK_DOCTOR)"
@@ -69,21 +49,13 @@ fn main() {
     // Per-acquisition cost: disabled shim lock vs raw std lock. The
     // difference is the doctor's fast path — one relaxed load + branch.
     let shim = parking_lot::Mutex::new(0u64);
-    let shim_ns = best_of_ms(3, || {
-        for _ in 0..LOCK_CALLS {
-            *std::hint::black_box(&shim).lock() += 1;
-        }
-    }) * 1e6
-        / LOCK_CALLS as f64;
+    let shim_ns = per_call_ns(LOCK_CALLS, || *std::hint::black_box(&shim).lock() += 1);
     // lint: allow(std-sync) — this IS the raw baseline the shim's
     // fast-path cost is measured against.
     let raw = std::sync::Mutex::new(0u64);
-    let raw_ns = best_of_ms(3, || {
-        for _ in 0..LOCK_CALLS {
-            *std::hint::black_box(&raw).lock().expect("unpoisoned") += 1;
-        }
-    }) * 1e6
-        / LOCK_CALLS as f64;
+    let raw_ns = per_call_ns(LOCK_CALLS, || {
+        *std::hint::black_box(&raw).lock().expect("unpoisoned") += 1;
+    });
     let per_lock_ns = (shim_ns - raw_ns).max(0.0);
 
     // Wall time with the doctor off…
@@ -115,30 +87,22 @@ fn main() {
     println!("disabled overhead: {disabled_overhead_pct:.4}% (budget 2%)");
     println!("enabled overhead: {enabled_overhead_pct:.2}%");
 
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = Json::obj(vec![
-        ("bench", Json::from("lockdoctor")),
-        ("unix_time", Json::from(unix_time as f64)),
-        ("disabled_shim_lock_ns", Json::from(shim_ns)),
-        ("raw_std_lock_ns", Json::from(raw_ns)),
-        ("disabled_delta_ns", Json::from(per_lock_ns)),
-        ("acquisitions_per_run", Json::from(acquisitions as f64)),
-        ("workload_ms_disabled", Json::from(disabled_ms)),
-        ("workload_ms_enabled", Json::from(enabled_ms)),
-        ("disabled_overhead_pct", Json::from(disabled_overhead_pct)),
-        ("enabled_overhead_pct", Json::from(enabled_overhead_pct)),
-        ("budget_pct", Json::from(2.0)),
-    ]);
-    let text = json.to_string().expect("all benchmark numbers are finite");
-    std::fs::write(&out_path, text + "\n").expect("write baseline json");
-    println!("wrote {out_path}");
-
-    assert!(
+    gate.require(
         disabled_overhead_pct < 2.0,
-        "disabled lock-doctor instrumentation must cost < 2% of the \
-         collectives workload ({disabled_overhead_pct:.4}%)"
+        format!(
+            "disabled lock-doctor instrumentation must cost < 2% of the \
+             collectives workload ({disabled_overhead_pct:.4}%)"
+        ),
     );
+    gate.finish([
+        ("disabled_shim_lock_ns", shim_ns),
+        ("raw_std_lock_ns", raw_ns),
+        ("disabled_delta_ns", per_lock_ns),
+        ("acquisitions_per_run", acquisitions as f64),
+        ("workload_ms_disabled", disabled_ms),
+        ("workload_ms_enabled", enabled_ms),
+        ("disabled_overhead_pct", disabled_overhead_pct),
+        ("enabled_overhead_pct", enabled_overhead_pct),
+        ("budget_pct", 2.0),
+    ]);
 }

@@ -13,16 +13,15 @@
 //! for the same move ([`simnet::price_migration`]), so measured and
 //! modeled pauses can drift-check each other.
 //!
-//! Results go to `BENCH_migrate.json` (override with the first
-//! positional argument). Exits non-zero when the measured pause
-//! exceeds the budget.
+//! Results go to `BENCH_migrate.json`; exits non-zero when the measured
+//! pause exceeds the budget.
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
+use bench::gate::Gate;
 use collectives::{run_world, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
 use fsmoe::layer::MoeLayer;
-use jsonio::Json;
 use simnet::{price_migration, Testbed};
 use tensor::TensorRng;
 
@@ -77,13 +76,7 @@ fn timed_migration() -> (Vec<f64>, f64) {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_migrate.json").to_string()
-        });
-
+    let mut gate = Gate::new("migrate");
     let mut best_pause_ms = f64::INFINITY;
     let mut worst_pause_ms: f64 = 0.0;
     let mut expert_bytes = 0.0;
@@ -110,36 +103,28 @@ fn main() {
     );
     println!(
         "modeled (testbed A): quiesce {:.3} + transfer {:.3} + rebind {:.3} = {:.3} ms",
-        modeled.quiesce,
-        modeled.transfer,
-        modeled.rebind,
+        modeled.phase("quiesce"),
+        modeled.phase("transfer"),
+        modeled.phase("rebind"),
         modeled.total()
     );
 
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = Json::obj(vec![
-        ("bench", Json::from("migrate")),
-        ("unix_time", Json::from(unix_time as f64)),
-        ("world", Json::from(WORLD as f64)),
-        ("expert_bytes", Json::from(expert_bytes)),
-        ("pause_ms_best", Json::from(best_pause_ms)),
-        ("pause_ms_worst", Json::from(worst_pause_ms)),
-        ("modeled_quiesce_ms", Json::from(modeled.quiesce)),
-        ("modeled_transfer_ms", Json::from(modeled.transfer)),
-        ("modeled_rebind_ms", Json::from(modeled.rebind)),
-        ("modeled_total_ms", Json::from(modeled.total())),
-        ("budget_ms", Json::from(BUDGET_MS)),
-    ]);
-    let text = json.to_string().expect("all benchmark numbers are finite");
-    std::fs::write(&out_path, text + "\n").expect("write baseline json");
-    println!("wrote {out_path}");
-
-    assert!(
+    gate.require(
         best_pause_ms < BUDGET_MS,
-        "hot-expert migration must pause training < {BUDGET_MS} ms \
-         (best of {RUNS}: {best_pause_ms:.3} ms)"
+        format!(
+            "hot-expert migration must pause training < {BUDGET_MS} ms \
+             (best of {RUNS}: {best_pause_ms:.3} ms)"
+        ),
     );
+    gate.finish([
+        ("world", WORLD as f64),
+        ("expert_bytes", expert_bytes),
+        ("pause_ms_best", best_pause_ms),
+        ("pause_ms_worst", worst_pause_ms),
+        ("modeled_quiesce_ms", modeled.phase("quiesce")),
+        ("modeled_transfer_ms", modeled.phase("transfer")),
+        ("modeled_rebind_ms", modeled.phase("rebind")),
+        ("modeled_total_ms", modeled.total()),
+        ("budget_ms", BUDGET_MS),
+    ]);
 }

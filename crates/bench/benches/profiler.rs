@@ -14,11 +14,10 @@
 //!   `β > 0` and `r² ≥ 0.9`, and the largest GEMM costs more than the
 //!   smallest.
 //!
-//! Results go to `BENCH_profiler.json` (override with the first
-//! positional argument). Exits non-zero when a budget is missed.
+//! Results go to `BENCH_profiler.json`; exits non-zero when a budget is
+//! missed.
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
+use bench::gate::Gate;
 use jsonio::Json;
 use profiler::comm::{self, CommOp};
 use profiler::{cpu, FittedModel};
@@ -28,14 +27,16 @@ const RUNS: usize = 15;
 const WIRE_R2_BUDGET: f64 = 0.5;
 const GEMM_R2_BUDGET: f64 = 0.9;
 
-/// One budgeted fit: the report row and whether it held.
+/// One budgeted fit: judges it against `gate` and returns its report
+/// row.
 fn judge(
+    gate: &mut Gate,
     name: &str,
     fitted: &FittedModel,
     first_ms: f64,
     last_ms: f64,
     r2_budget: f64,
-) -> (Json, bool) {
+) -> Json {
     let ok = fitted.model.beta > 0.0 && fitted.r_squared >= r2_budget && last_ms > first_ms;
     println!(
         "{name:<22} alpha {:9.5} ms  beta {:.3e} ms/unit  r2 {:.4} (budget {r2_budget})  \
@@ -45,7 +46,13 @@ fn judge(
         fitted.r_squared,
         if ok { "ok" } else { "MISSED" }
     );
-    let row = Json::obj(vec![
+    gate.require(
+        ok,
+        format!(
+            "{name}: the fit must have β > 0, r² ≥ {r2_budget} and cost more at the largest size"
+        ),
+    );
+    Json::obj(vec![
         ("name", Json::from(name)),
         ("alpha_ms", Json::from(fitted.model.alpha)),
         ("beta_ms_per_unit", Json::from(fitted.model.beta)),
@@ -54,23 +61,17 @@ fn judge(
         ("smallest_ms", Json::from(first_ms)),
         ("largest_ms", Json::from(last_ms)),
         ("ok", Json::Bool(ok)),
-    ]);
-    (row, ok)
+    ])
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_profiler.json").to_string()
-        });
-
+    let mut gate = Gate::new("profiler");
     // 2–16 MiB per rank: the copy dominates the rendezvous wake-up
     let wire_sizes: Vec<usize> = (1..=8).map(|i| i << 19).collect();
     let wire = comm::measure_collective(CommOp::AllReduce, 2, &wire_sizes, RUNS);
     let wire_fit = comm::fit_samples(&wire).expect("distinct payloads");
-    let (wire_row, wire_ok) = judge(
+    let wire_row = judge(
+        &mut gate,
         "AllReduce 2r (bytes)",
         &wire_fit,
         wire[0].millis,
@@ -80,7 +81,8 @@ fn main() {
 
     let gemm = cpu::measure_gemm(&[64, 96, 128, 192, 256, 320], RUNS);
     let gemm_fit = cpu::fit_samples(&gemm).expect("distinct dims");
-    let (gemm_row, gemm_ok) = judge(
+    let gemm_row = judge(
+        &mut gate,
         "square GEMM (flops)",
         &gemm_fit,
         gemm[0].millis,
@@ -88,22 +90,8 @@ fn main() {
         GEMM_R2_BUDGET,
     );
 
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let json = Json::obj(vec![
-        ("bench", Json::from("profiler")),
-        ("unix_time", Json::from(unix_time as f64)),
+    gate.finish(vec![
         ("runs_per_point", Json::from(RUNS as f64)),
         ("fits", Json::Arr(vec![wire_row, gemm_row])),
     ]);
-    let text = json.to_string().expect("all benchmark numbers are finite");
-    std::fs::write(&out_path, text + "\n").expect("write bench json");
-    println!("wrote {out_path}");
-
-    if !(wire_ok && gemm_ok) {
-        eprintln!("profiler shape budget missed");
-        std::process::exit(1);
-    }
 }

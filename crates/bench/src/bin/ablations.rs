@@ -10,13 +10,11 @@
 //! Regenerate with `cargo run --release -p bench --bin ablations`.
 
 use baselines::{simulate_layer, ScheduleKind};
-use bench::{geomean, table4_grid};
+use bench::{geomean, perf_model, table4_grid};
 use models::iteration::iteration_time;
 use models::ModelPreset;
 use numopt::DeConfig;
-use scheduler::{
-    exhaustive_best, partition_gradients, t_olp_moe, GeneralizedLayer, MoePerfModel, Phase,
-};
+use scheduler::{exhaustive_best, partition_gradients, t_olp_moe, GeneralizedLayer, Phase};
 use simnet::Testbed;
 
 fn phase_separation_ablation(testbed: &Testbed) {
@@ -29,20 +27,8 @@ fn phase_separation_ablation(testbed: &Testbed) {
     let mut separate = Vec::new();
     for cfg in grid.iter().step_by(9) {
         let spec = cfg.layer_spec(testbed).expect("valid grid config").moe;
-        let mk = |phase| {
-            MoePerfModel::new(
-                &testbed.costs,
-                spec.n_a2a,
-                spec.n_ag,
-                spec.n_rs,
-                spec.n_exp,
-                spec.gemms,
-                phase,
-                0.0,
-            )
-        };
-        let fwd = mk(Phase::Forward);
-        let bwd = mk(Phase::Backward);
+        let fwd = perf_model(testbed, &spec, Phase::Forward, 0.0);
+        let bwd = perf_model(testbed, &spec, Phase::Backward, 0.0);
         let r_f = exhaustive_best(&fwd);
         let r_b = exhaustive_best(&bwd);
         // tied: force the backward to reuse the forward's degree
@@ -71,16 +57,7 @@ fn gradient_partition_ablation(testbed: &Testbed) {
     );
     let preset = ModelPreset::gpt2_xl_moe().with_seq_len(512).with_layers(8);
     let spec = preset.layer_spec(testbed).expect("valid preset");
-    let bwd = MoePerfModel::new(
-        &testbed.costs,
-        spec.moe.n_a2a,
-        spec.moe.n_ag,
-        spec.moe.n_rs,
-        spec.moe.n_exp,
-        spec.moe.gemms,
-        Phase::Backward,
-        0.0,
-    );
+    let bwd = perf_model(testbed, &spec.moe, Phase::Backward, 0.0);
     let ar = testbed.costs.all_reduce;
     let layers: Vec<GeneralizedLayer> = (0..preset.layers)
         .map(|_| GeneralizedLayer {
@@ -151,16 +128,7 @@ fn iio_ablation(testbed: &Testbed) {
     );
     let preset = ModelPreset::mixtral_7b().with_seq_len(512).with_layers(6);
     let spec = preset.layer_spec(testbed).expect("valid preset");
-    let bwd = MoePerfModel::new(
-        &testbed.costs,
-        spec.moe.n_a2a,
-        spec.moe.n_ag,
-        spec.moe.n_rs,
-        spec.moe.n_exp,
-        spec.moe.gemms,
-        Phase::Backward,
-        0.0,
-    );
+    let bwd = perf_model(testbed, &spec.moe, Phase::Backward, 0.0);
     println!("  per-layer backward makespans (no gradient traffic):");
     for kind in [
         ScheduleKind::DsMoe,

@@ -16,16 +16,7 @@ use simnet::{render_gantt, Engine, TaskGraph, Testbed};
 fn backward_model(testbed: &Testbed, t_gar: f64) -> MoePerfModel {
     let preset = ModelPreset::gpt2_xl_moe().with_batch_size(2);
     let spec = preset.layer_spec(testbed).expect("valid preset");
-    MoePerfModel::new(
-        &testbed.costs,
-        spec.moe.n_a2a,
-        spec.moe.n_ag,
-        spec.moe.n_rs,
-        spec.moe.n_exp,
-        spec.moe.gemms,
-        Phase::Backward,
-        t_gar,
-    )
+    bench::perf_model(testbed, &spec.moe, Phase::Backward, t_gar)
 }
 
 fn chart(title: &str, kind: ScheduleKind, gar_in_moe: &[f64], gar_tail: f64, t_gar: f64) {

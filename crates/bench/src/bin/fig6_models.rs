@@ -6,7 +6,7 @@
 //!
 //! Regenerate with `cargo run --release -p bench --bin fig6_models`.
 
-use baselines::ScheduleKind;
+use bench::{print_speedup_header, print_speedup_row};
 use models::iteration::iteration_time;
 use models::ModelPreset;
 use simnet::{Testbed, TestbedKind};
@@ -31,29 +31,13 @@ fn presets_for(kind: TestbedKind) -> Vec<ModelPreset> {
 
 fn main() {
     println!("# Fig. 6 — speedups over DS-MoE on real-world MoE models\n");
-    let schedules = [
-        ScheduleKind::Tutel,
-        ScheduleKind::TutelImproved,
-        ScheduleKind::PipeMoeLina,
-        ScheduleKind::FsMoeNoIio,
-        ScheduleKind::FsMoe,
-    ];
     for testbed in [Testbed::a(), Testbed::b()] {
         println!("## {}", testbed.kind);
-        print!("{:<14} {:>12}", "model", "DS-MoE(ms)");
-        for s in &schedules {
-            print!(" {:>14}", s.name());
-        }
-        println!();
+        print_speedup_header("model");
         for preset in presets_for(testbed.kind) {
-            let ds =
-                iteration_time(ScheduleKind::DsMoe, &testbed, &preset).expect("presets are valid");
-            print!("{:<14} {:>12.1}", preset.name, ds);
-            for &s in &schedules {
-                let t = iteration_time(s, &testbed, &preset).expect("valid");
-                print!(" {:>13.2}x", ds / t);
-            }
-            println!();
+            print_speedup_row(&preset.name, |kind| {
+                iteration_time(kind, &testbed, &preset).expect("presets are valid")
+            });
         }
         println!();
     }

@@ -4,36 +4,20 @@
 //!
 //! Regenerate with `cargo run --release -p bench --bin fig7_scaling`.
 
-use baselines::ScheduleKind;
+use bench::{print_speedup_header, print_speedup_row};
 use models::iteration::iteration_time;
 use models::ModelPreset;
 use simnet::Testbed;
 
-const SCHEDULES: [ScheduleKind; 5] = [
-    ScheduleKind::Tutel,
-    ScheduleKind::TutelImproved,
-    ScheduleKind::PipeMoeLina,
-    ScheduleKind::FsMoeNoIio,
-    ScheduleKind::FsMoe,
-];
-
 fn print_row(label: &str, testbed: &Testbed, preset: &ModelPreset) {
-    let ds = iteration_time(ScheduleKind::DsMoe, testbed, preset).expect("valid preset");
-    print!("{label:<12} {ds:>12.1}");
-    for &s in &SCHEDULES {
-        let t = iteration_time(s, testbed, preset).expect("valid");
-        print!(" {:>13.2}x", ds / t);
-    }
-    println!();
+    print_speedup_row(label, |kind| {
+        iteration_time(kind, testbed, preset).expect("valid preset")
+    });
 }
 
 fn main() {
     println!("# Fig. 7 — scaling with L and P on Testbed A (Mixtral-7B, 8 layers)\n");
-    print!("{:<12} {:>12}", "config", "DS-MoE(ms)");
-    for s in &SCHEDULES {
-        print!(" {:>14}", s.name());
-    }
-    println!();
+    print_speedup_header("config");
 
     let testbed = Testbed::a();
     for seq in [512usize, 1024, 2048] {

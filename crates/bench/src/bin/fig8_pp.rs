@@ -3,18 +3,10 @@
 //!
 //! Regenerate with `cargo run --release -p bench --bin fig8_pp`.
 
-use baselines::ScheduleKind;
+use bench::{print_speedup_header, print_speedup_row};
 use models::pipeline::gpipe_iteration_time;
 use models::ModelPreset;
 use simnet::Testbed;
-
-const SCHEDULES: [ScheduleKind; 5] = [
-    ScheduleKind::Tutel,
-    ScheduleKind::TutelImproved,
-    ScheduleKind::PipeMoeLina,
-    ScheduleKind::FsMoeNoIio,
-    ScheduleKind::FsMoe,
-];
 
 fn main() {
     println!("# Fig. 8 — speedups over DS-MoE with GPipe (N_PP = 2) on Testbed A\n");
@@ -28,20 +20,11 @@ fn main() {
             .with_seq_len(2048)
             .with_layers(32),
     ];
-    print!("{:<14} {:>12}", "model", "DS-MoE(ms)");
-    for s in &SCHEDULES {
-        print!(" {:>14}", s.name());
-    }
-    println!();
+    print_speedup_header("model");
     for preset in presets {
-        let ds = gpipe_iteration_time(ScheduleKind::DsMoe, &testbed, &preset, 2, 4)
-            .expect("presets are valid");
-        print!("{:<14} {:>12.1}", preset.name, ds);
-        for &s in &SCHEDULES {
-            let t = gpipe_iteration_time(s, &testbed, &preset, 2, 4).expect("valid");
-            print!(" {:>13.2}x", ds / t);
-        }
-        println!();
+        print_speedup_row(&preset.name, |kind| {
+            gpipe_iteration_time(kind, &testbed, &preset, 2, 4).expect("presets are valid")
+        });
     }
     println!(
         "\npaper shape check: FSMoE averages 2.46x over DS-MoE, 1.16x over\n\

@@ -1,9 +1,14 @@
-//! Shared harness for the experiment binaries.
+//! Shared harness for the experiment binaries and the budget gates.
 //!
 //! Each table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it (see DESIGN.md §3 for the index); this
-//! library holds what they share: the Table 4 configuration grid, the
-//! layer-level experiment runner, and table formatting.
+//! library holds what they share: the Table 4 configuration grid and
+//! the layer-level experiment runner. [`gate`] is the contract the
+//! `benches/*.rs` budget gates share; [`brownout`] is the gray-failure
+//! scenario the `health` gate and the `gray_failure` example both run.
+
+pub mod brownout;
+pub mod gate;
 
 use baselines::ScheduleKind;
 use collectives::ParallelDims;
@@ -132,33 +137,61 @@ pub fn configured_layer_time(
         .makespan()
 }
 
+/// The §4.2 performance model of one MoE layer spec in `phase`, with
+/// `t_gar` of Gradient-AllReduce to hide.
+pub fn perf_model(
+    testbed: &Testbed,
+    spec: &MoeLayerSpec,
+    phase: Phase,
+    t_gar: f64,
+) -> MoePerfModel {
+    MoePerfModel::new(
+        &testbed.costs,
+        spec.n_a2a,
+        spec.n_ag,
+        spec.n_rs,
+        spec.n_exp,
+        spec.gemms,
+        phase,
+        t_gar,
+    )
+}
+
 /// The forward/backward optimal pipeline degrees of a layer spec (the
 /// §2.3 "912 of 1458 differ" statistic).
 pub fn fwd_bwd_degrees(testbed: &Testbed, spec: &MoeLayerSpec) -> (u32, u32) {
-    let fwd = MoePerfModel::new(
-        &testbed.costs,
-        spec.n_a2a,
-        spec.n_ag,
-        spec.n_rs,
-        spec.n_exp,
-        spec.gemms,
-        Phase::Forward,
-        0.0,
-    );
-    let bwd = MoePerfModel::new(
-        &testbed.costs,
-        spec.n_a2a,
-        spec.n_ag,
-        spec.n_rs,
-        spec.n_exp,
-        spec.gemms,
-        Phase::Backward,
-        0.0,
-    );
-    (
-        find_optimal_pipeline_degree(&fwd).r,
-        find_optimal_pipeline_degree(&bwd).r,
-    )
+    let degree = |phase| find_optimal_pipeline_degree(&perf_model(testbed, spec, phase, 0.0)).r;
+    (degree(Phase::Forward), degree(Phase::Backward))
+}
+
+/// The five schedules the end-to-end figures (6–8) compare to DS-MoE.
+pub const SPEEDUP_SCHEDULES: [ScheduleKind; 5] = [
+    ScheduleKind::Tutel,
+    ScheduleKind::TutelImproved,
+    ScheduleKind::PipeMoeLina,
+    ScheduleKind::FsMoeNoIio,
+    ScheduleKind::FsMoe,
+];
+
+/// Prints the header of a speedup-over-DS-MoE table whose first column
+/// is titled `first`.
+pub fn print_speedup_header(first: &str) {
+    print!("{first:<14} {:>12}", "DS-MoE(ms)");
+    for s in &SPEEDUP_SCHEDULES {
+        print!(" {:>14}", s.name());
+    }
+    println!();
+}
+
+/// Prints one row of that table: DS-MoE's time from `time_of`, then
+/// every other schedule's speedup over it.
+pub fn print_speedup_row(label: &str, time_of: impl Fn(ScheduleKind) -> f64) {
+    let ds = time_of(ScheduleKind::DsMoe);
+    print!("{label:<14} {ds:>12.1}");
+    for &s in &SPEEDUP_SCHEDULES {
+        print!(" {:>13.2}x", ds / time_of(s));
+    }
+    println!();
 }
 
 /// Geometric mean (the right average for speedups).
@@ -167,11 +200,6 @@ pub fn geomean(values: &[f64]) -> f64 {
         return 0.0;
     }
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
-/// Formats a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 #[cfg(test)]

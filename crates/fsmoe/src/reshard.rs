@@ -181,29 +181,17 @@ impl ExpertMap {
     /// The placement after evicting position `evicted_pos`: survivors
     /// keep their experts (positions above the evicted one shift down
     /// by one), and the orphaned experts are dealt round-robin across
-    /// the survivors in ascending expert order.
+    /// the survivors in ascending expert order. An orphan count that
+    /// does not divide evenly leaves the lowest survivors one expert
+    /// heavier — the gray-failure path needs this, because a quarantine
+    /// drain deliberately thins the slow position before the eviction
+    /// lands.
     ///
     /// # Errors
     ///
-    /// Returns an error when the eviction leaves no survivors, when
-    /// `evicted_pos` is out of range, or when the orphan count does not
-    /// divide evenly over the survivors (eviction keeps the placement
-    /// uniform so recovery math stays simple).
+    /// Returns an error when the eviction leaves no survivors or when
+    /// `evicted_pos` is out of range.
     pub fn after_eviction(&self, evicted_pos: usize) -> Result<ExpertMap> {
-        self.after_eviction_inner(evicted_pos, true)
-    }
-
-    /// Like [`after_eviction`](Self::after_eviction), but tolerates an
-    /// orphan count that does not divide evenly: orphans still deal
-    /// round-robin, so the lowest survivors carry at most one extra
-    /// expert. The gray-failure path needs this — a quarantine drain
-    /// deliberately leaves the slow position short before the eviction
-    /// lands, so its orphan count rarely divides.
-    pub fn after_eviction_uneven(&self, evicted_pos: usize) -> Result<ExpertMap> {
-        self.after_eviction_inner(evicted_pos, false)
-    }
-
-    fn after_eviction_inner(&self, evicted_pos: usize, require_even: bool) -> Result<ExpertMap> {
         let n = self.n_ep();
         if evicted_pos >= n {
             return Err(MoeError::BadConfig {
@@ -220,15 +208,6 @@ impl ExpertMap {
         let survivors = n - 1;
         let mut orphans: Vec<usize> = self.experts_on[evicted_pos].clone();
         orphans.sort_unstable();
-        if require_even && !orphans.len().is_multiple_of(survivors) {
-            return Err(MoeError::BadConfig {
-                field: "expert_map",
-                reason: format!(
-                    "{} orphaned experts do not deal evenly over {survivors} survivors",
-                    orphans.len()
-                ),
-            });
-        }
         let mut lists: Vec<Vec<usize>> = self
             .experts_on
             .iter()
@@ -311,42 +290,6 @@ impl ReshardPlan {
     pub fn round_robin(old: &ExpertMap, evicted_pos: usize) -> Result<ReshardPlan> {
         Ok(ReshardPlan {
             map: old.after_eviction(evicted_pos)?,
-        })
-    }
-
-    /// Round-robin plan that tolerates an uneven orphan deal
-    /// ([`ExpertMap::after_eviction_uneven`]) — identical to
-    /// [`round_robin`](Self::round_robin) whenever the count divides.
-    /// The elastic trainer uses this so an eviction still lands after a
-    /// quarantine drain has thinned the victim's expert list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExpertMap::after_eviction_uneven`] failures.
-    pub fn round_robin_uneven(old: &ExpertMap, evicted_pos: usize) -> Result<ReshardPlan> {
-        Ok(ReshardPlan {
-            map: old.after_eviction_uneven(evicted_pos)?,
-        })
-    }
-
-    /// The eviction-free plan that moves `expert` from position `from`
-    /// to position `to`, leaving every other expert in place and the
-    /// world unrenumbered.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error when `from` does not currently host
-    /// `expert`, and propagates [`ExpertMap::migrated`] failures
-    /// (out-of-range ids, no-op moves, emptied source position).
-    pub fn migrate(old: &ExpertMap, expert: usize, from: usize, to: usize) -> Result<ReshardPlan> {
-        if expert >= old.num_experts() || old.position_of(expert) != from {
-            return Err(MoeError::BadConfig {
-                field: "migrate",
-                reason: format!("expert {expert} is not hosted at position {from}"),
-            });
-        }
-        Ok(ReshardPlan {
-            map: old.migrated(expert, to)?,
         })
     }
 
@@ -467,44 +410,26 @@ mod tests {
     }
 
     #[test]
-    fn eviction_rejects_uneven_deals() {
-        // 3 positions × 4 experts: 4 orphans over 2 survivors is fine...
-        let map = ExpertMap::block(12, 3).unwrap();
-        assert!(map.after_eviction(0).is_ok());
-        // ...but 4 positions × 2 experts orphans 2 over 3 survivors.
-        let map = ExpertMap::block(8, 4).unwrap();
-        let err = map.after_eviction(2).unwrap_err();
-        assert!(matches!(err, MoeError::BadConfig { .. }), "{err:?}");
-        // And a 1-position world has nobody left.
+    fn eviction_rejects_degenerate_worlds() {
+        // A 1-position world has nobody left; out-of-range positions
+        // are typed errors.
         let map = ExpertMap::block(2, 1).unwrap();
-        assert!(map.after_eviction(0).is_err());
+        let err = map.after_eviction(0).unwrap_err();
+        assert!(matches!(err, MoeError::BadConfig { .. }), "{err:?}");
         assert!(map.after_eviction(7).is_err());
+        assert!(ExpertMap::block(8, 4).unwrap().after_eviction(9).is_err());
     }
 
     #[test]
     fn uneven_eviction_deals_round_robin_with_low_positions_first() {
-        // 4 positions × 2 experts: evicting position 2 orphans {4, 5};
-        // the strict deal refuses (2 over 3), the uneven one hands one
-        // orphan each to the two lowest survivors.
+        // 4 positions × 2 experts: evicting position 2 orphans {4, 5}
+        // over 3 survivors — one orphan each to the two lowest.
         let map = ExpertMap::block(8, 4).unwrap();
-        assert!(map.after_eviction(2).is_err());
-        let after = map.after_eviction_uneven(2).unwrap();
+        let after = map.after_eviction(2).unwrap();
         assert_eq!(after.n_ep(), 3);
         assert_eq!(after.experts_on(0), &[0, 1, 4]);
         assert_eq!(after.experts_on(1), &[2, 3, 5]);
         assert_eq!(after.experts_on(2), &[6, 7]);
-        // When the count divides, uneven and strict agree exactly.
-        let even = ExpertMap::block(6, 3).unwrap();
-        assert_eq!(
-            even.after_eviction(1).unwrap(),
-            even.after_eviction_uneven(1).unwrap()
-        );
-        // The degenerate guards still hold.
-        assert!(ExpertMap::block(2, 1)
-            .unwrap()
-            .after_eviction_uneven(0)
-            .is_err());
-        assert!(map.after_eviction_uneven(9).is_err());
     }
 
     #[test]
@@ -535,9 +460,6 @@ mod tests {
         // hosts only expert 1.
         let narrow = ExpertMap::from_lists(vec![vec![0, 2], vec![1]]).unwrap();
         assert!(narrow.migrated(1, 0).is_err());
-        // Plan constructor cross-checks the claimed source position.
-        assert!(ReshardPlan::migrate(&map, 1, 2, 3).is_err());
-        assert!(ReshardPlan::migrate(&map, 1, 0, 3).is_ok());
     }
 
     #[test]

@@ -27,10 +27,8 @@ const LN_EPS: f32 = 1e-5;
 #[derive(Debug)]
 pub struct BlockState {
     x: Tensor,
-    ln1: Tensor,
     attn_state: AttentionState,
     y1: Tensor,
-    ln2: Tensor,
 }
 
 /// Gradients of one block.
@@ -102,10 +100,8 @@ impl TransformerBlock {
         let y2 = y1.add(&moe_out)?;
         self.state = Some(BlockState {
             x: x.clone(),
-            ln1,
             attn_state,
             y1,
-            ln2,
         });
         Ok(y2)
     }
@@ -128,7 +124,6 @@ impl TransformerBlock {
             &state.x,
             LN_EPS,
         )?)?;
-        let _ = (&state.ln1, &state.ln2);
         self.state = Some(state);
         Ok(BlockGrads {
             input: grad_x,

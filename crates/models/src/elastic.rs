@@ -24,7 +24,7 @@
 //!   3. **reconfigure** — each survivor rebinds into the shrunken world
 //!      ([`Communicator::reconfigured`]) with contiguous ranks;
 //!   4. **re-shard** — the dead rank's experts are dealt round-robin
-//!      across the survivors ([`ReshardPlan::round_robin_uneven`]);
+//!      across the survivors ([`ReshardPlan::round_robin`]);
 //!   5. **roll back** — the same rollback, restoring every survivor's
 //!      (new) expert set from the last snapshot.
 //!
@@ -494,10 +494,10 @@ impl ElasticTrainer {
         span.attr("epoch", epoch);
         span.attr("survivors", new_comm.world_size());
         // Flat topology: the evicted rank IS the evicted EP position.
-        // The uneven deal matters on the gray-failure path: a
+        // The deal may be uneven on the gray-failure path: a
         // quarantine drain thins the victim's list before eviction, so
         // its orphan count rarely divides over the survivors.
-        let plan = ReshardPlan::round_robin_uneven(self.layer.expert_map(), victim)?;
+        let plan = ReshardPlan::round_robin(self.layer.expert_map(), victim)?;
         let topo = HybridTopology::flat(new_comm.world_size())?;
         self.rollback_with(|layer, checkpoint| layer.reshard(&plan, checkpoint, &new_comm, &topo))?;
         self.comm = new_comm;

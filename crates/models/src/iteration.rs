@@ -142,7 +142,20 @@ pub fn plan_iteration(
     }
 
     let r_fwd = kind.pipeline_degree(&fwd_model);
-    let r_bwd = bwd_models.iter().map(|m| kind.pipeline_degree(m)).collect();
+    // Layers that share a backward model share its degree: solve each
+    // distinct model once (one solve for the Tutel family).
+    let mut solved: Vec<(MoePerfModel, u32)> = Vec::new();
+    let r_bwd = bwd_models
+        .iter()
+        .map(|m| {
+            if let Some(&(_, r)) = solved.iter().find(|(s, _)| s == m) {
+                return r;
+            }
+            let r = kind.pipeline_degree(m);
+            solved.push((*m, r));
+            r
+        })
+        .collect();
     IterationPlan {
         kind,
         layers,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use jsonio::Json;
 
-use crate::{Histogram, Snapshot};
+use crate::{validate_trace, Histogram, Snapshot, TraceStats};
 
 /// Incrementally builds a trace-event document. Shared by the registry
 /// exporter and `simnet`'s timeline exporter so both emit one schema.
@@ -169,6 +169,22 @@ impl Snapshot {
         builder.into_trace([("metrics", self.metrics_json())])
     }
 
+    /// Writes [`chrome_trace`](Self::chrome_trace) to `path` and
+    /// re-validates the written text exactly as CI's checker sees it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the serialization, I/O or validation
+    /// failure.
+    pub fn write_validated_trace(&self, path: &str) -> Result<TraceStats, String> {
+        let text = self
+            .chrome_trace()
+            .to_string()
+            .map_err(|e| format!("trace serialization: {e}"))?;
+        crate::write_creating_dirs(std::path::Path::new(path), &text)?;
+        validate_trace(&text)
+    }
+
     /// The metrics snapshot as a JSON object (the `"metrics"` key of
     /// [`Snapshot::chrome_trace`]).
     #[must_use]
@@ -219,6 +235,23 @@ fn histogram_json(h: &Histogram) -> Json {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn write_validated_trace_creates_dirs_and_revalidates_the_file() {
+        let session = crate::session();
+        drop(crate::span("test", "written"));
+        let snap = session.snapshot();
+        let dir = std::env::temp_dir().join(format!("obs_trace_{}", std::process::id()));
+        let path = dir.join("nested/trace.json");
+        let stats = snap
+            .write_validated_trace(path.to_str().unwrap())
+            .expect("trace writes and validates");
+        assert!(stats.spans >= 1, "{stats}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(crate::validate_trace(&text).unwrap(), stats);
+        assert!(stats.to_string().contains("spans on"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn chrome_trace_contains_spans_threads_counters_and_metrics() {
         let session = crate::session();

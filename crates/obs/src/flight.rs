@@ -469,12 +469,7 @@ pub fn dump_to_file(path: &std::path::Path, reason: &str) -> Result<usize, Strin
     let text = doc
         .to_string()
         .map_err(|e| format!("flight dump serialization: {e}"))?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text + "\n").map_err(|e| format!("write {}: {e}", path.display()))?;
+    crate::write_creating_dirs(path, &(text + "\n"))?;
     Ok(events)
 }
 

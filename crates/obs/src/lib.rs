@@ -62,7 +62,15 @@ pub mod names;
 mod validate;
 
 pub use chrome::TraceBuilder;
-pub use validate::{validate_trace, TraceStats};
+pub use validate::{ensure, validate_trace, TraceStats};
+
+/// Writes `text` to `path`, creating its parent directories.
+fn write_creating_dirs(path: &std::path::Path, text: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
+}
 
 // --- registry ---------------------------------------------------------
 

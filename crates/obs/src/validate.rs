@@ -24,6 +24,29 @@ pub struct TraceStats {
     pub op_keys: usize,
 }
 
+impl std::fmt::Display for TraceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} events, {} spans on {} threads, {} stitched op keys, {:.1} ms",
+            self.events,
+            self.spans,
+            self.threads,
+            self.op_keys,
+            self.max_ts_us as f64 / 1000.0
+        )
+    }
+}
+
+/// The verdict of a self-validating example: unless `cond` holds, names
+/// the failed check on stderr and exits the process non-zero.
+pub fn ensure(cond: bool, what: &str) {
+    if !cond {
+        eprintln!("self-check FAILED: {what}");
+        std::process::exit(1);
+    }
+}
+
 /// One span carrying an `op_key` attribute, as collected for the
 /// cross-rank consistency checks.
 struct KeyedSpan {

@@ -42,10 +42,7 @@ mod cost;
 mod engine;
 mod error;
 mod gantt;
-mod gray;
-mod migrate;
-mod reconfig;
-mod stepmodel;
+mod pricing;
 mod task;
 mod testbed;
 mod trace;
@@ -54,10 +51,10 @@ pub use cost::{CostModel, OpCosts};
 pub use engine::{Engine, Span, Straggler, Timeline};
 pub use error::SimError;
 pub use gantt::render_gantt;
-pub use gray::{price_gray_failure, GrayFailureCost};
-pub use migrate::{add_migration_tasks, price_migration, MigrationCost};
-pub use reconfig::{add_reconfiguration_tasks, price_reconfiguration, ReconfigCost};
-pub use stepmodel::{StepModel, StepPrediction};
+pub use pricing::{
+    price_gray_failure, price_migration, price_reconfiguration, price_step, GrayFailureCost,
+    PricedEvent,
+};
 pub use task::{ResourceId, Task, TaskGraph, TaskId};
 pub use testbed::{Testbed, TestbedKind};
 pub use trace::{timeline_trace, SIMNET_PID};

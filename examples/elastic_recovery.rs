@@ -22,14 +22,8 @@ use std::time::Duration;
 use collectives::{run_world_within, CommWorld};
 use fsmoe::config::MoeConfig;
 use models::{ElasticPolicy, ElasticTrainer};
+use obs::ensure;
 use tensor::TensorRng;
-
-fn ensure(cond: bool, what: &str) {
-    if !cond {
-        eprintln!("elastic check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -144,24 +138,9 @@ fn main() {
     }
 
     // Export the Chrome trace and re-validate it as CI's checker would.
-    let doc = snap.chrome_trace();
-    let text = doc.to_string().expect("trace serializes");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out_path, &text).expect("write trace file");
-    match obs::validate_trace(&text) {
-        Ok(stats) => println!(
-            "wrote {out_path}: {} events, {} spans on {} threads, {:.1} ms",
-            stats.events,
-            stats.spans,
-            stats.threads,
-            stats.max_ts_us as f64 / 1000.0
-        ),
-        Err(e) => {
-            eprintln!("elastic check FAILED: trace invalid: {e}");
-            std::process::exit(1);
-        }
+    match snap.write_validated_trace(&out_path) {
+        Ok(stats) => println!("wrote {out_path}: {stats}"),
+        Err(e) => ensure(false, &format!("trace invalid: {e}")),
     }
     println!("training survived the dead rank; open the trace in chrome://tracing");
 }

@@ -23,81 +23,19 @@
 //! the in-tree validator — CI runs this as its gray-failure smoke step.
 //!
 //! Run with
-//! `cargo run --release -p models --example gray_failure -- [out.json]`.
+//! `cargo run --release -p bench --example gray_failure -- [out.json]`.
 
 use std::time::Duration;
 
-use collectives::{run_world_within, Brownout, CommError, CommWorld, FaultInjector};
-use fsmoe::config::MoeConfig;
+use bench::brownout::{
+    browned_out_world, config, defended_trainer, fresh_reference, rank_data, LR, VICTIM, WORLD,
+};
+use collectives::{run_world_within, CommError};
 use fsmoe::MoeError;
-use models::{ElasticPolicy, ElasticTrainer, GrayFailurePolicy, HealthMonitor, HealthPolicy};
-use tensor::TensorRng;
+use obs::ensure;
 
-const SEED: u64 = 42;
-const WORLD: usize = 4;
-const VICTIM: usize = 3;
 const TOTAL: usize = 12;
-const LR: f32 = 0.1;
 const BUDGET: Duration = Duration::from_secs(120);
-
-fn ensure(cond: bool, what: &str) {
-    if !cond {
-        eprintln!("gray-failure check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
-
-fn config() -> MoeConfig {
-    MoeConfig::builder()
-        .batch_size(1)
-        .seq_len(6)
-        .embed_dim(8)
-        .hidden_dim(16)
-        .num_experts(12)
-        .top_k(2)
-        .no_drop()
-        .build()
-        .expect("smoke-size MoE config is valid")
-}
-
-/// Snapshot only at step 0 so the eviction's rollback lands on the
-/// initial state — the snapshot the fresh-world comparison resumes.
-fn policy() -> ElasticPolicy {
-    ElasticPolicy {
-        snapshot_interval: 10_000,
-        ..ElasticPolicy::default()
-    }
-}
-
-/// Aggressive ladder so the demo escalates within a dozen steps.
-fn health_policy() -> HealthPolicy {
-    HealthPolicy {
-        window: 2,
-        threshold: 1.5,
-        sustain: 2,
-        cooldown: 1,
-    }
-}
-
-fn gray_policy() -> GrayFailurePolicy {
-    GrayFailurePolicy {
-        costs: simnet::Testbed::a().costs,
-        horizon_steps: 100_000,
-        moved_bytes: 1e6,
-        checkpoint_bytes: 4e6,
-    }
-}
-
-fn data_for(cfg: &MoeConfig, old_rank: usize) -> (tensor::Tensor, tensor::Tensor) {
-    let mut rng = TensorRng::seed_from(1000 + old_rank as u64);
-    let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
-    let t = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
-    (x, t)
-}
-
-fn route_rng_for(old_rank: usize) -> TensorRng {
-    TensorRng::seed_from(7000 + old_rank as u64)
-}
 
 /// What each rank reports: the victim's health score after every step
 /// it saw (the SPMD-determinism witness), plus survivor-side counters
@@ -123,17 +61,11 @@ fn main() {
     let session = obs::session();
     let cfg = config();
 
-    let spec = Brownout::steady(Duration::from_millis(5));
-    let world = CommWorld::new(WORLD)
-        .with_deadline(Duration::from_secs(5))
-        .with_faults(FaultInjector::new().brownout(VICTIM, spec, 11));
     let run_cfg = cfg.clone();
-    let results = run_world_within(world, BUDGET, move |comm| {
+    let results = run_world_within(browned_out_world(), BUDGET, move |comm| {
         let rank = comm.rank();
-        let mut trainer = ElasticTrainer::new(&run_cfg, comm, SEED, route_rng_for(rank), policy())
-            .expect("elastic trainer construction")
-            .with_health(HealthMonitor::new(WORLD, health_policy()), gray_policy());
-        let (x, t) = data_for(&run_cfg, rank);
+        let (x, t) = rank_data(&run_cfg, rank);
+        let mut trainer = defended_trainer(&run_cfg, comm);
         let mut victim_scores = Vec::new();
         while trainer.step() < TOTAL {
             match trainer.train_step(&x, &t, LR) {
@@ -145,10 +77,7 @@ fn main() {
                         survivor: None,
                     };
                 }
-                Err(e) => {
-                    eprintln!("gray-failure check FAILED: rank {rank}: {e:?}");
-                    std::process::exit(1);
-                }
+                Err(e) => ensure(false, &format!("rank {rank}: {e:?}")),
             }
             if let Some(monitor) = trainer.health() {
                 if monitor.scores().len() > VICTIM {
@@ -245,48 +174,9 @@ fn main() {
     // exactly — the eviction is a correct reconfiguration, not a lossy
     // one. (The victim was the highest rank, so survivor numbering —
     // data and RNG streams included — is unchanged.)
-    let initial = run_world_within(
-        CommWorld::new(WORLD).with_deadline(Duration::from_secs(5)),
-        BUDGET,
-        {
-            let cfg = cfg.clone();
-            move |comm| {
-                let rank = comm.rank();
-                ElasticTrainer::new(&cfg, comm, SEED, route_rng_for(rank), policy())
-                    .expect("snapshot trainer")
-                    .full_checkpoint()
-                    .expect("initial checkpoint")
-            }
-        },
-    );
-    let fresh = run_world_within(
-        CommWorld::new(WORLD - 1).with_deadline(Duration::from_secs(5)),
-        BUDGET,
-        {
-            let cfg = cfg.clone();
-            let snapshot = initial[0].clone();
-            move |comm| {
-                let old_rank = comm.rank();
-                let mut trainer = ElasticTrainer::resume(
-                    &cfg,
-                    comm.clone(),
-                    SEED,
-                    &snapshot,
-                    route_rng_for(old_rank),
-                    0,
-                    policy(),
-                )
-                .expect("fresh resume");
-                let (x, t) = data_for(&cfg, old_rank);
-                while trainer.step() < TOTAL {
-                    trainer.train_step(&x, &t, LR).expect("fresh step");
-                }
-                trainer.full_checkpoint().expect("fresh checkpoint")
-            }
-        },
-    );
+    let fresh = fresh_reference(&cfg, TOTAL);
     ensure(
-        survivors[0].checkpoint == fresh[0],
+        survivors[0].checkpoint == fresh,
         "gray-failure eviction must be bit-identical to the fresh small world",
     );
     println!(
@@ -295,24 +185,9 @@ fn main() {
     );
 
     // Export the Chrome trace and re-validate it as CI's checker would.
-    let doc = snap.chrome_trace();
-    let text = doc.to_string().expect("trace serializes");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out_path, &text).expect("write trace file");
-    match obs::validate_trace(&text) {
-        Ok(stats) => println!(
-            "wrote {out_path}: {} events, {} spans on {} threads, {:.1} ms",
-            stats.events,
-            stats.spans,
-            stats.threads,
-            stats.max_ts_us as f64 / 1000.0
-        ),
-        Err(e) => {
-            eprintln!("gray-failure check FAILED: trace invalid: {e}");
-            std::process::exit(1);
-        }
+    match snap.write_validated_trace(&out_path) {
+        Ok(stats) => println!("wrote {out_path}: {stats}"),
+        Err(e) => ensure(false, &format!("trace invalid: {e}")),
     }
     println!("training survived the slow rank; open the trace in chrome://tracing");
 }

@@ -7,8 +7,8 @@
 //!    models (expert compute and wire vs. tokens) with
 //!    [`profiler::fit_cost_model`] — the paper's §3.2 profiling
 //!    discipline applied to the attribution instrument itself.
-//! 2. **Predict**: lower the fits onto [`simnet::StepModel`]'s serial
-//!    chain and predict the phase split at a larger target scale.
+//! 2. **Predict**: price the serial step chain from the fits
+//!    ([`simnet::price_step`]) at a larger target scale.
 //! 3. **Validate**: run the target scale for real and require the
 //!    measured best-of phase costs to match the prediction (compute
 //!    within 25%; wire within a looser, documented single-core bound).
@@ -32,7 +32,8 @@ use fsmoe::config::MoeConfig;
 use fsmoe::layer::MoeLayer;
 use models::dist_train_step;
 use obs::attrib::{self, Phase, StepReport};
-use simnet::{CostModel, StepModel};
+use obs::ensure;
+use simnet::{price_step, CostModel};
 use tensor::TensorRng;
 
 const RANKS: usize = 4;
@@ -51,13 +52,6 @@ const DRIFT_TOLERANCE_PCT: f64 = 25.0;
 // catches a model that is wrong in kind (2× off), which is what drift
 // detection is for.
 const WIRE_DRIFT_TOLERANCE_PCT: f64 = 75.0;
-
-fn ensure(cond: bool, what: &str) {
-    if !cond {
-        eprintln!("step_attribution check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn config_for(seq_len: usize) -> MoeConfig {
     MoeConfig::builder()
@@ -145,19 +139,18 @@ fn main() {
         compute_samples.push((tokens, measured_us(&report, Phase::Compute, &all_ranks)));
         wire_samples.push((tokens, measured_us(&report, Phase::Wire, &all_ranks)));
     }
-    let model = StepModel {
-        compute: fit_phase(&compute_samples, "compute"),
-        wire: fit_phase(&wire_samples, "wire"),
-    };
+    let compute_model = fit_phase(&compute_samples, "compute");
+    let wire_model = fit_phase(&wire_samples, "wire");
 
     // -- 2. predict the target scale ------------------------------------
     let target_tokens = config_for(TARGET_SEQ).tokens() as f64;
-    let predicted = model
-        .predict(target_tokens)
-        .expect("the serial step chain simulates");
+    let predicted = price_step(&compute_model, &wire_model, target_tokens);
+    let predicted_compute = predicted.phase("experts");
+    let predicted_wire = predicted.phase("dispatch") + predicted.phase("combine");
     println!(
-        "modeled step @ {target_tokens} tokens: compute {:.0} µs, wire {:.0} µs, wall {:.0} µs",
-        predicted.compute, predicted.wire, predicted.wall
+        "modeled step @ {target_tokens} tokens: compute {predicted_compute:.0} µs, \
+         wire {predicted_wire:.0} µs, wall {:.0} µs",
+        predicted.total()
     );
 
     // -- 3. measure the target scale fault-free -------------------------
@@ -165,14 +158,14 @@ fn main() {
     let compute_drift = attrib::publish_drift(
         "compute",
         measured_us(&clean, Phase::Compute, &all_ranks),
-        predicted.compute,
+        predicted_compute,
     );
     let wire_drift = attrib::publish_drift(
         "wire",
         measured_us(&clean, Phase::Wire, &all_ranks),
-        predicted.wire,
+        predicted_wire,
     );
-    let wall_drift = attrib::drift_pct(clean.steps[STEPS / 2].wall_us as f64, predicted.wall);
+    let wall_drift = attrib::drift_pct(clean.steps[STEPS / 2].wall_us as f64, predicted.total());
     println!(
         "fault-free drift vs model: compute {compute_drift:.1}%, wire {wire_drift:.1}%, \
          wall {wall_drift:.1}% (wall includes unmodeled gating/optimiser time)"
@@ -247,7 +240,7 @@ fn main() {
     let perturbed_compute_drift = attrib::publish_drift(
         "compute_under_fault",
         measured_us(&report, Phase::Compute, &others),
-        predicted.compute,
+        predicted_compute,
     );
     println!("victims' compute drift under fault: {perturbed_compute_drift:.1}%");
     ensure(
@@ -257,22 +250,11 @@ fn main() {
 
     // -- artifacts -------------------------------------------------------
     report.publish();
-    let doc = session.snapshot().chrome_trace();
+    let snap = session.snapshot();
     drop(session);
-    let text = doc.to_string().expect("trace serializes");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out_path, &text).expect("write trace file");
-    match obs::validate_trace(&text) {
-        Ok(stats) => println!(
-            "wrote {out_path}: {} events, {} spans, {} stitched op keys",
-            stats.events, stats.spans, stats.op_keys
-        ),
-        Err(e) => {
-            eprintln!("step_attribution check FAILED: trace invalid: {e}");
-            std::process::exit(1);
-        }
+    match snap.write_validated_trace(&out_path) {
+        Ok(stats) => println!("wrote {out_path}: {stats}"),
+        Err(e) => ensure(false, &format!("trace invalid: {e}")),
     }
     let flight_path = std::path::Path::new(&out_path).with_extension("flight.json");
     match obs::flight::dump_to_file(&flight_path, "step_attribution") {
@@ -280,10 +262,7 @@ fn main() {
             "flight recorder: {events} events drained to {}",
             flight_path.display()
         ),
-        Err(e) => {
-            eprintln!("step_attribution check FAILED: flight dump: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => ensure(false, &format!("flight dump: {e}")),
     }
     println!("step_attribution OK");
 }

@@ -20,14 +20,8 @@ use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::dist::FaultPolicy;
 use fsmoe::layer::MoeLayer;
 use models::{dist_train_step, ModelPreset};
+use obs::ensure;
 use tensor::TensorRng;
-
-fn ensure(cond: bool, what: &str) {
-    if !cond {
-        eprintln!("trace check FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -115,26 +109,10 @@ fn main() {
         "per-expert load histogram recorded",
     );
 
-    // Export, then re-validate the artifact exactly as CI's checker
-    // sees it.
-    let doc = snap.chrome_trace();
-    let text = doc.to_string().expect("trace serializes");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(&out_path, &text).expect("write trace file");
-    match obs::validate_trace(&text) {
-        Ok(stats) => println!(
-            "wrote {out_path}: {} events, {} spans on {} threads, {:.1} ms",
-            stats.events,
-            stats.spans,
-            stats.threads,
-            stats.max_ts_us as f64 / 1000.0
-        ),
-        Err(e) => {
-            eprintln!("trace check FAILED: {e}");
-            std::process::exit(1);
-        }
+    // Export the Chrome trace and re-validate it as CI's checker would.
+    match snap.write_validated_trace(&out_path) {
+        Ok(stats) => println!("wrote {out_path}: {stats}"),
+        Err(e) => ensure(false, &format!("trace invalid: {e}")),
     }
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
 }
