@@ -63,6 +63,17 @@ echo "==> chaos suite (default threading)"
 timeout --kill-after=30 300 \
     cargo test -q -p collectives --test chaos --test faults
 
+echo "==> worker pool: tensor + fsmoe equivalence suites, no pool and oversubscribed"
+# TENSOR_THREADS=1 never starts the pool (every fan-out must degrade to
+# the caller running all bands); TENSOR_THREADS=4 puts three workers on
+# a two-core box, so callers, workers and the test harness's own
+# threads fight for cores. Results are bit-identical either way, and a
+# lost wake-up or a caller waiting on an unclaimed band is a hang.
+for threads in 1 4; do
+    soak "pool suites (TENSOR_THREADS=$threads)" TENSOR_THREADS=$threads \
+        'cargo test -q -p tensor && cargo test -q -p fsmoe --test equivalence'
+done
+
 echo "==> conformance: workspace invariant linter"
 # Static gates: no std::sync locks outside shims/, no unjustified
 # unwrap/expect in the guarded crates, obs names only via the registry,
@@ -71,7 +82,8 @@ echo "==> conformance: workspace invariant linter"
 # rank-divergent collectives, wall-clock decisions, float accumulation
 # order, wall-clock assertions in tests). Non-zero exit on any
 # violation; on failure the findings are re-emitted as JSON for
-# one-glance triage.
+# one-glance triage. Also: no thread spawned in the compute crates
+# outside the worker pool (tensor/src/par.rs).
 if ! cargo run --release -p analyzer; then
     echo "analyzer findings (JSON):" >&2
     cargo run --release -p analyzer -- --json >&2 || true
@@ -153,7 +165,9 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
 # one harness (crates/bench/src/gate.rs) — each rewrites its
 # BENCH_<name>.json, appends results/bench_history.jsonl and exits
 # non-zero listing every budget it missed:
-#   harness     packed-GEMM GFLOPS floors at dims >= 256 (BENCH_compute)
+#   harness     packed-GEMM GFLOPS floors at dims >= 256, activations
+#               <= 4 ns/element, nt/tn >= 0.9x plain, hardware-scaled
+#               2-thread speedup floors (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run
 #   migrate     hot-expert migration pause < 250 ms (best of 5)
 #   attrib      instrumentation overhead < 2% of a forward, flight

@@ -22,6 +22,9 @@
 //!   `crates/collectives/src` outside the deadline controller (op
 //!   budgets belong to the `DeadlineController`; non-budget durations
 //!   carry a line-scoped allow naming what they are);
+//! * `no-adhoc-spawn` — `std::thread::{scope,spawn,Builder}` in the
+//!   compute crates (`crates/{tensor,fsmoe,models}/src`) outside the
+//!   worker pool, `crates/tensor/src/par.rs`;
 //! * `allow-needs-reason` — an allow directive without justification.
 //!
 //! The per-function dataflow rules live in [`flow`] (DESIGN.md §13):
@@ -203,6 +206,21 @@ pub fn spmd_decision(rel: &str) -> bool {
             | "crates/fsmoe/src/reshard.rs"
             | "crates/collectives/src/deadline.rs"
     )
+}
+
+/// Whether a file belongs to the compute layer that must fan out on the
+/// one worker pool — the scope of `no-adhoc-spawn`. The pool's own file
+/// is where the threads are allowed to start.
+#[must_use]
+pub fn compute_layer(rel: &str) -> bool {
+    [
+        "crates/tensor/src/",
+        "crates/fsmoe/src/",
+        "crates/models/src/",
+    ]
+    .iter()
+    .any(|dir| rel.starts_with(dir))
+        && rel != "crates/tensor/src/par.rs"
 }
 
 /// Scans raw source lines for allow directives (the tokenizer drops

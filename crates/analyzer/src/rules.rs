@@ -42,11 +42,17 @@ pub const RULE_FLOAT_ACCUM: &str = "float-accum-order";
 /// Rule id: a test assertion whose condition depends on a wall-clock
 /// reading ([`crate::flow`]).
 pub const RULE_TEST_WALLCLOCK: &str = "test-wallclock-assert";
+/// Rule id: a thread spawned in the compute crates outside the worker
+/// pool (`tensor/src/par.rs`).
+pub const RULE_ADHOC_SPAWN: &str = "no-adhoc-spawn";
 
 /// The std primitives that must come from `shims/parking_lot` instead
 /// (the lock doctor instruments the shim — a std lock is invisible to
 /// it, which is exactly why this rule exists).
 const BANNED_SYNC: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
+
+/// The `std::thread` entry points that start a thread.
+const SPAWNERS: [&str; 3] = ["scope", "spawn", "Builder"];
 
 /// The obs record functions whose name argument must be a registry
 /// const, by path. Read-side helpers (`spans_named`, `counter_value`, …)
@@ -146,6 +152,34 @@ pub fn check_std_sync(tree: &[Node], _tests: &TestRegions, out: &mut Vec<Violati
                 });
             }
             Some(name) => flag(name, sibs[i].line()),
+            None => {}
+        }
+    });
+}
+
+/// `no-adhoc-spawn`: flags `thread :: {scope|spawn|Builder}` (however
+/// the `thread` module was reached, use-groups included) outside test
+/// regions. The compute crates fan out on the persistent pool in
+/// `tensor::par` — spawning per call is what made two threads slower
+/// than one, and a second pool would oversubscribe the first.
+pub fn check_adhoc_spawn(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
+    visit(tree, &mut |sibs, i| {
+        let Some(next) = path_at(sibs, i, &["thread"]).and_then(|e| colons_at(sibs, e)) else {
+            return;
+        };
+        let mut flag = |name: &Node| {
+            let spawner = name.ident().filter(|n| SPAWNERS.contains(n));
+            if let Some(spawner) = spawner.filter(|_| !tests.contains(name.line())) {
+                out.push(Violation::new(
+                    RULE_ADHOC_SPAWN,
+                    name.line(),
+                    format!("thread::{spawner} — fan out on the worker pool (tensor::par::{{for_each_row_band, map_indices}}) instead of starting threads"),
+                ));
+            }
+        };
+        match sibs.get(next) {
+            Some(Node::Group(names)) => visit(&names.children, &mut |names, j| flag(&names[j])),
+            Some(name) => flag(name),
             None => {}
         }
     });
@@ -348,8 +382,9 @@ pub fn check_dead_names(
 pub type Check = fn(&[Node], &TestRegions, &mut Vec<Violation>);
 
 /// Which rules run on the file at `rel`, in order: the pattern rules of
-/// its class, then the dataflow rules scoped by file role (DESIGN.md
-/// §13) — test assertions everywhere, iteration and accumulation order
+/// its class, then the rules scoped by file role (DESIGN.md §13) —
+/// test assertions everywhere, thread spawns in the compute crates,
+/// iteration and accumulation order
 /// in verdict logic, wall-clock flow in verdict modules (the deadline
 /// controller is the sanctioned clock user), rank-conditional
 /// collectives wherever comm is issued.
@@ -375,6 +410,9 @@ pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
         FileClass::Source => vec![check_std_sync, check_obs_names],
     };
     checks.push(flow::check_test_wallclock);
+    if crate::compute_layer(rel) {
+        checks.push(check_adhoc_spawn);
+    }
     if crate::spmd_decision(rel) {
         checks.push(flow::check_unordered_iteration);
         if class != FileClass::DeadlineController {

@@ -38,6 +38,41 @@ fn std_sync_fixture_is_caught_with_location() {
 }
 
 #[test]
+fn adhoc_spawn_fixture_is_caught_in_the_compute_crates_only() {
+    let fixture = fixture("adhoc_spawn.rs");
+    for rel in [
+        "crates/tensor/src/ops.rs",
+        "crates/fsmoe/src/expert.rs",
+        "crates/models/src/attention.rs",
+    ] {
+        assert_eq!(
+            keyed(&check_file(rel, &fixture)),
+            [
+                ("no-adhoc-spawn", 3),  // `spawn` in the use-group
+                ("no-adhoc-spawn", 6),  // std::thread::scope
+                ("no-adhoc-spawn", 11), // thread::spawn
+                ("no-adhoc-spawn", 12), // thread::Builder
+            ],
+            "{rel}: the allow on 13 covers 14, test regions are exempt"
+        );
+    }
+    // the pool itself, other crates and test files may start threads
+    for rel in [
+        "crates/tensor/src/par.rs",
+        "crates/collectives/src/world.rs",
+        "crates/tensor/tests/pool.rs",
+        "crates/bench/benches/harness.rs",
+    ] {
+        assert!(
+            !check_file(rel, &fixture)
+                .iter()
+                .any(|v| v.rule == "no-adhoc-spawn"),
+            "{rel}"
+        );
+    }
+}
+
+#[test]
 fn unwrap_fixture_is_caught_and_allows_apply() {
     let violations = check_file("crates/collectives/src/demo.rs", &fixture("unwrap.rs"));
     // The justified allow (line 12) suppresses its unwrap; the

@@ -1,5 +1,5 @@
 //! Pure-std benchmark harness for the hot paths the paper quantifies in
-//! §6.2, plus the packed-GEMM compute baseline.
+//! §6.2, plus the compute layer's own baseline.
 //!
 //! Runs under `cargo bench` (the `[[bench]]` target sets `harness = false`,
 //! so this `main` owns the process). It times:
@@ -8,18 +8,22 @@
 //!   threshold, at several *explicit* thread counts via
 //!   [`Tensor::matmul_with_threads`] — never via `TENSOR_THREADS`, whose
 //!   `OnceLock` latch is read once per process and would turn a sweep
-//!   into N measurements of the same count (the old harness did exactly
-//!   that and recorded `speedup ≈ 1` at `hardware_threads: 1`);
-//! * an end-to-end GShard MoE layer forward at the same explicit thread
-//!   counts via [`MoeLayer::set_compute_threads`] — no child-process
-//!   re-exec needed;
+//!   into N measurements of the same count;
+//! * `matmul_nt` / `matmul_tn` beside the plain GEMM (the transposed
+//!   packing must not cost what the transposes it replaced did);
+//! * the vector activations in ns per element, and the worker pool's
+//!   hand-off, warm (worker polling) and cold (worker asleep);
+//! * an end-to-end GShard MoE layer forward **and backward** at the same
+//!   explicit thread counts via [`MoeLayer::set_compute_threads`];
 //! * the control-plane kernels (pipeline-degree solver, α–β model fit)
 //!   the paper benchmarks against SLSQP.
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
-//! so successive runs can be diffed. The gate's budget is a GFLOPS
-//! floor per GEMM dim (`GFLOPS_FLOORS`) that the packed microkernel
-//! must clear, so a kernel regression fails `ci.sh` instead of silently
+//! so successive runs can be diffed. The budgets: a GFLOPS floor per
+//! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, and —
+//! only on a box that reports at least two hardware threads — a
+//! 2-thread speedup ≥ 1.3× at dims ≥ 256 and ≥ 0.95× everywhere, so a
+//! kernel, packing or pool regression fails `ci.sh` instead of silently
 //! shipping.
 
 use bench::gate::{best_of_ms, reference_layer, Gate};
@@ -29,7 +33,7 @@ use numopt::LinearFit;
 use profiler::microbench::{comm_message_sizes, profile_op};
 use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
 use simnet::Testbed;
-use tensor::TensorRng;
+use tensor::{grad, Tensor, TensorRng};
 
 /// Square GEMM dimensions for the sweep; 64 sits below the
 /// `PAR_MIN_MACS` serial-fallback threshold, the rest above it.
@@ -44,12 +48,21 @@ const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 /// the old kernel with headroom for a noisy shared host: dropping below
 /// it means the packed kernel (or its dispatch) regressed.
 const GFLOPS_FLOORS: [(usize, f64); 2] = [(256, 36.0), (384, 36.0)];
-const GEMM_RUNS: usize = 5;
+/// 2-thread speedup floors, `(smallest dim, floor)`; checked only when
+/// the box reports at least two hardware threads (one core has no
+/// speedup to give and its sweep measures banding overhead only).
+const SPEEDUP_FLOORS: [(usize, f64); 2] = [(0, 0.95), (256, 1.3)];
+/// `nt`/`tn` GFLOPS as a share of the plain GEMM's.
+const TRANSPOSED_FLOOR: f64 = 0.9;
+/// Ceiling for every vector activation (libm measured ≈ 27).
+const ACTIVATION_NS_CEILING: f64 = 4.0;
+const GEMM_RUNS: usize = 15;
 const MOE_RUNS: usize = 5;
 
 /// Times the square GEMM at every dim × thread count; returns the JSON
-/// rows plus `(dim, best_gflops)` for the floor check.
-fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
+/// rows plus `(dim, best_gflops, 2-thread speedup)` for the floor
+/// checks.
+fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
     let mut rng = TensorRng::seed_from(0xC0FFEE);
     let mut rows = Vec::new();
     let mut best_per_dim = Vec::new();
@@ -62,19 +75,27 @@ fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
         let a = rng.uniform(&[d, d], -1.0, 1.0);
         let b = rng.uniform(&[d, d], -1.0, 1.0);
         let flops = 2.0 * (d as f64).powi(3);
-        let mut sweep = Vec::new();
-        let mut serial_ms = f64::NAN;
-        let mut best_gflops = 0.0f64;
-        for &t in &THREAD_SWEEP {
-            let ms = best_of_ms(GEMM_RUNS, || {
-                std::hint::black_box(a.matmul_with_threads(&b, t).expect("gemm").data()[0]);
-            });
-            if t == 1 {
-                serial_ms = ms;
+        // one call per thread count per round, so a slow stretch of the
+        // host hits every count alike and the speedups stay comparable
+        let mut best_ms = [f64::INFINITY; THREAD_SWEEP.len()];
+        for _ in 0..GEMM_RUNS {
+            for (best, &t) in best_ms.iter_mut().zip(&THREAD_SWEEP) {
+                *best = best.min(best_of_ms(1, || {
+                    std::hint::black_box(a.matmul_with_threads(&b, t).expect("gemm").data()[0]);
+                }));
             }
+        }
+        let mut sweep = Vec::new();
+        let serial_ms = best_ms[0];
+        let mut best_gflops = 0.0f64;
+        let mut speedup_2t = f64::NAN;
+        for (&t, &ms) in THREAD_SWEEP.iter().zip(&best_ms) {
             let gflops = flops / (ms * 1e-3) / 1e9;
             best_gflops = best_gflops.max(gflops);
             let speedup = serial_ms / ms;
+            if t == 2 {
+                speedup_2t = speedup;
+            }
             println!("  {d:>5}  {t:>7}  {ms:>12.4}  {speedup:>7.2}x  {gflops:>10.2}");
             sweep.push(Json::obj(vec![
                 ("threads", Json::from(t)),
@@ -83,7 +104,7 @@ fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
                 ("gflops", Json::from(gflops)),
             ]));
         }
-        best_per_dim.push((d, best_gflops));
+        best_per_dim.push((d, best_gflops, speedup_2t));
         rows.push(Json::obj(vec![
             ("dim", Json::from(d)),
             ("serial_ms", Json::from(serial_ms)),
@@ -94,36 +115,137 @@ fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
     (rows, best_per_dim)
 }
 
-/// Times one end-to-end MoE forward per explicit thread count; returns
-/// the JSON sweep plus `(tokens, experts, best_ms)`.
-fn bench_moe() -> (Vec<Json>, usize, usize, f64) {
+/// Times `matmul_nt` and `matmul_tn` beside the plain GEMM on one
+/// thread; returns the JSON rows plus `(dim, nt ÷ plain, tn ÷ plain)`.
+fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
+    let mut rng = TensorRng::seed_from(0xBEEF);
+    let mut rows = Vec::new();
+    let mut ratios = Vec::new();
+    println!("\ntransposed-operand GEMM (1 thread, GFLOP/s):");
+    println!("  {:>5}  {:>8}  {:>8}  {:>8}", "dim", "plain", "nt", "tn");
+    for &d in &GEMM_DIMS[1..] {
+        let a = rng.uniform(&[d, d], -1.0, 1.0);
+        let b = rng.uniform(&[d, d], -1.0, 1.0);
+        // one call per form per round, as in the thread sweep
+        let forms: [&dyn Fn() -> Tensor; 3] = [
+            &|| a.matmul_with_threads(&b, 1).expect("gemm"),
+            &|| a.matmul_nt(&b, 1).expect("gemm"),
+            &|| a.matmul_tn(&b, 1).expect("gemm"),
+        ];
+        let mut best_ms = [f64::INFINITY; 3];
+        for _ in 0..GEMM_RUNS {
+            for (best, form) in best_ms.iter_mut().zip(forms) {
+                *best = best.min(best_of_ms(1, || {
+                    std::hint::black_box(form().data()[0]);
+                }));
+            }
+        }
+        let [plain, nt, tn] = best_ms.map(|ms| 2.0 * (d as f64).powi(3) / (ms * 1e-3) / 1e9);
+        println!("  {d:>5}  {plain:>8.2}  {nt:>8.2}  {tn:>8.2}");
+        ratios.push((d, nt / plain, tn / plain));
+        rows.push(Json::obj(vec![
+            ("dim", Json::from(d)),
+            ("plain_gflops", Json::from(plain)),
+            ("nt_gflops", Json::from(nt)),
+            ("tn_gflops", Json::from(tn)),
+        ]));
+    }
+    (rows, ratios)
+}
+
+/// Times the vector activations on the 256×512 expert activation of
+/// the benchmark's `dense_1r` workload; `(name, ns per element)`.
+fn bench_activations() -> Vec<(&'static str, f64)> {
+    let mut rng = TensorRng::seed_from(0xAC7);
+    let x = rng.normal(&[256, 512], 0.0, 2.0);
+    let g = rng.normal(&[256, 512], 0.0, 1.0);
+    let elements = x.num_elements() as f64;
+    let ns = |f: &dyn Fn() -> Tensor| {
+        best_of_ms(GEMM_RUNS, || {
+            std::hint::black_box(f().data()[0]);
+        }) * 1e6
+            / elements
+    };
+    let rows = vec![
+        ("gelu", ns(&|| x.gelu())),
+        (
+            "gelu_backward",
+            ns(&|| grad::gelu_backward(&g, &x).expect("shapes")),
+        ),
+        ("silu", ns(&|| x.silu())),
+        (
+            "silu_backward",
+            ns(&|| grad::silu_backward(&g, &x).expect("shapes")),
+        ),
+    ];
+    println!("\nvector activations (ns per element):");
+    for (name, v) in &rows {
+        println!("  {name}: {v:.3}");
+    }
+    rows
+}
+
+/// The pool's hand-off: one empty two-band fan-out, back to back (the
+/// worker is polling) and after a pause longer than its spin (the
+/// worker is asleep and the caller pays the wake). µs per fan-out.
+fn bench_pool_handoff() -> (f64, f64) {
+    let mut out = [0.0f32; 2];
+    let mut fan_out =
+        || tensor::par::for_each_row_band(&mut out, 1, 1, 2, |_, band| band[0] += 1.0);
+    fan_out(); // spawn the pool outside the timing
+    let warm = bench::gate::per_call_ns(2000, &mut fan_out) / 1e3;
+    let mut cold = f64::INFINITY;
+    for _ in 0..20 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        cold = cold.min(best_of_ms(1, &mut fan_out) * 1e3);
+    }
+    println!("\npool hand-off: {warm:.2} us warm, {cold:.2} us cold (worker asleep)");
+    (warm, cold)
+}
+
+/// Times one MoE-layer forward and one backward per explicit thread
+/// count; returns the JSON sweep plus `(tokens, experts, best forward
+/// ms, best backward ms)`.
+fn bench_moe() -> (Vec<Json>, usize, usize, f64, f64) {
     let (mut layer, input) = reference_layer();
     let (tokens, experts) = (layer.config().tokens(), layer.config().num_experts);
+    let grad_out = TensorRng::seed_from(2).normal(input.dims(), 0.0, 1.0);
     let mut sweep = Vec::new();
-    let mut serial_ms = f64::NAN;
-    let mut best_ms = f64::INFINITY;
-    println!("\nMoE layer forward ({tokens} tokens, {experts} experts):");
+    let mut serial = (f64::NAN, f64::NAN);
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    println!("\nMoE layer ({tokens} tokens, {experts} experts), forward / backward:");
     for &t in &THREAD_SWEEP {
         layer.set_compute_threads(Some(t));
-        let ms = best_of_ms(MOE_RUNS, || {
+        let fwd = best_of_ms(MOE_RUNS, || {
             let mut r = TensorRng::seed_from(1);
             std::hint::black_box(layer.forward(&input, &mut r).expect("forward"));
         });
+        let bwd = best_of_ms(MOE_RUNS, || {
+            std::hint::black_box(layer.backward(&grad_out).expect("backward"));
+        });
         if t == 1 {
-            serial_ms = ms;
+            serial = (fwd, bwd);
         }
-        best_ms = best_ms.min(ms);
-        let speedup = serial_ms / ms;
-        let tokens_per_s = tokens as f64 / (ms * 1e-3);
-        println!("  threads {t}: {ms:.3} ms ({speedup:.2}x vs serial), {tokens_per_s:.0} tokens/s");
+        best = (best.0.min(fwd), best.1.min(bwd));
+        let per_s = |ms: f64| tokens as f64 / (ms * 1e-3);
+        println!(
+            "  threads {t}: {fwd:.3} / {bwd:.3} ms ({:.2}x / {:.2}x vs serial), {:.0} / {:.0} tokens/s",
+            serial.0 / fwd,
+            serial.1 / bwd,
+            per_s(fwd),
+            per_s(bwd)
+        );
         sweep.push(Json::obj(vec![
             ("threads", Json::from(t)),
-            ("ms", Json::from(ms)),
-            ("speedup_vs_serial", Json::from(speedup)),
-            ("tokens_per_s", Json::from(tokens_per_s)),
+            ("ms", Json::from(fwd)),
+            ("speedup_vs_serial", Json::from(serial.0 / fwd)),
+            ("tokens_per_s", Json::from(per_s(fwd))),
+            ("backward_ms", Json::from(bwd)),
+            ("backward_speedup_vs_serial", Json::from(serial.1 / bwd)),
+            ("backward_tokens_per_s", Json::from(per_s(bwd))),
         ]));
     }
-    (sweep, tokens, experts, best_ms)
+    (sweep, tokens, experts, best.0, best.1)
 }
 
 fn bench_control_plane() -> Vec<(&'static str, f64)> {
@@ -165,8 +287,11 @@ fn main() {
         tensor::par::hardware_threads()
     );
 
-    let (gemm_rows, best_per_dim) = bench_gemm();
-    let (moe_sweep, tokens, experts, moe_best_ms) = bench_moe();
+    let (gemm_rows, per_dim) = bench_gemm();
+    let (transposed_rows, transposed_ratios) = bench_transposed();
+    let activations = bench_activations();
+    let (handoff_warm_us, handoff_cold_us) = bench_pool_handoff();
+    let (moe_sweep, tokens, experts, moe_best_ms, moe_best_bwd_ms) = bench_moe();
 
     let control = bench_control_plane();
     println!("\ncontrol plane:");
@@ -175,10 +300,10 @@ fn main() {
     }
 
     for (dim, floor) in GFLOPS_FLOORS {
-        let best = best_per_dim
+        let best = per_dim
             .iter()
-            .find(|(d, _)| *d == dim)
-            .map(|(_, g)| *g)
+            .find(|(d, ..)| *d == dim)
+            .map(|(_, g, _)| *g)
             .expect("floor dim is in GEMM_DIMS");
         gate.require(
             best >= floor,
@@ -186,6 +311,34 @@ fn main() {
                 "GEMM dim {dim}: best {best:.1} GFLOPS is below the {floor:.1} floor — \
                  the packed microkernel regressed"
             ),
+        );
+    }
+    if tensor::par::hardware_threads() >= 2 {
+        for &(dim, _, speedup) in &per_dim {
+            let floor = SPEEDUP_FLOORS
+                .iter()
+                .filter(|(from, _)| dim >= *from)
+                .map(|(_, f)| *f)
+                .fold(0.0, f64::max);
+            gate.require(
+                speedup >= floor,
+                format!("GEMM dim {dim}: 2 threads run at {speedup:.2}x of 1, floor {floor:.2}x"),
+            );
+        }
+    }
+    for (dim, nt, tn) in transposed_ratios {
+        gate.require(
+            nt >= TRANSPOSED_FLOOR && tn >= TRANSPOSED_FLOOR,
+            format!(
+                "GEMM dim {dim}: nt/tn run at {nt:.2}x/{tn:.2}x of the plain GEMM, \
+                 floor {TRANSPOSED_FLOOR:.2}x — the transposed packing regressed"
+            ),
+        );
+    }
+    for (name, ns) in &activations {
+        gate.require(
+            *ns <= ACTIVATION_NS_CEILING,
+            format!("{name}: {ns:.2} ns/element, ceiling {ACTIVATION_NS_CEILING:.1}"),
         );
     }
 
@@ -211,6 +364,44 @@ fn main() {
                     .collect::<Vec<_>>(),
             ),
         ),
+        ("gemm_transposed", Json::from(transposed_rows)),
+        (
+            "activation_ns_per_element",
+            Json::obj(
+                activations
+                    .iter()
+                    .map(|(name, ns)| (*name, Json::from(*ns)))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "pool_handoff_us",
+            Json::obj(vec![
+                ("warm", Json::from(handoff_warm_us)),
+                ("cold", Json::from(handoff_cold_us)),
+            ]),
+        ),
+        (
+            "floors",
+            Json::obj(vec![
+                ("activation_ns_ceiling", Json::from(ACTIVATION_NS_CEILING)),
+                ("transposed_vs_plain", Json::from(TRANSPOSED_FLOOR)),
+                (
+                    "speedup_2_threads",
+                    Json::from(
+                        SPEEDUP_FLOORS
+                            .iter()
+                            .map(|&(d, f)| {
+                                Json::obj(vec![
+                                    ("from_dim", Json::from(d)),
+                                    ("floor", Json::from(f)),
+                                ])
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
+                ),
+            ]),
+        ),
         (
             "moe_layer",
             Json::obj(vec![
@@ -220,6 +411,11 @@ fn main() {
                 (
                     "best_tokens_per_s",
                     Json::from(tokens as f64 / (moe_best_ms * 1e-3)),
+                ),
+                ("best_backward_ms", Json::from(moe_best_bwd_ms)),
+                (
+                    "best_backward_tokens_per_s",
+                    Json::from(tokens as f64 / (moe_best_bwd_ms * 1e-3)),
                 ),
                 ("sweep", Json::from(moe_sweep)),
             ]),

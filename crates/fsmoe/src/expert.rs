@@ -62,7 +62,7 @@ pub struct ExpertGrads {
 /// the analogue of deriving from the paper's `ExpertBase` (Listing 1).
 ///
 /// Experts are `Sync` so the layer can fan independent experts out over
-/// scoped threads: forward/backward take `&self` (weights are read-only
+/// the worker pool: forward/backward take `&self` (weights are read-only
 /// during compute; updates go through `&mut self` methods afterwards).
 pub trait Expert: std::fmt::Debug + Send + Sync {
     /// Short identifier.
@@ -131,42 +131,24 @@ pub trait Expert: std::fmt::Debug + Send + Sync {
     fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>>;
 }
 
-/// Runs `op(e)` for every expert index on up to `threads` scoped
-/// workers and returns the results in index order, failing fast on the
-/// first error (by index).
+/// Runs `op(e)` for every expert index on up to `threads` threads of
+/// the tensor worker pool ([`tensor::par::map_indices`]) and returns the
+/// results in index order, or the first error (by index). Every index
+/// runs, on any thread count: an error does not stop the later ones.
 ///
 /// This is the per-expert fan-out of the layer's fallback path
 /// ([`crate::grouped::forward_experts`] / `backward_experts`, for expert
 /// sets the grouped GEMM cannot batch): expert FFNs are independent
-/// GEMM chains, so they parallelise without any locking.
-/// With `threads <= 1` (or a single expert) everything runs on the
-/// calling thread, and because each expert's arithmetic is untouched by
-/// the split, results are identical for every worker count.
+/// GEMM chains, so they parallelise without any locking. Because each
+/// expert's arithmetic is untouched by the split, results are identical
+/// for every thread count.
 pub fn for_each_expert<T, F>(count: usize, threads: usize, op: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 {
-        return (0..count).map(op).collect();
-    }
-    let mut slots: Vec<Option<Result<T>>> = Vec::new();
-    slots.resize_with(count, || None);
-    let band = count.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (index, chunk) in slots.chunks_mut(band).enumerate() {
-            let op = &op;
-            scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(op(index * band + offset));
-                }
-            });
-        }
-    });
-    slots
+    tensor::par::map_indices(count, threads, op)
         .into_iter()
-        .map(|slot| slot.expect("every band worker fills its slots"))
         .collect()
 }
 
@@ -249,8 +231,8 @@ impl Expert for GptFfn {
                 actual: vec![grads.len()],
             });
         };
-        self.w1 = self.w1.sub(&g1.scale(lr))?;
-        self.w2 = self.w2.sub(&g2.scale(lr))?;
+        self.w1.sub_scaled_assign(g1, lr)?;
+        self.w2.sub_scaled_assign(g2, lr)?;
         Ok(())
     }
 
@@ -362,9 +344,9 @@ impl Expert for MixtralFfn {
                 actual: vec![grads.len()],
             });
         };
-        self.w1 = self.w1.sub(&g1.scale(lr))?;
-        self.w3 = self.w3.sub(&g3.scale(lr))?;
-        self.w2 = self.w2.sub(&g2.scale(lr))?;
+        self.w1.sub_scaled_assign(g1, lr)?;
+        self.w3.sub_scaled_assign(g3, lr)?;
+        self.w2.sub_scaled_assign(g2, lr)?;
         Ok(())
     }
 

@@ -286,29 +286,6 @@ pub fn forward_ffn(
     }
 }
 
-/// Transposes each weight once so the grouped backward GEMMs can reuse
-/// them as group weights.
-fn transpose_all(ws: &[&Tensor]) -> Result<Vec<Tensor>> {
-    ws.iter().map(|w| Ok(w.transpose()?)).collect()
-}
-
-/// Per-expert weight gradient `lhsᵀ[group] · rhs[group]` for every
-/// group (empty groups produce zero gradients of the right shape).
-fn group_weight_grads(
-    lhs: &Tensor,
-    rhs: &Tensor,
-    offsets: &[usize],
-    threads: usize,
-) -> Result<Vec<Tensor>> {
-    let mut out = Vec::with_capacity(offsets.len().saturating_sub(1));
-    for g in 0..offsets.len().saturating_sub(1) {
-        let l = lhs.slice_rows(offsets[g], offsets[g + 1])?;
-        let r = rhs.slice_rows(offsets[g], offsets[g + 1])?;
-        out.push(l.transpose()?.matmul_with_threads(&r, threads)?);
-    }
-    Ok(out)
-}
-
 /// Backward of [`forward_ffn`]: input-gradient rows (same layout as the
 /// gathered forward input) plus per-expert weight gradients in
 /// [`Expert::weights`] order.
@@ -329,15 +306,11 @@ pub fn backward_ffn(
     let views = collect_views(experts).ok_or(MoeError::NoForwardState)?;
     match (views, state) {
         (GroupedWeights::Gpt { w1, w2 }, GroupedState::Gpt { x, h, a }) => {
-            let w2t = transpose_all(&w2)?;
-            let w1t = transpose_all(&w1)?;
-            let grad_a =
-                grad_y.matmul_grouped(&w2t.iter().collect::<Vec<_>>(), offsets, threads)?;
-            let grad_w2 = group_weight_grads(a, grad_y, offsets, threads)?;
+            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets, threads)?;
+            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets, threads)?;
             let grad_h = grad::gelu_backward(&grad_a, h)?;
-            let grad_x =
-                grad_h.matmul_grouped(&w1t.iter().collect::<Vec<_>>(), offsets, threads)?;
-            let grad_w1 = group_weight_grads(x, &grad_h, offsets, threads)?;
+            let grad_x = grad_h.matmul_grouped_nt(&w1, offsets, threads)?;
+            let grad_w1 = x.matmul_grouped_tn(&grad_h, offsets, threads)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w2)
@@ -346,20 +319,16 @@ pub fn backward_ffn(
             Ok((grad_x, grads))
         }
         (GroupedWeights::Mixtral { w1, w3, w2 }, GroupedState::Mixtral { x, g, u, a }) => {
-            let w2t = transpose_all(&w2)?;
-            let w1t = transpose_all(&w1)?;
-            let w3t = transpose_all(&w3)?;
-            let grad_a =
-                grad_y.matmul_grouped(&w2t.iter().collect::<Vec<_>>(), offsets, threads)?;
-            let grad_w2 = group_weight_grads(a, grad_y, offsets, threads)?;
+            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets, threads)?;
+            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets, threads)?;
             // a = silu(g) ⊙ u
             let grad_u = grad_a.mul(&g.silu())?;
             let grad_g = grad::silu_backward(&grad_a.mul(u)?, g)?;
-            let gx1 = grad_g.matmul_grouped(&w1t.iter().collect::<Vec<_>>(), offsets, threads)?;
-            let gx3 = grad_u.matmul_grouped(&w3t.iter().collect::<Vec<_>>(), offsets, threads)?;
+            let gx1 = grad_g.matmul_grouped_nt(&w1, offsets, threads)?;
+            let gx3 = grad_u.matmul_grouped_nt(&w3, offsets, threads)?;
             let grad_x = gx1.add(&gx3)?;
-            let grad_w1 = group_weight_grads(x, &grad_g, offsets, threads)?;
-            let grad_w3 = group_weight_grads(x, &grad_u, offsets, threads)?;
+            let grad_w1 = x.matmul_grouped_tn(&grad_g, offsets, threads)?;
+            let grad_w3 = x.matmul_grouped_tn(&grad_u, offsets, threads)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w3)
@@ -384,7 +353,7 @@ pub enum FfnState {
 
 /// Runs every expert over its group of `x`: [`forward_ffn`] when the
 /// set is groupable, else the per-expert loop over the same row slices,
-/// fanned out over scoped threads.
+/// fanned out over the tensor worker pool.
 ///
 /// # Errors
 ///

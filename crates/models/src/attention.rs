@@ -106,6 +106,7 @@ impl MultiHeadAttention {
         let t = x.dims()[0];
         let d = self.head_dim();
         let scale = 1.0 / (d as f32).sqrt();
+        let threads = tensor::par::num_threads();
 
         let q = x.matmul(&self.w_q)?;
         let k = x.matmul(&self.w_k)?;
@@ -118,7 +119,7 @@ impl MultiHeadAttention {
             let qh = q.slice_cols(lo, hi)?;
             let kh = k.slice_cols(lo, hi)?;
             let vh = v.slice_cols(lo, hi)?;
-            let mut scores = qh.matmul(&kh.transpose()?)?.scale(scale);
+            let mut scores = qh.matmul_nt(&kh, threads)?.scale(scale);
             if self.causal {
                 for i in 0..t {
                     for j in (i + 1)..t {
@@ -158,6 +159,7 @@ impl MultiHeadAttention {
         let d = self.head_dim();
         let m = self.embed_dim;
         let scale = 1.0 / (d as f32).sqrt();
+        let threads = tensor::par::num_threads();
 
         // output projection
         let (grad_context, grad_wo) = grad::matmul_backward(grad_y, &state.context, &self.w_o)?;
@@ -174,13 +176,13 @@ impl MultiHeadAttention {
             let p = &state.probs[h];
 
             // ctx = P · V
-            let grad_p = gctx_h.matmul(&vh.transpose()?)?;
-            let grad_vh = p.transpose()?.matmul(&gctx_h)?;
+            let grad_p = gctx_h.matmul_nt(&vh, threads)?;
+            let grad_vh = p.matmul_tn(&gctx_h, threads)?;
             // P = softmax(S); masked entries have p = 0 so their score
             // gradient vanishes automatically
             let grad_scores = grad::softmax_backward(&grad_p, p)?.scale(scale);
             let grad_qh = grad_scores.matmul(&kh)?;
-            let grad_kh = grad_scores.transpose()?.matmul(&qh)?;
+            let grad_kh = grad_scores.matmul_tn(&qh, threads)?;
 
             for i in 0..t {
                 grad_q.data_mut()[i * m + lo..i * m + hi]
@@ -214,10 +216,10 @@ impl MultiHeadAttention {
                 actual: vec![grads.len()],
             });
         };
-        self.w_q = self.w_q.sub(&gq.scale(lr))?;
-        self.w_k = self.w_k.sub(&gk.scale(lr))?;
-        self.w_v = self.w_v.sub(&gv.scale(lr))?;
-        self.w_o = self.w_o.sub(&go.scale(lr))?;
+        self.w_q.sub_scaled_assign(gq, lr)?;
+        self.w_k.sub_scaled_assign(gk, lr)?;
+        self.w_v.sub_scaled_assign(gv, lr)?;
+        self.w_o.sub_scaled_assign(go, lr)?;
         Ok(())
     }
 }

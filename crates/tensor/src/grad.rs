@@ -6,7 +6,7 @@
 //! backward uses; each one is validated against finite differences in the
 //! tests.
 
-use crate::nn::{gelu_grad_scalar, silu_grad_scalar};
+use crate::vmath::Map;
 use crate::{Result, Tensor};
 
 /// Gradients of `y = x · w` with respect to both operands.
@@ -39,8 +39,8 @@ pub fn matmul_backward_with_threads(
     w: &Tensor,
     threads: usize,
 ) -> Result<(Tensor, Tensor)> {
-    let grad_x = grad_y.matmul_with_threads(&w.transpose()?, threads)?;
-    let grad_w = x.transpose()?.matmul_with_threads(grad_y, threads)?;
+    let grad_x = grad_y.matmul_nt(w, threads)?;
+    let grad_w = x.matmul_tn(grad_y, threads)?;
     Ok((grad_x, grad_w))
 }
 
@@ -83,7 +83,7 @@ pub fn softmax_backward(grad_out: &Tensor, probs: &Tensor) -> Result<Tensor> {
 ///
 /// Returns a shape mismatch error when the tensors disagree.
 pub fn gelu_backward(grad_y: &Tensor, x: &Tensor) -> Result<Tensor> {
-    elementwise_backward(grad_y, x, gelu_grad_scalar)
+    grad_y.mul(&x.vmap(Map::GeluGrad))
 }
 
 /// Backward of SiLU: `grad_x = grad_y ⊙ silu'(x)`.
@@ -92,7 +92,7 @@ pub fn gelu_backward(grad_y: &Tensor, x: &Tensor) -> Result<Tensor> {
 ///
 /// Returns a shape mismatch error when the tensors disagree.
 pub fn silu_backward(grad_y: &Tensor, x: &Tensor) -> Result<Tensor> {
-    elementwise_backward(grad_y, x, silu_grad_scalar)
+    grad_y.mul(&x.vmap(Map::SiluGrad))
 }
 
 /// Backward of sigmoid: `grad_x = grad_y ⊙ σ(x)(1-σ(x))`.
@@ -135,21 +135,24 @@ pub fn layer_norm_backward(grad_y: &Tensor, x: &Tensor, eps: f32) -> Result<Tens
     }
     let cols = x.dims()[x.rank() - 1];
     let mut out = vec![0.0f32; x.num_elements()];
-    for (row, (x_row, g_row)) in x
+    for ((x_row, g_row), o_row) in x
         .data()
         .chunks(cols)
         .zip(grad_y.data().chunks(cols))
-        .enumerate()
+        .zip(out.chunks_mut(cols))
     {
         let n = cols as f32;
         let mean = x_row.iter().sum::<f32>() / n;
         let var = x_row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
         let sigma = (var + eps).sqrt();
-        let xhat: Vec<f32> = x_row.iter().map(|v| (v - mean) / sigma).collect();
+        // the output row holds x̂ until the last pass overwrites it
+        for (h, v) in o_row.iter_mut().zip(x_row) {
+            *h = (v - mean) / sigma;
+        }
         let g_mean = g_row.iter().sum::<f32>() / n;
-        let gx_mean = g_row.iter().zip(&xhat).map(|(g, h)| g * h).sum::<f32>() / n;
-        for j in 0..cols {
-            out[row * cols + j] = (g_row[j] - g_mean - xhat[j] * gx_mean) / sigma;
+        let gx_mean = g_row.iter().zip(&*o_row).map(|(g, h)| g * h).sum::<f32>() / n;
+        for (o, g) in o_row.iter_mut().zip(g_row) {
+            *o = (g - g_mean - *o * gx_mean) / sigma;
         }
     }
     Tensor::from_vec(out, x.dims())
@@ -211,9 +214,10 @@ mod tests {
     #[test]
     fn matmul_backward_thread_count_invariant() {
         let mut rng = TensorRng::seed_from(1);
-        let x = rng.uniform(&[80, 64], -1.0, 1.0);
-        let w = rng.uniform(&[64, 96], -1.0, 1.0);
-        let grad_y = rng.uniform(&[80, 96], -1.0, 1.0);
+        // both GEMMs clear the parallel threshold
+        let x = rng.uniform(&[160, 96], -1.0, 1.0);
+        let w = rng.uniform(&[96, 104], -1.0, 1.0);
+        let grad_y = rng.uniform(&[160, 104], -1.0, 1.0);
         let (gx1, gw1) = matmul_backward_with_threads(&grad_y, &x, &w, 1).unwrap();
         for threads in [2, 4, 13] {
             let (gx, gw) = matmul_backward_with_threads(&grad_y, &x, &w, threads).unwrap();

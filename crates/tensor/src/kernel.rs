@@ -16,6 +16,20 @@
 //!   tile of `C` into registers, accumulates `kc` rank-1 updates in
 //!   ascending `k` order, and stores the tile back.
 //!
+//! Both packed copies live in per-thread recycled buffers
+//! ([`Scratch`]): a GEMM allocates its output and nothing else.
+//!
+//! # Transposed operands
+//!
+//! Either operand may be handed over stored transposed ([`Operand`]):
+//! the packing pass is the only code that reads the source layout, so
+//! `A·Bᵀ` and `Aᵀ·B` — the two GEMMs of every backward pass — read the
+//! forward tensors where they lie instead of materialising a transposed
+//! copy first. The packed tiles hold exactly the values the pack of
+//! such a copy would hold, so the microkernel runs the same fold on the
+//! same numbers: `matmul_nt` / `matmul_tn` are bit-identical to
+//! transpose-then-`matmul`.
+//!
 //! # SIMD strategy
 //!
 //! On `x86_64` with AVX2+FMA (detected once at runtime) the microkernel
@@ -49,6 +63,8 @@
 //! 0.0` rows of `B` and silently swallowed them; the regression tests in
 //! `tests/nan_propagation.rs` pin the fix.
 
+use std::cell::RefCell;
+
 /// Rows per microtile.
 pub(crate) const MR: usize = 6;
 /// Columns per microtile (two 256-bit vectors of `f32`).
@@ -63,7 +79,7 @@ pub(crate) const KC: usize = 256;
 /// `j_tiles` column tiles are contiguous, each `kc · NR` long, element
 /// `[kk · NR + j]` holding `b[(kb0 + kk) · n + jt · NR + j]`.
 pub(crate) struct PackedB {
-    data: Vec<f32>,
+    data: Scratch,
     /// Inner (contraction) dimension.
     pub(crate) k: usize,
     /// Output column count (unpadded).
@@ -77,26 +93,103 @@ impl PackedB {
     #[inline]
     fn tile(&self, kb0: usize, kc: usize, jt: usize) -> &[f32] {
         let off = kb0 * self.j_tiles * NR + jt * kc * NR;
-        &self.data[off..off + kc * NR]
+        &self.data.0[off..off + kc * NR]
     }
 }
 
-/// Packs a row-major `(k, n)` matrix for the microkernel.
-pub(crate) fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
-    debug_assert_eq!(b.len(), k * n);
+/// A GEMM operand as it lies in memory: a logical `(rows, cols)` matrix
+/// whose row-major buffer holds either the matrix or its transpose.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    data: &'a [f32],
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    /// `data` holds the transpose: logical `(r, c)` is
+    /// `data[c · rows + r]` instead of `data[r · cols + c]`.
+    transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// The `(rows, cols)` matrix stored row-major in `data`.
+    pub(crate) fn plain(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "operand buffer size");
+        Operand {
+            data,
+            rows,
+            cols,
+            transposed: false,
+        }
+    }
+
+    /// The `(rows, cols)` matrix whose transpose — `(cols, rows)` — is
+    /// stored row-major in `data`.
+    pub(crate) fn transposed(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        Operand {
+            transposed: true,
+            ..Operand::plain(data, rows, cols)
+        }
+    }
+}
+
+thread_local! {
+    /// Packing buffers this thread has finished with.
+    static SPARE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A packing buffer, recycled per thread: [`Scratch::take`] reuses one
+/// the thread dropped earlier, so in steady state neither a caller nor
+/// a pool worker allocates (or page-faults) to pack an operand. A
+/// thread holds as many spares as it ever had buffers live at once —
+/// the group count of the largest grouped GEMM plus one.
+struct Scratch(Vec<f32>);
+
+impl Scratch {
+    /// `len` elements of unspecified content (zeros where freshly
+    /// grown); the packers write every element they later read.
+    fn take(len: usize) -> Scratch {
+        let mut buf = SPARE.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+        buf.resize(len, 0.0);
+        Scratch(buf)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        // `try_with`: a buffer dropped during thread teardown is freed.
+        let _ = SPARE.try_with(|s| s.borrow_mut().push(std::mem::take(&mut self.0)));
+    }
+}
+
+/// Packs the right-hand `(k, n)` operand for the microkernel.
+pub(crate) fn pack_b(b: Operand<'_>) -> PackedB {
+    let (k, n) = (b.rows, b.cols);
     let j_tiles = n.div_ceil(NR).max(1);
-    let mut data = vec![0.0f32; k * j_tiles * NR];
+    let mut data = Scratch::take(k * j_tiles * NR);
     let mut kb0 = 0;
     while kb0 < k {
         let kc = KC.min(k - kb0);
-        let block = &mut data[kb0 * j_tiles * NR..(kb0 + kc) * j_tiles * NR];
+        let block = &mut data.0[kb0 * j_tiles * NR..(kb0 + kc) * j_tiles * NR];
         for jt in 0..j_tiles {
             let j0 = jt * NR;
             let jn = NR.min(n - j0);
             let tile = &mut block[jt * kc * NR..(jt + 1) * kc * NR];
-            for kk in 0..kc {
-                let src = (kb0 + kk) * n + j0;
-                tile[kk * NR..kk * NR + jn].copy_from_slice(&b[src..src + jn]);
+            if jn < NR {
+                tile.fill(0.0);
+            }
+            if b.transposed {
+                // source rows are logical columns: walk each one
+                // contiguously and scatter it down the tile
+                for j in 0..jn {
+                    let col = &b.data[(j0 + j) * k + kb0..][..kc];
+                    for (kk, &v) in col.iter().enumerate() {
+                        tile[kk * NR + j] = v;
+                    }
+                }
+            } else {
+                for kk in 0..kc {
+                    let src = (kb0 + kk) * n + j0;
+                    tile[kk * NR..kk * NR + jn].copy_from_slice(&b.data[src..src + jn]);
+                }
             }
         }
         kb0 += kc;
@@ -112,7 +205,7 @@ pub(crate) fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
 /// Whether the hand-written AVX2+FMA microkernel is usable on this host.
 /// `std` caches the cpuid probe, so the check is a relaxed atomic load.
 #[inline]
-fn simd_available() -> bool {
+pub(crate) fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
@@ -186,60 +279,72 @@ unsafe fn micro_scalar(kc: usize, apack: *const f32, bpack: *const f32, c: *mut 
     }
 }
 
-/// Packs `rows` rows of `a` (row-major, leading dimension `k`) starting
-/// at absolute row `a_row0`, restricted to columns `[kb0, kb0 + kc)`,
-/// into `MR`-row strips (`apack[strip][kk · MR + r]`), zero-padding the
+/// Packs `rows` rows of the left-hand `(m, k)` operand starting at
+/// absolute row `a_row0`, restricted to columns `[kb0, kb0 + kc)`, into
+/// `MR`-row strips (`apack[strip][kk · MR + r]`), zero-padding the
 /// ragged final strip.
-fn pack_a(a: &[f32], k: usize, a_row0: usize, rows: usize, kb0: usize, kc: usize, out: &mut [f32]) {
+fn pack_a(a: Operand<'_>, a_row0: usize, rows: usize, kb0: usize, kc: usize, out: &mut [f32]) {
+    let (m, k) = (a.rows, a.cols);
     let strips = rows.div_ceil(MR);
     debug_assert!(out.len() >= strips * kc * MR);
     for s in 0..strips {
         let strip = &mut out[s * kc * MR..(s + 1) * kc * MR];
+        let row0 = a_row0 + s * MR;
         let live = MR.min(rows - s * MR);
         if live < MR {
             strip.fill(0.0);
         }
-        for r in 0..live {
-            let arow = &a[(a_row0 + s * MR + r) * k + kb0..][..kc];
-            for (kk, &v) in arow.iter().enumerate() {
-                strip[kk * MR + r] = v;
+        if a.transposed {
+            // a strip's `live` rows are adjacent in every source row
+            for kk in 0..kc {
+                let src = (kb0 + kk) * m + row0;
+                strip[kk * MR..kk * MR + live].copy_from_slice(&a.data[src..src + live]);
+            }
+        } else {
+            for r in 0..live {
+                let arow = &a.data[(row0 + r) * k + kb0..][..kc];
+                for (kk, &v) in arow.iter().enumerate() {
+                    strip[kk * MR + r] = v;
+                }
             }
         }
     }
 }
 
 /// Computes `band += a[a_row0..a_row0+band_rows, :] × B` for one
-/// contiguous row band of the output, where `band` is `band_rows` rows
-/// of `bp.n` contiguous elements.
-///
-/// `apack` is a caller-owned scratch buffer (reused across calls so a
-/// worker packs into the same allocation).
+/// contiguous row band of the output, where `a` is the whole
+/// `(m, bp.k)` left operand and `band` is `band_rows` rows of `bp.n`
+/// contiguous elements.
 ///
 /// Both the serial and the parallel matmul paths — and every group of
 /// the grouped GEMM — run this exact routine, which is what makes
 /// results bit-identical for every worker count (see the module docs).
 pub(crate) fn gemm_band(
-    a: &[f32],
+    a: Operand<'_>,
     a_row0: usize,
     bp: &PackedB,
     band: &mut [f32],
     band_rows: usize,
-    apack: &mut Vec<f32>,
 ) {
     let (k, n) = (bp.k, bp.n);
     debug_assert_eq!(band.len(), band_rows * n);
+    assert!(
+        a.cols == k && a_row0 + band_rows <= a.rows,
+        "band outside A"
+    );
     if band_rows == 0 || n == 0 || k == 0 {
         return;
     }
     let use_avx = simd_available();
     let strips = band_rows.div_ceil(MR);
-    apack.resize(strips * KC.min(k) * MR, 0.0);
+    let mut apack = Scratch::take(strips * KC.min(k) * MR);
+    let apack = &mut apack.0;
     let j_tiles = n.div_ceil(NR);
     let mut tile_buf = [0.0f32; MR * NR];
     let mut kb0 = 0;
     while kb0 < k {
         let kc = KC.min(k - kb0);
-        pack_a(a, k, a_row0, band_rows, kb0, kc, apack);
+        pack_a(a, a_row0, band_rows, kb0, kc, apack);
         for jt in 0..j_tiles {
             let j0 = jt * NR;
             let jn = NR.min(n - j0);
@@ -332,10 +437,9 @@ mod tests {
         ] {
             let a: Vec<f32> = (0..m * k).map(|v| ((v % 11) as f32 - 5.0) * 0.25).collect();
             let b: Vec<f32> = (0..k * n).map(|v| ((v % 7) as f32 - 3.0) * 0.5).collect();
-            let bp = pack_b(&b, k, n);
+            let bp = pack_b(Operand::plain(&b, k, n));
             let mut out = vec![0.0f32; m * n];
-            let mut scratch = Vec::new();
-            gemm_band(&a, 0, &bp, &mut out, m, &mut scratch);
+            gemm_band(Operand::plain(&a, m, k), 0, &bp, &mut out, m);
             let want = naive(&a, &b, m, k, n);
             for (got, want) in out.iter().zip(&want) {
                 assert!(
@@ -355,15 +459,15 @@ mod tests {
         let b: Vec<f32> = (0..k * n)
             .map(|v| ((v * 53 % 89) as f32 - 44.0) / 13.0)
             .collect();
-        let bp = pack_b(&b, k, n);
+        let bp = pack_b(Operand::plain(&b, k, n));
+        let a = Operand::plain(&a, m, k);
         let mut whole = vec![0.0f32; m * n];
-        let mut scratch = Vec::new();
-        gemm_band(&a, 0, &bp, &mut whole, m, &mut scratch);
+        gemm_band(a, 0, &bp, &mut whole, m);
         for split in 1..m {
             let mut parts = vec![0.0f32; m * n];
             let (top, bottom) = parts.split_at_mut(split * n);
-            gemm_band(&a, 0, &bp, top, split, &mut scratch);
-            gemm_band(&a, split, &bp, bottom, m - split, &mut scratch);
+            gemm_band(a, 0, &bp, top, split);
+            gemm_band(a, split, &bp, bottom, m - split);
             assert_eq!(parts, whole, "split at {split}");
         }
     }

@@ -30,6 +30,7 @@ mod ops;
 mod shape;
 mod tensor;
 mod topk;
+mod vmath;
 
 pub mod grad;
 pub mod par;

@@ -3,8 +3,11 @@
 //! These are the exact nonlinearities the paper's MoE components use:
 //! softmax in the GShard and SoftMoE gates, sigmoid in the BASE/StableMoE
 //! gate, softplus in the GShard noise term, GeLU in the GPT feed-forward
-//! expert, and SiLU in the Mixtral (SwiGLU) expert.
+//! expert, and SiLU in the Mixtral (SwiGLU) expert. The two expert
+//! activations run on the vector math of [`crate::vmath`]; everything
+//! that feeds a gate stays on libm so routing is bit-stable.
 
+use crate::vmath::{self, Map};
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
@@ -69,12 +72,17 @@ impl Tensor {
 
     /// Gaussian error linear unit (tanh approximation, as in GPT-2).
     pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
+        self.vmap(Map::Gelu)
     }
 
     /// SiLU / swish `x · σ(x)` (the Mixtral expert activation).
     pub fn silu(&self) -> Tensor {
-        self.map(|v| v / (1.0 + (-v).exp()))
+        self.vmap(Map::Silu)
+    }
+
+    /// Applies one of the [`crate::vmath`] maps element-wise.
+    pub(crate) fn vmap(&self, map: Map) -> Tensor {
+        Tensor::from_vec(vmath::apply(map, self.data()), self.dims()).expect("map preserves shape")
     }
 
     /// ReLU, element-wise.
@@ -136,27 +144,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, self.dims())
     }
-}
-
-/// GeLU on a single value (tanh approximation).
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Derivative of the tanh-approximated GeLU at `x`.
-pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let u = SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-/// Derivative of SiLU at `x`.
-pub(crate) fn silu_grad_scalar(x: f32) -> f32 {
-    let s = 1.0 / (1.0 + (-x).exp());
-    s * (1.0 + x * (1.0 - s))
 }
 
 #[cfg(test)]
@@ -278,18 +265,5 @@ mod tests {
         assert!((n.data()[1] - 0.8).abs() < 1e-6);
         // zero row untouched
         assert_eq!(&n.data()[2..], &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn activation_grads_match_finite_difference() {
-        let xs = [-2.0f32, -0.5, 0.0, 0.3, 1.7];
-        let h = 1e-3f32;
-        for &x in &xs {
-            let fd_gelu = (gelu_scalar(x + h) - gelu_scalar(x - h)) / (2.0 * h);
-            assert!((fd_gelu - gelu_grad_scalar(x)).abs() < 1e-2, "gelu at {x}");
-            let silu = |v: f32| v / (1.0 + (-v).exp());
-            let fd_silu = (silu(x + h) - silu(x - h)) / (2.0 * h);
-            assert!((fd_silu - silu_grad_scalar(x)).abs() < 1e-2, "silu at {x}");
-        }
     }
 }

@@ -1,8 +1,18 @@
-use crate::{kernel, par, Result, Tensor, TensorError};
+use crate::kernel::{self, Operand};
+use crate::{par, Result, Tensor, TensorError};
 
-/// Below this many multiply-adds the scoped-thread fan-out costs more
-/// than it saves, so `matmul` stays on the calling thread.
-const PAR_MIN_MACS: usize = 64 * 64 * 64;
+/// Below this many multiply-adds a GEMM stays on the calling thread.
+///
+/// Sized from the pool's measured hand-off (BENCH_compute.json,
+/// `pool_handoff_us`): publishing a job costs the caller ≈ 0.5 µs while
+/// the worker is polling, but 3–6 µs — one futex wake — once it has
+/// gone to sleep, and a sleeping worker arrives too late to help with
+/// anything short. The packed kernel retires ≈ 30 multiply-adds per ns,
+/// so 2²⁰ of them run ≈ 35 µs: from there up a cold hand-off costs the
+/// caller at most a tenth of the serial time (it claims bands itself
+/// while the worker wakes) and a warm one pays for itself many times
+/// over; below, the GEMM is over before a woken worker could join.
+const PAR_MIN_MACS: usize = 1 << 20;
 
 fn check_matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     if t.rank() != 2 {
@@ -15,6 +25,69 @@ fn check_matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     Ok((t.dims()[0], t.dims()[1]))
 }
 
+fn shape_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
+    TensorError::ShapeMismatch {
+        op,
+        lhs: lhs.dims().to_vec(),
+        rhs: rhs.dims().to_vec(),
+    }
+}
+
+/// Bands handed out per thread of a parallel GEMM. The threads of one
+/// fan-out rarely run at one speed (SMT siblings share a core, a worker
+/// may still be waking), and bands are claimed dynamically, so a few
+/// bands each lets the faster thread absorb the difference; more would
+/// only re-stream `B` more often.
+const BANDS_PER_THREAD: usize = 4;
+
+/// How an `m`-row GEMM of `macs` multiply-adds is split: `(threads,
+/// rows per band)`. Serial below [`PAR_MIN_MACS`]; bands are whole
+/// `MR`-row strips so only the last one packs a ragged strip.
+fn gemm_split(m: usize, macs: usize, threads: usize) -> (usize, usize) {
+    if macs < PAR_MIN_MACS || threads <= 1 {
+        return (1, m);
+    }
+    let strips = m.div_ceil(kernel::MR);
+    let band_strips = strips.div_ceil(threads * BANDS_PER_THREAD);
+    (threads, band_strips * kernel::MR)
+}
+
+/// `A × B` for operands in either layout, row bands fanned out over up
+/// to `threads` threads — the one routine behind every ungrouped
+/// matmul.
+fn gemm(a: Operand<'_>, b: Operand<'_>, threads: usize) -> Vec<f32> {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    debug_assert_eq!(k, b.rows);
+    let mut out = vec![0.0f32; m * n];
+    if m > 0 && n > 0 && k > 0 {
+        let bp = kernel::pack_b(b);
+        let (threads, band_rows) = gemm_split(m, m * n * k, threads);
+        par::for_each_row_band(&mut out, n, band_rows, threads, |first_row, band| {
+            kernel::gemm_band(a, first_row, &bp, band, band.len() / n);
+        });
+    }
+    out
+}
+
+/// Checks that `offsets` partitions `rows` into `groups` ascending
+/// ranges.
+fn check_offsets(offsets: &[usize], groups: usize, rows: usize) -> Result<()> {
+    if groups == 0 || offsets.len() != groups + 1 {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_grouped",
+            lhs: vec![groups],
+            rhs: vec![offsets.len()],
+        });
+    }
+    if offsets[0] != 0 || offsets[groups] != rows || offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(TensorError::IndexOutOfBounds {
+            index: offsets[groups],
+            bound: rows,
+        });
+    }
+    Ok(())
+}
+
 impl Tensor {
     /// Matrix multiplication of two rank-2 tensors: `(m,k) × (k,n) → (m,n)`.
     ///
@@ -22,9 +95,9 @@ impl Tensor {
     /// projection in the MoE layer reduces to; the paper's performance
     /// model (§4.1) prices expert time as a multiple of GEMM time.
     ///
-    /// Large products fan out over [`par::num_threads`] workers (override
-    /// with `TENSOR_THREADS`); small ones stay on the calling thread.
-    /// The result is bit-identical for every worker count — see
+    /// Large products fan out over [`par::num_threads`] threads
+    /// (override with `TENSOR_THREADS`); small ones stay on the calling
+    /// thread. The result is bit-identical for every thread count — see
     /// [`Tensor::matmul_with_threads`].
     ///
     /// # Errors
@@ -35,7 +108,7 @@ impl Tensor {
         self.matmul_with_threads(rhs, par::num_threads())
     }
 
-    /// [`Tensor::matmul`] with an explicit worker-count cap.
+    /// [`Tensor::matmul`] with an explicit thread-count cap.
     ///
     /// The output is bit-identical for every `threads` value (including
     /// 0 and 1, both meaning serial): the same packed microkernel
@@ -56,27 +129,64 @@ impl Tensor {
         let (m, k) = check_matrix(self, "matmul")?;
         let (k2, n) = check_matrix(rhs, "matmul")?;
         if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.dims().to_vec(),
-                rhs: rhs.dims().to_vec(),
-            });
+            return Err(shape_mismatch("matmul", self, rhs));
         }
-        let mut out = vec![0.0f32; m * n];
-        if m > 0 && n > 0 && k > 0 {
-            let a = self.data();
-            let bp = kernel::pack_b(rhs.data(), k, n);
-            let threads = if m * n * k < PAR_MIN_MACS {
-                1
-            } else {
-                threads.max(1)
-            };
-            par::for_each_row_band(&mut out, m, n, threads, |first_row, band| {
-                let band_rows = band.len() / n;
-                let mut apack = Vec::new();
-                kernel::gemm_band(a, first_row, &bp, band, band_rows, &mut apack);
-            });
+        let out = gemm(
+            Operand::plain(self.data(), m, k),
+            Operand::plain(rhs.data(), k, n),
+            threads,
+        );
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// `self × rhsᵀ`: `(m,k) × (n,k)ᵀ → (m,n)` — the input-gradient GEMM
+    /// of a backward pass (`∂L/∂x = ∂L/∂y · wᵀ`) and the `Q·Kᵀ` of
+    /// attention, reading `rhs` where it lies.
+    ///
+    /// Bit-identical to `self.matmul_with_threads(&rhs.transpose()?,
+    /// threads)` for every thread count: the packing pass reads the
+    /// transposed layout, the arithmetic is the same fold.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless both operands are rank 2 with the same
+    /// column count.
+    pub fn matmul_nt(&self, rhs: &Tensor, threads: usize) -> Result<Tensor> {
+        let (m, k) = check_matrix(self, "matmul_nt")?;
+        let (n, k2) = check_matrix(rhs, "matmul_nt")?;
+        if k != k2 {
+            return Err(shape_mismatch("matmul_nt", self, rhs));
         }
+        let out = gemm(
+            Operand::plain(self.data(), m, k),
+            Operand::transposed(rhs.data(), k, n),
+            threads,
+        );
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// `selfᵀ × rhs`: `(k,m)ᵀ × (k,n) → (m,n)` — the weight-gradient
+    /// GEMM of a backward pass (`∂L/∂w = xᵀ · ∂L/∂y`), reading `self`
+    /// where it lies.
+    ///
+    /// Bit-identical to `self.transpose()?.matmul_with_threads(rhs,
+    /// threads)` for every thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless both operands are rank 2 with the same
+    /// row count.
+    pub fn matmul_tn(&self, rhs: &Tensor, threads: usize) -> Result<Tensor> {
+        let (k, m) = check_matrix(self, "matmul_tn")?;
+        let (k2, n) = check_matrix(rhs, "matmul_tn")?;
+        if k != k2 {
+            return Err(shape_mismatch("matmul_tn", self, rhs));
+        }
+        let out = gemm(
+            Operand::transposed(self.data(), m, k),
+            Operand::plain(rhs.data(), k, n),
+            threads,
+        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -108,60 +218,70 @@ impl Tensor {
         offsets: &[usize],
         threads: usize,
     ) -> Result<Tensor> {
-        let (m, k) = check_matrix(self, "matmul_grouped")?;
-        if weights.is_empty() || offsets.len() != weights.len() + 1 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_grouped",
-                lhs: vec![weights.len()],
-                rhs: vec![offsets.len()],
-            });
+        self.grouped(weights, offsets, threads, false)
+    }
+
+    /// [`Tensor::matmul_grouped`] against transposed weights: rows of
+    /// group `g` are `self[group g] × weights[g]ᵀ` with every weight
+    /// `(n, k)` — the grouped input-gradient GEMM, reading the forward
+    /// weights where they lie. Bit-identical to transposing each weight
+    /// and calling `matmul_grouped`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul_grouped`], with `(n, k)` weights.
+    pub fn matmul_grouped_nt(
+        &self,
+        weights: &[&Tensor],
+        offsets: &[usize],
+        threads: usize,
+    ) -> Result<Tensor> {
+        self.grouped(weights, offsets, threads, true)
+    }
+
+    fn grouped(
+        &self,
+        weights: &[&Tensor],
+        offsets: &[usize],
+        threads: usize,
+        transposed: bool,
+    ) -> Result<Tensor> {
+        const OP: &str = "matmul_grouped";
+        let (m, k) = check_matrix(self, OP)?;
+        check_offsets(offsets, weights.len(), m)?;
+        let (rows, cols) = check_matrix(weights[0], OP)?;
+        if let Some(w) = weights.iter().find(|w| w.dims() != weights[0].dims()) {
+            return Err(shape_mismatch(OP, weights[0], w));
         }
-        let (k2, n) = check_matrix(weights[0], "matmul_grouped")?;
-        for w in weights {
-            let (wk, wn) = check_matrix(w, "matmul_grouped")?;
-            if wk != k2 || wn != n {
-                return Err(TensorError::ShapeMismatch {
-                    op: "matmul_grouped",
-                    lhs: weights[0].dims().to_vec(),
-                    rhs: w.dims().to_vec(),
-                });
-            }
-        }
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_grouped",
-                lhs: self.dims().to_vec(),
-                rhs: weights[0].dims().to_vec(),
-            });
-        }
-        if offsets[0] != 0
-            || offsets[offsets.len() - 1] != m
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(TensorError::IndexOutOfBounds {
-                index: offsets[offsets.len() - 1],
-                bound: m,
-            });
+        let (wk, n) = if transposed {
+            (cols, rows)
+        } else {
+            (rows, cols)
+        };
+        if k != wk {
+            return Err(shape_mismatch(OP, self, weights[0]));
         }
         let mut out = vec![0.0f32; m * n];
         if m > 0 && n > 0 && k > 0 {
-            let a = self.data();
+            let a = Operand::plain(self.data(), m, k);
             // Pack each non-empty group's B once; empty groups never
             // touch their weight.
             let packed: Vec<Option<kernel::PackedB>> = weights
                 .iter()
                 .enumerate()
-                .map(|(g, w)| (offsets[g] < offsets[g + 1]).then(|| kernel::pack_b(w.data(), k, n)))
+                .map(|(g, w)| {
+                    (offsets[g] < offsets[g + 1]).then(|| {
+                        kernel::pack_b(if transposed {
+                            Operand::transposed(w.data(), k, n)
+                        } else {
+                            Operand::plain(w.data(), k, n)
+                        })
+                    })
+                })
                 .collect();
-            let threads = if m * n * k < PAR_MIN_MACS {
-                1
-            } else {
-                threads.max(1)
-            };
-            par::for_each_row_band(&mut out, m, n, threads, |first_row, band| {
-                let band_rows = band.len() / n;
-                let band_end = first_row + band_rows;
-                let mut apack = Vec::new();
+            let (threads, band_rows) = gemm_split(m, m * n * k, threads);
+            par::for_each_row_band(&mut out, n, band_rows, threads, |first_row, band| {
+                let band_end = first_row + band.len() / n;
                 for (g, bp) in packed.iter().enumerate() {
                     let Some(bp) = bp else { continue };
                     let lo = offsets[g].max(first_row);
@@ -170,31 +290,68 @@ impl Tensor {
                         continue;
                     }
                     let sub = &mut band[(lo - first_row) * n..(hi - first_row) * n];
-                    kernel::gemm_band(a, lo, bp, sub, hi - lo, &mut apack);
+                    kernel::gemm_band(a, lo, bp, sub, hi - lo);
                 }
             });
         }
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Transpose of a rank-2 tensor.
+    /// Per-group `self[group g]ᵀ × rhs[group g]` over the shared row
+    /// groups of `self` `(rows, m)` and `rhs` `(rows, n)`: one `(m, n)`
+    /// tensor per group — the grouped weight-gradient GEMM. Empty groups
+    /// yield zeros. Each result is bit-identical to slicing the group
+    /// out of both operands and calling [`Tensor::matmul_tn`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless both operands are rank 2 with the same
+    /// row count and `offsets` is an ascending partition of those rows.
+    pub fn matmul_grouped_tn(
+        &self,
+        rhs: &Tensor,
+        offsets: &[usize],
+        threads: usize,
+    ) -> Result<Vec<Tensor>> {
+        let (rows, m) = check_matrix(self, "matmul_grouped_tn")?;
+        let (rows2, n) = check_matrix(rhs, "matmul_grouped_tn")?;
+        if rows != rows2 {
+            return Err(shape_mismatch("matmul_grouped_tn", self, rhs));
+        }
+        check_offsets(offsets, offsets.len().saturating_sub(1), rows)?;
+        offsets
+            .windows(2)
+            .map(|w| {
+                let k = w[1] - w[0];
+                let out = gemm(
+                    Operand::transposed(&self.data()[w[0] * m..w[1] * m], m, k),
+                    Operand::plain(&rhs.data()[w[0] * n..w[1] * n], k, n),
+                    threads,
+                );
+                Tensor::from_vec(out, &[m, n])
+            })
+            .collect()
+    }
+
+    /// Transpose of a rank-2 tensor, copied in 8×8 tiles so both the
+    /// reads and the writes stay within a few cache lines.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices.
     pub fn transpose(&self) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "transpose",
-                expected: 2,
-                actual: self.rank(),
-            });
-        }
-        let (m, n) = (self.dims()[0], self.dims()[1]);
+        const TILE: usize = 8;
+        let (m, n) = check_matrix(self, "transpose")?;
+        let src = self.data();
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data()[i * n + j];
+        for i0 in (0..m).step_by(TILE) {
+            let i1 = (i0 + TILE).min(m);
+            for j0 in (0..n).step_by(TILE) {
+                for j in j0..(j0 + TILE).min(n) {
+                    for i in i0..i1 {
+                        out[j * m + i] = src[i * n + j];
+                    }
+                }
             }
         }
         Tensor::from_vec(out, &[n, m])
@@ -242,6 +399,25 @@ impl Tensor {
         }
         for (a, b) in self.data_mut().iter_mut().zip(rhs.data()) {
             *a += b;
+        }
+        Ok(())
+    }
+
+    /// The SGD step `self -= g · lr`, in place.
+    ///
+    /// Rounds the product and then the difference, exactly like
+    /// `self.sub(&g.scale(lr))`, so the two are bit-identical — without
+    /// the two full-size temporaries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
+    pub fn sub_scaled_assign(&mut self, g: &Tensor, lr: f32) -> Result<()> {
+        if !self.shape().same_as(g.shape()) {
+            return Err(shape_mismatch("sub_scaled_assign", self, g));
+        }
+        for (w, g) in self.data_mut().iter_mut().zip(g.data()) {
+            *w -= g * lr;
         }
         Ok(())
     }
@@ -417,6 +593,71 @@ mod tests {
     }
 
     #[test]
+    fn tiled_transpose_handles_ragged_edges() {
+        for (m, n) in [(0, 3), (1, 1), (7, 9), (8, 8), (9, 17), (16, 3), (33, 20)] {
+            let a = Tensor::from_vec((0..m * n).map(|v| v as f32).collect(), &[m, n]).unwrap();
+            let t = a.transpose().unwrap();
+            assert_eq!(t.dims(), &[n, m]);
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(
+                        t.data()[j * m + i],
+                        a.data()[i * n + j],
+                        "({m},{n}) at ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_forms_check_their_shapes() {
+        let a = Tensor::zeros(&[4, 3]);
+        assert_eq!(
+            a.matmul_nt(&Tensor::zeros(&[5, 3]), 1).unwrap().dims(),
+            &[4, 5]
+        );
+        assert_eq!(
+            a.matmul_tn(&Tensor::zeros(&[4, 2]), 1).unwrap().dims(),
+            &[3, 2]
+        );
+        assert!(a.matmul_nt(&Tensor::zeros(&[3, 5]), 1).is_err());
+        assert!(a.matmul_tn(&Tensor::zeros(&[3, 2]), 1).is_err());
+        assert!(a.matmul_nt(&Tensor::zeros(&[3]), 1).is_err());
+        let w = Tensor::zeros(&[2, 3]);
+        assert!(a.matmul_grouped_nt(&[&w], &[0, 4], 1).is_ok());
+        assert!(a.matmul_grouped_nt(&[&w], &[0, 3], 1).is_err());
+        assert!(a
+            .matmul_grouped_nt(&[&Tensor::zeros(&[3, 2])], &[0, 4], 1)
+            .is_err());
+        assert!(a
+            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 1, 4], 1)
+            .is_ok());
+        assert!(a
+            .matmul_grouped_tn(&Tensor::zeros(&[5, 2]), &[0, 4], 1)
+            .is_err());
+        assert!(a
+            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 5], 1)
+            .is_err());
+    }
+
+    #[test]
+    fn sub_scaled_assign_matches_sub_of_scale_bit_for_bit() {
+        let mut rng = crate::TensorRng::seed_from(3);
+        let w = rng.normal(&[9, 7], 0.0, 1.0);
+        let g = rng.normal(&[9, 7], 0.0, 3.0);
+        for lr in [0.5f32, 0.02, 1e-7, 3.0] {
+            let mut in_place = w.clone();
+            in_place.sub_scaled_assign(&g, lr).unwrap();
+            assert_eq!(in_place, w.sub(&g.scale(lr)).unwrap(), "lr={lr}");
+        }
+        assert!(w
+            .clone()
+            .sub_scaled_assign(&Tensor::zeros(&[7, 9]), 0.1)
+            .is_err());
+    }
+
+    #[test]
     fn elementwise_ops() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]).unwrap();
@@ -468,8 +709,8 @@ mod tests {
     fn parallel_matmul_bit_identical_to_serial() {
         // big enough to clear PAR_MIN_MACS so the fan-out really runs
         let mut rng = crate::TensorRng::seed_from(7);
-        let a = rng.normal(&[96, 64], 0.0, 1.0);
-        let b = rng.normal(&[64, 80], 0.0, 1.0);
+        let a = rng.normal(&[130, 96], 0.0, 1.0);
+        let b = rng.normal(&[96, 90], 0.0, 1.0);
         let serial = a.matmul_with_threads(&b, 1).unwrap();
         for threads in [0, 2, 3, 5, 16, 96, 1000] {
             let parallel = a.matmul_with_threads(&b, threads).unwrap();

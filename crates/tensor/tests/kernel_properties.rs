@@ -8,6 +8,11 @@
 //! constants. The reference is a naive f64 triple loop — any dropped
 //! product (the old zero-skip), mis-packed ragged edge, or out-of-bounds
 //! tile would show up as a mismatch.
+//!
+//! The transposed-operand forms (`matmul_nt`, `matmul_tn` and the
+//! grouped pair) are held to a stricter standard: *exact* equality with
+//! transpose-then-`matmul`, for every thread count, because the only
+//! thing they change is which layout the packing pass reads.
 
 use proptest::prelude::*;
 use tensor::{Tensor, TensorRng};
@@ -117,5 +122,124 @@ proptest! {
             let grouped_slice = grouped.slice_rows(offsets[g], offsets[g + 1]).unwrap();
             prop_assert_eq!(&grouped_slice, &per_expert, "expert {} load {}", g, w);
         }
+    }
+
+    #[test]
+    fn nt_and_tn_equal_transpose_then_matmul_exactly(
+        m in adversarial_rows(),
+        k in adversarial_depth(),
+        n in adversarial_cols(),
+        threads in 0usize..9,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = TensorRng::seed_from(seed);
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let b = rng.uniform(&[k, n], -1.0, 1.0);
+        let want = a.matmul_with_threads(&b, 1).unwrap();
+        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+        prop_assert_eq!(&a.matmul_nt(&bt, threads).unwrap(), &want);
+        prop_assert_eq!(&at.matmul_tn(&b, threads).unwrap(), &want);
+    }
+
+    #[test]
+    fn nt_and_tn_are_exact_above_the_parallel_threshold(
+        m in prop::sample::select(vec![97usize, 128, 131]),
+        k in prop::sample::select(vec![96usize, 257]),
+        n in prop::sample::select(vec![95usize, 112]),
+        threads in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        // big enough (≥ 2²⁰ multiply-adds) that the bands really fan out
+        let mut rng = TensorRng::seed_from(seed);
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let b = rng.uniform(&[k, n], -1.0, 1.0);
+        let want = a.matmul_with_threads(&b, 1).unwrap();
+        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
+        prop_assert_eq!(&a.matmul_with_threads(&b, threads).unwrap(), &want);
+        prop_assert_eq!(&a.matmul_nt(&bt, threads).unwrap(), &want);
+        prop_assert_eq!(&at.matmul_tn(&b, threads).unwrap(), &want);
+    }
+
+    #[test]
+    fn grouped_nt_and_tn_equal_their_transposed_references_exactly(
+        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 13]), 1..6),
+        k in prop::sample::select(vec![1usize, 4, 17, 257]),
+        n in prop::sample::select(vec![1usize, 8, 19]),
+        threads in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = TensorRng::seed_from(seed);
+        let m: usize = loads.iter().sum();
+        let a = rng.uniform(&[m, k], -1.0, 1.0);
+        let g = rng.uniform(&[m, n], -1.0, 1.0);
+        // forward weights are (n, k): the nt form multiplies by their
+        // transposes without building them
+        let weights: Vec<Tensor> =
+            (0..loads.len()).map(|_| rng.uniform(&[n, k], -1.0, 1.0)).collect();
+        let transposed: Vec<Tensor> = weights.iter().map(|w| w.transpose().unwrap()).collect();
+        let mut offsets = vec![0usize];
+        for load in &loads {
+            offsets.push(offsets.last().unwrap() + load);
+        }
+        let nt = a
+            .matmul_grouped_nt(&weights.iter().collect::<Vec<_>>(), &offsets, threads)
+            .unwrap();
+        let reference = a
+            .matmul_grouped(&transposed.iter().collect::<Vec<_>>(), &offsets, 1)
+            .unwrap();
+        prop_assert_eq!(&nt, &reference);
+
+        // per-group aᵀ·g against slice → transpose → matmul; an empty
+        // group must still yield a (k, n) block of zeros
+        let tn = a.matmul_grouped_tn(&g, &offsets, threads).unwrap();
+        prop_assert_eq!(tn.len(), loads.len());
+        for (e, got) in tn.iter().enumerate() {
+            let rows_a = a.slice_rows(offsets[e], offsets[e + 1]).unwrap();
+            let rows_g = g.slice_rows(offsets[e], offsets[e + 1]).unwrap();
+            let want = rows_a.transpose().unwrap().matmul_with_threads(&rows_g, 1).unwrap();
+            prop_assert_eq!(got, &want, "group {} load {}", e, loads[e]);
+        }
+    }
+}
+
+/// The expert batch at `dense_1r` size: above the parallel threshold
+/// (2²⁰ multiply-adds), so the bands — `MR`-aligned, claimed by
+/// whichever thread is free, cutting across group boundaries — really
+/// fan out. Every thread count must reproduce the serial bits.
+#[test]
+fn grouped_gemms_above_the_parallel_threshold_match_serial_exactly() {
+    let loads = [37usize, 0, 101, 6, 0, 90];
+    let (k, n) = (128usize, 96usize);
+    let rows: usize = loads.iter().sum();
+    assert!(rows * k * n >= 1 << 20 && 90 * k * n >= 1 << 20);
+    let mut offsets = vec![0usize];
+    for load in loads {
+        offsets.push(offsets.last().unwrap() + load);
+    }
+    let mut rng = TensorRng::seed_from(0x6E0);
+    let a = rng.uniform(&[rows, k], -1.0, 1.0);
+    let g = rng.uniform(&[rows, n], -1.0, 1.0);
+    let plain: Vec<Tensor> = loads
+        .iter()
+        .map(|_| rng.uniform(&[k, n], -1.0, 1.0))
+        .collect();
+    let flipped: Vec<Tensor> = loads
+        .iter()
+        .map(|_| rng.uniform(&[n, k], -1.0, 1.0))
+        .collect();
+    let plain: Vec<&Tensor> = plain.iter().collect();
+    let flipped: Vec<&Tensor> = flipped.iter().collect();
+    let serial = (
+        a.matmul_grouped(&plain, &offsets, 1).unwrap(),
+        a.matmul_grouped_nt(&flipped, &offsets, 1).unwrap(),
+        a.matmul_grouped_tn(&g, &offsets, 1).unwrap(),
+    );
+    for threads in [2usize, 3, 4] {
+        let fanned = (
+            a.matmul_grouped(&plain, &offsets, threads).unwrap(),
+            a.matmul_grouped_nt(&flipped, &offsets, threads).unwrap(),
+            a.matmul_grouped_tn(&g, &offsets, threads).unwrap(),
+        );
+        assert_eq!(fanned, serial, "threads={threads}");
     }
 }

@@ -12,7 +12,12 @@
 //! These tests pin the fix: every product is computed, so NaN/Inf in `b`
 //! must reach the output whenever the matching `a` entry is `0.0`, on
 //! every code path — the serial kernel, the multi-threaded banded kernel,
-//! the backward pass, and the grouped (multi-weight) GEMM.
+//! the backward pass, the grouped (multi-weight) GEMM, and the
+//! transposed-operand forms the backward pass is built from.
+//!
+//! The vector activations sit between those GEMMs, so they are held to
+//! the same rule: a NaN element stays NaN (a clamp written with
+//! `min`/`max` would quietly replace it with the bound).
 
 use tensor::grad;
 use tensor::Tensor;
@@ -44,7 +49,7 @@ fn nan_and_inf_in_b_reach_output_through_zero_in_a() {
 /// every output element must be NaN regardless of the worker count.
 #[test]
 fn parallel_kernel_propagates_nan_through_zero_activations() {
-    let (m, k, n) = (96, 96, 96); // m*k*n > PAR_MIN_MACS = 64^3
+    let (m, k, n) = (128, 96, 96); // m*k*n > PAR_MIN_MACS = 2^20
     let poisoned_k = 41;
     let mut a_data = vec![1.0f32; m * k];
     for row in 0..m {
@@ -110,4 +115,89 @@ fn grouped_gemm_propagates_nan_per_group() {
     assert!(data[..2 * n].iter().all(|v| *v == 0.0));
     // Rows 2..4 hit the poisoned weight: column 0 sums include 0*NaN.
     assert!(data[2 * n].is_nan() && data[3 * n].is_nan());
+}
+
+/// `a·bᵀ` and `aᵀ·b` pack one operand from its transposed layout; the
+/// poisoned row of the logical `b` (resp. column of the logical `a`)
+/// must still meet the zeros it is multiplied with, on the serial and
+/// the banded path alike.
+#[test]
+fn transposed_operand_forms_propagate_nan_through_zeros() {
+    let (m, k, n) = (128, 96, 112); // above the parallel threshold
+    let poisoned_k = 17;
+    let mut a = Tensor::ones(&[m, k]);
+    let mut b_t = Tensor::ones(&[n, k]); // b stored transposed
+    for row in 0..m {
+        a.data_mut()[row * k + poisoned_k] = 0.0;
+    }
+    for col in 0..n {
+        b_t.data_mut()[col * k + poisoned_k] = f32::NAN;
+    }
+    let mut a_t = Tensor::zeros(&[k, m]); // a stored transposed, poisoned
+    let mut b = Tensor::ones(&[k, n]);
+    a_t.data_mut()[poisoned_k * m..(poisoned_k + 1) * m].fill(f32::INFINITY);
+    b.data_mut()[poisoned_k * n..(poisoned_k + 1) * n].fill(0.0);
+    for threads in [1usize, 2, 4] {
+        let nt = a.matmul_nt(&b_t, threads).unwrap();
+        assert!(
+            nt.data().iter().all(|v| v.is_nan()),
+            "matmul_nt threads={threads}: 0 · NaN was skipped"
+        );
+        let tn = a_t.matmul_tn(&b, threads).unwrap();
+        assert!(
+            tn.data().iter().all(|v| v.is_nan()),
+            "matmul_tn threads={threads}: inf · 0 was skipped"
+        );
+    }
+}
+
+/// The grouped backward forms: a NaN in one expert's weight (nt) or in
+/// one group's rows (tn) poisons that expert's results and no other's.
+#[test]
+fn grouped_transposed_forms_propagate_nan_per_group() {
+    let (k, n) = (3, 2);
+    let x = Tensor::zeros(&[4, k]);
+    let clean = Tensor::ones(&[n, k]);
+    let mut poisoned = Tensor::ones(&[n, k]);
+    poisoned.data_mut()[0] = f32::NAN;
+    let nt = x
+        .matmul_grouped_nt(&[&clean, &poisoned], &[0, 2, 4], 1)
+        .unwrap();
+    assert!(nt.data()[..2 * n].iter().all(|v| *v == 0.0));
+    assert!(nt.data()[2 * n].is_nan() && nt.data()[3 * n].is_nan());
+
+    let mut g = Tensor::zeros(&[4, n]);
+    g.data_mut()[3 * n] = f32::NAN; // a row of group 1
+    let tn = x.matmul_grouped_tn(&g, &[0, 2, 4], 1).unwrap();
+    assert!(tn[0].data().iter().all(|v| *v == 0.0));
+    // column 0 of group 1's (k, n) gradient sums 0 · NaN
+    assert!((0..k).all(|r| tn[1].data()[r * n].is_nan()));
+    assert!((0..k).all(|r| tn[1].data()[r * n + 1] == 0.0));
+}
+
+/// NaN elements stay NaN through every vector activation, wherever they
+/// sit in a vector, and leave their neighbours alone.
+#[test]
+fn vector_activations_keep_nan_and_only_nan() {
+    for len in [1usize, 7, 8, 9, 21] {
+        for poisoned in 0..len {
+            let mut x = Tensor::full(&[len], 0.5);
+            x.data_mut()[poisoned] = f32::NAN;
+            let ones = Tensor::ones(&[len]);
+            for (name, y) in [
+                ("gelu", x.gelu()),
+                ("silu", x.silu()),
+                ("gelu_backward", grad::gelu_backward(&ones, &x).unwrap()),
+                ("silu_backward", grad::silu_backward(&ones, &x).unwrap()),
+            ] {
+                for (i, v) in y.data().iter().enumerate() {
+                    assert_eq!(
+                        v.is_nan(),
+                        i == poisoned,
+                        "{name}: element {i} of {len}, NaN at {poisoned}"
+                    );
+                }
+            }
+        }
+    }
 }

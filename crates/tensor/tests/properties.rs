@@ -80,7 +80,7 @@ proptest! {
 
     #[test]
     fn parallel_matmul_bit_identical_to_serial(
-        m in prop::sample::select(vec![1usize, 2, 5, 16, 33, 64, 96]),
+        m in prop::sample::select(vec![1usize, 2, 5, 16, 33, 64, 96, 160]),
         k in prop::sample::select(vec![1usize, 3, 8, 17, 64, 80]),
         n in prop::sample::select(vec![1usize, 2, 7, 31, 64, 96]),
         threads in 0usize..9,

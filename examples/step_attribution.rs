@@ -8,10 +8,12 @@
 //!    [`profiler::fit_cost_model`] — the paper's §3.2 profiling
 //!    discipline applied to the attribution instrument itself.
 //! 2. **Predict**: price the serial step chain from the fits
-//!    ([`simnet::price_step`]) at a larger target scale.
+//!    ([`simnet::price_step`]) at a target scale inside that range.
 //! 3. **Validate**: run the target scale for real and require the
 //!    measured best-of phase costs to match the prediction (compute
 //!    within 25%; wire within a looser, documented single-core bound).
+//!    The calibration and target runs are interleaved, round-robin, so
+//!    a slow stretch of the host falls on every scale alike.
 //! 4. **Blame**: rerun with rank 2 stalling 15 ms before every
 //!    collective and require the attribution to (a) name rank 2 the
 //!    critical rank, (b) book the injected stall as the other ranks'
@@ -44,6 +46,12 @@ const CALIBRATION_SEQ: [usize; 3] = [256, 512, 1024];
 // α does not get magnified the way extrapolation magnifies it.
 const TARGET_SEQ: usize = 768;
 const STEPS: usize = 9;
+// Fault-free passes over every scale (calibration and target), each
+// scale keeping its cheapest observation.
+const ROUNDS: usize = 3;
+// The straggler run has one chance to see the victims uncontended, so
+// it runs as many steps as the fault-free scales see in all.
+const STRAGGLER_STEPS: usize = STEPS * ROUNDS;
 const DRIFT_TOLERANCE_PCT: f64 = 25.0;
 // Wire gets a looser gate than the ISSUE's 25% unperturbed-phase bound
 // (which compute carries): on a single-core host every collective hand-
@@ -66,10 +74,14 @@ fn config_for(seq_len: usize) -> MoeConfig {
         .expect("attribution config is valid")
 }
 
-/// Trains `STEPS` steps at one scale and attributes the run. The
+/// Trains `steps` steps at one scale and attributes the run. The
 /// returned [`obs::Session`] is still open so the caller can publish
 /// gauges and export the trace before it drops.
-fn run_and_attribute(seq_len: usize, faults: Option<FaultInjector>) -> (obs::Session, StepReport) {
+fn run_and_attribute(
+    seq_len: usize,
+    steps: usize,
+    faults: Option<FaultInjector>,
+) -> (obs::Session, StepReport) {
     let session = obs::session();
     let mut world = CommWorld::new(RANKS);
     if let Some(injector) = faults {
@@ -84,7 +96,7 @@ fn run_and_attribute(seq_len: usize, faults: Option<FaultInjector>) -> (obs::Ses
         let target = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(1);
         let mut loss = 0.0;
-        for _ in 0..STEPS {
+        for _ in 0..steps {
             loss = dist_train_step(&mut layer, &input, &target, 0.1, &mut route_rng)
                 .expect("fault-free or delay-only steps succeed");
         }
@@ -129,21 +141,41 @@ fn main() {
         .filter(|&r| r != STRAGGLER)
         .collect();
 
-    // -- 1. calibrate ---------------------------------------------------
-    println!("calibrating over seq lengths {CALIBRATION_SEQ:?} ({STEPS} steps each)…");
-    let mut compute_samples = Vec::new();
-    let mut wire_samples = Vec::new();
-    for seq in CALIBRATION_SEQ {
-        let (_session, report) = run_and_attribute(seq, None);
-        let tokens = config_for(seq).tokens() as f64;
-        compute_samples.push((tokens, measured_us(&report, Phase::Compute, &all_ranks)));
-        wire_samples.push((tokens, measured_us(&report, Phase::Wire, &all_ranks)));
+    // -- 1. calibrate, and measure the target scale fault-free ----------
+    // One pass runs every scale once; a scale's cost is its cheapest
+    // observation over all passes. The host's speed moves in stretches
+    // of seconds, so back-to-back passes put every scale — the three
+    // the model is fitted on and the one it is checked against — into
+    // every stretch instead of pricing each in its own.
+    println!(
+        "calibrating over seq lengths {CALIBRATION_SEQ:?}, target {TARGET_SEQ} \
+         ({ROUNDS} passes of {STEPS} steps each)…"
+    );
+    let scales: Vec<usize> = CALIBRATION_SEQ.into_iter().chain([TARGET_SEQ]).collect();
+    let mut best = vec![(f64::INFINITY, f64::INFINITY); scales.len()];
+    let mut target_run = None;
+    for _ in 0..ROUNDS {
+        // an open session holds the registry: close the last pass's
+        // before the next run opens its own (the target runs last)
+        target_run = None;
+        for (&seq, (compute, wire)) in scales.iter().zip(&mut best) {
+            let (session, report) = run_and_attribute(seq, STEPS, None);
+            *compute = compute.min(measured_us(&report, Phase::Compute, &all_ranks));
+            *wire = wire.min(measured_us(&report, Phase::Wire, &all_ranks));
+            if seq == TARGET_SEQ {
+                target_run = Some((session, report));
+            }
+        }
     }
+    let tokens = |seq: usize| config_for(seq).tokens() as f64;
+    let calibration = || CALIBRATION_SEQ.into_iter().zip(&best);
+    let compute_samples: Vec<_> = calibration().map(|(s, b)| (tokens(s), b.0)).collect();
+    let wire_samples: Vec<_> = calibration().map(|(s, b)| (tokens(s), b.1)).collect();
     let compute_model = fit_phase(&compute_samples, "compute");
     let wire_model = fit_phase(&wire_samples, "wire");
 
     // -- 2. predict the target scale ------------------------------------
-    let target_tokens = config_for(TARGET_SEQ).tokens() as f64;
+    let target_tokens = tokens(TARGET_SEQ);
     let predicted = price_step(&compute_model, &wire_model, target_tokens);
     let predicted_compute = predicted.phase("experts");
     let predicted_wire = predicted.phase("dispatch") + predicted.phase("combine");
@@ -153,18 +185,11 @@ fn main() {
         predicted.total()
     );
 
-    // -- 3. measure the target scale fault-free -------------------------
-    let (session, clean) = run_and_attribute(TARGET_SEQ, None);
-    let compute_drift = attrib::publish_drift(
-        "compute",
-        measured_us(&clean, Phase::Compute, &all_ranks),
-        predicted_compute,
-    );
-    let wire_drift = attrib::publish_drift(
-        "wire",
-        measured_us(&clean, Phase::Wire, &all_ranks),
-        predicted_wire,
-    );
+    // -- 3. validate against the measured target scale -------------------
+    let (measured_compute, measured_wire) = best[scales.len() - 1];
+    let (session, clean) = target_run.expect("the target scale ran");
+    let compute_drift = attrib::publish_drift("compute", measured_compute, predicted_compute);
+    let wire_drift = attrib::publish_drift("wire", measured_wire, predicted_wire);
     let wall_drift = attrib::drift_pct(clean.steps[STEPS / 2].wall_us as f64, predicted.total());
     println!(
         "fault-free drift vs model: compute {compute_drift:.1}%, wire {wire_drift:.1}%, \
@@ -215,10 +240,10 @@ fn main() {
     );
     let mut injector = FaultInjector::new();
     // Delay every collective the straggler will enter, warmup included.
-    for op in 0..(ops_per_step + 4) * (STEPS + 2) {
+    for op in 0..(ops_per_step + 4) * (STRAGGLER_STEPS + 2) {
         injector = injector.delay(STRAGGLER, op, STALL);
     }
-    let (session, report) = run_and_attribute(TARGET_SEQ, Some(injector));
+    let (session, report) = run_and_attribute(TARGET_SEQ, STRAGGLER_STEPS, Some(injector));
 
     print!("{}", report.table());
     ensure(
