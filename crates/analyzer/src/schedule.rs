@@ -27,17 +27,22 @@ use crate::lexer::tokenize;
 use crate::rules::TestRegions;
 
 /// The collective operations whose call sites form the schedule.
-/// Sorted; covers both the transport verbs (`GroupComm`) and the
-/// control-plane collectives (`Communicator`).
-pub const COLLECTIVE_OPS: [&str; 8] = [
+/// Sorted; covers both the transport verbs (`GroupComm`, whose `_into`
+/// forms are reported under the plain verb — the same collective into a
+/// caller-provided buffer) and the control-plane collectives
+/// (`Communicator`).
+pub const COLLECTIVE_OPS: [&str; 11] = [
     "all_gather",
+    "all_gather_into",
     "all_reduce",
     "all_to_all",
+    "all_to_all_into",
     "barrier",
     "broadcast",
     "migration_fence",
     "propose_evict",
     "reduce_scatter",
+    "reduce_scatter_into",
 ];
 
 /// One node of a function's collective op-graph.
@@ -114,7 +119,9 @@ pub(crate) fn collective_call_at(nodes: &[Node], i: usize) -> Option<(&str, &Gro
     }
     let op = nodes.get(i + 1)?.ident()?;
     let args = nodes.get(i + 2)?.group_with('(')?;
-    COLLECTIVE_OPS.contains(&op).then_some((op, args))
+    COLLECTIVE_OPS
+        .contains(&op)
+        .then_some((op.strip_suffix("_into").unwrap_or(op), args))
 }
 
 fn is_exit_ident(nodes: &[Node], i: usize) -> bool {

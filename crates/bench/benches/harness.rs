@@ -14,17 +14,21 @@
 //! * the vector activations in ns per element, and the worker pool's
 //!   hand-off, warm (worker polling) and cold (worker asleep);
 //! * an end-to-end GShard MoE layer forward **and backward** at the same
-//!   explicit thread counts via [`MoeLayer::set_compute_threads`];
+//!   explicit thread counts via [`MoeLayer::set_compute_threads`], and
+//!   what a warm forward + backward costs the memory system: allocations
+//!   ≥ 64 KiB (from a counting `#[global_allocator]`, this binary only)
+//!   and minor page faults (from `/proc/self/stat`, where there is one);
 //! * the control-plane kernels (pipeline-degree solver, α–β model fit)
 //!   the paper benchmarks against SLSQP.
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
 //! so successive runs can be diffed. The budgets: a GFLOPS floor per
-//! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, and —
-//! only on a box that reports at least two hardware threads — a
-//! 2-thread speedup ≥ 1.3× at dims ≥ 256 and ≥ 0.95× everywhere, so a
-//! kernel, packing or pool regression fails `ci.sh` instead of silently
-//! shipping.
+//! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, no
+//! large allocation and ≤ 2 % of the pre-recycler page faults per warm
+//! MoE step, and — only on a box that reports at least two hardware
+//! threads — a 2-thread speedup ≥ 1.3× at dims ≥ 256 and ≥ 0.95×
+//! everywhere, so a kernel, packing, pool or buffer-recycling regression
+//! fails `ci.sh` instead of silently shipping.
 
 use bench::gate::{best_of_ms, reference_layer, Gate};
 use bench::{perf_model, table4_grid};
@@ -34,6 +38,12 @@ use profiler::microbench::{comm_message_sizes, profile_op};
 use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
 use simnet::Testbed;
 use tensor::{grad, Tensor, TensorRng};
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// Square GEMM dimensions for the sweep; 64 sits below the
 /// `PAR_MIN_MACS` serial-fallback threshold, the rest above it.
@@ -56,8 +66,26 @@ const SPEEDUP_FLOORS: [(usize, f64); 2] = [(0, 0.95), (256, 1.3)];
 const TRANSPOSED_FLOOR: f64 = 0.9;
 /// Ceiling for every vector activation (libm measured ≈ 27).
 const ACTIVATION_NS_CEILING: f64 = 4.0;
+/// Minor faults per warm MoE forward + backward before tensors were
+/// recycled (this measurement on commit `0ddae15`: 1061 / 1066 / 1092 at
+/// 1 / 2 / 4 threads, with 29 allocations ≥ 64 KiB), and the share of
+/// it a step may still take: a page the previous step already touched
+/// must not fault again.
+const PARENT_FAULTS_PER_STEP: f64 = 1061.0;
+const FAULTS_VS_PARENT_CEILING: f64 = 0.02;
 const GEMM_RUNS: usize = 15;
 const MOE_RUNS: usize = 5;
+/// Warm forward + backward steps the memory rows are averaged over.
+const MEMORY_STEPS: usize = 20;
+
+/// Minor page faults this process has taken so far (`minflt`, the tenth
+/// field of `/proc/self/stat`); `None` where there is no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // the second field is the parenthesised command name, spaces and all
+    let after_comm = stat.rsplit_once(')')?.1;
+    after_comm.split_whitespace().nth(7)?.parse().ok()
+}
 
 /// Times the square GEMM at every dim × thread count; returns the JSON
 /// rows plus `(dim, best_gflops, 2-thread speedup)` for the floor
@@ -203,16 +231,30 @@ fn bench_pool_handoff() -> (f64, f64) {
     (warm, cold)
 }
 
+/// What [`bench_moe`] measured.
+struct MoeBench {
+    sweep: Vec<Json>,
+    tokens: usize,
+    experts: usize,
+    best_ms: f64,
+    best_backward_ms: f64,
+    /// Worst row of the sweep, per warm forward + backward.
+    large_allocs: f64,
+    minor_faults: Option<f64>,
+}
+
 /// Times one MoE-layer forward and one backward per explicit thread
-/// count; returns the JSON sweep plus `(tokens, experts, best forward
-/// ms, best backward ms)`.
-fn bench_moe() -> (Vec<Json>, usize, usize, f64, f64) {
+/// count, then counts what [`MEMORY_STEPS`] more warm forward + backward
+/// steps cost in large allocations (on this thread) and minor faults
+/// (process-wide).
+fn bench_moe() -> MoeBench {
     let (mut layer, input) = reference_layer();
     let (tokens, experts) = (layer.config().tokens(), layer.config().num_experts);
     let grad_out = TensorRng::seed_from(2).normal(input.dims(), 0.0, 1.0);
     let mut sweep = Vec::new();
     let mut serial = (f64::NAN, f64::NAN);
     let mut best = (f64::INFINITY, f64::INFINITY);
+    let (mut worst_allocs, mut worst_faults) = (0.0f64, None::<f64>);
     println!("\nMoE layer ({tokens} tokens, {experts} experts), forward / backward:");
     for &t in &THREAD_SWEEP {
         layer.set_compute_threads(Some(t));
@@ -235,7 +277,27 @@ fn bench_moe() -> (Vec<Json>, usize, usize, f64, f64) {
             per_s(fwd),
             per_s(bwd)
         );
-        sweep.push(Json::obj(vec![
+        let faults_before = minor_faults();
+        let ((), _, large) = counting_alloc::count(|| {
+            for _ in 0..MEMORY_STEPS {
+                let mut r = TensorRng::seed_from(1);
+                std::hint::black_box(layer.forward(&input, &mut r).expect("forward"));
+                std::hint::black_box(layer.backward(&grad_out).expect("backward"));
+            }
+        });
+        let per_step = |count: u64| count as f64 / MEMORY_STEPS as f64;
+        let large = per_step(large);
+        let faults = faults_before
+            .zip(minor_faults())
+            .map(|(before, after)| per_step(after - before));
+        println!(
+            "             {large:.2} allocations >= {} KiB and {} minor faults per warm step",
+            counting_alloc::LARGE >> 10,
+            faults.map_or("n/a".to_string(), |f| format!("{f:.1}")),
+        );
+        worst_allocs = worst_allocs.max(large);
+        worst_faults = faults.map(|f| f.max(worst_faults.unwrap_or(0.0)));
+        let mut row = vec![
             ("threads", Json::from(t)),
             ("ms", Json::from(fwd)),
             ("speedup_vs_serial", Json::from(serial.0 / fwd)),
@@ -243,9 +305,22 @@ fn bench_moe() -> (Vec<Json>, usize, usize, f64, f64) {
             ("backward_ms", Json::from(bwd)),
             ("backward_speedup_vs_serial", Json::from(serial.1 / bwd)),
             ("backward_tokens_per_s", Json::from(per_s(bwd))),
-        ]));
+            ("large_allocs_per_step", Json::from(large)),
+        ];
+        if let Some(faults) = faults {
+            row.push(("minor_faults_per_step", Json::from(faults)));
+        }
+        sweep.push(Json::obj(row));
     }
-    (sweep, tokens, experts, best.0, best.1)
+    MoeBench {
+        sweep,
+        tokens,
+        experts,
+        best_ms: best.0,
+        best_backward_ms: best.1,
+        large_allocs: worst_allocs,
+        minor_faults: worst_faults,
+    }
 }
 
 fn bench_control_plane() -> Vec<(&'static str, f64)> {
@@ -291,7 +366,7 @@ fn main() {
     let (transposed_rows, transposed_ratios) = bench_transposed();
     let activations = bench_activations();
     let (handoff_warm_us, handoff_cold_us) = bench_pool_handoff();
-    let (moe_sweep, tokens, experts, moe_best_ms, moe_best_bwd_ms) = bench_moe();
+    let moe = bench_moe();
 
     let control = bench_control_plane();
     println!("\ncontrol plane:");
@@ -341,6 +416,25 @@ fn main() {
             format!("{name}: {ns:.2} ns/element, ceiling {ACTIVATION_NS_CEILING:.1}"),
         );
     }
+    let large_allocs = moe.large_allocs;
+    gate.require(
+        large_allocs == 0.0,
+        format!(
+            "MoE layer: {large_allocs:.2} allocations >= {} KiB per warm forward + backward, \
+             must be 0 — a tensor-sized buffer bypasses the recycler",
+            counting_alloc::LARGE >> 10
+        ),
+    );
+    let faults_ceiling = FAULTS_VS_PARENT_CEILING * PARENT_FAULTS_PER_STEP;
+    if let Some(faults) = moe.minor_faults {
+        gate.require(
+            faults <= faults_ceiling,
+            format!(
+                "MoE layer: {faults:.1} minor faults per warm forward + backward, ceiling \
+                 {faults_ceiling:.1} ({FAULTS_VS_PARENT_CEILING} of {PARENT_FAULTS_PER_STEP})"
+            ),
+        );
+    }
 
     gate.finish(vec![
         (
@@ -386,6 +480,8 @@ fn main() {
             Json::obj(vec![
                 ("activation_ns_ceiling", Json::from(ACTIVATION_NS_CEILING)),
                 ("transposed_vs_plain", Json::from(TRANSPOSED_FLOOR)),
+                ("moe_large_allocs_per_step", Json::from(0.0)),
+                ("moe_minor_faults_per_step", Json::from(faults_ceiling)),
                 (
                     "speedup_2_threads",
                     Json::from(
@@ -405,19 +501,19 @@ fn main() {
         (
             "moe_layer",
             Json::obj(vec![
-                ("tokens", Json::from(tokens)),
-                ("experts", Json::from(experts)),
-                ("best_ms", Json::from(moe_best_ms)),
+                ("tokens", Json::from(moe.tokens)),
+                ("experts", Json::from(moe.experts)),
+                ("best_ms", Json::from(moe.best_ms)),
                 (
                     "best_tokens_per_s",
-                    Json::from(tokens as f64 / (moe_best_ms * 1e-3)),
+                    Json::from(moe.tokens as f64 / (moe.best_ms * 1e-3)),
                 ),
-                ("best_backward_ms", Json::from(moe_best_bwd_ms)),
+                ("best_backward_ms", Json::from(moe.best_backward_ms)),
                 (
                     "best_backward_tokens_per_s",
-                    Json::from(tokens as f64 / (moe_best_bwd_ms * 1e-3)),
+                    Json::from(moe.tokens as f64 / (moe.best_backward_ms * 1e-3)),
                 ),
-                ("sweep", Json::from(moe_sweep)),
+                ("sweep", Json::from(moe.sweep)),
             ]),
         ),
         (

@@ -8,8 +8,10 @@
 //! fit on synthetic points are checked:
 //!
 //! * **the wire is linear in bytes** — a 2-rank AllReduce over 2–16 MiB
-//!   per rank fits with `β > 0` and `r² ≥ 0.5`, and the largest payload
-//!   costs more than the smallest;
+//!   per rank fits with `β > 0` and `r² ≥ 0.9`, and the largest payload
+//!   costs more than the smallest (the floor was 0.5 while every call
+//!   page-faulted its payload copies in: 0.36–0.92 over three runs then,
+//!   0.92–0.9996 over thirteen with the staging recycled);
 //! * **the GEMM is linear in FLOPs** — a square-GEMM sweep fits with
 //!   `β > 0` and `r² ≥ 0.9`, and the largest GEMM costs more than the
 //!   smallest.
@@ -24,7 +26,7 @@ use profiler::{cpu, FittedModel};
 
 /// Repetitions per point; the sample is the minimum.
 const RUNS: usize = 15;
-const WIRE_R2_BUDGET: f64 = 0.5;
+const WIRE_R2_BUDGET: f64 = 0.9;
 const GEMM_R2_BUDGET: f64 = 0.9;
 
 /// One budgeted fit: judges it against `gate` and returns its report

@@ -13,6 +13,28 @@
 //! different logical collectives therefore can never mix — a straggler
 //! arriving behind the stream gets [`CommError::Abandoned`] instead of
 //! cross-wiring its stale payload into a peer's *next* collective.
+//!
+//! # Buffers: who owns what
+//!
+//! The rendezvous allocates nothing once a group has seen an op of each
+//! size. Every member has a **staging slot** owned by the group
+//! (`OpState::inputs`) that persists across ops: a deposit is `clear` +
+//! `extend_from_slice` into it, and a flag — not the slot's contents —
+//! says whether it holds a live deposit. That is why staging survives
+//! [`GroupComm::withdraw`]: an error exit lowers the flag and leaves the
+//! slot (and its capacity) for the retry. The last arriver sums a
+//! reduction **once** into the group's `reduced` buffer; nothing else is
+//! computed under the lock. Each member then copies its own result
+//! straight out of the staged inputs (or `reduced`) into the buffer its
+//! caller provided — the `recv` of the `*_into` forms, or the payload
+//! slice itself for the in-place ops — so a caller that passes the same
+//! `recv` every step reuses one allocation forever. Staged payloads stay
+//! readable until the last member has drained, because the next round
+//! cannot open before.
+//!
+//! A one-rank group (every unsharded ESP group) has nobody to meet: it
+//! passes the same fault gates, advances the same op stream and records
+//! the same span, but moves the payload with one copy and no staging.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,14 +54,16 @@ use crate::{CommError, Result};
 pub(crate) const FAULT_POLL: Duration = Duration::from_millis(25);
 
 /// Which collective the group is currently executing, used to detect SPMD
-/// violations (two ranks calling different collectives on one group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// violations (two ranks calling different collectives on one group) and
+/// to say what a member's result is made of.
+#[derive(Debug, Clone, Copy)]
 enum OpTag {
     AllReduce,
     AllGather,
     ReduceScatter,
     AllToAll,
-    Broadcast,
+    /// The root's group index.
+    Broadcast(usize),
     Barrier,
 }
 
@@ -50,8 +74,79 @@ impl OpTag {
             OpTag::AllGather => obs::names::SPAN_ALL_GATHER,
             OpTag::ReduceScatter => obs::names::SPAN_REDUCE_SCATTER,
             OpTag::AllToAll => obs::names::SPAN_ALL_TO_ALL,
-            OpTag::Broadcast => obs::names::SPAN_BROADCAST,
+            OpTag::Broadcast(_) => obs::names::SPAN_BROADCAST,
             OpTag::Barrier => obs::names::SPAN_BARRIER,
+        }
+    }
+
+    /// Whether the result is read from the element-wise sum of the
+    /// deposits rather than from the deposits themselves.
+    fn reduces(self) -> bool {
+        matches!(self, OpTag::AllReduce | OpTag::ReduceScatter)
+    }
+
+    /// Whether two members are in the same collective.
+    fn same_op(self, other: OpTag) -> bool {
+        std::mem::discriminant(&self) == std::mem::discriminant(&other)
+    }
+}
+
+/// The caller's buffers for one collective.
+enum Io<'a> {
+    /// The result replaces the payload (`all_reduce`, `broadcast`,
+    /// `barrier` with an empty slice).
+    InPlace(&'a mut [f32]),
+    /// The payload is `send`; the result replaces the contents of `recv`.
+    Into {
+        send: &'a [f32],
+        recv: &'a mut Vec<f32>,
+    },
+}
+
+impl Io<'_> {
+    fn send(&self) -> &[f32] {
+        match self {
+            Io::InPlace(data) => data,
+            Io::Into { send, .. } => send,
+        }
+    }
+
+    /// Stores the concatenation of `parts` as the result.
+    fn put<'p>(&mut self, parts: impl Iterator<Item = &'p [f32]>) {
+        match self {
+            Io::InPlace(data) => {
+                let mut filled = 0;
+                for part in parts {
+                    data[filled..filled + part.len()].copy_from_slice(part);
+                    filled += part.len();
+                }
+            }
+            Io::Into { recv, .. } => {
+                recv.clear();
+                parts.for_each(|part| recv.extend_from_slice(part));
+            }
+        }
+    }
+
+    /// The result on a one-rank group, straight from the payload: itself,
+    /// `v + 0.0` where the op sums (the group path starts its fold from
+    /// zero, which turns `-0.0` into `+0.0`), or zeros when an injected
+    /// fault dropped the payload.
+    fn put_solo(&mut self, reduces: bool, dropped: bool) {
+        match self {
+            Io::InPlace(data) if dropped => data.fill(0.0),
+            Io::InPlace(data) if reduces => data.iter_mut().for_each(|v| *v += 0.0),
+            Io::InPlace(_) => {}
+            Io::Into { send, recv } => {
+                recv.clear();
+                if dropped {
+                    recv.resize(send.len(), 0.0);
+                } else if reduces {
+                    recv.extend(send.iter().map(|v| v + 0.0));
+                } else {
+                    recv.extend_from_slice(send);
+                }
+            }
         }
     }
 }
@@ -60,7 +155,8 @@ impl OpTag {
 enum Phase {
     /// Ranks are depositing inputs; `usize` counts arrivals.
     Collecting(usize),
-    /// Outputs are ready; members drain them (slot goes to `None`).
+    /// The round is complete; members drain their results (`owed` goes
+    /// to `false`).
     Distributing,
 }
 
@@ -71,11 +167,47 @@ struct OpState {
     /// Op id of the current (or most recently opened) round. Monotone:
     /// a round is only ever claimed by a rank whose op id is ≥ it.
     round_id: u64,
-    inputs: Vec<Option<Vec<f32>>>,
-    outputs: Vec<Option<Vec<f32>>>,
+    /// One staging slot per member, kept (with its capacity) across ops.
+    inputs: Vec<Vec<f32>>,
+    /// Whether `inputs[i]` holds member `i`'s deposit for the open round.
+    deposited: Vec<bool>,
+    /// Element-wise sum of the deposits of a completed reducing round.
+    reduced: Vec<f32>,
+    /// Members that have not yet taken their result of a completed round.
+    owed: Vec<bool>,
     /// Set when a member panicked mid-collective (or violated SPMD);
     /// permanent — the rendezvous state is indeterminate afterwards.
     poisoned: Option<usize>,
+}
+
+impl OpState {
+    /// Sums the deposits into `reduced`, folding from zero in group-index
+    /// order — the one reduction of the round.
+    fn reduce(&mut self) {
+        let len = self.inputs[0].len();
+        self.reduced.clear();
+        self.reduced.resize(len, 0.0);
+        for inp in &self.inputs {
+            for (s, v) in self.reduced.iter_mut().zip(inp) {
+                *s += v;
+            }
+        }
+    }
+
+    /// Copies member `index`'s result of the completed round `tag` out
+    /// of the staging into the caller's buffers.
+    fn deliver(&self, tag: OpTag, index: usize, io: &mut Io<'_>) {
+        let chunk = self.inputs[0].len() / self.inputs.len();
+        let mine = index * chunk..(index + 1) * chunk;
+        match tag {
+            OpTag::AllReduce => io.put(std::iter::once(&self.reduced[..])),
+            OpTag::ReduceScatter => io.put(std::iter::once(&self.reduced[mine])),
+            OpTag::AllGather => io.put(self.inputs.iter().map(Vec::as_slice)),
+            OpTag::AllToAll => io.put(self.inputs.iter().map(|inp| &inp[mine.clone()])),
+            OpTag::Broadcast(root) => io.put(std::iter::once(&self.inputs[root][..])),
+            OpTag::Barrier => {}
+        }
+    }
 }
 
 /// Process-global group-instance counter: every [`GroupInner`] gets a
@@ -116,8 +248,10 @@ impl GroupInner {
                 phase: Phase::Collecting(0),
                 tag: None,
                 round_id: 0,
-                inputs: vec![None; n],
-                outputs: vec![None; n],
+                inputs: vec![Vec::new(); n],
+                deposited: vec![false; n],
+                reduced: Vec::new(),
+                owed: vec![false; n],
                 poisoned: None,
             }),
             cond: Condvar::new(),
@@ -295,15 +429,16 @@ impl GroupComm {
             .ranks
             .iter()
             .enumerate()
-            .find(|&(i, &r)| st.inputs[i].is_none() && self.inner.ctrl.is_dead(r))
+            .find(|&(i, &r)| !st.deposited[i] && self.inner.ctrl.is_dead(r))
             .map(|(_, &r)| r)
     }
 
-    /// Removes this rank's deposit so an abandoned op leaves the group
-    /// reusable (retries re-enter a clean Collecting state).
+    /// Retracts this rank's deposit so an abandoned op leaves the group
+    /// reusable (retries re-enter a clean Collecting state). The staging
+    /// slot itself stays for the next deposit.
     fn withdraw(&self, st: &mut OpState) {
         if let Phase::Collecting(c) = &mut st.phase {
-            if st.inputs[self.index].take().is_some() {
+            if std::mem::take(&mut st.deposited[self.index]) {
                 *c -= 1;
             }
             if *c == 0 {
@@ -312,18 +447,18 @@ impl GroupComm {
         }
     }
 
-    /// Drops outputs owed to dead ranks and, if the drain is complete,
-    /// resets the group for the next collective.
+    /// Writes off results owed to dead ranks and, if the drain is
+    /// complete, resets the group for the next collective.
     fn settle_drain(&self, st: &mut OpState) {
         if !matches!(st.phase, Phase::Distributing) {
             return;
         }
         for (i, &r) in self.inner.ranks.iter().enumerate() {
             if self.inner.ctrl.is_dead(r) {
-                st.outputs[i] = None;
+                st.owed[i] = false;
             }
         }
-        if st.outputs.iter().all(Option::is_none) {
+        if !st.owed.contains(&true) {
             st.phase = Phase::Collecting(0);
             st.tag = None;
             self.inner.cond.notify_all();
@@ -338,7 +473,7 @@ impl GroupComm {
                 .ranks
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| st.inputs[i].is_none() && i != self.index)
+                .filter(|&(i, _)| !st.deposited[i] && i != self.index)
                 .map(|(_, &r)| r)
                 .collect(),
             Phase::Distributing => self
@@ -346,7 +481,7 @@ impl GroupComm {
                 .ranks
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| st.outputs[i].is_some())
+                .filter(|&(i, _)| st.owed[i])
                 .map(|(_, &r)| r)
                 .collect(),
         }
@@ -367,21 +502,15 @@ impl GroupComm {
     /// preceding dead/fence gates replicate [`GroupComm::run_inner`]'s
     /// own (which it keeps — faults must never be consumed by a rank
     /// that could not have run the op anyway).
-    fn run<F>(&self, tag: OpTag, mut input: Vec<f32>, compute: F) -> Result<Vec<f32>>
-    where
-        F: FnOnce(&[Vec<f32>]) -> Vec<Vec<f32>>,
-    {
-        if let Err(err) = self.fault_gates(&mut input) {
-            record_error_counters(&err);
-            return Err(err);
-        }
+    fn run(&self, tag: OpTag, mut io: Io<'_>) -> Result<()> {
+        let dropped = self.fault_gates().inspect_err(record_error_counters)?;
 
         let pos = self.op_stream_position();
         let marker = self.inner.attempts[self.index].swap(pos + 1, Ordering::Relaxed);
         if marker == pos + 1 {
             obs::counter_add(obs::names::COLLECTIVES_RETRIES, 1);
         }
-        let bytes = input.len() * std::mem::size_of::<f32>();
+        let bytes = std::mem::size_of_val(io.send());
         // Adaptive budgets override the static deadline: the controller
         // sizes this op's budget to its name and payload. Timing starts
         // *after* the fault gates — an injected straggler delay is this
@@ -400,8 +529,17 @@ impl GroupComm {
         // across two keys.
         let epoch = self.inner.ctrl.epoch();
         let span = obs::deferred_span(obs::names::CAT_COLLECTIVES, tag.name());
-        match self.run_inner(tag, input, compute, budget) {
-            Ok(out) => {
+        let result = if self.size() == 1 {
+            // Nobody to meet: the gates above were the whole fault
+            // surface, and this rank's stream is the group's.
+            io.put_solo(tag.reduces(), dropped);
+            self.inner.streams[self.index].store(pos + 1, Ordering::Relaxed);
+            Ok(())
+        } else {
+            self.run_inner(tag, &mut io, dropped, budget)
+        };
+        match result {
+            Ok(()) => {
                 if let Some(ctl) = &adaptive {
                     // Success-only: error paths measure the failure
                     // mode, not the op's cost, and would poison p99.
@@ -424,7 +562,7 @@ impl GroupComm {
                     );
                 }
                 span.commit();
-                Ok(out)
+                Ok(())
             }
             Err(err) => {
                 span.cancel();
@@ -438,8 +576,9 @@ impl GroupComm {
     /// its collective span opens: dead-rank fail-fast, eviction fence,
     /// then the injector consult — exactly the order `run_inner` used to
     /// apply them, so faults are never consumed by a rank that could not
-    /// have run the op anyway.
-    fn fault_gates(&self, input: &mut [f32]) -> Result<()> {
+    /// have run the op anyway. `Ok(true)` means an injected fault dropped
+    /// this rank's payload: it deposits zeros.
+    fn fault_gates(&self) -> Result<bool> {
         let ctrl = &self.inner.ctrl;
         if ctrl.is_dead(self.global_rank) {
             return Err(CommError::RankDown {
@@ -463,15 +602,17 @@ impl GroupComm {
                     });
                 }
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                Some(FaultAction::DropPayload) => input.iter_mut().for_each(|v| *v = 0.0),
+                Some(FaultAction::DropPayload) => return Ok(true),
                 None => {}
             }
         }
-        Ok(())
+        Ok(false)
     }
 
-    /// The core rendezvous: deposit `input`, wait for all members, let the
-    /// last arrival compute all outputs with `compute`, then take ours.
+    /// The core rendezvous: deposit the payload of `io` (zeros when
+    /// `dropped`) into this rank's staging slot, wait for all members —
+    /// the last arrival checks the lengths and sums a reduction — then
+    /// copy this rank's result out into `io`.
     ///
     /// # Errors
     ///
@@ -484,18 +625,16 @@ impl GroupComm {
     /// # Panics
     ///
     /// Panics when members concurrently issue different collectives on the
-    /// same group (an SPMD violation); the group is poisoned first so
-    /// peers error out rather than deadlock.
-    fn run_inner<F>(
+    /// same group (an SPMD violation), or pass payloads of different
+    /// lengths to anything but an AllGather; the group is poisoned first
+    /// so peers error out rather than deadlock.
+    fn run_inner(
         &self,
         tag: OpTag,
-        input: Vec<f32>,
-        compute: F,
+        io: &mut Io<'_>,
+        dropped: bool,
         budget: Option<Duration>,
-    ) -> Result<Vec<f32>>
-    where
-        F: FnOnce(&[Vec<f32>]) -> Vec<Vec<f32>>,
-    {
+    ) -> Result<()> {
         let ctrl = &self.inner.ctrl;
         // Redundant with [`GroupComm::run`]'s gates, deliberately: the
         // checks are cheap, and keeping them here means no path into the
@@ -523,7 +662,7 @@ impl GroupComm {
         let mut st = self.inner.state.lock();
 
         // Wait out the drain of a previous collective. Dead ranks never
-        // take their outputs, so scrub them as we go.
+        // take their results, so write them off as we go.
         loop {
             if let Some(rank) = st.poisoned {
                 return Err(CommError::Poisoned { rank });
@@ -563,9 +702,7 @@ impl GroupComm {
         }
         if my_id > st.round_id {
             if st.tag.is_some() {
-                for slot in st.inputs.iter_mut() {
-                    *slot = None;
-                }
+                st.deposited.fill(false);
                 st.phase = Phase::Collecting(0);
                 st.tag = None;
                 self.inner.cond.notify_all();
@@ -576,7 +713,7 @@ impl GroupComm {
         debug_assert_eq!(st.round_id, my_id, "round claimed at the caller's op id");
         match st.tag {
             None => st.tag = Some(tag),
-            Some(t) if t == tag => {}
+            Some(t) if t.same_op(tag) => {}
             Some(t) => {
                 st.poisoned = Some(self.global_rank);
                 let ranks = self.inner.ranks.clone();
@@ -589,7 +726,14 @@ impl GroupComm {
             }
         }
 
-        st.inputs[self.index] = Some(input);
+        let slot = &mut st.inputs[self.index];
+        slot.clear();
+        if dropped {
+            slot.resize(io.send().len(), 0.0);
+        } else {
+            slot.extend_from_slice(io.send());
+        }
+        st.deposited[self.index] = true;
         let arrived = match &mut st.phase {
             Phase::Collecting(c) => {
                 *c += 1;
@@ -599,30 +743,29 @@ impl GroupComm {
         };
 
         if arrived == n {
-            let inputs: Vec<Vec<f32>> = st
-                .inputs
-                .iter_mut()
-                // lint: allow(unwrap) — arrived == n holds here, and
-                // every arrival deposits its input before incrementing.
-                .map(|s| s.take().expect("all inputs deposited"))
-                .collect();
-            let outputs = compute(&inputs);
-            assert_eq!(outputs.len(), n, "compute must yield one output per rank");
-            for (slot, out) in st.outputs.iter_mut().zip(outputs) {
-                *slot = Some(out);
+            if !matches!(tag, OpTag::AllGather) {
+                let len = st.inputs[0].len();
+                for inp in &st.inputs {
+                    assert_eq!(inp.len(), len, "{op} buffers must match in length");
+                }
             }
+            if tag.reduces() {
+                st.reduce();
+            }
+            st.deposited.fill(false);
+            st.owed.fill(true);
             st.phase = Phase::Distributing;
             self.inner.cond.notify_all();
         } else {
             loop {
-                // A completed exchange always wins: once the op's compute
-                // has run and our output is waiting, a fence or death
+                // A completed exchange always wins: once the round is
+                // complete and our result is waiting, a fence or death
                 // verdict observed afterwards belongs to a *later* op.
                 // Erroring here would orphan an op every peer already
                 // recorded as a world-wide success — a live eviction
                 // racing the victim's wake-up from its final collective
                 // would leave the op's key with a missing participant.
-                if matches!(st.phase, Phase::Distributing) && st.outputs[self.index].is_some() {
+                if matches!(st.phase, Phase::Distributing) && st.owed[self.index] {
                     break;
                 }
                 if let Some(rank) = st.poisoned {
@@ -668,22 +811,23 @@ impl GroupComm {
             }
         }
 
-        let Some(out) = st.outputs[self.index].take() else {
-            // Distribution is underway but our slot is already gone:
-            // only `settle_drain` scrubs slots, and only for ranks the
+        if !std::mem::take(&mut st.owed[self.index]) {
+            // Distribution is underway but our result is already written
+            // off: only `settle_drain` does that, and only for ranks the
             // fleet marked dead — this rank was evicted while it slept
-            // and a peer drained its output. Too late to claim the
+            // and a peer drained on its behalf. Too late to claim the
             // result; exit with the verdict.
             self.settle_drain(&mut st);
             self.inner.cond.notify_all();
             return Err(CommError::RankDown {
                 rank: self.global_rank,
             });
-        };
+        }
+        st.deliver(tag, self.index, io);
         self.settle_drain(&mut st);
         // The op completed for this rank: advance its stream position.
         self.inner.streams[self.index].store(my_id + 1, Ordering::Relaxed);
-        Ok(out)
+        Ok(())
     }
 
     /// Element-wise sum across the group; every rank ends with the total.
@@ -701,21 +845,7 @@ impl GroupComm {
     ///
     /// Panics if members pass buffers of different lengths.
     pub fn all_reduce(&self, data: &mut [f32]) -> Result<()> {
-        let out = self.run(OpTag::AllReduce, data.to_vec(), |inputs| {
-            let len = inputs[0].len();
-            for inp in inputs {
-                assert_eq!(inp.len(), len, "all_reduce buffers must match in length");
-            }
-            let mut sum = vec![0.0f32; len];
-            for inp in inputs {
-                for (s, v) in sum.iter_mut().zip(inp) {
-                    *s += v;
-                }
-            }
-            vec![sum; inputs.len()]
-        })?;
-        data.copy_from_slice(&out);
-        Ok(())
+        self.run(OpTag::AllReduce, Io::InPlace(data))
     }
 
     /// Concatenates every rank's buffer in group-index order; every rank
@@ -729,10 +859,20 @@ impl GroupComm {
     /// Returns deadline/fault errors ([`CommError::Timeout`],
     /// [`CommError::RankDown`], [`CommError::Poisoned`]).
     pub fn all_gather(&self, data: &[f32]) -> Result<Vec<f32>> {
-        self.run(OpTag::AllGather, data.to_vec(), |inputs| {
-            let cat: Vec<f32> = inputs.iter().flatten().copied().collect();
-            vec![cat; inputs.len()]
-        })
+        let mut recv = Vec::new();
+        self.exchange(OpTag::AllGather, data, &mut recv)?;
+        Ok(recv)
+    }
+
+    /// [`GroupComm::all_gather`] into a caller-provided buffer: `recv` is
+    /// cleared and filled, so passing the same one every step allocates
+    /// nothing. On error `recv` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`GroupComm::all_gather`].
+    pub fn all_gather_into(&self, send: &[f32], recv: &mut Vec<f32>) -> Result<()> {
+        self.exchange(OpTag::AllGather, send, recv)
     }
 
     /// Sums all buffers element-wise, then scatters the sum: rank `i`
@@ -746,28 +886,19 @@ impl GroupComm {
     /// Returns [`CommError::BadBufferLength`] when the buffer does not
     /// divide evenly by the group size, plus deadline/fault errors.
     pub fn reduce_scatter(&self, data: &[f32]) -> Result<Vec<f32>> {
-        let n = self.size();
-        if !data.len().is_multiple_of(n) {
-            return Err(CommError::BadBufferLength {
-                op: "reduce_scatter",
-                len: data.len(),
-                group_size: n,
-            });
-        }
-        self.run(OpTag::ReduceScatter, data.to_vec(), |inputs| {
-            let len = inputs[0].len();
-            let chunk = len / inputs.len();
-            let mut sum = vec![0.0f32; len];
-            for inp in inputs {
-                assert_eq!(inp.len(), len, "reduce_scatter buffers must match");
-                for (s, v) in sum.iter_mut().zip(inp) {
-                    *s += v;
-                }
-            }
-            (0..inputs.len())
-                .map(|i| sum[i * chunk..(i + 1) * chunk].to_vec())
-                .collect()
-        })
+        let mut recv = Vec::new();
+        self.exchange(OpTag::ReduceScatter, data, &mut recv)?;
+        Ok(recv)
+    }
+
+    /// [`GroupComm::reduce_scatter`] into a caller-provided buffer (see
+    /// [`GroupComm::all_gather_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`GroupComm::reduce_scatter`].
+    pub fn reduce_scatter_into(&self, send: &[f32], recv: &mut Vec<f32>) -> Result<()> {
+        self.exchange(OpTag::ReduceScatter, send, recv)
     }
 
     /// Splits each rank's buffer into `size` equal chunks and transposes:
@@ -782,28 +913,33 @@ impl GroupComm {
     /// Returns [`CommError::BadBufferLength`] when the buffer does not
     /// divide evenly by the group size, plus deadline/fault errors.
     pub fn all_to_all(&self, data: &[f32]) -> Result<Vec<f32>> {
-        let n = self.size();
-        if !data.len().is_multiple_of(n) {
+        let mut recv = Vec::new();
+        self.exchange(OpTag::AllToAll, data, &mut recv)?;
+        Ok(recv)
+    }
+
+    /// [`GroupComm::all_to_all`] into a caller-provided buffer (see
+    /// [`GroupComm::all_gather_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`GroupComm::all_to_all`].
+    pub fn all_to_all_into(&self, send: &[f32], recv: &mut Vec<f32>) -> Result<()> {
+        self.exchange(OpTag::AllToAll, send, recv)
+    }
+
+    /// One `send` → `recv` collective; the two that scatter need `send`
+    /// to split into one equal chunk per member.
+    fn exchange(&self, tag: OpTag, send: &[f32], recv: &mut Vec<f32>) -> Result<()> {
+        let group_size = self.size();
+        if !matches!(tag, OpTag::AllGather) && !send.len().is_multiple_of(group_size) {
             return Err(CommError::BadBufferLength {
-                op: "all_to_all",
-                len: data.len(),
-                group_size: n,
+                op: tag.name(),
+                len: send.len(),
+                group_size,
             });
         }
-        self.run(OpTag::AllToAll, data.to_vec(), |inputs| {
-            let len = inputs[0].len();
-            let chunk = len / inputs.len();
-            (0..inputs.len())
-                .map(|dst| {
-                    let mut out = Vec::with_capacity(len);
-                    for src in inputs {
-                        assert_eq!(src.len(), len, "all_to_all buffers must match");
-                        out.extend_from_slice(&src[dst * chunk..(dst + 1) * chunk]);
-                    }
-                    out
-                })
-                .collect()
-        })
+        self.run(tag, Io::Into { send, recv })
     }
 
     /// Copies `root`'s buffer (by group index) to every rank.
@@ -820,11 +956,7 @@ impl GroupComm {
                 world_size: n,
             });
         }
-        let out = self.run(OpTag::Broadcast, data.to_vec(), move |inputs| {
-            vec![inputs[root].clone(); inputs.len()]
-        })?;
-        data.copy_from_slice(&out);
-        Ok(())
+        self.run(OpTag::Broadcast(root), Io::InPlace(data))
     }
 
     /// Blocks until every member of the group has reached the barrier.
@@ -834,9 +966,6 @@ impl GroupComm {
     /// Returns deadline/fault errors ([`CommError::Timeout`],
     /// [`CommError::RankDown`], [`CommError::Poisoned`]).
     pub fn barrier(&self) -> Result<()> {
-        let _ = self.run(OpTag::Barrier, Vec::new(), |inputs| {
-            vec![Vec::new(); inputs.len()]
-        })?;
-        Ok(())
+        self.run(OpTag::Barrier, Io::InPlace(&mut []))
     }
 }

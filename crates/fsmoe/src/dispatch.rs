@@ -19,6 +19,7 @@
 //! crate prices).
 
 use collectives::GroupComm;
+use tensor::buf;
 
 use crate::{MoeError, Result};
 
@@ -78,13 +79,15 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Performs the AlltoAll permutation of `data` (which must divide
-    /// evenly into `ep_group.size()` chunks).
+    /// evenly into `ep_group.size()` chunks) into `recv`, which is
+    /// cleared and filled — a caller that passes a buffer of the right
+    /// capacity allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns an error on bad buffer lengths or a missing sub-group for
     /// hierarchical algorithms.
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>>;
+    fn all_to_all(&self, data: &[f32], recv: &mut Vec<f32>, ctx: &DispatchCtx<'_>) -> Result<()>;
 }
 
 /// The default NCCL AlltoAll: one flat exchange over the EP group.
@@ -96,8 +99,8 @@ impl Dispatcher for NcclA2A {
         "nccl_a2a"
     }
 
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>> {
-        Ok(ctx.ep_group.all_to_all(data)?)
+    fn all_to_all(&self, data: &[f32], recv: &mut Vec<f32>, ctx: &DispatchCtx<'_>) -> Result<()> {
+        Ok(ctx.ep_group.all_to_all_into(data, recv)?)
     }
 }
 
@@ -132,8 +135,8 @@ impl Dispatcher for Hier1DH {
         "1dh_a2a"
     }
 
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>> {
-        let (n1, n2, n) = hier_dims(ctx)?;
+    fn all_to_all(&self, data: &[f32], recv: &mut Vec<f32>, ctx: &DispatchCtx<'_>) -> Result<()> {
+        let (n1, _, n) = hier_dims(ctx)?;
         if !data.len().is_multiple_of(n) {
             return Err(MoeError::Comm(collectives::CommError::BadBufferLength {
                 op: "1dh_a2a",
@@ -145,37 +148,27 @@ impl Dispatcher for Hier1DH {
         let intra = ctx.intra.expect("checked by hier_dims");
         let inter = ctx.inter.expect("checked by hier_dims");
         let my_local = intra.group_index();
-        let my_node = inter.group_index();
 
         // Phase 1: intra-node AllGather — every GPU of the node now holds
         // the full node payload (n1 ranks × n chunks).
-        let gathered = intra.all_gather(data)?; // n1 * n * c
+        let mut gathered = buf::take(n1 * n * c);
+        intra.all_gather_into(data, &mut gathered)?;
 
         // Phase 2: inter-node AlltoAll among same-local peers. To node
         // j' we send, for every source local i'' of our node, the chunk
         // destined to EP rank (j', my_local).
-        let mut send = Vec::with_capacity(n2 * n1 * c);
-        for dst_node in 0..n2 {
-            let dst_rank = dst_node * n1 + my_local;
-            for src_local in 0..n1 {
-                let base = src_local * n * c + dst_rank * c;
-                send.extend_from_slice(&gathered[base..base + c]);
-            }
+        let mut send = buf::take(n * c);
+        for (slot, chunk) in send.chunks_mut(c.max(1)).enumerate() {
+            let (dst_node, src_local) = (slot / n1, slot % n1);
+            let base = src_local * n * c + (dst_node * n1 + my_local) * c;
+            chunk.copy_from_slice(&gathered[base..base + c]);
         }
-        let recv = inter.all_to_all(&send)?; // from node j'': n1 chunks for me
-
-        // Local reorder: output chunk s (source EP rank s = j''·n1 + i'')
-        // is at position (j''·n1 + i'')·c of recv.
-        let mut out = vec![0.0f32; n * c];
-        for src_node in 0..n2 {
-            for src_local in 0..n1 {
-                let src_rank = src_node * n1 + src_local;
-                let base = (src_node * n1 + src_local) * c;
-                out[src_rank * c..(src_rank + 1) * c].copy_from_slice(&recv[base..base + c]);
-            }
-        }
-        let _ = my_node;
-        Ok(out)
+        buf::give(gathered);
+        // From node j'' come its n1 chunks for me, so `recv` is already
+        // ordered by source EP rank (node-major × local-minor).
+        inter.all_to_all_into(&send, recv)?;
+        buf::give(send);
+        Ok(())
     }
 }
 
@@ -188,7 +181,7 @@ impl Dispatcher for Hier2DH {
         "2dh_a2a"
     }
 
-    fn all_to_all(&self, data: &[f32], ctx: &DispatchCtx<'_>) -> Result<Vec<f32>> {
+    fn all_to_all(&self, data: &[f32], recv: &mut Vec<f32>, ctx: &DispatchCtx<'_>) -> Result<()> {
         let (n1, n2, n) = hier_dims(ctx)?;
         if !data.len().is_multiple_of(n) {
             return Err(MoeError::Comm(collectives::CommError::BadBufferLength {
@@ -200,38 +193,36 @@ impl Dispatcher for Hier2DH {
         let c = data.len() / n;
         let intra = ctx.intra.expect("checked by hier_dims");
         let inter = ctx.inter.expect("checked by hier_dims");
-        let my_local = intra.group_index();
 
         // Phase 1: intra-node AlltoAll grouped by destination local
         // index. To local peer i' send the n2 chunks destined to
         // (j', i') for every node j'.
-        let mut send1 = Vec::with_capacity(n * c);
-        for dst_local in 0..n1 {
-            for dst_node in 0..n2 {
-                let dst_rank = dst_node * n1 + dst_local;
-                send1.extend_from_slice(&data[dst_rank * c..(dst_rank + 1) * c]);
-            }
+        let mut send = buf::take(n * c);
+        for (slot, chunk) in send.chunks_mut(c.max(1)).enumerate() {
+            let (dst_local, dst_node) = (slot / n2, slot % n2);
+            let dst_rank = dst_node * n1 + dst_local;
+            chunk.copy_from_slice(&data[dst_rank * c..(dst_rank + 1) * c]);
         }
         // After this exchange we hold, from each source local i'', its n2
-        // chunks destined to local index `my_local` on every node.
-        let recv1 = intra.all_to_all(&send1)?; // layout: [src_local][dst_node] chunks
+        // chunks destined to our local index on every node:
+        // [src_local][dst_node] chunks.
+        let mut recv1 = buf::take(n * c);
+        intra.all_to_all_into(&send, &mut recv1)?;
 
         // Phase 2: inter-node AlltoAll grouped by destination node. To
         // node j' send, from every source local, its chunk for (j',
-        // my_local).
-        let mut send2 = Vec::with_capacity(n * c);
-        for dst_node in 0..n2 {
-            for src_local in 0..n1 {
-                let base = (src_local * n2 + dst_node) * c;
-                send2.extend_from_slice(&recv1[base..base + c]);
-            }
+        // our local index).
+        for (slot, chunk) in send.chunks_mut(c.max(1)).enumerate() {
+            let (dst_node, src_local) = (slot / n1, slot % n1);
+            let base = (src_local * n2 + dst_node) * c;
+            chunk.copy_from_slice(&recv1[base..base + c]);
         }
-        let recv2 = inter.all_to_all(&send2)?; // [src_node][src_local] chunks
-
-        // recv2 is already ordered by source EP rank (node-major ×
-        // local-minor = global EP order).
-        let _ = my_local;
-        Ok(recv2)
+        buf::give(recv1);
+        // [src_node][src_local] chunks: already ordered by source EP
+        // rank (node-major × local-minor = global EP order).
+        inter.all_to_all_into(&send, recv)?;
+        buf::give(send);
+        Ok(())
     }
 }
 
@@ -255,13 +246,16 @@ mod tests {
             let data: Vec<f32> = (0..4)
                 .flat_map(|dst| (0..3).map(move |lane| (r * 100 + dst * 10 + lane) as f32))
                 .collect();
-            let direct = NcclA2A.all_to_all(&data, &DispatchCtx::flat(&ep)).unwrap();
+            let (mut direct, mut hier) = (Vec::new(), Vec::new());
+            NcclA2A
+                .all_to_all(&data, &mut direct, &DispatchCtx::flat(&ep))
+                .unwrap();
             let ctx = DispatchCtx {
                 ep_group: &ep,
                 intra: Some(&intra),
                 inter: Some(&inter),
             };
-            let hier = dispatcher.all_to_all(&data, &ctx).unwrap();
+            dispatcher.all_to_all(&data, &mut hier, &ctx).unwrap();
             (direct, hier)
         });
         for (rank, (direct, hier)) in results.into_iter().enumerate() {
@@ -287,9 +281,10 @@ mod tests {
             let ep = comm.world_group();
             let ctx = DispatchCtx::flat(&ep);
             let data = vec![0.0; 4];
+            let mut recv = Vec::new();
             (
-                Hier1DH.all_to_all(&data, &ctx).is_err(),
-                Hier2DH.all_to_all(&data, &ctx).is_err(),
+                Hier1DH.all_to_all(&data, &mut recv, &ctx).is_err(),
+                Hier2DH.all_to_all(&data, &mut recv, &ctx).is_err(),
             )
         });
         for (a, b) in results {

@@ -22,7 +22,7 @@
 use std::time::Duration;
 
 use collectives::{CommError, Communicator, HybridTopology};
-use tensor::{Tensor, TensorRng};
+use tensor::{buf, Tensor, TensorRng};
 
 use crate::checkpoint::LayerCheckpoint;
 use crate::dispatch::{DispatchCtx, Dispatcher};
@@ -148,22 +148,24 @@ fn recoverable(err: &CommError, self_rank: usize) -> bool {
     }
 }
 
-/// Runs one AlltoAll under `policy`. `Ok(Some(out))` is a completed
-/// exchange; `Ok(None)` means the exchange was abandoned after retries
-/// and the caller must degrade: zero-fill *and* advance the groups' op
-/// streams past the exchange ([`DispatchCtx::skip_op`]) so no later
-/// collective can rendezvous with a straggler's stale deposit for it.
+/// Runs one AlltoAll into `recv` under `policy`. `Ok(true)` is a
+/// completed exchange; `Ok(false)` means the exchange was abandoned after
+/// retries — the groups' op streams are already advanced past it
+/// ([`DispatchCtx::skip_op`]) so no later collective can rendezvous with
+/// a straggler's stale deposit for it — and the caller must degrade by
+/// zero-filling `recv`.
 fn a2a_with_policy(
     dispatcher: &dyn Dispatcher,
     policy: FaultPolicy,
     self_rank: usize,
     data: &[f32],
+    recv: &mut Vec<f32>,
     ctx: &DispatchCtx<'_>,
-) -> Result<Option<Vec<f32>>> {
+) -> Result<bool> {
     let mut attempt = 0usize;
     loop {
-        match dispatcher.all_to_all(data, ctx) {
-            Ok(out) => return Ok(Some(out)),
+        match dispatcher.all_to_all(data, recv, ctx) {
+            Ok(()) => return Ok(true),
             Err(MoeError::Comm(e)) if recoverable(&e, self_rank) => {
                 // `Abandoned` can never succeed on retry: the peers' op
                 // stream has provably moved past this exchange.
@@ -175,7 +177,7 @@ fn a2a_with_policy(
                 }
                 if policy.drop_on_failure {
                     ctx.skip_op();
-                    return Ok(None);
+                    return Ok(false);
                 }
                 return Err(MoeError::Comm(e));
             }
@@ -254,16 +256,18 @@ fn grouped_input(layout: ShardLayout, gathered: &[f32]) -> Result<Tensor> {
         local_experts,
     } = layout;
     let rows = local_experts * layout.rows_per_expert();
-    let mut buf = Vec::with_capacity(rows * m);
+    let mut grouped = buf::take(rows * m);
+    let mut dst = 0usize;
     for el in 0..local_experts {
         for s in 0..n_esp {
             for p in 0..n_ep {
                 let row0 = ((s * n_ep + p) * slots + el) * t;
-                buf.extend_from_slice(&gathered[row0 * m..(row0 + t) * m]);
+                grouped[dst..dst + t * m].copy_from_slice(&gathered[row0 * m..(row0 + t) * m]);
+                dst += t * m;
             }
         }
     }
-    Ok(Tensor::from_vec(buf, &[rows, m])?)
+    Ok(Tensor::from_vec(grouped, &[rows, m])?)
 }
 
 /// Splits one expert's flat wire weights back into tensors of `shapes`.
@@ -308,10 +312,10 @@ impl MoeLayer {
         }
     }
 
-    /// One AlltoAll over the EP group under `policy`. An exchange the
-    /// policy gives up on comes back zero-filled, and the assignments
-    /// still `at_risk` this forward are recorded as dropped — taken, so
-    /// a second lost leg does not count them again.
+    /// One AlltoAll over the EP group under `policy`, into a recycled
+    /// buffer. An exchange the policy gives up on comes back zero-filled,
+    /// and the assignments still `at_risk` this forward are recorded as
+    /// dropped — taken, so a second lost leg does not count them again.
     fn ep_all_to_all(
         &mut self,
         data: &[f32],
@@ -319,13 +323,16 @@ impl MoeLayer {
         at_risk: &mut Option<usize>,
     ) -> Result<Vec<f32>> {
         let ctx = DispatchCtx::flat(&self.ep_group);
-        let out = a2a_with_policy(self.dispatcher.as_ref(), policy, self.rank, data, &ctx)?;
-        Ok(out.unwrap_or_else(|| {
+        let mut recv = buf::take(data.len());
+        let dispatcher = self.dispatcher.as_ref();
+        if !a2a_with_policy(dispatcher, policy, self.rank, data, &mut recv, &ctx)? {
             if let Some(count) = at_risk.take() {
                 self.record_drop(count);
             }
-            vec![0.0f32; data.len()]
-        }))
+            recv.clear();
+            recv.resize(data.len(), 0.0);
+        }
+        Ok(recv)
     }
 
     /// Tokens to experts: the `(E·T, M)` order buffer → AlltoAll(EP) →
@@ -355,11 +362,17 @@ impl MoeLayer {
                 layout.t * layout.m,
                 &self.expert_map.slot_layout(),
             );
-            self.ep_all_to_all(&send, policy, at_risk)?
+            let received = self.ep_all_to_all(&send, policy, at_risk)?;
+            buf::give(send);
+            received
         };
         // ESP-AllGather: replicate the node's token set to all shards.
-        let gathered = self.esp_group.all_gather(&received)?;
-        Ok((grouped_input(layout, &gathered)?, layout.group_offsets()))
+        let mut gathered = buf::take(layout.gathered_elems());
+        self.esp_group.all_gather_into(&received, &mut gathered)?;
+        buf::give(received);
+        let grouped = grouped_input(layout, &gathered)?;
+        buf::give(gathered);
+        Ok((grouped, layout.group_offsets()))
     }
 
     /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: grouped
@@ -376,7 +389,8 @@ impl MoeLayer {
     ) -> Result<Tensor> {
         let layout = self.shard_layout();
         let offsets = layout.group_offsets();
-        let mut shard_out = vec![0.0f32; layout.gathered_elems()];
+        // zeroed: pad slots carry zeros in both directions
+        let mut shard_out = buf::take_zeroed(layout.gathered_elems());
         for el in 0..layout.local_experts {
             scatter_expert_rows(
                 layout,
@@ -385,16 +399,22 @@ impl MoeLayer {
                 &rows.data()[offsets[el] * layout.m..offsets[el + 1] * layout.m],
             );
         }
-        let reduced = self.esp_group.reduce_scatter(&shard_out)?;
+        let mut reduced = buf::take(shard_out.len() / layout.n_esp);
+        self.esp_group
+            .reduce_scatter_into(&shard_out, &mut reduced)?;
+        buf::give(shard_out);
         let mut combined = self.ep_all_to_all(&reduced, policy, at_risk)?;
+        buf::give(reduced);
         let num_experts = self.config.num_experts;
         if !self.expert_map.is_block() {
+            let slotted = combined;
             combined = unpermute_expert_blocks(
-                &combined,
+                &slotted,
                 layout.t * layout.m,
                 &self.expert_map.slot_layout(),
                 num_experts,
             );
+            buf::give(slotted);
         }
         Ok(Tensor::from_vec(
             combined,

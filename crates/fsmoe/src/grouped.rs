@@ -15,7 +15,7 @@
 //! a row copy, and the combine scatter accumulates contributions in
 //! assignment order — the same order the padded reference combine uses.
 
-use tensor::{grad, Tensor};
+use tensor::{buf, grad, Tensor};
 
 use crate::expert::{for_each_expert, Expert, ExpertState, FfnWeights};
 use crate::routing::Routing;
@@ -98,9 +98,9 @@ impl TokenGroups {
     /// Returns an error when `input` is not `(num_tokens, M)`.
     pub fn gather(&self, input: &Tensor) -> Result<Tensor> {
         let m = self.check_tokens(input)?;
-        let mut out = Vec::with_capacity(self.num_rows() * m);
-        for &t in &self.tokens {
-            out.extend_from_slice(&input.data()[t * m..(t + 1) * m]);
+        let mut out = buf::take(self.num_rows() * m);
+        for (row, &t) in out.chunks_mut(m.max(1)).zip(&self.tokens) {
+            row.copy_from_slice(&input.data()[t * m..(t + 1) * m]);
         }
         Ok(Tensor::from_vec(out, &[self.num_rows(), m])?)
     }
@@ -113,9 +113,13 @@ impl TokenGroups {
     /// Returns an error when `grad_output` is not `(num_tokens, M)`.
     pub fn gather_weighted(&self, grad_output: &Tensor) -> Result<Tensor> {
         let m = self.check_tokens(grad_output)?;
-        let mut out = Vec::with_capacity(self.num_rows() * m);
-        for (&t, &w) in self.tokens.iter().zip(&self.weights) {
-            out.extend(grad_output.data()[t * m..(t + 1) * m].iter().map(|v| w * v));
+        let mut out = buf::take(self.num_rows() * m);
+        let rows = out.chunks_mut(m.max(1));
+        for (row, (&t, &w)) in rows.zip(self.tokens.iter().zip(&self.weights)) {
+            let src = &grad_output.data()[t * m..(t + 1) * m];
+            for (o, v) in row.iter_mut().zip(src) {
+                *o = w * v;
+            }
         }
         Ok(Tensor::from_vec(out, &[self.num_rows(), m])?)
     }
@@ -258,30 +262,31 @@ pub fn forward_ffn(
     offsets: &[usize],
     threads: usize,
 ) -> Result<Option<(Tensor, GroupedState)>> {
-    let Some(views) = collect_views(experts) else {
-        return Ok(None);
-    };
+    collect_views(experts)
+        .map(|views| forward_grouped(views, x.clone(), offsets, threads))
+        .transpose()
+}
+
+/// The grouped forward proper; the saved state takes `x` by move.
+fn forward_grouped(
+    views: GroupedWeights<'_>,
+    x: Tensor,
+    offsets: &[usize],
+    threads: usize,
+) -> Result<(Tensor, GroupedState)> {
     match views {
         GroupedWeights::Gpt { w1, w2 } => {
             let h = x.matmul_grouped(&w1, offsets, threads)?;
             let a = h.gelu();
             let y = a.matmul_grouped(&w2, offsets, threads)?;
-            Ok(Some((y, GroupedState::Gpt { x: x.clone(), h, a })))
+            Ok((y, GroupedState::Gpt { x, h, a }))
         }
         GroupedWeights::Mixtral { w1, w3, w2 } => {
             let g = x.matmul_grouped(&w1, offsets, threads)?;
             let u = x.matmul_grouped(&w3, offsets, threads)?;
             let a = g.silu().mul(&u)?;
             let y = a.matmul_grouped(&w2, offsets, threads)?;
-            Ok(Some((
-                y,
-                GroupedState::Mixtral {
-                    x: x.clone(),
-                    g,
-                    u,
-                    a,
-                },
-            )))
+            Ok((y, GroupedState::Mixtral { x, g, u, a }))
         }
     }
 }
@@ -351,20 +356,22 @@ pub enum FfnState {
     PerExpert(Vec<ExpertState>),
 }
 
-/// Runs every expert over its group of `x`: [`forward_ffn`] when the
-/// set is groupable, else the per-expert loop over the same row slices,
-/// fanned out over the tensor worker pool.
+/// Runs every expert over its group of `x`: the grouped pass of
+/// [`forward_ffn`] when the set is groupable (`x` moves into the saved
+/// state), else the per-expert loop over the same row slices, fanned
+/// out over the tensor worker pool.
 ///
 /// # Errors
 ///
 /// Propagates expert and GEMM shape mismatches.
 pub fn forward_experts(
     experts: &[Box<dyn Expert>],
-    x: &Tensor,
+    x: Tensor,
     offsets: &[usize],
     threads: usize,
 ) -> Result<(Tensor, FfnState)> {
-    if let Some((y, state)) = forward_ffn(experts, x, offsets, threads)? {
+    if let Some(views) = collect_views(experts) {
+        let (y, state) = forward_grouped(views, x, offsets, threads)?;
         return Ok((y, FfnState::Grouped(state)));
     }
     let results = for_each_expert(experts.len(), threads, |e| {

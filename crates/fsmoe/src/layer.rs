@@ -432,7 +432,7 @@ impl MoeLayer {
 
         let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
         let (mut y, compute) =
-            grouped::forward_experts(&self.shards, &x, &offsets, self.compute_threads())?;
+            grouped::forward_experts(&self.shards, x, &offsets, self.compute_threads())?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);

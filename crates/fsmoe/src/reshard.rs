@@ -22,6 +22,8 @@
 //! directions and never reach an expert or a token, so bit-identity
 //! across placements — uniform or not — is preserved.
 
+use tensor::buf;
+
 use crate::{MoeError, Result};
 
 /// A placement of `E` experts over `N_EP` expert-parallel positions.
@@ -310,11 +312,11 @@ pub(crate) fn permute_expert_blocks(
     block: usize,
     slots: &[Option<usize>],
 ) -> Vec<f32> {
-    let mut out = Vec::with_capacity(slots.len() * block);
-    for &slot in slots {
+    let mut out = buf::take(slots.len() * block);
+    for (dst, &slot) in out.chunks_mut(block.max(1)).zip(slots) {
         match slot {
-            Some(e) => out.extend_from_slice(&data[e * block..(e + 1) * block]),
-            None => out.resize(out.len() + block, 0.0),
+            Some(e) => dst.copy_from_slice(&data[e * block..(e + 1) * block]),
+            None => dst.fill(0.0),
         }
     }
     out
@@ -329,7 +331,7 @@ pub(crate) fn unpermute_expert_blocks(
     slots: &[Option<usize>],
     num_experts: usize,
 ) -> Vec<f32> {
-    let mut out = vec![0.0f32; num_experts * block];
+    let mut out = buf::take_zeroed(num_experts * block);
     for (i, &slot) in slots.iter().enumerate() {
         if let Some(e) = slot {
             out[e * block..(e + 1) * block].copy_from_slice(&data[i * block..(i + 1) * block]);

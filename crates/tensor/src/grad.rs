@@ -7,7 +7,7 @@
 //! tests.
 
 use crate::vmath::Map;
-use crate::{Result, Tensor};
+use crate::{buf, Result, Tensor};
 
 /// Gradients of `y = x · w` with respect to both operands.
 ///
@@ -54,8 +54,6 @@ pub fn matmul_backward_with_threads(
 ///
 /// Returns a shape mismatch error when the tensors disagree.
 pub fn softmax_backward(grad_out: &Tensor, probs: &Tensor) -> Result<Tensor> {
-    let cols = probs.dims()[probs.rank() - 1];
-    let mut out = vec![0.0f32; probs.num_elements()];
     if !probs.shape().same_as(grad_out.shape()) {
         return Err(crate::TensorError::ShapeMismatch {
             op: "softmax_backward",
@@ -63,6 +61,8 @@ pub fn softmax_backward(grad_out: &Tensor, probs: &Tensor) -> Result<Tensor> {
             rhs: probs.dims().to_vec(),
         });
     }
+    let cols = probs.dims()[probs.rank() - 1];
+    let mut out = buf::take(probs.num_elements());
     for (row, (p_row, g_row)) in probs
         .data()
         .chunks(cols)
@@ -134,7 +134,7 @@ pub fn layer_norm_backward(grad_y: &Tensor, x: &Tensor, eps: f32) -> Result<Tens
         });
     }
     let cols = x.dims()[x.rank() - 1];
-    let mut out = vec![0.0f32; x.num_elements()];
+    let mut out = buf::take(x.num_elements());
     for ((x_row, g_row), o_row) in x
         .data()
         .chunks(cols)
@@ -159,22 +159,7 @@ pub fn layer_norm_backward(grad_y: &Tensor, x: &Tensor, eps: f32) -> Result<Tens
 }
 
 fn elementwise_backward<F: Fn(f32) -> f32>(grad_y: &Tensor, x: &Tensor, dfdx: F) -> Result<Tensor> {
-    if !grad_y.shape().same_as(x.shape()) {
-        return Err(crate::TensorError::ShapeMismatch {
-            op: "elementwise_backward",
-            lhs: grad_y.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-        });
-    }
-    Tensor::from_vec(
-        grad_y
-            .data()
-            .iter()
-            .zip(x.data())
-            .map(|(&g, &v)| g * dfdx(v))
-            .collect(),
-        x.dims(),
-    )
+    grad_y.zip_with(x, "elementwise_backward", |g, v| g * dfdx(v))
 }
 
 #[cfg(test)]

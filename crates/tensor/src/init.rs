@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::Tensor;
+use crate::{buf, Tensor};
 
 /// A seeded random source for tensors.
 ///
@@ -34,14 +34,19 @@ impl TensorRng {
     /// Tensor of iid uniform samples in `[lo, hi)`.
     pub fn uniform(&mut self, dims: &[usize], lo: f32, hi: f32) -> Tensor {
         let n: usize = dims.iter().product();
-        let data = (0..n).map(|_| self.rng.gen_range(lo..hi)).collect();
+        let mut data = buf::take(n);
+        for v in &mut data {
+            *v = self.rng.gen_range(lo..hi);
+        }
         Tensor::from_vec(data, dims).expect("generated length matches shape")
     }
 
     /// Tensor of iid standard normal samples (Box–Muller).
     pub fn normal(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
         let n: usize = dims.iter().product();
-        let mut data = Vec::with_capacity(n);
+        // recycled capacity, refilled by `push` (samples come in pairs)
+        let mut data = buf::take(n);
+        data.clear();
         while data.len() < n {
             let u1: f32 = self.rng.gen_range(f32::EPSILON..1.0);
             let u2: f32 = self.rng.gen_range(0.0..1.0);

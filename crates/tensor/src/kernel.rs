@@ -16,8 +16,8 @@
 //!   tile of `C` into registers, accumulates `kc` rank-1 updates in
 //!   ascending `k` order, and stores the tile back.
 //!
-//! Both packed copies live in per-thread recycled buffers
-//! ([`Scratch`]): a GEMM allocates its output and nothing else.
+//! Both packed copies, like the output, are on loan from the per-thread
+//! recycler ([`crate::buf`]): in steady state a GEMM allocates nothing.
 //!
 //! # Transposed operands
 //!
@@ -63,7 +63,7 @@
 //! 0.0` rows of `B` and silently swallowed them; the regression tests in
 //! `tests/nan_propagation.rs` pin the fix.
 
-use std::cell::RefCell;
+use crate::buf;
 
 /// Rows per microtile.
 pub(crate) const MR: usize = 6;
@@ -79,7 +79,7 @@ pub(crate) const KC: usize = 256;
 /// `j_tiles` column tiles are contiguous, each `kc · NR` long, element
 /// `[kk · NR + j]` holding `b[(kb0 + kk) · n + jt · NR + j]`.
 pub(crate) struct PackedB {
-    data: Scratch,
+    data: Vec<f32>,
     /// Inner (contraction) dimension.
     pub(crate) k: usize,
     /// Output column count (unpadded).
@@ -93,7 +93,13 @@ impl PackedB {
     #[inline]
     fn tile(&self, kb0: usize, kc: usize, jt: usize) -> &[f32] {
         let off = kb0 * self.j_tiles * NR + jt * kc * NR;
-        &self.data.0[off..off + kc * NR]
+        &self.data[off..off + kc * NR]
+    }
+}
+
+impl Drop for PackedB {
+    fn drop(&mut self) {
+        buf::give(std::mem::take(&mut self.data));
     }
 }
 
@@ -131,44 +137,16 @@ impl<'a> Operand<'a> {
     }
 }
 
-thread_local! {
-    /// Packing buffers this thread has finished with.
-    static SPARE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A packing buffer, recycled per thread: [`Scratch::take`] reuses one
-/// the thread dropped earlier, so in steady state neither a caller nor
-/// a pool worker allocates (or page-faults) to pack an operand. A
-/// thread holds as many spares as it ever had buffers live at once —
-/// the group count of the largest grouped GEMM plus one.
-struct Scratch(Vec<f32>);
-
-impl Scratch {
-    /// `len` elements of unspecified content (zeros where freshly
-    /// grown); the packers write every element they later read.
-    fn take(len: usize) -> Scratch {
-        let mut buf = SPARE.with(|s| s.borrow_mut().pop()).unwrap_or_default();
-        buf.resize(len, 0.0);
-        Scratch(buf)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        // `try_with`: a buffer dropped during thread teardown is freed.
-        let _ = SPARE.try_with(|s| s.borrow_mut().push(std::mem::take(&mut self.0)));
-    }
-}
-
 /// Packs the right-hand `(k, n)` operand for the microkernel.
 pub(crate) fn pack_b(b: Operand<'_>) -> PackedB {
     let (k, n) = (b.rows, b.cols);
     let j_tiles = n.div_ceil(NR).max(1);
-    let mut data = Scratch::take(k * j_tiles * NR);
+    // every element is written: whole tiles, or a zero fill first
+    let mut data = buf::take(k * j_tiles * NR);
     let mut kb0 = 0;
     while kb0 < k {
         let kc = KC.min(k - kb0);
-        let block = &mut data.0[kb0 * j_tiles * NR..(kb0 + kc) * j_tiles * NR];
+        let block = &mut data[kb0 * j_tiles * NR..(kb0 + kc) * j_tiles * NR];
         for jt in 0..j_tiles {
             let j0 = jt * NR;
             let jn = NR.min(n - j0);
@@ -337,14 +315,13 @@ pub(crate) fn gemm_band(
     }
     let use_avx = simd_available();
     let strips = band_rows.div_ceil(MR);
-    let mut apack = Scratch::take(strips * KC.min(k) * MR);
-    let apack = &mut apack.0;
+    let mut apack = buf::take(strips * KC.min(k) * MR);
     let j_tiles = n.div_ceil(NR);
     let mut tile_buf = [0.0f32; MR * NR];
     let mut kb0 = 0;
     while kb0 < k {
         let kc = KC.min(k - kb0);
-        pack_a(a, a_row0, band_rows, kb0, kc, apack);
+        pack_a(a, a_row0, band_rows, kb0, kc, &mut apack);
         for jt in 0..j_tiles {
             let j0 = jt * NR;
             let jn = NR.min(n - j0);
@@ -405,6 +382,7 @@ pub(crate) fn gemm_band(
         }
         kb0 += kc;
     }
+    buf::give(apack);
 }
 
 #[cfg(test)]

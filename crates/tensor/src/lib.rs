@@ -32,6 +32,7 @@ mod tensor;
 mod topk;
 mod vmath;
 
+pub mod buf;
 pub mod grad;
 pub mod par;
 

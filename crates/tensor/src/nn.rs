@@ -32,8 +32,8 @@ impl Tensor {
             });
         }
         let cols = self.dims()[self.rank() - 1];
-        let mut out = self.data().to_vec();
-        for (r, row) in out.chunks_mut(cols).enumerate() {
+        let mut out = self.clone();
+        for (r, row) in out.data_mut().chunks_mut(cols).enumerate() {
             if row.iter().any(|v| v.is_nan()) {
                 return Err(TensorError::NonFiniteInput {
                     op: "softmax",
@@ -56,7 +56,7 @@ impl Tensor {
                 *v /= sum;
             }
         }
-        Tensor::from_vec(out, self.dims())
+        Ok(out)
     }
 
     /// Logistic sigmoid, element-wise.
@@ -104,8 +104,8 @@ impl Tensor {
             });
         }
         let cols = self.dims()[self.rank() - 1];
-        let mut out = self.data().to_vec();
-        for row in out.chunks_mut(cols) {
+        let mut out = self.clone();
+        for row in out.data_mut().chunks_mut(cols) {
             let mean = row.iter().sum::<f32>() / cols as f32;
             let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
             let denom = (var + eps).sqrt();
@@ -113,7 +113,7 @@ impl Tensor {
                 *v = (*v - mean) / denom;
             }
         }
-        Tensor::from_vec(out, self.dims())
+        Ok(out)
     }
 
     /// L2-normalises each row of the last axis (used by the X-MoE cosine
@@ -133,8 +133,8 @@ impl Tensor {
             });
         }
         let cols = self.dims()[self.rank() - 1];
-        let mut out = self.data().to_vec();
-        for row in out.chunks_mut(cols) {
+        let mut out = self.clone();
+        for row in out.data_mut().chunks_mut(cols) {
             let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
             if norm > eps {
                 for v in row.iter_mut() {
@@ -142,7 +142,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, self.dims())
+        Ok(out)
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::kernel::{self, Operand};
-use crate::{par, Result, Tensor, TensorError};
+use crate::{buf, par, Result, Tensor, TensorError};
 
 /// Below this many multiply-adds a GEMM stays on the calling thread.
 ///
@@ -58,7 +58,7 @@ fn gemm_split(m: usize, macs: usize, threads: usize) -> (usize, usize) {
 fn gemm(a: Operand<'_>, b: Operand<'_>, threads: usize) -> Vec<f32> {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(k, b.rows);
-    let mut out = vec![0.0f32; m * n];
+    let mut out = buf::take_zeroed(m * n);
     if m > 0 && n > 0 && k > 0 {
         let bp = kernel::pack_b(b);
         let (threads, band_rows) = gemm_split(m, m * n * k, threads);
@@ -261,7 +261,7 @@ impl Tensor {
         if k != wk {
             return Err(shape_mismatch(OP, self, weights[0]));
         }
-        let mut out = vec![0.0f32; m * n];
+        let mut out = buf::take_zeroed(m * n);
         if m > 0 && n > 0 && k > 0 {
             let a = Operand::plain(self.data(), m, k);
             // Pack each non-empty group's B once; empty groups never
@@ -343,7 +343,7 @@ impl Tensor {
         const TILE: usize = 8;
         let (m, n) = check_matrix(self, "transpose")?;
         let src = self.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut out = buf::take(m * n);
         for i0 in (0..m).step_by(TILE) {
             let i1 = (i0 + TILE).min(m);
             for j0 in (0..n).step_by(TILE) {
@@ -429,8 +429,11 @@ impl Tensor {
 
     /// Applies `f` element-wise, returning a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
-        Tensor::from_vec(self.data().iter().map(|&v| f(v)).collect(), self.dims())
-            .expect("map preserves shape")
+        let mut out = buf::take(self.num_elements());
+        for (o, &v) in out.iter_mut().zip(self.data()) {
+            *o = f(v);
+        }
+        Tensor::from_vec(out, self.dims()).expect("map preserves shape")
     }
 
     /// Sum of all elements.
@@ -464,7 +467,7 @@ impl Tensor {
             });
         }
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; n];
+        let mut out = buf::take_zeroed(n);
         for i in 0..m {
             let row = &self.data()[i * n..(i + 1) * n];
             for (acc, v) in out.iter_mut().zip(row) {
@@ -497,7 +500,10 @@ impl Tensor {
                 bound: m,
             });
         }
-        Tensor::from_vec(self.data()[start * n..end * n].to_vec(), &[end - start, n])
+        Tensor::from_vec(
+            buf::copy_of(&self.data()[start * n..end * n]),
+            &[end - start, n],
+        )
     }
 
     /// Extracts columns `[start, end)` of a rank-2 tensor.
@@ -524,14 +530,14 @@ impl Tensor {
             });
         }
         let width = end - start;
-        let mut out = Vec::with_capacity(m * width);
-        for i in 0..m {
-            out.extend_from_slice(&self.data()[i * n + start..i * n + end]);
+        let mut out = buf::take(m * width);
+        for (i, row) in out.chunks_mut(width.max(1)).enumerate() {
+            row.copy_from_slice(&self.data()[i * n + start..i * n + end]);
         }
         Tensor::from_vec(out, &[m, width])
     }
 
-    fn zip_with<F: Fn(f32, f32) -> f32>(
+    pub(crate) fn zip_with<F: Fn(f32, f32) -> f32>(
         &self,
         rhs: &Tensor,
         op: &'static str,
@@ -544,14 +550,11 @@ impl Tensor {
                 rhs: rhs.dims().to_vec(),
             });
         }
-        Tensor::from_vec(
-            self.data()
-                .iter()
-                .zip(rhs.data())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            self.dims(),
-        )
+        let mut out = buf::take(self.num_elements());
+        for (o, (&a, &b)) in out.iter_mut().zip(self.data().iter().zip(rhs.data())) {
+            *o = f(a, b);
+        }
+        Tensor::from_vec(out, self.dims())
     }
 }
 

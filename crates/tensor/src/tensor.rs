@@ -1,12 +1,16 @@
-use crate::{Result, Shape, TensorError};
+use crate::{buf, Result, Shape, TensorError};
 
 /// A dense, row-major, `f32` tensor.
 ///
 /// This is the numerical workhorse of FSMoE-RS: gating logits, dispatched
 /// token buffers, expert weights and activations are all `Tensor`s. The
-/// representation is deliberately simple — a shape plus a contiguous
-/// `Vec<f32>` — because the reproduction needs auditable numerics, not
-/// peak FLOPs.
+/// representation is a shape plus a contiguous `Vec<f32>` that the
+/// packed, vectorised kernels of this crate read and write in place.
+/// The buffer is on loan from the per-thread recycler ([`crate::buf`]):
+/// every constructor, `clone` and op output draws from it, dropping the
+/// tensor returns it, and [`Tensor::into_vec`] takes it out — so a
+/// training step in steady state runs in the previous step's memory
+/// instead of allocating.
 ///
 /// ```
 /// use tensor::Tensor;
@@ -18,10 +22,25 @@ use crate::{Result, Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: buf::copy_of(&self.data),
+        }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        buf::give(std::mem::take(&mut self.data));
+    }
 }
 
 impl Tensor {
@@ -48,28 +67,22 @@ impl Tensor {
         let n = shape.num_elements();
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: buf::take_zeroed(n),
         }
     }
 
     /// A tensor filled with ones.
     pub fn ones(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let n = shape.num_elements();
-        Tensor {
-            shape,
-            data: vec![1.0; n],
-        }
+        Tensor::full(dims, 1.0)
     }
 
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let n = shape.num_elements();
-        Tensor {
-            shape,
-            data: vec![value; n],
-        }
+        let mut data = buf::take(n);
+        data.fill(value);
+        Tensor { shape, data }
     }
 
     /// The `n × n` identity matrix.
@@ -119,9 +132,11 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consumes the tensor, returning its buffer (hand it back with
+    /// [`buf::give`] or a later [`Tensor::from_vec`] to keep it in
+    /// circulation).
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -151,7 +166,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeDataMismatch`] if the element counts
     /// differ.
     pub fn reshape(&self, dims: &[usize]) -> Result<Tensor> {
-        Tensor::from_vec(self.data.clone(), dims)
+        Tensor::from_vec(buf::copy_of(&self.data), dims)
     }
 
     /// In-place reshape (no copy).
@@ -208,7 +223,7 @@ impl Tensor {
                 bound: r,
             });
         }
-        Tensor::from_vec(self.data[row * c..(row + 1) * c].to_vec(), &[c])
+        Tensor::from_vec(buf::copy_of(&self.data[row * c..(row + 1) * c]), &[c])
     }
 
     /// Splits the leading axis into `parts` equal chunks.
@@ -246,7 +261,7 @@ impl Tensor {
             let mut dims = self.dims().to_vec();
             dims[0] = rows;
             out.push(Tensor::from_vec(
-                self.data[start * row..(start + rows) * row].to_vec(),
+                buf::copy_of(&self.data[start * row..(start + rows) * row]),
                 &dims,
             )?);
             start += rows;
@@ -269,21 +284,24 @@ impl Tensor {
             rhs: vec![],
         })?;
         let tail = &first.dims()[1..];
-        let mut d0 = 0;
-        let mut data = Vec::new();
+        if let Some(p) = parts
+            .iter()
+            .find(|p| p.rank() != first.rank() || &p.dims()[1..] != tail)
+        {
+            return Err(TensorError::ShapeMismatch {
+                op: "cat",
+                lhs: first.dims().to_vec(),
+                rhs: p.dims().to_vec(),
+            });
+        }
+        let mut data = buf::take(parts.iter().map(Tensor::num_elements).sum());
+        let mut filled = 0;
         for p in parts {
-            if p.rank() != first.rank() || &p.dims()[1..] != tail {
-                return Err(TensorError::ShapeMismatch {
-                    op: "cat",
-                    lhs: first.dims().to_vec(),
-                    rhs: p.dims().to_vec(),
-                });
-            }
-            d0 += p.dims()[0];
-            data.extend_from_slice(p.data());
+            data[filled..filled + p.num_elements()].copy_from_slice(p.data());
+            filled += p.num_elements();
         }
         let mut dims = first.dims().to_vec();
-        dims[0] = d0;
+        dims[0] = parts.iter().map(|p| p.dims()[0]).sum();
         Tensor::from_vec(data, &dims)
     }
 

@@ -113,13 +113,13 @@ impl Tensor {
         }
         let topk = self.top_k(k)?;
         let cols = self.dims()[1];
-        let mut out = vec![f32::NEG_INFINITY; self.num_elements()];
+        let mut out = Tensor::full(self.dims(), f32::NEG_INFINITY);
         for (r, idx) in topk.indices.iter().enumerate() {
             for &i in idx {
-                out[r * cols + i] = self.data()[r * cols + i];
+                out.data_mut()[r * cols + i] = self.data()[r * cols + i];
             }
         }
-        Tensor::from_vec(out, self.dims())
+        Ok(out)
     }
 }
 

@@ -341,7 +341,7 @@ unsafe fn apply_avx2(map: Map, src: &[f32], dst: &mut [f32]) {
 
 /// Applies `map` to every element of `src`.
 pub(crate) fn apply(map: Map, src: &[f32]) -> Vec<f32> {
-    let mut dst = vec![0.0f32; src.len()];
+    let mut dst = crate::buf::take(src.len());
     #[cfg(target_arch = "x86_64")]
     if simd_available() {
         // SAFETY: `simd_available` just confirmed AVX2 and FMA.
