@@ -37,12 +37,34 @@ cargo build --release
 timeout --kill-after=30 900 cargo test -q --no-fail-fast
 
 echo "==> observability smoke: traced 2-rank training step"
-# One training iteration over a 2-rank MoeLayer with an injected
-# stall; the example writes a Chrome trace and self-validates it (span
-# nesting, retry counters, expert-load histogram) via the in-tree
+# One training iteration of a 2-rank attention + MoE block with an
+# injected stall; the example writes a Chrome trace and self-validates it
+# (span nesting, retry counters, expert-load histogram) via the in-tree
 # checker, exiting non-zero on any miss.
 timeout --kill-after=30 120 \
     cargo run --release -p models --example trace_training_step -- target/trace_smoke.json
+
+echo "==> digest identity: the program's own step reproduces the benchmark's losses"
+# benchmark/src/step.rs composes its own training step; the program's is
+# MoeTransformer::train_step. The example's digest mode rebuilds each
+# training workload from parts with the benchmark's sub-seeds, and the
+# two live runs must print the same loss_digest (no golden constant: the
+# bits depend on the AVX2-vs-scalar dispatch of the machine). The traced
+# example must also issue the benchmark's collectives per step.
+for pair in dense_1r:8 wire_2r:16 fine_2r:48; do
+    workload=${pair%:*}
+    theirs=$(bash benchmark/run.sh --workload "$workload" --seed 3 --seconds 1 --trace 0 |
+        grep '^loss_digest ')
+    ours=$(timeout --kill-after=30 300 cargo run --release -q -p models \
+        --example train_transformer -- digest "$workload" 3)
+    if [ "$ours" != "$theirs
+collectives_per_step ${pair#*:}" ]; then
+        printf '%s: benchmark printed\n%s\nthe program printed\n%s\n' \
+            "$workload" "$theirs" "$ours" >&2
+        exit 1
+    fi
+    echo "$workload: $theirs, ${pair#*:} collectives/step"
+done
 
 echo "==> step attribution: measured-vs-modeled phase split on 4 ranks"
 # Calibrates per-phase alpha-beta models from fault-free runs, predicts

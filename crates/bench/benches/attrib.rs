@@ -65,14 +65,15 @@ fn attribution_snapshot() -> obs::Snapshot {
         .expect("bench config is valid");
     collectives::run_ranks(4, move |comm| {
         let topo = collectives::HybridTopology::flat(4).expect("4-rank EP layout is valid");
-        let mut layer =
-            fsmoe::layer::MoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer builds");
+        let mut model =
+            models::MoeTransformer::new(&cfg, None, 1, &comm, &topo, 7).expect("model builds");
         let mut data_rng = TensorRng::seed_from(comm.rank() as u64);
         let input = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let target = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(1);
         for _ in 0..3 {
-            models::dist_train_step(&mut layer, &input, &target, 0.1, &mut route_rng)
+            model
+                .train_step(&input, &target, 0.1, &mut route_rng)
                 .expect("fault-free steps succeed");
         }
     });

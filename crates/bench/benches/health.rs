@@ -32,7 +32,7 @@ use bench::brownout::{
 };
 use bench::gate::{median_ms, Gate};
 use collectives::{run_world, CommError, CommWorld};
-use fsmoe::checkpoint::LayerCheckpoint;
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::MoeError;
 
@@ -71,7 +71,7 @@ fn healthy_baseline(cfg: &MoeConfig) -> f64 {
 
 /// What a survivor of the brownout run reports.
 struct Recovery {
-    checkpoint: LayerCheckpoint,
+    checkpoint: ModelCheckpoint,
     evict_step: usize,
     limp_ms: f64,
     recovered_ms: f64,
@@ -120,7 +120,10 @@ fn brownout_run(cfg: &MoeConfig) -> Vec<Option<Recovery>> {
                 }
             }
             Some(Recovery {
-                checkpoint: trainer.full_checkpoint().expect("survivor checkpoint"),
+                checkpoint: trainer
+                    .model()
+                    .checkpoint_global()
+                    .expect("survivor checkpoint"),
                 evict_step,
                 limp_ms: median_ms(&mut limp),
                 recovered_ms: median_ms(&mut recovered),

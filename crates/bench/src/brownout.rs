@@ -1,15 +1,17 @@
 //! The gray-failure scenario the `health` gate times and the
-//! `gray_failure` example narrates: four ranks train a 12-expert layer
-//! under the elastic trainer with the §12 defense armed while rank 3 is
-//! browned out (~5 ms per collective), plus the fresh 3-rank world both
-//! compare the survivors against bit for bit.
+//! `gray_failure` example narrates: four ranks train a 12-expert
+//! configured layer under the elastic trainer with the §12 defense armed
+//! while rank 3 is browned out (~5 ms per collective), plus the fresh
+//! 3-rank world both compare the survivors against bit for bit.
 
 use std::time::Duration;
 
-use collectives::{run_world, Brownout, CommWorld, Communicator, FaultInjector};
-use fsmoe::checkpoint::LayerCheckpoint;
+use collectives::{run_world, Brownout, CommWorld, Communicator, FaultInjector, HybridTopology};
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer, GrayFailurePolicy, HealthMonitor, HealthPolicy};
+use models::{
+    ElasticPolicy, ElasticTrainer, GrayFailurePolicy, HealthMonitor, HealthPolicy, MoeTransformer,
+};
 use tensor::{Tensor, TensorRng};
 
 /// Model seed shared by every world of the scenario.
@@ -47,12 +49,18 @@ pub fn rank_data(cfg: &MoeConfig, old_rank: usize) -> (Tensor, Tensor) {
     (x, t)
 }
 
+/// This rank's replica of the scenario's model over `comm`'s world.
+fn model(cfg: &MoeConfig, comm: &Communicator) -> MoeTransformer {
+    let topo = HybridTopology::flat(comm.world_size()).expect("flat topology");
+    MoeTransformer::new(cfg, None, 1, comm, &topo, SEED).expect("scenario model")
+}
+
 /// A trainer for `comm`'s rank. Snapshots only at step 0, so the
 /// eviction's rollback always lands on the initial state — the snapshot
 /// [`fresh_reference`] resumes.
 pub fn trainer(cfg: &MoeConfig, comm: Communicator) -> ElasticTrainer {
     let route_rng = route_rng_for(comm.rank());
-    ElasticTrainer::new(cfg, comm, SEED, route_rng, policy()).expect("scenario trainer")
+    ElasticTrainer::new(model(cfg, &comm), comm, route_rng, policy()).expect("scenario trainer")
 }
 
 fn route_rng_for(old_rank: usize) -> TensorRng {
@@ -95,12 +103,13 @@ pub fn defended_trainer(cfg: &MoeConfig, comm: Communicator) -> ElasticTrainer {
 
 /// A fresh 3-rank world resumed from the scenario's initial snapshot
 /// and run to `total` steps — the bit-identity reference.
-pub fn fresh_reference(cfg: &MoeConfig, total: usize) -> LayerCheckpoint {
+pub fn fresh_reference(cfg: &MoeConfig, total: usize) -> ModelCheckpoint {
     let initial = run_world(CommWorld::new(WORLD), {
         let cfg = cfg.clone();
         move |comm| {
             trainer(&cfg, comm)
-                .full_checkpoint()
+                .model()
+                .checkpoint_global()
                 .expect("initial checkpoint")
         }
     });
@@ -110,14 +119,18 @@ pub fn fresh_reference(cfg: &MoeConfig, total: usize) -> LayerCheckpoint {
         move |comm| {
             let rank = comm.rank();
             let route_rng = route_rng_for(rank);
+            let model = model(&cfg, &comm);
             let mut trainer =
-                ElasticTrainer::resume(&cfg, comm, SEED, &snapshot, route_rng, 0, policy())
+                ElasticTrainer::resume(model, comm, &snapshot, route_rng, 0, policy())
                     .expect("fresh resume");
             let (x, t) = rank_data(&cfg, rank);
             while trainer.step() < total {
                 trainer.train_step(&x, &t, LR).expect("fresh step");
             }
-            trainer.full_checkpoint().expect("fresh checkpoint")
+            trainer
+                .model()
+                .checkpoint_global()
+                .expect("fresh checkpoint")
         }
     });
     assert!(

@@ -1,16 +1,18 @@
-//! Layer checkpointing: serialisable weight bundles.
+//! Checkpointing: serialisable weight bundles.
 //!
 //! A [`LayerCheckpoint`] captures every trainable tensor of an
 //! [`MoeLayer`](crate::layer::MoeLayer) — gate projections and all `E`
 //! experts' weights, assembled by
 //! [`checkpoint_global`](crate::layer::MoeLayer::checkpoint_global) and
-//! installed by [`restore_full`](crate::layer::MoeLayer::restore_full) —
-//! as plain data with a JSON wire form, so training state
-//! survives process restarts (and, in the paper's setting,
-//! re-scheduling decisions: the checkpoint is schedule-independent
-//! because the data plane is).
+//! installed by [`restore_full`](crate::layer::MoeLayer::restore_full).
+//! A [`ModelCheckpoint`] is a stack of them, each with the replicated
+//! dense weights (attention) of its block: the unit that is persisted,
+//! as plain data with a JSON wire form, so training state survives
+//! process restarts (and, in the paper's setting, re-scheduling
+//! decisions: the checkpoint is schedule-independent because the data
+//! plane is).
 //!
-//! On-disk durability is crash-safe: [`LayerCheckpoint::save`] writes a
+//! On-disk durability is crash-safe: [`ModelCheckpoint::save`] writes a
 //! temporary sibling file and renames it over the target, so a crash
 //! mid-write leaves either the old checkpoint or the new one — never a
 //! torn file. Restore rejects truncated or NaN/∞-bearing payloads with
@@ -46,25 +48,68 @@ impl LayerCheckpoint {
                 .sum::<usize>()
     }
 
+    fn to_value(&self) -> Json {
+        Json::obj([
+            ("gate_name", Json::from(self.gate_name.as_str())),
+            ("gate", tensors_to_json(&self.gate)),
+            (
+                "experts",
+                Json::Arr(self.experts.iter().map(|ws| tensors_to_json(ws)).collect()),
+            ),
+        ])
+    }
+
+    fn from_value(doc: &Json) -> Result<LayerCheckpoint> {
+        let gate_name = doc
+            .get("gate_name")
+            .and_then(Json::as_str)
+            .map_err(bad_json)?;
+        let experts = doc
+            .get("experts")
+            .and_then(Json::as_arr)
+            .map_err(bad_json)?
+            .iter()
+            .map(tensors_from_json)
+            .collect::<Result<Vec<_>>>()?;
+        Ok(LayerCheckpoint {
+            gate_name: gate_name.to_string(),
+            gate: tensors_from_json(doc.get("gate").map_err(bad_json)?)?,
+            experts,
+        })
+    }
+}
+
+/// One block of a [`ModelCheckpoint`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockCheckpoint {
+    /// The block's replicated dense weights (attention projections) in
+    /// their owner's order; empty for a block without attention. Every
+    /// data-parallel replica holds the same values, so taking them
+    /// costs no collective.
+    pub dense: Vec<Tensor>,
+    /// The block's MoE layer.
+    pub moe: LayerCheckpoint,
+}
+
+/// All trainable weights of a stack of blocks — what the trainer
+/// snapshots, persists and restores.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelCheckpoint {
+    /// One entry per block, first block first.
+    pub blocks: Vec<BlockCheckpoint>,
+}
+
+impl ModelCheckpoint {
     /// Serialises to JSON. Weights round-trip bit-exactly (the writer
     /// uses shortest round-trip float formatting).
     pub fn to_json(&self) -> String {
-        let doc = Json::obj([
-            ("gate_name", Json::from(self.gate_name.as_str())),
-            (
-                "gate",
-                Json::Arr(self.gate.iter().map(tensor_to_json).collect()),
-            ),
-            (
-                "experts",
-                Json::Arr(
-                    self.experts
-                        .iter()
-                        .map(|ws| Json::Arr(ws.iter().map(tensor_to_json).collect()))
-                        .collect(),
-                ),
-            ),
-        ]);
+        let blocks = self.blocks.iter().map(|b| {
+            Json::obj([
+                ("dense", tensors_to_json(&b.dense)),
+                ("moe", b.moe.to_value()),
+            ])
+        });
+        let doc = Json::obj([("blocks", Json::Arr(blocks.collect()))]);
         doc.to_string().expect("checkpoint weights are finite")
     }
 
@@ -72,38 +117,23 @@ impl LayerCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::BadInput`] on malformed JSON or tensor data.
-    pub fn from_json(text: &str) -> Result<LayerCheckpoint> {
+    /// Returns [`MoeError::CorruptCheckpoint`] on malformed JSON or
+    /// non-finite weights, [`MoeError::BadInput`] on bad tensor data.
+    pub fn from_json(text: &str) -> Result<ModelCheckpoint> {
         let doc = Json::parse(text).map_err(bad_json)?;
-        let gate_name = doc
-            .get("gate_name")
-            .and_then(Json::as_str)
-            .map_err(bad_json)?;
-        let gate = doc
-            .get("gate")
+        let blocks = doc
+            .get("blocks")
             .and_then(Json::as_arr)
             .map_err(bad_json)?
             .iter()
-            .map(tensor_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        let experts = doc
-            .get("experts")
-            .and_then(Json::as_arr)
-            .map_err(bad_json)?
-            .iter()
-            .map(|ws| {
-                ws.as_arr()
-                    .map_err(bad_json)?
-                    .iter()
-                    .map(tensor_from_json)
-                    .collect::<Result<Vec<_>>>()
+            .map(|b| {
+                Ok(BlockCheckpoint {
+                    dense: tensors_from_json(b.get("dense").map_err(bad_json)?)?,
+                    moe: LayerCheckpoint::from_value(b.get("moe").map_err(bad_json)?)?,
+                })
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(LayerCheckpoint {
-            gate_name: gate_name.to_string(),
-            gate,
-            experts,
-        })
+        Ok(ModelCheckpoint { blocks })
     }
 
     /// Writes the checkpoint to `path` atomically: the JSON goes to a
@@ -133,13 +163,26 @@ impl LayerCheckpoint {
     /// Returns [`MoeError::CheckpointIo`] when the file cannot be read
     /// and [`MoeError::CorruptCheckpoint`] when its contents are
     /// truncated, malformed, or carry non-finite weights.
-    pub fn load(path: &Path) -> Result<LayerCheckpoint> {
+    pub fn load(path: &Path) -> Result<ModelCheckpoint> {
         let text = std::fs::read_to_string(path).map_err(|e| MoeError::CheckpointIo {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;
         Self::from_json(&text)
     }
+}
+
+fn tensors_to_json(tensors: &[Tensor]) -> Json {
+    Json::Arr(tensors.iter().map(tensor_to_json).collect())
+}
+
+fn tensors_from_json(value: &Json) -> Result<Vec<Tensor>> {
+    value
+        .as_arr()
+        .map_err(bad_json)?
+        .iter()
+        .map(tensor_from_json)
+        .collect()
 }
 
 fn tensor_to_json(t: &Tensor) -> Json {
@@ -202,6 +245,19 @@ mod tests {
         .unwrap()
     }
 
+    /// The persisted form of one bare layer.
+    fn model_of(moe: LayerCheckpoint) -> ModelCheckpoint {
+        let dense = Vec::new();
+        ModelCheckpoint {
+            blocks: vec![BlockCheckpoint { dense, moe }],
+        }
+    }
+
+    /// A one-block model document around a layer document.
+    fn wrap(layer_json: &str) -> String {
+        format!(r#"{{"blocks":[{{"dense":[],"moe":{layer_json}}}]}}"#)
+    }
+
     fn config() -> MoeConfig {
         MoeConfig::builder()
             .batch_size(1)
@@ -247,23 +303,25 @@ mod tests {
     #[test]
     fn checkpoint_survives_json_round_trip() {
         let cfg = config();
-        let snapshot = local(MoeLayer::sigmoid, &cfg, 2)
+        let layer = local(MoeLayer::sigmoid, &cfg, 2)
             .checkpoint_global()
             .unwrap();
+        let snapshot = model_of(layer);
         let json = snapshot.to_json();
-        let back = LayerCheckpoint::from_json(&json).unwrap();
+        let back = ModelCheckpoint::from_json(&json).unwrap();
         assert_eq!(snapshot, back);
-        assert_eq!(back.gate_name, "sigmoid");
-        assert!(back.num_params() > 0);
+        assert_eq!(back.blocks[0].moe.gate_name, "sigmoid");
+        assert!(back.blocks[0].moe.num_params() > 0);
     }
 
     #[test]
     fn from_json_rejects_malformed_input() {
-        assert!(LayerCheckpoint::from_json("not json").is_err());
-        assert!(LayerCheckpoint::from_json("{}").is_err());
-        assert!(LayerCheckpoint::from_json(
+        assert!(ModelCheckpoint::from_json("not json").is_err());
+        assert!(ModelCheckpoint::from_json("{}").is_err());
+        assert!(ModelCheckpoint::from_json(&wrap("{}")).is_err());
+        assert!(ModelCheckpoint::from_json(&wrap(
             r#"{"gate_name":"g","gate":[{"dims":[2,2],"data":[1.0]}],"experts":[]}"#
-        )
+        ))
         .is_err());
     }
 
@@ -276,9 +334,13 @@ mod tests {
     #[test]
     fn save_is_atomic_and_load_round_trips() {
         let cfg = config();
-        let snap = local(MoeLayer::gshard, &cfg, 7)
+        let layer = local(MoeLayer::gshard, &cfg, 7)
             .checkpoint_global()
             .unwrap();
+        // two blocks, the first with dense (attention) weights
+        let mut snap = model_of(layer.clone());
+        snap.blocks[0].dense = vec![TensorRng::seed_from(7).normal(&[4, 4], 0.0, 1.0)];
+        snap.blocks.extend(model_of(layer).blocks);
         let path = temp_path("atomic.json");
         snap.save(&path).unwrap();
         // the temporary staging file must not outlive the rename
@@ -288,28 +350,28 @@ mod tests {
             !std::path::Path::new(&tmp).exists(),
             "staging file must be renamed away"
         );
-        let back = LayerCheckpoint::load(&path).unwrap();
+        let back = ModelCheckpoint::load(&path).unwrap();
         assert_eq!(snap, back);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = LayerCheckpoint::load(Path::new("/nonexistent/dir/ckpt.json")).unwrap_err();
+        let err = ModelCheckpoint::load(Path::new("/nonexistent/dir/ckpt.json")).unwrap_err();
         assert!(matches!(err, MoeError::CheckpointIo { .. }), "{err:?}");
     }
 
     #[test]
     fn load_rejects_truncated_file() {
         let cfg = config();
-        let snap = local(MoeLayer::gshard, &cfg, 8)
+        let layer = local(MoeLayer::gshard, &cfg, 8)
             .checkpoint_global()
             .unwrap();
-        let json = snap.to_json();
+        let json = model_of(layer).to_json();
         let path = temp_path("truncated.json");
         // simulate a torn write: only half the bytes made it to disk
         std::fs::write(&path, &json[..json.len() / 2]).unwrap();
-        let err = LayerCheckpoint::load(&path).unwrap_err();
+        let err = ModelCheckpoint::load(&path).unwrap_err();
         assert!(matches!(err, MoeError::CorruptCheckpoint { .. }), "{err:?}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -319,7 +381,7 @@ mod tests {
         // 1e999 overflows f64 parsing to infinity; NaN can't appear in
         // JSON literals, so ∞ is the smuggling vector to guard.
         let doc = r#"{"gate_name":"g","gate":[{"dims":[1],"data":[1e999]}],"experts":[]}"#;
-        let err = LayerCheckpoint::from_json(doc).unwrap_err();
+        let err = ModelCheckpoint::from_json(&wrap(doc)).unwrap_err();
         assert!(
             matches!(err, MoeError::CorruptCheckpoint { ref reason } if reason.contains("non-finite")),
             "{err:?}"

@@ -91,6 +91,27 @@ impl MultiHeadAttention {
         vec![&self.w_q, &self.w_k, &self.w_v, &self.w_o]
     }
 
+    /// Replaces the projections with `[w_q, w_k, w_v, w_o]` verbatim
+    /// (checkpoint restore).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `weights` is four `(M, M)` tensors.
+    pub fn import_weights(&mut self, weights: &[Tensor]) -> Result<()> {
+        let dims = [self.embed_dim; 2];
+        match weights {
+            [q, k, v, o] if weights.iter().all(|w| w.dims() == dims) => {
+                (self.w_q, self.w_k, self.w_v, self.w_o) =
+                    (q.clone(), k.clone(), v.clone(), o.clone());
+                Ok(())
+            }
+            _ => Err(MoeError::BadInput {
+                expected: format!("4 projections of dims {dims:?}"),
+                actual: weights.iter().flat_map(|w| w.dims().to_vec()).collect(),
+            }),
+        }
+    }
+
     /// Runs attention on a `(T, M)` input.
     ///
     /// # Errors

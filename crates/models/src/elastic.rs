@@ -1,8 +1,9 @@
 //! The trainer: snapshot, roll back, and survive *permanent* rank loss.
 //!
-//! [`ElasticTrainer`] drives [`dist_train_step`] over one [`MoeLayer`]
-//! of any world size, snapshotting every
-//! [`ElasticPolicy::snapshot_interval`] steps — the layer's full
+//! [`ElasticTrainer`] drives [`MoeTransformer::train_step`] — the model
+//! owns the step; the trainer owns what surrounds it — over a model of
+//! any depth and world size, snapshotting every
+//! [`ElasticPolicy::snapshot_interval`] steps: the model's full
 //! checkpoint *and* the routing RNG, both needed for exact replay
 //! because gates consume randomness every step. A step that fails
 //! leaves weights and RNG in partial state; what happens next depends
@@ -13,7 +14,8 @@
 //!   in place with [`ElasticTrainer::rollback`]: weights, RNG stream and
 //!   step counter return to the snapshot and the loop replays from
 //!   there;
-//! * a fault blamed on a dead peer drives the elastic pipeline:
+//! * a fault blamed on a dead peer — in the step, the snapshot, the
+//!   rebalance or the health check — drives the elastic pipeline:
 //!
 //!   1. **blame** — classify the fault onto a dead peer
 //!      ([`CommError::RankDown`] names it; timeouts and abandoned ops
@@ -23,10 +25,14 @@
 //!      epoch and fences the old world;
 //!   3. **reconfigure** — each survivor rebinds into the shrunken world
 //!      ([`Communicator::reconfigured`]) with contiguous ranks;
-//!   4. **re-shard** — the dead rank's experts are dealt round-robin
-//!      across the survivors ([`ReshardPlan::round_robin`]);
+//!   4. **re-shard** — in every block the dead rank's experts are dealt
+//!      round-robin across the survivors ([`ReshardPlan::round_robin`]);
 //!   5. **roll back** — the same rollback, restoring every survivor's
 //!      (new) expert set from the last snapshot.
+//!
+//! Placement policy is per block (expert map, imbalance window, deal);
+//! fleet state — health monitor, quarantine set, eviction and strike
+//! counts, snapshot clock, route RNG — is one.
 //!
 //! The property that makes this trustworthy (pinned by the recovery and
 //! elastic tests): a run that faults and rolls back ends with weights
@@ -35,8 +41,8 @@
 //! run started from the same snapshot. Expert placement is pure data
 //! movement, so the survivors' answer is *the* answer.
 //!
-//! Snapshots are collective ([`MoeLayer::checkpoint_global`]): all
-//! ranks assemble the full expert set, so any survivor subset can
+//! Snapshots are collective ([`MoeTransformer::checkpoint_global`]):
+//! all ranks assemble the full expert set, so any survivor subset can
 //! restore any expert. Rank 0 also persists each snapshot to disk when
 //! a checkpoint directory is configured; rollback prefers the on-disk
 //! copy (the restart path) but falls back to the in-memory snapshot —
@@ -48,17 +54,14 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use collectives::{CommError, Communicator, HybridTopology};
-use fsmoe::checkpoint::LayerCheckpoint;
-use fsmoe::config::MoeConfig;
-use fsmoe::dist::FaultPolicy;
-use fsmoe::layer::MoeLayer;
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::reshard::ReshardPlan;
 use fsmoe::{MoeError, Result};
 use tensor::{Tensor, TensorRng};
 
+use crate::block::MoeTransformer;
 use crate::health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor};
 use crate::imbalance::{ImbalanceDetector, MigrationDecision};
-use crate::train::dist_train_step;
 
 /// Knobs for the elastic pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +93,7 @@ impl Default for ElasticPolicy {
 #[derive(Debug, Clone)]
 struct ElasticSnapshot {
     step: usize,
-    checkpoint: LayerCheckpoint,
+    checkpoint: ModelCheckpoint,
     route_rng: TensorRng,
 }
 
@@ -99,7 +102,7 @@ struct ElasticSnapshot {
 #[derive(Debug)]
 pub struct ElasticTrainer {
     comm: Communicator,
-    layer: MoeLayer,
+    model: MoeTransformer,
     policy: ElasticPolicy,
     route_rng: TensorRng,
     step: usize,
@@ -110,9 +113,10 @@ pub struct ElasticTrainer {
     evictions: usize,
     strikes: usize,
     last_fallback: Option<MoeError>,
-    rebalancer: Option<ImbalanceDetector>,
+    /// One imbalance window per block, when rebalancing is on.
+    rebalancers: Vec<ImbalanceDetector>,
     migrations: usize,
-    last_migration: Option<MigrationDecision>,
+    last_migration: Option<(usize, MigrationDecision)>,
     health: Option<HealthMonitor>,
     gray: Option<GrayFailurePolicy>,
     /// EP positions currently quarantined (ascending, fleet-identical).
@@ -120,114 +124,69 @@ pub struct ElasticTrainer {
     quarantines: usize,
 }
 
-/// What the post-step health check decided (internal control flow).
-enum HealthOutcome {
-    /// Healthy, logged, or quarantined: the step stands.
-    Continue,
-    /// A live slow rank was evicted; the clock rolled back, replay.
-    Evicted,
-}
-
 impl ElasticTrainer {
-    /// Builds the GShard layer over the flat topology of `comm`'s world
-    /// and takes the initial collective snapshot (all ranks must call
-    /// together).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction and snapshot failures.
-    pub fn new(
-        config: &MoeConfig,
-        comm: Communicator,
-        seed: u64,
-        route_rng: TensorRng,
-        policy: ElasticPolicy,
-    ) -> Result<Self> {
-        let topo = HybridTopology::flat(comm.world_size())?;
-        let layer = MoeLayer::gshard(config, &comm, &topo, seed)?;
-        Self::from_layer(layer, comm, route_rng, policy)
-    }
-
-    /// Wraps a prebuilt `layer` (custom gate, hooks, …) built over
-    /// `comm`'s flat topology, taking the initial collective snapshot.
+    /// Wraps `model`, built over `comm`'s flat topology, and takes the
+    /// initial collective snapshot (all ranks must call together).
     ///
     /// # Errors
     ///
     /// Propagates snapshot failures.
-    pub fn from_layer(
-        layer: MoeLayer,
+    pub fn new(
+        model: MoeTransformer,
         comm: Communicator,
         route_rng: TensorRng,
         policy: ElasticPolicy,
     ) -> Result<Self> {
-        let checkpoint = layer.checkpoint_global()?;
-        Ok(Self::at_snapshot(
-            layer, comm, checkpoint, route_rng, 0, policy,
-        ))
-    }
-
-    /// Builds a trainer that *resumes* from `checkpoint` at `step` —
-    /// the fresh-world half of the bit-identity property: a new, smaller
-    /// world starting from the snapshot a shrunken run rolled back to.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction and restore failures.
-    pub fn resume(
-        config: &MoeConfig,
-        comm: Communicator,
-        seed: u64,
-        checkpoint: &LayerCheckpoint,
-        route_rng: TensorRng,
-        step: usize,
-        policy: ElasticPolicy,
-    ) -> Result<Self> {
-        let topo = HybridTopology::flat(comm.world_size())?;
-        let mut layer = MoeLayer::gshard(config, &comm, &topo, seed)?;
-        layer.restore_full(checkpoint)?;
-        Ok(Self::at_snapshot(
-            layer,
+        let snapshot = ElasticSnapshot {
+            step: 0,
+            checkpoint: model.checkpoint_global()?,
+            route_rng: route_rng.clone(),
+        };
+        Ok(ElasticTrainer {
             comm,
-            checkpoint.clone(),
-            route_rng,
-            step,
+            model,
             policy,
-        ))
-    }
-
-    /// A trainer whose layer holds `checkpoint`'s weights at `step`.
-    fn at_snapshot(
-        layer: MoeLayer,
-        comm: Communicator,
-        checkpoint: LayerCheckpoint,
-        route_rng: TensorRng,
-        step: usize,
-        policy: ElasticPolicy,
-    ) -> Self {
-        ElasticTrainer {
-            comm,
-            layer,
-            policy,
-            snapshot: ElasticSnapshot {
-                step,
-                checkpoint,
-                route_rng: route_rng.clone(),
-            },
+            snapshot,
             route_rng,
-            step,
-            last_snapshot_step: step,
+            step: 0,
+            last_snapshot_step: 0,
             checkpoint_dir: None,
             evictions: 0,
             strikes: 0,
             last_fallback: None,
-            rebalancer: None,
+            rebalancers: Vec::new(),
             migrations: 0,
             last_migration: None,
             health: None,
             gray: None,
             quarantined: Vec::new(),
             quarantines: 0,
-        }
+        })
+    }
+
+    /// A trainer that *resumes* `model` from `checkpoint` at `step` —
+    /// the fresh-world half of the bit-identity property: a new, smaller
+    /// world starting from the snapshot a shrunken run rolled back to.
+    /// Collective like [`Self::new`], whose initial snapshot it takes
+    /// once the weights are in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates restore and snapshot failures.
+    pub fn resume(
+        mut model: MoeTransformer,
+        comm: Communicator,
+        checkpoint: &ModelCheckpoint,
+        route_rng: TensorRng,
+        step: usize,
+        policy: ElasticPolicy,
+    ) -> Result<Self> {
+        model.restore_full(checkpoint)?;
+        let mut trainer = Self::new(model, comm, route_rng, policy)?;
+        trainer.step = step;
+        trainer.snapshot.step = step;
+        trainer.last_snapshot_step = step;
+        Ok(trainer)
     }
 
     /// Also persists snapshots to `dir` (rank 0 writes, atomically) and
@@ -238,21 +197,16 @@ impl ElasticTrainer {
         self
     }
 
-    /// Replaces the layer's AlltoAll retry/degradation policy.
-    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.layer.set_fault_policy(policy);
-    }
-
     /// Enables automatic load rebalancing: after every completed step
-    /// the fleet-wide expert loads feed `detector`, and a sustained-skew
-    /// decision drives an eviction-free hot-expert migration
-    /// ([`MoeLayer::migrate`]).
+    /// each block's fleet-wide expert loads feed its own copy of
+    /// `detector`, and a sustained-skew decision drives an eviction-free
+    /// hot-expert migration ([`fsmoe::layer::MoeLayer::migrate`]).
     ///
     /// SPMD: every rank must enable rebalancing with an identically
     /// configured detector, or ranks disagree about when to fence.
     #[must_use]
     pub fn with_rebalancing(mut self, detector: ImbalanceDetector) -> Self {
-        self.rebalancer = Some(detector);
+        self.rebalancers = vec![detector; self.model.depth()];
         self
     }
 
@@ -294,14 +248,15 @@ impl ElasticTrainer {
         self.migrations
     }
 
-    /// The most recent migration decision acted on, if any.
-    pub fn last_migration(&self) -> Option<MigrationDecision> {
+    /// The most recent migration acted on, if any: the block and the
+    /// decision.
+    pub fn last_migration(&self) -> Option<(usize, MigrationDecision)> {
         self.last_migration
     }
 
-    /// The wrapped layer.
-    pub fn layer(&self) -> &MoeLayer {
-        &self.layer
+    /// The wrapped model.
+    pub fn model(&self) -> &MoeTransformer {
+        &self.model
     }
 
     /// The current communicator (replaced on reconfiguration).
@@ -330,26 +285,10 @@ impl ElasticTrainer {
         self.route_rng.clone()
     }
 
-    /// Token assignments dropped by graceful degradation — preserved
-    /// across re-sharding, counted exactly once per lost exchange.
-    pub fn dropped_tokens(&self) -> usize {
-        self.layer.dropped_tokens()
-    }
-
     /// The typed error behind the most recent disk-checkpoint fallback,
     /// if recovery ever had to distrust the on-disk copy.
     pub fn last_fallback(&self) -> Option<&MoeError> {
         self.last_fallback.as_ref()
-    }
-
-    /// Assembles the full layer checkpoint collectively (all live ranks
-    /// must call together).
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective failures.
-    pub fn full_checkpoint(&self) -> Result<LayerCheckpoint> {
-        self.layer.checkpoint_global()
     }
 
     fn snapshot_path(&self, step: usize) -> Option<PathBuf> {
@@ -366,7 +305,7 @@ impl ElasticTrainer {
         }
         let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_SNAPSHOT);
         span.attr("step", self.step);
-        let checkpoint = self.layer.checkpoint_global()?;
+        let checkpoint = self.model.checkpoint_global()?;
         if self.comm.rank() == 0 {
             if let Some(path) = self.snapshot_path(self.step) {
                 checkpoint.save(&path)?;
@@ -418,10 +357,10 @@ impl ElasticTrainer {
     /// records a typed fallback (and the `elastic.checkpoint_fallbacks`
     /// counter) and yields the in-memory snapshot instead — recovery
     /// never panics on a bad file and never restores garbage.
-    fn load_recovery_checkpoint(&mut self) -> LayerCheckpoint {
+    fn load_recovery_checkpoint(&mut self) -> ModelCheckpoint {
         if let Some(path) = self.snapshot_path(self.snapshot.step) {
             if path.exists() {
-                match LayerCheckpoint::load(&path) {
+                match ModelCheckpoint::load(&path) {
                     Ok(ck) if ck == self.snapshot.checkpoint => return ck,
                     Ok(_) => self.note_fallback(MoeError::CorruptCheckpoint {
                         reason: format!(
@@ -452,22 +391,22 @@ impl ElasticTrainer {
     ///
     /// # Errors
     ///
-    /// Propagates restore failures (a snapshot always matches the layer
+    /// Propagates restore failures (a snapshot always matches the model
     /// it was taken from, so none are expected).
     pub fn rollback(&mut self) -> Result<usize> {
-        self.rollback_with(|layer, checkpoint| layer.restore_full(checkpoint))
+        self.rollback_with(|model, checkpoint| model.restore_full(checkpoint))
     }
 
     /// The rollback body; `restore` installs the recovery checkpoint
-    /// into the layer (in place, or onto a new placement).
+    /// into the model (in place, or onto a new placement).
     fn rollback_with(
         &mut self,
-        restore: impl FnOnce(&mut MoeLayer, &LayerCheckpoint) -> Result<()>,
+        restore: impl FnOnce(&mut MoeTransformer, &ModelCheckpoint) -> Result<()>,
     ) -> Result<usize> {
         let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_RECOVER);
         span.attr("to_step", self.snapshot.step);
         let checkpoint = self.load_recovery_checkpoint();
-        restore(&mut self.layer, &checkpoint)?;
+        restore(&mut self.model, &checkpoint)?;
         self.route_rng = self.snapshot.route_rng.clone();
         self.step = self.snapshot.step;
         self.last_snapshot_step = self.snapshot.step;
@@ -477,7 +416,8 @@ impl ElasticTrainer {
 
     /// The full elastic pipeline: evict `victim`, rebind into the
     /// shrunken world, deal its experts across the survivors, and roll
-    /// back onto the new placement.
+    /// back onto the new placement. The health ladder restarts on the
+    /// new world: old-world scores and quarantines name old ranks.
     fn recover_from_eviction(&mut self, victim: usize) -> Result<()> {
         let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_ELASTIC_RECONFIGURE);
         span.attr("victim", victim);
@@ -497,23 +437,34 @@ impl ElasticTrainer {
         // The deal may be uneven on the gray-failure path: a
         // quarantine drain thins the victim's list before eviction, so
         // its orphan count rarely divides over the survivors.
-        let plan = ReshardPlan::round_robin(self.layer.expert_map(), victim)?;
+        let plans = self
+            .model
+            .blocks()
+            .iter()
+            .map(|b| ReshardPlan::round_robin(b.moe().expert_map(), victim))
+            .collect::<Result<Vec<_>>>()?;
         let topo = HybridTopology::flat(new_comm.world_size())?;
-        self.rollback_with(|layer, checkpoint| layer.reshard(&plan, checkpoint, &new_comm, &topo))?;
+        self.rollback_with(|model, checkpoint| {
+            model.reshard(&plans, checkpoint, &new_comm, &topo)
+        })?;
+        if let Some(m) = self.health.as_mut() {
+            m.reset(new_comm.world_size());
+        }
+        self.quarantined.clear();
         self.comm = new_comm;
         self.evictions += 1;
         Ok(())
     }
 
     /// After a completed step: all-reduce this rank's expert loads so
-    /// every rank sees identical fleet-wide totals, feed the detector,
-    /// and on a sustained-skew decision migrate the hot expert. A
-    /// migration that loses its fence to a concurrent eviction
+    /// every rank sees identical fleet-wide totals, feed each block's
+    /// detector, and on a sustained-skew decision migrate the hot expert.
+    /// A migration that loses its fence to a concurrent eviction
     /// ([`CommError::MigrationConflict`]) is skipped, not fatal — the
     /// eviction path owns recovery and the detector re-fires after its
     /// cooldown.
     fn maybe_rebalance(&mut self) -> Result<()> {
-        if self.rebalancer.is_none() {
+        if self.rebalancers.is_empty() {
             return Ok(());
         }
         // Per-rank routings differ; the decision must not. Summing over
@@ -521,27 +472,27 @@ impl ElasticTrainer {
         let Some(loads) = self.fleet_loads()? else {
             return Ok(());
         };
-        let Some(detector) = self.rebalancer.as_mut() else {
-            return Ok(());
-        };
-        // Quarantined positions are off-limits as destinations: the
-        // rebalancer must not pile load back onto a slow rank.
-        let Some(decision) =
-            detector.observe_excluding(self.layer.expert_map(), &loads, &self.quarantined)
-        else {
-            return Ok(());
-        };
-        self.apply_migration(decision)
+        for (block, loads) in loads.iter().enumerate() {
+            let map = self.model.blocks()[block].moe().expert_map();
+            // Quarantined positions are off-limits as destinations: the
+            // rebalancer must not pile load back onto a slow rank.
+            let decision = self.rebalancers[block].observe_excluding(map, loads, &self.quarantined);
+            if let Some(decision) = decision {
+                self.apply_migration(block, decision)?;
+            }
+        }
+        Ok(())
     }
 
-    /// Executes a fenced migration, tolerating a lost fence race
-    /// ([`CommError::MigrationConflict`] — the eviction path owns
+    /// Executes a fenced migration in `block`, tolerating a lost fence
+    /// race ([`CommError::MigrationConflict`] — the eviction path owns
     /// recovery and the decision re-fires later).
-    fn apply_migration(&mut self, decision: MigrationDecision) -> Result<()> {
-        match self.layer.migrate(decision.expert, decision.to, &self.comm) {
+    fn apply_migration(&mut self, block: usize, decision: MigrationDecision) -> Result<()> {
+        let layer = self.model.layer_mut(block);
+        match layer.migrate(decision.expert, decision.to, &self.comm) {
             Ok(()) => {
                 self.migrations += 1;
-                self.last_migration = Some(decision);
+                self.last_migration = Some((block, decision));
                 Ok(())
             }
             Err(MoeError::Comm(CommError::MigrationConflict { .. })) => Ok(()),
@@ -549,30 +500,50 @@ impl ElasticTrainer {
         }
     }
 
-    /// All-reduces fleet-wide expert loads (identical on every rank).
-    fn fleet_loads(&self) -> Result<Option<Vec<f64>>> {
-        let Some(routing) = self.layer.last_routing() else {
+    /// Fleet-wide expert loads per block, identical on every rank: one
+    /// all-reduce over the concatenated per-block loads. `None` unless
+    /// every block holds a routing (a migration drops its block's).
+    fn fleet_loads(&self) -> Result<Option<Vec<Vec<f64>>>> {
+        let routings: Option<Vec<_>> = self
+            .model
+            .blocks()
+            .iter()
+            .map(|b| b.moe().last_routing())
+            .collect();
+        let Some(routings) = routings else {
             return Ok(None);
         };
-        let mut local: Vec<f32> = routing.expert_loads().iter().map(|&l| l as f32).collect();
+        let mut local: Vec<f32> = routings
+            .iter()
+            .flat_map(|r| r.expert_loads())
+            .map(|l| l as f32)
+            .collect();
         self.comm
             .world_group()
             .all_reduce(&mut local)
             .map_err(MoeError::Comm)?;
-        Ok(Some(local.iter().map(|&l| f64::from(l)).collect()))
+        let mut rest = local.as_slice();
+        let per_block = routings.iter().map(|r| {
+            let (loads, tail) = rest.split_at(r.num_experts());
+            rest = tail;
+            loads.iter().map(|&l| f64::from(l)).collect()
+        });
+        Ok(Some(per_block.collect()))
     }
 
-    /// Drains one hot expert off the lowest quarantined position onto
-    /// the least-loaded healthy one ([`drain_decision`]).
+    /// In every block, drains one hot expert off the lowest quarantined
+    /// position onto the least-loaded healthy one ([`drain_decision`]).
     fn drain_quarantined(&mut self) -> Result<()> {
         let Some(loads) = self.fleet_loads()? else {
             return Ok(());
         };
-        let Some(decision) = drain_decision(self.layer.expert_map(), &loads, &self.quarantined)
-        else {
-            return Ok(());
-        };
-        self.apply_migration(decision)
+        for (block, loads) in loads.iter().enumerate() {
+            let map = self.model.blocks()[block].moe().expert_map();
+            if let Some(decision) = drain_decision(map, loads, &self.quarantined) {
+                self.apply_migration(block, decision)?;
+            }
+        }
+        Ok(())
     }
 
     /// The post-step health check: all-reduce per-rank self times so
@@ -580,13 +551,14 @@ impl ElasticTrainer {
     /// the monitor's verdict. Runs only when health is armed, and every
     /// branch is SPMD-deterministic.
     ///
-    /// Returns `Err(RankDown{me})` when *this* rank is the priced-out
-    /// victim: peers evict it, and the canonical self-down error tells
-    /// the caller to stop stepping — exactly what a dead rank's caller
-    /// sees.
-    fn maybe_check_health(&mut self, self_us: f64) -> Result<HealthOutcome> {
+    /// Returns whether a live slow rank was evicted (the clock rolled
+    /// back: replay), and `Err(RankDown{me})` when *this* rank is the
+    /// priced-out victim: peers evict it, and the canonical self-down
+    /// error tells the caller to stop stepping — exactly what a dead
+    /// rank's caller sees.
+    fn maybe_check_health(&mut self, self_us: f64) -> Result<bool> {
         if self.health.is_none() {
-            return Ok(HealthOutcome::Continue);
+            return Ok(false);
         }
         let me = self.comm.rank();
         let mut v = vec![0.0f32; self.comm.world_size()];
@@ -597,10 +569,10 @@ impl ElasticTrainer {
             .map_err(MoeError::Comm)?;
         let times: Vec<f64> = v.iter().map(|&t| f64::from(t)).collect();
         let Some(monitor) = self.health.as_mut() else {
-            return Ok(HealthOutcome::Continue);
+            return Ok(false);
         };
         match monitor.observe(&times) {
-            None | Some(HealthAction::Log { .. }) => Ok(HealthOutcome::Continue),
+            None | Some(HealthAction::Log { .. }) => Ok(false),
             Some(HealthAction::Quarantine { rank, .. }) => {
                 if !self.quarantined.contains(&rank) {
                     self.quarantined.push(rank);
@@ -608,7 +580,7 @@ impl ElasticTrainer {
                     self.quarantines += 1;
                 }
                 self.drain_quarantined()?;
-                Ok(HealthOutcome::Continue)
+                Ok(false)
             }
             Some(HealthAction::EvictCandidate { rank, score }) => {
                 self.consider_eviction(rank, score)
@@ -620,7 +592,7 @@ impl ElasticTrainer {
     /// evict the live-but-slow rank when the arithmetic says so. Every
     /// pricing input is fleet-identical (all-reduced scores and medians,
     /// the shared config), so all ranks decide alike.
-    fn consider_eviction(&mut self, victim: usize, score: f64) -> Result<HealthOutcome> {
+    fn consider_eviction(&mut self, victim: usize, score: f64) -> Result<bool> {
         let defer = |health: &mut Option<HealthMonitor>| {
             if let Some(m) = health.as_mut() {
                 m.defer();
@@ -629,7 +601,7 @@ impl ElasticTrainer {
         let Some(gray) = self.gray else {
             // No pricing policy: never auto-evict a live rank.
             defer(&mut self.health);
-            return Ok(HealthOutcome::Continue);
+            return Ok(false);
         };
         let healthy_step_ms = self
             .health
@@ -640,18 +612,14 @@ impl ElasticTrainer {
         let cost = gray.price(self.comm.world_size(), healthy_step_ms, score, replay_steps);
         if !cost.eviction_wins() || self.evictions >= self.policy.max_evictions {
             defer(&mut self.health);
-            return Ok(HealthOutcome::Continue);
+            return Ok(false);
         }
         obs::counter_add(obs::names::HEALTH_EVICTIONS, 1);
         if victim == self.comm.rank() {
             return Err(MoeError::Comm(CommError::RankDown { rank: victim }));
         }
         self.recover_from_eviction(victim)?;
-        if let Some(m) = self.health.as_mut() {
-            m.reset(self.comm.world_size());
-        }
-        self.quarantined.clear();
-        Ok(HealthOutcome::Evicted)
+        Ok(true)
     }
 
     /// Runs one training step, driving the elastic pipeline when a peer
@@ -674,11 +642,11 @@ impl ElasticTrainer {
             let result = self
                 .maybe_snapshot()
                 .and_then(|()| {
-                    dist_train_step(&mut self.layer, input, target, lr, &mut self.route_rng)
+                    self.model
+                        .train_step(input, target, lr, &mut self.route_rng)
                 })
-                .and_then(|loss| self.maybe_rebalance().map(|()| loss));
-            let err = match result {
-                Ok(loss) => {
+                .and_then(|loss| self.maybe_rebalance().map(|()| loss))
+                .and_then(|loss| {
                     self.step += 1;
                     self.strikes = 0;
                     let wall_us = wall_start.elapsed().as_micros() as u64;
@@ -692,14 +660,17 @@ impl ElasticTrainer {
                     // before any verdict, so every rank scores the same
                     // fleet-wide vector; the wall-clock reading itself
                     // never steers a branch locally.
-                    match self.maybe_check_health(self_us)? {
-                        HealthOutcome::Continue => return Ok(loss),
-                        // The live eviction rolled the clock back to
-                        // the snapshot: replay the discarded steps on
-                        // the shrunken world.
-                        HealthOutcome::Evicted => continue,
-                    }
-                }
+                    self.maybe_check_health(self_us)
+                        .map(|evicted| (loss, evicted))
+                });
+            // A peer that dies at any of the four — the health
+            // all-reduce included — is blamed and evicted below.
+            let err = match result {
+                Ok((loss, false)) => return Ok(loss),
+                // The live eviction rolled the clock back to the
+                // snapshot: replay the discarded steps on the shrunken
+                // world.
+                Ok((_, true)) => continue,
                 Err(e) => e,
             };
             let Some(victim) = self.blame(&err) else {

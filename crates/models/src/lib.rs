@@ -10,6 +10,11 @@
 //! Layer composition follows the paper's generalized-layer definition
 //! (§5.2): one MoE layer plus the dense operations (attention) before
 //! the next MoE layer.
+//!
+//! On the data plane there is one training step and the model owns it:
+//! [`MoeTransformer::train_step`] ([`block`] says which parameters are
+//! synchronised over which group). [`ElasticTrainer`] drives it and owns
+//! what surrounds it: snapshots, rollback, eviction, migration, health.
 
 pub mod attention;
 pub mod block;
@@ -21,12 +26,11 @@ pub mod iteration;
 pub mod layerspec;
 pub mod pipeline;
 pub mod presets;
-pub mod train;
 
+pub use block::{MoeTransformer, TransformerBlock};
 pub use elastic::{ElasticPolicy, ElasticTrainer};
 pub use health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, HealthPolicy};
 pub use imbalance::{ImbalanceDetector, MigrationDecision};
 pub use iteration::{build_iteration_graph, iteration_time, plan_iteration, IterationPlan};
 pub use layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 pub use presets::ModelPreset;
-pub use train::dist_train_step;

@@ -6,15 +6,27 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld};
-use fsmoe::checkpoint::LayerCheckpoint;
+use collectives::{run_world_within, CommWorld, Communicator, HybridTopology};
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer};
+use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
 const BUDGET: Duration = Duration::from_secs(120);
+
+/// Attention heads and depth of the model under the trainer.
+type Shape = (Option<usize>, usize);
+/// The configured layer alone (the one-layer trainer's shape).
+const LAYER: Shape = (None, 1);
+/// Two attention + MoE blocks.
+const MODEL: Shape = (Some(2), 2);
+
+fn model(cfg: &MoeConfig, (heads, depth): Shape, comm: &Communicator) -> MoeTransformer {
+    let topo = HybridTopology::flat(comm.world_size()).unwrap();
+    MoeTransformer::new(cfg, heads, depth, comm, &topo, SEED).unwrap()
+}
 
 fn config(num_experts: usize) -> MoeConfig {
     MoeConfig::builder()
@@ -50,15 +62,19 @@ fn world(n: usize) -> CommWorld {
 /// Runs a clean `n`-rank reference for `steps` steps; returns each
 /// rank's (full checkpoint, route RNG) at the end — i.e. the state a
 /// snapshot at `steps` would capture.
-fn reference_state(cfg: &MoeConfig, n: usize, steps: usize) -> Vec<(LayerCheckpoint, TensorRng)> {
+fn reference_state(
+    cfg: &MoeConfig,
+    shape: Shape,
+    n: usize,
+    steps: usize,
+) -> Vec<(ModelCheckpoint, TensorRng)> {
     run_world_within(world(n), BUDGET, {
         let cfg = cfg.clone();
         move |comm| {
             let rank = comm.rank();
             let mut trainer = ElasticTrainer::new(
-                &cfg,
+                model(&cfg, shape, &comm),
                 comm,
-                SEED,
                 route_rng_for(rank),
                 ElasticPolicy::default(),
             )
@@ -67,7 +83,10 @@ fn reference_state(cfg: &MoeConfig, n: usize, steps: usize) -> Vec<(LayerCheckpo
             while trainer.step() < steps {
                 trainer.train_step(&x, &t, LR).unwrap();
             }
-            (trainer.full_checkpoint().unwrap(), trainer.route_rng())
+            (
+                trainer.model().checkpoint_global().unwrap(),
+                trainer.route_rng(),
+            )
         }
     })
 }
@@ -78,19 +97,19 @@ fn reference_state(cfg: &MoeConfig, n: usize, steps: usize) -> Vec<(LayerCheckpo
 /// survivors, None for the victim.
 fn elastic_run(
     cfg: &MoeConfig,
+    shape: Shape,
     n: usize,
     victim: usize,
     die_after: usize,
     total: usize,
-) -> Vec<Option<(LayerCheckpoint, usize, u64)>> {
+) -> Vec<Option<(ModelCheckpoint, usize, u64)>> {
     run_world_within(world(n), BUDGET, {
         let cfg = cfg.clone();
         move |comm| {
             let rank = comm.rank();
             let mut trainer = ElasticTrainer::new(
-                &cfg,
+                model(&cfg, shape, &comm),
                 comm,
-                SEED,
                 route_rng_for(rank),
                 ElasticPolicy::default(),
             )
@@ -107,7 +126,7 @@ fn elastic_run(
                 trainer.train_step(&x, &t, LR).unwrap();
             }
             Some((
-                trainer.full_checkpoint().unwrap(),
+                trainer.model().checkpoint_global().unwrap(),
                 trainer.evictions(),
                 trainer.comm().membership_epoch(),
             ))
@@ -115,35 +134,28 @@ fn elastic_run(
     })
 }
 
-/// **Headline property.** A 4-rank run that permanently loses rank 2
-/// after step 5 finishes bit-identical to a fresh 3-rank run started
-/// from the snapshot the survivors rolled back to — with each new rank
-/// resuming the matching old rank's data and RNG stream.
-#[test]
-fn eviction_is_bit_identical_to_fresh_small_world() {
-    // E = 12 so the orphaned 3 experts deal evenly over 3 survivors.
-    let cfg = config(12);
-    let (victim, die_after, total) = (2usize, 5usize, 8usize);
-    // Snapshot cadence 2 ⇒ the survivors roll back to step 4.
-    let snap_step = 4usize;
-
-    let reference = reference_state(&cfg, 4, snap_step);
-    let elastic = elastic_run(&cfg, 4, victim, die_after, total);
-
-    // Fresh small world: survivors' old ranks, renumbered contiguously —
-    // new rank i carries old rank survivors[i]'s data and RNG stream.
-    let survivors: Vec<usize> = (0..4).filter(|&r| r != victim).collect();
-    let fresh = run_world_within(world(3), BUDGET, {
+/// The fresh small world: the survivors' old ranks, renumbered
+/// contiguously — new rank i carries old rank `survivors[i]`'s data and
+/// RNG stream — resumed from `reference`'s snapshot at `snap_step` and
+/// run to `total`. Returns every rank's final checkpoint.
+fn fresh_world(
+    cfg: &MoeConfig,
+    shape: Shape,
+    reference: &[(ModelCheckpoint, TensorRng)],
+    survivors: &[usize],
+    snap_step: usize,
+    total: usize,
+) -> Vec<ModelCheckpoint> {
+    run_world_within(world(survivors.len()), BUDGET, {
         let cfg = cfg.clone();
         let snapshot = reference[0].0.clone();
         let rngs: Vec<TensorRng> = survivors.iter().map(|&r| reference[r].1.clone()).collect();
-        let survivors = survivors.clone();
+        let survivors = survivors.to_vec();
         move |comm| {
             let old_rank = survivors[comm.rank()];
             let mut trainer = ElasticTrainer::resume(
-                &cfg,
+                model(&cfg, shape, &comm),
                 comm.clone(),
-                SEED,
                 &snapshot,
                 rngs[comm.rank()].clone(),
                 snap_step,
@@ -154,23 +166,44 @@ fn eviction_is_bit_identical_to_fresh_small_world() {
             while trainer.step() < total {
                 trainer.train_step(&x, &t, LR).unwrap();
             }
-            trainer.full_checkpoint().unwrap()
+            trainer.model().checkpoint_global().unwrap()
         }
-    });
+    })
+}
 
-    assert!(elastic[victim].is_none());
-    for &old in &survivors {
-        let (ckpt, evictions, epoch) = elastic[old].clone().expect("survivor finished");
-        assert_eq!(evictions, 1);
-        assert_eq!(epoch, 1);
-        assert_eq!(
-            ckpt, fresh[0],
-            "survivor (old rank {old}) diverged from the fresh small world"
-        );
+/// **Headline property.** A 4-rank run that permanently loses rank 2
+/// after step 5 finishes bit-identical to a fresh 3-rank run started
+/// from the snapshot the survivors rolled back to — with each new rank
+/// resuming the matching old rank's data and RNG stream. On the lone
+/// configured layer and on a two-block attention model.
+#[test]
+fn eviction_is_bit_identical_to_fresh_small_world() {
+    // E = 12 so the orphaned 3 experts deal evenly over 3 survivors.
+    let cfg = config(12);
+    let (victim, die_after, total) = (2usize, 5usize, 8usize);
+    // Snapshot cadence 2 ⇒ the survivors roll back to step 4.
+    let snap_step = 4usize;
+
+    for shape in [LAYER, MODEL] {
+        let reference = reference_state(&cfg, shape, 4, snap_step);
+        let elastic = elastic_run(&cfg, shape, 4, victim, die_after, total);
+        let survivors: Vec<usize> = (0..4).filter(|&r| r != victim).collect();
+        let fresh = fresh_world(&cfg, shape, &reference, &survivors, snap_step, total);
+
+        assert!(elastic[victim].is_none());
+        for &old in &survivors {
+            let (ckpt, evictions, epoch) = elastic[old].clone().expect("survivor finished");
+            assert_eq!(evictions, 1);
+            assert_eq!(epoch, 1);
+            assert_eq!(
+                ckpt, fresh[0],
+                "{shape:?}: survivor (old rank {old}) diverged from the fresh small world"
+            );
+        }
+        // All fresh-world ranks agree with each other too (collective).
+        assert_eq!(fresh[0], fresh[1]);
+        assert_eq!(fresh[1], fresh[2]);
     }
-    // All fresh-world ranks agree with each other too (collective).
-    assert_eq!(fresh[0], fresh[1]);
-    assert_eq!(fresh[1], fresh[2]);
 }
 
 /// The same property at the smallest interesting scale: 3 ranks losing
@@ -183,34 +216,11 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
     let (victim, die_after, total) = (1usize, 2usize, 5usize);
     // Victim dies after step 2; survivors fail in the step-2 snapshot
     // and roll back to the *initial* snapshot (step 0).
-    let reference = reference_state(&cfg, 3, 0);
-    let elastic = elastic_run(&cfg, 3, victim, die_after, total);
+    let reference = reference_state(&cfg, LAYER, 3, 0);
+    let elastic = elastic_run(&cfg, LAYER, 3, victim, die_after, total);
 
     let survivors: Vec<usize> = (0..3).filter(|&r| r != victim).collect();
-    let fresh = run_world_within(world(2), BUDGET, {
-        let cfg = cfg.clone();
-        let snapshot = reference[0].0.clone();
-        let rngs: Vec<TensorRng> = survivors.iter().map(|&r| reference[r].1.clone()).collect();
-        let survivors = survivors.clone();
-        move |comm| {
-            let old_rank = survivors[comm.rank()];
-            let mut trainer = ElasticTrainer::resume(
-                &cfg,
-                comm.clone(),
-                SEED,
-                &snapshot,
-                rngs[comm.rank()].clone(),
-                0,
-                ElasticPolicy::default(),
-            )
-            .unwrap();
-            let (x, t) = rank_data(&cfg, old_rank);
-            while trainer.step() < total {
-                trainer.train_step(&x, &t, LR).unwrap();
-            }
-            trainer.full_checkpoint().unwrap()
-        }
-    });
+    let fresh = fresh_world(&cfg, LAYER, &reference, &survivors, 0, total);
 
     for &old in &survivors {
         let (ckpt, ..) = elastic[old].clone().expect("survivor finished");
@@ -266,26 +276,26 @@ fn gray_failure_chaos_soak() {
                         snapshot_interval: 10_000,
                         ..ElasticPolicy::default()
                     };
-                    let mut trainer =
-                        ElasticTrainer::new(&cfg, comm, SEED, route_rng_for(rank), policy)
-                            .unwrap()
-                            .with_health(
-                                HealthMonitor::new(
-                                    n,
-                                    HealthPolicy {
-                                        window: 2,
-                                        threshold: 1.5,
-                                        sustain: 2,
-                                        cooldown: 1,
-                                    },
-                                ),
-                                GrayFailurePolicy {
-                                    costs: simnet::Testbed::a().costs,
-                                    horizon_steps: horizon,
-                                    moved_bytes: 1e6,
-                                    checkpoint_bytes: 4e6,
+                    let model = model(&cfg, LAYER, &comm);
+                    let mut trainer = ElasticTrainer::new(model, comm, route_rng_for(rank), policy)
+                        .unwrap()
+                        .with_health(
+                            HealthMonitor::new(
+                                n,
+                                HealthPolicy {
+                                    window: 2,
+                                    threshold: 1.5,
+                                    sustain: 2,
+                                    cooldown: 1,
                                 },
-                            );
+                            ),
+                            GrayFailurePolicy {
+                                costs: simnet::Testbed::a().costs,
+                                horizon_steps: horizon,
+                                moved_bytes: 1e6,
+                                checkpoint_bytes: 4e6,
+                            },
+                        );
                     let (x, t) = rank_data(&cfg, rank);
                     while trainer.step() < 8 {
                         match trainer.train_step(&x, &t, LR) {
@@ -296,7 +306,10 @@ fn gray_failure_chaos_soak() {
                             Err(e) => panic!("n={n} seed={seed} rank {rank}: {e:?}"),
                         }
                     }
-                    Some((trainer.full_checkpoint().unwrap(), trainer.evictions()))
+                    Some((
+                        trainer.model().checkpoint_global().unwrap(),
+                        trainer.evictions(),
+                    ))
                 }
             });
             let finished: Vec<_> = results.iter().flatten().collect();
@@ -333,7 +346,7 @@ fn elastic_chaos_soak() {
             let victim = (seed as usize) % n;
             let die_after = 1 + (seed as usize % 3);
             let total = die_after + 3;
-            let results = elastic_run(&cfg, n, victim, die_after, total);
+            let results = elastic_run(&cfg, LAYER, n, victim, die_after, total);
             let survivors: Vec<_> = results.iter().flatten().collect();
             assert_eq!(
                 survivors.len(),

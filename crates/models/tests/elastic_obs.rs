@@ -12,10 +12,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld};
+use collectives::{run_world_within, CommWorld, Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;
 use fsmoe::MoeError;
-use models::{ElasticPolicy, ElasticTrainer};
+use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
@@ -33,6 +33,12 @@ fn config(num_experts: usize) -> MoeConfig {
         .no_drop()
         .build()
         .unwrap()
+}
+
+/// The configured layer alone, over `comm`'s flat world.
+fn model(cfg: &MoeConfig, comm: &Communicator) -> MoeTransformer {
+    let topo = HybridTopology::flat(comm.world_size()).unwrap();
+    MoeTransformer::new(cfg, None, 1, comm, &topo, SEED).unwrap()
 }
 
 fn rank_data(cfg: &MoeConfig, old_rank: usize) -> (Tensor, Tensor) {
@@ -62,9 +68,8 @@ fn drop_accounting_is_exactly_once_through_eviction() {
         move |comm| {
             let rank = comm.rank();
             let mut trainer = ElasticTrainer::new(
-                &cfg,
+                model(&cfg, &comm),
                 comm,
-                SEED,
                 TensorRng::seed_from(7000 + rank as u64),
                 ElasticPolicy::default(),
             )
@@ -81,8 +86,8 @@ fn drop_accounting_is_exactly_once_through_eviction() {
                 trainer.train_step(&x, &t, LR).unwrap();
             }
             // The drop account survives the reshard.
-            survivor_drops.fetch_add(trainer.dropped_tokens(), Ordering::Relaxed);
-            trainer.dropped_tokens()
+            survivor_drops.fetch_add(trainer.model().dropped_tokens(), Ordering::Relaxed);
+            trainer.model().dropped_tokens()
         }
     });
     let snap = session.snapshot();
@@ -117,9 +122,8 @@ fn corrupt_checkpoint_scenario(tag: &str, corrupt: fn(&PathBuf)) {
         move |comm| {
             let rank = comm.rank();
             let mut trainer = ElasticTrainer::new(
-                &cfg,
+                model(&cfg, &comm),
                 comm,
-                SEED,
                 TensorRng::seed_from(7000 + rank as u64),
                 ElasticPolicy::default(),
             )
@@ -144,14 +148,13 @@ fn corrupt_checkpoint_scenario(tag: &str, corrupt: fn(&PathBuf)) {
                     MoeError::CorruptCheckpoint { .. } | MoeError::BadInput { .. }
                 )
             });
-            let ckpt = trainer.full_checkpoint().unwrap();
-            let finite = ckpt
-                .experts
+            let ckpt = trainer.model().checkpoint_global().unwrap();
+            let experts = &ckpt.blocks[0].moe.experts;
+            let finite = experts
                 .iter()
                 .flatten()
                 .all(|w| w.data().iter().all(|v| v.is_finite()));
-            let nonzero = ckpt
-                .experts
+            let nonzero = experts
                 .iter()
                 .flatten()
                 .any(|w| w.data().iter().any(|v| *v != 0.0));

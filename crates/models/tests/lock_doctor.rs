@@ -11,9 +11,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld};
+use collectives::{run_world_within, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer};
+use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
 use parking_lot::lock_doctor;
 use tensor::{Tensor, TensorRng};
 
@@ -47,8 +47,9 @@ fn four_rank_elastic_recovery_is_hazard_free() {
     let _ = lock_doctor::take_report();
     let _check = lock_doctor::check_guard();
 
-    // The 4-rank scenario from the elastic bit-identity theorem: rank 2
-    // dies for good after step 5, survivors evict and run to step 8.
+    // The 4-rank scenario from the elastic bit-identity theorem, on its
+    // two-block attention model: rank 2 dies for good after step 5,
+    // survivors evict and run to step 8.
     let cfg = config(12);
     let (victim, die_after, total) = (2usize, 5usize, 8usize);
     let world = CommWorld::new(4).with_deadline(Duration::from_secs(5));
@@ -56,10 +57,11 @@ fn four_rank_elastic_recovery_is_hazard_free() {
         let cfg = cfg.clone();
         move |comm| {
             let rank = comm.rank();
+            let topo = HybridTopology::flat(4).unwrap();
+            let model = MoeTransformer::new(&cfg, Some(2), 2, &comm, &topo, SEED).unwrap();
             let mut trainer = ElasticTrainer::new(
-                &cfg,
+                model,
                 comm,
-                SEED,
                 TensorRng::seed_from(7000 + rank as u64),
                 ElasticPolicy::default(),
             )

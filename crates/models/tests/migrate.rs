@@ -7,21 +7,30 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
-use fsmoe::checkpoint::LayerCheckpoint;
+use collectives::{run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology};
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::gate::GShardGate;
-use fsmoe::layer::MoeLayer;
 use fsmoe::reshard::ExpertMap;
-use models::{
-    dist_train_step, ElasticPolicy, ElasticTrainer, ImbalanceDetector, MigrationDecision,
-};
+use models::{ElasticPolicy, ElasticTrainer, ImbalanceDetector, MigrationDecision, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 use workloadgen::{Distribution, WorkloadGen};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
 const BUDGET: Duration = Duration::from_secs(120);
+
+/// Attention heads and depth of the model.
+type Shape = (Option<usize>, usize);
+/// The configured layer alone (the one-layer trainer's shape).
+const LAYER: Shape = (None, 1);
+/// Two attention + MoE blocks.
+const MODEL: Shape = (Some(2), 2);
+
+fn model(cfg: &MoeConfig, (heads, depth): Shape, comm: &Communicator) -> MoeTransformer {
+    let topo = HybridTopology::flat(comm.world_size()).unwrap();
+    MoeTransformer::new(cfg, heads, depth, comm, &topo, SEED).unwrap()
+}
 
 fn config(num_experts: usize) -> MoeConfig {
     MoeConfig::builder()
@@ -51,34 +60,35 @@ fn world(n: usize) -> CommWorld {
     CommWorld::new(n).with_deadline(Duration::from_secs(5))
 }
 
-/// An `n`-rank training run that performs the given `(step, expert,
-/// to_position)` migrations just before the named steps. Returns each
-/// rank's final global checkpoint and whether its placement ended
-/// uniform.
+/// An `n`-rank training run that performs the given `(step, block,
+/// expert, to_position)` migrations just before the named steps. Returns
+/// each rank's final global checkpoint and whether every block's
+/// placement ended uniform.
 fn migrating_run(
     cfg: &MoeConfig,
+    shape: Shape,
     n: usize,
     total: usize,
-    migrations: Vec<(usize, usize, usize)>,
-) -> Vec<(LayerCheckpoint, bool)> {
+    migrations: Vec<(usize, usize, usize, usize)>,
+) -> Vec<(ModelCheckpoint, bool)> {
     run_world_within(world(n), BUDGET, {
         let cfg = cfg.clone();
         move |comm| {
-            let topo = HybridTopology::flat(n).unwrap();
-            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let mut model = model(&cfg, shape, &comm);
             let mut route_rng = route_rng_for(comm.rank());
             let (x, t) = rank_data(&cfg, comm.rank());
             for step in 0..total {
-                for &(at, expert, to) in &migrations {
+                for &(at, block, expert, to) in &migrations {
                     if at == step {
-                        layer.migrate(expert, to, &comm).unwrap();
+                        model.layer_mut(block).migrate(expert, to, &comm).unwrap();
                     }
                 }
-                dist_train_step(&mut layer, &x, &t, LR, &mut route_rng).unwrap();
+                model.train_step(&x, &t, LR, &mut route_rng).unwrap();
             }
+            let uniform = |b: &models::TransformerBlock| b.moe().expert_map().is_uniform();
             (
-                layer.checkpoint_global().unwrap(),
-                layer.expert_map().is_uniform(),
+                model.checkpoint_global().unwrap(),
+                model.blocks().iter().all(uniform),
             )
         }
     })
@@ -88,23 +98,28 @@ fn migrating_run(
 /// mid-training (and a second expert later, stacking two fences)
 /// finishes with weights **bit-identical** to the run that never
 /// migrates: expert placement is pure data movement, so where an expert
-/// lives can never change what it computes.
+/// lives can never change what it computes. On the lone configured
+/// layer, and on a two-block attention model with one move per block.
 #[test]
 fn migration_is_bit_identical_to_unmigrated_run() {
     let cfg = config(8);
     let total = 6;
-    let baseline = migrating_run(&cfg, 4, total, vec![]);
-    // Expert 0 leaves position 0 after step 2; expert 7 joins the
-    // thinned position 0 after step 4. Both moves leave the map
-    // non-uniform: positions end with 1, 3, 2 and 2 experts.
-    let migrated = migrating_run(&cfg, 4, total, vec![(2, 0, 1), (4, 7, 0)]);
-    for rank in 0..4 {
-        assert!(baseline[rank].1, "baseline stays on the block placement");
-        assert!(!migrated[rank].1, "migrated placement must be non-uniform");
-        assert_eq!(
-            baseline[rank].0, migrated[rank].0,
-            "rank {rank}: migrated run diverged from the unmigrated run"
-        );
+    for (shape, second_block) in [(LAYER, 0), (MODEL, 1)] {
+        let baseline = migrating_run(&cfg, shape, 4, total, vec![]);
+        // Expert 0 leaves position 0 after step 2; expert 7 joins
+        // position 0 after step 4. Both moves leave their map
+        // non-uniform: on one layer positions end with 1, 3, 2 and 2
+        // experts.
+        let moves = vec![(2, 0, 0, 1), (4, second_block, 7, 0)];
+        let migrated = migrating_run(&cfg, shape, 4, total, moves);
+        for rank in 0..4 {
+            assert!(baseline[rank].1, "baseline stays on the block placement");
+            assert!(!migrated[rank].1, "migrated placement must be non-uniform");
+            assert_eq!(
+                baseline[rank].0, migrated[rank].0,
+                "{shape:?} rank {rank}: migrated run diverged from the unmigrated run"
+            );
+        }
     }
 }
 
@@ -119,9 +134,9 @@ fn skew_generator(cfg: &MoeConfig, calib_seed: u64) -> WorkloadGen {
 
 struct SoakOutcome {
     migrations: usize,
-    last: Option<MigrationDecision>,
+    last: Option<(usize, MigrationDecision)>,
     dropped: usize,
-    checkpoint: LayerCheckpoint,
+    checkpoint: ModelCheckpoint,
     /// max/mean position-load ratio of the final step's fleet-wide
     /// loads under (block placement, final placement).
     ratio_block: f64,
@@ -140,9 +155,8 @@ fn skew_soak(n: usize, steps: usize, faults: Option<FaultInjector>) -> Vec<SoakO
     run_world_within(w, BUDGET, move |comm| {
         let rank = comm.rank();
         let mut trainer = ElasticTrainer::new(
-            &cfg,
+            model(&cfg, LAYER, &comm),
             comm,
-            SEED,
             route_rng_for(rank),
             ElasticPolicy::default(),
         )
@@ -160,7 +174,7 @@ fn skew_soak(n: usize, steps: usize, faults: Option<FaultInjector>) -> Vec<SoakO
             trainer.train_step(&x, &t, LR).unwrap();
             // A migration inside the step clears the saved routing (on
             // every rank alike), so sample loads only when it survives.
-            if let Some(routing) = trainer.layer().last_routing() {
+            if let Some(routing) = trainer.model().blocks()[0].moe().last_routing() {
                 let mut local: Vec<f32> =
                     routing.expert_loads().iter().map(|&l| l as f32).collect();
                 trainer.comm().world_group().all_reduce(&mut local).unwrap();
@@ -168,14 +182,15 @@ fn skew_soak(n: usize, steps: usize, faults: Option<FaultInjector>) -> Vec<SoakO
             }
         }
         let block = ExpertMap::block(cfg.num_experts, n).unwrap();
+        let map = trainer.model().blocks()[0].moe().expert_map();
         SoakOutcome {
             migrations: trainer.migrations(),
             last: trainer.last_migration(),
-            dropped: trainer.dropped_tokens(),
+            dropped: trainer.model().dropped_tokens(),
             ratio_block: ImbalanceDetector::ratio(&block, &last_loads),
-            ratio_final: ImbalanceDetector::ratio(trainer.layer().expert_map(), &last_loads),
-            uniform: trainer.layer().expert_map().is_uniform(),
-            checkpoint: trainer.full_checkpoint().unwrap(),
+            ratio_final: ImbalanceDetector::ratio(map, &last_loads),
+            uniform: map.is_uniform(),
+            checkpoint: trainer.model().checkpoint_global().unwrap(),
         }
     })
 }

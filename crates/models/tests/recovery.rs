@@ -1,14 +1,15 @@
 //! The trainer's rollback guarantee: a training run that faults mid-step
 //! and rolls back to the last snapshot ends with weights
 //! **bit-identical** to a run that never faulted — on one rank and on
-//! two. Exactness — not approximate closeness — is what lets a resumed
-//! job keep its loss curve.
+//! two, on the lone configured layer and on a two-block attention model.
+//! Exactness — not approximate closeness — is what lets a resumed job
+//! keep its loss curve.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use collectives::{run_world_within, CommError, CommWorld, Communicator, HybridTopology};
-use fsmoe::checkpoint::LayerCheckpoint;
+use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::expert::build_expert;
 use fsmoe::gate::GShardGate;
@@ -17,8 +18,16 @@ use fsmoe::layer::MoeLayer;
 use fsmoe::order::TutelOrdering;
 use fsmoe::routing::Routing;
 use fsmoe::{MoeError, Result};
-use models::{dist_train_step, ElasticPolicy, ElasticTrainer};
+use models::attention::MultiHeadAttention;
+use models::{ElasticPolicy, ElasticTrainer, MoeTransformer, TransformerBlock};
 use tensor::{Tensor, TensorRng};
+
+/// Attention heads and depth of the model under the trainer.
+type Shape = (Option<usize>, usize);
+/// The configured layer alone (the one-layer trainer's shape).
+const LAYER: Shape = (None, 1);
+/// Two attention + MoE blocks.
+const MODEL: Shape = (Some(2), 2);
 
 const STEPS: usize = 9;
 const INTERVAL: usize = 3;
@@ -62,32 +71,47 @@ impl MoeHooks for FaultOnce {
     }
 }
 
-/// Builds the GShard layer `MoeLayer::gshard` would, but with the
-/// *noisy* gate variant, so routing consumes RNG every step — the
+/// Builds the model `MoeTransformer::new` would, from parts, but with
+/// the *noisy* gate variant, so routing consumes RNG every step — the
 /// trainer must then restore the stream position, not just weights, for
-/// replay to be exact — and a hook set failing at call `fail_at`.
-fn noisy_gshard(
+/// replay to be exact — and, in the last block, a hook set failing at
+/// call `fail_at` (one call per step, after every earlier block ran).
+fn noisy_model(
     cfg: &MoeConfig,
+    (heads, depth): Shape,
     seed: u64,
     comm: &Communicator,
     fail_at: Option<usize>,
-) -> MoeLayer {
+) -> MoeTransformer {
     let mut rng = TensorRng::seed_from(seed);
-    let gate = GShardGate::new(cfg.embed_dim, cfg.num_experts, cfg.top_k, &mut rng).with_noise();
-    let experts = (0..cfg.num_experts)
-        .map(|_| build_expert(cfg.ffn, cfg.embed_dim, cfg.hidden_dim, &mut rng))
-        .collect();
-    let hooks: Box<dyn MoeHooks> = match fail_at {
-        None => Box::new(NoopHooks),
-        Some(_) => Box::new(FaultOnce {
-            rank: comm.rank(),
-            calls: 0,
-            fail_at,
-        }),
-    };
     let topo = HybridTopology::flat(comm.world_size()).unwrap();
-    let order = Box::new(TutelOrdering::new());
-    MoeLayer::with_modules(cfg, Box::new(gate), order, experts, hooks, comm, &topo).unwrap()
+    let blocks = (0..depth)
+        .map(|b| {
+            let attention = heads.map(|h| {
+                MultiHeadAttention::new(cfg.embed_dim, h, &mut rng)
+                    .unwrap()
+                    .causal()
+            });
+            let gate =
+                GShardGate::new(cfg.embed_dim, cfg.num_experts, cfg.top_k, &mut rng).with_noise();
+            let experts = (0..cfg.num_experts)
+                .map(|_| build_expert(cfg.ffn, cfg.embed_dim, cfg.hidden_dim, &mut rng))
+                .collect();
+            let hooks: Box<dyn MoeHooks> = match fail_at {
+                Some(_) if b + 1 == depth => Box::new(FaultOnce {
+                    rank: comm.rank(),
+                    calls: 0,
+                    fail_at,
+                }),
+                _ => Box::new(NoopHooks),
+            };
+            let order = Box::new(TutelOrdering::new());
+            let gate = Box::new(gate);
+            let moe = MoeLayer::with_modules(cfg, gate, order, experts, hooks, comm, &topo);
+            TransformerBlock::from_parts(attention, moe.unwrap())
+        })
+        .collect();
+    MoeTransformer::from_blocks(blocks, comm, &topo).unwrap()
 }
 
 /// Per-step input and target, deterministic in step and rank (a
@@ -109,17 +133,18 @@ fn policy() -> ElasticPolicy {
 /// back on a fault; returns each rank's final full checkpoint and how
 /// many rollbacks it took.
 fn run(
+    shape: Shape,
     ranks: usize,
     seed: u64,
     fail_at: Option<usize>,
     dir: Option<PathBuf>,
-) -> Vec<(LayerCheckpoint, usize)> {
+) -> Vec<(ModelCheckpoint, usize)> {
     let cfg = config();
     run_world_within(CommWorld::new(ranks), BUDGET, move |comm| {
         let rank = comm.rank();
-        let layer = noisy_gshard(&cfg, seed, &comm, fail_at);
+        let model = noisy_model(&cfg, shape, seed, &comm, fail_at);
         let mut trainer =
-            ElasticTrainer::from_layer(layer, comm, TensorRng::seed_from(7), policy()).unwrap();
+            ElasticTrainer::new(model, comm, TensorRng::seed_from(7), policy()).unwrap();
         if let Some(dir) = &dir {
             trainer = trainer.with_checkpoint_dir(dir.clone());
         }
@@ -143,7 +168,7 @@ fn run(
             "{:?}",
             trainer.last_fallback()
         );
-        (trainer.full_checkpoint().unwrap(), rollbacks)
+        (trainer.model().checkpoint_global().unwrap(), rollbacks)
     })
 }
 
@@ -155,13 +180,13 @@ fn temp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn rollback_reproduces_fault_free_run_bit_exactly() {
-    for ranks in [1, 2] {
+    for (shape, ranks) in [(LAYER, 1), (LAYER, 2), (MODEL, 1), (MODEL, 2)] {
         // Reference: no faults, straight through.
-        let clean = run(ranks, 42, None, None);
+        let clean = run(shape, ranks, 42, None, None);
         // Faulty: step 7's combine fails mid-step (after 7 clean steps
         // the hook has seen 7 calls) on every rank, forcing a rollback
         // to the step-6 snapshot and a replay of steps 6..9.
-        let recovered = run(ranks, 42, Some(7), None);
+        let recovered = run(shape, ranks, 42, Some(7), None);
         for ((clean_weights, clean_rollbacks), (weights, rollbacks)) in clean.iter().zip(&recovered)
         {
             assert_eq!(*clean_rollbacks, 0);
@@ -169,7 +194,8 @@ fn rollback_reproduces_fault_free_run_bit_exactly() {
             // Bit-identical: PartialEq on checkpoints compares raw f32 data.
             assert_eq!(
                 clean_weights, weights,
-                "{ranks} rank(s): post-rollback weights must match the fault-free run exactly"
+                "{shape:?}, {ranks} rank(s): post-rollback weights must match the fault-free \
+                 run exactly"
             );
         }
     }
@@ -179,17 +205,17 @@ fn rollback_reproduces_fault_free_run_bit_exactly() {
 fn rollback_from_disk_checkpoints_is_bit_exact() {
     for ranks in [1, 2] {
         let dir = temp_dir(&format!("disk-{ranks}"));
-        let clean = run(ranks, 11, None, None);
+        let clean = run(LAYER, ranks, 11, None, None);
         // fault in step 4: roll back to the step-3 snapshot, which rank 0
         // persisted and every rank prefers over its in-memory copy
-        let recovered = run(ranks, 11, Some(4), Some(dir.clone()));
+        let recovered = run(LAYER, ranks, 11, Some(4), Some(dir.clone()));
         for ((clean_weights, _), (weights, rollbacks)) in clean.iter().zip(&recovered) {
             assert_eq!(*rollbacks, 1);
             assert_eq!(clean_weights, weights, "{ranks} rank(s)");
         }
         // Snapshots landed on disk at the interval marks, fully readable.
-        let on_disk = LayerCheckpoint::load(&dir.join("elastic-step-3.json")).unwrap();
-        assert!(on_disk.num_params() > 0);
+        let on_disk = ModelCheckpoint::load(&dir.join("elastic-step-3.json")).unwrap();
+        assert!(on_disk.blocks[0].moe.num_params() > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -204,9 +230,9 @@ fn rollback_before_first_step_falls_back_to_memory() {
     let cfg = config();
     let dir = temp_dir("fresh");
     let comm = Communicator::solo();
-    let layer = noisy_gshard(&cfg, 23, &comm, None);
-    let initial = layer.checkpoint_global().unwrap();
-    let mut trainer = ElasticTrainer::from_layer(layer, comm, TensorRng::seed_from(1), policy())
+    let model = noisy_model(&cfg, LAYER, 23, &comm, None);
+    let initial = model.checkpoint_global().unwrap();
+    let mut trainer = ElasticTrainer::new(model, comm, TensorRng::seed_from(1), policy())
         .unwrap()
         .with_checkpoint_dir(dir.clone());
     assert_eq!(trainer.rollback().unwrap(), 0);
@@ -214,7 +240,7 @@ fn rollback_before_first_step_falls_back_to_memory() {
         trainer.last_fallback().is_none(),
         "a missing file is not corruption"
     );
-    assert_eq!(trainer.full_checkpoint().unwrap(), initial);
+    assert_eq!(trainer.model().checkpoint_global().unwrap(), initial);
 
     // Training proceeds normally afterwards and persists at the marks.
     for step in 0..=INTERVAL {
@@ -222,7 +248,7 @@ fn rollback_before_first_step_falls_back_to_memory() {
         trainer.train_step(&x, &target, LR).unwrap();
     }
     let path = dir.join(format!("elastic-step-{INTERVAL}.json"));
-    let on_disk = LayerCheckpoint::load(&path).unwrap();
+    let on_disk = ModelCheckpoint::load(&path).unwrap();
 
     // Tear the file: rollback distrusts it, says why, and restores the
     // same weights from memory.
@@ -236,7 +262,7 @@ fn rollback_before_first_step_falls_back_to_memory() {
         "{:?}",
         trainer.last_fallback()
     );
-    assert_eq!(trainer.full_checkpoint().unwrap(), on_disk);
+    assert_eq!(trainer.model().checkpoint_global().unwrap(), on_disk);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -253,16 +279,16 @@ fn without_rng_rollback_the_stream_would_diverge() {
     // above stop proving anything.
     let cfg = config();
     let run = |stray_draws: usize| {
-        let mut layer = noisy_gshard(&cfg, 5, &Communicator::solo(), None);
+        let mut model = noisy_model(&cfg, LAYER, 5, &Communicator::solo(), None);
         let mut rng = TensorRng::seed_from(9);
         for _ in 0..stray_draws {
             let _ = rng.normal_scalar();
         }
         for step in 0..3 {
             let (x, target) = step_batch(&cfg, step, 0);
-            dist_train_step(&mut layer, &x, &target, LR, &mut rng).unwrap();
+            model.train_step(&x, &target, LR, &mut rng).unwrap();
         }
-        layer.checkpoint_global().unwrap()
+        model.checkpoint_global().unwrap()
     };
     assert_ne!(
         run(0),

@@ -1,9 +1,10 @@
 //! Cross-rank step-time attribution: where did the step go?
 //!
-//! The paper's Fig. 7/8 argument — and the repo's ROADMAP item 2 — both
-//! hinge on decomposing iteration time into *expert compute*, *wire
-//! time* and *blocked waiting*, per rank, and comparing the measured
-//! split against the α–β model's prediction. This module is that
+//! The paper's Fig. 7/8 argument — and running its schedule live
+//! (ROADMAP: "the paper's schedule on the live runtime") — both hinge
+//! on decomposing iteration time into *expert compute*, *wire time* and
+//! *blocked waiting*, per rank, and comparing the measured split
+//! against the α–β model's prediction. This module is that
 //! instrument. It walks a [`Snapshot`] whose threads are named
 //! `"rank N"` (what `collectives::run_world` produces), stitches the
 //! per-rank collective spans into world-wide ops via their `op_key`

@@ -46,6 +46,13 @@ pub const SPAN_MODEL_BACKWARD: &str = "model.backward";
 pub const SPAN_TRAIN_STEP: &str = "train_step";
 /// Span: the optimiser update inside a training step.
 pub const SPAN_UPDATE: &str = "update";
+/// Span: one block's attention forward.
+pub const SPAN_ATTN_FWD: &str = "attn_fwd";
+/// Span: one block's attention backward.
+pub const SPAN_ATTN_BWD: &str = "attn_bwd";
+/// Span: the data-parallel all-reduce of the replicated (attention)
+/// gradients inside a training step.
+pub const SPAN_GRAD_ALLREDUCE: &str = "grad_allreduce";
 /// Span: taking a recovery snapshot/checkpoint.
 pub const SPAN_SNAPSHOT: &str = "snapshot";
 /// Span: restoring state after a failure.

@@ -19,9 +19,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld};
+use collectives::{run_world_within, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer};
+use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
 use obs::ensure;
 use tensor::TensorRng;
 
@@ -47,10 +47,11 @@ fn main() {
     let run_cfg = cfg.clone();
     let results = run_world_within(world, Duration::from_secs(120), move |comm| {
         let rank = comm.rank();
+        let topo = HybridTopology::flat(3).expect("3-rank EP layout is valid");
+        let model = MoeTransformer::new(&run_cfg, None, 1, &comm, &topo, 42).expect("model builds");
         let mut trainer = ElasticTrainer::new(
-            &run_cfg,
+            model,
             comm,
-            42,
             TensorRng::seed_from(7000 + rank as u64),
             ElasticPolicy::default(),
         )
@@ -72,15 +73,16 @@ fn main() {
             losses.push(trainer.train_step(&x, &t, 0.1).expect("survivor step"));
         }
         let ckpt = trainer
-            .full_checkpoint()
+            .model()
+            .checkpoint_global()
             .expect("final collective checkpoint");
         Some((
             losses,
             ckpt,
             trainer.evictions(),
             trainer.comm().membership_epoch(),
-            trainer
-                .layer()
+            trainer.model().blocks()[0]
+                .moe()
                 .expert_map()
                 .experts_on(trainer.comm().rank())
                 .to_vec(),

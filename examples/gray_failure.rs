@@ -46,7 +46,7 @@ struct Report {
 }
 
 struct Survivor {
-    checkpoint: fsmoe::checkpoint::LayerCheckpoint,
+    checkpoint: fsmoe::checkpoint::ModelCheckpoint,
     quarantines: usize,
     evictions: usize,
     migrations: usize,
@@ -89,7 +89,8 @@ fn main() {
             victim_scores,
             survivor: Some(Survivor {
                 checkpoint: trainer
-                    .full_checkpoint()
+                    .model()
+                    .checkpoint_global()
                     .expect("final collective checkpoint"),
                 quarantines: trainer.quarantines(),
                 evictions: trainer.evictions(),

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One rank: the exchange between tokens and experts is the identity.
     // Over a larger world the same constructor builds that rank's slice
-    // (see examples/distributed_training.rs).
+    // (see examples/train_transformer.rs).
     let (comm, topo) = (Communicator::solo(), HybridTopology::flat(1)?);
     let mut layer = MoeLayer::gshard(&config, &comm, &topo, 42)?;
     let mut rng = TensorRng::seed_from(43);

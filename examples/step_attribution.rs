@@ -31,8 +31,7 @@ use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::config::MoeConfig;
-use fsmoe::layer::MoeLayer;
-use models::dist_train_step;
+use models::MoeTransformer;
 use obs::attrib::{self, Phase, StepReport};
 use obs::ensure;
 use simnet::{price_step, CostModel};
@@ -90,14 +89,16 @@ fn run_and_attribute(
     let cfg = config_for(seq_len);
     let _losses = run_world_within(world, Duration::from_secs(120), move |comm| {
         let topo = HybridTopology::flat(RANKS).expect("4-rank EP layout is valid");
-        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 7).expect("layer construction");
+        let mut model =
+            MoeTransformer::new(&cfg, None, 1, &comm, &topo, 7).expect("configured layer builds");
         let mut data_rng = TensorRng::seed_from(900 + comm.rank() as u64);
         let input = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let target = data_rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(1);
         let mut loss = 0.0;
         for _ in 0..steps {
-            loss = dist_train_step(&mut layer, &input, &target, 0.1, &mut route_rng)
+            loss = model
+                .train_step(&input, &target, 0.1, &mut route_rng)
                 .expect("fault-free or delay-only steps succeed");
         }
         loss

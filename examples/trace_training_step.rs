@@ -1,7 +1,7 @@
 //! Trace one distributed training iteration end to end.
 //!
-//! Runs a single [`models::dist_train_step`] over a 2-rank
-//! [`MoeLayer`] built from the `Smoke` preset, with one injected
+//! Runs a single [`MoeTransformer::train_step`] over a 2-rank, one-block
+//! attention model built from the `Smoke` preset, with one injected
 //! fault (rank 1 stalls 400 ms entering its first collective while the
 //! deadline is 80 ms) so the trace shows the retry machinery at work.
 //! The resulting span tree nests `models` → `fsmoe` → `collectives`.
@@ -18,8 +18,7 @@ use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld, FaultInjector, HybridTopology};
 use fsmoe::dist::FaultPolicy;
-use fsmoe::layer::MoeLayer;
-use models::{dist_train_step, ModelPreset};
+use models::{ModelPreset, MoeTransformer};
 use obs::ensure;
 use tensor::TensorRng;
 
@@ -37,13 +36,14 @@ fn main() {
         .with_faults(FaultInjector::new().delay(1, 0, Duration::from_millis(400)));
     let preset = ModelPreset::smoke();
     let cfg = preset.moe_config_for(2).expect("smoke preset is valid");
-    let run_cfg = cfg.clone();
+    let (run_cfg, heads) = (cfg.clone(), preset.heads);
     let losses = run_world_within(world, Duration::from_secs(60), move |comm| {
         let topo = HybridTopology::flat(2).expect("2-rank EP layout is valid");
-        let mut layer = MoeLayer::gshard(&run_cfg, &comm, &topo, 42).expect("layer construction");
+        let mut model =
+            MoeTransformer::new(&run_cfg, Some(heads), 1, &comm, &topo, 42).expect("model builds");
         // Generous retry budget: the stall should cost retries, never
         // dropped tokens.
-        layer.set_fault_policy(FaultPolicy {
+        model.layer_mut(0).set_fault_policy(FaultPolicy {
             max_retries: 12,
             base_backoff: Duration::from_millis(10),
             drop_on_failure: true,
@@ -53,9 +53,10 @@ fn main() {
         let input = data_rng.normal(&[run_cfg.tokens(), run_cfg.embed_dim], 0.0, 1.0);
         let target = data_rng.normal(&[run_cfg.tokens(), run_cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(0);
-        let loss = dist_train_step(&mut layer, &input, &target, 0.2, &mut route_rng)
+        let loss = model
+            .train_step(&input, &target, 0.2, &mut route_rng)
             .expect("training step");
-        (loss, layer.dropped_tokens())
+        (loss, model.dropped_tokens())
     });
 
     let snap = session.snapshot();
@@ -88,20 +89,33 @@ fn main() {
     let steps = snap.spans_named(obs::names::SPAN_TRAIN_STEP);
     ensure(steps.len() == 2, "one train_step span per rank");
     for step in &steps {
-        let fwd = snap
-            .spans_named(obs::names::SPAN_MOE_FORWARD)
-            .into_iter()
-            .find(|s| within(s, step));
-        let Some(fwd) = fwd else {
-            ensure(false, "fsmoe moe.forward nests inside models train_step");
-            return;
+        let inside = |name, outer| {
+            let found = snap
+                .spans_named(name)
+                .into_iter()
+                .find(|s| within(s, outer));
+            ensure(
+                found.is_some(),
+                &format!("{name} nests inside {}", outer.name),
+            );
+            found.unwrap_or(outer)
         };
-        ensure(
-            snap.spans_in(obs::names::CAT_COLLECTIVES)
-                .iter()
-                .any(|c| within(c, fwd)),
-            "a collective span nests inside fsmoe moe.forward",
-        );
+        let forward = inside(obs::names::SPAN_MODEL_FORWARD, step);
+        let backward = inside(obs::names::SPAN_MODEL_BACKWARD, step);
+        inside(obs::names::SPAN_ATTN_FWD, forward);
+        inside(obs::names::SPAN_ATTN_BWD, backward);
+        inside(obs::names::SPAN_MOE_BACKWARD, backward);
+        inside(obs::names::SPAN_UPDATE, step);
+        let moe = inside(obs::names::SPAN_MOE_FORWARD, forward);
+        let grad_ar = inside(obs::names::SPAN_GRAD_ALLREDUCE, step);
+        for outer in [moe, grad_ar] {
+            ensure(
+                snap.spans_in(obs::names::CAT_COLLECTIVES)
+                    .iter()
+                    .any(|c| within(c, outer)),
+                &format!("a collective span nests inside {}", outer.name),
+            );
+        }
     }
     let hist = snap.histogram(obs::names::MOE_EXPERT_LOAD);
     ensure(

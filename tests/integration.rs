@@ -15,7 +15,7 @@ use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
 use fsmoe::config::{FfnKind, MoeConfig};
 use fsmoe::layer::MoeLayer;
 use models::iteration::iteration_time;
-use models::ModelPreset;
+use models::{ModelPreset, MoeTransformer};
 use profiler::microbench::profile_testbed;
 use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
 use simnet::{OpCosts, Testbed};
@@ -186,21 +186,14 @@ fn mixtral_and_gpt_experts_both_train_distributed() {
             .expect("valid");
         let results = run_ranks(4, move |comm| {
             let topo = fig2_topology();
-            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, 5).expect("layer");
+            let mut model =
+                MoeTransformer::new(&cfg, None, 1, &comm, &topo, 5).expect("configured layer");
             let mut drng = TensorRng::seed_from(comm.rank() as u64);
             let x = drng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
             let target = drng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
             let mut rrng = TensorRng::seed_from(0);
-            let mut losses = Vec::new();
-            for _ in 0..3 {
-                let y = layer.forward(&x, &mut rrng).expect("forward");
-                let err = y.sub(&target).expect("shapes");
-                losses.push(err.map(|v| v * v).mean());
-                let g = err.scale(2.0 / y.num_elements() as f32);
-                let grads = layer.backward(&g).expect("backward");
-                layer.apply_grads(&grads, 0.3).expect("sgd");
-            }
-            losses
+            let step = |_| model.train_step(&x, &target, 0.3, &mut rrng).expect("step");
+            (0..3).map(step).collect::<Vec<f32>>()
         });
         for (rank, losses) in results.iter().enumerate() {
             assert!(
