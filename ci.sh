@@ -51,19 +51,21 @@ echo "==> digest identity: the program's own step reproduces the benchmark's los
 # two live runs must print the same loss_digest (no golden constant: the
 # bits depend on the AVX2-vs-scalar dispatch of the machine). The traced
 # example must also issue the benchmark's collectives per step.
-for pair in dense_1r:8 wire_2r:16 fine_2r:48; do
-    workload=${pair%:*}
-    theirs=$(bash benchmark/run.sh --workload "$workload" --seed 3 --seconds 1 --trace 0 |
-        grep '^loss_digest ')
-    ours=$(timeout --kill-after=30 300 cargo run --release -q -p models \
-        --example train_transformer -- digest "$workload" 3)
-    if [ "$ours" != "$theirs
+for seed in 3 11; do
+    for pair in dense_1r:8 wire_2r:16 fine_2r:48; do
+        workload=${pair%:*}
+        theirs=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
+            grep '^loss_digest ')
+        ours=$(timeout --kill-after=30 300 cargo run --release -q -p models \
+            --example train_transformer -- digest "$workload" "$seed")
+        if [ "$ours" != "$theirs
 collectives_per_step ${pair#*:}" ]; then
-        printf '%s: benchmark printed\n%s\nthe program printed\n%s\n' \
-            "$workload" "$theirs" "$ours" >&2
-        exit 1
-    fi
-    echo "$workload: $theirs, ${pair#*:} collectives/step"
+            printf '%s seed %s: benchmark printed\n%s\nthe program printed\n%s\n' \
+                "$workload" "$seed" "$theirs" "$ours" >&2
+            exit 1
+        fi
+        echo "$workload seed $seed: $theirs, ${pair#*:} collectives/step"
+    done
 done
 
 echo "==> step attribution: measured-vs-modeled phase split on 4 ranks"

@@ -120,9 +120,10 @@ pub enum FileClass {
     DeadlineController,
     /// `crates/collectives/src/**` — unwrap-guarded distributed core.
     GuardedSource,
-    /// `crates/fsmoe/src/{dist,layer}.rs` — the MoE layer and its wire
-    /// exchange, where the collectives are called from: unwrap-guarded
-    /// *and* must enumerate `CommError` variants.
+    /// `crates/fsmoe/src/{dist,layer,order,routing}.rs` — the MoE layer,
+    /// its wire exchange (where the collectives are called from) and the
+    /// row map and movements every forward of every world shape runs:
+    /// unwrap-guarded *and* must enumerate `CommError` variants.
     GuardedCommSource,
     /// `crates/fsmoe/src/**`, `crates/models/src/**` — must enumerate
     /// `CommError` variants.
@@ -148,7 +149,10 @@ pub fn classify(rel: &str) -> FileClass {
         FileClass::GuardedSource
     } else if matches!(
         rel,
-        "crates/fsmoe/src/dist.rs" | "crates/fsmoe/src/layer.rs"
+        "crates/fsmoe/src/dist.rs"
+            | "crates/fsmoe/src/layer.rs"
+            | "crates/fsmoe/src/order.rs"
+            | "crates/fsmoe/src/routing.rs"
     ) {
         FileClass::GuardedCommSource
     } else if rel.starts_with("crates/fsmoe/src/") || rel.starts_with("crates/models/src/") {
@@ -204,6 +208,7 @@ pub fn spmd_decision(rel: &str) -> bool {
             | "crates/models/src/imbalance.rs"
             | "crates/models/src/elastic.rs"
             | "crates/fsmoe/src/reshard.rs"
+            | "crates/fsmoe/src/order.rs"
             | "crates/collectives/src/deadline.rs"
     )
 }

@@ -173,14 +173,12 @@ fn classification_matches_the_catalog() {
         classify("crates/collectives/src/deadline.rs"),
         FileClass::DeadlineController
     );
-    assert_eq!(
-        classify("crates/fsmoe/src/dist.rs"),
-        FileClass::GuardedCommSource
-    );
-    assert_eq!(
-        classify("crates/fsmoe/src/layer.rs"),
-        FileClass::GuardedCommSource
-    );
+    for file in ["dist", "layer", "order", "routing"] {
+        assert_eq!(
+            classify(&format!("crates/fsmoe/src/{file}.rs")),
+            FileClass::GuardedCommSource
+        );
+    }
     assert_eq!(
         classify("crates/fsmoe/src/grouped.rs"),
         FileClass::CommMatchSource

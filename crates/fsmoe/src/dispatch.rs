@@ -56,19 +56,20 @@ impl<'a> DispatchCtx<'a> {
     /// The degradation path calls this after giving up on an AlltoAll so
     /// this rank's *later* collectives on the same groups cannot
     /// rendezvous with a straggler's stale deposit for the abandoned one.
-    /// For the flat algorithm this is exact (one skipped op on the EP
-    /// group). For the hierarchical algorithms it is conservative: a
-    /// sub-exchange that already completed before the failure is skipped
-    /// too, which surfaces on a later exchange as a typed
-    /// `CommError::Abandoned`/`Timeout` — a further degradation, never a
-    /// silent cross-wire.
+    /// A slice that spans the whole EP group (a one-node or
+    /// one-GPU-per-node grid) shares the EP group's op stream, which
+    /// advances once. For the flat algorithm this is exact (one skipped
+    /// op on the EP group). For the hierarchical algorithms it is
+    /// conservative: a sub-exchange that already completed before the
+    /// failure is skipped too, which surfaces on a later exchange as a
+    /// typed `CommError::Abandoned`/`Timeout` — a further degradation,
+    /// never a silent cross-wire.
     pub fn skip_op(&self) {
         self.ep_group.skip_op();
-        if let Some(g) = self.intra {
-            g.skip_op();
-        }
-        if let Some(g) = self.inter {
-            g.skip_op();
+        for g in [self.intra, self.inter].into_iter().flatten() {
+            if g.ranks() != self.ep_group.ranks() {
+                g.skip_op();
+            }
         }
     }
 }

@@ -21,14 +21,14 @@
 
 use std::time::Duration;
 
-use collectives::{CommError, Communicator, HybridTopology};
+use collectives::{CommError, Communicator, GroupComm, HybridTopology};
 use tensor::{buf, Tensor, TensorRng};
 
 use crate::checkpoint::LayerCheckpoint;
 use crate::dispatch::{DispatchCtx, Dispatcher};
 use crate::expert::{build_expert, Expert};
 use crate::layer::MoeLayer;
-use crate::reshard::{permute_expert_blocks, unpermute_expert_blocks, ReshardPlan};
+use crate::reshard::ReshardPlan;
 use crate::{MoeError, Result};
 
 /// The one layer under the names it had while the distributed layer
@@ -270,6 +270,29 @@ fn grouped_input(layout: ShardLayout, gathered: &[f32]) -> Result<Tensor> {
     Ok(Tensor::from_vec(grouped, &[rows, m])?)
 }
 
+/// The hierarchical dispatchers' two slices of this rank's EP group:
+/// `intra`, its members on this rank's node, and `inter`, its members
+/// with this rank's local index. Every [`HybridTopology`] tiles the EP
+/// group as such a grid in node-major order (`intra` is this rank alone
+/// when ESP fills the node).
+pub(crate) fn ep_grid(
+    comm: &Communicator,
+    topo: &HybridTopology,
+) -> Result<(GroupComm, GroupComm)> {
+    let me = comm.rank();
+    let ep = topo.ep_group(me);
+    let sharing = |key: fn(&HybridTopology, usize) -> usize| -> Vec<usize> {
+        let mine = key(topo, me);
+        ep.iter()
+            .copied()
+            .filter(|&r| key(topo, r) == mine)
+            .collect()
+    };
+    let intra = comm.subgroup(&sharing(HybridTopology::node_of))?;
+    let inter = comm.subgroup(&sharing(HybridTopology::local_of))?;
+    Ok((intra, inter))
+}
+
 /// Splits one expert's flat wire weights back into tensors of `shapes`.
 fn unflatten(flat: &[f32], shapes: &[Vec<usize>]) -> Result<Vec<Tensor>> {
     let mut off = 0usize;
@@ -322,7 +345,11 @@ impl MoeLayer {
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Vec<f32>> {
-        let ctx = DispatchCtx::flat(&self.ep_group);
+        let ctx = DispatchCtx {
+            ep_group: &self.ep_group,
+            intra: Some(&self.ep_intra),
+            inter: Some(&self.ep_inter),
+        };
         let mut recv = buf::take(data.len());
         let dispatcher = self.dispatcher.as_ref();
         if !a2a_with_policy(dispatcher, policy, self.rank, data, &mut recv, &ctx)? {
@@ -335,18 +362,13 @@ impl MoeLayer {
         Ok(recv)
     }
 
-    /// Tokens to experts: the `(E·T, M)` order buffer → AlltoAll(EP) →
-    /// ESP-AllGather → rows grouped per local shard, with their group
-    /// offsets. Backward runs its output-side gradients through the
-    /// same legs (the combine exchange's adjoint) under a strict
-    /// `policy`.
-    ///
-    /// The order buffer is in global-expert order; the AlltoAll
-    /// exchanges contiguous per-position chunks, so under a non-block
-    /// placement the expert blocks are permuted into slot layout first.
-    /// Slot layouts pad non-uniform placements with zero blocks so the
-    /// chunks stay equal-size. Pure data movement — resharding never
-    /// changes the numbers.
+    /// Tokens to experts: the order buffer, in wire slot layout
+    /// ([`Routing::into_placed`](crate::routing::Routing::into_placed):
+    /// `slots_per_position` blocks of `T` rows per EP position, pad
+    /// slots zero) → AlltoAll(EP) → ESP-AllGather → rows grouped per
+    /// local shard, with their group offsets. Backward runs its
+    /// output-side gradients through the same legs (the combine
+    /// exchange's adjoint) under a strict `policy`.
     pub(crate) fn wire_in(
         &mut self,
         buffer: &Tensor,
@@ -354,18 +376,7 @@ impl MoeLayer {
         at_risk: &mut Option<usize>,
     ) -> Result<(Tensor, Vec<usize>)> {
         let layout = self.shard_layout();
-        let received = if self.expert_map.is_block() {
-            self.ep_all_to_all(buffer.data(), policy, at_risk)?
-        } else {
-            let send = permute_expert_blocks(
-                buffer.data(),
-                layout.t * layout.m,
-                &self.expert_map.slot_layout(),
-            );
-            let received = self.ep_all_to_all(&send, policy, at_risk)?;
-            buf::give(send);
-            received
-        };
+        let received = self.ep_all_to_all(buffer.data(), policy, at_risk)?;
         // ESP-AllGather: replicate the node's token set to all shards.
         let mut gathered = buf::take(layout.gathered_elems());
         self.esp_group.all_gather_into(&received, &mut gathered)?;
@@ -378,7 +389,7 @@ impl MoeLayer {
     /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: grouped
     /// shard rows → ESP-ReduceScatter (sum the shard partials, keep our
     /// token slice) → AlltoAll(EP) (the transpose is its own inverse) →
-    /// the `(E·T, M)` buffer in global-expert order. Backward runs its
+    /// the order buffer, in the slot layout it left in. Backward runs its
     /// input-side gradients through it (the dispatch exchange's
     /// adjoint).
     pub(crate) fn wire_out(
@@ -403,23 +414,10 @@ impl MoeLayer {
         self.esp_group
             .reduce_scatter_into(&shard_out, &mut reduced)?;
         buf::give(shard_out);
-        let mut combined = self.ep_all_to_all(&reduced, policy, at_risk)?;
+        let combined = self.ep_all_to_all(&reduced, policy, at_risk)?;
         buf::give(reduced);
-        let num_experts = self.config.num_experts;
-        if !self.expert_map.is_block() {
-            let slotted = combined;
-            combined = unpermute_expert_blocks(
-                &slotted,
-                layout.t * layout.m,
-                &self.expert_map.slot_layout(),
-                num_experts,
-            );
-            buf::give(slotted);
-        }
-        Ok(Tensor::from_vec(
-            combined,
-            &[num_experts * layout.t, layout.m],
-        )?)
+        let slot_rows = layout.n_ep * layout.slots * layout.t;
+        Ok(Tensor::from_vec(combined, &[slot_rows, layout.m])?)
     }
 
     /// This rank's ESP shard of a `config.ffn` expert holding the full
@@ -528,6 +526,7 @@ impl MoeLayer {
             });
         }
         self.ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
+        (self.ep_intra, self.ep_inter) = ep_grid(comm, topo)?;
         self.esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
         self.expert_map = plan.map.clone();
         self.rank = comm.rank();
@@ -555,8 +554,8 @@ impl MoeLayer {
     ///    new owner.
     ///
     /// The world is **not** renumbered and no other expert moves.
-    /// Because placement is pure (padded) data movement, a migrated
-    /// run computes bit-identically to the unmigrated one.
+    /// Because placement only re-bases rows, a migrated run computes
+    /// bit-identically to the unmigrated one.
     ///
     /// Requires `N_ESP == 1` (un-sharded local experts) — the regime
     /// the elastic trainer runs in, same as

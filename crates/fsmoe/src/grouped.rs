@@ -1,170 +1,23 @@
 //! Dropless grouped expert GEMM (the MegaBlocks formulation).
 //!
-//! Instead of padding every expert to the capacity `T` and looping
-//! expert by expert over `(T, M)` slices, a layer whose exchange is the
-//! identity ([`crate::layer`]) gathers each expert's routed tokens into
-//! one variable-size concatenated buffer — no token is dropped or padded
-//! by the compute path — and runs each FFN projection of **all** experts
-//! as a single [`Tensor::matmul_grouped`] pass (the wire path feeds the
-//! same pass uniform capacity-padded groups). The grouped GEMM parallelises over
+//! Instead of looping expert by expert over `(T, M)` slices, the layer
+//! hands every local expert's rows over as one concatenated buffer with
+//! per-expert group offsets and runs each FFN projection of **all**
+//! experts as a single [`Tensor::matmul_grouped`] pass. The groups are
+//! whatever the exchange delivered: pad-free and uneven on a one-rank
+//! layer ([`Routing::into_dense`](crate::routing::Routing::into_dense) —
+//! no token is dropped or padded by the compute path), uniform and
+//! capacity-padded off the wire. The grouped GEMM parallelises over
 //! every output row across experts, so a skewed routing no longer
 //! serialises on the heaviest expert, and empty experts cost nothing.
 //!
 //! Numerically this is exact: the grouped kernel computes each row with
-//! the same ascending-`k` microkernel as the per-expert loop, gather is
-//! a row copy, and the combine scatter accumulates contributions in
-//! assignment order — the same order the padded reference combine uses.
+//! the same ascending-`k` microkernel as the per-expert loop.
 
-use tensor::{buf, grad, Tensor};
+use tensor::{grad, Tensor};
 
 use crate::expert::{for_each_expert, Expert, ExpertState, FfnWeights};
-use crate::routing::Routing;
 use crate::{MoeError, Result};
-
-/// The gather/scatter plan derived from a [`Routing`]: one row per
-/// surviving assignment, grouped contiguously by expert.
-#[derive(Debug, Clone)]
-pub struct TokenGroups {
-    /// `E + 1` row offsets; expert `e` owns rows
-    /// `offsets[e] .. offsets[e + 1]`.
-    offsets: Vec<usize>,
-    /// Source token of each gathered row, in `(expert, slot)` order.
-    tokens: Vec<usize>,
-    /// Combine weight of each gathered row.
-    weights: Vec<f32>,
-    num_tokens: usize,
-}
-
-impl TokenGroups {
-    /// Builds the plan from a routing decision. Assignments are already
-    /// sorted by `(expert, slot)`, so the gathered rows of one expert
-    /// are contiguous and slot-ordered.
-    pub fn from_routing(routing: &Routing) -> Self {
-        let loads = routing.expert_loads();
-        let mut offsets = Vec::with_capacity(loads.len() + 1);
-        offsets.push(0usize);
-        for load in &loads {
-            offsets.push(offsets[offsets.len() - 1] + load);
-        }
-        let mut tokens = Vec::with_capacity(routing.assignments().len());
-        let mut weights = Vec::with_capacity(routing.assignments().len());
-        for a in routing.assignments() {
-            tokens.push(a.token);
-            weights.push(a.weight);
-        }
-        TokenGroups {
-            offsets,
-            tokens,
-            weights,
-            num_tokens: routing.num_tokens(),
-        }
-    }
-
-    /// Per-expert row offsets (`E + 1` entries).
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Total gathered rows (= surviving assignments).
-    pub fn num_rows(&self) -> usize {
-        self.tokens.len()
-    }
-
-    fn check_tokens(&self, t: &Tensor) -> Result<usize> {
-        if t.rank() != 2 || t.dims()[0] != self.num_tokens {
-            return Err(MoeError::BadInput {
-                expected: format!("({}, M)", self.num_tokens),
-                actual: t.dims().to_vec(),
-            });
-        }
-        Ok(t.dims()[1])
-    }
-
-    fn check_rows(&self, t: &Tensor) -> Result<usize> {
-        if t.rank() != 2 || t.dims()[0] != self.num_rows() {
-            return Err(MoeError::BadInput {
-                expected: format!("({}, M)", self.num_rows()),
-                actual: t.dims().to_vec(),
-            });
-        }
-        Ok(t.dims()[1])
-    }
-
-    /// Gathers token rows into the expert-grouped layout (unweighted —
-    /// the dispatch path carries raw embeddings).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `input` is not `(num_tokens, M)`.
-    pub fn gather(&self, input: &Tensor) -> Result<Tensor> {
-        let m = self.check_tokens(input)?;
-        let mut out = buf::take(self.num_rows() * m);
-        for (row, &t) in out.chunks_mut(m.max(1)).zip(&self.tokens) {
-            row.copy_from_slice(&input.data()[t * m..(t + 1) * m]);
-        }
-        Ok(Tensor::from_vec(out, &[self.num_rows(), m])?)
-    }
-
-    /// Gathers output-gradient rows scaled by the combine weights — the
-    /// adjoint of [`TokenGroups::scatter_combine`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `grad_output` is not `(num_tokens, M)`.
-    pub fn gather_weighted(&self, grad_output: &Tensor) -> Result<Tensor> {
-        let m = self.check_tokens(grad_output)?;
-        let mut out = buf::take(self.num_rows() * m);
-        let rows = out.chunks_mut(m.max(1));
-        for (row, (&t, &w)) in rows.zip(self.tokens.iter().zip(&self.weights)) {
-            let src = &grad_output.data()[t * m..(t + 1) * m];
-            for (o, v) in row.iter_mut().zip(src) {
-                *o = w * v;
-            }
-        }
-        Ok(Tensor::from_vec(out, &[self.num_rows(), m])?)
-    }
-
-    /// Combines expert output rows back to token rows, scaling each
-    /// contribution by its weight and summing over the `k` experts a
-    /// token visited. Rows are accumulated in gathered (assignment)
-    /// order — the same order the padded combine reference uses, so the
-    /// two are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `rows` is not `(num_rows, M)`.
-    pub fn scatter_combine(&self, rows: &Tensor) -> Result<Tensor> {
-        let m = self.check_rows(rows)?;
-        let mut out = Tensor::zeros(&[self.num_tokens, m]);
-        for (r, (&t, &w)) in self.tokens.iter().zip(&self.weights).enumerate() {
-            let src = &rows.data()[r * m..(r + 1) * m];
-            let dst = &mut out.data_mut()[t * m..(t + 1) * m];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o += w * v;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scatter-adds input-gradient rows back to token rows (unweighted —
-    /// the adjoint of [`TokenGroups::gather`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `rows` is not `(num_rows, M)`.
-    pub fn scatter_add(&self, rows: &Tensor) -> Result<Tensor> {
-        let m = self.check_rows(rows)?;
-        let mut out = Tensor::zeros(&[self.num_tokens, m]);
-        for (r, &t) in self.tokens.iter().enumerate() {
-            let src = &rows.data()[r * m..(r + 1) * m];
-            let dst = &mut out.data_mut()[t * m..(t + 1) * m];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o += v;
-            }
-        }
-        Ok(out)
-    }
-}
 
 /// Saved activations of a grouped FFN forward pass, concatenated over
 /// all experts in group order.
@@ -248,8 +101,8 @@ fn collect_views(experts: &[Box<dyn Expert>]) -> Option<GroupedWeights<'_>> {
     }
 }
 
-/// Runs the grouped FFN forward over the gathered rows `x` (groups per
-/// [`TokenGroups::offsets`]-style `offsets`). Returns `Ok(None)` when
+/// Runs the grouped FFN forward over the gathered rows `x` (expert `e`
+/// owns rows `offsets[e] .. offsets[e + 1]`). Returns `Ok(None)` when
 /// the expert set is not groupable (heterogeneous or custom experts) so
 /// the caller can fall back to the per-expert loop.
 ///
@@ -410,46 +263,10 @@ pub fn backward_experts(
 mod tests {
     use super::*;
     use crate::expert::{GptFfn, MixtralFfn};
-    use crate::routing::RoutingBuilder;
     use tensor::TensorRng;
 
-    fn uneven_routing() -> Routing {
-        // expert 0: 3 tokens, expert 1: empty, expert 2: 1 token
-        let mut b = RoutingBuilder::new(4, 3, 4);
-        b.assign(0, 0, 0.6);
-        b.assign(1, 0, 1.0);
-        b.assign(2, 2, 0.4);
-        b.assign(3, 0, 0.9);
-        b.assign(0, 2, 0.4);
-        b.finish()
-    }
-
-    #[test]
-    fn token_groups_partition_assignments() {
-        let r = uneven_routing();
-        let g = TokenGroups::from_routing(&r);
-        assert_eq!(g.offsets(), &[0, 3, 3, 5]);
-        assert_eq!(g.num_rows(), 5);
-    }
-
-    #[test]
-    fn gather_scatter_are_adjoint() {
-        // <gather(x), r> == <x, scatter_add(r)> and
-        // <scatter_combine(r), g> == <r, gather_weighted(g)>
-        let routing = uneven_routing();
-        let groups = TokenGroups::from_routing(&routing);
-        let mut rng = TensorRng::seed_from(3);
-        let x = rng.normal(&[4, 6], 0.0, 1.0);
-        let r = rng.normal(&[5, 6], 0.0, 1.0);
-        let lhs: f32 = groups.gather(&x).unwrap().mul(&r).unwrap().sum();
-        let rhs: f32 = x.mul(&groups.scatter_add(&r).unwrap()).unwrap().sum();
-        assert!((lhs - rhs).abs() < 1e-4);
-
-        let g = rng.normal(&[4, 6], 0.0, 1.0);
-        let lhs: f32 = groups.scatter_combine(&r).unwrap().mul(&g).unwrap().sum();
-        let rhs: f32 = r.mul(&groups.gather_weighted(&g).unwrap()).unwrap().sum();
-        assert!((lhs - rhs).abs() < 1e-4);
-    }
+    /// expert 0: 3 rows, expert 1: empty, expert 2: 2 rows
+    const OFFSETS: [usize; 4] = [0, 3, 3, 5];
 
     #[test]
     fn grouped_forward_matches_per_expert_loop() {
@@ -464,16 +281,13 @@ mod tests {
                     }
                 })
                 .collect();
-            let routing = uneven_routing();
-            let groups = TokenGroups::from_routing(&routing);
-            let input = rng.normal(&[4, 6], 0.0, 1.0);
-            let x = groups.gather(&input).unwrap();
-            let (y, _) = forward_ffn(&experts, &x, groups.offsets(), 2)
+            let x = rng.normal(&[5, 6], 0.0, 1.0);
+            let (y, _) = forward_ffn(&experts, &x, &OFFSETS, 2)
                 .unwrap()
                 .expect("homogeneous experts are groupable");
             // reference: per-expert loop over the same gathered slices
             for (e, expert) in experts.iter().enumerate() {
-                let (lo, hi) = (groups.offsets()[e], groups.offsets()[e + 1]);
+                let (lo, hi) = (OFFSETS[e], OFFSETS[e + 1]);
                 let slice = x.slice_rows(lo, hi).unwrap();
                 let (want, _) = expert.forward(&slice).unwrap();
                 let got = y.slice_rows(lo, hi).unwrap();
@@ -488,17 +302,14 @@ mod tests {
         let experts: Vec<Box<dyn Expert>> = (0..3)
             .map(|_| Box::new(GptFfn::new(5, 8, &mut rng)) as Box<dyn Expert>)
             .collect();
-        let routing = uneven_routing();
-        let groups = TokenGroups::from_routing(&routing);
-        let input = rng.normal(&[4, 5], 0.0, 1.0);
-        let x = groups.gather(&input).unwrap();
-        let (_, state) = forward_ffn(&experts, &x, groups.offsets(), 1)
+        let x = rng.normal(&[5, 5], 0.0, 1.0);
+        let (_, state) = forward_ffn(&experts, &x, &OFFSETS, 1)
             .unwrap()
             .expect("groupable");
         let gy = rng.normal(&[5, 5], 0.0, 1.0);
-        let (gx, gw) = backward_ffn(&experts, &gy, &state, groups.offsets(), 1).unwrap();
+        let (gx, gw) = backward_ffn(&experts, &gy, &state, &OFFSETS, 1).unwrap();
         for e in 0..3 {
-            let (lo, hi) = (groups.offsets()[e], groups.offsets()[e + 1]);
+            let (lo, hi) = (OFFSETS[e], OFFSETS[e + 1]);
             let slice = x.slice_rows(lo, hi).unwrap();
             let (_, st) = experts[e].forward(&slice).unwrap();
             let want = experts[e]

@@ -12,12 +12,12 @@
 //! 5. [`MoeHooks::after_combine`] — e.g. decompress them;
 //! 6. [`MoeHooks::before_moe_end`] — final output adjustment.
 //!
-//! Hooks 2–5 bracket the two exchanges between tokens and experts. The
-//! buffers they see are in the exchange's layout: the dropless
-//! expert-grouped rows on a one-rank layer (where the exchange is the
-//! identity, so 2/3 and 4/5 see the same rows), the capacity-padded
-//! `(E·T, M)` order buffer outside and the per-local-expert rows inside
-//! on the wire path.
+//! Hooks 2–5 bracket the two exchanges between tokens and experts.
+//! Hooks 2 and 5 see the order buffer in the layout their `&Routing`
+//! argument describes (assignment `a` at row `routing.row_of(a)` of
+//! `routing.rows()`); hooks 3 and 4 see the rows the local experts
+//! compute on — that same buffer on a one-rank layer, whose exchange is
+//! the identity, and every source's rows per local expert off the wire.
 
 use tensor::Tensor;
 

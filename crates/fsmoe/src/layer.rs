@@ -2,19 +2,21 @@
 //!
 //! [`MoeLayer`] wires the six sub-modules together exactly in the
 //! paper's order (Fig. 1): gate → order → dispatch → expert → combine →
-//! i-order, with the six hooks interleaved. One rank's slice of the
-//! layer runs over the EP and ESP groups its topology assigns it, and
-//! the **exchange** between tokens and experts is the only thing that
-//! depends on them:
+//! i-order, with the six hooks interleaved, in one body whatever the
+//! world. A token's row in the order buffer is data on the [`Routing`]
+//! (`row_base[expert] + slot`), so the only thing that depends on the
+//! EP and ESP groups the topology assigns this rank is whether the
+//! **exchange** between tokens and experts moves data:
 //!
-//! * when both groups hold one rank (and placement is the block map)
-//!   the exchange is the identity over the dropless [`TokenGroups`]
-//!   gather/scatter — no capacity padding, no collectives. This is local
-//!   execution, and the numerical reference every other world shape must
-//!   match;
-//! * otherwise it is the wire path of [`crate::dist`] (Fig. 2):
-//!   capacity-padded order buffer → AlltoAll(EP) → ESP-AllGather →
-//!   expert shards → ESP-ReduceScatter → AlltoAll(EP) → i-order.
+//! * when both groups hold one rank it is the identity: the routing is
+//!   laid out pad-free in shard order ([`Routing::into_dense`]) and the
+//!   order buffer *is* the experts' grouped input — no capacity padding,
+//!   no collectives, under any placement. This is local execution, and
+//!   the numerical reference every other world shape must match;
+//! * otherwise it is the wire path of [`crate::dist`] (Fig. 2): the
+//!   order buffer is born in wire slot layout
+//!   ([`Routing::into_placed`]) → AlltoAll(EP) → ESP-AllGather → expert
+//!   shards → ESP-ReduceScatter → AlltoAll(EP) → i-order.
 //!
 //! A local layer is the same type built over a one-rank world
 //! ([`Communicator::solo`] and `HybridTopology::flat(1)`).
@@ -38,7 +40,7 @@ use crate::dispatch::{Dispatcher, NcclA2A};
 use crate::dist::FaultPolicy;
 use crate::expert::{build_expert, Expert};
 use crate::gate::{ExpertChoiceGate, GShardGate, Gate, SigmoidGate, SoftMoeGate, XMoeGate};
-use crate::grouped::{self, FfnState, TokenGroups};
+use crate::grouped::{self, FfnState};
 use crate::hooks::{MoeHooks, NoopHooks};
 use crate::order::{combine_backward, order_backward, OrderFn, TutelOrdering};
 use crate::reshard::ExpertMap;
@@ -57,8 +59,6 @@ pub struct MoeGrads {
 #[derive(Debug)]
 struct ForwardState {
     routing: Routing,
-    /// The gather plan of an identity exchange; `None` on the wire path.
-    groups: Option<TokenGroups>,
     compute: FfnState,
 }
 
@@ -74,14 +74,17 @@ struct ForwardState {
 pub struct MoeLayer {
     pub(crate) config: MoeConfig,
     pub(crate) gate: Box<dyn Gate>,
-    /// The padded `(E·T, M)` wire-format ordering (unused by the
-    /// identity exchange, which gathers droplessly).
     order: Box<dyn OrderFn>,
     pub(crate) dispatcher: Box<dyn Dispatcher>,
     /// ESP shards of this rank's local experts, in
     /// [`ExpertMap::experts_on`] order.
     pub(crate) shards: Vec<Box<dyn Expert>>,
     pub(crate) ep_group: GroupComm,
+    /// The EP group's members on this node, for the hierarchical
+    /// dispatchers ([`crate::dist::ep_grid`]).
+    pub(crate) ep_intra: GroupComm,
+    /// The EP group's members with this rank's local index.
+    pub(crate) ep_inter: GroupComm,
     pub(crate) esp_group: GroupComm,
     /// Which global expert lives at which EP position (block placement
     /// until a reshard installs something else).
@@ -152,6 +155,7 @@ impl MoeLayer {
             });
         }
         let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
+        let (ep_intra, ep_inter) = crate::dist::ep_grid(comm, topo)?;
         let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
         let expert_map = ExpertMap::block(config.num_experts, ep_group.size())?;
         let shards = expert_map
@@ -166,6 +170,8 @@ impl MoeLayer {
             dispatcher: Box::new(NcclA2A),
             shards,
             ep_group,
+            ep_intra,
+            ep_inter,
             esp_group,
             expert_map,
             state: None,
@@ -315,7 +321,7 @@ impl MoeLayer {
         &self.expert_map
     }
 
-    /// Replaces the AlltoAll algorithm (flat dispatch context).
+    /// Replaces the AlltoAll algorithm.
     pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
         self.dispatcher = dispatcher;
     }
@@ -364,13 +370,39 @@ impl MoeLayer {
         self.state = None;
     }
 
-    /// Whether tokens reach every expert without leaving this rank: both
-    /// groups are singletons and local shard order is global expert
-    /// order. A one-rank world left with a dealt (non-block) placement
-    /// by evictions takes the wire path, whose slot permutation handles
-    /// any placement.
+    /// Whether tokens reach every expert without leaving this rank —
+    /// the one world-shape test of a pass.
     fn exchange_is_identity(&self) -> bool {
-        self.ep_group.size() == 1 && self.esp_group.size() == 1 && self.expert_map.is_block()
+        self.ep_group.size() == 1 && self.esp_group.size() == 1
+    }
+
+    /// The dispatch exchange (in backward, the combine exchange's
+    /// adjoint): order buffer → local shards' grouped rows and offsets.
+    fn exchange_in(
+        &mut self,
+        buffer: Tensor,
+        routing: &Routing,
+        policy: FaultPolicy,
+        at_risk: &mut Option<usize>,
+    ) -> Result<(Tensor, Vec<usize>)> {
+        if self.exchange_is_identity() {
+            return Ok((buffer, routing.group_offsets()));
+        }
+        self.wire_in(&buffer, policy, at_risk)
+    }
+
+    /// The combine exchange (in backward, the dispatch exchange's
+    /// adjoint): local shards' grouped rows → order buffer.
+    fn exchange_out(
+        &mut self,
+        rows: Tensor,
+        policy: FaultPolicy,
+        at_risk: &mut Option<usize>,
+    ) -> Result<Tensor> {
+        if self.exchange_is_identity() {
+            return Ok(rows);
+        }
+        self.wire_out(&rows, policy, at_risk)
     }
 
     /// Runs the layer on this rank's `(tokens, M)` input block.
@@ -406,27 +438,24 @@ impl MoeLayer {
             let _s = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_GATE);
             self.gate.route(&input, self.config.capacity(), rng)?
         };
+        // pad-free groups when no row leaves this rank, wire slots else
+        let routing = if self.exchange_is_identity() {
+            routing.into_dense(&self.expert_map)
+        } else {
+            routing.into_placed(&self.expert_map)
+        };
         if obs::is_enabled() {
             for &load in &routing.expert_loads() {
                 obs::record_hist(obs::names::MOE_EXPERT_LOAD, load as f64);
             }
         }
-        let groups = self
-            .exchange_is_identity()
-            .then(|| TokenGroups::from_routing(&routing));
         let mut at_risk = Some(routing.assignments().len());
 
-        // order: dropless gather, or the capacity-padded (E·T, M) buffer
-        let mut buffer = match &groups {
-            Some(g) => g.gather(&input)?,
-            None => self.order.order(&input, &routing)?,
-        };
+        let mut buffer = self.order.order(&input, &routing)?;
         let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
         self.hooks.before_dispatch(&mut buffer, &routing)?;
-        let (mut x, offsets) = match &groups {
-            Some(g) => (buffer, g.offsets().to_vec()),
-            None => self.wire_in(&buffer, self.fault_policy, &mut at_risk)?,
-        };
+        let (mut x, offsets) =
+            self.exchange_in(buffer, &routing, self.fault_policy, &mut at_risk)?;
         self.hooks.after_dispatch(&mut x, &routing)?;
         drop(dispatch_span);
 
@@ -437,24 +466,13 @@ impl MoeLayer {
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
         self.hooks.before_combine(&mut y, &routing)?;
-        let mut combined = match &groups {
-            Some(_) => y,
-            None => self.wire_out(&y, self.fault_policy, &mut at_risk)?,
-        };
+        let mut combined = self.exchange_out(y, self.fault_policy, &mut at_risk)?;
         self.hooks.after_combine(&mut combined, &routing)?;
-        // i-order: weighted scatter back to token rows
-        let mut output = match &groups {
-            Some(g) => g.scatter_combine(&combined)?,
-            None => self.order.inverse(&combined, &routing)?,
-        };
+        let mut output = self.order.inverse(&combined, &routing)?;
         self.hooks.before_moe_end(&mut output)?;
         drop(combine_span);
 
-        self.state = Some(ForwardState {
-            routing,
-            groups,
-            compute,
-        });
+        self.state = Some(ForwardState { routing, compute });
         Ok(output)
     }
 
@@ -484,15 +502,11 @@ impl MoeLayer {
 
     fn backward_through(&mut self, state: &ForwardState, grad_output: &Tensor) -> Result<MoeGrads> {
         let strict = self.fault_policy.strict();
-        // i-order adjoint: weighted gather of output grads, then the
-        // combine exchange's adjoint back to the expert hosts
-        let (grad_y, offsets) = match &state.groups {
-            Some(g) => (g.gather_weighted(grad_output)?, g.offsets().to_vec()),
-            None => {
-                let grad_combined = combine_backward(grad_output, &state.routing)?;
-                self.wire_in(&grad_combined, strict, &mut None)?
-            }
-        };
+        let routing = &state.routing;
+        // i-order adjoint, then the combine exchange's adjoint back to
+        // the expert hosts
+        let grad_combined = combine_backward(grad_output, routing)?;
+        let (grad_y, offsets) = self.exchange_in(grad_combined, routing, strict, &mut None)?;
         let (grad_x, shard_grads) = grouped::backward_experts(
             &self.shards,
             &grad_y,
@@ -501,14 +515,9 @@ impl MoeLayer {
             self.compute_threads(),
         )?;
         // dispatch exchange's adjoint back to the token sources, then
-        // the order adjoint: unweighted scatter-add to token rows
-        let grad_input = match &state.groups {
-            Some(g) => g.scatter_add(&grad_x)?,
-            None => {
-                let grad_buffer = self.wire_out(&grad_x, strict, &mut None)?;
-                order_backward(&grad_buffer, &state.routing)?
-            }
-        };
+        // the order adjoint
+        let grad_buffer = self.exchange_out(grad_x, strict, &mut None)?;
+        let grad_input = order_backward(&grad_buffer, routing)?;
         Ok(MoeGrads {
             input: grad_input,
             shards: shard_grads,

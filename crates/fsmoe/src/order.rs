@@ -1,68 +1,100 @@
 //! Ordering and inverse-ordering functions (data-layout transforms).
 //!
-//! The *Order* sub-module reshapes the `(B·L, M)` token matrix into the
-//! `(E, T, M)` expert-major dispatch layout (flattened here to
-//! `(E·T, M)`), and *I-Order* restores it, applying the gate's combine
-//! weights (paper §2.1/§3.1). Two implementations are provided, mirroring
-//! the paper:
+//! The *Order* sub-module moves the `(B·L, M)` token matrix into the
+//! expert-major order buffer and *I-Order* restores it, applying the
+//! gate's combine weights (paper §2.1/§3.1). Where a row lives is data
+//! on the [`Routing`] — assignment `a` occupies row `routing.row_of(a)`
+//! of `routing.rows()`, whether that is a gate's padded `(E·T, M)` block
+//! form, a placement's wire slots or pad-free groups — so the four row
+//! movements (order, i-order, their two adjoints) are written once,
+//! here. Two implementations are provided, mirroring the paper:
 //!
 //! * [`GShardOrdering`] — builds an explicit dispatch mask and uses
 //!   einsum-style matrix multiplication (how GShard's XLA code does it);
 //! * [`TutelOrdering`] — SIMT-style sparse scatter/gather with direct
 //!   indexing (how Tutel's fused kernels do it).
 //!
-//! Both must produce bit-identical results; the tests enforce it. Slots
-//! an expert never fills stay zero, so padded capacity flows through the
-//! experts as zero rows, exactly like the padded `(E, T, M)` tensors on a
-//! GPU.
+//! Both must produce the same results; the tests enforce it. Rows no
+//! assignment occupies stay `+0.0`, so padded capacity flows through the
+//! experts as zero rows, exactly like the padded `(E, T, M)` tensors on
+//! a GPU. Token-shaped results accumulate in assignment order, never row
+//! order, which is what makes them bit-identical under every layout.
 
-use tensor::Tensor;
+use tensor::{buf, Tensor};
 
 use crate::routing::Routing;
 use crate::{MoeError, Result};
 
-/// An ordering function: token layout → expert-major dispatch layout.
+/// An ordering function: token layout → expert-major order buffer.
 pub trait OrderFn: std::fmt::Debug + Send {
     /// Short identifier used in logs.
     fn name(&self) -> &'static str;
 
-    /// Scatters `(tokens, M)` rows into the `(E·T, M)` dispatch buffer
-    /// (row `e·T + slot` holds the token assigned to expert `e`'s slot).
+    /// Scatters `(tokens, M)` rows into the `(routing.rows(), M)` order
+    /// buffer (row `routing.row_of(a)` holds assignment `a`'s token).
     ///
     /// # Errors
     ///
     /// Returns an error when `input` is not `(routing.num_tokens(), M)`.
     fn order(&self, input: &Tensor, routing: &Routing) -> Result<Tensor>;
 
-    /// Gathers `(E·T, M)` expert outputs back to `(tokens, M)`, scaling
-    /// each contribution by its combine weight and summing over the `k`
-    /// experts a token visited.
+    /// Gathers `(routing.rows(), M)` expert outputs back to
+    /// `(tokens, M)`, scaling each contribution by its combine weight and
+    /// summing over the `k` experts a token visited.
     ///
     /// # Errors
     ///
-    /// Returns an error when `expert_out` is not `(E·T, M)`.
+    /// Returns an error when `expert_out` is not `(routing.rows(), M)`.
     fn inverse(&self, expert_out: &Tensor, routing: &Routing) -> Result<Tensor>;
 }
 
-fn check_order_input(input: &Tensor, routing: &Routing) -> Result<()> {
-    if input.rank() != 2 || input.dims()[0] != routing.num_tokens() {
-        return Err(MoeError::BadInput {
-            expected: format!("({}, M)", routing.num_tokens()),
-            actual: input.dims().to_vec(),
-        });
-    }
-    Ok(())
-}
-
-fn check_inverse_input(expert_out: &Tensor, routing: &Routing) -> Result<()> {
-    let rows = routing.num_experts() * routing.capacity();
-    if expert_out.rank() != 2 || expert_out.dims()[0] != rows {
+/// Checks that `t` is `(rows, M)` and returns `M`.
+fn check_rows(t: &Tensor, rows: usize) -> Result<usize> {
+    if t.rank() != 2 || t.dims()[0] != rows {
         return Err(MoeError::BadInput {
             expected: format!("({rows}, M)"),
-            actual: expert_out.dims().to_vec(),
+            actual: t.dims().to_vec(),
         });
     }
-    Ok(())
+    Ok(t.dims()[1])
+}
+
+/// Token rows → buffer rows: `write(buffer_row, token_row, weight)` once
+/// per assignment. Every buffer row is written at most once, so only a
+/// layout with unoccupied rows pays for a zero-fill.
+fn scatter_rows(
+    tokens: &Tensor,
+    routing: &Routing,
+    write: impl Fn(&mut [f32], &[f32], f32),
+) -> Result<Tensor> {
+    let m = check_rows(tokens, routing.num_tokens())?;
+    let mut out = buf::take(routing.rows() * m);
+    if routing.rows() > routing.assignments().len() {
+        out.fill(0.0);
+    }
+    for a in routing.assignments() {
+        let row = routing.row_of(a);
+        let src = &tokens.data()[a.token * m..(a.token + 1) * m];
+        write(&mut out[row * m..(row + 1) * m], src, a.weight);
+    }
+    Ok(Tensor::from_vec(out, &[routing.rows(), m])?)
+}
+
+/// Buffer rows → token rows: `add(token_row, buffer_row, weight)` once
+/// per assignment, in assignment order.
+fn gather_rows(
+    buffer: &Tensor,
+    routing: &Routing,
+    add: impl Fn(&mut [f32], &[f32], f32),
+) -> Result<Tensor> {
+    let m = check_rows(buffer, routing.rows())?;
+    let mut out = buf::take_zeroed(routing.num_tokens() * m);
+    for a in routing.assignments() {
+        let row = routing.row_of(a);
+        let src = &buffer.data()[row * m..(row + 1) * m];
+        add(&mut out[a.token * m..(a.token + 1) * m], src, a.weight);
+    }
+    Ok(Tensor::from_vec(out, &[routing.num_tokens(), m])?)
 }
 
 /// GShard-style ordering: einsum via explicit dispatch-mask GEMMs.
@@ -75,15 +107,13 @@ impl GShardOrdering {
         GShardOrdering
     }
 
-    /// The `(E·T, tokens)` 0/1 dispatch mask.
+    /// The `(rows, tokens)` dispatch mask: 0/1, or the combine weights.
     fn dispatch_mask(routing: &Routing, weighted: bool) -> Tensor {
-        let rows = routing.num_experts() * routing.capacity();
-        let mut mask = Tensor::zeros(&[rows, routing.num_tokens()]);
-        let t = routing.capacity();
         let cols = routing.num_tokens();
+        let mut mask = Tensor::zeros(&[routing.rows(), cols]);
+        let cells = mask.data_mut();
         for a in routing.assignments() {
-            let w = if weighted { a.weight } else { 1.0 };
-            mask.data_mut()[(a.expert * t + a.slot) * cols + a.token] = w;
+            cells[routing.row_of(a) * cols + a.token] = if weighted { a.weight } else { 1.0 };
         }
         mask
     }
@@ -95,14 +125,14 @@ impl OrderFn for GShardOrdering {
     }
 
     fn order(&self, input: &Tensor, routing: &Routing) -> Result<Tensor> {
-        check_order_input(input, routing)?;
+        check_rows(input, routing.num_tokens())?;
         let mask = Self::dispatch_mask(routing, false);
         Ok(mask.matmul(input)?)
     }
 
     fn inverse(&self, expert_out: &Tensor, routing: &Routing) -> Result<Tensor> {
-        check_inverse_input(expert_out, routing)?;
-        let mask = Self::dispatch_mask(routing, true); // (E·T, tokens), weighted
+        check_rows(expert_out, routing.rows())?;
+        let mask = Self::dispatch_mask(routing, true);
         Ok(mask.transpose()?.matmul(expert_out)?)
     }
 }
@@ -124,76 +154,46 @@ impl OrderFn for TutelOrdering {
     }
 
     fn order(&self, input: &Tensor, routing: &Routing) -> Result<Tensor> {
-        check_order_input(input, routing)?;
-        let m = input.dims()[1];
-        let t = routing.capacity();
-        let mut out = Tensor::zeros(&[routing.num_experts() * t, m]);
-        for a in routing.assignments() {
-            let dst = (a.expert * t + a.slot) * m;
-            let src = a.token * m;
-            out.data_mut()[dst..dst + m].copy_from_slice(&input.data()[src..src + m]);
-        }
-        Ok(out)
+        scatter_rows(input, routing, |dst, src, _| dst.copy_from_slice(src))
     }
 
     fn inverse(&self, expert_out: &Tensor, routing: &Routing) -> Result<Tensor> {
-        check_inverse_input(expert_out, routing)?;
-        let m = expert_out.dims()[1];
-        let t = routing.capacity();
-        let mut out = Tensor::zeros(&[routing.num_tokens(), m]);
-        for a in routing.assignments() {
-            let src = (a.expert * t + a.slot) * m;
-            let dst = a.token * m;
-            for i in 0..m {
-                out.data_mut()[dst + i] += a.weight * expert_out.data()[src + i];
+        gather_rows(expert_out, routing, |dst, src, w| {
+            for (o, v) in dst.iter_mut().zip(src) {
+                *o += w * v;
             }
-        }
-        Ok(out)
+        })
     }
 }
 
 /// Gradient of [`OrderFn::order`] with respect to the layer input:
-/// gathers dispatch-buffer gradients back to token rows (unweighted — the
+/// gathers order-buffer gradients back to token rows (unweighted — the
 /// dispatch path carries raw embeddings).
 ///
 /// # Errors
 ///
 /// Returns an error on a shape mismatch with the routing.
 pub fn order_backward(grad_buffer: &Tensor, routing: &Routing) -> Result<Tensor> {
-    check_inverse_input(grad_buffer, routing)?;
-    let m = grad_buffer.dims()[1];
-    let t = routing.capacity();
-    let mut grad_input = Tensor::zeros(&[routing.num_tokens(), m]);
-    for a in routing.assignments() {
-        let src = (a.expert * t + a.slot) * m;
-        let dst = a.token * m;
-        for i in 0..m {
-            grad_input.data_mut()[dst + i] += grad_buffer.data()[src + i];
+    gather_rows(grad_buffer, routing, |dst, src, _| {
+        for (o, v) in dst.iter_mut().zip(src) {
+            *o += v;
         }
-    }
-    Ok(grad_input)
+    })
 }
 
 /// Gradient of [`OrderFn::inverse`] with respect to the expert outputs:
-/// scatters output gradients into the dispatch layout, scaled by the
+/// scatters output gradients into the order buffer, scaled by the
 /// combine weights.
 ///
 /// # Errors
 ///
 /// Returns an error on a shape mismatch with the routing.
 pub fn combine_backward(grad_output: &Tensor, routing: &Routing) -> Result<Tensor> {
-    check_order_input(grad_output, routing)?;
-    let m = grad_output.dims()[1];
-    let t = routing.capacity();
-    let mut grad_buffer = Tensor::zeros(&[routing.num_experts() * t, m]);
-    for a in routing.assignments() {
-        let dst = (a.expert * t + a.slot) * m;
-        let src = a.token * m;
-        for i in 0..m {
-            grad_buffer.data_mut()[dst + i] += a.weight * grad_output.data()[src + i];
+    scatter_rows(grad_output, routing, |dst, src, w| {
+        for (o, v) in dst.iter_mut().zip(src) {
+            *o = w * v;
         }
-    }
-    Ok(grad_buffer)
+    })
 }
 
 #[cfg(test)]

@@ -8,21 +8,18 @@
 //! redistribution of an evicted position's experts across the
 //! survivors or an eviction-free single-expert migration.
 //!
-//! Placement is pure data movement: the layer permutes the `(E·T, M)`
-//! dispatch buffer into map order before the EP AlltoAll and inverts
-//! the permutation after combine, so **any** placement of the same
-//! weights computes bit-identical outputs (the property the elastic
-//! bit-identity test in `models` pins down).
+//! Placement re-bases rows and never moves them twice: the layer lays
+//! its order buffer out by [`ExpertMap::slot_of`]
+//! ([`Routing::into_placed`](crate::routing::Routing::into_placed)), so
+//! the buffer is born in the order the EP AlltoAll exchanges and
+//! **any** placement of the same weights computes bit-identical outputs
+//! (the property the elastic bit-identity test in `models` pins down).
 //!
 //! Placements need not be uniform. The dispatch AlltoAll still
-//! exchanges equal-size chunks: every position's chunk is padded to
-//! [`ExpertMap::slots_per_position`] expert blocks, with
-//! [`ExpertMap::slot_layout`] marking which slots carry a real expert
-//! and which are zero-filled padding. Pad blocks carry zeros in both
-//! directions and never reach an expert or a token, so bit-identity
-//! across placements — uniform or not — is preserved.
-
-use tensor::buf;
+//! exchanges equal-size chunks: every position owns
+//! [`ExpertMap::slots_per_position`] slots, its experts in the leading
+//! ones. The trailing pad slots are rows no assignment occupies — zeros
+//! in both directions that never reach an expert or a token.
 
 use crate::{MoeError, Result};
 
@@ -153,31 +150,14 @@ impl ExpertMap {
         &self.experts_on[p]
     }
 
-    /// The dispatch-buffer slot layout: `slot_layout()[i]` is the
-    /// global expert whose block occupies dispatch slot `i`, or `None`
-    /// for a zero-filled pad slot. Slots are grouped by EP position
-    /// ([`Self::slots_per_position`] per position); each position's
-    /// experts occupy its leading slots in local order, pads trail.
-    pub fn slot_layout(&self) -> Vec<Option<usize>> {
-        let slots = self.slots_per_position();
-        let mut out = Vec::with_capacity(self.n_ep() * slots);
-        for list in &self.experts_on {
-            out.extend(list.iter().map(|&e| Some(e)));
-            out.extend(std::iter::repeat_n(None, slots - list.len()));
-        }
-        out
-    }
-
-    /// Whether this is the identity (block) placement, for which the
-    /// dispatch permutation is a no-op.
-    pub fn is_block(&self) -> bool {
-        self.is_uniform()
-            && self
-                .experts_on
-                .iter()
-                .flatten()
-                .enumerate()
-                .all(|(i, &e)| i == e)
+    /// The dispatch slot of expert `e`: positions own
+    /// [`Self::slots_per_position`] consecutive slots each, and a
+    /// position's experts occupy its leading slots in local order (pad
+    /// slots trail and belong to nobody).
+    pub fn slot_of(&self, e: usize) -> usize {
+        let p = self.position_of[e];
+        let local = self.experts_on[p].iter().take_while(|&&x| x != e).count();
+        p * self.slots_per_position() + local
     }
 
     /// The placement after evicting position `evicted_pos`: survivors
@@ -302,58 +282,21 @@ impl ReshardPlan {
     }
 }
 
-/// Permutes expert blocks of a dispatch buffer into slot layout:
-/// output slot `i` is input block `slots[i]`, or zeros for a `None`
-/// pad slot (blocks are `block` floats each — one expert's `T · M`
-/// slot rows). The output has `slots.len()` blocks, which exceeds the
-/// input's expert-block count whenever the placement pads.
-pub(crate) fn permute_expert_blocks(
-    data: &[f32],
-    block: usize,
-    slots: &[Option<usize>],
-) -> Vec<f32> {
-    let mut out = buf::take(slots.len() * block);
-    for (dst, &slot) in out.chunks_mut(block.max(1)).zip(slots) {
-        match slot {
-            Some(e) => dst.copy_from_slice(&data[e * block..(e + 1) * block]),
-            None => dst.fill(0.0),
-        }
-    }
-    out
-}
-
-/// Inverts [`permute_expert_blocks`]: input slot `i` lands at output
-/// block `slots[i]`; pad slots are dropped. The output has
-/// `num_experts` blocks.
-pub(crate) fn unpermute_expert_blocks(
-    data: &[f32],
-    block: usize,
-    slots: &[Option<usize>],
-    num_experts: usize,
-) -> Vec<f32> {
-    let mut out = buf::take_zeroed(num_experts * block);
-    for (i, &slot) in slots.iter().enumerate() {
-        if let Some(e) = slot {
-            out[e * block..(e + 1) * block].copy_from_slice(&data[i * block..(i + 1) * block]);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `slot_of` for every expert, in expert order.
+    fn slots(map: &ExpertMap) -> Vec<usize> {
+        (0..map.num_experts()).map(|e| map.slot_of(e)).collect()
+    }
+
     #[test]
     fn block_map_is_identity() {
         let map = ExpertMap::block(6, 3).unwrap();
-        assert!(map.is_block());
         assert!(map.is_uniform());
         assert_eq!(map.slots_per_position(), 2);
-        assert_eq!(
-            map.slot_layout(),
-            (0..6).map(Some).collect::<Vec<Option<usize>>>()
-        );
+        assert_eq!(slots(&map), [0, 1, 2, 3, 4, 5]);
         assert_eq!(map.experts_on(1), &[2, 3]);
         assert_eq!(map.position_of(5), 2);
         assert!(ExpertMap::block(5, 3).is_err());
@@ -366,32 +309,18 @@ mod tests {
         assert!(ExpertMap::from_lists(vec![vec![0, 1], vec![2, 2]]).is_err());
         assert!(ExpertMap::from_lists(vec![vec![0, 1], vec![2, 9]]).is_err());
         let map = ExpertMap::from_lists(vec![vec![1, 3], vec![0, 2]]).unwrap();
-        assert!(!map.is_block());
         assert_eq!(map.position_of(3), 0);
-        assert_eq!(map.slot_layout(), vec![Some(1), Some(3), Some(0), Some(2)]);
+        assert_eq!(slots(&map), [2, 0, 3, 1]);
     }
 
     #[test]
     fn non_uniform_lists_pad_their_slots() {
         let map = ExpertMap::from_lists(vec![vec![0, 2, 4], vec![1], vec![3]]).unwrap();
         assert!(!map.is_uniform());
-        assert!(!map.is_block());
         assert_eq!(map.slots_per_position(), 3);
         assert_eq!(map.num_experts(), 5);
-        assert_eq!(
-            map.slot_layout(),
-            vec![
-                Some(0),
-                Some(2),
-                Some(4),
-                Some(1),
-                None,
-                None,
-                Some(3),
-                None,
-                None
-            ]
-        );
+        // slots 4, 5, 7 and 8 are pads
+        assert_eq!(slots(&map), [0, 3, 1, 6, 2]);
         assert_eq!(map.position_of(4), 0);
         assert_eq!(map.position_of(3), 2);
     }
@@ -462,31 +391,5 @@ mod tests {
         // hosts only expert 1.
         let narrow = ExpertMap::from_lists(vec![vec![0, 2], vec![1]]).unwrap();
         assert!(narrow.migrated(1, 0).is_err());
-    }
-
-    #[test]
-    fn permutation_round_trips() {
-        let map = ExpertMap::from_lists(vec![vec![2, 0], vec![3, 1]]).unwrap();
-        let slots = map.slot_layout();
-        let block = 3;
-        let data: Vec<f32> = (0..12).map(|v| v as f32).collect();
-        let permuted = permute_expert_blocks(&data, block, &slots);
-        // slot 0 of the permuted buffer holds expert 2's block
-        assert_eq!(&permuted[0..3], &[6.0, 7.0, 8.0]);
-        let back = unpermute_expert_blocks(&permuted, block, &slots, map.num_experts());
-        assert_eq!(back, data);
-    }
-
-    #[test]
-    fn padded_permutation_round_trips() {
-        let map = ExpertMap::from_lists(vec![vec![2], vec![0, 1]]).unwrap();
-        let slots = map.slot_layout();
-        assert_eq!(slots, vec![Some(2), None, Some(0), Some(1)]);
-        let block = 2;
-        let data: Vec<f32> = (1..=6).map(|v| v as f32).collect();
-        let permuted = permute_expert_blocks(&data, block, &slots);
-        assert_eq!(permuted, vec![5.0, 6.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
-        let back = unpermute_expert_blocks(&permuted, block, &slots, map.num_experts());
-        assert_eq!(back, data);
     }
 }

@@ -1,10 +1,22 @@
-//! Token-to-expert routing decisions with capacity enforcement.
+//! Token-to-expert routing decisions with capacity enforcement, and
+//! the row map that lays them out.
 //!
 //! Every gate family produces a [`Routing`]: a list of
 //! `(token, expert, slot, weight)` assignments honouring the per-expert
 //! capacity `T = k·f·B·L/E`. Overflowing tokens are *dropped* (their
 //! assignment is discarded), matching GShard/Tutel semantics when
 //! `f ≠ *`.
+//!
+//! A routing also lays its assignments out: each lives at row
+//! `row_base[expert] + slot` ([`Routing::row_of`], the only place that
+//! sum is taken) of a [`Routing::rows`]-row order buffer. Gates produce
+//! the capacity-padded block form (`row_base[e] = e·T`);
+//! [`Routing::into_placed`] / [`Routing::into_dense`] re-base it to an
+//! [`ExpertMap`]'s wire slots or to pad-free groups. Expert ids and the
+//! `(expert, slot)` order of the assignments never change, so whatever
+//! is accumulated over them is layout-independent.
+
+use crate::reshard::ExpertMap;
 
 /// One token-to-expert assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,6 +39,10 @@ pub struct Routing {
     num_tokens: usize,
     assignments: Vec<Assignment>,
     dropped: Vec<(usize, usize)>,
+    /// Buffer row of each expert's slot 0.
+    row_base: Vec<usize>,
+    /// Height of the order buffer.
+    rows: usize,
 }
 
 impl Routing {
@@ -53,6 +69,62 @@ impl Routing {
     /// `(token, expert)` pairs that overflowed capacity and were dropped.
     pub fn dropped(&self) -> &[(usize, usize)] {
         &self.dropped
+    }
+
+    /// Height of the order buffer this routing lays its tokens out in.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The order-buffer row holding assignment `a`.
+    pub fn row_of(&self, a: &Assignment) -> usize {
+        self.row_base[a.expert] + a.slot
+    }
+
+    /// The `E + 1` row boundaries of the experts' groups in buffer order
+    /// (the grouped GEMM's offsets); pad rows join the group before them.
+    pub fn group_offsets(&self) -> Vec<usize> {
+        let mut offsets = Vec::with_capacity(self.num_experts + 1);
+        offsets.extend_from_slice(&self.row_base);
+        offsets.sort_unstable();
+        offsets.push(self.rows);
+        offsets
+    }
+
+    /// Re-bases the rows to `map`'s wire slots: expert `e` starts at row
+    /// `map.slot_of(e)·T`, so the order buffer is born in the layout the
+    /// EP AlltoAll exchanges and pad slots are rows nobody writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `map` places a different number of experts.
+    pub fn into_placed(mut self, map: &ExpertMap) -> Self {
+        assert_eq!(map.num_experts(), self.num_experts, "map/routing experts");
+        for (e, base) in self.row_base.iter_mut().enumerate() {
+            *base = map.slot_of(e) * self.capacity;
+        }
+        self.rows = map.n_ep() * map.slots_per_position() * self.capacity;
+        self
+    }
+
+    /// Re-bases the rows to pad-free groups in `map`'s slot order (the
+    /// MegaBlocks form): expert `e` starts where the loads of the experts
+    /// before it end, and there is one row per surviving assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `map` places a different number of experts.
+    pub fn into_dense(mut self, map: &ExpertMap) -> Self {
+        assert_eq!(map.num_experts(), self.num_experts, "map/routing experts");
+        let loads = self.expert_loads();
+        self.rows = 0;
+        for p in 0..map.n_ep() {
+            for &e in map.experts_on(p) {
+                self.row_base[e] = self.rows;
+                self.rows += loads[e];
+            }
+        }
+        self
     }
 
     /// Tokens occupying each expert (histogram over experts).
@@ -189,6 +261,8 @@ impl RoutingBuilder {
             num_tokens: self.num_tokens,
             assignments: self.assignments,
             dropped: self.dropped,
+            row_base: (0..self.num_experts).map(|e| e * self.capacity).collect(),
+            rows: self.num_experts * self.capacity,
         }
     }
 }

@@ -2,15 +2,16 @@
 //! tests, in one suite: there is one MoE layer, and spreading it over
 //! ranks (EP AlltoAll + ESP sharding, Fig. 2 of the paper) never changes
 //! the numbers. The one-rank layer — whose exchange is the identity over
-//! the dropless gather — is the reference; every rank of every world
-//! shape must reproduce it on that rank's token block.
+//! a pad-free order buffer — is the reference; every rank of every world
+//! shape must reproduce it on that rank's token block. Every swappable
+//! seam (ordering, dispatcher, hooks) is honoured on every world shape.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
 use fsmoe::config::{FfnKind, MoeConfig};
-use fsmoe::dispatch::{Hier1DH, Hier2DH};
+use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH, NcclA2A};
 use fsmoe::expert::{build_expert, Expert};
 use fsmoe::gate::GShardGate;
 use fsmoe::hooks::{MoeHooks, NoopHooks, QuantizeHooks};
@@ -32,6 +33,9 @@ enum World {
     Two,
     /// The paper's Fig. 2: four ranks, `ep = 2`, `esp = 2`.
     Fig2,
+    /// Two nodes of two GPUs, pure expert parallelism: the EP group is
+    /// a 2 × 2 grid, which the hierarchical dispatchers need.
+    Grid,
 }
 
 const WORLDS: [World; 3] = [World::One, World::Two, World::Fig2];
@@ -41,7 +45,7 @@ impl World {
         match self {
             World::One => 1,
             World::Two => 2,
-            World::Fig2 => 4,
+            World::Fig2 | World::Grid => 4,
         }
     }
 
@@ -54,6 +58,15 @@ impl World {
                     mp: 2,
                     ep: 2,
                     esp: 2,
+                };
+                HybridTopology::new(2, 2, dims).unwrap()
+            }
+            World::Grid => {
+                let dims = ParallelDims {
+                    dp: 4,
+                    mp: 1,
+                    ep: 4,
+                    esp: 1,
                 };
                 HybridTopology::new(2, 2, dims).unwrap()
             }
@@ -211,9 +224,10 @@ fn weight_grads_match_the_reference_accumulated_over_blocks() {
 #[test]
 fn dealt_placement_on_one_rank_matches_the_block_map() {
     // After evictions a one-rank world can hold its experts in dealt
-    // order while routing stays in global expert order; the exchange
-    // must not mistake that for the identity. Bit equality, weights
-    // gradients included.
+    // order while routing stays in global expert order: the pad-free
+    // rows are grouped in shard order, so the exchange is still the
+    // identity. Bit equality, weight gradients included, and not one
+    // collective issued.
     for ffn in [FfnKind::Gpt, FfnKind::Mixtral] {
         let cfg = config(ffn, 4, 2);
         let (comm, topo) = (Communicator::solo(), World::One.topology());
@@ -225,11 +239,28 @@ fn dealt_placement_on_one_rank_matches_the_block_map() {
         dealt
             .reshard(&ReshardPlan::custom(map), &ckpt, &comm, &topo)
             .unwrap();
-        assert!(!dealt.expert_map().is_block());
+        assert_ne!(dealt.expert_map(), block.expert_map());
         assert_eq!(dealt.checkpoint_global().unwrap(), ckpt);
 
+        let session = obs::session();
+        obs::set_thread_name("dealt one-rank layer");
         let (want_y, want) = step(&mut block, &cfg, 0);
         let (y, got) = step(&mut dealt, &cfg, 0);
+        let snap = session.snapshot();
+        drop(session);
+        // other tests of this binary record into the session too
+        let me = snap
+            .threads
+            .iter()
+            .find(|(_, name)| *name == "dealt one-rank layer");
+        let mine = |spans: Vec<&obs::SpanRecord>| {
+            spans
+                .iter()
+                .filter(|s| Some(&s.tid) == me.map(|(tid, _)| tid))
+                .count()
+        };
+        assert_eq!(mine(snap.spans_named(obs::names::SPAN_MOE_FORWARD)), 2);
+        assert_eq!(mine(snap.spans_in(obs::names::CAT_COLLECTIVES)), 0);
         assert_eq!(y, want_y, "{ffn:?} output");
         assert_eq!(got.input, want.input, "{ffn:?} input grad");
         for (local, &e) in order.iter().enumerate() {
@@ -289,19 +320,67 @@ fn gshard_with(
 
 #[test]
 fn orderings_produce_identical_outputs() {
-    // the wire path is where the ordering runs
     let cfg = config(FfnKind::Gpt, 4, 2);
-    let run = |order: fn() -> Box<dyn OrderFn>| {
+    for world in [World::One, World::Two] {
+        let run = |order: fn() -> Box<dyn OrderFn>| {
+            let cfg = cfg.clone();
+            world.run(move |comm, topo| {
+                let mut layer = gshard_with(&cfg, order(), Box::new(NoopHooks), &comm, &topo);
+                step(&mut layer, &cfg, comm.rank()).0
+            })
+        };
+        let tutel = run(|| Box::new(TutelOrdering::new()));
+        let gshard = run(|| Box::new(GShardOrdering::new()));
+        for (a, b) in tutel.iter().zip(&gshard) {
+            assert!(a.allclose(b, 1e-4), "{world:?}");
+        }
+    }
+}
+
+/// Counts the calls that reach the ordering it wraps.
+#[derive(Debug)]
+struct CountingOrder {
+    inner: TutelOrdering,
+    /// `[order, inverse]` call counts.
+    calls: Arc<[AtomicUsize; 2]>,
+}
+
+impl OrderFn for CountingOrder {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+    fn order(&self, input: &Tensor, routing: &Routing) -> Result<Tensor> {
+        self.calls[0].fetch_add(1, Ordering::SeqCst);
+        self.inner.order(input, routing)
+    }
+    fn inverse(&self, expert_out: &Tensor, routing: &Routing) -> Result<Tensor> {
+        self.calls[1].fetch_add(1, Ordering::SeqCst);
+        self.inner.inverse(expert_out, routing)
+    }
+}
+
+#[test]
+fn the_installed_ordering_runs_on_every_world() {
+    let cfg = config(FfnKind::Gpt, 4, 2);
+    for world in [World::One, World::Two] {
         let cfg = cfg.clone();
-        World::Two.run(move |comm, topo| {
-            let mut layer = gshard_with(&cfg, order(), Box::new(NoopHooks), &comm, &topo);
-            step(&mut layer, &cfg, comm.rank()).0
-        })
-    };
-    let tutel = run(|| Box::new(TutelOrdering::new()));
-    let gshard = run(|| Box::new(GShardOrdering::new()));
-    for (a, b) in tutel.iter().zip(&gshard) {
-        assert!(a.allclose(b, 1e-4));
+        for calls in world.run(move |comm, topo| {
+            let calls = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+            let order = Box::new(CountingOrder {
+                inner: TutelOrdering::new(),
+                calls: Arc::clone(&calls),
+            });
+            let mut layer = gshard_with(&cfg, order, Box::new(NoopHooks), &comm, &topo);
+            let x = input_block(&cfg, comm.rank());
+            layer.forward(&x, &mut TensorRng::seed_from(0)).unwrap();
+            [0, 1].map(|i| calls[i].load(Ordering::SeqCst))
+        }) {
+            assert_eq!(
+                calls,
+                [1, 1],
+                "{world:?}: order and i-order once per forward"
+            );
+        }
     }
 }
 
@@ -469,25 +548,24 @@ fn misuse_is_rejected() {
 }
 
 #[test]
-fn hierarchical_dispatchers_are_rejected_on_a_flat_context() {
-    let cfg = config(FfnKind::Gpt, 2, 1);
-    for which in ["1dh", "2dh"] {
-        let cfg = cfg.clone();
-        let results = World::Fig2.run(move |comm, topo| {
-            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
-            match which {
-                "1dh" => layer.set_dispatcher(Box::new(Hier1DH)),
-                _ => layer.set_dispatcher(Box::new(Hier2DH)),
-            }
-            let x = input_block(&cfg, comm.rank());
-            layer.forward(&x, &mut TensorRng::seed_from(0))
-        });
-        // the EP groups here span nodes with one GPU per node, so the
-        // hierarchical algorithms lack intra sub-groups in a flat ctx and
-        // must report an error rather than corrupt data
-        for r in results {
-            assert!(r.is_err(), "{which}: flat ctx must be rejected");
-        }
+fn hierarchical_dispatchers_match_the_flat_alltoall() {
+    // the layer derives the intra/inter slices of its EP group from the
+    // topology: a degenerate grid (one EP member per node) on Fig. 2, a
+    // true 2 x 2 one on the grid world
+    let cfg = config(FfnKind::Gpt, 4, 2);
+    for world in [World::Fig2, World::Grid] {
+        let run = |dispatcher: fn() -> Box<dyn Dispatcher>| {
+            let cfg = cfg.clone();
+            world.run(move |comm, topo| {
+                let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+                layer.set_dispatcher(dispatcher());
+                let (y, grads) = step(&mut layer, &cfg, comm.rank());
+                (y, grads.input, grads.shards)
+            })
+        };
+        let flat = run(|| Box::new(NcclA2A));
+        assert_eq!(run(|| Box::new(Hier1DH)), flat, "{world:?}: 1DH");
+        assert_eq!(run(|| Box::new(Hier2DH)), flat, "{world:?}: 2DH");
     }
 }
 

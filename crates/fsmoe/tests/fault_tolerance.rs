@@ -7,8 +7,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use collectives::{run_world_within, CommError, CommWorld, FaultInjector, HybridTopology};
+use collectives::{
+    run_world_within, CommError, CommWorld, FaultInjector, HybridTopology, ParallelDims,
+};
 use fsmoe::config::MoeConfig;
+use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH};
 use fsmoe::dist::FaultPolicy;
 use fsmoe::hooks::{MoeHooks, NoopHooks};
 use fsmoe::layer::MoeLayer;
@@ -24,13 +27,17 @@ fn two_rank_topology() -> HybridTopology {
 }
 
 fn config() -> MoeConfig {
+    config_of(2, 1)
+}
+
+fn config_of(num_experts: usize, top_k: usize) -> MoeConfig {
     MoeConfig::builder()
         .batch_size(1)
         .seq_len(6)
         .embed_dim(8)
         .hidden_dim(16)
-        .num_experts(2)
-        .top_k(1)
+        .num_experts(num_experts)
+        .top_k(top_k)
         .no_drop()
         .build()
         .unwrap()
@@ -97,6 +104,57 @@ fn dead_peer_degrades_survivor_and_errors_the_dead_rank() {
         "routed assignments are counted once per degraded forward"
     );
     assert_eq!(hook_drops.load(Ordering::SeqCst), routed);
+}
+
+#[test]
+fn lost_hierarchical_dispatch_counts_its_tokens_once() {
+    // Rank 3 dies entering its first collective. Under a hierarchical
+    // dispatcher that is a *sub*-exchange, so the survivors lose
+    // different legs (a dead node-mate, a dead same-index peer, a peer
+    // that already gave up), on a grid whose slices alias the EP group
+    // (Fig. 2: one EP member per node) and on a true 2 x 2 one. Whoever
+    // completes the forward counts its routed assignments exactly once.
+    let fig2 = ParallelDims {
+        dp: 2,
+        mp: 2,
+        ep: 2,
+        esp: 2,
+    };
+    let grid = ParallelDims {
+        dp: 4,
+        mp: 1,
+        ep: 4,
+        esp: 1,
+    };
+    let dispatchers: [fn() -> Box<dyn Dispatcher>; 2] =
+        [|| Box::new(Hier1DH), || Box::new(Hier2DH)];
+    for (dims, survivors) in [(fig2, vec![0, 1]), (grid, vec![0, 1, 2])] {
+        for dispatcher in dispatchers {
+            let world = CommWorld::new(4)
+                .with_deadline(Duration::from_millis(300))
+                .with_faults(FaultInjector::new().kill(3, 0));
+            let results = run_world_within(world, BUDGET, move |comm| {
+                let topo = HybridTopology::new(2, 2, dims).unwrap();
+                let cfg = config_of(4, 2);
+                let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+                layer.set_dispatcher(dispatcher());
+                let x = input_block(&cfg, comm.rank());
+                let out = layer.forward(&x, &mut TensorRng::seed_from(0));
+                (
+                    out.is_ok(),
+                    layer.dropped_tokens(),
+                    cfg.tokens() * cfg.top_k,
+                )
+            });
+            for (rank, (completed, drops, routed)) in results.into_iter().enumerate() {
+                if survivors.contains(&rank) {
+                    assert!(completed, "{dims:?} rank {rank} must degrade, not fail");
+                }
+                let want = if completed { routed } else { 0 };
+                assert_eq!(drops, want, "{dims:?} rank {rank}");
+            }
+        }
+    }
 }
 
 #[test]
