@@ -25,6 +25,9 @@
 //! * `no-adhoc-spawn` — `std::thread::{scope,spawn,Builder}` in the
 //!   compute crates (`crates/{tensor,fsmoe,models}/src`) outside the
 //!   worker pool, `crates/tensor/src/par.rs`;
+//! * `unsafe-needs-safety` — an `unsafe` block or `unsafe impl` under
+//!   `crates/*/src` or `shims/*/src` without a `// SAFETY:` comment
+//!   directly above, or an `unsafe fn` without a `# Safety` section;
 //! * `allow-needs-reason` — an allow directive without justification.
 //!
 //! The per-function dataflow rules live in [`flow`] (DESIGN.md §13):
@@ -210,7 +213,16 @@ pub fn spmd_decision(rel: &str) -> bool {
             | "crates/fsmoe/src/reshard.rs"
             | "crates/fsmoe/src/order.rs"
             | "crates/collectives/src/deadline.rs"
+            | "crates/collectives/src/group/plane.rs"
     )
+}
+
+/// Whether a file is library source — `crates/*/src/**`, `shims/*/src/**`
+/// — the scope of `unsafe-needs-safety`.
+#[must_use]
+pub fn library_source(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    matches!(parts.next(), Some("crates" | "shims")) && parts.nth(1) == Some("src")
 }
 
 /// Whether a file belongs to the compute layer that must fan out on the
@@ -280,8 +292,11 @@ pub fn check_file(rel: &str, src: &str) -> Vec<Violation> {
     let checks = rules_for(class, rel);
     let directives = allow_directives(src);
     let mut raw = Vec::new();
-    if !checks.is_empty() {
+    if !checks.is_empty() || library_source(rel) {
         let tree = ast::build(&tokenize(src));
+        if library_source(rel) {
+            rules::check_unsafe(src, &tree, &mut raw);
+        }
         let tests = if class == FileClass::Test {
             TestRegions::whole_file()
         } else {

@@ -45,6 +45,9 @@ pub const RULE_TEST_WALLCLOCK: &str = "test-wallclock-assert";
 /// Rule id: a thread spawned in the compute crates outside the worker
 /// pool (`tensor/src/par.rs`).
 pub const RULE_ADHOC_SPAWN: &str = "no-adhoc-spawn";
+/// Rule id: an `unsafe` block, `unsafe impl` or `unsafe fn` that does not
+/// say why it is sound.
+pub const RULE_UNSAFE_SAFETY: &str = "unsafe-needs-safety";
 
 /// The std primitives that must come from `shims/parking_lot` instead
 /// (the lock doctor instruments the shim — a std lock is invisible to
@@ -332,6 +335,136 @@ pub fn check_deadline_literals(tree: &[Node], tests: &TestRegions, out: &mut Vec
             }
         }
     });
+}
+
+/// Whether the comment block directly above 1-based `line` — comment and
+/// attribute lines only, no blank between — or a comment on the line
+/// itself contains one of `needles`.
+fn commented(lines: &[&str], line: u32, needles: &[&str]) -> bool {
+    let has = |text: &str| needles.iter().any(|n| text.contains(n));
+    let own = lines
+        .get(line as usize - 1)
+        .and_then(|l| l.split_once("//"));
+    let above = lines[..line as usize - 1]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//") || l.starts_with("#["));
+    own.is_some_and(|(_, comment)| has(comment)) || above.into_iter().any(has)
+}
+
+/// `unsafe-needs-safety`: every `unsafe` block and `unsafe impl` is
+/// directly preceded by a `// SAFETY:` comment (above the block, or above
+/// the statement it is part of), and every `unsafe fn` carries a
+/// `# Safety` doc section (or a `// SAFETY:` comment). Two things are
+/// covered by a contract stated once: an `unsafe` block inside an
+/// `unsafe fn` (it discharges nothing — the function's own contract
+/// passes the obligation up), and an `unsafe fn` that is a method of, or
+/// generic over, a trait of the same file whose doc carries `# Safety`
+/// (`tensor::vmath`'s `Lanes`: one ISA requirement for every lane op and
+/// every kernel built from them). Test code is not exempt.
+pub fn check_unsafe(src: &str, tree: &[Node], out: &mut Vec<Violation>) {
+    let lines: Vec<&str> = src.lines().collect();
+    let mut contracts = HashSet::new();
+    visit(tree, &mut |sibs, i| {
+        if let (true, Some(name)) = (
+            sibs[i].is_ident("trait"),
+            sibs.get(i + 1).and_then(Node::ident),
+        ) {
+            if commented(&lines, sibs[i].line(), &["# Safety"]) {
+                contracts.insert(name);
+            }
+        }
+    });
+    let mut walk = UnsafeWalk {
+        lines: &lines,
+        contracts: &contracts,
+        out,
+    };
+    walk.list(tree, None, false, false);
+}
+
+/// What [`check_unsafe`]'s walk carries down unchanged.
+struct UnsafeWalk<'a> {
+    lines: &'a [&'a str],
+    /// Traits of this file whose doc carries `# Safety`.
+    contracts: &'a HashSet<&'a str>,
+    out: &'a mut Vec<Violation>,
+}
+
+impl UnsafeWalk<'_> {
+    /// One sibling list. `outer` is the first line of the statement this
+    /// list is an expression part of (`None` in a block, where statements
+    /// start afresh); `in_unsafe_fn` and `in_contract` say whether an
+    /// enclosing `unsafe fn` body or contract-trait body covers what is
+    /// found here.
+    fn list(&mut self, nodes: &[Node], outer: Option<u32>, in_unsafe_fn: bool, in_contract: bool) {
+        let contracts = self.contracts;
+        let names_contract = |header: &[Node]| {
+            let named = |n: &Node| n.ident().is_some_and(|id| contracts.contains(id));
+            header.iter().any(named)
+        };
+        // the item header from `nodes[i]` up to its body or `;`
+        let header = |i: usize| {
+            let ends = |n: &Node| n.is_punct(';') || n.group_with('{').is_some();
+            let len = nodes[i..].iter().position(ends);
+            &nodes[i..len.map_or(nodes.len(), |len| i + len)]
+        };
+        // whether the next brace group is such a body
+        let (mut unsafe_fn_body, mut contract_body) = (false, false);
+        let mut stmt = outer;
+        for (i, node) in nodes.iter().enumerate() {
+            let start = *stmt.get_or_insert(node.line());
+            if node.is_ident("trait") || node.is_ident("impl") {
+                contract_body = names_contract(header(i));
+            }
+            if node.is_ident("unsafe") {
+                let line = node.line();
+                let argued = |needles: &[&str]| {
+                    commented(self.lines, line, needles) || commented(self.lines, start, needles)
+                };
+                let next = nodes.get(i + 1);
+                let what = if next.is_some_and(|n| n.group_with('{').is_some()) {
+                    (!in_unsafe_fn && !argued(&["SAFETY:"])).then_some("block")
+                } else if next.is_some_and(|n| n.is_ident("impl")) {
+                    (!argued(&["SAFETY:"])).then_some("impl")
+                } else if next.is_some_and(|n| n.is_ident("fn"))
+                    && nodes.get(i + 2).is_some_and(|n| n.ident().is_some())
+                {
+                    unsafe_fn_body = true;
+                    let signature = header(i).split(|n| n.group_with('(').is_some()).next();
+                    let inherited = in_contract || signature.is_some_and(names_contract);
+                    (!inherited && !argued(&["# Safety", "SAFETY:"])).then_some("fn")
+                } else {
+                    None // `unsafe fn(..)` pointer types, `#[unsafe(..)]`
+                };
+                if let Some(what) = what {
+                    self.out.push(Violation::new(
+                        RULE_UNSAFE_SAFETY,
+                        line,
+                        format!(
+                            "unsafe {what} without its argument — say why it is sound in a \
+                             `// SAFETY:` comment directly above (an `unsafe fn` states what \
+                             its caller must guarantee under `# Safety`)"
+                        ),
+                    ));
+                }
+            }
+            let block = node.group_with('{').is_some();
+            if let Node::Group(g) = node {
+                let in_fn = in_unsafe_fn || (block && std::mem::take(&mut unsafe_fn_body));
+                let in_ct = in_contract || (block && std::mem::take(&mut contract_body));
+                let outer = (!block).then_some(start);
+                self.list(&g.children, outer, in_fn, in_ct);
+            }
+            if outer.is_none() && (block || node.is_punct(';') || node.is_punct(',')) {
+                stmt = None;
+            }
+            if node.is_punct(';') {
+                (unsafe_fn_body, contract_body) = (false, false);
+            }
+        }
+    }
 }
 
 /// Extracts the `pub const NAME` declarations from the registry module

@@ -227,6 +227,41 @@ fn unordered_iteration_fixture_fires_and_respects_allows() {
 }
 
 #[test]
+fn unsafe_fixture_is_caught_unless_argued_or_under_a_stated_contract() {
+    let fixture = fixture("unsafe_safety.rs");
+    for rel in [
+        "crates/collectives/src/group/plane.rs",
+        "shims/rand/src/lib.rs",
+    ] {
+        assert_eq!(
+            keyed(&check_file(rel, &fixture)),
+            [
+                ("unsafe-needs-safety", 5),  // unsafe impl, no comment
+                ("unsafe-needs-safety", 11), // bare block
+                ("unsafe-needs-safety", 25), // second statement: the comment above the first does not reach
+                ("unsafe-needs-safety", 29), // unsafe fn without `# Safety`
+                ("unsafe-needs-safety", 64), // method of a trait that states no contract
+                ("unsafe-needs-safety", 77), // test code is not exempt
+            ],
+            "{rel}"
+        );
+    }
+    // library source only: tests, benches and examples are out of scope
+    for rel in [
+        "crates/tensor/tests/pool.rs",
+        "crates/bench/benches/harness.rs",
+        "examples/demo.rs",
+    ] {
+        assert!(
+            !check_file(rel, &fixture)
+                .iter()
+                .any(|v| v.rule == "unsafe-needs-safety"),
+            "{rel}"
+        );
+    }
+}
+
+#[test]
 fn float_accum_fixture_fires_and_sorted_is_clean() {
     let violations = check_file("crates/models/src/health.rs", &fixture("float_accum.rs"));
     assert_eq!(

@@ -11,7 +11,8 @@
 //!   per rank fits with `β > 0` and `r² ≥ 0.9`, and the largest payload
 //!   costs more than the smallest (the floor was 0.5 while every call
 //!   page-faulted its payload copies in: 0.36–0.92 over three runs then,
-//!   0.92–0.9996 over thirteen with the staging recycled);
+//!   0.92–0.9996 over thirteen with the staging recycled, 0.967–0.996
+//!   over six with nothing staged at all — 16 MiB leaves the cache);
 //! * **the GEMM is linear in FLOPs** — a square-GEMM sweep fits with
 //!   `β > 0` and `r² ≥ 0.9`, and the largest GEMM costs more than the
 //!   smallest.

@@ -16,25 +16,30 @@
 //!
 //! # Buffers: who owns what
 //!
-//! The rendezvous allocates nothing once a group has seen an op of each
-//! size. Every member has a **staging slot** owned by the group
-//! (`OpState::inputs`) that persists across ops: a deposit is `clear` +
-//! `extend_from_slice` into it, and a flag — not the slot's contents —
-//! says whether it holds a live deposit. That is why staging survives
-//! [`GroupComm::withdraw`]: an error exit lowers the flag and leaves the
-//! slot (and its capacity) for the retry. The last arriver sums a
-//! reduction **once** into the group's `reduced` buffer; nothing else is
-//! computed under the lock. Each member then copies its own result
-//! straight out of the staged inputs (or `reduced`) into the buffer its
-//! caller provided — the `recv` of the `*_into` forms, or the payload
-//! slice itself for the in-place ops — so a caller that passes the same
-//! `recv` every step reuses one allocation forever. Staged payloads stay
-//! readable until the last member has drained, because the next round
-//! cannot open before.
+//! Nothing is staged: each byte moves once, outside the lock. This file
+//! is the **control plane** — gates, op-stream stamps, deadlines,
+//! `withdraw` / `settle_drain`, fences, poison; [`plane`] is the **data
+//! plane**. A deposit *publishes a view* — pointer and length — of the
+//! caller's own send buffer. Once every member has arrived the round is
+//! opened; each member **claims** it under the lock, drops the lock,
+//! writes its own result straight from its peers' views into its
+//! caller's buffer, and **releases**. AllReduce folds *slices* of the
+//! group-owned `reduced`, handed to whichever members are awake so a slow
+//! waker holds nobody up; members copy `reduced` out and leave, and it
+//! drains lazily — the next round waits out the stragglers' copies.
+//!
+//! **The borrow rule.** *A view is dereferenced only between a member's
+//! claim of a completed round and its release. The view's owner does not
+//! return from its call — `Ok`, `Err`, written off while it slept, or
+//! unwinding — while a claim that can read the view is outstanding or
+//! can still be made* ([`GroupComm::exit`]; an error exit while the round
+//! still collects retracts the view under the lock, when nobody can be
+//! reading). `reduced` is resized only when a round opens, which the
+//! same rule puts after every earlier claim's release.
 //!
 //! A one-rank group (every unsharded ESP group) has nobody to meet: it
 //! passes the same fault gates, advances the same op stream and records
-//! the same span, but moves the payload with one copy and no staging.
+//! the same span, but moves the payload with one copy and no rendezvous.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,12 +51,43 @@ use crate::fault::FaultAction;
 use crate::world::WorldCtrl;
 use crate::{CommError, Result};
 
+mod plane;
+use plane::{Member, Plane};
+
 /// How often waiting ranks re-check world fault state (dead ranks,
 /// poisoning, membership fences) even without a notification. Bounds the
 /// detection latency for ranks blocked on *other* groups than the one a
 /// fault hit.
 // lint: allow(deadline-literals) — poll cadence for fault re-checks, not an op budget
 pub(crate) const FAULT_POLL: Duration = Duration::from_millis(25);
+
+/// How long a wait polls — lock released, `yield_now` (ranks may
+/// outnumber cores), re-check — before it parks in the condvar, whose
+/// wake-up costs tens of microseconds: a zero-copy round has two waits,
+/// arrival and release. Changes when a rank wakes, never what it computes.
+// lint: allow(deadline-literals) — poll-before-park window of a wait, not an op budget
+const POLL: Duration = Duration::from_micros(100);
+
+/// Adds `ns` of waiting to `carry_ns` and takes out the whole
+/// microseconds, keeping the remainder for the op's next wait — so waits
+/// shorter than 1 µs, which polling makes the common kind, still count.
+fn carry_us(carry_ns: &mut u64, ns: u64) -> u64 {
+    let total = *carry_ns + ns;
+    *carry_ns = total % 1_000;
+    total / 1_000
+}
+
+/// One op's waiting: its deadline (`None` once the round is complete),
+/// where the current wait's poll window ends (`None`: not begun), and
+/// the blocked time not yet reported.
+#[derive(Default)]
+struct Wait {
+    deadline: Option<Instant>,
+    poll_until: Option<Instant>,
+    carry_ns: u64,
+}
+
+type State<'a> = MutexGuard<'a, OpState>;
 
 /// Which collective the group is currently executing, used to detect SPMD
 /// violations (two ranks calling different collectives on one group) and
@@ -111,23 +147,6 @@ impl Io<'_> {
         }
     }
 
-    /// Stores the concatenation of `parts` as the result.
-    fn put<'p>(&mut self, parts: impl Iterator<Item = &'p [f32]>) {
-        match self {
-            Io::InPlace(data) => {
-                let mut filled = 0;
-                for part in parts {
-                    data[filled..filled + part.len()].copy_from_slice(part);
-                    filled += part.len();
-                }
-            }
-            Io::Into { recv, .. } => {
-                recv.clear();
-                parts.for_each(|part| recv.extend_from_slice(part));
-            }
-        }
-    }
-
     /// The result on a one-rank group, straight from the payload: itself,
     /// `v + 0.0` where the op sums (the group path starts its fold from
     /// zero, which turns `-0.0` into `+0.0`), or zeros when an injected
@@ -155,8 +174,7 @@ impl Io<'_> {
 enum Phase {
     /// Ranks are depositing inputs; `usize` counts arrivals.
     Collecting(usize),
-    /// The round is complete; members drain their results (`owed` goes
-    /// to `false`).
+    /// The round is complete; members claim, copy and release.
     Distributing,
 }
 
@@ -167,47 +185,13 @@ struct OpState {
     /// Op id of the current (or most recently opened) round. Monotone:
     /// a round is only ever claimed by a rank whose op id is ≥ it.
     round_id: u64,
-    /// One staging slot per member, kept (with its capacity) across ops.
-    inputs: Vec<Vec<f32>>,
-    /// Whether `inputs[i]` holds member `i`'s deposit for the open round.
+    /// Whether member `i` has published a view for the open round.
     deposited: Vec<bool>,
-    /// Element-wise sum of the deposits of a completed reducing round.
-    reduced: Vec<f32>,
-    /// Members that have not yet taken their result of a completed round.
-    owed: Vec<bool>,
+    /// Views, claims and the reduction of the round.
+    plane: Plane,
     /// Set when a member panicked mid-collective (or violated SPMD);
     /// permanent — the rendezvous state is indeterminate afterwards.
     poisoned: Option<usize>,
-}
-
-impl OpState {
-    /// Sums the deposits into `reduced`, folding from zero in group-index
-    /// order — the one reduction of the round.
-    fn reduce(&mut self) {
-        let len = self.inputs[0].len();
-        self.reduced.clear();
-        self.reduced.resize(len, 0.0);
-        for inp in &self.inputs {
-            for (s, v) in self.reduced.iter_mut().zip(inp) {
-                *s += v;
-            }
-        }
-    }
-
-    /// Copies member `index`'s result of the completed round `tag` out
-    /// of the staging into the caller's buffers.
-    fn deliver(&self, tag: OpTag, index: usize, io: &mut Io<'_>) {
-        let chunk = self.inputs[0].len() / self.inputs.len();
-        let mine = index * chunk..(index + 1) * chunk;
-        match tag {
-            OpTag::AllReduce => io.put(std::iter::once(&self.reduced[..])),
-            OpTag::ReduceScatter => io.put(std::iter::once(&self.reduced[mine])),
-            OpTag::AllGather => io.put(self.inputs.iter().map(Vec::as_slice)),
-            OpTag::AllToAll => io.put(self.inputs.iter().map(|inp| &inp[mine.clone()])),
-            OpTag::Broadcast(root) => io.put(std::iter::once(&self.inputs[root][..])),
-            OpTag::Barrier => {}
-        }
-    }
 }
 
 /// Process-global group-instance counter: every [`GroupInner`] gets a
@@ -248,10 +232,8 @@ impl GroupInner {
                 phase: Phase::Collecting(0),
                 tag: None,
                 round_id: 0,
-                inputs: vec![Vec::new(); n],
                 deposited: vec![false; n],
-                reduced: Vec::new(),
-                owed: vec![false; n],
+                plane: Plane::new(n),
                 poisoned: None,
             }),
             cond: Condvar::new(),
@@ -291,22 +273,19 @@ fn record_error_counters(err: &CommError) {
 }
 
 /// Poisons the group when the holder's thread unwinds mid-collective, so
-/// peers error out instead of waiting forever. Declared before the state
-/// guard, so during a panic the mutex is released first.
-struct PoisonOnPanic<'a> {
-    inner: &'a GroupInner,
-    rank: usize,
-}
+/// peers error out instead of waiting forever — on the unwinding member's
+/// claim included, which [`GroupComm::exit`] retires; the member itself
+/// stays until the claims that may be reading its view are released.
+/// Declared before the state guard, so during a panic the mutex is
+/// released first.
+struct PoisonOnPanic<'a>(&'a GroupComm);
 
 impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let mut st = self.inner.state.lock();
-            if st.poisoned.is_none() {
-                st.poisoned = Some(self.rank);
-            }
-            drop(st);
-            self.inner.cond.notify_all();
+            let mut st = self.0.inner.state.lock();
+            st.poisoned.get_or_insert(self.0.global_rank);
+            let _ = self.0.exit(st, &mut Wait::default(), Ok(()));
         }
     }
 }
@@ -402,24 +381,29 @@ impl GroupComm {
         self.inner.streams[self.index].load(Ordering::Relaxed)
     }
 
-    /// Blocks on the condvar for one bounded step (never longer than the
-    /// remaining deadline or the fault-poll interval). The time actually
-    /// spent blocked is accumulated into the world's per-rank
-    /// blocked-wait counter — the raw signal behind
-    /// [`crate::Communicator::blocked_wait_us`].
-    fn wait_step(&self, st: &mut MutexGuard<'_, OpState>, deadline: Option<Instant>) {
-        let dur = match deadline {
-            Some(d) => d.saturating_duration_since(Instant::now()).min(FAULT_POLL),
-            None => FAULT_POLL,
-        };
-        if dur.is_zero() {
-            return; // caller re-checks and reports the timeout
+    /// One step of a wait: a poll while the wait's [`POLL`] window lasts,
+    /// then a block on the condvar, never longer than the remaining
+    /// deadline or the fault-poll interval. Either way the time counts as
+    /// blocked ([`crate::Communicator::blocked_wait_us`]).
+    fn wait_step<'a>(&'a self, mut st: State<'a>, wait: &mut Wait) -> State<'a> {
+        let now = Instant::now();
+        if now < *wait.poll_until.get_or_insert(now + POLL) {
+            drop(st);
+            std::thread::yield_now();
+            st = self.inner.state.lock();
+        } else {
+            let left = wait.deadline.map(|d| d.saturating_duration_since(now));
+            let dur = left.map_or(FAULT_POLL, |left| left.min(FAULT_POLL));
+            if dur.is_zero() {
+                return st; // caller re-checks and reports the timeout
+            }
+            let _ = self.inner.cond.wait_for(&mut st, dur);
         }
-        let waited = Instant::now();
-        let _ = self.inner.cond.wait_for(st, dur);
-        self.inner
-            .ctrl
-            .add_blocked_wait(self.global_rank, waited.elapsed().as_micros() as u64);
+        let us = carry_us(&mut wait.carry_ns, now.elapsed().as_nanos() as u64);
+        if us > 0 {
+            self.inner.ctrl.add_blocked_wait(self.global_rank, us);
+        }
+        st
     }
 
     /// First group member that is dead world-wide and has not deposited
@@ -433,9 +417,10 @@ impl GroupComm {
             .map(|(_, &r)| r)
     }
 
-    /// Retracts this rank's deposit so an abandoned op leaves the group
-    /// reusable (retries re-enter a clean Collecting state). The staging
-    /// slot itself stays for the next deposit.
+    /// Retracts this rank's deposit — and with it its view, which nobody
+    /// can be reading while the round collects — so an abandoned op
+    /// leaves the group reusable (retries re-enter a clean Collecting
+    /// state).
     fn withdraw(&self, st: &mut OpState) {
         if let Phase::Collecting(c) = &mut st.phase {
             if std::mem::take(&mut st.deposited[self.index]) {
@@ -448,17 +433,18 @@ impl GroupComm {
     }
 
     /// Writes off results owed to dead ranks and, if the drain is
-    /// complete, resets the group for the next collective.
+    /// complete — nothing owed, no claim outstanding — resets the group
+    /// for the next collective.
     fn settle_drain(&self, st: &mut OpState) {
         if !matches!(st.phase, Phase::Distributing) {
             return;
         }
         for (i, &r) in self.inner.ranks.iter().enumerate() {
-            if self.inner.ctrl.is_dead(r) {
-                st.owed[i] = false;
+            if st.plane.member(i) == Member::Owed && self.inner.ctrl.is_dead(r) {
+                st.plane.retire(i);
             }
         }
-        if !st.owed.contains(&true) {
+        if st.plane.drained() {
             st.phase = Phase::Collecting(0);
             st.tag = None;
             self.inner.cond.notify_all();
@@ -467,24 +453,12 @@ impl GroupComm {
 
     /// Global ranks the caller is still waiting on.
     fn waiting_on(&self, st: &OpState) -> Vec<usize> {
-        match st.phase {
-            Phase::Collecting(_) => self
-                .inner
-                .ranks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !st.deposited[i] && i != self.index)
-                .map(|(_, &r)| r)
-                .collect(),
-            Phase::Distributing => self
-                .inner
-                .ranks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| st.owed[i])
-                .map(|(_, &r)| r)
-                .collect(),
-        }
+        let stuck = |i: usize| match st.phase {
+            Phase::Collecting(_) => !st.deposited[i] && i != self.index,
+            Phase::Distributing => st.plane.member(i) != Member::Idle,
+        };
+        let ranks = self.inner.ranks.iter().enumerate();
+        ranks.filter(|&(i, _)| stuck(i)).map(|(_, &r)| r).collect()
     }
 
     /// [`GroupComm::run_inner`] wrapped in fault injection and
@@ -609,10 +583,33 @@ impl GroupComm {
         Ok(false)
     }
 
-    /// The core rendezvous: deposit the payload of `io` (zeros when
-    /// `dropped`) into this rank's staging slot, wait for all members —
-    /// the last arrival checks the lengths and sums a reduction — then
-    /// copy this rank's result out into `io`.
+    /// How every member that has deposited leaves: the owner's half of
+    /// the borrow rule. While the round collects (error exits only) the
+    /// deposit is withdrawn — nobody can be reading yet. Out of a
+    /// completed round the member gives up what it has not claimed and
+    /// stays, writing off the dead, until no claim can read its view;
+    /// no deadline applies, for it waits on peers' copies and wake-ups,
+    /// never on an arrival.
+    fn exit<'a>(&'a self, mut st: State<'a>, wait: &mut Wait, result: Result<()>) -> Result<()> {
+        self.withdraw(&mut st);
+        st.plane.retire(self.index);
+        (wait.deadline, wait.poll_until) = (None, None);
+        loop {
+            self.settle_drain(&mut st);
+            if !st.plane.views_in_use(st.poisoned.is_some()) {
+                break;
+            }
+            st = self.wait_step(st, wait);
+        }
+        drop(st);
+        self.inner.cond.notify_all();
+        result
+    }
+
+    /// The core rendezvous: publish a view of `io`'s payload (zeros when
+    /// `dropped`), wait for all members — the last arrival opens the
+    /// round — then claim it, write this rank's result into `io` outside
+    /// the lock, release, and [`GroupComm::exit`].
     ///
     /// # Errors
     ///
@@ -654,10 +651,17 @@ impl GroupComm {
         let started = Instant::now();
         let deadline = budget.map(|d| started + d);
         let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
+        let timeout = |waiting_on| CommError::Timeout {
+            op,
+            waiting_on,
+            deadline: budget.unwrap_or_default(),
+            elapsed: started.elapsed(),
+        };
         let n = self.size();
-        let _poison_guard = PoisonOnPanic {
-            inner: &self.inner,
-            rank: self.global_rank,
+        let _poison_guard = PoisonOnPanic(self);
+        let mut wait = Wait {
+            deadline,
+            ..Wait::default()
         };
         let mut st = self.inner.state.lock();
 
@@ -675,15 +679,9 @@ impl GroupComm {
                 break;
             }
             if expired(deadline) {
-                let waiting_on = self.waiting_on(&st);
-                return Err(CommError::Timeout {
-                    op,
-                    waiting_on,
-                    deadline: budget.unwrap_or_default(),
-                    elapsed: started.elapsed(),
-                });
+                return Err(timeout(self.waiting_on(&st)));
             }
-            self.wait_step(&mut st, deadline);
+            st = self.wait_step(st, &mut wait);
         }
 
         // Op-stream check: deposits from different logical collectives
@@ -726,13 +724,7 @@ impl GroupComm {
             }
         }
 
-        let slot = &mut st.inputs[self.index];
-        slot.clear();
-        if dropped {
-            slot.resize(io.send().len(), 0.0);
-        } else {
-            slot.extend_from_slice(io.send());
-        }
+        st.plane.publish(self.index, io.send(), dropped);
         st.deposited[self.index] = true;
         let arrived = match &mut st.phase {
             Phase::Collecting(c) => {
@@ -743,21 +735,18 @@ impl GroupComm {
         };
 
         if arrived == n {
-            if !matches!(tag, OpTag::AllGather) {
-                let len = st.inputs[0].len();
-                for inp in &st.inputs {
-                    assert_eq!(inp.len(), len, "{op} buffers must match in length");
-                }
-            }
-            if tag.reduces() {
-                st.reduce();
-            }
+            st.plane.open(tag);
             st.deposited.fill(false);
-            st.owed.fill(true);
             st.phase = Phase::Distributing;
             self.inner.cond.notify_all();
         } else {
+            wait.poll_until = None;
             loop {
+                // Poison grants no new claim — the unwinding member
+                // leaves once the outstanding ones are released.
+                if let Some(rank) = st.poisoned {
+                    return self.exit(st, &mut wait, Err(CommError::Poisoned { rank }));
+                }
                 // A completed exchange always wins: once the round is
                 // complete and our result is waiting, a fence or death
                 // verdict observed afterwards belongs to a *later* op.
@@ -765,69 +754,79 @@ impl GroupComm {
                 // recorded as a world-wide success — a live eviction
                 // racing the victim's wake-up from its final collective
                 // would leave the op's key with a missing participant.
-                if matches!(st.phase, Phase::Distributing) && st.owed[self.index] {
+                if st.plane.member(self.index) == Member::Owed {
                     break;
                 }
-                if let Some(rank) = st.poisoned {
-                    self.withdraw(&mut st);
-                    return Err(CommError::Poisoned { rank });
-                }
                 if let Some(err) = ctrl.reconfig_error() {
-                    self.withdraw(&mut st);
-                    self.inner.cond.notify_all();
-                    return Err(err);
+                    return self.exit(st, &mut wait, Err(err));
                 }
                 if st.round_id != my_id {
                     // A peer that had already skipped our op flushed this
                     // round (our deposit is gone) and claimed the group
                     // for a later collective.
-                    self.withdraw(&mut st);
-                    return Err(CommError::Abandoned {
+                    let err = CommError::Abandoned {
                         op,
                         op_id: my_id,
                         stream_id: st.round_id,
-                    });
+                    };
+                    return self.exit(st, &mut wait, Err(err));
                 }
-                if !matches!(st.phase, Phase::Collecting(_)) {
-                    break;
+                if matches!(st.phase, Phase::Distributing) {
+                    // The round completed but our result is already
+                    // written off: only `settle_drain` does that, and only
+                    // for ranks the fleet marked dead — this rank was
+                    // evicted while it slept and a peer drained on its
+                    // behalf. Too late to claim the result; exit with the
+                    // verdict once nobody reads our view.
+                    let rank = self.global_rank;
+                    return self.exit(st, &mut wait, Err(CommError::RankDown { rank }));
                 }
                 if let Some(rank) = self.blocking_dead_member(&st) {
-                    self.withdraw(&mut st);
-                    self.inner.cond.notify_all();
-                    return Err(CommError::RankDown { rank });
+                    return self.exit(st, &mut wait, Err(CommError::RankDown { rank }));
                 }
                 if expired(deadline) {
-                    let waiting_on = self.waiting_on(&st);
-                    self.withdraw(&mut st);
-                    self.inner.cond.notify_all();
-                    return Err(CommError::Timeout {
-                        op,
-                        waiting_on,
-                        deadline: budget.unwrap_or_default(),
-                        elapsed: started.elapsed(),
-                    });
+                    let err = timeout(self.waiting_on(&st));
+                    return self.exit(st, &mut wait, Err(err));
                 }
-                self.wait_step(&mut st, deadline);
+                st = self.wait_step(st, &mut wait);
             }
         }
 
-        if !std::mem::take(&mut st.owed[self.index]) {
-            // Distribution is underway but our result is already written
-            // off: only `settle_drain` does that, and only for ranks the
-            // fleet marked dead — this rank was evicted while it slept
-            // and a peer drained on its behalf. Too late to claim the
-            // result; exit with the verdict.
-            self.settle_drain(&mut st);
-            self.inner.cond.notify_all();
-            return Err(CommError::RankDown {
-                rank: self.global_rank,
-            });
+        // SAFETY: the round is open and owes us — we opened it, or broke
+        // out of the wait on exactly that, and have held the lock since —
+        // and every exit of every member that published a view (`exit`,
+        // also `PoisonOnPanic`'s) waits out `views_in_use` before it
+        // returns: the claim/release rule.
+        let claim = unsafe { st.plane.claim(self.index) };
+        if matches!(tag, OpTag::AllReduce) {
+            // Fold slices until none is free, then wait — for peers'
+            // folds, not arrivals — until `reduced` is whole.
+            (wait.deadline, wait.poll_until) = (None, None);
+            while !st.plane.folded() {
+                if let Some(slice) = st.plane.take_slice() {
+                    drop(st);
+                    claim.fold_slice(&slice);
+                    st = self.inner.state.lock();
+                    if st.plane.finish_slice(slice) {
+                        self.inner.cond.notify_all();
+                    }
+                } else if let Some(rank) = st.poisoned {
+                    st.plane.release(claim);
+                    return self.exit(st, &mut wait, Err(CommError::Poisoned { rank }));
+                } else {
+                    st = self.wait_step(st, &mut wait);
+                }
+            }
         }
-        st.deliver(tag, self.index, io);
-        self.settle_drain(&mut st);
+        drop(st);
+        // SAFETY: an AllReduce left the loop above on `folded()`, checked
+        // under the lock, and this claim is not yet released.
+        unsafe { claim.deliver(tag, io, dropped) };
+        st = self.inner.state.lock();
+        st.plane.release(claim);
         // The op completed for this rank: advance its stream position.
         self.inner.streams[self.index].store(my_id + 1, Ordering::Relaxed);
-        Ok(())
+        self.exit(st, &mut wait, Ok(()))
     }
 
     /// Element-wise sum across the group; every rank ends with the total.
@@ -967,5 +966,23 @@ impl GroupComm {
     /// [`CommError::RankDown`], [`CommError::Poisoned`]).
     pub fn barrier(&self) -> Result<()> {
         self.run(OpTag::Barrier, Io::InPlace(&mut []))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::carry_us;
+
+    #[test]
+    fn blocked_wait_carries_the_sub_microsecond_remainder_across_waits() {
+        let mut carry = 0;
+        // 4 × 300 ns: the per-wake truncation this replaces reported 0
+        let reported: Vec<u64> = (0..4).map(|_| carry_us(&mut carry, 300)).collect();
+        assert_eq!(reported, [0, 0, 0, 1]);
+        assert_eq!(carry, 200);
+        assert_eq!(carry_us(&mut carry, 2_799), 2, "200 + 2 799 ns");
+        assert_eq!(carry, 999);
+        assert_eq!(carry_us(&mut carry, 1), 1);
+        assert_eq!((carry_us(&mut carry, 0), carry), (0, 0));
     }
 }

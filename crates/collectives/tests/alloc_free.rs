@@ -1,10 +1,10 @@
 //! The rendezvous allocates nothing once warm: after the first call of
 //! each size, every `*_into` collective (and the in-place `all_reduce`)
-//! runs in the group's staging slots and the caller's `recv` — a count
-//! from a counting allocator, not a time. And the staging that makes
-//! that possible must not cost the fault semantics anything: a deposit
-//! withdrawn on `Timeout` and a round flushed after `skip_op` leave
-//! slots that serve the next op with the right payloads.
+//! reads its peers' published views and writes the caller's `recv` — a
+//! count from a counting allocator, not a time. And publishing views
+//! instead of staging copies must not cost the fault semantics anything:
+//! a deposit withdrawn on `Timeout` and a round flushed after `skip_op`
+//! leave nothing of the failed attempt behind for the next op to read.
 
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ fn warmed_into_calls_allocate_nothing_on_1_2_and_4_ranks() {
                 total.fill(1.0);
                 g.all_reduce(total).unwrap();
             };
-            // the first round sizes the staging slots and every `recv`
+            // the first round sizes `reduced` and every `recv`
             round(&mut total);
             let ((), allocations, _) = counting_alloc::count(|| {
                 for _ in 0..5 {
@@ -77,10 +77,13 @@ fn warmed_into_calls_allocate_nothing_on_1_2_and_4_ranks() {
 #[test]
 fn a_timed_out_deposit_is_withdrawn_and_its_slot_serves_the_retry() {
     let _doctor = parking_lot::lock_doctor::check_guard();
-    // Op 0 warms the staging. At op 1 rank 1 straggles past rank 0's
-    // deadline: rank 0 times out, withdraws, and re-enters with the same
-    // `send` and `recv`; the straggler joins a retry and both sides end
-    // with the exchange of *this* op, not leftovers of op 0.
+    // At op 1 rank 1 straggles past rank 0's deadline: rank 0 times out,
+    // withdraws its view, and re-enters with the same `recv` and a `send`
+    // it has **mutated between the attempts** — the payload it first
+    // published is gone. The straggler joins a retry and must read the
+    // payload of the attempt that completed. (With a copy staged at the
+    // first attempt this assertion could only fail if the stale copy were
+    // served; with views, it fails if a withdrawn view is ever read.)
     let world = CommWorld::new(2)
         .with_deadline(Duration::from_millis(150))
         .with_faults(FaultInjector::new().delay(1, 1, Duration::from_millis(300)));
@@ -91,33 +94,44 @@ fn a_timed_out_deposit_is_withdrawn_and_its_slot_serves_the_retry() {
         g.all_to_all_into(&vec![-1.0; 2 * CHUNK], &mut recv)
             .unwrap();
         let warm = recv.clone();
-        let send = payload(rank, 2);
+        // attempt `t` sends the payload shifted by `t`
+        let attempt = |t: usize| payload(rank, 2).iter().map(|v| v + t as f32).collect();
+        let mut send: Vec<f32> = attempt(0);
         let mut timeouts = 0;
         loop {
             match g.all_to_all_into(&send, &mut recv) {
-                Ok(()) => return (timeouts, recv == transposed(rank, 2)),
+                Ok(()) => return (timeouts, recv),
                 Err(CommError::Timeout { .. }) if timeouts < 10 => {
                     assert_eq!(recv, warm, "a failed op leaves `recv` alone");
                     timeouts += 1;
+                    send = attempt(timeouts);
                 }
                 Err(e) => panic!("unexpected error: {e:?}"),
             }
         }
     });
-    assert!(results[0].0 >= 1, "rank 0 must have timed out and retried");
-    for (rank, (_, exchanged)) in results.iter().enumerate() {
-        assert!(exchanged, "rank {rank}: retry delivered the wrong payload");
+    let retries = results[0].0;
+    assert!(retries >= 1, "rank 0 must have timed out and retried");
+    assert_eq!(results[1].0, 0, "the straggler's first attempt completes");
+    for (rank, (_, recv)) in results.iter().enumerate() {
+        // chunk 0 came from rank 0's last attempt, chunk 1 from rank 1's only one
+        let mut want = transposed(rank, 2);
+        want[..CHUNK].iter_mut().for_each(|v| *v += retries as f32);
+        assert_eq!(
+            recv, &want,
+            "rank {rank}: the retry read a withdrawn payload"
+        );
     }
 }
 
 #[test]
 fn a_skipped_op_is_abandoned_and_the_flushed_slots_serve_the_next_op() {
     let _doctor = parking_lot::lock_doctor::check_guard();
-    // Op 0 warms the staging. Rank 1 straggles past rank 0's patience on
-    // op A; rank 0 skips A and opens op B on the same slots. Rank 1's
-    // late deposit for A must come back `Abandoned` — and once it skips
-    // too, B must exchange B's payloads, with nothing of A left in the
-    // reused slots.
+    // Rank 1 straggles past rank 0's patience on op A; rank 0 skips A
+    // and opens op B on the same group. Rank 1's late deposit for A must
+    // come back `Abandoned` — a flushed round's sleepers get that, never
+    // a result — and once it skips too, B must exchange B's payloads,
+    // with no view of A left for anyone to read.
     let world = CommWorld::new(2)
         .with_deadline(Duration::from_millis(100))
         .with_faults(FaultInjector::new().delay(1, 1, Duration::from_millis(500)));
