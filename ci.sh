@@ -130,6 +130,18 @@ if ! diff -u results/schedule_report.json target/schedule_report.json; then
     exit 1
 fi
 
+echo "==> figures golden: the nine deterministic experiment binaries"
+# Modeled numbers are pinned to the last digit (table6_gating and
+# fig5_perfmodel time this machine and stay out).
+cargo build --release -q -p bench --bins && mkdir -p target/figures
+for fig in ablations dispatch_algos fig3_timeline fig4_cases fig6_models fig7_scaling fig8_pp table2 table5; do
+    "target/release/$fig" > "target/figures/$fig.txt"
+    if ! diff -u "results/$fig.txt" "target/figures/$fig.txt"; then
+        echo "re-bless with: cargo run --release -p bench --bin $fig > results/$fig.txt" >&2
+        exit 1
+    fi
+done
+
 echo "==> conformance: chaos suite under the lock doctor"
 # Re-run the fault-injection suites with lock-order tracking armed.
 # Every test holds a check_guard, so any potential-deadlock cycle or

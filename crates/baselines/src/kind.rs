@@ -54,30 +54,6 @@ impl ScheduleKind {
         }
     }
 
-    /// Whether intra-node collectives get their own stream (the
-    /// inter/intra overlap of §4) — FSMoE only.
-    pub fn separate_intra_stream(self) -> bool {
-        matches!(self, ScheduleKind::FsMoe)
-    }
-
-    /// Whether the schedule overlaps Gradient-AllReduce pieces inside
-    /// MoE layers (vs. only with dense parts, or not at all).
-    pub fn overlaps_gar_in_moe(self) -> bool {
-        matches!(
-            self,
-            ScheduleKind::PipeMoeLina | ScheduleKind::FsMoeNoIio | ScheduleKind::FsMoe
-        )
-    }
-
-    /// Whether the schedule overlaps Gradient-AllReduce with the dense
-    /// (non-MoE) backward parts.
-    pub fn overlaps_gar_with_dense(self) -> bool {
-        !matches!(
-            self,
-            ScheduleKind::DsMoe | ScheduleKind::Tutel | ScheduleKind::FasterMoe
-        )
-    }
-
     /// Selects this schedule's pipeline degree for one MoE layer.
     ///
     /// * DS-MoE runs sequentially (`r = 1`).
@@ -163,19 +139,7 @@ mod tests {
         for cfg in [model(1e5, 1e12, 0.0), model(5e7, 1e6, 0.0)] {
             assert_eq!(ScheduleKind::FasterMoe.pipeline_degree(&cfg), 2);
         }
-        assert!(!ScheduleKind::FasterMoe.overlaps_gar_in_moe());
-        assert!(!ScheduleKind::FasterMoe.overlaps_gar_with_dense());
         assert_eq!(ScheduleKind::FasterMoe.name(), "FasterMoE");
-    }
-
-    #[test]
-    fn capability_flags() {
-        assert!(!ScheduleKind::Tutel.separate_intra_stream());
-        assert!(ScheduleKind::FsMoe.separate_intra_stream());
-        assert!(!ScheduleKind::TutelImproved.overlaps_gar_in_moe());
-        assert!(ScheduleKind::PipeMoeLina.overlaps_gar_in_moe());
-        assert!(!ScheduleKind::DsMoe.overlaps_gar_with_dense());
-        assert!(ScheduleKind::TutelImproved.overlaps_gar_with_dense());
     }
 
     #[test]

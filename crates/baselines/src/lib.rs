@@ -1,8 +1,10 @@
 //! Baseline MoE training schedules.
 //!
 //! The paper evaluates FSMoE against five alternative schedules; each is
-//! reimplemented here as a lowering onto the same `simnet` task-graph IR
-//! so the experiments compare *schedules*, not implementations:
+//! a pipeline-degree rule plus one of `scheduler::moe_layer`'s two issue
+//! orders, lowered by the scheduler's one `lower`
+//! ([`ScheduleKind::lower_layer`]), so the experiments compare
+//! *schedules*, not implementations:
 //!
 //! | Schedule | pipeline degree | intra comm placement | Gradient-AllReduce |
 //! |---|---|---|---|
@@ -24,7 +26,7 @@ mod kind;
 mod lower;
 
 pub use kind::ScheduleKind;
-pub use lower::{lower_moe_layer, simulate_layer};
+pub use lower::simulate_layer;
 
 /// Lina's fixed gradient-bucket size: 30 MB (paper §6.4).
 pub const LINA_CHUNK_BYTES: f64 = 30.0 * 1024.0 * 1024.0;

@@ -1,82 +1,58 @@
-//! Lowering each schedule to the common task-graph IR.
+//! Each schedule's description of one MoE layer, lowered through the
+//! scheduler's one `lower`.
 
-use scheduler::{lower_fsmoe_schedule, LoweredSchedule, MoePerfModel, StreamSet};
-use simnet::{Engine, TaskGraph};
+use scheduler::{lower, moe_layer, MoePerfModel, StreamSet};
+use simnet::{Engine, TaskGraph, TaskId};
 
 use crate::ScheduleKind;
 
-/// Lowers one MoE layer under `kind`'s schedule.
-///
-/// * **FSMoE** uses the three-stream lowering of the `scheduler` crate:
-///   AlltoAll on the inter-node link, AllGather/ReduceScatter on the
-///   intra-node link, experts on the compute stream — all three overlap.
-/// * **Every baseline** uses PipeMoE's two-resource model, which is how
-///   Tutel actually schedules ESP runs (and what the paper's Fig. 3b/3c
-///   contrast targets): the chunk's AllGather → expert → ReduceScatter
-///   sequence is one fused "computation" block overlapped only against
-///   the AlltoAlls. The intra-node collectives therefore serialise with
-///   the expert computation — the exact inter/intra overlap FSMoE adds
-///   is absent.
-/// * `gar_times` are Gradient-AllReduce pieces this layer must issue on
-///   the inter-node link, behind the dispatches (placement across layers
-///   is the caller's policy).
-///
-/// # Panics
-///
-/// Panics when `r == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn lower_moe_layer(
-    kind: ScheduleKind,
-    graph: &mut TaskGraph,
-    streams: &StreamSet,
-    m: &MoePerfModel,
-    r: u32,
-    gar_times: &[f64],
-    deps: &[simnet::TaskId],
-    label: &str,
-) -> LoweredSchedule {
-    if kind.separate_intra_stream() {
-        return lower_fsmoe_schedule(graph, streams, m, r, gar_times, deps, label);
-    }
-    assert!(r >= 1, "pipeline degree must be at least 1");
-    let (mut t_a2a, t_ag, t_rs, t_exp) = (m.t_a2a(r), m.t_ag(r), m.t_rs(r), m.t_exp(r));
-    if kind == ScheduleKind::DsMoe {
+impl ScheduleKind {
+    /// Lowers one MoE layer under this schedule and returns its last
+    /// combine — what the next layer waits for.
+    ///
+    /// * **FSMoE** issues `moe_layer`'s three-stream order: AlltoAll on
+    ///   the inter-node link, AllGather/ReduceScatter on the intra-node
+    ///   link, experts on the compute stream — all three overlap.
+    /// * **Every baseline** issues PipeMoE's two-resource order, which is
+    ///   how Tutel actually schedules ESP runs (and what the paper's
+    ///   Fig. 3b/3c contrast targets): the chunk's AllGather → expert →
+    ///   ReduceScatter sequence is one fused "computation" block
+    ///   overlapped only against the AlltoAlls. The intra-node
+    ///   collectives therefore serialise with the expert computation —
+    ///   the exact inter/intra overlap FSMoE adds is absent.
+    /// * `gar_times` are Gradient-AllReduce pieces this layer must issue
+    ///   on the inter-node link, behind the dispatches (placement across
+    ///   layers is the caller's policy). Nothing downstream
+    ///   data-depends on them — they only contend for the link, and the
+    ///   simulator's makespan still accounts for a straggling piece.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r == 0`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn lower_layer(
+        self,
+        graph: &mut TaskGraph,
+        streams: &StreamSet,
+        m: &MoePerfModel,
+        r: u32,
+        gar_times: &[f64],
+        deps: &[TaskId],
+        label: &str,
+    ) -> TaskId {
         // DeepSpeed-MoE always routes through its 2DH hierarchical
         // AlltoAll; on the node-aligned topology its intra-node phase
         // re-moves the full buffer and serialises on the same blocking
         // queue, so each AlltoAll also pays an intra-node pass.
-        t_a2a += m.ag.time_chunked(m.n_a2a, r);
-    }
-    let block = t_ag + t_exp + t_rs;
-    let n = r as usize;
-
-    let mut dispatches = Vec::with_capacity(n);
-    let mut experts = Vec::with_capacity(n);
-    for i in 0..n {
-        let d = graph.add_task(format!("{label}.D{i}"), streams.inter, t_a2a, deps);
-        // fused AG+expert+RS block on the compute stream
-        let e = graph.add_task(format!("{label}.B{i}"), streams.compute, block, &[d]);
-        dispatches.push(d);
-        experts.push(e);
-    }
-    let gar: Vec<simnet::TaskId> = gar_times
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| graph.add_task(format!("{label}.GAR{i}"), streams.inter, t, deps))
-        .collect();
-    let combines: Vec<simnet::TaskId> = (0..n)
-        .map(|i| graph.add_task(format!("{label}.C{i}"), streams.inter, t_a2a, &[experts[i]]))
-        .collect();
-
-    // GAR pieces stay out of `outputs` (stream contention only — no
-    // data dependency; see the scheduler crate's lowering).
-    let outputs = vec![*combines.last().expect("r >= 1")];
-    LoweredSchedule {
-        dispatches,
-        experts,
-        combines,
-        gar,
-        outputs,
+        let a2a_extra = match self {
+            ScheduleKind::DsMoe => m.ag.time_chunked(m.n_a2a, r),
+            _ => 0.0,
+        };
+        let ops = moe_layer(self == ScheduleKind::FsMoe, r, gar_times.len());
+        let ms = m.op_ms(r, a2a_extra, gar_times);
+        *lower(&ops, graph, streams, ms, deps, label)
+            .last()
+            .expect("a layer ends with its last combine")
     }
 }
 
@@ -84,7 +60,7 @@ pub fn lower_moe_layer(
 pub fn simulate_layer(kind: ScheduleKind, m: &MoePerfModel, r: u32, gar_times: &[f64]) -> f64 {
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let _ = lower_moe_layer(kind, &mut graph, &streams, m, r, gar_times, &[], "moe");
+    let _ = kind.lower_layer(&mut graph, &streams, m, r, gar_times, &[], "moe");
     Engine::new()
         .simulate(&graph)
         .expect("builder-constructed graphs always simulate")
@@ -188,11 +164,109 @@ mod tests {
 
     #[test]
     fn all_schedules_simulate_cleanly() {
+        // no deadlock under head-of-line issue order at any degree, and
+        // the inter-node link carries exactly the AlltoAlls and the pieces
         let m = model(4.0e6, 2.0e9, 1.0);
         for kind in ScheduleKind::ALL {
-            let r = kind.pipeline_degree(&m);
-            let t = simulate_layer(kind, &m, r, &[1.0]);
-            assert!(t.is_finite() && t > 0.0, "{kind}: {t}");
+            assert!(kind.pipeline_degree(&m) >= 1);
+            for r in 1..=16u32 {
+                for gar in [&[][..], &[1.0], &[1.0, 2.5]] {
+                    let mut graph = TaskGraph::new();
+                    let streams = StreamSet::add_to(&mut graph);
+                    let _ = kind.lower_layer(&mut graph, &streams, &m, r, gar, &[], "moe");
+                    let tl = Engine::new()
+                        .simulate(&graph)
+                        .unwrap_or_else(|e| panic!("{kind} r={r}: {e}"));
+                    let t = tl.makespan();
+                    assert!(t.is_finite() && t > 0.0, "{kind} r={r}: {t}");
+                    let mut t_a2a = m.t_a2a(r);
+                    if kind == ScheduleKind::DsMoe {
+                        t_a2a += m.ag.time_chunked(m.n_a2a, r);
+                    }
+                    let busy = 2.0 * f64::from(r) * t_a2a + gar.iter().sum::<f64>();
+                    assert!(
+                        (tl.busy_time(streams.inter) - busy).abs() < 1e-9,
+                        "{kind} r={r}: inter busy {} vs {busy}",
+                        tl.busy_time(streams.inter)
+                    );
+                }
+            }
         }
+    }
+
+    /// Asserts `(name, stream, dep names)` of every task of one gated
+    /// layer, in insertion order.
+    fn assert_structure(kind: ScheduleKind, r: u32, gar: &[f64], want: &[(&str, &str, &str)]) {
+        let mut graph = TaskGraph::new();
+        let streams = StreamSet::add_to(&mut graph);
+        let gate = graph.add_task("gate", streams.compute, 1.0, &[]);
+        let m = model(4.0e6, 2.0e9, 0.0);
+        let _ = kind.lower_layer(&mut graph, &streams, &m, r, gar, &[gate], "moe");
+        let name = |id: TaskId| graph.task(id).expect("own task").name.as_str();
+        let got: Vec<(&str, &str, String)> = graph.tasks()[1..]
+            .iter()
+            .map(|t| {
+                let deps: Vec<&str> = t.deps.iter().map(|&d| name(d)).collect();
+                let stream = graph.resource_name(t.resource).expect("own stream");
+                (t.name.as_str(), stream, deps.join(" "))
+            })
+            .collect();
+        let got: Vec<(&str, &str, &str)> = got.iter().map(|(n, s, d)| (*n, *s, &**d)).collect();
+        assert_eq!(got, want, "{kind} r={r}");
+    }
+
+    #[test]
+    fn lowered_structure_is_frozen() {
+        // recorded from the hand-wired builders of 08d5124 before they
+        // were deleted: `render_gantt` legends print these names, and
+        // per-stream issue order is insertion order
+        assert_structure(
+            ScheduleKind::FsMoe,
+            3,
+            &[1.0, 2.0],
+            &[
+                ("moe.D0", "inter", "gate"),
+                ("moe.D1", "inter", "gate"),
+                ("moe.D2", "inter", "gate"),
+                ("moe.GAR0", "inter", "gate"),
+                ("moe.GAR1", "inter", "gate"),
+                ("moe.AG0", "intra", "moe.D0"),
+                ("moe.E0", "compute", "moe.AG0"),
+                ("moe.AG1", "intra", "moe.D1"),
+                ("moe.E1", "compute", "moe.AG1"),
+                ("moe.RS0", "intra", "moe.E0"),
+                ("moe.AG2", "intra", "moe.D2"),
+                ("moe.E2", "compute", "moe.AG2"),
+                ("moe.RS1", "intra", "moe.E1"),
+                ("moe.RS2", "intra", "moe.E2"),
+                ("moe.C0", "inter", "moe.RS0"),
+                ("moe.C1", "inter", "moe.RS1"),
+                ("moe.C2", "inter", "moe.RS2"),
+            ],
+        );
+        assert_structure(
+            ScheduleKind::Tutel,
+            2,
+            &[1.0],
+            &[
+                ("moe.D0", "inter", "gate"),
+                ("moe.B0", "compute", "moe.D0"),
+                ("moe.D1", "inter", "gate"),
+                ("moe.B1", "compute", "moe.D1"),
+                ("moe.GAR0", "inter", "gate"),
+                ("moe.C0", "inter", "moe.B0"),
+                ("moe.C1", "inter", "moe.B1"),
+            ],
+        );
+        assert_structure(
+            ScheduleKind::DsMoe,
+            1,
+            &[],
+            &[
+                ("moe.D0", "inter", "gate"),
+                ("moe.B0", "compute", "moe.D0"),
+                ("moe.C0", "inter", "moe.B0"),
+            ],
+        );
     }
 }

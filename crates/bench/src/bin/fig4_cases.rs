@@ -3,7 +3,8 @@
 //!
 //! Regenerate with `cargo run --release -p bench --bin fig4_cases`.
 
-use scheduler::{lower_fsmoe_schedule, CaseId, MoePerfModel, Phase, Predicates, StreamSet};
+use baselines::ScheduleKind;
+use scheduler::{CaseId, MoePerfModel, Phase, Predicates, StreamSet};
 use simnet::{render_gantt, CostModel, Engine, OpCosts, TaskGraph};
 
 fn costs() -> OpCosts {
@@ -21,7 +22,7 @@ fn show(title: &str, m: &MoePerfModel, gar: &[f64]) {
     let case = Predicates::evaluate(m, R).case();
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let _ = lower_fsmoe_schedule(&mut graph, &streams, m, R, gar, &[], "moe");
+    let _ = ScheduleKind::FsMoe.lower_layer(&mut graph, &streams, m, R, gar, &[], "moe");
     let tl = Engine::new().simulate(&graph).expect("lowered graph");
     println!(
         "### {title} — classified {case}, makespan {:.2} ms",

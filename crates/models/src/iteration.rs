@@ -12,10 +12,10 @@
 //! * FSMoE(-No-IIO) — the §5 adaptive partition, sized per layer by the
 //!   inverse AllReduce model and differential evolution.
 
-use baselines::{lower_moe_layer, ScheduleKind, LINA_CHUNK_BYTES};
+use baselines::{ScheduleKind, LINA_CHUNK_BYTES};
 use numopt::DeConfig;
-use scheduler::{partition_gradients, GeneralizedLayer, MoePerfModel, Phase, StreamSet};
-use simnet::{Engine, OpCosts, TaskGraph, Testbed};
+use scheduler::{lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, StreamSet};
+use simnet::{Engine, OpCosts, TaskGraph, TaskId, Testbed};
 
 use crate::layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 use crate::presets::ModelPreset;
@@ -171,33 +171,42 @@ pub fn plan_iteration(
     }
 }
 
-/// Lowers a plan to a simulatable task graph.
-pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
+/// Lowers the forward half of a plan (attention → MoE per layer);
+/// returns what the backward half waits for.
+pub(crate) fn forward_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet, Vec<TaskId>) {
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let mut prev: Vec<simnet::TaskId> = Vec::new();
-
-    // Forward.
+    let mut prev = Vec::new();
     for l in 0..plan.layers {
-        let attn = graph.add_task(format!("f{l}.attn"), streams.compute, plan.attn_fwd, &prev);
-        let lowered = lower_moe_layer(
-            plan.kind,
+        let attn = lower(
+            &[Op::Attn],
+            &mut graph,
+            &streams,
+            |_| plan.attn_fwd,
+            &prev,
+            &format!("f{l}"),
+        );
+        let moe = plan.kind.lower_layer(
             &mut graph,
             &streams,
             &plan.fwd_model,
             plan.r_fwd,
             &[],
-            &[attn],
+            &attn,
             &format!("f{l}.moe"),
         );
-        prev = lowered.outputs;
+        prev = vec![moe];
     }
+    (graph, streams, prev)
+}
 
-    // Backward (index i counts backward execution order). A plan whose
-    // backward vectors are empty lowers a forward-only graph.
+/// Lowers a plan to a simulatable task graph.
+pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
+    let (mut graph, streams, mut prev) = forward_graph(plan);
+
+    // Backward (index i counts backward execution order).
     for i in 0..plan.bwd_models.len() {
-        let lowered = lower_moe_layer(
-            plan.kind,
+        let moe = plan.kind.lower_layer(
             &mut graph,
             &streams,
             &plan.bwd_models[i],
@@ -206,25 +215,25 @@ pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
             &prev,
             &format!("b{i}.moe"),
         );
-        let attn = graph.add_task(
-            format!("b{i}.attn"),
-            streams.compute,
-            plan.attn_bwd,
-            &lowered.outputs,
-        );
-        prev = vec![attn];
-        for (j, &t) in plan.gar_with_dense[i].iter().enumerate() {
-            // occupies the inter-node stream alongside the dense
-            // backward; later layers contend via issue order, they do
-            // not data-depend on it
-            let _ = graph.add_task(format!("b{i}.gar{j}"), streams.inter, t, &lowered.outputs);
-        }
+        // The dense window: the pieces occupy the inter-node stream
+        // alongside the attention backward; later layers contend with
+        // them via issue order, they do not data-depend on them.
+        let pieces = &plan.gar_with_dense[i];
+        let window: Vec<Op> = std::iter::once(Op::Attn)
+            .chain((0..pieces.len() as u32).map(Op::Gar))
+            .collect();
+        let ms = |op| match op {
+            Op::Gar(j) => pieces[j as usize],
+            _ => plan.attn_bwd,
+        };
+        prev = lower(&window, &mut graph, &streams, ms, &[moe], &format!("b{i}"));
+        prev.truncate(1);
     }
 
-    // Tail flush.
+    // Tail flush, one piece after the other.
     for (j, &t) in plan.gar_tail.iter().enumerate() {
-        let gar = graph.add_task(format!("tail.gar{j}"), streams.inter, t, &prev);
-        prev = vec![gar];
+        let piece = [Op::Gar(j as u32)];
+        prev = lower(&piece, &mut graph, &streams, |_| t, &prev, "tail");
     }
 
     (graph, streams)
@@ -243,11 +252,13 @@ pub fn iteration_time(
 ) -> fsmoe::Result<f64> {
     let spec = preset.layer_spec(testbed)?;
     let plan = plan_iteration(kind, &testbed.costs, &spec, preset.layers);
-    let (graph, _) = build_iteration_graph(&plan);
-    Ok(Engine::new()
-        .simulate(&graph)
-        .expect("builder graphs simulate")
-        .makespan())
+    Ok(makespan(&build_iteration_graph(&plan).0))
+}
+
+/// Simulated makespan of a graph built by this crate, ms.
+pub(crate) fn makespan(graph: &TaskGraph) -> f64 {
+    let timeline = Engine::new().simulate(graph);
+    timeline.expect("builder graphs simulate").makespan()
 }
 
 #[cfg(test)]

@@ -9,49 +9,10 @@
 //! transfers on a point-to-point link.
 
 use baselines::ScheduleKind;
-use simnet::{Engine, TaskGraph, Testbed};
+use simnet::{TaskGraph, Testbed};
 
-use crate::iteration::{build_iteration_graph, plan_iteration};
+use crate::iteration::{build_iteration_graph, forward_graph, makespan, plan_iteration};
 use crate::presets::ModelPreset;
-
-/// Times of one stage's micro-batch work.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct StageTimes {
-    forward: f64,
-    backward: f64,
-    /// Activation-transfer time to the next stage.
-    transfer: f64,
-}
-
-/// Simulated makespan of forward-only or backward-only execution of
-/// `layers` layers under `kind`.
-fn phase_makespan(
-    kind: ScheduleKind,
-    testbed: &Testbed,
-    preset: &ModelPreset,
-    layers: usize,
-    forward_only: bool,
-) -> fsmoe::Result<f64> {
-    let spec = preset.layer_spec(testbed)?;
-    let plan = plan_iteration(kind, &testbed.costs, &spec, layers);
-    let (graph, _) = if forward_only {
-        // rebuild with zero backward layers: plan a forward-only stack
-        let mut fwd_plan = plan;
-        fwd_plan.layers = layers;
-        fwd_plan.bwd_models.clear();
-        fwd_plan.r_bwd.clear();
-        fwd_plan.gar_in_moe.clear();
-        fwd_plan.gar_with_dense.clear();
-        fwd_plan.gar_tail.clear();
-        build_iteration_graph(&fwd_plan)
-    } else {
-        build_iteration_graph(&plan)
-    };
-    Ok(Engine::new()
-        .simulate(&graph)
-        .expect("builder graphs simulate")
-        .makespan())
-}
 
 /// One training iteration under GPipe with `n_pp` stages and
 /// `micro_batches` micro-batches (the sequence is split across
@@ -88,18 +49,17 @@ pub fn gpipe_iteration_time(
     let micro = preset.clone().with_seq_len(preset.seq_len / micro_batches);
     let layers_per_stage = preset.layers / n_pp;
 
-    let fwd = phase_makespan(kind, &stage_testbed, &micro, layers_per_stage, true)?;
-    let full = phase_makespan(kind, &stage_testbed, &micro, layers_per_stage, false)?;
-    let bwd = (full - fwd).max(0.0);
+    // One plan per stage; its forward half is lowered on its own to
+    // split the stage's makespan into the two GPipe waves.
+    let spec = micro.layer_spec(&stage_testbed)?;
+    let plan = plan_iteration(kind, &stage_testbed.costs, &spec, layers_per_stage);
+    let fwd = makespan(&forward_graph(&plan).0);
+    let bwd = (makespan(&build_iteration_graph(&plan).0) - fwd).max(0.0);
     // activation transfer: tokens × M × 4 bytes / MP shard over the
     // inter-node link
     let dims = ModelPreset::dims_for(&stage_testbed);
     let bytes = (micro.batch_size * micro.seq_len * micro.embed_dim) as f64 * 4.0 / dims.mp as f64;
-    let times = StageTimes {
-        forward: fwd,
-        backward: bwd,
-        transfer: stage_testbed.costs.a2a.time(bytes),
-    };
+    let transfer = stage_testbed.costs.a2a.time(bytes);
 
     // Build the GPipe timeline: per-stage compute resources + p2p links.
     let mut graph = TaskGraph::new();
@@ -122,12 +82,12 @@ pub fn gpipe_iteration_time(
                 let xfer = graph.add_task(
                     format!("x{s}.{j}"),
                     links[s - 1],
-                    times.transfer,
+                    transfer,
                     &[fwd_done[s - 1][j].expect("previous stage scheduled")],
                 );
                 deps.push(xfer);
             }
-            let t = graph.add_task(format!("f{s}.{j}"), stages[s], times.forward, &deps);
+            let t = graph.add_task(format!("f{s}.{j}"), stages[s], fwd, &deps);
             fwd_done[s][j] = Some(t);
         }
     }
@@ -140,20 +100,17 @@ pub fn gpipe_iteration_time(
                 let xfer = graph.add_task(
                     format!("gx{s}.{j}"),
                     links[s],
-                    times.transfer,
+                    transfer,
                     &[bwd_prev[s + 1].expect("downstream backward scheduled")],
                 );
                 deps.push(xfer);
             }
-            let t = graph.add_task(format!("b{s}.{j}"), stages[s], times.backward, &deps);
+            let t = graph.add_task(format!("b{s}.{j}"), stages[s], bwd, &deps);
             bwd_prev[s] = Some(t);
         }
     }
 
-    Ok(Engine::new()
-        .simulate(&graph)
-        .expect("builder graphs simulate")
-        .makespan())
+    Ok(makespan(&graph))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p models --example schedule_explorer`.
 
-use baselines::{lower_moe_layer, ScheduleKind};
+use baselines::ScheduleKind;
 use models::iteration::{iteration_time, plan_iteration};
 use models::ModelPreset;
 use scheduler::StreamSet;
@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for kind in ScheduleKind::ALL {
         let plan = plan_iteration(kind, &testbed.costs, &spec, preset.layers);
         let t = iteration_time(kind, &testbed, &preset)?;
-        let placement = if kind.overlaps_gar_in_moe() {
+        let any = |pieces: &[Vec<f64>]| pieces.iter().any(|p| !p.is_empty());
+        let placement = if any(&plan.gar_in_moe) {
             "inside MoE layers"
-        } else if kind.overlaps_gar_with_dense() {
+        } else if any(&plan.gar_with_dense) {
             "with dense parts"
         } else {
             "at the end"
@@ -51,8 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = plan_iteration(ScheduleKind::FsMoe, &testbed.costs, &spec, preset.layers);
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let _ = lower_moe_layer(
-        ScheduleKind::FsMoe,
+    let _ = ScheduleKind::FsMoe.lower_layer(
         &mut graph,
         &streams,
         &plan.bwd_models[1],
