@@ -52,7 +52,7 @@ echo "==> digest identity: the program's own step reproduces the benchmark's los
 # bits depend on the AVX2-vs-scalar dispatch of the machine). The traced
 # example must also issue the benchmark's collectives per step.
 for seed in 3 11; do
-    for pair in dense_1r:8 wire_2r:16 fine_2r:48; do
+    for pair in dense_1r:8 wire_2r:8 fine_2r:32; do
         workload=${pair%:*}
         theirs=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
             grep '^loss_digest ')

@@ -184,7 +184,8 @@ impl MoeConfigBuilder {
     /// # Errors
     ///
     /// Returns [`MoeError::BadConfig`] when any size is zero, `top_k`
-    /// exceeds the expert count, or the capacity factor is non-positive.
+    /// exceeds the expert count, the capacity factor is non-positive, or
+    /// the per-expert capacity reaches `2^24` rows.
     pub fn build(&self) -> Result<MoeConfig> {
         let positive = [
             ("batch_size", self.batch_size),
@@ -216,7 +217,7 @@ impl MoeConfigBuilder {
                 });
             }
         }
-        Ok(MoeConfig {
+        let config = MoeConfig {
             batch_size: self.batch_size,
             seq_len: self.seq_len,
             embed_dim: self.embed_dim,
@@ -225,7 +226,15 @@ impl MoeConfigBuilder {
             top_k: self.top_k,
             capacity_factor: self.capacity_factor,
             ffn: self.ffn,
-        })
+        };
+        // a wire block's row count travels in an `f32` header
+        if config.capacity() >= 1 << f32::MANTISSA_DIGITS {
+            return Err(MoeError::BadConfig {
+                field: "capacity",
+                reason: format!("{} rows per expert is not below 2^24", config.capacity()),
+            });
+        }
+        Ok(config)
     }
 }
 
@@ -295,6 +304,17 @@ mod tests {
             .build()
             .is_err());
         assert!(MoeConfig::builder().embed_dim(0).build().is_err());
+        // capacity k·B·L = 2^24 does not fit the wire header; one less does
+        let mut huge = MoeConfig::builder();
+        huge.batch_size(1 << 12).seq_len(1 << 12).top_k(1).no_drop();
+        assert!(matches!(
+            huge.build(),
+            Err(MoeError::BadConfig {
+                field: "capacity",
+                ..
+            })
+        ));
+        assert!(huge.seq_len((1 << 12) - 1).build().is_ok());
     }
 
     #[test]

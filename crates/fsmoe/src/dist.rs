@@ -15,6 +15,11 @@
 //! forward legs run under a [`FaultPolicy`]; the elastic operations —
 //! collective checkpoint, restore, re-shard, migrate — live here too.
 //!
+//! The payload is fixed-size (`slots` blocks of `T + 1` rows per EP
+//! position), but each block's header row carries its row count and the
+//! experts compute on exactly the counted rows (`ShardLayout`); the ESP
+//! collectives are issued only when the ESP group has several members.
+//!
 //! The equivalence suite asserts every world shape matches the one-rank
 //! layer, whose exchange is the identity — distribution, like
 //! scheduling, must never change the numbers.
@@ -29,6 +34,7 @@ use crate::dispatch::{DispatchCtx, Dispatcher};
 use crate::expert::{build_expert, Expert};
 use crate::layer::MoeLayer;
 use crate::reshard::ReshardPlan;
+use crate::routing::Routing;
 use crate::{MoeError, Result};
 
 /// The one layer under the names it had while the distributed layer
@@ -185,14 +191,23 @@ fn a2a_with_policy(
         }
     }
 }
-/// Row-layout parameters of the gathered `[esp][ep][slot][row]`
-/// buffer, detached from the layer so shard workers can share it.
+/// Geometry of the gathered `[esp][ep][slot]` buffer of wire blocks.
 ///
-/// Each EP position contributes `slots` expert blocks per source
-/// (padded to the placement-wide maximum —
-/// [`ExpertMap::slots_per_position`](crate::reshard::ExpertMap::slots_per_position)); this rank's `local_experts`
-/// real experts occupy the leading slots, trailing pad slots carry
-/// zeros and are never computed on.
+/// A block is `T + 1` rows: a header row whose first element is the
+/// block's row count, then `T` token rows, the first `count` occupied
+/// ([`Routing::into_placed`](crate::routing::Routing::into_placed)).
+/// Each EP position contributes `slots` blocks per source
+/// ([`ExpertMap::slots_per_position`](crate::reshard::ExpertMap::slots_per_position));
+/// this rank's `local_experts` occupy the leading ones, trailing pad
+/// slots carry zeros and are never read.
+///
+/// The count's life cycle: the sender writes it after `before_dispatch`
+/// ran (hooks see a zero header); the expert host reads it out of the
+/// gathered buffer and compacts the counted rows, so `after_dispatch`
+/// never sees a header; the layer saves the counts with its forward
+/// state, and the combine leg and both backward legs reuse them. A
+/// zero-filled (degraded or payload-dropped) block reads as count 0 —
+/// the capacity-drop semantics.
 #[derive(Clone, Copy)]
 struct ShardLayout {
     m: usize,
@@ -204,70 +219,87 @@ struct ShardLayout {
 }
 
 impl ShardLayout {
-    /// Rows each dispatch slot owns in the gathered buffer.
-    fn rows_per_expert(&self) -> usize {
-        self.n_esp * self.n_ep * self.t
+    /// Elements of one wire block, header row included.
+    fn block_elems(&self) -> usize {
+        (self.t + 1) * self.m
+    }
+
+    /// Wire blocks each local expert receives (one per source rank).
+    fn sources(&self) -> usize {
+        self.n_esp * self.n_ep
     }
 
     /// Elements of the whole gathered buffer, pad slots included.
     fn gathered_elems(&self) -> usize {
-        self.n_esp * self.n_ep * self.slots * self.t * self.m
+        self.sources() * self.slots * self.block_elems()
     }
 
-    /// Uniform group offsets for the concatenated per-expert buffer.
-    fn group_offsets(&self) -> Vec<usize> {
-        (0..=self.local_experts)
-            .map(|el| el * self.rows_per_expert())
+    /// Where each local expert's blocks start in the gathered buffer, in
+    /// the order the experts compute on them: `[expert][esp][ep]`.
+    fn blocks(self) -> impl Iterator<Item = usize> {
+        (0..self.local_experts).flat_map(move |el| {
+            (0..self.sources()).map(move |sp| (sp * self.slots + el) * self.block_elems())
+        })
+    }
+
+    /// Every block's row count, in [`ShardLayout::blocks`] order: a wire
+    /// value, validated before anything is indexed by it.
+    fn read_counts(self, gathered: &[f32]) -> Result<Vec<usize>> {
+        self.blocks()
+            .map(|block| {
+                let count = gathered[block];
+                if count >= 0.0 && count <= self.t as f32 && count.fract() == 0.0 {
+                    Ok(count as usize)
+                } else {
+                    Err(MoeError::BadInput {
+                        expected: format!("a wire block row count in 0..={}, got {count}", self.t),
+                        actual: vec![block / self.block_elems()],
+                    })
+                }
+            })
             .collect()
     }
+
+    /// The experts' group offsets over the compacted rows of `counts`.
+    fn offsets(self, counts: &[usize]) -> Vec<usize> {
+        let mut offsets = vec![0; self.local_experts + 1];
+        for (el, blocks) in counts.chunks(self.sources()).enumerate() {
+            offsets[el + 1] = offsets[el] + blocks.iter().sum::<usize>();
+        }
+        offsets
+    }
 }
 
-/// Scatters local expert `el`'s output rows back into the gathered
-/// layout.
-fn scatter_expert_rows(layout: ShardLayout, buffer: &mut [f32], el: usize, rows: &[f32]) {
-    let ShardLayout {
-        m,
-        t,
-        n_esp,
-        n_ep,
-        slots,
-        ..
-    } = layout;
+/// Expands the experts' compacted rows back into the gathered layout
+/// (headers, uncounted rows and pad slots zero) — the inverse of
+/// [`grouped_input`].
+fn scatter_expert_rows(layout: ShardLayout, counts: &[usize], rows: &[f32]) -> Vec<f32> {
+    let mut buffer = buf::take_zeroed(layout.gathered_elems());
     let mut src = 0usize;
-    for s in 0..n_esp {
-        for p in 0..n_ep {
-            let row0 = ((s * n_ep + p) * slots + el) * t;
-            buffer[row0 * m..(row0 + t) * m].copy_from_slice(&rows[src * m..(src + t) * m]);
-            src += t;
-        }
+    for (block, &count) in layout.blocks().zip(counts) {
+        let (dst, len) = (block + layout.m, count * layout.m);
+        buffer[dst..dst + len].copy_from_slice(&rows[src..src + len]);
+        src += len;
     }
+    buffer
 }
 
-/// Gathers every local expert's rows out of the gathered layout into
-/// one concatenated grouped buffer (`local_experts` uniform groups of
-/// `rows_per_expert` rows) — the inverse of [`scatter_expert_rows`].
-fn grouped_input(layout: ShardLayout, gathered: &[f32]) -> Result<Tensor> {
-    let ShardLayout {
-        m,
-        t,
-        n_esp,
-        n_ep,
-        slots,
-        local_experts,
-    } = layout;
-    let rows = local_experts * layout.rows_per_expert();
-    let mut grouped = buf::take(rows * m);
+/// Gathers the counted rows of every local expert's blocks to the front
+/// of one grouped buffer. The buffer keeps the capacity bound's height
+/// with a zero tail no group owns, so every tensor the experts derive
+/// from it has a step-invariant size (a warm step allocates nothing,
+/// whatever the routing) while the GEMMs run over the counted rows only.
+fn grouped_input(layout: ShardLayout, gathered: &[f32], counts: &[usize]) -> Result<Tensor> {
+    let rows = layout.local_experts * layout.sources() * layout.t;
+    let mut grouped = buf::take(rows * layout.m);
     let mut dst = 0usize;
-    for el in 0..local_experts {
-        for s in 0..n_esp {
-            for p in 0..n_ep {
-                let row0 = ((s * n_ep + p) * slots + el) * t;
-                grouped[dst..dst + t * m].copy_from_slice(&gathered[row0 * m..(row0 + t) * m]);
-                dst += t * m;
-            }
-        }
+    for (block, &count) in layout.blocks().zip(counts) {
+        let (src, len) = (block + layout.m, count * layout.m);
+        grouped[dst..dst + len].copy_from_slice(&gathered[src..src + len]);
+        dst += len;
     }
-    Ok(Tensor::from_vec(grouped, &[rows, m])?)
+    grouped[dst..].fill(0.0);
+    Ok(Tensor::from_vec(grouped, &[rows, layout.m])?)
 }
 
 /// The hierarchical dispatchers' two slices of this rank's EP group:
@@ -362,62 +394,70 @@ impl MoeLayer {
         Ok(recv)
     }
 
-    /// Tokens to experts: the order buffer, in wire slot layout
-    /// ([`Routing::into_placed`](crate::routing::Routing::into_placed):
-    /// `slots_per_position` blocks of `T` rows per EP position, pad
-    /// slots zero) → AlltoAll(EP) → ESP-AllGather → rows grouped per
-    /// local shard, with their group offsets. Backward runs its
-    /// output-side gradients through the same legs (the combine
-    /// exchange's adjoint) under a strict `policy`.
+    /// Tokens to experts: the order buffer, in wire block layout
+    /// ([`Routing::into_placed`](crate::routing::Routing::into_placed)) →
+    /// AlltoAll(EP) → ESP-AllGather when experts are sharded → every
+    /// block's counted rows grouped per local shard, their group offsets
+    /// and the counts. Forward (`saved: None`) writes each block's load
+    /// into its header and reads the counts off the wire; backward runs
+    /// its output-side gradients through the same legs (the combine
+    /// exchange's adjoint), strict, cut by the forward's `saved` counts.
     pub(crate) fn wire_in(
         &mut self,
-        buffer: &Tensor,
+        mut buffer: Tensor,
+        routing: &Routing,
+        saved: Option<&[usize]>,
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
-    ) -> Result<(Tensor, Vec<usize>)> {
+    ) -> Result<(Tensor, Vec<usize>, Vec<usize>)> {
         let layout = self.shard_layout();
-        let received = self.ep_all_to_all(buffer.data(), policy, at_risk)?;
+        if saved.is_none() {
+            for (e, &load) in routing.expert_loads().iter().enumerate() {
+                buffer.data_mut()[self.expert_map.slot_of(e) * layout.block_elems()] = load as f32;
+            }
+        }
+        let mut gathered = self.ep_all_to_all(buffer.data(), policy, at_risk)?;
         // ESP-AllGather: replicate the node's token set to all shards.
-        let mut gathered = buf::take(layout.gathered_elems());
-        self.esp_group.all_gather_into(&received, &mut gathered)?;
-        buf::give(received);
-        let grouped = grouped_input(layout, &gathered)?;
+        if layout.n_esp > 1 {
+            let received = std::mem::replace(&mut gathered, buf::take(layout.gathered_elems()));
+            self.esp_group.all_gather_into(&received, &mut gathered)?;
+            buf::give(received);
+        }
+        let counts = match saved {
+            Some(counts) => counts.to_vec(),
+            None => layout.read_counts(&gathered)?,
+        };
+        let grouped = grouped_input(layout, &gathered, &counts)?;
         buf::give(gathered);
-        Ok((grouped, layout.group_offsets()))
+        Ok((grouped, layout.offsets(&counts), counts))
     }
 
     /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: grouped
-    /// shard rows → ESP-ReduceScatter (sum the shard partials, keep our
-    /// token slice) → AlltoAll(EP) (the transpose is its own inverse) →
-    /// the order buffer, in the slot layout it left in. Backward runs its
-    /// input-side gradients through it (the dispatch exchange's
-    /// adjoint).
+    /// shard rows, expanded by the same `counts` → ESP-ReduceScatter when
+    /// experts are sharded (sum the shard partials, keep our token slice)
+    /// → AlltoAll(EP) (the transpose is its own inverse) → the order
+    /// buffer, in the block layout it left in. Backward runs its
+    /// input-side gradients through it (the dispatch exchange's adjoint).
     pub(crate) fn wire_out(
         &mut self,
         rows: &Tensor,
+        counts: &[usize],
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Tensor> {
         let layout = self.shard_layout();
-        let offsets = layout.group_offsets();
-        // zeroed: pad slots carry zeros in both directions
-        let mut shard_out = buf::take_zeroed(layout.gathered_elems());
-        for el in 0..layout.local_experts {
-            scatter_expert_rows(
-                layout,
-                &mut shard_out,
-                el,
-                &rows.data()[offsets[el] * layout.m..offsets[el + 1] * layout.m],
-            );
+        let mut reduced = scatter_expert_rows(layout, counts, rows.data());
+        if layout.n_esp > 1 {
+            let slice = buf::take(reduced.len() / layout.n_esp);
+            let shard_out = std::mem::replace(&mut reduced, slice);
+            self.esp_group
+                .reduce_scatter_into(&shard_out, &mut reduced)?;
+            buf::give(shard_out);
         }
-        let mut reduced = buf::take(shard_out.len() / layout.n_esp);
-        self.esp_group
-            .reduce_scatter_into(&shard_out, &mut reduced)?;
-        buf::give(shard_out);
         let combined = self.ep_all_to_all(&reduced, policy, at_risk)?;
         buf::give(reduced);
-        let slot_rows = layout.n_ep * layout.slots * layout.t;
-        Ok(Tensor::from_vec(combined, &[slot_rows, layout.m])?)
+        let rows = combined.len() / layout.m;
+        Ok(Tensor::from_vec(combined, &[rows, layout.m])?)
     }
 
     /// This rank's ESP shard of a `config.ffn` expert holding the full
@@ -688,5 +728,57 @@ impl MoeLayer {
             gate: self.gate.export_weights(),
             experts,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One local expert of two slots, two sources, `T = 3`, `M = 2`.
+    const LAYOUT: ShardLayout = ShardLayout {
+        m: 2,
+        t: 3,
+        n_esp: 1,
+        n_ep: 2,
+        slots: 2,
+        local_experts: 1,
+    };
+
+    fn gathered(count0: f32, count1: f32) -> Vec<f32> {
+        let mut buffer: Vec<f32> = (0..LAYOUT.gathered_elems()).map(|i| i as f32).collect();
+        buffer[0] = count0;
+        buffer[2 * LAYOUT.block_elems()] = count1;
+        buffer
+    }
+
+    #[test]
+    fn counted_rows_compact_and_expand_back() {
+        let wire = gathered(3.0, 1.0);
+        let counts = LAYOUT.read_counts(&wire).unwrap();
+        assert_eq!(counts, [3, 1]);
+        assert_eq!(LAYOUT.offsets(&counts), [0, 4]);
+        let rows = grouped_input(LAYOUT, &wire, &counts).unwrap();
+        assert_eq!(rows.dims(), &[6, 2]);
+        // block 0 rows 1..=3, then block 2 row 1, then the zero tail;
+        // headers and the pad slot's blocks (1 and 3) are never read
+        assert_eq!(&rows.data()[..8], [2., 3., 4., 5., 6., 7., 18., 19.]);
+        assert_eq!(&rows.data()[8..], [0.; 4]);
+        let back = scatter_expert_rows(LAYOUT, &counts, rows.data());
+        for (i, &v) in back.iter().enumerate() {
+            let kept = (2..8).contains(&i) || (18..20).contains(&i);
+            assert_eq!(v, if kept { wire[i] } else { 0.0 }, "element {i}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_header_is_a_typed_error_not_an_index() {
+        assert_eq!(LAYOUT.read_counts(&gathered(-0.0, 0.0)).unwrap(), [0, 0]);
+        for bad in [f32::NAN, f32::INFINITY, -1.0, 0.5, 4.0, 1e30] {
+            for wire in [gathered(bad, 1.0), gathered(1.0, bad)] {
+                let err = LAYOUT.read_counts(&wire).unwrap_err();
+                assert!(matches!(err, MoeError::BadInput { .. }), "{bad}: {err}");
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use tensor::{Tensor, TensorRng};
 
-use super::{check_gate_input, route_token_choice, Gate};
+use super::{check_gate_input, route_kept_softmax, Gate};
 use crate::routing::Routing;
 use crate::Result;
 
@@ -78,12 +78,7 @@ impl Gate for GShardGate {
         check_gate_input(input, self.embed_dim)?;
         let logits = self.logits(input, rng)?;
         // softmax restricted to the kept top-k logits per token
-        let masked = logits.keep_top_k(self.top_k)?;
-        let probs = masked.softmax()?;
-        let experts = self.num_experts;
-        route_token_choice(&logits, self.top_k, capacity, |t, idx, _vals| {
-            idx.iter().map(|&e| probs.data()[t * experts + e]).collect()
-        })
+        route_kept_softmax(&logits, self.top_k, capacity)
     }
 
     fn flops(&self, tokens: usize) -> f64 {

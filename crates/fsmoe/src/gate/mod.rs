@@ -26,9 +26,9 @@ pub use sigmoid::SigmoidGate;
 pub use softmoe::SoftMoeGate;
 pub use xmoe::XMoeGate;
 
-use tensor::{Tensor, TensorRng};
+use tensor::{top_k_into, Tensor, TensorRng};
 
-use crate::routing::Routing;
+use crate::routing::{Routing, RoutingBuilder};
 use crate::{MoeError, Result};
 
 /// A routing function: assigns tokens to experts.
@@ -111,29 +111,64 @@ pub(crate) fn check_gate_input(input: &Tensor, embed_dim: usize) -> Result<()> {
 }
 
 /// Routes each token to its top-k experts given a `(tokens, E)` score
-/// matrix, weighting by `weight_of(token, expert, score)`; the shared
-/// skeleton of all token-choice gates.
+/// matrix — the shared skeleton of all token-choice gates. Each token is
+/// selected over once; `weigh(token, scores_row, kept, weights)` fills
+/// the combine weight of every kept expert (`kept` descends by score).
 pub(crate) fn route_token_choice<F>(
     scores: &Tensor,
     top_k: usize,
     capacity: usize,
-    weight_of: F,
+    mut weigh: F,
 ) -> Result<Routing>
 where
-    F: Fn(usize, &[usize], &[f32]) -> Vec<f32>,
+    F: FnMut(usize, &[f32], &[usize], &mut [f32]),
 {
-    let tokens = scores.dims()[0];
-    let experts = scores.dims()[1];
-    let topk = scores.top_k(top_k)?;
-    let mut builder = crate::routing::RoutingBuilder::new(tokens, experts, capacity);
-    for t in 0..tokens {
-        let idx = &topk.indices[t];
-        let vals = &topk.values[t];
-        let weights = weight_of(t, idx, vals);
-        for (j, (&e, &w)) in idx.iter().zip(&weights).enumerate() {
-            let _ = j;
+    let (tokens, experts) = (scores.dims()[0], scores.dims()[1]);
+    let mut builder = RoutingBuilder::new(tokens, experts, capacity);
+    let mut kept = Vec::with_capacity(top_k);
+    let mut weights = vec![0.0f32; top_k];
+    for (t, row) in scores.data().chunks(experts).enumerate() {
+        top_k_into(row, top_k, &mut kept)?;
+        weigh(t, row, &kept, &mut weights);
+        for (&e, &w) in kept.iter().zip(&weights) {
             builder.assign(t, e, w);
         }
     }
     Ok(builder.finish())
+}
+
+/// The `Softmax(KeepTopK(scores, k))` routing of GShard and X-MoE: each
+/// kept expert weighs its share of the softmax over the kept scores —
+/// bit for bit the dense form, whose row sum runs left to right (masked
+/// entries add `+0.0`) and whose all-`-∞` row weighs nothing.
+///
+/// # Errors
+///
+/// As `Tensor::keep_top_k`: a NaN score would be kept as a "largest"
+/// value and poison the weights silently.
+pub(crate) fn route_kept_softmax(
+    scores: &Tensor,
+    top_k: usize,
+    capacity: usize,
+) -> Result<Routing> {
+    if let Some(bad) = scores.data().iter().position(|v| v.is_nan()) {
+        let (op, row) = ("keep_top_k", bad / scores.dims()[1]);
+        return Err(tensor::TensorError::NonFiniteInput { op, row }.into());
+    }
+    route_token_choice(scores, top_k, capacity, |_t, row, kept, weights| {
+        let max = row[kept[0]];
+        if max == f32::NEG_INFINITY {
+            return weights.fill(0.0);
+        }
+        for (w, &e) in weights.iter_mut().zip(kept) {
+            *w = (row[e] - max).exp();
+        }
+        let mut sum = 0.0f32;
+        for e in 0..row.len() {
+            if let Some(j) = kept.iter().position(|&k| k == e) {
+                sum += weights[j];
+            }
+        }
+        weights.iter_mut().for_each(|w| *w /= sum);
+    })
 }

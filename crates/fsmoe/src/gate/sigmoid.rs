@@ -42,8 +42,10 @@ impl Gate for SigmoidGate {
     fn route(&self, input: &Tensor, capacity: usize, _rng: &mut TensorRng) -> Result<Routing> {
         check_gate_input(input, self.embed_dim)?;
         let logits = input.matmul(&self.w_gate)?;
-        route_token_choice(&logits, self.top_k, capacity, |_t, _idx, vals| {
-            vals.iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect()
+        route_token_choice(&logits, self.top_k, capacity, |_t, row, kept, w| {
+            for (w, &e) in w.iter_mut().zip(kept) {
+                *w = 1.0 / (1.0 + (-row[e]).exp());
+            }
         })
     }
 

@@ -51,8 +51,10 @@ impl Gate for SoftMoeGate {
         let logits = input.matmul(&self.w_gate)?;
         let probs = logits.softmax()?; // FULL softmax — soft weights
         let experts = self.num_experts;
-        route_token_choice(&logits, self.top_k, capacity, |t, idx, _| {
-            idx.iter().map(|&e| probs.data()[t * experts + e]).collect()
+        route_token_choice(&logits, self.top_k, capacity, |t, _row, kept, w| {
+            for (w, &e) in w.iter_mut().zip(kept) {
+                *w = probs.data()[t * experts + e];
+            }
         })
     }
 

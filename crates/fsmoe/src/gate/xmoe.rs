@@ -2,7 +2,7 @@
 
 use tensor::{Tensor, TensorRng};
 
-use super::{check_gate_input, route_token_choice, Gate};
+use super::{check_gate_input, route_kept_softmax, Gate};
 use crate::routing::Routing;
 use crate::Result;
 
@@ -77,11 +77,7 @@ impl Gate for XMoeGate {
         check_gate_input(input, self.embed_dim)?;
         let scores = self.cosine_scores(&input.clone())?;
         let sharpened = scores.scale(1.0 / self.temperature);
-        let probs = sharpened.keep_top_k(self.top_k)?.softmax()?;
-        let experts = self.num_experts;
-        route_token_choice(&sharpened, self.top_k, capacity, |t, idx, _| {
-            idx.iter().map(|&e| probs.data()[t * experts + e]).collect()
-        })
+        route_kept_softmax(&sharpened, self.top_k, capacity)
     }
 
     fn flops(&self, tokens: usize) -> f64 {

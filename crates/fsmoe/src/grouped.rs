@@ -4,12 +4,14 @@
 //! hands every local expert's rows over as one concatenated buffer with
 //! per-expert group offsets and runs each FFN projection of **all**
 //! experts as a single [`Tensor::matmul_grouped`] pass. The groups are
-//! whatever the exchange delivered: pad-free and uneven on a one-rank
-//! layer ([`Routing::into_dense`](crate::routing::Routing::into_dense) —
-//! no token is dropped or padded by the compute path), uniform and
-//! capacity-padded off the wire. The grouped GEMM parallelises over
-//! every output row across experts, so a skewed routing no longer
-//! serialises on the heaviest expert, and empty experts cost nothing.
+//! whatever the exchange delivered, pad-free and uneven either way: the
+//! order buffer itself on a one-rank layer
+//! ([`Routing::into_dense`](crate::routing::Routing::into_dense)), the
+//! counted rows of every wire block off the wire (rows past the last
+//! offset are spare capacity) — the compute path neither drops nor pads
+//! a token. The grouped GEMM parallelises over every output row across
+//! experts, so a skewed routing no longer serialises on the heaviest
+//! expert, and empty experts cost nothing.
 //!
 //! Numerically this is exact: the grouped kernel computes each row with
 //! the same ascending-`k` microkernel as the per-expert loop.

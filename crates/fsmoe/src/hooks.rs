@@ -15,9 +15,11 @@
 //! Hooks 2–5 bracket the two exchanges between tokens and experts.
 //! Hooks 2 and 5 see the order buffer in the layout their `&Routing`
 //! argument describes (assignment `a` at row `routing.row_of(a)` of
-//! `routing.rows()`); hooks 3 and 4 see the rows the local experts
-//! compute on — that same buffer on a one-rank layer, whose exchange is
-//! the identity, and every source's rows per local expert off the wire.
+//! `routing.rows()`, zero header rows included); hooks 3 and 4 see the
+//! rows the local experts compute on — that same buffer on a one-rank
+//! layer, whose exchange is the identity, and off the wire every
+//! source's counted rows per local expert, packed to the front of a
+//! capacity-high buffer whose zero tail no expert computes on.
 
 use tensor::Tensor;
 

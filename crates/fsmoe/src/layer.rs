@@ -14,9 +14,11 @@
 //!   no collectives, under any placement. This is local execution, and
 //!   the numerical reference every other world shape must match;
 //! * otherwise it is the wire path of [`crate::dist`] (Fig. 2): the
-//!   order buffer is born in wire slot layout
+//!   order buffer is born in wire block layout
 //!   ([`Routing::into_placed`]) → AlltoAll(EP) → ESP-AllGather → expert
-//!   shards → ESP-ReduceScatter → AlltoAll(EP) → i-order.
+//!   shards → ESP-ReduceScatter → AlltoAll(EP) → i-order. Each block
+//!   carries its row count, so the shards too compute pad-free, and the
+//!   ESP collectives exist only when experts are sharded.
 //!
 //! A local layer is the same type built over a one-rank world
 //! ([`Communicator::solo`] and `HybridTopology::flat(1)`).
@@ -60,6 +62,8 @@ pub struct MoeGrads {
 struct ForwardState {
     routing: Routing,
     compute: FfnState,
+    /// Wire block row counts the forward dispatch delivered (see `dist`).
+    counts: Vec<usize>,
 }
 
 /// One rank's slice of a Mixture-of-Experts layer with swappable
@@ -377,18 +381,20 @@ impl MoeLayer {
     }
 
     /// The dispatch exchange (in backward, the combine exchange's
-    /// adjoint): order buffer → local shards' grouped rows and offsets.
+    /// adjoint): order buffer → local shards' grouped rows, their offsets
+    /// and wire block counts (backward cuts by the forward's, `saved`).
     fn exchange_in(
         &mut self,
         buffer: Tensor,
         routing: &Routing,
+        saved: Option<&[usize]>,
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
-    ) -> Result<(Tensor, Vec<usize>)> {
+    ) -> Result<(Tensor, Vec<usize>, Vec<usize>)> {
         if self.exchange_is_identity() {
-            return Ok((buffer, routing.group_offsets()));
+            return Ok((buffer, routing.group_offsets(), Vec::new()));
         }
-        self.wire_in(&buffer, policy, at_risk)
+        self.wire_in(buffer, routing, saved, policy, at_risk)
     }
 
     /// The combine exchange (in backward, the dispatch exchange's
@@ -396,13 +402,14 @@ impl MoeLayer {
     fn exchange_out(
         &mut self,
         rows: Tensor,
+        counts: &[usize],
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Tensor> {
         if self.exchange_is_identity() {
             return Ok(rows);
         }
-        self.wire_out(&rows, policy, at_risk)
+        self.wire_out(&rows, counts, policy, at_risk)
     }
 
     /// Runs the layer on this rank's `(tokens, M)` input block.
@@ -454,8 +461,8 @@ impl MoeLayer {
         let mut buffer = self.order.order(&input, &routing)?;
         let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
         self.hooks.before_dispatch(&mut buffer, &routing)?;
-        let (mut x, offsets) =
-            self.exchange_in(buffer, &routing, self.fault_policy, &mut at_risk)?;
+        let (mut x, offsets, counts) =
+            self.exchange_in(buffer, &routing, None, self.fault_policy, &mut at_risk)?;
         self.hooks.after_dispatch(&mut x, &routing)?;
         drop(dispatch_span);
 
@@ -466,13 +473,17 @@ impl MoeLayer {
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
         self.hooks.before_combine(&mut y, &routing)?;
-        let mut combined = self.exchange_out(y, self.fault_policy, &mut at_risk)?;
+        let mut combined = self.exchange_out(y, &counts, self.fault_policy, &mut at_risk)?;
         self.hooks.after_combine(&mut combined, &routing)?;
         let mut output = self.order.inverse(&combined, &routing)?;
         self.hooks.before_moe_end(&mut output)?;
         drop(combine_span);
 
-        self.state = Some(ForwardState { routing, compute });
+        self.state = Some(ForwardState {
+            routing,
+            compute,
+            counts,
+        });
         Ok(output)
     }
 
@@ -506,7 +517,9 @@ impl MoeLayer {
         // i-order adjoint, then the combine exchange's adjoint back to
         // the expert hosts
         let grad_combined = combine_backward(grad_output, routing)?;
-        let (grad_y, offsets) = self.exchange_in(grad_combined, routing, strict, &mut None)?;
+        let saved = Some(&state.counts[..]);
+        let (grad_y, offsets, _) =
+            self.exchange_in(grad_combined, routing, saved, strict, &mut None)?;
         let (grad_x, shard_grads) = grouped::backward_experts(
             &self.shards,
             &grad_y,
@@ -516,7 +529,7 @@ impl MoeLayer {
         )?;
         // dispatch exchange's adjoint back to the token sources, then
         // the order adjoint
-        let grad_buffer = self.exchange_out(grad_x, strict, &mut None)?;
+        let grad_buffer = self.exchange_out(grad_x, &state.counts, strict, &mut None)?;
         let grad_input = order_backward(&grad_buffer, routing)?;
         Ok(MoeGrads {
             input: grad_input,

@@ -17,9 +17,9 @@
 //!
 //! Placements need not be uniform. The dispatch AlltoAll still
 //! exchanges equal-size chunks: every position owns
-//! [`ExpertMap::slots_per_position`] slots, its experts in the leading
-//! ones. The trailing pad slots are rows no assignment occupies — zeros
-//! in both directions that never reach an expert or a token.
+//! [`ExpertMap::slots_per_position`] slots (a wire block of `T + 1` rows
+//! each), its experts in the leading ones. Trailing pad slots are rows
+//! no assignment occupies: zeros that never reach an expert or a token.
 
 use crate::{MoeError, Result};
 

@@ -12,7 +12,7 @@
 //! sum is taken) of a [`Routing::rows`]-row order buffer. Gates produce
 //! the capacity-padded block form (`row_base[e] = e·T`);
 //! [`Routing::into_placed`] / [`Routing::into_dense`] re-base it to an
-//! [`ExpertMap`]'s wire slots or to pad-free groups. Expert ids and the
+//! [`ExpertMap`]'s wire blocks or to pad-free groups. Expert ids and the
 //! `(expert, slot)` order of the assignments never change, so whatever
 //! is accumulated over them is layout-independent.
 
@@ -91,19 +91,23 @@ impl Routing {
         offsets
     }
 
-    /// Re-bases the rows to `map`'s wire slots: expert `e` starts at row
-    /// `map.slot_of(e)·T`, so the order buffer is born in the layout the
-    /// EP AlltoAll exchanges and pad slots are rows nobody writes.
+    /// Re-bases the rows to `map`'s wire blocks. A block is `T + 1`
+    /// rows — one header row, then the slot's `T` token rows — so expert
+    /// `e` starts at row `map.slot_of(e)·(T + 1) + 1` and the order
+    /// buffer is born in the layout the EP AlltoAll exchanges. Header
+    /// rows and pad slots are rows nobody writes; the wire path puts
+    /// each block's row count in its header (see [`crate::dist`]).
     ///
     /// # Panics
     ///
     /// Panics when `map` places a different number of experts.
     pub fn into_placed(mut self, map: &ExpertMap) -> Self {
         assert_eq!(map.num_experts(), self.num_experts, "map/routing experts");
+        let block = self.capacity + 1;
         for (e, base) in self.row_base.iter_mut().enumerate() {
-            *base = map.slot_of(e) * self.capacity;
+            *base = map.slot_of(e) * block + 1;
         }
-        self.rows = map.n_ep() * map.slots_per_position() * self.capacity;
+        self.rows = map.n_ep() * map.slots_per_position() * block;
         self
     }
 

@@ -15,6 +15,7 @@ use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH};
 use fsmoe::dist::FaultPolicy;
 use fsmoe::hooks::{MoeHooks, NoopHooks};
 use fsmoe::layer::MoeLayer;
+use fsmoe::routing::Routing;
 use fsmoe::MoeError;
 use tensor::{Tensor, TensorRng};
 
@@ -57,6 +58,86 @@ impl MoeHooks for SharedDropCounter {
     fn on_tokens_dropped(&mut self, count: usize) {
         self.0.fetch_add(count, Ordering::SeqCst);
     }
+}
+
+/// Hook that publishes how many token rows the local experts were handed
+/// (the buffer's zero tail is spare capacity no expert computes on) and
+/// how many drop records the layer wrote.
+#[derive(Debug, Clone, Default)]
+struct ComputeLog {
+    rows: Arc<AtomicUsize>,
+    drop_records: Arc<AtomicUsize>,
+}
+
+impl MoeHooks for ComputeLog {
+    fn after_dispatch(&mut self, buffer: &mut Tensor, _: &Routing) -> fsmoe::Result<()> {
+        let rows = buffer.data().chunks(buffer.dims()[1]);
+        let occupied = rows.filter(|row| row.iter().any(|&v| v != 0.0)).count();
+        self.rows.store(occupied, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn on_tokens_dropped(&mut self, _count: usize) {
+        self.drop_records.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// One forward per rank under `faults`: each rank's loads, the rows its
+/// expert computed on, its drop records, and whether it completed.
+fn computed_rows_under(faults: FaultInjector) -> Vec<(Vec<usize>, usize, usize, bool)> {
+    let world = CommWorld::new(2)
+        .with_deadline(Duration::from_millis(300))
+        .with_faults(faults);
+    run_world_within(world, BUDGET, |comm| {
+        let cfg = config();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &two_rank_topology(), SEED).unwrap();
+        let log = ComputeLog::default();
+        layer.set_hooks(Box::new(log.clone()));
+        let x = input_block(&cfg, comm.rank());
+        let done = layer.forward(&x, &mut TensorRng::seed_from(0)).is_ok();
+        // the gate is replicated: recompute the loads a failed rank lost
+        let loads = layer
+            .gate()
+            .route(&x, cfg.capacity(), &mut TensorRng::seed_from(0))
+            .unwrap()
+            .expert_loads();
+        let rows = log.rows.load(Ordering::SeqCst);
+        (loads, rows, log.drop_records.load(Ordering::SeqCst), done)
+    })
+}
+
+#[test]
+fn lost_blocks_reach_no_expert_row() {
+    // Fault-free, expert `e` (hosted on rank `e`) computes on every
+    // rank's rows for it — and on nothing else: no capacity padding.
+    let clean = computed_rows_under(FaultInjector::new());
+    for (e, (_, rows, records, done)) in clean.iter().enumerate() {
+        assert_eq!(*rows, clean[0].0[e] + clean[1].0[e], "expert {e}");
+        assert!(*done && *records == 0);
+    }
+    assert!(
+        clean[0].0[0] > 0 && clean[1].0[1] > 0,
+        "both ranks route home"
+    );
+
+    // Rank 1's dispatch payload arrives zero-filled: its blocks' headers
+    // read count 0 everywhere (its own expert included), so only rank
+    // 0's rows are computed on. Nobody can tell a zeroed block from an
+    // empty one, so — as before — no drop is recorded.
+    let zeroed = computed_rows_under(FaultInjector::new().drop_payload(1, 0));
+    for (e, (loads, rows, records, done)) in zeroed.iter().enumerate() {
+        assert_eq!(loads, &clean[e].0);
+        assert_eq!(*rows, clean[0].0[e], "expert {e} sees rank 0's rows only");
+        assert!(*done && *records == 0);
+    }
+
+    // Rank 1 dies entering the dispatch: the survivor's exchange is
+    // abandoned and zero-filled, every block reads count 0, the expert
+    // computes on no row at all, and the loss is recorded exactly once
+    // although the combine leg is lost too.
+    let dead = computed_rows_under(FaultInjector::new().kill(1, 0));
+    assert_eq!((dead[0].1, dead[0].2, dead[0].3), (0, 1, true));
+    assert!(!dead[1].3, "the dead rank fails");
 }
 
 #[test]
@@ -229,10 +310,20 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
             drop_on_failure: true,
             ..FaultPolicy::default()
         });
+        let log = ComputeLog::default();
+        layer.set_hooks(Box::new(log.clone()));
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);
         let first = layer.forward(&x, &mut rng).unwrap();
         let drops_after_first = layer.dropped_tokens();
+        assert_eq!(
+            (
+                log.rows.load(Ordering::SeqCst),
+                log.drop_records.load(Ordering::SeqCst)
+            ),
+            (0, 1),
+            "a timed-out dispatch: no computed row, one drop record"
+        );
         // Re-join the threads, then allow generous retries so the second
         // forward's collectives complete despite residual skew.
         barrier.wait();

@@ -6,6 +6,16 @@
 //! differ only by where their rows sit; token-shaped results are equal
 //! bit for bit, because they accumulate in assignment order.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
+use fsmoe::config::MoeConfig;
+use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH, NcclA2A};
+use fsmoe::expert::{build_expert, Expert, ExpertGrads, ExpertState};
+use fsmoe::gate::Gate;
+use fsmoe::hooks::NoopHooks;
+use fsmoe::layer::MoeLayer;
 use fsmoe::order::{combine_backward, order_backward, GShardOrdering, OrderFn, TutelOrdering};
 use fsmoe::reshard::ExpertMap;
 use fsmoe::routing::{Routing, RoutingBuilder};
@@ -205,11 +215,12 @@ proptest! {
         let (experts, t) = (fresh.num_experts(), fresh.capacity());
         let loads = fresh.expert_loads();
         prop_assert_eq!(fresh.group_offsets(), (0..=experts).map(|e| e * t).collect::<Vec<_>>());
-        for routing in [placed, dense] {
+        // a wire block is a header row, then the slot's `T` token rows
+        for (routing, first) in [(placed, 1), (dense, 0)] {
             prop_assert_eq!(routing.expert_loads(), loads.clone(), "re-basing moves no token");
             let offsets = routing.group_offsets();
             prop_assert_eq!(offsets.len(), experts + 1);
-            prop_assert_eq!((offsets[0], offsets[experts]), (0, routing.rows()));
+            prop_assert_eq!((offsets[0], offsets[experts]), (first, routing.rows()));
             // every assignment on a row of its own, inside its expert's group
             let mut rows = occupied(routing);
             rows.dedup();
@@ -220,11 +231,256 @@ proptest! {
             }
         }
         prop_assert_eq!(dense.rows(), dense.assignments().len());
-        prop_assert_eq!(placed.rows(), c.map.n_ep() * c.map.slots_per_position() * t);
+        prop_assert_eq!(placed.rows(), c.map.n_ep() * c.map.slots_per_position() * (t + 1));
+        let headers: Vec<usize> = (0..placed.rows()).step_by(t + 1).collect();
+        prop_assert!(occupied(placed).iter().all(|r| !headers.contains(r)), "headers stay free");
         for (i, &e) in c.slot_order.iter().enumerate() {
             let (d, p) = (dense.group_offsets(), placed.group_offsets());
             prop_assert_eq!(d[i + 1] - d[i], loads[e], "dense groups are the loads");
-            prop_assert_eq!(p[i], c.map.slot_of(e) * t, "placed groups start at wire slots");
+            prop_assert_eq!(p[i], c.map.slot_of(e) * (t + 1) + 1, "placed groups start past their block's header");
+        }
+    }
+}
+
+// ---- the wire path computes on exactly the routed rows ----
+
+/// Routes token `t` to the experts its first `k` input columns name.
+#[derive(Debug)]
+struct ScriptedGate {
+    experts: usize,
+    k: usize,
+}
+
+impl Gate for ScriptedGate {
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+
+    fn num_experts(&self) -> usize {
+        self.experts
+    }
+
+    fn route(&self, input: &Tensor, capacity: usize, _rng: &mut TensorRng) -> Result<Routing> {
+        let mut builder = RoutingBuilder::new(input.dims()[0], self.experts, capacity);
+        for (t, row) in input.data().chunks(input.dims()[1]).enumerate() {
+            for (j, &e) in row[..self.k].iter().enumerate() {
+                builder.assign(t, e as usize, 0.75 - 0.5 * j as f32);
+            }
+        }
+        Ok(builder.finish())
+    }
+
+    fn flops(&self, _tokens: usize) -> f64 {
+        0.0
+    }
+}
+
+/// An expert that counts the rows it is handed. Not groupable, so the
+/// layer runs it over `offsets[e]..offsets[e + 1]` of the exchanged rows:
+/// the count *is* the group offsets the expert compute received.
+#[derive(Debug)]
+struct Counted {
+    inner: Box<dyn Expert>,
+    id: usize,
+    rows: Arc<Vec<AtomicUsize>>,
+}
+
+impl Expert for Counted {
+    fn name(&self) -> &'static str {
+        "counted"
+    }
+
+    fn forward(&self, x: &Tensor) -> Result<(Tensor, ExpertState)> {
+        self.rows[self.id].fetch_add(x.dims()[0], Ordering::SeqCst);
+        self.inner.forward(x)
+    }
+
+    fn backward(&self, grad_y: &Tensor, state: &ExpertState) -> Result<ExpertGrads> {
+        self.inner.backward(grad_y, state)
+    }
+
+    fn weights(&self) -> Vec<&Tensor> {
+        self.inner.weights()
+    }
+
+    fn apply_grads(&mut self, grads: &[Tensor], lr: f32) -> Result<()> {
+        self.inner.apply_grads(grads, lr)
+    }
+
+    fn import_weights(&mut self, weights: &[Tensor]) -> Result<()> {
+        self.inner.import_weights(weights)
+    }
+
+    fn flops_per_row(&self) -> f64 {
+        self.inner.flops_per_row()
+    }
+
+    fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>> {
+        Ok(Box::new(Counted {
+            inner: self.inner.shard(shard, num_shards)?,
+            id: self.id,
+            rows: Arc::clone(&self.rows),
+        }))
+    }
+}
+
+/// The multi-rank worlds of the equivalence suite, by `(ranks, ep, esp)`.
+#[derive(Debug, Clone, Copy)]
+enum Wire {
+    Two,
+    Grid(fn() -> Box<dyn Dispatcher>),
+    Fig2,
+}
+
+impl Wire {
+    fn topology(self) -> HybridTopology {
+        let dims = |dp, mp, ep, esp| ParallelDims { dp, mp, ep, esp };
+        match self {
+            Wire::Two => HybridTopology::flat(2),
+            Wire::Grid(_) => HybridTopology::new(2, 2, dims(4, 1, 4, 1)),
+            Wire::Fig2 => HybridTopology::new(2, 2, dims(2, 2, 2, 2)),
+        }
+        .unwrap()
+    }
+}
+
+/// One rank's layer over the scripted gate and counted experts, one
+/// forward + backward on `input`: output, input gradient, this rank's
+/// post-drop loads, and the rows each expert was handed here.
+fn scripted_step(
+    config: &MoeConfig,
+    comm: &Communicator,
+    topo: &HybridTopology,
+    dispatcher: Option<Box<dyn Dispatcher>>,
+    input: &Tensor,
+) -> (Tensor, Tensor, Vec<usize>, Vec<usize>) {
+    let rows: Arc<Vec<AtomicUsize>> = Arc::new(
+        (0..config.num_experts)
+            .map(|_| AtomicUsize::new(0))
+            .collect(),
+    );
+    let mut rng = TensorRng::seed_from(5);
+    let experts = (0..config.num_experts)
+        .map(|id| -> Box<dyn Expert> {
+            let inner = build_expert(config.ffn, config.embed_dim, config.hidden_dim, &mut rng);
+            Box::new(Counted {
+                inner,
+                id,
+                rows: Arc::clone(&rows),
+            })
+        })
+        .collect();
+    let gate = ScriptedGate {
+        experts: config.num_experts,
+        k: config.top_k,
+    };
+    let mut layer = MoeLayer::with_modules(
+        config,
+        Box::new(gate),
+        Box::new(TutelOrdering::new()),
+        experts,
+        Box::new(NoopHooks),
+        comm,
+        topo,
+    )
+    .unwrap();
+    if let Some(dispatcher) = dispatcher {
+        layer.set_dispatcher(dispatcher);
+    }
+    let y = layer.forward(input, &mut TensorRng::seed_from(0)).unwrap();
+    let grads = layer.backward(&y.scale(0.5)).unwrap();
+    let loads = layer.last_routing().unwrap().expert_loads();
+    let seen = rows.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+    (y, grads.input, loads, seen)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random loads with an expert nobody picks, a rank whose tokens all
+    /// go to remote experts, hot experts that overflow a small capacity,
+    /// and `no_drop`: on every rank of every wire world each local expert
+    /// is handed exactly the assignments routed to it — every computed
+    /// row carries a token — and the numbers are the one-rank layer's.
+    #[test]
+    fn the_wire_path_computes_on_exactly_the_routed_rows(seed in any::<u64>()) {
+        let mut state = seed | 1;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (experts, m) = (8usize, 4usize);
+        let (tokens, k) = (1 + below(12), 1 + below(2));
+        let mut builder = MoeConfig::builder();
+        builder.batch_size(1).seq_len(tokens).embed_dim(m).hidden_dim(8).num_experts(experts).top_k(k);
+        match below(3) {
+            0 => builder.no_drop(),
+            f => builder.capacity_factor(f as f64 * 0.5),
+        };
+        let config = builder.build().unwrap();
+        let (empty, hot, remote_rank) = (below(experts), below(experts), below(2));
+        let dispatchers: [fn() -> Box<dyn Dispatcher>; 3] =
+            [|| Box::new(NcclA2A), || Box::new(Hier1DH), || Box::new(Hier2DH)];
+        let mut worlds = vec![Wire::Two, Wire::Fig2];
+        worlds.extend(dispatchers.map(Wire::Grid));
+        for world in worlds {
+            let topo = world.topology();
+            let ranks = topo.world_size();
+            let position = |r: usize| topo.ep_group(r).iter().position(|&q| q == r).unwrap();
+            let map = ExpertMap::block(experts, topo.dims().ep).unwrap();
+            // each rank's block: columns 0..k name the token's experts
+            let inputs: Vec<Tensor> = (0..ranks)
+                .map(|r| {
+                    let allowed: Vec<usize> = (0..experts)
+                        .filter(|&e| e != empty && (r != remote_rank || map.position_of(e) != position(r)))
+                        .collect();
+                    let mut x = TensorRng::seed_from(seed ^ r as u64).normal(&[tokens, m], 0.0, 1.0);
+                    for row in x.data_mut().chunks_mut(m) {
+                        let first = if allowed.contains(&hot) && below(3) > 0 {
+                            allowed.iter().position(|&e| e == hot).unwrap()
+                        } else {
+                            below(allowed.len())
+                        };
+                        let second = (first + 1 + below(allowed.len() - 1)) % allowed.len();
+                        (row[0], row[1]) = (allowed[first] as f32, allowed[second] as f32);
+                    }
+                    x
+                })
+                .collect();
+            let want: Vec<_> = inputs
+                .iter()
+                .map(|x| scripted_step(&config, &Communicator::solo(), &HybridTopology::flat(1).unwrap(), None, x))
+                .collect();
+            let (cfg, blocks) = (config.clone(), inputs.clone());
+            let got = run_ranks(ranks, move |comm| {
+                let dispatcher = match world {
+                    Wire::Grid(make) => Some(make()),
+                    _ => None,
+                };
+                scripted_step(&cfg, &comm, &world.topology(), dispatcher, &blocks[comm.rank()])
+            });
+            for (r, ((y, grad, loads, seen), (want_y, want_grad, want_loads, _))) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(loads, want_loads, "{:?} rank {}: the gate is the layer's own", world, r);
+                if matches!(world, Wire::Fig2) {
+                    prop_assert!(y.allclose(want_y, 1e-4) && grad.allclose(want_grad, 1e-4), "{:?} rank {}", world, r);
+                } else {
+                    prop_assert_eq!(bits(y.data()), bits(want_y.data()), "{:?} rank {} output", world, r);
+                    prop_assert_eq!(bits(grad.data()), bits(want_grad.data()), "{:?} rank {} input grad", world, r);
+                }
+                // every source whose rows reach this rank: its ESP group's EP groups
+                let sources: Vec<usize> = topo.esp_group(r).iter().flat_map(|&s| topo.ep_group(s)).collect();
+                for (e, &handed) in seen.iter().enumerate() {
+                    let routed: usize = sources.iter().map(|&q| got[q].2[e]).sum();
+                    let here = map.position_of(e) == position(r);
+                    prop_assert_eq!(handed, if here { routed } else { 0 }, "{:?} rank {} expert {}", world, r, e);
+                }
+                prop_assert_eq!(seen[empty], 0);
+            }
+            let kept: usize = got.iter().map(|g| g.2.iter().sum::<usize>()).sum();
+            let computed: usize = got.iter().map(|g| g.3.iter().sum::<usize>()).sum();
+            prop_assert_eq!(computed, kept * topo.dims().esp, "useful ratio 1.0: {:?}", world);
         }
     }
 }

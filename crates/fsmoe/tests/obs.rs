@@ -4,7 +4,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology};
+use collectives::{
+    run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology, ParallelDims,
+};
 use fsmoe::config::MoeConfig;
 use fsmoe::hooks::DropCounterHooks;
 use fsmoe::layer::MoeLayer;
@@ -125,6 +127,39 @@ fn fault_free_distributed_forward_traces_spans_and_load_histogram() {
         assert!(span.attrs.iter().any(|(k, _)| *k == "bytes"));
     }
     assert!(snap.counter(obs::names::MOE_DROPPED_TOKENS) == 0);
+    // one-member ESP groups issue no collective
+    assert!(snap.spans_named(obs::names::SPAN_ALL_GATHER).is_empty());
+    assert!(snap.spans_named(obs::names::SPAN_REDUCE_SCATTER).is_empty());
+}
+
+#[test]
+fn sharded_experts_gather_and_reduce_once_per_exchange() {
+    let session = obs::session();
+    // the paper's Fig. 2: ep = 2, esp = 2 over four ranks
+    let dims = ParallelDims {
+        dp: 2,
+        mp: 2,
+        ep: 2,
+        esp: 2,
+    };
+    run_world_within(CommWorld::new(4), BUDGET, move |comm| {
+        let topo = HybridTopology::new(2, 2, dims).unwrap();
+        let cfg = config();
+        let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+        let mut rng = TensorRng::seed_from(4000 + comm.rank() as u64);
+        let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
+        let out = layer.forward(&x, &mut TensorRng::seed_from(0)).unwrap();
+        layer.backward(&out).unwrap();
+    });
+    let snap = session.snapshot();
+    // forward + backward: two exchanges in, two out, on each of four ranks
+    for (name, per_rank) in [
+        (obs::names::SPAN_ALL_GATHER, 2),
+        (obs::names::SPAN_REDUCE_SCATTER, 2),
+        (obs::names::SPAN_ALL_TO_ALL, 4),
+    ] {
+        assert_eq!(snap.spans_named(name).len(), 4 * per_rank, "{name}");
+    }
 }
 
 #[test]

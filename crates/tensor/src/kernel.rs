@@ -304,6 +304,22 @@ pub(crate) fn gemm_band(
     band: &mut [f32],
     band_rows: usize,
 ) {
+    gemm_band_sized(a, a_row0, bp, band, band_rows, band_rows);
+}
+
+/// [`gemm_band`] with its packing buffer sized for `pack_rows ≥
+/// band_rows` rows. The grouped GEMM cuts its bands at group boundaries,
+/// which follow the data; passing the uncut band height keeps the
+/// buffer's size class — and with it a warm thread's allocation count —
+/// independent of where the cuts fall.
+pub(crate) fn gemm_band_sized(
+    a: Operand<'_>,
+    a_row0: usize,
+    bp: &PackedB,
+    band: &mut [f32],
+    band_rows: usize,
+    pack_rows: usize,
+) {
     let (k, n) = (bp.k, bp.n);
     debug_assert_eq!(band.len(), band_rows * n);
     assert!(
@@ -315,7 +331,7 @@ pub(crate) fn gemm_band(
     }
     let use_avx = simd_available();
     let strips = band_rows.div_ceil(MR);
-    let mut apack = buf::take(strips * KC.min(k) * MR);
+    let mut apack = buf::take(pack_rows.max(band_rows).div_ceil(MR) * KC.min(k) * MR);
     let j_tiles = n.div_ceil(NR);
     let mut tile_buf = [0.0f32; MR * NR];
     let mut kb0 = 0;

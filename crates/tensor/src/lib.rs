@@ -40,7 +40,7 @@ pub use error::TensorError;
 pub use init::TensorRng;
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use topk::{top_k_indices, TopK};
+pub use topk::{top_k_indices, top_k_into, TopK};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

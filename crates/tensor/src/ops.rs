@@ -69,8 +69,8 @@ fn gemm(a: Operand<'_>, b: Operand<'_>, threads: usize) -> Vec<f32> {
     out
 }
 
-/// Checks that `offsets` partitions `rows` into `groups` ascending
-/// ranges.
+/// Checks that `offsets` cuts the leading `offsets[groups]` of `rows`
+/// rows into `groups` ascending ranges.
 fn check_offsets(offsets: &[usize], groups: usize, rows: usize) -> Result<()> {
     if groups == 0 || offsets.len() != groups + 1 {
         return Err(TensorError::ShapeMismatch {
@@ -79,7 +79,7 @@ fn check_offsets(offsets: &[usize], groups: usize, rows: usize) -> Result<()> {
             rhs: vec![offsets.len()],
         });
     }
-    if offsets[0] != 0 || offsets[groups] != rows || offsets.windows(2).any(|w| w[0] > w[1]) {
+    if offsets[0] != 0 || offsets[groups] > rows || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(TensorError::IndexOutOfBounds {
             index: offsets[groups],
             bound: rows,
@@ -211,7 +211,9 @@ impl Tensor {
     /// Returns an error unless `self` is rank 2, every weight is rank 2
     /// with the same `(k, n)` shape matching `self`'s inner dimension,
     /// and `offsets` is an ascending list of `weights.len() + 1` row
-    /// offsets starting at 0 and ending at `self`'s row count.
+    /// offsets starting at 0 and ending at or before `self`'s row count.
+    /// Rows past the last offset belong to no group — spare capacity of
+    /// a buffer sized for the worst case — and are zero in the output.
     pub fn matmul_grouped(
         &self,
         weights: &[&Tensor],
@@ -290,7 +292,7 @@ impl Tensor {
                         continue;
                     }
                     let sub = &mut band[(lo - first_row) * n..(hi - first_row) * n];
-                    kernel::gemm_band(a, lo, bp, sub, hi - lo);
+                    kernel::gemm_band_sized(a, lo, bp, sub, hi - lo, band_rows);
                 }
             });
         }
@@ -306,7 +308,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error unless both operands are rank 2 with the same
-    /// row count and `offsets` is an ascending partition of those rows.
+    /// row count and `offsets` ascends from 0 to at most that count.
     pub fn matmul_grouped_tn(
         &self,
         rhs: &Tensor,
@@ -629,7 +631,12 @@ mod tests {
         assert!(a.matmul_nt(&Tensor::zeros(&[3]), 1).is_err());
         let w = Tensor::zeros(&[2, 3]);
         assert!(a.matmul_grouped_nt(&[&w], &[0, 4], 1).is_ok());
-        assert!(a.matmul_grouped_nt(&[&w], &[0, 3], 1).is_err());
+        assert!(a.matmul_grouped_nt(&[&w], &[0, 5], 1).is_err());
+        assert!(a.matmul_grouped_nt(&[&w], &[1, 4], 1).is_err());
+        // groups may stop short of the rows: the rest belongs to nobody
+        let ones = Tensor::ones(&[4, 3]);
+        let short = ones.matmul_grouped_nt(&[&Tensor::ones(&[2, 3])], &[0, 3], 1);
+        assert_eq!(short.unwrap().data(), [3., 3., 3., 3., 3., 3., 0., 0.]);
         assert!(a
             .matmul_grouped_nt(&[&Tensor::zeros(&[3, 2])], &[0, 4], 1)
             .is_err());

@@ -27,6 +27,29 @@ impl TopK {
     }
 }
 
+/// The selection order: whether position `a` of `row` ranks before
+/// position `b`. Larger values first, ties to the lower index, NaN
+/// after everything else.
+fn rank_order(row: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    match (row[a].is_nan(), row[b].is_nan()) {
+        (true, true) => a.cmp(&b),
+        (true, false) => Ordering::Greater, // NaN is smallest → last
+        (false, true) => Ordering::Less,
+        (false, false) => row[b]
+            .partial_cmp(&row[a])
+            .expect("both operands are non-NaN")
+            .then(a.cmp(&b)),
+    }
+}
+
+fn check_k(k: usize, axis_len: usize) -> Result<()> {
+    if k == 0 || k > axis_len {
+        return Err(TensorError::InvalidK { k, axis_len });
+    }
+    Ok(())
+}
+
 /// Positions of the `k` largest values of `row`, descending by value.
 ///
 /// Ties are broken by preferring the lower index, which makes routing
@@ -42,27 +65,36 @@ impl TopK {
 /// Returns [`TensorError::InvalidK`] when `k` is zero or exceeds
 /// `row.len()`.
 pub fn top_k_indices(row: &[f32], k: usize) -> Result<Vec<usize>> {
-    if k == 0 || k > row.len() {
-        return Err(TensorError::InvalidK {
-            k,
-            axis_len: row.len(),
-        });
-    }
+    check_k(k, row.len())?;
     let mut idx: Vec<usize> = (0..row.len()).collect();
-    idx.sort_by(|&a, &b| {
-        use std::cmp::Ordering;
-        match (row[a].is_nan(), row[b].is_nan()) {
-            (true, true) => a.cmp(&b),
-            (true, false) => Ordering::Greater, // NaN is smallest → last
-            (false, true) => Ordering::Less,
-            (false, false) => row[b]
-                .partial_cmp(&row[a])
-                .expect("both operands are non-NaN")
-                .then(a.cmp(&b)),
-        }
-    });
+    idx.sort_by(|&a, &b| rank_order(row, a, b));
     idx.truncate(k);
     Ok(idx)
+}
+
+/// [`top_k_indices`] into a caller-owned `selected` (cleared first), by
+/// insertion instead of a full sort: one pass over `row`, no allocation
+/// once `selected` has held `k` entries. Meant for the small `k` of a
+/// token-choice gate — it costs `O(len · k)` in the worst case.
+///
+/// # Errors
+///
+/// As [`top_k_indices`].
+pub fn top_k_into(row: &[f32], k: usize, selected: &mut Vec<usize>) -> Result<()> {
+    check_k(k, row.len())?;
+    selected.clear();
+    for i in 0..row.len() {
+        // `i` is the highest index so far, so it goes after its ties
+        let mut at = selected.len();
+        while at > 0 && rank_order(row, i, selected[at - 1]).is_lt() {
+            at -= 1;
+        }
+        if at < k {
+            selected.truncate(k - 1);
+            selected.insert(at, i);
+        }
+    }
+    Ok(())
 }
 
 impl Tensor {
@@ -138,6 +170,26 @@ mod tests {
     fn top_k_tie_break_prefers_lower_index() {
         let row = [0.5, 0.5, 0.5];
         assert_eq!(top_k_indices(&row, 2).unwrap(), vec![0, 1]);
+    }
+
+    #[test]
+    fn top_k_into_selects_what_the_full_sort_selects() {
+        let rows: [&[f32]; 5] = [
+            &[0.1, 0.9, 0.5, 0.7],
+            &[0.5, 0.5, 0.5, 0.5],
+            &[f32::NAN, 1.0, f32::NAN, f32::NEG_INFINITY, 1.0],
+            &[-0.0, 0.0, f32::INFINITY, 0.0],
+            &[3.0],
+        ];
+        let mut selected = vec![7; 9]; // stale contents are cleared
+        for row in rows {
+            for k in 1..=row.len() {
+                top_k_into(row, k, &mut selected).unwrap();
+                assert_eq!(selected, top_k_indices(row, k).unwrap(), "{row:?} k={k}");
+            }
+            assert!(top_k_into(row, 0, &mut selected).is_err());
+            assert!(top_k_into(row, row.len() + 1, &mut selected).is_err());
+        }
     }
 
     #[test]
