@@ -49,7 +49,7 @@ echo "==> digest identity: the program's own step reproduces the benchmark's los
 # MoeTransformer::train_step. The example's digest mode rebuilds each
 # training workload from parts with the benchmark's sub-seeds, and the
 # two live runs must print the same loss_digest (no golden constant: the
-# bits depend on the AVX2-vs-scalar dispatch of the machine). The traced
+# bits depend on the FMA-vs-scalar dispatch of the machine). The traced
 # example must also issue the benchmark's collectives per step.
 for seed in 3 11; do
     for pair in dense_1r:8 wire_2r:8 fine_2r:32; do
@@ -206,8 +206,10 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
 # BENCH_<name>.json, appends results/bench_history.jsonl and exits
 # non-zero listing every budget it missed:
 #   harness     packed-GEMM GFLOPS floors at dims >= 256, activations
-#               <= 4 ns/element, nt/tn >= 0.9x plain, hardware-scaled
-#               2-thread speedup floors, no large allocation and <= 2%
+#               <= 4 ns/element, nt/tn >= 0.9x plain, the skinny
+#               training-shape GEMMs (hot and cold) as shares of the
+#               square rate, hardware-scaled 2-thread speedup floors,
+#               no large allocation and <= 2%
 #               of the pre-recycler minor faults per warm MoE step
 #               (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run

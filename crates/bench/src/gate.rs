@@ -8,7 +8,8 @@
 //! 2. [`Gate::require`] notes each budget as it is checked, so one run
 //!    reports *every* miss, not the first;
 //! 3. [`Gate::finish`] wraps the bench's numbers in the common envelope
-//!    (`bench`, `unix_time`, `hardware_threads`, `profile`, `commit`),
+//!    (`bench`, `unix_time`, `hardware_threads`, `profile`, `commit` —
+//!    `<hash>+dirty` when tracked sources differ from it),
 //!    rewrites `BENCH_<name>.json` at the repo root (or the first
 //!    positional argument), appends the same line to
 //!    `results/bench_history.jsonl` so the file at the root is the
@@ -116,13 +117,20 @@ impl Gate {
         let unix_time = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
-        let commit = std::process::Command::new("git")
-            .args(["-C", REPO_ROOT, "rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
+        let git = |args: &[&str]| {
+            let mut git = std::process::Command::new("git");
+            git.args(["-C", REPO_ROOT]).args(args).output().ok()
+        };
+        let mut commit = git(&["rev-parse", "--short", "HEAD"])
             .filter(|out| out.status.success())
             .and_then(|out| String::from_utf8(out.stdout).ok())
             .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+        // numbers measured on edited sources are not that commit's
+        let sources = ["crates", "shims", "Cargo.toml", "Cargo.lock"];
+        let edited = git(&[&["diff", "--quiet", "HEAD", "--"][..], &sources[..]].concat());
+        if edited.is_some_and(|out| out.status.code() == Some(1)) {
+            commit += "+dirty";
+        }
         let profile = if cfg!(debug_assertions) {
             "debug"
         } else {

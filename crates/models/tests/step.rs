@@ -97,10 +97,11 @@ fn replicated_weights_stay_bit_identical_across_ranks() {
     }
 }
 
-/// GEMMs of 2²¹ MACs (above the fan-out threshold) and 64 KiB
-/// activations (the allocation counter's "large").
+/// Attention GEMMs of 9.4 M MACs (above the fan-out threshold of every
+/// microkernel, 7.2 M on the widest: `tensor`'s `PAR_MIN_NS`) and
+/// 192 KiB activations (the allocation counter's "large" is 64 KiB).
 fn wide_config() -> MoeConfig {
-    config(128, 128, 4)
+    config(256, 192, 4)
 }
 
 /// Prints a hash of a 2-rank run's losses and final checkpoint; the

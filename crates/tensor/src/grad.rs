@@ -200,8 +200,9 @@ mod tests {
     fn matmul_backward_thread_count_invariant() {
         let mut rng = TensorRng::seed_from(1);
         // both GEMMs clear the parallel threshold
-        let x = rng.uniform(&[160, 96], -1.0, 1.0);
-        let w = rng.uniform(&[96, 104], -1.0, 1.0);
+        assert_eq!(crate::ops::gemm_split(160, 160 * 512 * 104, 2).0, 2);
+        let x = rng.uniform(&[160, 512], -1.0, 1.0);
+        let w = rng.uniform(&[512, 104], -1.0, 1.0);
         let grad_y = rng.uniform(&[160, 104], -1.0, 1.0);
         let (gx1, gw1) = matmul_backward_with_threads(&grad_y, &x, &w, 1).unwrap();
         for threads in [2, 4, 13] {

@@ -4,43 +4,52 @@
 //!
 //! # Structure
 //!
-//! The kernel follows the classic Goto/BLIS decomposition:
+//! The Goto/BLIS decomposition, with one rule on top: **an operand is
+//! copied only when its reuse pays for the copy.**
 //!
-//! * `B` is packed **once per GEMM** into `KC × NR` column tiles
-//!   ([`pack_b`]) so the innermost loop streams it with unit stride and
-//!   a tile (`KC·NR·4 B = 16 KiB`) stays resident in L1;
-//! * each row band packs its slice of `A` per `KC` block into `KC × MR`
-//!   row strips ([`gemm_band`]) so the microkernel broadcasts
-//!   consecutive elements;
-//! * the microkernel computes an `MR × NR` output tile: it loads the
-//!   tile of `C` into registers, accumulates `kc` rank-1 updates in
-//!   ascending `k` order, and stores the tile back.
+//! * `B` is packed **once per GEMM** into `NR`-wide column panels
+//!   ([`pack_b`]), of which the innermost loop streams a `KC × NR` tile
+//!   with unit stride. The pack walks its source in memory order: an
+//!   expert weight is cold every time it is touched, and a sequential
+//!   read is the cheapest way to fetch it;
+//! * `A` is **read where it lies**: the microkernel takes `(pointer, row
+//!   stride, k stride)`, so a full `MR`-row strip of a plain or a
+//!   transposed operand is never copied (at `N = 32` that copy costs
+//!   what the multiply does). Only a band's ragged last strip goes
+//!   through [`pack_a`], zero-padded, into one strip-sized buffer;
+//! * the microkernel loads an `MR × NR` tile of `C` into registers,
+//!   accumulates `kc` rank-1 updates in ascending `k` order, and stores
+//!   it back;
+//! * `MR × NR` belongs to the microkernel, chosen once per process
+//!   ([`Tile::host`]); packing and the band routine are written once
+//!   over a [`Geometry`] and monomorphised per microkernel.
 //!
-//! Both packed copies, like the output, are on loan from the per-thread
-//! recycler ([`crate::buf`]): in steady state a GEMM allocates nothing.
+//! The packed `B`, the strip buffer and the output are on loan from the
+//! per-thread recycler ([`crate::buf`]): in steady state a GEMM
+//! allocates nothing, and no buffer's size follows the routing.
 //!
 //! # Transposed operands
 //!
 //! Either operand may be handed over stored transposed ([`Operand`]):
-//! the packing pass is the only code that reads the source layout, so
-//! `A·Bᵀ` and `Aᵀ·B` — the two GEMMs of every backward pass — read the
-//! forward tensors where they lie instead of materialising a transposed
-//! copy first. The packed tiles hold exactly the values the pack of
-//! such a copy would hold, so the microkernel runs the same fold on the
-//! same numbers: `matmul_nt` / `matmul_tn` are bit-identical to
-//! transpose-then-`matmul`.
+//! `pack_b` transposes a transposed `B` panel by panel in 4×4 blocks,
+//! and a transposed `A` is just another pair of strides, so `A·Bᵀ` and
+//! `Aᵀ·B` — the two GEMMs of every backward pass — read the forward
+//! tensors where they lie. The microkernel sees the values a transposing
+//! copy would hold and runs the same fold on them: `matmul_nt` /
+//! `matmul_tn` are bit-identical to transpose-then-`matmul`.
 //!
 //! # SIMD strategy
 //!
-//! On `x86_64` with AVX2+FMA (detected once at runtime) the microkernel
-//! is hand-written with `std::arch` intrinsics: `MR = 6` rows of two
-//! 256-bit accumulators (12 register accumulators, 2 loaded `B` vectors
-//! and 1 broadcast — 15 of 16 ymm registers). Everywhere else a scalar
-//! microkernel with the same fixed-width `MR × NR` loop shape compiles
-//! to whatever vector ISA the target has (the loop bounds are
-//! compile-time constants, so LLVM autovectorizes it).
+//! On `x86_64` the microkernel is hand-written with `std::arch`
+//! intrinsics, one macro body at two widths: with AVX-512F, 12 rows of
+//! two 512-bit accumulators (a 12×32 tile in 27 of 32 zmm); with
+//! AVX2+FMA, 6 rows of two 256-bit ones (6×16 in 15 of 16 ymm).
+//! Everywhere else a scalar 6×16 loop nest with compile-time bounds
+//! autovectorizes for whatever the target has. One thread of the
+//! reference box (512-bit FMA peak 186 GFLOP/s) runs a 256³ GEMM,
+//! packing included, at 123 / 87 / 28 GFLOP/s on the three.
 //!
-//! # Bit-identity across thread counts
+//! # Bit-identity across thread counts — and across FMA widths
 //!
 //! For a fixed output element `c[i][j]`, the accumulation is a left fold
 //! over ascending `k`: the microkernel loads `c[i][j]`, folds the `KC`
@@ -49,10 +58,12 @@
 //! output *rows*; each row's arithmetic is independent of which strip or
 //! band it lands in) nor the tile split (lanes are independent) changes
 //! that order, so every thread count produces bit-identical results.
-//! The AVX2 path uses fused multiply-add (one rounding per product) and
-//! the scalar path separate multiply+add (two roundings) — the two may
-//! differ *across hosts*, but the dispatch is a process-wide constant,
-//! so within a process results are deterministic and thread-invariant.
+//! The two FMA microkernels run the same chain of fused multiply-adds
+//! per element (one rounding per product) and agree **bit for bit**; the
+//! scalar one multiplies and adds separately (two roundings) and may
+//! differ from them in the last bits — *across hosts* only: the dispatch
+//! is a process-wide constant, so within a process results are
+//! deterministic and thread-invariant.
 //!
 //! # NaN / Inf propagation
 //!
@@ -65,35 +76,260 @@
 
 use crate::buf;
 
-/// Rows per microtile.
-pub(crate) const MR: usize = 6;
-/// Columns per microtile (two 256-bit vectors of `f32`).
-pub(crate) const NR: usize = 16;
-/// `k`-dimension block: one `KC × NR` packed `B` tile is 16 KiB.
+/// `k`-dimension block: one packed `B` tile is `KC × NR` floats (32 KiB
+/// at `NR = 32`).
 pub(crate) const KC: usize = 256;
+/// The largest `MR × NR` of any [`Geometry`]: the ragged-tile scratch.
+const MAX_TILE: usize = 12 * 32;
 
-/// `B` packed into `KC × NR` unit-stride tiles, padded with zeros to a
+/// The microkernel a GEMM runs on — and with it the register tile that
+/// packing and the band split are sized by. Widest first: a host runs
+/// [`Tile::host`] and every tile declared after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd)]
+pub(crate) enum Tile {
+    /// 12×32: two 512-bit vectors per row.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// 6×16: two 256-bit vectors per row.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 6×16 in plain loops.
+    Scalar,
+}
+
+/// Evaluates `$body` with `$G` naming the [`Geometry`] of `$tile`: the
+/// one place a runtime tile becomes a monomorphised routine.
+macro_rules! with_geometry {
+    ($tile:expr, $G:ident => $body:expr) => {
+        match $tile {
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => {
+                type $G = Avx512;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => {
+                type $G = Avx2;
+                $body
+            }
+            Tile::Scalar => {
+                type $G = Scalar;
+                $body
+            }
+        }
+    };
+}
+
+impl Tile {
+    /// The widest microkernel this host can run: a process-wide constant
+    /// (`std` caches the cpuid probes).
+    #[inline]
+    pub(crate) fn host() -> Tile {
+        #[cfg(target_arch = "x86_64")]
+        if simd_available() {
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Tile::Avx512
+            } else {
+                Tile::Avx2
+            };
+        }
+        Tile::Scalar
+    }
+
+    /// Rows per microtile: row bands are cut at multiples of it.
+    pub(crate) fn mr(self) -> usize {
+        with_geometry!(self, G => G::MR)
+    }
+
+    /// Multiply-adds one thread retires per nanosecond, packing included
+    /// (128³ and 256³ on the reference box: 61 / 43 / 14), rounded down.
+    pub(crate) fn macs_per_ns(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => 60,
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => 42,
+            Tile::Scalar => 14,
+        }
+    }
+}
+
+/// Whether AVX2+FMA code (the 256-bit microkernel, the vector
+/// activations) is usable on this host.
+#[inline]
+pub(crate) fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Rows of `A` as they lie in memory: element `(r, kk)` is
+/// `data[r · row_stride + kk · k_stride]` — strides `(k, 1)` for a plain
+/// `A`, `(1, m)` for a transposed one, `(1, MR)` for a packed strip.
+#[derive(Clone, Copy)]
+struct Strip<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+}
+
+/// One microkernel and the register tile it computes; everything else in
+/// this module is written once over it.
+trait Geometry {
+    const MR: usize;
+    const NR: usize;
+    /// The runtime name of this geometry.
+    const TILE: Tile;
+
+    /// `C[MR × NR] += A[MR × kc] · Bpack[kc × NR]`: loads the tile of `C`
+    /// (rows `ldc` apart), folds the `kc` rank-1 updates into it in
+    /// ascending `k`, and stores it, reading `A` where it lies.
+    ///
+    /// # Safety
+    ///
+    /// The host must run `TILE`. All `MR` rows of `a` are read, up to and
+    /// including element `(MR−1) · row_stride + (kc−1) · k_stride` of
+    /// `a.data`, which must exist — a strip with fewer live rows is
+    /// packed, never read in place. `bpack` must hold `kc · NR` elements,
+    /// and the `MR` rows of `NR` elements at `c`, `ldc` apart, must all
+    /// be in bounds.
+    unsafe fn micro(kc: usize, a: Strip<'_>, bpack: *const f32, c: *mut f32, ldc: usize);
+}
+
+/// A hand-written FMA geometry: `$mr` rows of two `$lanes`-wide vector
+/// accumulators. The instances differ in width only: each output element
+/// is the same ascending-`k` chain of fused multiply-adds.
+#[cfg(target_arch = "x86_64")]
+macro_rules! fma_geometry {
+    ($name:ident, $mr:literal, $lanes:literal, $features:literal,
+     $zero:ident, $load:ident, $store:ident, $splat:ident, $fma:ident) => {
+        struct $name;
+
+        impl Geometry for $name {
+            const MR: usize = $mr;
+            const NR: usize = 2 * $lanes;
+            const TILE: Tile = Tile::$name;
+
+            /// # Safety
+            ///
+            /// The [`Geometry::micro`] contract.
+            #[target_feature(enable = $features)]
+            unsafe fn micro(
+                kc: usize,
+                a: Strip<'_>,
+                mut bpack: *const f32,
+                c: *mut f32,
+                ldc: usize,
+            ) {
+                use std::arch::x86_64::{
+                    _mm_prefetch, $fma, $load, $splat, $store, $zero, _MM_HINT_T0,
+                };
+                let (mut a, row_stride, k_stride) = (a.data.as_ptr(), a.row_stride, a.k_stride);
+                let mut acc = [[$zero(); 2]; $mr];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    row[0] = $load(c.add(r * ldc));
+                    row[1] = $load(c.add(r * ldc + $lanes));
+                }
+                for _ in 0..kc {
+                    let b0 = $load(bpack);
+                    let b1 = $load(bpack.add($lanes));
+                    // A transposed strip is a line or two per `k` step,
+                    // `m` floats apart: no hardware prefetcher follows
+                    // it. (A hint cannot fault; it may pass the operand.)
+                    let ahead = a.wrapping_add(16 * k_stride);
+                    _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                    _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(($mr - 1) * row_stride).cast());
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let av = $splat(*a.add(r * row_stride));
+                        row[0] = $fma(av, b0, row[0]);
+                        row[1] = $fma(av, b1, row[1]);
+                    }
+                    a = a.add(k_stride);
+                    bpack = bpack.add(2 * $lanes);
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    $store(c.add(r * ldc), row[0]);
+                    $store(c.add(r * ldc + $lanes), row[1]);
+                }
+            }
+        }
+    };
+}
+
+// 27 of 32 zmm: 24 accumulators, 2 loaded `B` vectors, 1 broadcast.
+#[cfg(target_arch = "x86_64")]
+fma_geometry! {
+    Avx512, 12, 16, "avx512f",
+    _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps
+}
+// 15 of 16 ymm.
+#[cfg(target_arch = "x86_64")]
+fma_geometry! {
+    Avx2, 6, 8, "avx2,fma",
+    _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps
+}
+
+/// The portable geometry: the fixed `NR`-wide inner loop autovectorizes
+/// on any target, with separate multiply and add.
+struct Scalar;
+
+impl Geometry for Scalar {
+    const MR: usize = 6;
+    const NR: usize = 16;
+    const TILE: Tile = Tile::Scalar;
+
+    /// # Safety
+    ///
+    /// The [`Geometry::micro`] contract; any host will do.
+    unsafe fn micro(kc: usize, a: Strip<'_>, bpack: *const f32, c: *mut f32, ldc: usize) {
+        let mut acc = [[0.0f32; Self::NR]; Self::MR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            std::ptr::copy_nonoverlapping(c.add(r * ldc), row.as_mut_ptr(), Self::NR);
+        }
+        for kk in 0..kc {
+            let brow = std::slice::from_raw_parts(bpack.add(kk * Self::NR), Self::NR);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = *a.data.as_ptr().add(r * a.row_stride + kk * a.k_stride);
+                for (o, &bv) in row.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * ldc), Self::NR);
+        }
+    }
+}
+
+/// `B` packed into unit-stride column panels, padded with zeros to a
 /// multiple of `NR` columns.
 ///
-/// Layout: for each `KC` block `kb` (offset `kb0 · j_tiles · NR`), the
-/// `j_tiles` column tiles are contiguous, each `kc · NR` long, element
-/// `[kk · NR + j]` holding `b[(kb0 + kk) · n + jt · NR + j]`.
+/// Layout: panel `jt` (offset `jt · k · NR`) holds columns
+/// `jt · NR ..` of every row, element `[kk · NR + j]` being
+/// `b[kk · n + jt · NR + j]`; the `KC × NR` tile the microkernel streams
+/// is rows `kb0 .. kb0 + kc` of a panel.
 pub(crate) struct PackedB {
     data: Vec<f32>,
     /// Inner (contraction) dimension.
     pub(crate) k: usize,
     /// Output column count (unpadded).
     pub(crate) n: usize,
-    j_tiles: usize,
+    /// The geometry the panels were cut for.
+    tile: Tile,
 }
 
 impl PackedB {
     /// The packed tile for `KC` block starting at `kb0` (length `kc`)
-    /// and column tile `jt`.
+    /// and column panel `jt`.
     #[inline]
-    fn tile(&self, kb0: usize, kc: usize, jt: usize) -> &[f32] {
-        let off = kb0 * self.j_tiles * NR + jt * kc * NR;
-        &self.data[off..off + kc * NR]
+    fn tile<G: Geometry>(&self, kb0: usize, kc: usize, jt: usize) -> &[f32] {
+        let off = (jt * self.k + kb0) * G::NR;
+        &self.data[off..off + kc * G::NR]
     }
 }
 
@@ -135,156 +371,134 @@ impl<'a> Operand<'a> {
             ..Operand::plain(data, rows, cols)
         }
     }
+
+    /// The operand from logical `(row, col)` on, as it lies.
+    fn at(&self, row: usize, col: usize) -> Strip<'a> {
+        let (row_stride, k_stride) = if self.transposed {
+            (1, self.rows)
+        } else {
+            (self.cols, 1)
+        };
+        Strip {
+            data: &self.data[row * row_stride + col * k_stride..],
+            row_stride,
+            k_stride,
+        }
+    }
 }
 
-/// Packs the right-hand `(k, n)` operand for the microkernel.
-pub(crate) fn pack_b(b: Operand<'_>) -> PackedB {
-    let (k, n) = (b.rows, b.cols);
-    let j_tiles = n.div_ceil(NR).max(1);
-    // every element is written: whole tiles, or a zero fill first
-    let mut data = buf::take(k * j_tiles * NR);
-    let mut kb0 = 0;
-    while kb0 < k {
-        let kc = KC.min(k - kb0);
-        let block = &mut data[kb0 * j_tiles * NR..(kb0 + kc) * j_tiles * NR];
-        for jt in 0..j_tiles {
-            let j0 = jt * NR;
-            let jn = NR.min(n - j0);
-            let tile = &mut block[jt * kc * NR..(jt + 1) * kc * NR];
-            if jn < NR {
-                tile.fill(0.0);
-            }
-            if b.transposed {
-                // source rows are logical columns: walk each one
-                // contiguously and scatter it down the tile
-                for j in 0..jn {
-                    let col = &b.data[(j0 + j) * k + kb0..][..kc];
-                    for (kk, &v) in col.iter().enumerate() {
-                        tile[kk * NR + j] = v;
-                    }
-                }
-            } else {
-                for kk in 0..kc {
-                    let src = (kb0 + kk) * n + j0;
-                    tile[kk * NR..kk * NR + jn].copy_from_slice(&b.data[src..src + jn]);
-                }
+/// `dst[c · dst_stride + r] = src[r · src_stride + c]` for `r < rows`,
+/// `c < cols`. On `x86_64` whole 4×4 blocks go through four 128-bit
+/// registers (SSE is part of the baseline: no runtime probe): source
+/// rows are read front to back, four at a time, and every store fills
+/// four adjacent floats.
+pub(crate) fn transpose_into(
+    src: &[f32],
+    src_stride: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+    rows: usize,
+    cols: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(
+        (rows - 1) * src_stride + cols <= src.len() && (cols - 1) * dst_stride + rows <= dst.len(),
+        "transpose outside its buffers"
+    );
+    #[cfg(target_arch = "x86_64")]
+    let (block_rows, block_cols) = (rows & !3, cols & !3);
+    #[cfg(not(target_arch = "x86_64"))]
+    let (block_rows, block_cols) = (0, 0);
+    #[cfg(target_arch = "x86_64")]
+    for r0 in (0..block_rows).step_by(4) {
+        for c0 in (0..block_cols).step_by(4) {
+            use std::arch::x86_64::{
+                _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps, _mm_unpackhi_ps,
+                _mm_unpacklo_ps,
+            };
+            // SAFETY: the block's last source element, `(r0+3, c0+3)`,
+            // and its last destination, `(c0+3, r0+3)`, lie inside the
+            // `rows × cols` region whose last element was checked above.
+            unsafe {
+                let from = src.as_ptr().add(r0 * src_stride + c0);
+                let to = dst.as_mut_ptr().add(c0 * dst_stride + r0);
+                let [a, b, c, d] = [0, 1, 2, 3].map(|r| _mm_loadu_ps(from.add(r * src_stride)));
+                let (lo_ab, hi_ab) = (_mm_unpacklo_ps(a, b), _mm_unpackhi_ps(a, b));
+                let (lo_cd, hi_cd) = (_mm_unpacklo_ps(c, d), _mm_unpackhi_ps(c, d));
+                _mm_storeu_ps(to, _mm_movelh_ps(lo_ab, lo_cd));
+                _mm_storeu_ps(to.add(dst_stride), _mm_movehl_ps(lo_cd, lo_ab));
+                _mm_storeu_ps(to.add(2 * dst_stride), _mm_movelh_ps(hi_ab, hi_cd));
+                _mm_storeu_ps(to.add(3 * dst_stride), _mm_movehl_ps(hi_cd, hi_ab));
             }
         }
-        kb0 += kc;
+    }
+    // what the blocks left: the ragged right and bottom edges
+    for r in 0..rows {
+        for c in if r < block_rows { block_cols } else { 0 }..cols {
+            dst[c * dst_stride + r] = src[r * src_stride + c];
+        }
+    }
+}
+
+/// Packs the right-hand `(k, n)` operand for this host's microkernel.
+pub(crate) fn pack_b(b: Operand<'_>) -> PackedB {
+    with_geometry!(Tile::host(), G => pack_b_as::<G>(b))
+}
+
+/// [`pack_b`] for geometry `G`. Both layouts walk the source in memory
+/// order: a plain `B` row is read once, front to back, and dropped in
+/// whole `NR`-wide chunks into the panels it crosses; a transposed `B`
+/// (source rows are logical columns) is transposed panel by panel.
+fn pack_b_as<G: Geometry>(b: Operand<'_>) -> PackedB {
+    let nr = G::NR;
+    let (k, n) = (b.rows, b.cols);
+    let panel = k * nr;
+    // only the last panel can be ragged: `tail` live columns, then zeros
+    let (full, tail) = (n / nr, n % nr);
+    let panels = n.div_ceil(nr).max(1);
+    // every element is written: live columns, or the padding's zeros
+    let mut data = buf::take(panels * panel);
+    if b.transposed {
+        for (jt, out) in data.chunks_exact_mut(panel.max(1)).enumerate() {
+            let jn = if jt < full { nr } else { tail };
+            if jn < nr {
+                out.fill(0.0);
+            }
+            if jn > 0 {
+                transpose_into(&b.data[jt * nr * k..], k, out, nr, jn, k);
+            }
+        }
+    } else {
+        for kk in 0..k {
+            let mut chunks = b.data[kk * n..][..n].chunks_exact(nr);
+            for (jt, chunk) in chunks.by_ref().enumerate() {
+                data[jt * panel + kk * nr..][..nr].copy_from_slice(chunk);
+            }
+            if full < panels {
+                let last = &mut data[full * panel + kk * nr..][..nr];
+                last[..tail].copy_from_slice(chunks.remainder());
+                last[tail..].fill(0.0);
+            }
+        }
     }
     PackedB {
         data,
         k,
         n,
-        j_tiles,
+        tile: G::TILE,
     }
 }
 
-/// Whether the hand-written AVX2+FMA microkernel is usable on this host.
-/// `std` caches the cpuid probe, so the check is a relaxed atomic load.
-#[inline]
-pub(crate) fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The AVX2+FMA microkernel: `C[MR × NR] += Apack[kc × MR] · Bpack[kc × NR]`
-/// with `C` rows `ldc` apart.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available, `apack`/`bpack` hold
-/// at least `kc·MR` / `kc·NR` elements, and `c` points at a tile whose
-/// `MR` rows of `NR` elements (stride `ldc`) are all in bounds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2(kc: usize, apack: *const f32, bpack: *const f32, c: *mut f32, ldc: usize) {
-    use std::arch::x86_64::{
-        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_ps(c.add(r * ldc));
-        row[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
-    }
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bpack.add(kk * NR));
-        let b1 = _mm256_loadu_ps(bpack.add(kk * NR + 8));
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a = _mm256_broadcast_ss(&*apack.add(kk * MR + r));
-            row[0] = _mm256_fmadd_ps(a, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(a, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(c.add(r * ldc), row[0]);
-        _mm256_storeu_ps(c.add(r * ldc + 8), row[1]);
-    }
-}
-
-/// Portable microkernel with the same tile shape; the fixed `NR`-wide
-/// inner loop autovectorizes on any target.
-///
-/// # Safety
-///
-/// Same bounds contract as [`micro_avx2`] (minus the ISA requirement).
-unsafe fn micro_scalar(kc: usize, apack: *const f32, bpack: *const f32, c: *mut f32, ldc: usize) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        unsafe {
-            std::ptr::copy_nonoverlapping(c.add(r * ldc), row.as_mut_ptr(), NR);
-        }
-    }
-    for kk in 0..kc {
-        let brow = unsafe { std::slice::from_raw_parts(bpack.add(kk * NR), NR) };
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a = unsafe { *apack.add(kk * MR + r) };
-            for (o, &bv) in row.iter_mut().zip(brow) {
-                *o += a * bv;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        unsafe {
-            std::ptr::copy_nonoverlapping(row.as_ptr(), c.add(r * ldc), NR);
-        }
-    }
-}
-
-/// Packs `rows` rows of the left-hand `(m, k)` operand starting at
-/// absolute row `a_row0`, restricted to columns `[kb0, kb0 + kc)`, into
-/// `MR`-row strips (`apack[strip][kk · MR + r]`), zero-padding the
-/// ragged final strip.
-fn pack_a(a: Operand<'_>, a_row0: usize, rows: usize, kb0: usize, kc: usize, out: &mut [f32]) {
-    let (m, k) = (a.rows, a.cols);
-    let strips = rows.div_ceil(MR);
-    debug_assert!(out.len() >= strips * kc * MR);
-    for s in 0..strips {
-        let strip = &mut out[s * kc * MR..(s + 1) * kc * MR];
-        let row0 = a_row0 + s * MR;
-        let live = MR.min(rows - s * MR);
-        if live < MR {
-            strip.fill(0.0);
-        }
-        if a.transposed {
-            // a strip's `live` rows are adjacent in every source row
-            for kk in 0..kc {
-                let src = (kb0 + kk) * m + row0;
-                strip[kk * MR..kk * MR + live].copy_from_slice(&a.data[src..src + live]);
-            }
-        } else {
-            for r in 0..live {
-                let arow = &a.data[(row0 + r) * k + kb0..][..kc];
-                for (kk, &v) in arow.iter().enumerate() {
-                    strip[kk * MR + r] = v;
-                }
-            }
+/// Packs the first `live < MR` rows and `kc` columns of `a` into one
+/// zero-padded `MR`-row strip (`out[kk · MR + r]`): a band's ragged last
+/// strip, the only one the microkernel does not read in place.
+fn pack_a<G: Geometry>(a: Strip<'_>, live: usize, kc: usize, out: &mut [f32]) {
+    for (kk, lanes) in out[..kc * G::MR].chunks_exact_mut(G::MR).enumerate() {
+        lanes.fill(0.0);
+        for (r, v) in lanes[..live].iter_mut().enumerate() {
+            *v = a.data[r * a.row_stride + kk * a.k_stride];
         }
     }
 }
@@ -304,23 +518,26 @@ pub(crate) fn gemm_band(
     band: &mut [f32],
     band_rows: usize,
 ) {
-    gemm_band_sized(a, a_row0, bp, band, band_rows, band_rows);
+    with_geometry!(bp.tile, G => gemm_band_as::<G>(a, a_row0, bp, band, band_rows));
 }
 
-/// [`gemm_band`] with its packing buffer sized for `pack_rows ≥
-/// band_rows` rows. The grouped GEMM cuts its bands at group boundaries,
-/// which follow the data; passing the uncut band height keeps the
-/// buffer's size class — and with it a warm thread's allocation count —
-/// independent of where the cuts fall.
-pub(crate) fn gemm_band_sized(
+/// [`gemm_band`] on geometry `G` — the one loop nest, monomorphised per
+/// microkernel.
+fn gemm_band_as<G: Geometry>(
     a: Operand<'_>,
     a_row0: usize,
     bp: &PackedB,
     band: &mut [f32],
     band_rows: usize,
-    pack_rows: usize,
 ) {
+    let (mr, nr) = (G::MR, G::NR);
     let (k, n) = (bp.k, bp.n);
+    assert!(
+        G::TILE >= Tile::host() && bp.tile == G::TILE,
+        "{:?} microkernel on a host without it, or on panels cut for {:?}",
+        G::TILE,
+        bp.tile
+    );
     debug_assert_eq!(band.len(), band_rows * n);
     assert!(
         a.cols == k && a_row0 + band_rows <= a.rows,
@@ -329,83 +546,109 @@ pub(crate) fn gemm_band_sized(
     if band_rows == 0 || n == 0 || k == 0 {
         return;
     }
-    let use_avx = simd_available();
-    let strips = band_rows.div_ceil(MR);
-    let mut apack = buf::take(pack_rows.max(band_rows).div_ceil(MR) * KC.min(k) * MR);
-    let j_tiles = n.div_ceil(NR);
-    let mut tile_buf = [0.0f32; MR * NR];
-    let mut kb0 = 0;
-    while kb0 < k {
+    let (full, ragged) = (band_rows / mr, band_rows % mr);
+    let mut last_strip = if ragged > 0 {
+        buf::take(KC * mr)
+    } else {
+        Vec::new()
+    };
+    let mut tile_buf = [0.0f32; MAX_TILE];
+    let tile_buf = &mut tile_buf[..mr * nr];
+    for kb0 in (0..k).step_by(KC) {
         let kc = KC.min(k - kb0);
-        pack_a(a, a_row0, band_rows, kb0, kc, &mut apack);
-        for jt in 0..j_tiles {
-            let j0 = jt * NR;
-            let jn = NR.min(n - j0);
-            let btile = bp.tile(kb0, kc, jt);
-            for s in 0..strips {
-                let r0 = s * MR;
-                let live = MR.min(band_rows - r0);
-                let astrip = &apack[s * kc * MR..(s + 1) * kc * MR];
-                if live == MR && jn == NR {
-                    // Full tile: accumulate straight into the output.
-                    // SAFETY: rows r0..r0+MR and columns j0..j0+NR are in
-                    // bounds of `band` (checked by live/jn), and the
-                    // packed slices hold kc·MR / kc·NR elements.
-                    unsafe {
-                        let c = band.as_mut_ptr().add(r0 * n + j0);
-                        if use_avx {
-                            #[cfg(target_arch = "x86_64")]
-                            micro_avx2(kc, astrip.as_ptr(), btile.as_ptr(), c, n);
-                            #[cfg(not(target_arch = "x86_64"))]
-                            micro_scalar(kc, astrip.as_ptr(), btile.as_ptr(), c, n);
-                        } else {
-                            micro_scalar(kc, astrip.as_ptr(), btile.as_ptr(), c, n);
-                        }
-                    }
+        if ragged > 0 {
+            pack_a::<G>(a.at(a_row0 + full * mr, kb0), ragged, kc, &mut last_strip);
+        }
+        for jt in 0..n.div_ceil(nr) {
+            let j0 = jt * nr;
+            let jn = nr.min(n - j0);
+            let btile = bp.tile::<G>(kb0, kc, jt);
+            for s in 0..full + usize::from(ragged > 0) {
+                let r0 = s * mr;
+                let (strip, live) = if s < full {
+                    (a.at(a_row0 + r0, kb0), mr)
                 } else {
-                    // Ragged tile: stage through a full-size scratch tile
-                    // so the microkernel arithmetic per live element is
-                    // identical to the full-tile path, then copy the live
-                    // region back. Padded A rows / B lanes are zero, and
-                    // their (possibly NaN) products land only in scratch
-                    // lanes that are discarded here.
-                    for (r, row) in tile_buf.chunks_mut(NR).enumerate() {
+                    let packed = Strip {
+                        data: &last_strip,
+                        row_stride: 1,
+                        k_stride: mr,
+                    };
+                    (packed, ragged)
+                };
+                // the highest element the microkernel reads
+                let last_read = (mr - 1) * strip.row_stride + (kc - 1) * strip.k_stride;
+                debug_assert!(last_read < strip.data.len(), "strip past its operand");
+                // A full tile accumulates straight into the output. A
+                // ragged one is staged through a full-size scratch tile,
+                // so the arithmetic per live element is identical:
+                // padded A rows / B lanes are zero, and their (possibly
+                // NaN) products land only in lanes discarded below.
+                let direct = live == mr && jn == nr;
+                if !direct {
+                    for (r, row) in tile_buf.chunks_exact_mut(nr).enumerate() {
+                        row.fill(0.0);
                         if r < live {
                             row[..jn].copy_from_slice(&band[(r0 + r) * n + j0..][..jn]);
-                            row[jn..].fill(0.0);
-                        } else {
-                            row.fill(0.0);
                         }
                     }
-                    // SAFETY: the scratch tile is exactly MR×NR with
-                    // stride NR; packed slices as above.
-                    unsafe {
-                        let c = tile_buf.as_mut_ptr();
-                        if use_avx {
-                            #[cfg(target_arch = "x86_64")]
-                            micro_avx2(kc, astrip.as_ptr(), btile.as_ptr(), c, NR);
-                            #[cfg(not(target_arch = "x86_64"))]
-                            micro_scalar(kc, astrip.as_ptr(), btile.as_ptr(), c, NR);
-                        } else {
-                            micro_scalar(kc, astrip.as_ptr(), btile.as_ptr(), c, NR);
-                        }
-                    }
+                }
+                let (c, ldc) = if direct {
+                    (band[r0 * n + j0..].as_mut_ptr(), n)
+                } else {
+                    (tile_buf.as_mut_ptr(), nr)
+                };
+                // SAFETY: the host runs `G` (asserted on entry). `strip`
+                // is the packed strip, or starts at row `a_row0 + r0`,
+                // column `kb0` of an operand with `MR` more rows (`s <
+                // full`; the band lies inside `A`, asserted on entry)
+                // and `kc` more columns, so `last_read` is in bounds.
+                // `btile` holds kc·NR elements. `c` is the scratch tile —
+                // MR×NR at stride NR — or rows r0..r0+MR, columns
+                // j0..j0+NR of `band` (`direct`).
+                unsafe { G::micro(kc, strip, btile.as_ptr(), c, ldc) };
+                if !direct {
                     for r in 0..live {
-                        band[(r0 + r) * n + j0..][..jn].copy_from_slice(&tile_buf[r * NR..][..jn]);
+                        band[(r0 + r) * n + j0..][..jn].copy_from_slice(&tile_buf[r * nr..][..jn]);
                     }
                 }
             }
         }
-        kb0 += kc;
     }
-    buf::give(apack);
+    buf::give(last_strip);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Naive f64 reference for one element.
+    /// Every geometry this host can run, widest first.
+    fn host_tiles() -> Vec<Tile> {
+        let all = [
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512,
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2,
+            Tile::Scalar,
+        ];
+        all.into_iter()
+            .filter(|&tile| tile >= Tile::host())
+            .collect()
+    }
+
+    /// `A × B` through the band routine of `tile`, rows cut at `split`.
+    fn gemm_on(tile: Tile, a: Operand<'_>, b: Operand<'_>, split: usize) -> Vec<f32> {
+        let (m, n) = (a.rows, b.cols);
+        let mut out = vec![0.0f32; m * n];
+        let (top, bottom) = out.split_at_mut(split * n);
+        with_geometry!(tile, G => {
+            let bp = pack_b_as::<G>(b);
+            gemm_band_as::<G>(a, 0, &bp, top, split);
+            gemm_band_as::<G>(a, split, &bp, bottom, m - split);
+        });
+        out
+    }
+
+    /// Naive f64 reference.
     fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
@@ -420,49 +663,155 @@ mod tests {
         out
     }
 
+    fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; src.len()];
+        transpose_into(src, cols, &mut out, rows, rows, cols);
+        out
+    }
+
+    /// Shapes one off either way from every geometry's `MR` (6, 12),
+    /// `NR` (16, 32) and from `KC`.
+    const AWKWARD: [(usize, usize, usize); 8] = [
+        (1, 1, 1),
+        (6, KC, 16),
+        (12, KC, 32),
+        (7, KC + 1, 17),
+        (13, 300, 37),
+        (11, 7, 3),
+        (23, 2 * KC + 3, 33),
+        (25, 40, 65),
+    ];
+
+    fn operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let a = (0..m * k)
+            .map(|v| ((v * 37 % 101) as f32 - 50.0) / 17.0)
+            .collect();
+        let b = (0..k * n)
+            .map(|v| ((v * 53 % 89) as f32 - 44.0) / 13.0)
+            .collect();
+        (a, b)
+    }
+
     #[test]
     fn band_kernel_matches_naive_on_awkward_shapes() {
-        for (m, k, n) in [
-            (1, 1, 1),
-            (MR, KC, NR),
-            (MR + 1, KC + 1, NR + 1),
-            (2 * MR - 1, 7, 3),
-            (13, 300, 37),
-        ] {
-            let a: Vec<f32> = (0..m * k).map(|v| ((v % 11) as f32 - 5.0) * 0.25).collect();
-            let b: Vec<f32> = (0..k * n).map(|v| ((v % 7) as f32 - 3.0) * 0.5).collect();
-            let bp = pack_b(Operand::plain(&b, k, n));
-            let mut out = vec![0.0f32; m * n];
-            gemm_band(Operand::plain(&a, m, k), 0, &bp, &mut out, m);
-            let want = naive(&a, &b, m, k, n);
-            for (got, want) in out.iter().zip(&want) {
-                assert!(
-                    (got - want).abs() <= 1e-3 * want.abs().max(1.0),
-                    "({m},{k},{n}): {got} vs {want}"
+        for tile in host_tiles() {
+            for (m, k, n) in AWKWARD {
+                let (a, b) = operands(m, k, n);
+                let out = gemm_on(tile, Operand::plain(&a, m, k), Operand::plain(&b, k, n), m);
+                let want = naive(&a, &b, m, k, n);
+                for (got, want) in out.iter().zip(&want) {
+                    assert!(
+                        (got - want).abs() <= 1e-3 * want.abs().max(1.0),
+                        "{tile:?} ({m},{k},{n}): {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The FMA geometries differ in width only, so they agree bit for
+    /// bit — on every layout; the scalar one rounds each product and is
+    /// merely close.
+    #[test]
+    fn every_host_geometry_computes_the_same_product() {
+        let tiles = host_tiles();
+        for (m, k, n) in AWKWARD {
+            let (a, b) = operands(m, k, n);
+            let (at, bt) = (transposed(&a, m, k), transposed(&b, k, n));
+            let layouts = [
+                (Operand::plain(&a, m, k), Operand::plain(&b, k, n)),
+                (Operand::plain(&a, m, k), Operand::transposed(&bt, k, n)),
+                (Operand::transposed(&at, m, k), Operand::plain(&b, k, n)),
+            ];
+            let reference = gemm_on(Tile::Scalar, layouts[0].0, layouts[0].1, m);
+            for &tile in &tiles {
+                let plain = gemm_on(tile, layouts[0].0, layouts[0].1, m);
+                for (a, b) in &layouts[1..] {
+                    assert_eq!(gemm_on(tile, *a, *b, m), plain, "{tile:?} ({m},{k},{n})");
+                }
+                if tile == Tile::Scalar {
+                    continue;
+                }
+                assert_eq!(
+                    plain,
+                    gemm_on(tiles[0], layouts[0].0, layouts[0].1, m),
+                    "{tile:?} vs {:?} ({m},{k},{n})",
+                    tiles[0]
                 );
+                for (got, want) in plain.iter().zip(&reference) {
+                    assert!(
+                        (got - want).abs() <= 1e-3 * want.abs().max(1.0),
+                        "{tile:?} vs scalar ({m},{k},{n}): {got} vs {want}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn band_split_is_bit_identical_to_whole() {
-        let (m, k, n) = (2 * MR + 3, KC + 17, NR + 5);
-        let a: Vec<f32> = (0..m * k)
-            .map(|v| ((v * 37 % 101) as f32 - 50.0) / 17.0)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|v| ((v * 53 % 89) as f32 - 44.0) / 13.0)
-            .collect();
-        let bp = pack_b(Operand::plain(&b, k, n));
-        let a = Operand::plain(&a, m, k);
-        let mut whole = vec![0.0f32; m * n];
-        gemm_band(a, 0, &bp, &mut whole, m);
-        for split in 1..m {
-            let mut parts = vec![0.0f32; m * n];
-            let (top, bottom) = parts.split_at_mut(split * n);
-            gemm_band(a, 0, &bp, top, split);
-            gemm_band(a, split, &bp, bottom, m - split);
-            assert_eq!(parts, whole, "split at {split}");
+        for tile in host_tiles() {
+            let (m, k, n) = (2 * tile.mr() + 3, KC + 17, 37);
+            let (a, b) = operands(m, k, n);
+            let (a, b) = (Operand::plain(&a, m, k), Operand::plain(&b, k, n));
+            let whole = gemm_on(tile, a, b, m);
+            for split in 1..m {
+                assert_eq!(
+                    gemm_on(tile, a, b, split),
+                    whole,
+                    "{tile:?} split at {split}"
+                );
+            }
+        }
+    }
+
+    /// `A` is read in place for full strips only, and never past its
+    /// last element: the operands here are exactly-sized allocations, a
+    /// band ends on `A`'s last row, and (in debug builds) the kernel
+    /// checks the highest element of every microkernel call against it.
+    #[test]
+    fn a_at_the_tail_of_its_allocation_is_never_overread() {
+        for tile in host_tiles() {
+            let mr = tile.mr();
+            for m in [mr - 1, mr, mr + 1, 2 * mr - 1] {
+                for (k, n) in [(5, 3), (KC + 9, 45)] {
+                    let (a, b) = operands(m, k, n);
+                    let at = transposed(&a, m, k).into_boxed_slice();
+                    let a = a.into_boxed_slice();
+                    let b = Operand::plain(&b, k, n);
+                    let want = naive(&a, b.data, m, k, n);
+                    for a in [Operand::plain(&a, m, k), Operand::transposed(&at, m, k)] {
+                        // one band, and a cut that leaves a one-row band
+                        // at the very end of `A`
+                        for split in [m, m - 1] {
+                            let got = gemm_on(tile, a, b, split);
+                            for (got, want) in got.iter().zip(&want) {
+                                assert!(
+                                    (got - want).abs() <= 1e-3 * want.abs().max(1.0),
+                                    "{tile:?} ({m},{k},{n}): {got} vs {want}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_into_handles_strides_and_ragged_blocks() {
+        for (rows, cols) in [(1, 1), (8, 8), (9, 17), (16, 3), (33, 20)] {
+            // both buffers wider than the block that is moved
+            let (ss, ds) = (cols + 3, rows + 2);
+            let src: Vec<f32> = (0..rows * ss).map(|v| v as f32).collect();
+            let mut dst = vec![-1.0f32; cols * ds];
+            transpose_into(&src, ss, &mut dst, ds, rows, cols);
+            for c in 0..cols {
+                for r in 0..ds {
+                    let want = if r < rows { src[r * ss + c] } else { -1.0 };
+                    assert_eq!(dst[c * ds + r], want, "({rows},{cols}) at ({r},{c})");
+                }
+            }
         }
     }
 }

@@ -1,18 +1,21 @@
 use crate::kernel::{self, Operand};
 use crate::{buf, par, Result, Tensor, TensorError};
 
-/// Below this many multiply-adds a GEMM stays on the calling thread.
+/// Below this much serial work a GEMM stays on the calling thread.
 ///
-/// Sized from the pool's measured hand-off (BENCH_compute.json,
-/// `pool_handoff_us`): publishing a job costs the caller ≈ 0.5 µs while
-/// the worker is polling, but 3–6 µs — one futex wake — once it has
-/// gone to sleep, and a sleeping worker arrives too late to help with
-/// anything short. The packed kernel retires ≈ 30 multiply-adds per ns,
-/// so 2²⁰ of them run ≈ 35 µs: from there up a cold hand-off costs the
-/// caller at most a tenth of the serial time (it claims bands itself
-/// while the worker wakes) and a warm one pays for itself many times
-/// over; below, the GEMM is over before a woken worker could join.
-const PAR_MIN_MACS: usize = 1 << 20;
+/// What fanning out costs is data movement, not the hand-off (≈ 0.5 µs
+/// to a polling worker, 3–6 µs to a sleeping one; BENCH_compute.json,
+/// `pool_handoff_us`): the worker pulls the packed `B` and its rows of
+/// `A` and of the zeroed output out of the caller's cache a line at a
+/// time, and the next call pulls the recycled buffers back — 40–70 µs
+/// per GEMM in steady state on the reference box. Back to back, a 128³
+/// GEMM runs 38 µs serial and 63 µs on two threads; 176³–192³ (91 and
+/// 118 µs serial) break even, 224³ gains 1.2×. The threshold is a time,
+/// so the multiply-add count it stands for follows the microkernel
+/// ([`kernel::Tile::macs_per_ns`]): 7.2 M on the 512-bit tile — 192³ is
+/// the largest cube that stays serial — 5.0 M on the 256-bit one, 1.7 M
+/// on the scalar one.
+const PAR_MIN_NS: usize = 120_000;
 
 fn check_matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     if t.rank() != 2 {
@@ -41,15 +44,16 @@ fn shape_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
 const BANDS_PER_THREAD: usize = 4;
 
 /// How an `m`-row GEMM of `macs` multiply-adds is split: `(threads,
-/// rows per band)`. Serial below [`PAR_MIN_MACS`]; bands are whole
+/// rows per band)`. Serial below [`PAR_MIN_NS`] of work; bands are whole
 /// `MR`-row strips so only the last one packs a ragged strip.
-fn gemm_split(m: usize, macs: usize, threads: usize) -> (usize, usize) {
-    if macs < PAR_MIN_MACS || threads <= 1 {
+pub(crate) fn gemm_split(m: usize, macs: usize, threads: usize) -> (usize, usize) {
+    let tile = kernel::Tile::host();
+    if macs < PAR_MIN_NS * tile.macs_per_ns() || threads <= 1 {
         return (1, m);
     }
-    let strips = m.div_ceil(kernel::MR);
+    let strips = m.div_ceil(tile.mr());
     let band_strips = strips.div_ceil(threads * BANDS_PER_THREAD);
-    (threads, band_strips * kernel::MR)
+    (threads, band_strips * tile.mr())
 }
 
 /// `A × B` for operands in either layout, row bands fanned out over up
@@ -292,7 +296,7 @@ impl Tensor {
                         continue;
                     }
                     let sub = &mut band[(lo - first_row) * n..(hi - first_row) * n];
-                    kernel::gemm_band_sized(a, lo, bp, sub, hi - lo, band_rows);
+                    kernel::gemm_band(a, lo, bp, sub, hi - lo);
                 }
             });
         }
@@ -335,27 +339,16 @@ impl Tensor {
             .collect()
     }
 
-    /// Transpose of a rank-2 tensor, copied in 8×8 tiles so both the
-    /// reads and the writes stay within a few cache lines.
+    /// Transpose of a rank-2 tensor, copied in 4×4 register blocks so
+    /// both the reads and the writes stay within a few cache lines.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrices.
     pub fn transpose(&self) -> Result<Tensor> {
-        const TILE: usize = 8;
         let (m, n) = check_matrix(self, "transpose")?;
-        let src = self.data();
         let mut out = buf::take(m * n);
-        for i0 in (0..m).step_by(TILE) {
-            let i1 = (i0 + TILE).min(m);
-            for j0 in (0..n).step_by(TILE) {
-                for j in j0..(j0 + TILE).min(n) {
-                    for i in i0..i1 {
-                        out[j * m + i] = src[i * n + j];
-                    }
-                }
-            }
-        }
+        kernel::transpose_into(self.data(), n, &mut out, m, m, n);
         Tensor::from_vec(out, &[n, m])
     }
 
@@ -715,12 +708,22 @@ mod tests {
         assert_eq!(full.slice_cols(2, 4).unwrap(), right);
     }
 
+    /// The integration suites (`tests/kernel_properties.rs`,
+    /// `tests/nan_propagation.rs`) cannot see the threshold and size
+    /// their fan-out cases at 2²³ multiply-adds: raising it past that
+    /// must fail here, not silently turn those cases serial.
+    #[test]
+    fn the_integration_suites_fan_out_size_clears_the_threshold() {
+        assert_eq!(gemm_split(1 << 10, 1 << 23, 2).0, 2);
+    }
+
     #[test]
     fn parallel_matmul_bit_identical_to_serial() {
-        // big enough to clear PAR_MIN_MACS so the fan-out really runs
+        // big enough to clear PAR_MIN_NS, so the fan-out really runs
+        assert_eq!(gemm_split(130, 130 * 720 * 90, 2).0, 2);
         let mut rng = crate::TensorRng::seed_from(7);
-        let a = rng.normal(&[130, 96], 0.0, 1.0);
-        let b = rng.normal(&[96, 90], 0.0, 1.0);
+        let a = rng.normal(&[130, 720], 0.0, 1.0);
+        let b = rng.normal(&[720, 90], 0.0, 1.0);
         let serial = a.matmul_with_threads(&b, 1).unwrap();
         for threads in [0, 2, 3, 5, 16, 96, 1000] {
             let parallel = a.matmul_with_threads(&b, threads).unwrap();

@@ -15,10 +15,11 @@
 //!   grouped-vs-per-expert and thread-count bit-identity intact.
 //! * **One ISA per process.** [`Lanes`] has two implementations — AVX2+FMA
 //!   intrinsics and plain arrays the compiler vectorises for whatever
-//!   the target has — picked by the same process-wide probe as the GEMM
-//!   microkernel ([`crate::kernel::simd_available`]). The two may differ
-//!   in the last bit (fused vs separate multiply-add), across hosts
-//!   only.
+//!   the target has — picked by [`crate::kernel::simd_available`], the
+//!   process-wide probe behind the GEMM's 256-bit tile (a host with
+//!   AVX-512 runs the 512-bit GEMM tile and these 8-lane maps: fused
+//!   multiply-add in both). The two may differ in the last bit (fused
+//!   vs separate multiply-add), across hosts only.
 //! * **Accuracy.** ≤ 1e-6 absolute-or-relative against an f64
 //!   evaluation of the same formulas. NaN in, NaN out; every other
 //!   input, ±∞ included, yields the map's value or limit (the libm

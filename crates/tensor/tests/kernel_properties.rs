@@ -2,12 +2,14 @@
 //! expert GEMM.
 //!
 //! The shape strategies deliberately straddle every tiling boundary in
-//! the kernel: the microkernel register tile is 6×16 (MR×NR) and the
-//! packing depth is KC = 256, so the selected dims include 0, 1, primes,
-//! exact multiples, and off-by-one neighbours of each of those
-//! constants. The reference is a naive f64 triple loop — any dropped
-//! product (the old zero-skip), mis-packed ragged edge, or out-of-bounds
-//! tile would show up as a mismatch.
+//! the kernel: the microkernel register tile (MR×NR) is 12×32 on an
+//! AVX-512 host and 6×16 everywhere else, and the packing depth is
+//! KC = 256, so the selected dims include 0, 1, primes, exact multiples,
+//! and off-by-one neighbours of each of those constants. The reference
+//! is a naive f64 triple loop — any dropped product (the old zero-skip),
+//! mis-packed ragged edge, or out-of-bounds tile would show up as a
+//! mismatch. (The unit tests in `kernel.rs` run every geometry the host
+//! has; here the host's own is under test, through the public API.)
 //!
 //! The transposed-operand forms (`matmul_nt`, `matmul_tn` and the
 //! grouped pair) are held to a stricter standard: *exact* equality with
@@ -16,6 +18,10 @@
 
 use proptest::prelude::*;
 use tensor::{Tensor, TensorRng};
+
+/// Multiply-adds from which a GEMM fans out on every microkernel; a unit
+/// test in `ops.rs` pins the threshold below it.
+const FAN_OUT_MACS: usize = 1 << 23;
 
 /// Naive f64 reference GEMM — no tiling, no skipping, full precision.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f64> {
@@ -34,9 +40,9 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f64> {
 }
 
 fn adversarial_rows() -> impl Strategy<Value = usize> {
-    // MR = 6: cover 0/1, below/at/above the tile, primes, and a
-    // many-tile case with a ragged tail (31 = 5·6 + 1).
-    prop::sample::select(vec![0usize, 1, 5, 6, 7, 11, 13, 31])
+    // MR = 6 or 12: cover 0/1, below/at/above either tile, primes, and
+    // a many-tile case with a ragged tail (31 = 5·6 + 1 = 2·12 + 7).
+    prop::sample::select(vec![0usize, 1, 5, 6, 7, 11, 12, 13, 23, 25, 31])
 }
 
 fn adversarial_depth() -> impl Strategy<Value = usize> {
@@ -46,8 +52,8 @@ fn adversarial_depth() -> impl Strategy<Value = usize> {
 }
 
 fn adversarial_cols() -> impl Strategy<Value = usize> {
-    // NR = 16: same treatment for the column tile.
-    prop::sample::select(vec![0usize, 1, 3, 15, 16, 17, 33, 37])
+    // NR = 16 or 32: same treatment for the column tile.
+    prop::sample::select(vec![0usize, 1, 3, 15, 16, 17, 31, 32, 33, 37, 65])
 }
 
 proptest! {
@@ -93,9 +99,9 @@ proptest! {
 
     #[test]
     fn grouped_gemm_bit_identical_to_per_expert_loop(
-        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 13]), 1..6),
+        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 12, 13, 25]), 1..6),
         k in prop::sample::select(vec![1usize, 4, 17]),
-        n in prop::sample::select(vec![1usize, 8, 19]),
+        n in prop::sample::select(vec![1usize, 8, 19, 33]),
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
@@ -143,13 +149,14 @@ proptest! {
 
     #[test]
     fn nt_and_tn_are_exact_above_the_parallel_threshold(
-        m in prop::sample::select(vec![97usize, 128, 131]),
-        k in prop::sample::select(vec![96usize, 257]),
-        n in prop::sample::select(vec![95usize, 112]),
+        m in prop::sample::select(vec![109usize, 128, 131]),
+        k in prop::sample::select(vec![704usize, 769]),
+        n in prop::sample::select(vec![112usize, 127]),
         threads in 1usize..6,
         seed in any::<u64>(),
     ) {
-        // big enough (≥ 2²⁰ multiply-adds) that the bands really fan out
+        // big enough that the bands really fan out
+        prop_assert!(m * k * n >= FAN_OUT_MACS);
         let mut rng = TensorRng::seed_from(seed);
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
@@ -162,9 +169,9 @@ proptest! {
 
     #[test]
     fn grouped_nt_and_tn_equal_their_transposed_references_exactly(
-        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 13]), 1..6),
+        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 12, 13, 25]), 1..6),
         k in prop::sample::select(vec![1usize, 4, 17, 257]),
-        n in prop::sample::select(vec![1usize, 8, 19]),
+        n in prop::sample::select(vec![1usize, 8, 19, 33]),
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
@@ -202,16 +209,17 @@ proptest! {
     }
 }
 
-/// The expert batch at `dense_1r` size: above the parallel threshold
-/// (2²⁰ multiply-adds), so the bands — `MR`-aligned, claimed by
-/// whichever thread is free, cutting across group boundaries — really
-/// fan out. Every thread count must reproduce the serial bits.
+/// An expert batch above the parallel threshold,
+/// so the bands — `MR`-aligned, claimed by whichever thread is free,
+/// cutting across group boundaries — really fan out (in the `tn` form,
+/// the largest group's own GEMM does). Every thread count must
+/// reproduce the serial bits.
 #[test]
 fn grouped_gemms_above_the_parallel_threshold_match_serial_exactly() {
-    let loads = [37usize, 0, 101, 6, 0, 90];
-    let (k, n) = (128usize, 96usize);
+    let loads = [37usize, 0, 101, 6, 0, 180];
+    let (k, n) = (512usize, 96usize);
     let rows: usize = loads.iter().sum();
-    assert!(rows * k * n >= 1 << 20 && 90 * k * n >= 1 << 20);
+    assert!(rows * k * n >= FAN_OUT_MACS && 180 * k * n >= FAN_OUT_MACS);
     let mut offsets = vec![0usize];
     for load in loads {
         offsets.push(offsets.last().unwrap() + load);

@@ -22,6 +22,10 @@
 use tensor::grad;
 use tensor::Tensor;
 
+/// Multiply-adds from which a GEMM fans out on every microkernel; a unit
+/// test in `ops.rs` pins the threshold below it.
+const FAN_OUT_MACS: usize = 1 << 23;
+
 /// a = [[0, 1]], b = [[NaN, inf], [1, 1]]: row 0 of `b` is touched only
 /// through the zero entry of `a`, so a zero-skip kernel would return
 /// finite values. out[0,0] = 0*NaN + 1*1 must be NaN; out[0,1] =
@@ -49,7 +53,8 @@ fn nan_and_inf_in_b_reach_output_through_zero_in_a() {
 /// every output element must be NaN regardless of the worker count.
 #[test]
 fn parallel_kernel_propagates_nan_through_zero_activations() {
-    let (m, k, n) = (128, 96, 96); // m*k*n > PAR_MIN_MACS = 2^20
+    let (m, k, n) = (128, 704, 96);
+    assert!(m * k * n >= FAN_OUT_MACS, "the banded path must really run");
     let poisoned_k = 41;
     let mut a_data = vec![1.0f32; m * k];
     for row in 0..m {
@@ -123,7 +128,8 @@ fn grouped_gemm_propagates_nan_per_group() {
 /// the banded path alike.
 #[test]
 fn transposed_operand_forms_propagate_nan_through_zeros() {
-    let (m, k, n) = (128, 96, 112); // above the parallel threshold
+    let (m, k, n) = (128, 608, 112);
+    assert!(m * k * n >= FAN_OUT_MACS, "the banded path must really run");
     let poisoned_k = 17;
     let mut a = Tensor::ones(&[m, k]);
     let mut b_t = Tensor::ones(&[n, k]); // b stored transposed
