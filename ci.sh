@@ -83,19 +83,17 @@ echo "==> chaos suite (single-threaded tensor backend)"
 TENSOR_THREADS=1 timeout --kill-after=30 300 \
     cargo test -q -p collectives --test chaos --test faults
 
-echo "==> chaos suite (default threading)"
-timeout --kill-after=30 300 \
-    cargo test -q -p collectives --test chaos --test faults
-
 echo "==> worker pool: tensor + fsmoe equivalence suites, no pool and oversubscribed"
-# TENSOR_THREADS=1 never starts the pool (every fan-out must degrade to
-# the caller running all bands); TENSOR_THREADS=4 puts three workers on
-# a two-core box, so callers, workers and the test harness's own
-# threads fight for cores. Results are bit-identical either way, and a
-# lost wake-up or a caller waiting on an unclaimed band is a hang. The
-# buffer recycler rides along (`-p tensor` covers `--lib buf`): its
-# lists are per thread, so the steady-state allocation count must be
-# zero with no pool worker and with three.
+# GEMMs run on their calling thread and never reach the pool; what does
+# is `par::map_indices` (the per-expert fallback and the pool's own
+# tests). TENSOR_THREADS=1 never starts the pool (every fan-out must
+# degrade to the caller running all items); TENSOR_THREADS=4 puts three
+# workers on a two-core box, so callers, workers and the test harness's
+# own threads fight for cores. Results are bit-identical either way,
+# and a lost wake-up or a caller waiting on an unclaimed item is a hang.
+# The per-thread buffer recycler rides along (`-p tensor` covers `--lib
+# buf`): the steady-state allocation count must be zero with no pool
+# worker and with three.
 for threads in 1 4; do
     soak "pool suites (TENSOR_THREADS=$threads)" TENSOR_THREADS=$threads \
         'cargo test -q -p tensor &&
@@ -205,20 +203,20 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
 # one harness (crates/bench/src/gate.rs) — each rewrites its
 # BENCH_<name>.json, appends results/bench_history.jsonl and exits
 # non-zero listing every budget it missed:
-#   harness     packed-GEMM GFLOPS floors at dims >= 256, activations
-#               <= 4 ns/element, nt/tn >= 0.9x plain, the skinny
-#               training-shape GEMMs (hot and cold) as shares of the
-#               square rate, hardware-scaled 2-thread speedup floors,
-#               no large allocation and <= 2%
-#               of the pre-recycler minor faults per warm MoE step
+#   harness     serial packed-GEMM GFLOPS floors at dims >= 256,
+#               activations <= 4 ns/element, nt/tn >= 0.9x plain, the
+#               skinny training-shape GEMMs (hot and cold) as shares of
+#               the square rate, no large allocation and <= 2% of the
+#               pre-recycler minor faults per warm MoE step
 #               (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run
 #   migrate     hot-expert migration pause < 250 ms (best of 5)
 #   attrib      instrumentation overhead < 2% of a forward, flight
 #               recorder on and everything off
 #   health      >= 90% of the healthy step rate within 20 steps of a
-#               gray-failure eviction (best of 3), bit-identical to a
-#               fresh 3-rank world
+#               gray-failure eviction (median of 21 runs, each against
+#               a healthy baseline timed right before it), bit-identical
+#               to a fresh 3-rank world
 #   profiler    the real wire and GEMM fit alpha-beta (r2 >= 0.9)
 gates=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"/\1/p}' crates/bench/Cargo.toml)
 [ -n "$gates" ] || { echo "no [[bench]] targets found" >&2; exit 1; }

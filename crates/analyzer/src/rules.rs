@@ -176,7 +176,7 @@ pub fn check_adhoc_spawn(tree: &[Node], tests: &TestRegions, out: &mut Vec<Viola
                 out.push(Violation::new(
                     RULE_ADHOC_SPAWN,
                     name.line(),
-                    format!("thread::{spawner} — fan out on the worker pool (tensor::par::{{for_each_row_band, map_indices}}) instead of starting threads"),
+                    format!("thread::{spawner} — fan out on the worker pool (tensor::par::map_indices) instead of starting threads"),
                 ));
             }
         };

@@ -4,11 +4,8 @@
 //! Runs under `cargo bench` (the `[[bench]]` target sets `harness = false`,
 //! so this `main` owns the process). It times:
 //!
-//! * the packed GEMM over a size sweep straddling the parallel
-//!   threshold, at several *explicit* thread counts via
-//!   [`Tensor::matmul_with_threads`] — never via `TENSOR_THREADS`, whose
-//!   `OnceLock` latch is read once per process and would turn a sweep
-//!   into N measurements of the same count;
+//! * the packed GEMM over a size sweep, one rate per dim: a GEMM runs
+//!   on the thread that calls it;
 //! * `matmul_nt` / `matmul_tn` beside the plain GEMM (the transposed
 //!   packing must not cost what the transposes it replaced did);
 //! * the skinny GEMMs the training workloads are made of — many rows
@@ -16,10 +13,10 @@
 //!   three forms, hot and against 32 MB of cycled weights, each as a
 //!   share of the square GEMM timed between them;
 //! * the vector activations in ns per element, and the worker pool's
-//!   hand-off, warm (worker polling) and cold (worker asleep);
-//! * an end-to-end GShard MoE layer forward **and backward** at the same
-//!   explicit thread counts via [`MoeLayer::set_compute_threads`], and
-//!   what a warm forward + backward costs the memory system: allocations
+//!   hand-off through `par::map_indices`, warm (worker polling) and cold
+//!   (worker asleep);
+//! * an end-to-end GShard MoE layer forward **and backward**, and what a
+//!   warm forward + backward costs the memory system: allocations
 //!   ≥ 64 KiB (from a counting `#[global_allocator]`, this binary only)
 //!   and minor page faults (from `/proc/self/stat`, where there is one);
 //! * the control-plane kernels (pipeline-degree solver, α–β model fit)
@@ -28,14 +25,10 @@
 //! Results are printed as a table and written to `BENCH_compute.json`
 //! so successive runs can be diffed. The budgets: a GFLOPS floor per
 //! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, a share
-//! of the square rate per skinny shape, no
-//! large allocation and ≤ 2 % of the pre-recycler page faults per warm
-//! MoE step, and — only on a box that reports at least two hardware
-//! threads — a 2-thread speedup read against what the two cores gave
-//! two independent serial GEMMs in the same rounds (≥ 0.95× of one
-//! thread everywhere, ≥ 0.58 of that pair scaling at dims ≥ 256), so a
-//! kernel, packing, pool or buffer-recycling regression fails `ci.sh`
-//! instead of silently shipping.
+//! of the square rate per skinny shape, no large allocation and ≤ 2 % of
+//! the pre-recycler page faults per warm MoE step — so a kernel,
+//! packing or buffer-recycling regression fails `ci.sh` instead of
+//! silently shipping.
 
 use bench::gate::{best_of_ms, reference_layer, Gate};
 use bench::{perf_model, table4_grid};
@@ -52,37 +45,15 @@ mod counting_alloc;
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
-/// Square GEMM dimensions for the sweep; 64 and 128 sit below the serial
-/// threshold (`PAR_MIN_NS`, 120 µs of work: 192³ on the 512-bit
-/// microkernel) and run on one thread whatever is asked, the rest fan out.
+/// Square GEMM dimensions for the sweep.
 const GEMM_DIMS: [usize; 4] = [64, 128, 256, 384];
-/// Explicit worker counts for both sweeps. On a single-core box the
-/// extra counts measure banding overhead rather than speedup; the floor
-/// below is taken over the best count per dim, so that is fine.
-const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
-/// Minimum best-thread-count GFLOPS per dim, `(dim, floor)`. At dims
-/// ≥ 256 the CI box measures 155–190 on the 12×32 AVX-512 microkernel
-/// (115–140 on one thread; the 6×16 AVX2 one read 105–145 and 60–85);
-/// the pre-rewrite blocked kernel measured ~18. The floor is set at 2×
-/// that kernel with headroom for a noisy shared host: dropping below
-/// it means the packed kernel (or its dispatch) regressed.
+/// Minimum GFLOPS per dim, `(dim, floor)`. At dims ≥ 256 one thread of
+/// the CI box measures 115–140 on the 12×32 AVX-512 microkernel (60–85
+/// on the 6×16 AVX2 one); the pre-rewrite blocked kernel measured ~18.
+/// The floor is set at 2× that kernel with headroom for a noisy shared
+/// host: dropping below it means the packed kernel (or its dispatch)
+/// regressed.
 const GFLOPS_FLOORS: [(usize, f64); 2] = [(256, 36.0), (384, 36.0)];
-/// What two threads on one GEMM must keep of the *pair scaling* — what
-/// the caller and the pool's worker get out of two independent serial
-/// GEMMs of the same size, timed in the same rounds, so a minute in which
-/// the host has no second core to give moves the floor with the
-/// measurement (seven runs in a row on the CI box: pair scaling 1.36,
-/// 1.37, 1.87 at dim 256, then 0.99–1.03 four times). Checked only when
-/// the box reports at least two hardware threads. At every dim fanning
-/// out must not cost more than 5 % of what the pair scaling leaves of one
-/// thread; from [`PAIR_SHARE_FROM_DIM`] up it must also pay: measured
-/// 0.73–0.86 of the pair scaling (speedups 1.10–1.59) with a second core
-/// there, 0.96–1.02 without. One GEMM cannot reach 1.0: its threads share
-/// the packed `B` and the output through the caller's cache (ROADMAP
-/// 6(b)(ii)).
-const SPEEDUP_FLOOR: f64 = 0.95;
-const PAIR_SHARE_FROM_DIM: usize = 256;
-const PAIR_SHARE_FLOOR: f64 = 0.58;
 /// `nt`/`tn` GFLOPS as a share of the plain GEMM's.
 const TRANSPOSED_FLOOR: f64 = 0.9;
 /// The GEMMs a training step is made of, `(m, k, n)`: `wire_2r`'s 1 280
@@ -110,8 +81,8 @@ const GEMM_FORMS: [&str; 3] = ["plain", "nt", "tn"];
 /// Ceiling for every vector activation (libm measured ≈ 27).
 const ACTIVATION_NS_CEILING: f64 = 4.0;
 /// Minor faults per warm MoE forward + backward before tensors were
-/// recycled (this measurement on commit `0ddae15`: 1061 / 1066 / 1092 at
-/// 1 / 2 / 4 threads, with 29 allocations ≥ 64 KiB), and the share of
+/// recycled (this measurement on commit `0ddae15`: 1061 on one thread,
+/// with 29 allocations ≥ 64 KiB), and the share of
 /// it a step may still take: a page the previous step already touched
 /// must not fault again.
 const PARENT_FAULTS_PER_STEP: f64 = 1061.0;
@@ -130,101 +101,48 @@ fn minor_faults() -> Option<u64> {
     after_comm.split_whitespace().nth(7)?.parse().ok()
 }
 
-/// What the floor checks need of one dim of the thread sweep.
-struct DimSweep {
-    dim: usize,
-    best_gflops: f64,
-    speedup_2t: f64,
-    pair_scaling: f64,
-}
-
-/// Times the square GEMM at every dim × thread count; returns the JSON
-/// rows plus what the floor checks read.
-fn bench_gemm() -> (Vec<Json>, Vec<DimSweep>) {
+/// Times the square GEMM at every dim; returns the JSON rows plus
+/// `(dim, GFLOP/s)`.
+fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
     let mut rng = TensorRng::seed_from(0xC0FFEE);
     let mut rows = Vec::new();
-    let mut best_per_dim = Vec::new();
-    println!("GEMM thread sweep (explicit matmul_with_threads):");
-    println!(
-        "  {:>5}  {:>7}  {:>12}  {:>8}  {:>10}",
-        "dim", "threads", "ms", "speedup", "GFLOP/s"
-    );
-    let mut pair_out = [0.0f32; 2];
+    let mut rates = Vec::new();
+    println!("square GEMM:");
+    println!("  {:>5}  {:>12}  {:>10}", "dim", "ms", "GFLOP/s");
     for &d in &GEMM_DIMS {
         let a = rng.uniform(&[d, d], -1.0, 1.0);
         let b = rng.uniform(&[d, d], -1.0, 1.0);
-        let flops = 2.0 * (d as f64).powi(3);
-        // one call per thread count per round, so a slow stretch of the
-        // host hits every count alike and the speedups stay comparable
-        let mut best_ms = [f64::INFINITY; THREAD_SWEEP.len()];
-        let mut pair_ms = f64::INFINITY;
-        for _ in 0..GEMM_RUNS {
-            for (best, &t) in best_ms.iter_mut().zip(&THREAD_SWEEP) {
-                *best = best.min(best_of_ms(1, || {
-                    std::hint::black_box(a.matmul_with_threads(&b, t).expect("gemm").data()[0]);
-                }));
-            }
-            // two independent serial GEMMs, one per band of a 2-band job
-            pair_ms = pair_ms.min(best_of_ms(1, || {
-                tensor::par::for_each_row_band(&mut pair_out, 1, 1, 2, |_, out| {
-                    out[0] = a.matmul_with_threads(&b, 1).expect("gemm").data()[0];
-                });
-            }));
-        }
-        let mut sweep = Vec::new();
-        let serial_ms = best_ms[0];
-        let mut best_gflops = 0.0f64;
-        let mut speedup_2t = f64::NAN;
-        for (&t, &ms) in THREAD_SWEEP.iter().zip(&best_ms) {
-            let gflops = flops / (ms * 1e-3) / 1e9;
-            best_gflops = best_gflops.max(gflops);
-            let speedup = serial_ms / ms;
-            if t == 2 {
-                speedup_2t = speedup;
-            }
-            println!("  {d:>5}  {t:>7}  {ms:>12.4}  {speedup:>7.2}x  {gflops:>10.2}");
-            sweep.push(Json::obj(vec![
-                ("threads", Json::from(t)),
-                ("ms", Json::from(ms)),
-                ("speedup_vs_serial", Json::from(speedup)),
-                ("gflops", Json::from(gflops)),
-            ]));
-        }
-        let pair_scaling = 2.0 * serial_ms / pair_ms;
-        println!("  {d:>5}  2 GEMMs  {pair_ms:>12.4}  {pair_scaling:>7.2}x  (pair scaling)");
-        best_per_dim.push(DimSweep {
-            dim: d,
-            best_gflops,
-            speedup_2t,
-            pair_scaling,
+        let ms = best_of_ms(GEMM_RUNS, || {
+            std::hint::black_box(a.matmul(&b).expect("gemm").data()[0]);
         });
+        let gflops = 2.0 * (d as f64).powi(3) / (ms * 1e-3) / 1e9;
+        println!("  {d:>5}  {ms:>12.4}  {gflops:>10.2}");
+        rates.push((d, gflops));
         rows.push(Json::obj(vec![
             ("dim", Json::from(d)),
-            ("serial_ms", Json::from(serial_ms)),
-            ("pair_scaling", Json::from(pair_scaling)),
-            ("best_gflops", Json::from(best_gflops)),
-            ("sweep", Json::from(sweep)),
+            ("ms", Json::from(ms)),
+            ("gflops", Json::from(gflops)),
         ]));
     }
-    (rows, best_per_dim)
+    (rows, rates)
 }
 
-/// Times `matmul_nt` and `matmul_tn` beside the plain GEMM on one
-/// thread; returns the JSON rows plus `(dim, nt ÷ plain, tn ÷ plain)`.
+/// Times `matmul_nt` and `matmul_tn` beside the plain GEMM; returns the JSON rows plus `(dim, nt ÷ plain, tn ÷ plain)`.
 fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
     let mut rng = TensorRng::seed_from(0xBEEF);
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
-    println!("\ntransposed-operand GEMM (1 thread, GFLOP/s):");
+    println!("\ntransposed-operand GEMM (GFLOP/s):");
     println!("  {:>5}  {:>8}  {:>8}  {:>8}", "dim", "plain", "nt", "tn");
     for &d in &GEMM_DIMS[1..] {
         let a = rng.uniform(&[d, d], -1.0, 1.0);
         let b = rng.uniform(&[d, d], -1.0, 1.0);
-        // one call per form per round, as in the thread sweep
+        // one call per form per round, so a slow stretch of the host
+        // hits every form alike
         let forms: [&dyn Fn() -> Tensor; 3] = [
-            &|| a.matmul_with_threads(&b, 1).expect("gemm"),
-            &|| a.matmul_nt(&b, 1).expect("gemm"),
-            &|| a.matmul_tn(&b, 1).expect("gemm"),
+            &|| a.matmul(&b).expect("gemm"),
+            &|| a.matmul_nt(&b).expect("gemm"),
+            &|| a.matmul_tn(&b).expect("gemm"),
         ];
         let mut best_ms = [f64::INFINITY; 3];
         for _ in 0..GEMM_RUNS {
@@ -251,7 +169,7 @@ fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
 /// `(hot, cold)`, each `[plain, nt, tn]`, in [`SKINNY`] order.
 type SkinnyShares = ([f64; 3], [f64; 3]);
 
-/// Times [`SKINNY`] in all three forms on one thread, hot (one weight,
+/// Times [`SKINNY`] in all three forms, hot (one weight,
 /// best call) and cold (a pass over [`COLD_BYTES`] of weights, best
 /// pass), with the square probe timed before each.
 fn bench_skinny() -> (Vec<Json>, Vec<SkinnyShares>) {
@@ -263,14 +181,14 @@ fn bench_skinny() -> (Vec<Json>, Vec<SkinnyShares>) {
     );
     let probe_ms = || {
         best_of_ms(GEMM_RUNS / 3, || {
-            std::hint::black_box(sa.matmul_with_threads(&sb, 1).expect("gemm").data()[0]);
+            std::hint::black_box(sa.matmul(&sb).expect("gemm").data()[0]);
         })
     };
     let gflops = |flops: f64, ms: f64| flops / (ms * 1e-3) / 1e9;
     let mut rows = Vec::new();
     let mut shares = Vec::new();
     println!(
-        "\nskinny GEMM (1 thread, GFLOP/s; cold = {} MB of weights cycled):",
+        "\nskinny GEMM (GFLOP/s; cold = {} MB of weights cycled):",
         COLD_BYTES >> 20
     );
     println!(
@@ -284,14 +202,16 @@ fn bench_skinny() -> (Vec<Json>, Vec<SkinnyShares>) {
         let w = rng.uniform(&[k, n], -1.0, 1.0);
         let mut pool: Vec<Tensor> = (0..count).map(|_| w.clone()).collect();
         let forms: [&dyn Fn(&Tensor) -> Tensor; 3] = [
-            &|w| a.matmul_with_threads(w, 1).expect("gemm"),
-            &|w| a.matmul_nt(w, 1).expect("gemm"),
-            &|w| at.matmul_tn(w, 1).expect("gemm"),
+            &|w| a.matmul(w).expect("gemm"),
+            &|w| a.matmul_nt(w).expect("gemm"),
+            &|w| at.matmul_tn(w).expect("gemm"),
         ];
         let (mut hot_ms, mut cold_ms) = ([f64::INFINITY; 3], [f64::INFINITY; 3]);
         let (mut hot_probe, mut cold_probe) = (f64::INFINITY, f64::INFINITY);
         // A form's calls run back to back — `a` and its transpose do not
         // both fit the L2, and "hot" means hot — with the probe between.
+        // Its hot calls come in three blocks a cold pass apart, so one
+        // stretch of the host stealing the core cannot sink the form.
         // `plain` and `tn` read the weights as `(k, n)`, `nt` as `(n, k)`.
         for form in [0, 2, 1] {
             if GEMM_FORMS[form] == "nt" {
@@ -299,11 +219,12 @@ fn bench_skinny() -> (Vec<Json>, Vec<SkinnyShares>) {
                     w.reshape_in_place(&[n, k]).expect("same size");
                 }
             }
-            hot_probe = hot_probe.min(probe_ms());
-            hot_ms[form] = best_of_ms(GEMM_RUNS, || {
-                std::hint::black_box(forms[form](&pool[0]).data()[0]);
-            });
             for _ in 0..3 {
+                hot_probe = hot_probe.min(probe_ms());
+                let hot = best_of_ms(GEMM_RUNS / 3, || {
+                    std::hint::black_box(forms[form](&pool[0]).data()[0]);
+                });
+                hot_ms[form] = hot_ms[form].min(hot);
                 cold_probe = cold_probe.min(probe_ms());
                 let pass = best_of_ms(1, || {
                     for w in &pool {
@@ -388,13 +309,14 @@ fn bench_activations() -> Vec<(&'static str, f64)> {
     rows
 }
 
-/// The pool's hand-off: one empty two-band fan-out, back to back (the
-/// worker is polling) and after a pause longer than its spin (the
-/// worker is asleep and the caller pays the wake). µs per fan-out.
+/// The pool's hand-off: one two-item `map_indices` fan-out of no work,
+/// back to back (the worker is polling) and after a pause longer than
+/// its spin (the worker is asleep and the caller pays the wake). µs per
+/// fan-out.
 fn bench_pool_handoff() -> (f64, f64) {
-    let mut out = [0.0f32; 2];
-    let mut fan_out =
-        || tensor::par::for_each_row_band(&mut out, 1, 1, 2, |_, band| band[0] += 1.0);
+    let mut fan_out = || {
+        std::hint::black_box(tensor::par::map_indices(2, 2, |i| i));
+    };
     fan_out(); // spawn the pool outside the timing
     let warm = bench::gate::per_call_ns(2000, &mut fan_out) / 1e3;
     let mut cold = f64::INFINITY;
@@ -406,96 +328,59 @@ fn bench_pool_handoff() -> (f64, f64) {
     (warm, cold)
 }
 
-/// What [`bench_moe`] measured.
-struct MoeBench {
-    sweep: Vec<Json>,
-    tokens: usize,
-    experts: usize,
-    best_ms: f64,
-    best_backward_ms: f64,
-    /// Worst row of the sweep, per warm forward + backward.
-    large_allocs: f64,
-    minor_faults: Option<f64>,
-}
-
-/// Times one MoE-layer forward and one backward per explicit thread
-/// count, then counts what [`MEMORY_STEPS`] more warm forward + backward
-/// steps cost in large allocations (on this thread) and minor faults
-/// (process-wide).
-fn bench_moe() -> MoeBench {
+/// Times one MoE-layer forward and one backward, then counts what
+/// [`MEMORY_STEPS`] more warm forward + backward steps cost in large
+/// allocations (on this thread) and minor faults (process-wide); returns
+/// the JSON row plus both counts per step.
+fn bench_moe() -> (Json, f64, Option<f64>) {
     let (mut layer, input) = reference_layer();
     let (tokens, experts) = (layer.config().tokens(), layer.config().num_experts);
     let grad_out = TensorRng::seed_from(2).normal(input.dims(), 0.0, 1.0);
-    let mut sweep = Vec::new();
-    let mut serial = (f64::NAN, f64::NAN);
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    let (mut worst_allocs, mut worst_faults) = (0.0f64, None::<f64>);
-    println!("\nMoE layer ({tokens} tokens, {experts} experts), forward / backward:");
-    for &t in &THREAD_SWEEP {
-        layer.set_compute_threads(Some(t));
-        let fwd = best_of_ms(MOE_RUNS, || {
+    let ms = best_of_ms(MOE_RUNS, || {
+        let mut r = TensorRng::seed_from(1);
+        std::hint::black_box(layer.forward(&input, &mut r).expect("forward"));
+    });
+    let backward_ms = best_of_ms(MOE_RUNS, || {
+        std::hint::black_box(layer.backward(&grad_out).expect("backward"));
+    });
+    let per_s = |ms: f64| tokens as f64 / (ms * 1e-3);
+    println!(
+        "\nMoE layer ({tokens} tokens, {experts} experts): {ms:.3} / {backward_ms:.3} ms \
+         forward / backward, {:.0} / {:.0} tokens/s",
+        per_s(ms),
+        per_s(backward_ms)
+    );
+    let faults_before = minor_faults();
+    let ((), _, large) = counting_alloc::count(|| {
+        for _ in 0..MEMORY_STEPS {
             let mut r = TensorRng::seed_from(1);
             std::hint::black_box(layer.forward(&input, &mut r).expect("forward"));
-        });
-        let bwd = best_of_ms(MOE_RUNS, || {
             std::hint::black_box(layer.backward(&grad_out).expect("backward"));
-        });
-        if t == 1 {
-            serial = (fwd, bwd);
         }
-        best = (best.0.min(fwd), best.1.min(bwd));
-        let per_s = |ms: f64| tokens as f64 / (ms * 1e-3);
-        println!(
-            "  threads {t}: {fwd:.3} / {bwd:.3} ms ({:.2}x / {:.2}x vs serial), {:.0} / {:.0} tokens/s",
-            serial.0 / fwd,
-            serial.1 / bwd,
-            per_s(fwd),
-            per_s(bwd)
-        );
-        let faults_before = minor_faults();
-        let ((), _, large) = counting_alloc::count(|| {
-            for _ in 0..MEMORY_STEPS {
-                let mut r = TensorRng::seed_from(1);
-                std::hint::black_box(layer.forward(&input, &mut r).expect("forward"));
-                std::hint::black_box(layer.backward(&grad_out).expect("backward"));
-            }
-        });
-        let per_step = |count: u64| count as f64 / MEMORY_STEPS as f64;
-        let large = per_step(large);
-        let faults = faults_before
-            .zip(minor_faults())
-            .map(|(before, after)| per_step(after - before));
-        println!(
-            "             {large:.2} allocations >= {} KiB and {} minor faults per warm step",
-            counting_alloc::LARGE >> 10,
-            faults.map_or("n/a".to_string(), |f| format!("{f:.1}")),
-        );
-        worst_allocs = worst_allocs.max(large);
-        worst_faults = faults.map(|f| f.max(worst_faults.unwrap_or(0.0)));
-        let mut row = vec![
-            ("threads", Json::from(t)),
-            ("ms", Json::from(fwd)),
-            ("speedup_vs_serial", Json::from(serial.0 / fwd)),
-            ("tokens_per_s", Json::from(per_s(fwd))),
-            ("backward_ms", Json::from(bwd)),
-            ("backward_speedup_vs_serial", Json::from(serial.1 / bwd)),
-            ("backward_tokens_per_s", Json::from(per_s(bwd))),
-            ("large_allocs_per_step", Json::from(large)),
-        ];
-        if let Some(faults) = faults {
-            row.push(("minor_faults_per_step", Json::from(faults)));
-        }
-        sweep.push(Json::obj(row));
+    });
+    let per_step = |count: u64| count as f64 / MEMORY_STEPS as f64;
+    let minor_faults = faults_before
+        .zip(minor_faults())
+        .map(|(before, after)| per_step(after - before));
+    let large_allocs = per_step(large);
+    println!(
+        "  {large_allocs:.2} allocations >= {} KiB and {} minor faults per warm step",
+        counting_alloc::LARGE >> 10,
+        minor_faults.map_or("n/a".to_string(), |f| format!("{f:.1}")),
+    );
+    let mut row = vec![
+        ("tokens", Json::from(tokens)),
+        ("experts", Json::from(experts)),
+        ("ms", Json::from(ms)),
+        ("tokens_per_s", Json::from(per_s(ms))),
+        ("backward_ms", Json::from(backward_ms)),
+        ("backward_tokens_per_s", Json::from(per_s(backward_ms))),
+        ("large_allocs_per_step", Json::from(large_allocs)),
+    ];
+    if let Some(faults) = minor_faults {
+        row.push(("minor_faults_per_step", Json::from(faults)));
     }
-    MoeBench {
-        sweep,
-        tokens,
-        experts,
-        best_ms: best.0,
-        best_backward_ms: best.1,
-        large_allocs: worst_allocs,
-        minor_faults: worst_faults,
-    }
+    (Json::obj(row), large_allocs, minor_faults)
 }
 
 fn bench_control_plane() -> Vec<(&'static str, f64)> {
@@ -533,11 +418,11 @@ fn bench_control_plane() -> Vec<(&'static str, f64)> {
 fn main() {
     let mut gate = Gate::new("compute");
     println!(
-        "hardware threads: {} (sweeps use explicit thread counts)\n",
+        "hardware threads: {} (a GEMM runs on one)\n",
         tensor::par::hardware_threads()
     );
 
-    let (gemm_rows, per_dim) = bench_gemm();
+    let (gemm_rows, gemm_rates) = bench_gemm();
     let (transposed_rows, transposed_ratios) = bench_transposed();
     // on a thread of its own, so the 32 MB weight pools leave with its
     // buffer recycler instead of sitting under the memory rows below
@@ -545,7 +430,7 @@ fn main() {
         std::thread::scope(|s| s.spawn(bench_skinny).join().expect("skinny GEMM bench"));
     let activations = bench_activations();
     let (handoff_warm_us, handoff_cold_us) = bench_pool_handoff();
-    let moe = bench_moe();
+    let (moe_row, large_allocs, minor_faults) = bench_moe();
 
     let control = bench_control_plane();
     println!("\ncontrol plane:");
@@ -554,34 +439,17 @@ fn main() {
     }
 
     for (dim, floor) in GFLOPS_FLOORS {
-        let best = per_dim
+        let (_, gflops) = *gemm_rates
             .iter()
-            .find(|sweep| sweep.dim == dim)
-            .map(|sweep| sweep.best_gflops)
+            .find(|rate| rate.0 == dim)
             .expect("floor dim is in GEMM_DIMS");
         gate.require(
-            best >= floor,
+            gflops >= floor,
             format!(
-                "GEMM dim {dim}: best {best:.1} GFLOPS is below the {floor:.1} floor — \
+                "GEMM dim {dim}: {gflops:.1} GFLOPS is below the {floor:.1} floor — \
                  the packed microkernel regressed"
             ),
         );
-    }
-    if tensor::par::hardware_threads() >= 2 {
-        for sweep in &per_dim {
-            let (dim, speedup, pair_scaling) = (sweep.dim, sweep.speedup_2t, sweep.pair_scaling);
-            let mut floor = SPEEDUP_FLOOR * pair_scaling.min(1.0);
-            if dim >= PAIR_SHARE_FROM_DIM {
-                floor = floor.max(PAIR_SHARE_FLOOR * pair_scaling);
-            }
-            gate.require(
-                speedup >= floor,
-                format!(
-                    "GEMM dim {dim}: 2 threads run at {speedup:.2}x of 1, floor {floor:.2}x \
-                     (two independent GEMMs scaled {pair_scaling:.2}x)"
-                ),
-            );
-        }
     }
     for (dim, nt, tn) in transposed_ratios {
         gate.require(
@@ -612,7 +480,6 @@ fn main() {
             format!("{name}: {ns:.2} ns/element, ceiling {ACTIVATION_NS_CEILING:.1}"),
         );
     }
-    let large_allocs = moe.large_allocs;
     gate.require(
         large_allocs == 0.0,
         format!(
@@ -622,7 +489,7 @@ fn main() {
         ),
     );
     let faults_ceiling = FAULTS_VS_PARENT_CEILING * PARENT_FAULTS_PER_STEP;
-    if let Some(faults) = moe.minor_faults {
+    if let Some(faults) = minor_faults {
         gate.require(
             faults <= faults_ceiling,
             format!(
@@ -633,15 +500,6 @@ fn main() {
     }
 
     gate.finish(vec![
-        (
-            "thread_sweep",
-            Json::from(
-                THREAD_SWEEP
-                    .iter()
-                    .map(|&t| Json::from(t))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
         ("gemm", Json::from(gemm_rows)),
         (
             "gemm_gflops_floors",
@@ -679,34 +537,9 @@ fn main() {
                 ("transposed_vs_plain", Json::from(TRANSPOSED_FLOOR)),
                 ("moe_large_allocs_per_step", Json::from(0.0)),
                 ("moe_minor_faults_per_step", Json::from(faults_ceiling)),
-                ("speedup_2_threads", Json::from(SPEEDUP_FLOOR)),
-                (
-                    "speedup_2_threads_vs_pair_scaling",
-                    Json::obj(vec![
-                        ("from_dim", Json::from(PAIR_SHARE_FROM_DIM)),
-                        ("floor", Json::from(PAIR_SHARE_FLOOR)),
-                    ]),
-                ),
             ]),
         ),
-        (
-            "moe_layer",
-            Json::obj(vec![
-                ("tokens", Json::from(moe.tokens)),
-                ("experts", Json::from(moe.experts)),
-                ("best_ms", Json::from(moe.best_ms)),
-                (
-                    "best_tokens_per_s",
-                    Json::from(moe.tokens as f64 / (moe.best_ms * 1e-3)),
-                ),
-                ("best_backward_ms", Json::from(moe.best_backward_ms)),
-                (
-                    "best_backward_tokens_per_s",
-                    Json::from(moe.tokens as f64 / (moe.best_backward_ms * 1e-3)),
-                ),
-                ("sweep", Json::from(moe.sweep)),
-            ]),
-        ),
+        ("moe_layer", moe_row),
         (
             "control_plane",
             Json::obj(

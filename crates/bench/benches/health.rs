@@ -5,18 +5,23 @@
 //! monitor names the rank, the escalation ladder quarantines it, and
 //! once the keep-limping-vs-evict pricing flips, the live rank is
 //! evicted and training returns to full speed. This bench measures that
-//! end to end on a real 4-rank world:
+//! end to end on a real 4-rank world, in `RUNS` pairs of runs:
 //!
-//! 1. **healthy baseline** — 4 ranks, no faults: median step time;
+//! 1. **healthy baseline** — 4 ranks, no faults: median step time, timed
+//!    right before the brownout run it is compared with, so a shared
+//!    host that changes speed between pairs moves both halves of a pair;
 //! 2. **brownout run** — rank 3 limps (~5 ms per collective), health +
 //!    pricing armed: the fleet limps, detects, quarantines, evicts, and
 //!    the bench takes the median of the first `RECOVERY_STEPS` steps
 //!    *after* the eviction lands — the recovery window;
-//! 3. **budget** — recovered step rate must be ≥ `RECOVERY_BUDGET`
-//!    (90%) of the healthy-fleet step rate, over the best of `RUNS`
-//!    brownout runs: the steps are sub-millisecond, so one window on a
-//!    shared host can eat a scheduler hiccup a median of 20 does not
-//!    absorb (the same best-of discipline as the migration pause);
+//! 3. **budget** — the recovered step rate of the median pair must be
+//!    ≥ `RECOVERY_BUDGET` (90%) of its own baseline's. A window of 20
+//!    sub-millisecond steps lasts a few ms, and on a two-core host about
+//!    a quarter of them (7 of 30 measured pairs) land in a slow
+//!    scheduling stretch, on either side of a pair, so one pair decides
+//!    nothing; a pair costs ≈ 0.25 s, and the median of `RUNS` of them
+//!    misses a healthy build ≈ 0.4% of the time (bootstrap over those
+//!    30 pairs);
 //! 4. **bit identity** — in *every* run the survivors' final weights
 //!    must equal a fresh 3-rank run resumed from the same snapshot (the
 //!    eviction is a correct reconfiguration, not just a fast one).
@@ -43,8 +48,8 @@ const HEALTHY_STEPS: usize = 24;
 const RECOVERY_STEPS: usize = 20;
 /// Recovered step rate must reach this fraction of the healthy rate.
 const RECOVERY_BUDGET: f64 = 0.9;
-/// Brownout runs; the budget is held against the best recovery window.
-const RUNS: usize = 3;
+/// Baseline + brownout pairs; the budget is held against the median.
+const RUNS: usize = 21;
 
 /// Healthy 4-rank fleet: median step time in ms (max across ranks — the
 /// fleet moves at its slowest member's pace).
@@ -166,30 +171,29 @@ fn checked_brownout_run(cfg: &MoeConfig) -> (usize, f64, f64, bool) {
 fn main() {
     let mut gate = Gate::new("health");
     let cfg = config();
-    let healthy_ms = healthy_baseline(&cfg);
-    println!("healthy 4-rank fleet: median step {healthy_ms:.3} ms");
 
     // Step-rate recovery: healthy/limp/recovered medians compare step
     // rates directly (same per-rank batch; a step is a step).
-    let (mut evict_step, mut limp_ms, mut recovered_ms) = (0, 0.0, f64::INFINITY);
+    let mut pairs = Vec::with_capacity(RUNS);
     let mut identical = true;
     for run in 0..RUNS {
+        let healthy = healthy_baseline(&cfg);
         let (step, limp, recovered, same) = checked_brownout_run(&cfg);
         println!(
-            "run {run}: limping at {limp:.3} ms/step, evicted at step {step}, recovered to \
-             {recovered:.3} ms/step over the next {RECOVERY_STEPS} steps ({:.1}% of healthy \
-             rate); bit-identical to a fresh 3-rank world: {same}",
-            100.0 * healthy_ms / recovered
+            "run {run}: healthy {healthy:.3} ms/step, limping at {limp:.3}, evicted at step \
+             {step}, recovered to {recovered:.3} ms/step over the next {RECOVERY_STEPS} steps \
+             ({:.1}% of its healthy rate); bit-identical to a fresh 3-rank world: {same}",
+            100.0 * healthy / recovered
         );
         identical &= same;
-        if recovered < recovered_ms {
-            (evict_step, limp_ms, recovered_ms) = (step, limp, recovered);
-        }
+        pairs.push((healthy, limp, recovered, step));
     }
+    pairs.sort_by(|a, b| (a.0 / a.2).total_cmp(&(b.0 / b.2)));
+    let (healthy_ms, limp_ms, recovered_ms, evict_step) = pairs[RUNS / 2];
     let limp_ratio = healthy_ms / limp_ms;
     let recovery_ratio = healthy_ms / recovered_ms;
     println!(
-        "best of {RUNS}: {:.1}% of healthy rate limping, {:.1}% recovered (budget {:.0}%)",
+        "median of {RUNS} pairs: {:.1}% of healthy rate limping, {:.1}% recovered (budget {:.0}%)",
         limp_ratio * 100.0,
         recovery_ratio * 100.0,
         RECOVERY_BUDGET * 100.0

@@ -9,9 +9,7 @@
 //! ([`Routing::into_dense`](crate::routing::Routing::into_dense)), the
 //! counted rows of every wire block off the wire (rows past the last
 //! offset are spare capacity) — the compute path neither drops nor pads
-//! a token. The grouped GEMM parallelises over every output row across
-//! experts, so a skewed routing no longer serialises on the heaviest
-//! expert, and empty experts cost nothing.
+//! a token, and empty experts cost nothing.
 //!
 //! Numerically this is exact: the grouped kernel computes each row with
 //! the same ascending-`k` microkernel as the per-expert loop.
@@ -106,7 +104,8 @@ fn collect_views(experts: &[Box<dyn Expert>]) -> Option<GroupedWeights<'_>> {
 /// Runs the grouped FFN forward over the gathered rows `x` (expert `e`
 /// owns rows `offsets[e] .. offsets[e + 1]`). Returns `Ok(None)` when
 /// the expert set is not groupable (heterogeneous or custom experts) so
-/// the caller can fall back to the per-expert loop.
+/// the caller can fall back to the per-expert loop. `threads` is
+/// ignored (kept for existing callers).
 ///
 /// # Errors
 ///
@@ -115,10 +114,10 @@ pub fn forward_ffn(
     experts: &[Box<dyn Expert>],
     x: &Tensor,
     offsets: &[usize],
-    threads: usize,
+    _threads: usize,
 ) -> Result<Option<(Tensor, GroupedState)>> {
     collect_views(experts)
-        .map(|views| forward_grouped(views, x.clone(), offsets, threads))
+        .map(|views| forward_grouped(views, x.clone(), offsets))
         .transpose()
 }
 
@@ -127,20 +126,19 @@ fn forward_grouped(
     views: GroupedWeights<'_>,
     x: Tensor,
     offsets: &[usize],
-    threads: usize,
 ) -> Result<(Tensor, GroupedState)> {
     match views {
         GroupedWeights::Gpt { w1, w2 } => {
-            let h = x.matmul_grouped(&w1, offsets, threads)?;
+            let h = x.matmul_grouped(&w1, offsets, 1)?;
             let a = h.gelu();
-            let y = a.matmul_grouped(&w2, offsets, threads)?;
+            let y = a.matmul_grouped(&w2, offsets, 1)?;
             Ok((y, GroupedState::Gpt { x, h, a }))
         }
         GroupedWeights::Mixtral { w1, w3, w2 } => {
-            let g = x.matmul_grouped(&w1, offsets, threads)?;
-            let u = x.matmul_grouped(&w3, offsets, threads)?;
+            let g = x.matmul_grouped(&w1, offsets, 1)?;
+            let u = x.matmul_grouped(&w3, offsets, 1)?;
             let a = g.silu().mul(&u)?;
-            let y = a.matmul_grouped(&w2, offsets, threads)?;
+            let y = a.matmul_grouped(&w2, offsets, 1)?;
             Ok((y, GroupedState::Mixtral { x, g, u, a }))
         }
     }
@@ -148,7 +146,8 @@ fn forward_grouped(
 
 /// Backward of [`forward_ffn`]: input-gradient rows (same layout as the
 /// gathered forward input) plus per-expert weight gradients in
-/// [`Expert::weights`] order.
+/// [`Expert::weights`] order. `threads` is ignored (kept for existing
+/// callers).
 ///
 /// # Errors
 ///
@@ -161,16 +160,16 @@ pub fn backward_ffn(
     grad_y: &Tensor,
     state: &GroupedState,
     offsets: &[usize],
-    threads: usize,
+    _threads: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
     let views = collect_views(experts).ok_or(MoeError::NoForwardState)?;
     match (views, state) {
         (GroupedWeights::Gpt { w1, w2 }, GroupedState::Gpt { x, h, a }) => {
-            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets, threads)?;
-            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets, threads)?;
+            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets)?;
+            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets)?;
             let grad_h = grad::gelu_backward(&grad_a, h)?;
-            let grad_x = grad_h.matmul_grouped_nt(&w1, offsets, threads)?;
-            let grad_w1 = x.matmul_grouped_tn(&grad_h, offsets, threads)?;
+            let grad_x = grad_h.matmul_grouped_nt(&w1, offsets)?;
+            let grad_w1 = x.matmul_grouped_tn(&grad_h, offsets)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w2)
@@ -179,16 +178,16 @@ pub fn backward_ffn(
             Ok((grad_x, grads))
         }
         (GroupedWeights::Mixtral { w1, w3, w2 }, GroupedState::Mixtral { x, g, u, a }) => {
-            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets, threads)?;
-            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets, threads)?;
+            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets)?;
+            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets)?;
             // a = silu(g) ⊙ u
             let grad_u = grad_a.mul(&g.silu())?;
             let grad_g = grad::silu_backward(&grad_a.mul(u)?, g)?;
-            let gx1 = grad_g.matmul_grouped_nt(&w1, offsets, threads)?;
-            let gx3 = grad_u.matmul_grouped_nt(&w3, offsets, threads)?;
+            let gx1 = grad_g.matmul_grouped_nt(&w1, offsets)?;
+            let gx3 = grad_u.matmul_grouped_nt(&w3, offsets)?;
             let grad_x = gx1.add(&gx3)?;
-            let grad_w1 = x.matmul_grouped_tn(&grad_g, offsets, threads)?;
-            let grad_w3 = x.matmul_grouped_tn(&grad_u, offsets, threads)?;
+            let grad_w1 = x.matmul_grouped_tn(&grad_g, offsets)?;
+            let grad_w3 = x.matmul_grouped_tn(&grad_u, offsets)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w3)
@@ -214,7 +213,7 @@ pub enum FfnState {
 /// Runs every expert over its group of `x`: the grouped pass of
 /// [`forward_ffn`] when the set is groupable (`x` moves into the saved
 /// state), else the per-expert loop over the same row slices, fanned
-/// out over the tensor worker pool.
+/// out over [`tensor::par::num_threads`] threads of the worker pool.
 ///
 /// # Errors
 ///
@@ -223,13 +222,12 @@ pub fn forward_experts(
     experts: &[Box<dyn Expert>],
     x: Tensor,
     offsets: &[usize],
-    threads: usize,
 ) -> Result<(Tensor, FfnState)> {
     if let Some(views) = collect_views(experts) {
-        let (y, state) = forward_grouped(views, x, offsets, threads)?;
+        let (y, state) = forward_grouped(views, x, offsets)?;
         return Ok((y, FfnState::Grouped(state)));
     }
-    let results = for_each_expert(experts.len(), threads, |e| {
+    let results = for_each_expert(experts.len(), tensor::par::num_threads(), |e| {
         experts[e].forward(&x.slice_rows(offsets[e], offsets[e + 1])?)
     })?;
     let (ys, states): (Vec<_>, Vec<_>) = results.into_iter().unzip();
@@ -247,13 +245,12 @@ pub fn backward_experts(
     grad_y: &Tensor,
     state: &FfnState,
     offsets: &[usize],
-    threads: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
     let states = match state {
-        FfnState::Grouped(st) => return backward_ffn(experts, grad_y, st, offsets, threads),
+        FfnState::Grouped(st) => return backward_ffn(experts, grad_y, st, offsets, 1),
         FfnState::PerExpert(states) => states,
     };
-    let results = for_each_expert(experts.len(), threads, |e| {
+    let results = for_each_expert(experts.len(), tensor::par::num_threads(), |e| {
         experts[e].backward(&grad_y.slice_rows(offsets[e], offsets[e + 1])?, &states[e])
     })?;
     let (grad_x, grads): (Vec<_>, Vec<_>) =

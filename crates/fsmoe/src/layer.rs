@@ -101,9 +101,6 @@ pub struct MoeLayer {
     /// Token assignments dropped by graceful degradation since
     /// construction.
     pub(crate) dropped_tokens: usize,
-    /// Worker-count override for expert compute; `None` uses
-    /// [`tensor::par::num_threads`].
-    compute_threads: Option<usize>,
 }
 
 impl std::fmt::Debug for MoeLayer {
@@ -183,7 +180,6 @@ impl MoeLayer {
             fault_policy: FaultPolicy::default(),
             hooks,
             dropped_tokens: 0,
-            compute_threads: None,
         })
     }
 
@@ -345,19 +341,6 @@ impl MoeLayer {
         self.hooks = hooks;
     }
 
-    /// Overrides the worker count used for expert compute (`None`
-    /// restores the [`tensor::par::num_threads`] default). Results are
-    /// bit-identical for every setting; benchmarks use this to sweep
-    /// thread counts without re-execing the process.
-    pub fn set_compute_threads(&mut self, threads: Option<usize>) {
-        self.compute_threads = threads;
-    }
-
-    fn compute_threads(&self) -> usize {
-        self.compute_threads
-            .unwrap_or_else(tensor::par::num_threads)
-    }
-
     /// Token assignments dropped by graceful degradation so far.
     pub fn dropped_tokens(&self) -> usize {
         self.dropped_tokens
@@ -467,8 +450,7 @@ impl MoeLayer {
         drop(dispatch_span);
 
         let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let (mut y, compute) =
-            grouped::forward_experts(&self.shards, x, &offsets, self.compute_threads())?;
+        let (mut y, compute) = grouped::forward_experts(&self.shards, x, &offsets)?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
@@ -520,13 +502,8 @@ impl MoeLayer {
         let saved = Some(&state.counts[..]);
         let (grad_y, offsets, _) =
             self.exchange_in(grad_combined, routing, saved, strict, &mut None)?;
-        let (grad_x, shard_grads) = grouped::backward_experts(
-            &self.shards,
-            &grad_y,
-            &state.compute,
-            &offsets,
-            self.compute_threads(),
-        )?;
+        let (grad_x, shard_grads) =
+            grouped::backward_experts(&self.shards, &grad_y, &state.compute, &offsets)?;
         // dispatch exchange's adjoint back to the token sources, then
         // the order adjoint
         let grad_buffer = self.exchange_out(grad_x, &state.counts, strict, &mut None)?;

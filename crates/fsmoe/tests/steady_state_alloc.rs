@@ -5,10 +5,9 @@
 //! forward + backward + update of a 2-rank, 2-layer MoE stack must run
 //! entirely in memory the previous step left behind. The proof is a
 //! count from a counting allocator on the rank threads — not a time —
-//! taken with the experts on one compute thread and on two, over an
-//! expert-parallel world (`ep = 2`: two real AlltoAlls per pass, one-rank
-//! ESP groups) and an expert-sharded one (`esp = 2`: real AllGather and
-//! ReduceScatter).
+//! taken over an expert-parallel world (`ep = 2`: two real AlltoAlls per
+//! pass, one-rank ESP groups) and an expert-sharded one (`esp = 2`: real
+//! AllGather and ReduceScatter).
 
 use collectives::{run_ranks, HybridTopology, ParallelDims};
 use fsmoe::config::MoeConfig;
@@ -55,39 +54,33 @@ fn a_warm_two_rank_two_layer_step_makes_no_large_allocation() {
         .build()
         .unwrap();
     for (ep, esp) in [(RANKS, 1), (1, RANKS)] {
-        for compute_threads in [1, 2] {
-            let config = config.clone();
-            let large = run_ranks(RANKS, move |comm| {
-                let dims = ParallelDims {
-                    dp: RANKS,
-                    mp: 1,
-                    ep,
-                    esp,
-                };
-                let topo = HybridTopology::new(1, RANKS, dims).unwrap();
-                let mut layers: Vec<MoeLayer> = (0..LAYERS as u64)
-                    .map(|l| MoeLayer::gshard(&config, &comm, &topo, 11 + l).unwrap())
-                    .collect();
-                for layer in &mut layers {
-                    layer.set_compute_threads(Some(compute_threads));
-                }
-                let mut rng = TensorRng::seed_from(100 + comm.rank() as u64);
-                let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
-                for _ in 0..WARMUP_STEPS {
-                    train_step(&mut layers, &input, &mut rng).unwrap();
-                }
-                let (result, _, large) =
-                    counting_alloc::count(|| train_step(&mut layers, &input, &mut rng));
-                result.unwrap();
-                large
-            });
-            assert_eq!(
-                large,
-                vec![0; RANKS],
-                "allocations ≥ {} KiB per rank in a warm step (ep {ep}, esp {esp}, \
-                 {compute_threads} compute thread(s))",
-                counting_alloc::LARGE >> 10
-            );
-        }
+        let config = config.clone();
+        let large = run_ranks(RANKS, move |comm| {
+            let dims = ParallelDims {
+                dp: RANKS,
+                mp: 1,
+                ep,
+                esp,
+            };
+            let topo = HybridTopology::new(1, RANKS, dims).unwrap();
+            let mut layers: Vec<MoeLayer> = (0..LAYERS as u64)
+                .map(|l| MoeLayer::gshard(&config, &comm, &topo, 11 + l).unwrap())
+                .collect();
+            let mut rng = TensorRng::seed_from(100 + comm.rank() as u64);
+            let input = rng.normal(&[config.tokens(), config.embed_dim], 0.0, 1.0);
+            for _ in 0..WARMUP_STEPS {
+                train_step(&mut layers, &input, &mut rng).unwrap();
+            }
+            let (result, _, large) =
+                counting_alloc::count(|| train_step(&mut layers, &input, &mut rng));
+            result.unwrap();
+            large
+        });
+        assert_eq!(
+            large,
+            vec![0; RANKS],
+            "allocations ≥ {} KiB per rank in a warm step (ep {ep}, esp {esp})",
+            counting_alloc::LARGE >> 10
+        );
     }
 }

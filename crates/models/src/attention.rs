@@ -127,7 +127,6 @@ impl MultiHeadAttention {
         let t = x.dims()[0];
         let d = self.head_dim();
         let scale = 1.0 / (d as f32).sqrt();
-        let threads = tensor::par::num_threads();
 
         let q = x.matmul(&self.w_q)?;
         let k = x.matmul(&self.w_k)?;
@@ -140,7 +139,7 @@ impl MultiHeadAttention {
             let qh = q.slice_cols(lo, hi)?;
             let kh = k.slice_cols(lo, hi)?;
             let vh = v.slice_cols(lo, hi)?;
-            let mut scores = qh.matmul_nt(&kh, threads)?.scale(scale);
+            let mut scores = qh.matmul_nt(&kh)?.scale(scale);
             if self.causal {
                 for i in 0..t {
                     for j in (i + 1)..t {
@@ -180,7 +179,6 @@ impl MultiHeadAttention {
         let d = self.head_dim();
         let m = self.embed_dim;
         let scale = 1.0 / (d as f32).sqrt();
-        let threads = tensor::par::num_threads();
 
         // output projection
         let (grad_context, grad_wo) = grad::matmul_backward(grad_y, &state.context, &self.w_o)?;
@@ -197,13 +195,13 @@ impl MultiHeadAttention {
             let p = &state.probs[h];
 
             // ctx = P · V
-            let grad_p = gctx_h.matmul_nt(&vh, threads)?;
-            let grad_vh = p.matmul_tn(&gctx_h, threads)?;
+            let grad_p = gctx_h.matmul_nt(&vh)?;
+            let grad_vh = p.matmul_tn(&gctx_h)?;
             // P = softmax(S); masked entries have p = 0 so their score
             // gradient vanishes automatically
             let grad_scores = grad::softmax_backward(&grad_p, p)?.scale(scale);
             let grad_qh = grad_scores.matmul(&kh)?;
-            let grad_kh = grad_scores.matmul_tn(&qh, threads)?;
+            let grad_kh = grad_scores.matmul_tn(&qh)?;
 
             for i in 0..t {
                 grad_q.data_mut()[i * m + lo..i * m + hi]

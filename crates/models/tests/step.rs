@@ -97,18 +97,13 @@ fn replicated_weights_stay_bit_identical_across_ranks() {
     }
 }
 
-/// Attention GEMMs of 9.4 M MACs (above the fan-out threshold of every
-/// microkernel, 7.2 M on the widest: `tensor`'s `PAR_MIN_NS`) and
-/// 192 KiB activations (the allocation counter's "large" is 64 KiB).
+/// 64 KiB activations: the allocation counter's "large".
 fn wide_config() -> MoeConfig {
-    config(256, 192, 4)
+    config(128, 128, 4)
 }
 
-/// Prints a hash of a 2-rank run's losses and final checkpoint; the
-/// test below runs it in child processes, where `TENSOR_THREADS` can
-/// differ.
-#[test]
-fn fingerprint_of_a_two_rank_run() {
+/// A hash per rank of a 2-rank run's losses and final checkpoint.
+fn fingerprint() -> String {
     let hashes = train(&wide_config(), 2, 3, |run| {
         let mut h = DefaultHasher::new();
         run.losses.iter().for_each(|l| l.to_bits().hash(&mut h));
@@ -116,24 +111,35 @@ fn fingerprint_of_a_two_rank_run() {
         checkpoint.to_json().hash(&mut h);
         h.finish()
     });
-    println!("fingerprint {hashes:?}");
+    format!("fingerprint {hashes:?}")
 }
 
+/// Prints [`fingerprint`]; the test below runs it in a child process,
+/// where `TENSOR_THREADS` can differ.
+#[test]
+fn fingerprint_of_a_two_rank_run() {
+    println!("{}", fingerprint());
+}
+
+/// One world alone in a `TENSOR_THREADS=1` process, against two worlds
+/// training at once in this one: four rank threads share the kernel and
+/// the worker pool, and every world must still get the lone run's bits.
 #[test]
 fn one_and_two_tensor_threads_compute_the_same_bits() {
-    let run = |threads: &str| {
-        let out = Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "fingerprint_of_a_two_rank_run", "--nocapture"])
-            .env("TENSOR_THREADS", threads)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "TENSOR_THREADS={threads}: {out:?}");
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        let line = stdout.lines().find(|l| l.contains("fingerprint ["));
-        line.unwrap_or_else(|| panic!("no fingerprint in {stdout}"))
-            .to_string()
-    };
-    assert_eq!(run("1"), run("2"));
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "fingerprint_of_a_two_rank_run", "--nocapture"])
+        .env("TENSOR_THREADS", "1")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "TENSOR_THREADS=1: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let lone = stdout.lines().find(|l| l.starts_with("fingerprint ["));
+    let lone = lone.unwrap_or_else(|| panic!("no fingerprint in {stdout}"));
+    let together: Vec<String> = std::thread::scope(|s| {
+        let worlds = [s.spawn(fingerprint), s.spawn(fingerprint)];
+        worlds.map(|w| w.join().unwrap()).into()
+    });
+    assert_eq!(together, [lone, lone]);
 }
 
 #[test]

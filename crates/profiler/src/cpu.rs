@@ -3,9 +3,10 @@
 //! This is the genuine "online profiling" path (§3.2): when the library
 //! lands on new hardware, it measures the actual GEMM implementation
 //! over a size sweep and fits the α–β model — no prior knowledge of the
-//! kernel needed. On this reproduction the "device" is the CPU and the
-//! kernel is `tensor::Tensor::matmul`, but the pipeline is identical to
-//! what the paper runs against CUDA.
+//! kernel needed. On this reproduction the "device" is one CPU thread —
+//! a GEMM runs on the thread that calls it, so a rank prices its own
+//! core — and the kernel is `tensor::Tensor::matmul`, but the pipeline
+//! is identical to what the paper runs against CUDA.
 
 use std::time::Instant;
 
@@ -26,17 +27,7 @@ pub struct GemmSample {
 
 /// Times square GEMMs of the given dimensions (`runs` repetitions each,
 /// best-of to suppress scheduler noise) and returns the samples.
-///
-/// Uses the default (parallel) matmul path, so the fitted α–β costs
-/// price what the data plane actually runs — including the
-/// `TENSOR_THREADS` fan-out.
 pub fn measure_gemm(dims: &[usize], runs: usize) -> Vec<GemmSample> {
-    measure_gemm_with_threads(dims, runs, tensor::par::num_threads())
-}
-
-/// [`measure_gemm`] pinned to an explicit GEMM worker count, for
-/// profiling serial-vs-parallel throughput on the same machine.
-pub fn measure_gemm_with_threads(dims: &[usize], runs: usize, threads: usize) -> Vec<GemmSample> {
     let mut rng = TensorRng::seed_from(0xBEEF);
     dims.iter()
         .map(|&d| {
@@ -45,7 +36,7 @@ pub fn measure_gemm_with_threads(dims: &[usize], runs: usize, threads: usize) ->
             let mut best = f64::INFINITY;
             for _ in 0..runs.max(1) {
                 let start = Instant::now();
-                let c = a.matmul_with_threads(&b, threads).expect("square matmul");
+                let c = a.matmul(&b).expect("square matmul");
                 // keep the result observable so the multiply cannot be
                 // optimised away
                 std::hint::black_box(c.data()[0]);
@@ -66,20 +57,7 @@ pub fn measure_gemm_with_threads(dims: &[usize], runs: usize, threads: usize) ->
 ///
 /// Propagates fit errors for degenerate dimension lists.
 pub fn profile_cpu_gemm(dims: &[usize], runs: usize) -> numopt::Result<FittedModel> {
-    profile_cpu_gemm_with_threads(dims, runs, tensor::par::num_threads())
-}
-
-/// [`profile_cpu_gemm`] pinned to an explicit GEMM worker count.
-///
-/// # Errors
-///
-/// Propagates fit errors for degenerate dimension lists.
-pub fn profile_cpu_gemm_with_threads(
-    dims: &[usize],
-    runs: usize,
-    threads: usize,
-) -> numopt::Result<FittedModel> {
-    fit_samples(&measure_gemm_with_threads(dims, runs, threads))
+    fit_samples(&measure_gemm(dims, runs))
 }
 
 /// Fits `millis = α + β·flops` to measured (or synthetic) samples.
@@ -137,12 +115,24 @@ mod tests {
         assert!(profile_cpu_gemm(&[32], 1).is_err());
     }
 
+    /// Ranks profile at once, each on its own thread: every sweep keeps
+    /// its dims and FLOPs and times something.
     #[test]
     fn thread_pinned_profiling_measures_positive_times() {
-        for threads in [1usize, 2] {
-            let samples = measure_gemm_with_threads(&[16, 64], 2, threads);
-            assert_eq!(samples.len(), 2);
-            assert!(samples.iter().all(|s| s.millis > 0.0), "threads={threads}");
+        let lone = measure_gemm(&[16, 64], 2);
+        for callers in [2usize, 3] {
+            let sweeps: Vec<Vec<GemmSample>> = std::thread::scope(|s| {
+                let ranks: Vec<_> = (0..callers)
+                    .map(|_| s.spawn(|| measure_gemm(&[16, 64], 2)))
+                    .collect();
+                ranks.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for samples in sweeps {
+                let shape =
+                    |s: &[GemmSample]| s.iter().map(|s| (s.dim, s.flops)).collect::<Vec<_>>();
+                assert_eq!(shape(&samples), shape(&lone), "{callers} callers");
+                assert!(samples.iter().all(|s| s.millis > 0.0), "{callers} callers");
+            }
         }
     }
 }

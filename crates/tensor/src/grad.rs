@@ -22,25 +22,8 @@ use crate::{buf, Result, Tensor};
 ///
 /// Propagates shape mismatches from the underlying GEMMs.
 pub fn matmul_backward(grad_y: &Tensor, x: &Tensor, w: &Tensor) -> Result<(Tensor, Tensor)> {
-    matmul_backward_with_threads(grad_y, x, w, crate::par::num_threads())
-}
-
-/// [`matmul_backward`] with an explicit worker-count cap for both GEMMs.
-///
-/// Like [`Tensor::matmul_with_threads`], the result is bit-identical
-/// for every `threads` value.
-///
-/// # Errors
-///
-/// Propagates shape mismatches from the underlying GEMMs.
-pub fn matmul_backward_with_threads(
-    grad_y: &Tensor,
-    x: &Tensor,
-    w: &Tensor,
-    threads: usize,
-) -> Result<(Tensor, Tensor)> {
-    let grad_x = grad_y.matmul_nt(w, threads)?;
-    let grad_w = x.matmul_tn(grad_y, threads)?;
+    let grad_x = grad_y.matmul_nt(w)?;
+    let grad_w = x.matmul_tn(grad_y)?;
     Ok((grad_x, grad_w))
 }
 
@@ -199,16 +182,21 @@ mod tests {
     #[test]
     fn matmul_backward_thread_count_invariant() {
         let mut rng = TensorRng::seed_from(1);
-        // both GEMMs clear the parallel threshold
-        assert_eq!(crate::ops::gemm_split(160, 160 * 512 * 104, 2).0, 2);
-        let x = rng.uniform(&[160, 512], -1.0, 1.0);
-        let w = rng.uniform(&[512, 104], -1.0, 1.0);
-        let grad_y = rng.uniform(&[160, 104], -1.0, 1.0);
-        let (gx1, gw1) = matmul_backward_with_threads(&grad_y, &x, &w, 1).unwrap();
-        for threads in [2, 4, 13] {
-            let (gx, gw) = matmul_backward_with_threads(&grad_y, &x, &w, threads).unwrap();
-            assert_eq!(gx, gx1, "threads={threads}");
-            assert_eq!(gw, gw1, "threads={threads}");
+        let w = rng.uniform(&[96, 104], -1.0, 1.0);
+        let inputs: Vec<(Tensor, Tensor)> = (0..4)
+            .map(|_| {
+                let x = rng.uniform(&[160, 96], -1.0, 1.0);
+                (x, rng.uniform(&[160, 104], -1.0, 1.0))
+            })
+            .collect();
+        let backward = |i: usize| {
+            let (x, grad_y) = &inputs[i];
+            matmul_backward(grad_y, x, &w).unwrap()
+        };
+        let lone: Vec<_> = (0..4).map(backward).collect();
+        for callers in 2..=4 {
+            let grads = crate::support::at_once(callers, backward);
+            assert_eq!(grads, lone[..callers], "{callers} callers");
         }
     }
 

@@ -49,21 +49,23 @@
 //! reference box (512-bit FMA peak 186 GFLOP/s) runs a 256³ GEMM,
 //! packing included, at 123 / 87 / 28 GFLOP/s on the three.
 //!
-//! # Bit-identity across thread counts — and across FMA widths
+//! # Bit-identity across bands, callers — and FMA widths
 //!
 //! For a fixed output element `c[i][j]`, the accumulation is a left fold
 //! over ascending `k`: the microkernel loads `c[i][j]`, folds the `KC`
 //! block's products in ascending `k`, stores, and the next `KC` block
-//! continues the same fold. Neither the band split (threads partition
-//! output *rows*; each row's arithmetic is independent of which strip or
-//! band it lands in) nor the tile split (lanes are independent) changes
-//! that order, so every thread count produces bit-identical results.
+//! continues the same fold. Neither the band cut (the grouped GEMM runs
+//! one band per group; each row's arithmetic is independent of which
+//! strip or band it lands in) nor the tile split (lanes are independent)
+//! changes that order. A GEMM runs on its calling thread, and what it
+//! borrows — the packed `B`, the strip buffer — comes from that thread's
+//! recycler, so concurrent callers share only the read-only code.
 //! The two FMA microkernels run the same chain of fused multiply-adds
 //! per element (one rounding per product) and agree **bit for bit**; the
 //! scalar one multiplies and adds separately (two roundings) and may
 //! differ from them in the last bits — *across hosts* only: the dispatch
 //! is a process-wide constant, so within a process results are
-//! deterministic and thread-invariant.
+//! deterministic.
 //!
 //! # NaN / Inf propagation
 //!
@@ -83,7 +85,7 @@ pub(crate) const KC: usize = 256;
 const MAX_TILE: usize = 12 * 32;
 
 /// The microkernel a GEMM runs on — and with it the register tile that
-/// packing and the band split are sized by. Widest first: a host runs
+/// packing is sized by. Widest first: a host runs
 /// [`Tile::host`] and every tile declared after it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd)]
 pub(crate) enum Tile {
@@ -136,21 +138,10 @@ impl Tile {
         Tile::Scalar
     }
 
-    /// Rows per microtile: row bands are cut at multiples of it.
+    /// Rows per microtile.
+    #[cfg(test)]
     pub(crate) fn mr(self) -> usize {
         with_geometry!(self, G => G::MR)
-    }
-
-    /// Multiply-adds one thread retires per nanosecond, packing included
-    /// (128³ and 256³ on the reference box: 61 / 43 / 14), rounded down.
-    pub(crate) fn macs_per_ns(self) -> usize {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Tile::Avx512 => 60,
-            #[cfg(target_arch = "x86_64")]
-            Tile::Avx2 => 42,
-            Tile::Scalar => 14,
-        }
     }
 }
 
@@ -508,9 +499,9 @@ fn pack_a<G: Geometry>(a: Strip<'_>, live: usize, kc: usize, out: &mut [f32]) {
 /// `(m, bp.k)` left operand and `band` is `band_rows` rows of `bp.n`
 /// contiguous elements.
 ///
-/// Both the serial and the parallel matmul paths — and every group of
-/// the grouped GEMM — run this exact routine, which is what makes
-/// results bit-identical for every worker count (see the module docs).
+/// Every matmul — and every group of the grouped GEMM — runs this exact
+/// routine, which is what makes a group's rows bit-identical to the same
+/// rows multiplied alone (see the module docs).
 pub(crate) fn gemm_band(
     a: Operand<'_>,
     a_row0: usize,

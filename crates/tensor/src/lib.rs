@@ -36,6 +36,10 @@ pub mod buf;
 pub mod grad;
 pub mod par;
 
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 pub use error::TensorError;
 pub use init::TensorRng;
 pub use shape::Shape;

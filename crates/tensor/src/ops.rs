@@ -1,21 +1,5 @@
 use crate::kernel::{self, Operand};
-use crate::{buf, par, Result, Tensor, TensorError};
-
-/// Below this much serial work a GEMM stays on the calling thread.
-///
-/// What fanning out costs is data movement, not the hand-off (≈ 0.5 µs
-/// to a polling worker, 3–6 µs to a sleeping one; BENCH_compute.json,
-/// `pool_handoff_us`): the worker pulls the packed `B` and its rows of
-/// `A` and of the zeroed output out of the caller's cache a line at a
-/// time, and the next call pulls the recycled buffers back — 40–70 µs
-/// per GEMM in steady state on the reference box. Back to back, a 128³
-/// GEMM runs 38 µs serial and 63 µs on two threads; 176³–192³ (91 and
-/// 118 µs serial) break even, 224³ gains 1.2×. The threshold is a time,
-/// so the multiply-add count it stands for follows the microkernel
-/// ([`kernel::Tile::macs_per_ns`]): 7.2 M on the 512-bit tile — 192³ is
-/// the largest cube that stays serial — 5.0 M on the 256-bit one, 1.7 M
-/// on the scalar one.
-const PAR_MIN_NS: usize = 120_000;
+use crate::{buf, Result, Tensor, TensorError};
 
 fn check_matrix(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     if t.rank() != 2 {
@@ -36,39 +20,14 @@ fn shape_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
     }
 }
 
-/// Bands handed out per thread of a parallel GEMM. The threads of one
-/// fan-out rarely run at one speed (SMT siblings share a core, a worker
-/// may still be waking), and bands are claimed dynamically, so a few
-/// bands each lets the faster thread absorb the difference; more would
-/// only re-stream `B` more often.
-const BANDS_PER_THREAD: usize = 4;
-
-/// How an `m`-row GEMM of `macs` multiply-adds is split: `(threads,
-/// rows per band)`. Serial below [`PAR_MIN_NS`] of work; bands are whole
-/// `MR`-row strips so only the last one packs a ragged strip.
-pub(crate) fn gemm_split(m: usize, macs: usize, threads: usize) -> (usize, usize) {
-    let tile = kernel::Tile::host();
-    if macs < PAR_MIN_NS * tile.macs_per_ns() || threads <= 1 {
-        return (1, m);
-    }
-    let strips = m.div_ceil(tile.mr());
-    let band_strips = strips.div_ceil(threads * BANDS_PER_THREAD);
-    (threads, band_strips * tile.mr())
-}
-
-/// `A × B` for operands in either layout, row bands fanned out over up
-/// to `threads` threads — the one routine behind every ungrouped
-/// matmul.
-fn gemm(a: Operand<'_>, b: Operand<'_>, threads: usize) -> Vec<f32> {
+/// `A × B` for operands in either layout, on the calling thread — the
+/// one routine behind every ungrouped matmul.
+fn gemm(a: Operand<'_>, b: Operand<'_>) -> Vec<f32> {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(k, b.rows);
     let mut out = buf::take_zeroed(m * n);
     if m > 0 && n > 0 && k > 0 {
-        let bp = kernel::pack_b(b);
-        let (threads, band_rows) = gemm_split(m, m * n * k, threads);
-        par::for_each_row_band(&mut out, n, band_rows, threads, |first_row, band| {
-            kernel::gemm_band(a, first_row, &bp, band, band.len() / n);
-        });
+        kernel::gemm_band(a, 0, &kernel::pack_b(b), &mut out, m);
     }
     out
 }
@@ -99,27 +58,10 @@ impl Tensor {
     /// projection in the MoE layer reduces to; the paper's performance
     /// model (§4.1) prices expert time as a multiple of GEMM time.
     ///
-    /// Large products fan out over [`par::num_threads`] threads
-    /// (override with `TENSOR_THREADS`); small ones stay on the calling
-    /// thread. The result is bit-identical for every thread count — see
-    /// [`Tensor::matmul_with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both operands are rank 2 with matching inner
-    /// dimension.
-    pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.matmul_with_threads(rhs, par::num_threads())
-    }
-
-    /// [`Tensor::matmul`] with an explicit thread-count cap.
-    ///
-    /// The output is bit-identical for every `threads` value (including
-    /// 0 and 1, both meaning serial): the same packed microkernel
-    /// ([`crate::kernel`]) computes every row band, and each output
-    /// element always accumulates its `k` products in ascending order,
-    /// so no floating-point reassociation occurs between the serial and
-    /// parallel paths.
+    /// Runs on the calling thread: parallelism comes from independent
+    /// callers (one thread per rank, [`crate::par::map_indices`] over
+    /// experts), never from splitting one GEMM. Any number of threads may
+    /// multiply at once and each gets the bits a lone call would.
     ///
     /// Every `a[i][k] · b[k][j]` product is computed — there is no
     /// zero-skip — so non-finite values in **either** operand propagate
@@ -129,7 +71,7 @@ impl Tensor {
     ///
     /// Returns an error unless both operands are rank 2 with matching inner
     /// dimension.
-    pub fn matmul_with_threads(&self, rhs: &Tensor, threads: usize) -> Result<Tensor> {
+    pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
         let (m, k) = check_matrix(self, "matmul")?;
         let (k2, n) = check_matrix(rhs, "matmul")?;
         if k != k2 {
@@ -138,24 +80,32 @@ impl Tensor {
         let out = gemm(
             Operand::plain(self.data(), m, k),
             Operand::plain(rhs.data(), k, n),
-            threads,
         );
         Tensor::from_vec(out, &[m, n])
+    }
+
+    /// [`Tensor::matmul`]; `threads` is ignored (kept for existing
+    /// callers).
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul`].
+    pub fn matmul_with_threads(&self, rhs: &Tensor, _threads: usize) -> Result<Tensor> {
+        self.matmul(rhs)
     }
 
     /// `self × rhsᵀ`: `(m,k) × (n,k)ᵀ → (m,n)` — the input-gradient GEMM
     /// of a backward pass (`∂L/∂x = ∂L/∂y · wᵀ`) and the `Q·Kᵀ` of
     /// attention, reading `rhs` where it lies.
     ///
-    /// Bit-identical to `self.matmul_with_threads(&rhs.transpose()?,
-    /// threads)` for every thread count: the packing pass reads the
-    /// transposed layout, the arithmetic is the same fold.
+    /// Bit-identical to `self.matmul(&rhs.transpose()?)`: the packing
+    /// pass reads the transposed layout, the arithmetic is the same fold.
     ///
     /// # Errors
     ///
     /// Returns an error unless both operands are rank 2 with the same
     /// column count.
-    pub fn matmul_nt(&self, rhs: &Tensor, threads: usize) -> Result<Tensor> {
+    pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
         let (m, k) = check_matrix(self, "matmul_nt")?;
         let (n, k2) = check_matrix(rhs, "matmul_nt")?;
         if k != k2 {
@@ -164,7 +114,6 @@ impl Tensor {
         let out = gemm(
             Operand::plain(self.data(), m, k),
             Operand::transposed(rhs.data(), k, n),
-            threads,
         );
         Tensor::from_vec(out, &[m, n])
     }
@@ -173,14 +122,13 @@ impl Tensor {
     /// GEMM of a backward pass (`∂L/∂w = xᵀ · ∂L/∂y`), reading `self`
     /// where it lies.
     ///
-    /// Bit-identical to `self.transpose()?.matmul_with_threads(rhs,
-    /// threads)` for every thread count.
+    /// Bit-identical to `self.transpose()?.matmul(rhs)`.
     ///
     /// # Errors
     ///
     /// Returns an error unless both operands are rank 2 with the same
     /// row count.
-    pub fn matmul_tn(&self, rhs: &Tensor, threads: usize) -> Result<Tensor> {
+    pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
         let (k, m) = check_matrix(self, "matmul_tn")?;
         let (k2, n) = check_matrix(rhs, "matmul_tn")?;
         if k != k2 {
@@ -189,26 +137,23 @@ impl Tensor {
         let out = gemm(
             Operand::transposed(self.data(), m, k),
             Operand::plain(rhs.data(), k, n),
-            threads,
         );
         Tensor::from_vec(out, &[m, n])
     }
 
     /// Grouped GEMM over contiguous row groups of `self`, one weight
     /// matrix per group: rows `offsets[g] .. offsets[g+1]` of the output
-    /// are `self[offsets[g]..offsets[g+1], :] × weights[g]`.
+    /// are `self[offsets[g]..offsets[g+1], :] × weights[g]`. `threads`
+    /// is ignored (kept for existing callers).
     ///
     /// This is the dropless expert-batch primitive: tokens gathered per
     /// expert form variable-size groups (empty groups allowed — no
     /// padding, no capacity drops), and one call computes every expert's
-    /// FFN projection in a single parallel pass over **all** output
-    /// rows, so a skewed expert load no longer serialises on the
-    /// heaviest expert.
+    /// FFN projection, packing each live expert's weight once.
     ///
-    /// Each output row is computed by the same banded microkernel as
-    /// [`Tensor::matmul_with_threads`], so per-group results are
-    /// bit-identical to `self.slice_rows(..)?.matmul(w)` for every
-    /// thread count.
+    /// Each group's rows run through the same microkernel as
+    /// [`Tensor::matmul`], so per-group results are bit-identical to
+    /// `self.slice_rows(..)?.matmul(w)`.
     ///
     /// # Errors
     ///
@@ -222,9 +167,9 @@ impl Tensor {
         &self,
         weights: &[&Tensor],
         offsets: &[usize],
-        threads: usize,
+        _threads: usize,
     ) -> Result<Tensor> {
-        self.grouped(weights, offsets, threads, false)
+        self.grouped(weights, offsets, false)
     }
 
     /// [`Tensor::matmul_grouped`] against transposed weights: rows of
@@ -236,22 +181,11 @@ impl Tensor {
     /// # Errors
     ///
     /// As [`Tensor::matmul_grouped`], with `(n, k)` weights.
-    pub fn matmul_grouped_nt(
-        &self,
-        weights: &[&Tensor],
-        offsets: &[usize],
-        threads: usize,
-    ) -> Result<Tensor> {
-        self.grouped(weights, offsets, threads, true)
+    pub fn matmul_grouped_nt(&self, weights: &[&Tensor], offsets: &[usize]) -> Result<Tensor> {
+        self.grouped(weights, offsets, true)
     }
 
-    fn grouped(
-        &self,
-        weights: &[&Tensor],
-        offsets: &[usize],
-        threads: usize,
-        transposed: bool,
-    ) -> Result<Tensor> {
+    fn grouped(&self, weights: &[&Tensor], offsets: &[usize], transposed: bool) -> Result<Tensor> {
         const OP: &str = "matmul_grouped";
         let (m, k) = check_matrix(self, OP)?;
         check_offsets(offsets, weights.len(), m)?;
@@ -270,35 +204,19 @@ impl Tensor {
         let mut out = buf::take_zeroed(m * n);
         if m > 0 && n > 0 && k > 0 {
             let a = Operand::plain(self.data(), m, k);
-            // Pack each non-empty group's B once; empty groups never
-            // touch their weight.
-            let packed: Vec<Option<kernel::PackedB>> = weights
-                .iter()
-                .enumerate()
-                .map(|(g, w)| {
-                    (offsets[g] < offsets[g + 1]).then(|| {
-                        kernel::pack_b(if transposed {
-                            Operand::transposed(w.data(), k, n)
-                        } else {
-                            Operand::plain(w.data(), k, n)
-                        })
-                    })
-                })
-                .collect();
-            let (threads, band_rows) = gemm_split(m, m * n * k, threads);
-            par::for_each_row_band(&mut out, n, band_rows, threads, |first_row, band| {
-                let band_end = first_row + band.len() / n;
-                for (g, bp) in packed.iter().enumerate() {
-                    let Some(bp) = bp else { continue };
-                    let lo = offsets[g].max(first_row);
-                    let hi = offsets[g + 1].min(band_end);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let sub = &mut band[(lo - first_row) * n..(hi - first_row) * n];
-                    kernel::gemm_band(a, lo, bp, sub, hi - lo);
+            for (g, w) in weights.iter().enumerate() {
+                let (lo, hi) = (offsets[g], offsets[g + 1]);
+                // empty groups never touch their weight
+                if lo == hi {
+                    continue;
                 }
-            });
+                let bp = kernel::pack_b(if transposed {
+                    Operand::transposed(w.data(), k, n)
+                } else {
+                    Operand::plain(w.data(), k, n)
+                });
+                kernel::gemm_band(a, lo, &bp, &mut out[lo * n..hi * n], hi - lo);
+            }
         }
         Tensor::from_vec(out, &[m, n])
     }
@@ -313,12 +231,7 @@ impl Tensor {
     ///
     /// Returns an error unless both operands are rank 2 with the same
     /// row count and `offsets` ascends from 0 to at most that count.
-    pub fn matmul_grouped_tn(
-        &self,
-        rhs: &Tensor,
-        offsets: &[usize],
-        threads: usize,
-    ) -> Result<Vec<Tensor>> {
+    pub fn matmul_grouped_tn(&self, rhs: &Tensor, offsets: &[usize]) -> Result<Vec<Tensor>> {
         let (rows, m) = check_matrix(self, "matmul_grouped_tn")?;
         let (rows2, n) = check_matrix(rhs, "matmul_grouped_tn")?;
         if rows != rows2 {
@@ -332,7 +245,6 @@ impl Tensor {
                 let out = gemm(
                     Operand::transposed(&self.data()[w[0] * m..w[1] * m], m, k),
                     Operand::plain(&rhs.data()[w[0] * n..w[1] * n], k, n),
-                    threads,
                 );
                 Tensor::from_vec(out, &[m, n])
             })
@@ -612,35 +524,35 @@ mod tests {
     fn transposed_forms_check_their_shapes() {
         let a = Tensor::zeros(&[4, 3]);
         assert_eq!(
-            a.matmul_nt(&Tensor::zeros(&[5, 3]), 1).unwrap().dims(),
+            a.matmul_nt(&Tensor::zeros(&[5, 3])).unwrap().dims(),
             &[4, 5]
         );
         assert_eq!(
-            a.matmul_tn(&Tensor::zeros(&[4, 2]), 1).unwrap().dims(),
+            a.matmul_tn(&Tensor::zeros(&[4, 2])).unwrap().dims(),
             &[3, 2]
         );
-        assert!(a.matmul_nt(&Tensor::zeros(&[3, 5]), 1).is_err());
-        assert!(a.matmul_tn(&Tensor::zeros(&[3, 2]), 1).is_err());
-        assert!(a.matmul_nt(&Tensor::zeros(&[3]), 1).is_err());
+        assert!(a.matmul_nt(&Tensor::zeros(&[3, 5])).is_err());
+        assert!(a.matmul_tn(&Tensor::zeros(&[3, 2])).is_err());
+        assert!(a.matmul_nt(&Tensor::zeros(&[3])).is_err());
         let w = Tensor::zeros(&[2, 3]);
-        assert!(a.matmul_grouped_nt(&[&w], &[0, 4], 1).is_ok());
-        assert!(a.matmul_grouped_nt(&[&w], &[0, 5], 1).is_err());
-        assert!(a.matmul_grouped_nt(&[&w], &[1, 4], 1).is_err());
+        assert!(a.matmul_grouped_nt(&[&w], &[0, 4]).is_ok());
+        assert!(a.matmul_grouped_nt(&[&w], &[0, 5]).is_err());
+        assert!(a.matmul_grouped_nt(&[&w], &[1, 4]).is_err());
         // groups may stop short of the rows: the rest belongs to nobody
         let ones = Tensor::ones(&[4, 3]);
-        let short = ones.matmul_grouped_nt(&[&Tensor::ones(&[2, 3])], &[0, 3], 1);
+        let short = ones.matmul_grouped_nt(&[&Tensor::ones(&[2, 3])], &[0, 3]);
         assert_eq!(short.unwrap().data(), [3., 3., 3., 3., 3., 3., 0., 0.]);
         assert!(a
-            .matmul_grouped_nt(&[&Tensor::zeros(&[3, 2])], &[0, 4], 1)
+            .matmul_grouped_nt(&[&Tensor::zeros(&[3, 2])], &[0, 4])
             .is_err());
         assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 1, 4], 1)
+            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 1, 4])
             .is_ok());
         assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[5, 2]), &[0, 4], 1)
+            .matmul_grouped_tn(&Tensor::zeros(&[5, 2]), &[0, 4])
             .is_err());
         assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 5], 1)
+            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 5])
             .is_err());
     }
 
@@ -708,28 +620,36 @@ mod tests {
         assert_eq!(full.slice_cols(2, 4).unwrap(), right);
     }
 
-    /// The integration suites (`tests/kernel_properties.rs`,
-    /// `tests/nan_propagation.rs`) cannot see the threshold and size
-    /// their fan-out cases at 2²³ multiply-adds: raising it past that
-    /// must fail here, not silently turn those cases serial.
+    /// No GEMM reaches the worker pool, whatever its size: the job
+    /// counter sees an expert-style fan-out, then nothing from GEMMs of
+    /// the 2²³ multiply-adds the integration suites once fanned out at.
     #[test]
     fn the_integration_suites_fan_out_size_clears_the_threshold() {
-        assert_eq!(gemm_split(1 << 10, 1 << 23, 2).0, 2);
+        let jobs = || crate::par::JOBS_SUBMITTED.with(std::cell::Cell::get);
+        let before = jobs();
+        assert_eq!(crate::par::map_indices(2, 2, |i| i), [0, 1]);
+        assert_eq!(jobs(), before + 1, "the counter sees a pool job");
+        let a = Tensor::ones(&[1 << 10, 1 << 7]);
+        let b = Tensor::ones(&[1 << 7, 1 << 6]);
+        let c = a.matmul_with_threads(&b, 4).unwrap();
+        assert_eq!(c.data()[0], 128.0);
+        a.matmul_grouped(&[&b, &b], &[0, 1 << 9, 1 << 10], 4)
+            .unwrap();
+        a.matmul_nt(&b.transpose().unwrap()).unwrap();
+        a.transpose().unwrap().matmul_tn(&b).unwrap();
+        assert_eq!(jobs(), before + 1, "a GEMM fanned out on the pool");
     }
 
     #[test]
     fn parallel_matmul_bit_identical_to_serial() {
-        // big enough to clear PAR_MIN_NS, so the fan-out really runs
-        assert_eq!(gemm_split(130, 130 * 720 * 90, 2).0, 2);
         let mut rng = crate::TensorRng::seed_from(7);
-        let a = rng.normal(&[130, 720], 0.0, 1.0);
-        let b = rng.normal(&[720, 90], 0.0, 1.0);
-        let serial = a.matmul_with_threads(&b, 1).unwrap();
-        for threads in [0, 2, 3, 5, 16, 96, 1000] {
-            let parallel = a.matmul_with_threads(&b, threads).unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
+        let b = rng.normal(&[96, 90], 0.0, 1.0);
+        let a: Vec<Tensor> = (0..4).map(|_| rng.normal(&[130, 96], 0.0, 1.0)).collect();
+        let lone: Vec<Tensor> = a.iter().map(|a| a.matmul(&b).unwrap()).collect();
+        for callers in 2..=4 {
+            let products = crate::support::at_once(callers, |i| a[i].matmul(&b).unwrap());
+            assert_eq!(products, lone[..callers], "{callers} callers");
         }
-        assert_eq!(a.matmul(&b).unwrap(), serial);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Worker-count policy and the one persistent worker pool every
-//! parallel tensor op (and, through [`map_indices`], the per-expert
-//! fallback loop of `fsmoe`) fans out on.
+//! Worker-count policy and the one persistent worker pool that
+//! [`map_indices`] — the per-expert fallback loop of `fsmoe` — fans out
+//! on. Only independent work comes here: a GEMM runs on the thread that
+//! calls it, and the runtime's other parallelism is one thread per rank.
 //!
 //! # The pool
 //!
@@ -29,10 +30,9 @@
 //! # Determinism
 //!
 //! Which thread runs which band is decided by a race; *what* a band
-//! computes is not. Bands write disjoint outputs and the kernels make
-//! every output element independent of the band split (see
-//! [`crate::kernel`]), so results are bit-identical for every thread
-//! count and every interleaving.
+//! computes is not. Bands write disjoint outputs and run on whichever
+//! thread claims them with that thread's own buffers, so results are
+//! bit-identical for every thread count and every interleaving.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -51,7 +51,7 @@ const SPIN: Duration = Duration::from_micros(100);
 /// Polls between two clock reads while spinning.
 const POLLS_PER_CLOCK_READ: usize = 32;
 
-/// Default worker count for parallel tensor ops.
+/// Default worker count for fan-outs on the pool.
 ///
 /// `TENSOR_THREADS` (a positive integer) overrides the hardware count;
 /// unset, empty, or invalid values fall back to
@@ -62,18 +62,13 @@ const POLLS_PER_CLOCK_READ: usize = 32;
 ///
 /// The environment variable is read **once per process**, on the first
 /// call, and the result is latched in a `OnceLock` forever after.
-/// Setting `TENSOR_THREADS` *after* any tensor op has run (directly or
-/// transitively — a single `matmul` is enough) has **no effect**; the
-/// latch is deliberate so mid-run environment changes can never make
-/// two halves of a computation disagree about the worker count. Code
-/// that needs a specific count at a specific call site must pass it
-/// explicitly via [`Tensor::matmul_with_threads`](crate::Tensor) /
-/// `for_each_expert(_, threads, _)`-style APIs instead of mutating the
-/// environment — which is exactly what the benchmarks do to sweep
-/// thread counts (relying on the env var once recorded
-/// `hardware_threads: 1` sweeps, measuring the latch rather than the
-/// kernel). The test `tensor_threads_env_is_latched_after_first_read`
-/// pins this behaviour.
+/// Setting `TENSOR_THREADS` *after* the first fan-out has **no
+/// effect**; the latch is deliberate so mid-run environment changes can
+/// never make two halves of a computation disagree about the worker
+/// count. Code that needs a specific count at a specific call site
+/// passes it explicitly ([`map_indices`]' `threads`) instead of mutating
+/// the environment. The test
+/// `tensor_threads_env_is_latched_after_first_read` pins this behaviour.
 pub fn num_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -279,16 +274,25 @@ fn run(bands: usize, threads: usize, work: &(dyn Fn(usize) + Sync)) {
     if threads.min(bands) <= 1 {
         (0..bands).for_each(work);
     } else {
+        #[cfg(test)]
+        JOBS_SUBMITTED.with(|jobs| jobs.set(jobs.get() + 1));
         POOL.get_or_init(|| Pool::start(num_threads() - 1))
             .run(bands, threads, work);
     }
 }
 
-/// A raw pointer the band closures may share: every band touches a
-/// disjoint range behind it.
+#[cfg(test)]
+thread_local! {
+    /// Jobs this thread has handed to the pool, so a test can show that
+    /// a call never reached it.
+    pub(crate) static JOBS_SUBMITTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A raw pointer the band closure may share: every band touches a
+/// disjoint slot behind it.
 struct SharedPtr<T>(*mut T);
 
-// SAFETY: the users below hand each band index an exclusive range, and
+// SAFETY: `map_indices` hands each band index an exclusive slot, and
 // each index is claimed exactly once.
 unsafe impl<T: Send> Send for SharedPtr<T> {}
 // SAFETY: as above.
@@ -299,46 +303,6 @@ impl<T> SharedPtr<T> {
     fn get(&self) -> *mut T {
         self.0
     }
-}
-
-/// Runs `work` over disjoint bands of `band_rows` rows of `out` on up to
-/// `threads` threads of the pool.
-///
-/// `out` is interpreted as rows of `row_width` contiguous elements.
-/// Each call of `work` receives `(first_row, band)` where `band` is its
-/// exclusive slice of `out` starting at `first_row * row_width` (the
-/// last band may be shorter). Bands are claimed one at a time, so more
-/// bands than threads lets a fast thread take up a slow one's slack.
-/// With `threads <= 1` (or zero-width rows) the whole of `out` is one
-/// band on the calling thread — the same `work` closure and therefore
-/// identical per-element arithmetic.
-pub fn for_each_row_band<F>(
-    out: &mut [f32],
-    row_width: usize,
-    band_rows: usize,
-    threads: usize,
-    work: F,
-) where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if threads <= 1 || row_width == 0 {
-        work(0, out);
-        return;
-    }
-    let rows = out.len() / row_width;
-    assert_eq!(out.len(), rows * row_width, "out must hold whole rows");
-    let band_rows = band_rows.max(1);
-    let base = SharedPtr(out.as_mut_ptr());
-    run(rows.div_ceil(band_rows), threads, &|band| {
-        let first_row = band * band_rows;
-        let len = band_rows.min(rows - first_row) * row_width;
-        // SAFETY: bands `[first_row, first_row + band_rows)` partition
-        // `0..rows` (asserted above to be all of `out`), each index runs
-        // once, and `out` stays mutably borrowed until `run` returns.
-        let slice =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(first_row * row_width), len) };
-        work(first_row, slice);
-    });
 }
 
 /// `(0..count).map(op)` on up to `threads` threads of the pool, results
@@ -405,39 +369,41 @@ mod tests {
         assert_eq!(num_threads(), first);
     }
 
+    /// Every band of a job runs exactly once, whatever the worker and
+    /// thread counts: none skipped, none run twice by a racing claim.
     #[test]
     fn bands_cover_every_row_exactly_once() {
-        for rows in [0usize, 1, 2, 7, 16] {
-            for band_rows in [0usize, 1, 3, 16, 40] {
-                for threads in [1usize, 2, 3, 8] {
-                    let width = 3;
-                    let mut out = vec![0.0f32; rows * width];
-                    for_each_row_band(&mut out, width, band_rows, threads, |first_row, band| {
-                        for (r, row) in band.chunks_mut(width).enumerate() {
-                            for v in row {
-                                *v += (first_row + r) as f32;
-                            }
-                        }
-                    });
-                    let expect: Vec<f32> = (0..rows)
-                        .flat_map(|r| std::iter::repeat_n(r as f32, width))
-                        .collect();
-                    assert_eq!(
-                        out, expect,
-                        "rows={rows} band_rows={band_rows} threads={threads}"
-                    );
-                }
+        for workers in [0usize, 1, 3] {
+            let pool = Pool::start(workers);
+            for (bands, threads) in [(0, 2), (1, 2), (7, 2), (16, 4), (40, 8)] {
+                let runs: Vec<AtomicUsize> = (0..bands).map(|_| AtomicUsize::new(0)).collect();
+                pool.run(bands, threads, &|band| {
+                    runs[band].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "workers={workers} bands={bands} threads={threads}"
+                );
             }
         }
     }
 
+    /// A fan-out with nothing to share — no items, one item, or one
+    /// thread — runs on the caller and hands the pool no job.
     #[test]
     fn zero_width_rows_run_serially() {
-        let mut out: Vec<f32> = vec![];
-        for_each_row_band(&mut out, 0, 2, 4, |first_row, band| {
-            assert_eq!(first_row, 0);
-            assert!(band.is_empty());
-        });
+        let caller = std::thread::current().id();
+        let jobs = || JOBS_SUBMITTED.with(std::cell::Cell::get);
+        let before = jobs();
+        for (count, threads) in [(0usize, 4usize), (1, 4), (5, 1), (5, 0)] {
+            let ran_on = map_indices(count, threads, |_| std::thread::current().id());
+            assert_eq!(
+                ran_on,
+                vec![caller; count],
+                "count={count} threads={threads}"
+            );
+        }
+        assert_eq!(jobs(), before);
     }
 
     #[test]

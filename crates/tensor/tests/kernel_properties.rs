@@ -13,15 +13,20 @@
 //!
 //! The transposed-operand forms (`matmul_nt`, `matmul_tn` and the
 //! grouped pair) are held to a stricter standard: *exact* equality with
-//! transpose-then-`matmul`, for every thread count, because the only
-//! thing they change is which layout the packing pass reads.
+//! transpose-then-`matmul`, because the only thing they change is which
+//! layout the packing pass reads. So are concurrent callers: a GEMM runs
+//! on the thread that calls it, and several threads multiplying at once
+//! must each get a lone call's bits.
 
 use proptest::prelude::*;
 use tensor::{Tensor, TensorRng};
 
-/// Multiply-adds from which a GEMM fans out on every microkernel; a unit
-/// test in `ops.rs` pins the threshold below it.
-const FAN_OUT_MACS: usize = 1 << 23;
+mod support;
+use support::at_once;
+
+/// Multiply-adds that keep one GEMM busy for tens of microseconds, so
+/// callers released together overlap inside the kernel.
+const OVERLAP_MACS: usize = 1 << 20;
 
 /// Naive f64 reference GEMM — no tiling, no skipping, full precision.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f64> {
@@ -86,15 +91,14 @@ proptest! {
         m in adversarial_rows(),
         k in adversarial_depth(),
         n in adversarial_cols(),
-        threads in 0usize..9,
+        callers in 2usize..5,
         seed in any::<u64>(),
     ) {
         let mut rng = TensorRng::seed_from(seed);
-        let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
-        let serial = a.matmul_with_threads(&b, 1).unwrap();
-        let multi = a.matmul_with_threads(&b, threads).unwrap();
-        prop_assert_eq!(&multi, &serial);
+        let a: Vec<Tensor> = (0..callers).map(|_| rng.uniform(&[m, k], -1.0, 1.0)).collect();
+        let lone: Vec<Tensor> = a.iter().map(|a| a.matmul(&b).unwrap()).collect();
+        prop_assert_eq!(at_once(callers, |i| a[i].matmul(&b).unwrap()), lone);
     }
 
     #[test]
@@ -102,13 +106,12 @@ proptest! {
         loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 12, 13, 25]), 1..6),
         k in prop::sample::select(vec![1usize, 4, 17]),
         n in prop::sample::select(vec![1usize, 8, 19, 33]),
-        threads in 1usize..5,
         seed in any::<u64>(),
     ) {
         // Uneven loads, including empty experts, against the reference
         // formulation the grouped path replaced: slice each expert's
         // rows out and run an independent GEMM. The claim is exact
-        // equality — the grouped kernel computes each row band with the
+        // equality — the grouped kernel computes each group with the
         // same packed tiles and the same ascending-k accumulation.
         let mut rng = TensorRng::seed_from(seed);
         let m: usize = loads.iter().sum();
@@ -120,11 +123,11 @@ proptest! {
         for load in &loads {
             offsets.push(offsets.last().unwrap() + load);
         }
-        let grouped = a.matmul_grouped(&weight_refs, &offsets, threads).unwrap();
+        let grouped = a.matmul_grouped(&weight_refs, &offsets, 1).unwrap();
         prop_assert_eq!(grouped.dims(), &[m, n]);
         for (g, w) in loads.iter().enumerate() {
             let rows = a.slice_rows(offsets[g], offsets[g + 1]).unwrap();
-            let per_expert = rows.matmul_with_threads(&weights[g], 1).unwrap();
+            let per_expert = rows.matmul(&weights[g]).unwrap();
             let grouped_slice = grouped.slice_rows(offsets[g], offsets[g + 1]).unwrap();
             prop_assert_eq!(&grouped_slice, &per_expert, "expert {} load {}", g, w);
         }
@@ -135,36 +138,40 @@ proptest! {
         m in adversarial_rows(),
         k in adversarial_depth(),
         n in adversarial_cols(),
-        threads in 0usize..9,
         seed in any::<u64>(),
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
-        let want = a.matmul_with_threads(&b, 1).unwrap();
+        let want = a.matmul(&b).unwrap();
         let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
-        prop_assert_eq!(&a.matmul_nt(&bt, threads).unwrap(), &want);
-        prop_assert_eq!(&at.matmul_tn(&b, threads).unwrap(), &want);
+        prop_assert_eq!(&a.matmul_nt(&bt).unwrap(), &want);
+        prop_assert_eq!(&at.matmul_tn(&b).unwrap(), &want);
     }
 
     #[test]
     fn nt_and_tn_are_exact_above_the_parallel_threshold(
         m in prop::sample::select(vec![109usize, 128, 131]),
-        k in prop::sample::select(vec![704usize, 769]),
+        k in prop::sample::select(vec![96usize, 257]),
         n in prop::sample::select(vec![112usize, 127]),
-        threads in 1usize..6,
+        callers in 2usize..5,
         seed in any::<u64>(),
     ) {
-        // big enough that the bands really fan out
-        prop_assert!(m * k * n >= FAN_OUT_MACS);
+        prop_assert!(m * k * n >= OVERLAP_MACS);
         let mut rng = TensorRng::seed_from(seed);
-        let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
-        let want = a.matmul_with_threads(&b, 1).unwrap();
-        let (at, bt) = (a.transpose().unwrap(), b.transpose().unwrap());
-        prop_assert_eq!(&a.matmul_with_threads(&b, threads).unwrap(), &want);
-        prop_assert_eq!(&a.matmul_nt(&bt, threads).unwrap(), &want);
-        prop_assert_eq!(&at.matmul_tn(&b, threads).unwrap(), &want);
+        let bt = b.transpose().unwrap();
+        let a: Vec<Tensor> = (0..callers).map(|_| rng.uniform(&[m, k], -1.0, 1.0)).collect();
+        let at: Vec<Tensor> = a.iter().map(|a| a.transpose().unwrap()).collect();
+        let forms = at_once(callers, |i| {
+            [a[i].matmul(&b), a[i].matmul_nt(&bt), at[i].matmul_tn(&b)].map(Result::unwrap)
+        });
+        for (a, forms) in a.iter().zip(&forms) {
+            let want = a.matmul(&b).unwrap();
+            for form in forms {
+                prop_assert_eq!(form, &want);
+            }
+        }
     }
 
     #[test]
@@ -172,7 +179,6 @@ proptest! {
         loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 6, 7, 12, 13, 25]), 1..6),
         k in prop::sample::select(vec![1usize, 4, 17, 257]),
         n in prop::sample::select(vec![1usize, 8, 19, 33]),
-        threads in 1usize..5,
         seed in any::<u64>(),
     ) {
         let mut rng = TensorRng::seed_from(seed);
@@ -189,7 +195,7 @@ proptest! {
             offsets.push(offsets.last().unwrap() + load);
         }
         let nt = a
-            .matmul_grouped_nt(&weights.iter().collect::<Vec<_>>(), &offsets, threads)
+            .matmul_grouped_nt(&weights.iter().collect::<Vec<_>>(), &offsets)
             .unwrap();
         let reference = a
             .matmul_grouped(&transposed.iter().collect::<Vec<_>>(), &offsets, 1)
@@ -198,35 +204,37 @@ proptest! {
 
         // per-group aᵀ·g against slice → transpose → matmul; an empty
         // group must still yield a (k, n) block of zeros
-        let tn = a.matmul_grouped_tn(&g, &offsets, threads).unwrap();
+        let tn = a.matmul_grouped_tn(&g, &offsets).unwrap();
         prop_assert_eq!(tn.len(), loads.len());
         for (e, got) in tn.iter().enumerate() {
             let rows_a = a.slice_rows(offsets[e], offsets[e + 1]).unwrap();
             let rows_g = g.slice_rows(offsets[e], offsets[e + 1]).unwrap();
-            let want = rows_a.transpose().unwrap().matmul_with_threads(&rows_g, 1).unwrap();
+            let want = rows_a.transpose().unwrap().matmul(&rows_g).unwrap();
             prop_assert_eq!(got, &want, "group {} load {}", e, loads[e]);
         }
     }
 }
 
-/// An expert batch above the parallel threshold,
-/// so the bands — `MR`-aligned, claimed by whichever thread is free,
-/// cutting across group boundaries — really fan out (in the `tn` form,
-/// the largest group's own GEMM does). Every thread count must
-/// reproduce the serial bits.
+/// An expert batch the size of `dense_1r`'s, multiplied in all three
+/// forms by several threads at once, each on its own rows: every caller
+/// must reproduce its lone call's bits.
 #[test]
 fn grouped_gemms_above_the_parallel_threshold_match_serial_exactly() {
-    let loads = [37usize, 0, 101, 6, 0, 180];
-    let (k, n) = (512usize, 96usize);
+    let loads = [37usize, 0, 101, 6, 0, 90];
+    let (k, n) = (128usize, 96usize);
     let rows: usize = loads.iter().sum();
-    assert!(rows * k * n >= FAN_OUT_MACS && 180 * k * n >= FAN_OUT_MACS);
+    assert!(rows * k * n >= OVERLAP_MACS && 90 * k * n >= OVERLAP_MACS);
     let mut offsets = vec![0usize];
     for load in loads {
         offsets.push(offsets.last().unwrap() + load);
     }
     let mut rng = TensorRng::seed_from(0x6E0);
-    let a = rng.uniform(&[rows, k], -1.0, 1.0);
-    let g = rng.uniform(&[rows, n], -1.0, 1.0);
+    let operands: Vec<(Tensor, Tensor)> = (0..4)
+        .map(|_| {
+            let a = rng.uniform(&[rows, k], -1.0, 1.0);
+            (a, rng.uniform(&[rows, n], -1.0, 1.0))
+        })
+        .collect();
     let plain: Vec<Tensor> = loads
         .iter()
         .map(|_| rng.uniform(&[k, n], -1.0, 1.0))
@@ -237,17 +245,20 @@ fn grouped_gemms_above_the_parallel_threshold_match_serial_exactly() {
         .collect();
     let plain: Vec<&Tensor> = plain.iter().collect();
     let flipped: Vec<&Tensor> = flipped.iter().collect();
-    let serial = (
-        a.matmul_grouped(&plain, &offsets, 1).unwrap(),
-        a.matmul_grouped_nt(&flipped, &offsets, 1).unwrap(),
-        a.matmul_grouped_tn(&g, &offsets, 1).unwrap(),
-    );
-    for threads in [2usize, 3, 4] {
-        let fanned = (
-            a.matmul_grouped(&plain, &offsets, threads).unwrap(),
-            a.matmul_grouped_nt(&flipped, &offsets, threads).unwrap(),
-            a.matmul_grouped_tn(&g, &offsets, threads).unwrap(),
+    let all_three = |i: usize| {
+        let (a, g) = &operands[i];
+        (
+            a.matmul_grouped(&plain, &offsets, 1).unwrap(),
+            a.matmul_grouped_nt(&flipped, &offsets).unwrap(),
+            a.matmul_grouped_tn(g, &offsets).unwrap(),
+        )
+    };
+    let lone: Vec<_> = (0..4).map(all_three).collect();
+    for callers in 2..=4 {
+        assert_eq!(
+            at_once(callers, all_three),
+            lone[..callers],
+            "{callers} callers"
         );
-        assert_eq!(fanned, serial, "threads={threads}");
     }
 }

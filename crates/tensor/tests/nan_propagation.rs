@@ -11,8 +11,8 @@
 //!
 //! These tests pin the fix: every product is computed, so NaN/Inf in `b`
 //! must reach the output whenever the matching `a` entry is `0.0`, on
-//! every code path — the serial kernel, the multi-threaded banded kernel,
-//! the backward pass, the grouped (multi-weight) GEMM, and the
+//! every code path — the kernel alone and under concurrent callers, the
+//! backward pass, the grouped (multi-weight) GEMM, and the
 //! transposed-operand forms the backward pass is built from.
 //!
 //! The vector activations sit between those GEMMs, so they are held to
@@ -22,9 +22,11 @@
 use tensor::grad;
 use tensor::Tensor;
 
-/// Multiply-adds from which a GEMM fans out on every microkernel; a unit
-/// test in `ops.rs` pins the threshold below it.
-const FAN_OUT_MACS: usize = 1 << 23;
+mod support;
+
+/// Multiply-adds that keep one GEMM busy for tens of microseconds, so
+/// callers released together overlap inside the kernel.
+const OVERLAP_MACS: usize = 1 << 20;
 
 /// a = [[0, 1]], b = [[NaN, inf], [1, 1]]: row 0 of `b` is touched only
 /// through the zero entry of `a`, so a zero-skip kernel would return
@@ -47,14 +49,14 @@ fn nan_and_inf_in_b_reach_output_through_zero_in_a() {
     );
 }
 
-/// Same property on a GEMM large enough to cross the parallel threshold,
-/// with explicit thread counts so the banded path is actually exercised.
-/// One poisoned row of `b` whose only matching `a` column is all zeros:
-/// every output element must be NaN regardless of the worker count.
+/// Same property on a training-sized GEMM multiplied by one, two and
+/// four threads at once. One poisoned row of `b` whose only matching `a`
+/// column is all zeros: every output element of every caller must be
+/// NaN.
 #[test]
 fn parallel_kernel_propagates_nan_through_zero_activations() {
-    let (m, k, n) = (128, 704, 96);
-    assert!(m * k * n >= FAN_OUT_MACS, "the banded path must really run");
+    let (m, k, n) = (128, 96, 96);
+    assert!(m * k * n >= OVERLAP_MACS, "the callers must overlap");
     let poisoned_k = 41;
     let mut a_data = vec![1.0f32; m * k];
     for row in 0..m {
@@ -70,12 +72,13 @@ fn parallel_kernel_propagates_nan_through_zero_activations() {
     }
     let a = Tensor::from_vec(a_data, &[m, k]).unwrap();
     let b = Tensor::from_vec(b_data, &[k, n]).unwrap();
-    for threads in [1usize, 2, 4] {
-        let out = a.matmul_with_threads(&b, threads).unwrap();
-        assert!(
-            out.data().iter().all(|v| v.is_nan()),
-            "threads={threads}: zero-skip would have produced finite output"
-        );
+    for callers in [1usize, 2, 4] {
+        for out in support::at_once(callers, |_| a.matmul(&b).unwrap()) {
+            assert!(
+                out.data().iter().all(|v| v.is_nan()),
+                "{callers} callers: zero-skip would have produced finite output"
+            );
+        }
     }
 }
 
@@ -124,12 +127,11 @@ fn grouped_gemm_propagates_nan_per_group() {
 
 /// `a·bᵀ` and `aᵀ·b` pack one operand from its transposed layout; the
 /// poisoned row of the logical `b` (resp. column of the logical `a`)
-/// must still meet the zeros it is multiplied with, on the serial and
-/// the banded path alike.
+/// must still meet the zeros it is multiplied with, in full strips and
+/// the ragged last one alike.
 #[test]
 fn transposed_operand_forms_propagate_nan_through_zeros() {
-    let (m, k, n) = (128, 608, 112);
-    assert!(m * k * n >= FAN_OUT_MACS, "the banded path must really run");
+    let (m, k, n) = (128, 96, 112);
     let poisoned_k = 17;
     let mut a = Tensor::ones(&[m, k]);
     let mut b_t = Tensor::ones(&[n, k]); // b stored transposed
@@ -143,18 +145,16 @@ fn transposed_operand_forms_propagate_nan_through_zeros() {
     let mut b = Tensor::ones(&[k, n]);
     a_t.data_mut()[poisoned_k * m..(poisoned_k + 1) * m].fill(f32::INFINITY);
     b.data_mut()[poisoned_k * n..(poisoned_k + 1) * n].fill(0.0);
-    for threads in [1usize, 2, 4] {
-        let nt = a.matmul_nt(&b_t, threads).unwrap();
-        assert!(
-            nt.data().iter().all(|v| v.is_nan()),
-            "matmul_nt threads={threads}: 0 · NaN was skipped"
-        );
-        let tn = a_t.matmul_tn(&b, threads).unwrap();
-        assert!(
-            tn.data().iter().all(|v| v.is_nan()),
-            "matmul_tn threads={threads}: inf · 0 was skipped"
-        );
-    }
+    let nt = a.matmul_nt(&b_t).unwrap();
+    assert!(
+        nt.data().iter().all(|v| v.is_nan()),
+        "matmul_nt: 0 · NaN was skipped"
+    );
+    let tn = a_t.matmul_tn(&b).unwrap();
+    assert!(
+        tn.data().iter().all(|v| v.is_nan()),
+        "matmul_tn: inf · 0 was skipped"
+    );
 }
 
 /// The grouped backward forms: a NaN in one expert's weight (nt) or in
@@ -167,14 +167,14 @@ fn grouped_transposed_forms_propagate_nan_per_group() {
     let mut poisoned = Tensor::ones(&[n, k]);
     poisoned.data_mut()[0] = f32::NAN;
     let nt = x
-        .matmul_grouped_nt(&[&clean, &poisoned], &[0, 2, 4], 1)
+        .matmul_grouped_nt(&[&clean, &poisoned], &[0, 2, 4])
         .unwrap();
     assert!(nt.data()[..2 * n].iter().all(|v| *v == 0.0));
     assert!(nt.data()[2 * n].is_nan() && nt.data()[3 * n].is_nan());
 
     let mut g = Tensor::zeros(&[4, n]);
     g.data_mut()[3 * n] = f32::NAN; // a row of group 1
-    let tn = x.matmul_grouped_tn(&g, &[0, 2, 4], 1).unwrap();
+    let tn = x.matmul_grouped_tn(&g, &[0, 2, 4]).unwrap();
     assert!(tn[0].data().iter().all(|v| *v == 0.0));
     // column 0 of group 1's (k, n) gradient sums 0 · NaN
     assert!((0..k).all(|r| tn[1].data()[r * n].is_nan()));

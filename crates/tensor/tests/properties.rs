@@ -3,6 +3,8 @@
 use proptest::prelude::*;
 use tensor::{top_k_indices, Tensor, TensorRng};
 
+mod support;
+
 fn small_matrix() -> impl Strategy<Value = (usize, usize, u64)> {
     (1usize..6, 1usize..6, any::<u64>())
 }
@@ -83,20 +85,16 @@ proptest! {
         m in prop::sample::select(vec![1usize, 2, 5, 16, 33, 64, 96, 160]),
         k in prop::sample::select(vec![1usize, 3, 8, 17, 64, 80]),
         n in prop::sample::select(vec![1usize, 2, 7, 31, 64, 96]),
-        threads in 0usize..9,
+        callers in 2usize..5,
         seed in any::<u64>(),
     ) {
-        // dims straddle the serial-fallback threshold, so both the
-        // tiled-serial and the banded-parallel paths are exercised; the
-        // claim is exact equality, not allclose
+        // several threads multiplying at once each get their lone
+        // call's bits; the claim is exact equality, not allclose
         let mut rng = TensorRng::seed_from(seed);
-        let a = rng.uniform(&[m, k], -1.0, 1.0);
         let b = rng.uniform(&[k, n], -1.0, 1.0);
-        let serial = a.matmul_with_threads(&b, 1).unwrap();
-        let multi = a.matmul_with_threads(&b, threads).unwrap();
-        prop_assert_eq!(&multi, &serial);
-        let default_path = a.matmul(&b).unwrap();
-        prop_assert_eq!(&default_path, &serial);
+        let a: Vec<Tensor> = (0..callers).map(|_| rng.uniform(&[m, k], -1.0, 1.0)).collect();
+        let lone: Vec<Tensor> = a.iter().map(|a| a.matmul(&b).unwrap()).collect();
+        prop_assert_eq!(support::at_once(callers, |i| a[i].matmul(&b).unwrap()), lone);
     }
 
     #[test]
