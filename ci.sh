@@ -79,27 +79,6 @@ echo "==> step attribution: measured-vs-modeled phase split on 4 ranks"
 timeout --kill-after=30 300 \
     cargo run --release -p models --example step_attribution -- target/step_attribution.json
 
-echo "==> chaos suite (single-threaded tensor backend)"
-TENSOR_THREADS=1 timeout --kill-after=30 300 \
-    cargo test -q -p collectives --test chaos --test faults
-
-echo "==> worker pool: tensor + fsmoe equivalence suites, no pool and oversubscribed"
-# GEMMs run on their calling thread and never reach the pool; what does
-# is `par::map_indices` (the per-expert fallback and the pool's own
-# tests). TENSOR_THREADS=1 never starts the pool (every fan-out must
-# degrade to the caller running all items); TENSOR_THREADS=4 puts three
-# workers on a two-core box, so callers, workers and the test harness's
-# own threads fight for cores. Results are bit-identical either way,
-# and a lost wake-up or a caller waiting on an unclaimed item is a hang.
-# The per-thread buffer recycler rides along (`-p tensor` covers `--lib
-# buf`): the steady-state allocation count must be zero with no pool
-# worker and with three.
-for threads in 1 4; do
-    soak "pool suites (TENSOR_THREADS=$threads)" TENSOR_THREADS=$threads \
-        'cargo test -q -p tensor &&
-         cargo test -q -p fsmoe --test equivalence --test steady_state_alloc'
-done
-
 echo "==> conformance: workspace invariant linter"
 # Static gates: no std::sync locks outside shims/, no unjustified
 # unwrap/expect in the guarded crates, obs names only via the registry,
@@ -108,8 +87,7 @@ echo "==> conformance: workspace invariant linter"
 # rank-divergent collectives, wall-clock decisions, float accumulation
 # order, wall-clock assertions in tests). Non-zero exit on any
 # violation; on failure the findings are re-emitted as JSON for
-# one-glance triage. Also: no thread spawned in the compute crates
-# outside the worker pool (tensor/src/par.rs).
+# one-glance triage. Also: no thread spawned in the compute crates.
 if ! cargo run --release -p analyzer; then
     echo "analyzer findings (JSON):" >&2
     cargo run --release -p analyzer -- --json >&2 || true

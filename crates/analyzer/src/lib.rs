@@ -23,8 +23,7 @@
 //!   budgets belong to the `DeadlineController`; non-budget durations
 //!   carry a line-scoped allow naming what they are);
 //! * `no-adhoc-spawn` — `std::thread::{scope,spawn,Builder}` in the
-//!   compute crates (`crates/{tensor,fsmoe,models}/src`) outside the
-//!   worker pool, `crates/tensor/src/par.rs`;
+//!   compute crates (`crates/{tensor,fsmoe,models}/src`);
 //! * `unsafe-needs-safety` — an `unsafe` block or `unsafe impl` under
 //!   `crates/*/src` or `shims/*/src` without a `// SAFETY:` comment
 //!   directly above, or an `unsafe fn` without a `# Safety` section;
@@ -225,9 +224,8 @@ pub fn library_source(rel: &str) -> bool {
     matches!(parts.next(), Some("crates" | "shims")) && parts.nth(1) == Some("src")
 }
 
-/// Whether a file belongs to the compute layer that must fan out on the
-/// one worker pool — the scope of `no-adhoc-spawn`. The pool's own file
-/// is where the threads are allowed to start.
+/// Whether a file belongs to the compute layer, which starts no threads
+/// — the scope of `no-adhoc-spawn`.
 #[must_use]
 pub fn compute_layer(rel: &str) -> bool {
     [
@@ -237,7 +235,6 @@ pub fn compute_layer(rel: &str) -> bool {
     ]
     .iter()
     .any(|dir| rel.starts_with(dir))
-        && rel != "crates/tensor/src/par.rs"
 }
 
 /// Scans raw source lines for allow directives (the tokenizer drops

@@ -42,8 +42,7 @@ pub const RULE_FLOAT_ACCUM: &str = "float-accum-order";
 /// Rule id: a test assertion whose condition depends on a wall-clock
 /// reading ([`crate::flow`]).
 pub const RULE_TEST_WALLCLOCK: &str = "test-wallclock-assert";
-/// Rule id: a thread spawned in the compute crates outside the worker
-/// pool (`tensor/src/par.rs`).
+/// Rule id: a thread spawned in the compute crates.
 pub const RULE_ADHOC_SPAWN: &str = "no-adhoc-spawn";
 /// Rule id: an `unsafe` block, `unsafe impl` or `unsafe fn` that does not
 /// say why it is sound.
@@ -162,9 +161,9 @@ pub fn check_std_sync(tree: &[Node], _tests: &TestRegions, out: &mut Vec<Violati
 
 /// `no-adhoc-spawn`: flags `thread :: {scope|spawn|Builder}` (however
 /// the `thread` module was reached, use-groups included) outside test
-/// regions. The compute crates fan out on the persistent pool in
-/// `tensor::par` — spawning per call is what made two threads slower
-/// than one, and a second pool would oversubscribe the first.
+/// regions. The compute crates start no threads: parallelism is one
+/// thread per rank, and spawning per call is what made two threads
+/// slower than one.
 pub fn check_adhoc_spawn(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
     visit(tree, &mut |sibs, i| {
         let Some(next) = path_at(sibs, i, &["thread"]).and_then(|e| colons_at(sibs, e)) else {
@@ -176,7 +175,7 @@ pub fn check_adhoc_spawn(tree: &[Node], tests: &TestRegions, out: &mut Vec<Viola
                 out.push(Violation::new(
                     RULE_ADHOC_SPAWN,
                     name.line(),
-                    format!("thread::{spawner} — fan out on the worker pool (tensor::par::map_indices) instead of starting threads"),
+                    format!("thread::{spawner} — the compute crates start no threads: parallelism is one thread per rank"),
                 ));
             }
         };

@@ -1,4 +1,4 @@
-//! Fixture: `no-adhoc-spawn` — threads started outside the worker pool.
+//! Fixture: `no-adhoc-spawn` — threads started in the compute crates.
 use std::thread;
 use std::thread::{sleep, spawn};
 

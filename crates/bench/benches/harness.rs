@@ -12,9 +12,7 @@
 //!   against a narrow weight, a few rows against a wide one — in all
 //!   three forms, hot and against 32 MB of cycled weights, each as a
 //!   share of the square GEMM timed between them;
-//! * the vector activations in ns per element, and the worker pool's
-//!   hand-off through `par::map_indices`, warm (worker polling) and cold
-//!   (worker asleep);
+//! * the vector activations in ns per element;
 //! * an end-to-end GShard MoE layer forward **and backward**, and what a
 //!   warm forward + backward costs the memory system: allocations
 //!   ≥ 64 KiB (from a counting `#[global_allocator]`, this binary only)
@@ -309,25 +307,6 @@ fn bench_activations() -> Vec<(&'static str, f64)> {
     rows
 }
 
-/// The pool's hand-off: one two-item `map_indices` fan-out of no work,
-/// back to back (the worker is polling) and after a pause longer than
-/// its spin (the worker is asleep and the caller pays the wake). µs per
-/// fan-out.
-fn bench_pool_handoff() -> (f64, f64) {
-    let mut fan_out = || {
-        std::hint::black_box(tensor::par::map_indices(2, 2, |i| i));
-    };
-    fan_out(); // spawn the pool outside the timing
-    let warm = bench::gate::per_call_ns(2000, &mut fan_out) / 1e3;
-    let mut cold = f64::INFINITY;
-    for _ in 0..20 {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        cold = cold.min(best_of_ms(1, &mut fan_out) * 1e3);
-    }
-    println!("\npool hand-off: {warm:.2} us warm, {cold:.2} us cold (worker asleep)");
-    (warm, cold)
-}
-
 /// Times one MoE-layer forward and one backward, then counts what
 /// [`MEMORY_STEPS`] more warm forward + backward steps cost in large
 /// allocations (on this thread) and minor faults (process-wide); returns
@@ -429,7 +408,6 @@ fn main() {
     let (skinny_rows, skinny_shares) =
         std::thread::scope(|s| s.spawn(bench_skinny).join().expect("skinny GEMM bench"));
     let activations = bench_activations();
-    let (handoff_warm_us, handoff_cold_us) = bench_pool_handoff();
     let (moe_row, large_allocs, minor_faults) = bench_moe();
 
     let control = bench_control_plane();
@@ -522,13 +500,6 @@ fn main() {
                     .map(|(name, ns)| (*name, Json::from(*ns)))
                     .collect::<Vec<_>>(),
             ),
-        ),
-        (
-            "pool_handoff_us",
-            Json::obj(vec![
-                ("warm", Json::from(handoff_warm_us)),
-                ("cold", Json::from(handoff_cold_us)),
-            ]),
         ),
         (
             "floors",

@@ -61,9 +61,10 @@ pub struct ExpertGrads {
 /// Any `Expert` can be dropped into [`MoeLayer`](crate::layer::MoeLayer),
 /// the analogue of deriving from the paper's `ExpertBase` (Listing 1).
 ///
-/// Experts are `Sync` so the layer can fan independent experts out over
-/// the worker pool: forward/backward take `&self` (weights are read-only
-/// during compute; updates go through `&mut self` methods afterwards).
+/// Experts are `Send + Sync` so a layer can move to, and be shared
+/// between, rank threads: forward/backward take `&self` (weights are
+/// read-only during compute; updates go through `&mut self` methods
+/// afterwards).
 pub trait Expert: std::fmt::Debug + Send + Sync {
     /// Short identifier.
     fn name(&self) -> &'static str;
@@ -129,27 +130,6 @@ pub trait Expert: std::fmt::Debug + Send + Sync {
     ///
     /// Returns an error when the hidden size does not divide evenly.
     fn shard(&self, shard: usize, num_shards: usize) -> Result<Box<dyn Expert>>;
-}
-
-/// Runs `op(e)` for every expert index on up to `threads` threads of
-/// the tensor worker pool ([`tensor::par::map_indices`]) and returns the
-/// results in index order, or the first error (by index). Every index
-/// runs, on any thread count: an error does not stop the later ones.
-///
-/// This is the per-expert fan-out of the layer's fallback path
-/// ([`crate::grouped::forward_experts`] / `backward_experts`, for expert
-/// sets the grouped GEMM cannot batch): expert FFNs are independent
-/// GEMM chains, so they parallelise without any locking. Because each
-/// expert's arithmetic is untouched by the split, results are identical
-/// for every thread count.
-pub fn for_each_expert<T, F>(count: usize, threads: usize, op: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    tensor::par::map_indices(count, threads, op)
-        .into_iter()
-        .collect()
 }
 
 fn shard_range(hidden: usize, shard: usize, num_shards: usize) -> Result<(usize, usize)> {
@@ -531,38 +511,70 @@ mod tests {
         assert!(e.apply_grads(&[Tensor::zeros(&[2, 4])], 0.1).is_err());
     }
 
+    /// The per-expert fallback keeps one saved state per expert in index
+    /// order and, when several experts fail, returns the first (by index).
     #[test]
     fn for_each_expert_preserves_order_and_errors() {
-        for threads in [1usize, 2, 3, 8] {
-            let out = for_each_expert(5, threads, |e| Ok(e * 10)).unwrap();
-            assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
-            let err = for_each_expert(5, threads, |e| {
-                if e >= 3 {
-                    Err(MoeError::NoForwardState)
-                } else {
-                    Ok(e)
-                }
-            });
-            assert!(err.is_err(), "threads={threads}");
-            assert_eq!(for_each_expert(0, threads, |_| Ok(0)).unwrap(), vec![]);
+        use crate::grouped::{backward_experts, forward_experts, FfnState};
+        let mut rng = TensorRng::seed_from(12);
+        let experts: Vec<Box<dyn Expert>> = vec![
+            Box::new(GptFfn::new(4, 8, &mut rng)),
+            Box::new(MixtralFfn::new(4, 8, &mut rng)),
+            Box::new(GptFfn::new(4, 6, &mut rng)),
+            Box::new(MixtralFfn::new(4, 6, &mut rng)),
+        ];
+        let offsets = [0, 2, 3, 3, 5];
+        let x = rng.normal(&[5, 4], 0.0, 1.0);
+        let (_, state) = forward_experts(&experts, x, &offsets).unwrap();
+        let FfnState::PerExpert(states) = state else {
+            panic!("a mixed set must not group");
+        };
+        // GPT saves (x, h, a), Mixtral (x, g, u, a)
+        let saved: Vec<_> = states.iter().map(|s| s.saved.len()).collect();
+        assert_eq!(saved, [3, 4, 3, 4]);
+        for (e, s) in states.iter().enumerate() {
+            assert_eq!(s.saved[0].dims(), &[offsets[e + 1] - offsets[e], 4]);
         }
+
+        // expert 1 gets a GPT state (NoForwardState); expert 3 a Mixtral
+        // state of the wrong width (a tensor error), which must not win
+        let mut bad = states.clone();
+        bad[1] = states[0].clone();
+        bad[3] = states[1].clone();
+        let gy = rng.normal(&[5, 4], 0.0, 1.0);
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad.clone()), &offsets);
+        assert!(matches!(err, Err(MoeError::NoForwardState)), "{err:?}");
+        bad[1] = states[1].clone();
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad), &offsets);
+        assert!(matches!(err, Err(MoeError::Tensor(_))), "{err:?}");
     }
 
+    /// The layer's expert fan-out — grouped for a uniform set, the
+    /// per-expert loop for a mixed one — equals each expert run on its
+    /// own rows one after another.
     #[test]
     fn parallel_expert_forward_matches_serial() {
         let mut rng = TensorRng::seed_from(11);
-        let experts: Vec<Box<dyn Expert>> = (0..4)
+        let uniform: Vec<Box<dyn Expert>> = (0..4)
             .map(|_| Box::new(GptFfn::new(6, 12, &mut rng)) as Box<dyn Expert>)
             .collect();
+        let mixed: Vec<Box<dyn Expert>> = vec![
+            Box::new(GptFfn::new(6, 12, &mut rng)),
+            Box::new(MixtralFfn::new(6, 12, &mut rng)),
+            Box::new(GptFfn::new(6, 8, &mut rng)),
+            Box::new(MixtralFfn::new(6, 8, &mut rng)),
+        ];
+        let offsets = [0, 3, 3, 6, 8];
         let x = rng.normal(&[8, 6], 0.0, 1.0);
-        let serial =
-            for_each_expert(experts.len(), 1, |e| experts[e].forward(&x).map(|(y, _)| y)).unwrap();
-        for threads in [2, 4, 9] {
-            let parallel = for_each_expert(experts.len(), threads, |e| {
-                experts[e].forward(&x).map(|(y, _)| y)
-            })
-            .unwrap();
-            assert_eq!(parallel, serial, "threads={threads}");
+        for experts in [&uniform, &mixed] {
+            let (y, _) = crate::grouped::forward_experts(experts, x.clone(), &offsets).unwrap();
+            let serial: Vec<Tensor> = (0..experts.len())
+                .map(|e| {
+                    let rows = x.slice_rows(offsets[e], offsets[e + 1]).unwrap();
+                    experts[e].forward(&rows).unwrap().0
+                })
+                .collect();
+            assert_eq!(y, Tensor::cat(&serial).unwrap());
         }
     }
 

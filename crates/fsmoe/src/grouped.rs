@@ -16,7 +16,7 @@
 
 use tensor::{grad, Tensor};
 
-use crate::expert::{for_each_expert, Expert, ExpertState, FfnWeights};
+use crate::expert::{Expert, ExpertState, FfnWeights};
 use crate::{MoeError, Result};
 
 /// Saved activations of a grouped FFN forward pass, concatenated over
@@ -212,12 +212,13 @@ pub enum FfnState {
 
 /// Runs every expert over its group of `x`: the grouped pass of
 /// [`forward_ffn`] when the set is groupable (`x` moves into the saved
-/// state), else the per-expert loop over the same row slices, fanned
-/// out over [`tensor::par::num_threads`] threads of the worker pool.
+/// state), else the per-expert loop over the same row slices, in index
+/// order on the calling thread.
 ///
 /// # Errors
 ///
-/// Propagates expert and GEMM shape mismatches.
+/// Propagates the first expert error (by index) and GEMM shape
+/// mismatches.
 pub fn forward_experts(
     experts: &[Box<dyn Expert>],
     x: Tensor,
@@ -227,10 +228,11 @@ pub fn forward_experts(
         let (y, state) = forward_grouped(views, x, offsets)?;
         return Ok((y, FfnState::Grouped(state)));
     }
-    let results = for_each_expert(experts.len(), tensor::par::num_threads(), |e| {
-        experts[e].forward(&x.slice_rows(offsets[e], offsets[e + 1])?)
-    })?;
-    let (ys, states): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let (ys, states): (Vec<_>, Vec<_>) = (0..experts.len())
+        .map(|e| experts[e].forward(&x.slice_rows(offsets[e], offsets[e + 1])?))
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
     Ok((Tensor::cat(&ys)?, FfnState::PerExpert(states)))
 }
 
@@ -250,11 +252,12 @@ pub fn backward_experts(
         FfnState::Grouped(st) => return backward_ffn(experts, grad_y, st, offsets, 1),
         FfnState::PerExpert(states) => states,
     };
-    let results = for_each_expert(experts.len(), tensor::par::num_threads(), |e| {
-        experts[e].backward(&grad_y.slice_rows(offsets[e], offsets[e + 1])?, &states[e])
-    })?;
-    let (grad_x, grads): (Vec<_>, Vec<_>) =
-        results.into_iter().map(|g| (g.input, g.weights)).unzip();
+    let (grad_x, grads): (Vec<_>, Vec<_>) = (0..experts.len())
+        .map(|e| experts[e].backward(&grad_y.slice_rows(offsets[e], offsets[e + 1])?, &states[e]))
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .map(|g| (g.input, g.weights))
+        .unzip();
     Ok((Tensor::cat(&grad_x)?, grads))
 }
 
@@ -321,14 +324,46 @@ mod tests {
         }
     }
 
+    /// A mixed set runs the per-expert loop: each expert's own forward
+    /// and backward on its row slice, and the first expert error returned.
     #[test]
     fn heterogeneous_experts_fall_back() {
         let mut rng = TensorRng::seed_from(9);
-        let experts: Vec<Box<dyn Expert>> = vec![
+        let mut experts: Vec<Box<dyn Expert>> = vec![
             Box::new(GptFfn::new(4, 8, &mut rng)),
             Box::new(MixtralFfn::new(4, 8, &mut rng)),
+            Box::new(MixtralFfn::new(4, 6, &mut rng)),
+            Box::new(GptFfn::new(4, 6, &mut rng)),
         ];
-        let x = rng.normal(&[2, 4], 0.0, 1.0);
-        assert!(forward_ffn(&experts, &x, &[0, 1, 2], 1).unwrap().is_none());
+        // expert 2 gets no rows
+        let offsets = [0, 1, 3, 3, 5];
+        let x = rng.normal(&[5, 4], 0.0, 1.0);
+        assert!(forward_ffn(&experts, &x, &offsets, 1).unwrap().is_none());
+        let (y, state) = forward_experts(&experts, x.clone(), &offsets).unwrap();
+        let FfnState::PerExpert(states) = &state else {
+            panic!("a mixed set must not group");
+        };
+        let gy = rng.normal(&[5, 4], 0.0, 1.0);
+        let (gx, gw) = backward_experts(&experts, &gy, &state, &offsets).unwrap();
+        for (e, expert) in experts.iter().enumerate() {
+            let (lo, hi) = (offsets[e], offsets[e + 1]);
+            let (want_y, st) = expert.forward(&x.slice_rows(lo, hi).unwrap()).unwrap();
+            let want = expert
+                .backward(&gy.slice_rows(lo, hi).unwrap(), &st)
+                .unwrap();
+            assert_eq!(y.slice_rows(lo, hi).unwrap(), want_y, "expert {e}");
+            assert_eq!(gx.slice_rows(lo, hi).unwrap(), want.input, "expert {e}");
+            assert_eq!(gw[e], want.weights, "expert {e} weight grads");
+        }
+
+        // expert 0 (GPT) handed expert 1's Mixtral state
+        let mut swapped = states.clone();
+        swapped.swap(0, 1);
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(swapped), &offsets);
+        assert!(matches!(err, Err(MoeError::NoForwardState)), "{err:?}");
+        // an expert of the wrong width fails the forward
+        experts[1] = Box::new(MixtralFfn::new(3, 8, &mut rng));
+        let err = forward_experts(&experts, x, &offsets);
+        assert!(matches!(err, Err(MoeError::Tensor(_))), "{err:?}");
     }
 }

@@ -115,23 +115,22 @@ fn fingerprint() -> String {
 }
 
 /// Prints [`fingerprint`]; the test below runs it in a child process,
-/// where `TENSOR_THREADS` can differ.
+/// where it is the only world.
 #[test]
 fn fingerprint_of_a_two_rank_run() {
     println!("{}", fingerprint());
 }
 
-/// One world alone in a `TENSOR_THREADS=1` process, against two worlds
-/// training at once in this one: four rank threads share the kernel and
-/// the worker pool, and every world must still get the lone run's bits.
+/// One world alone in a child process, against two worlds training at
+/// once in this one: four rank threads share the kernel, and every
+/// world must still get the lone run's bits.
 #[test]
 fn one_and_two_tensor_threads_compute_the_same_bits() {
     let out = Command::new(std::env::current_exe().unwrap())
         .args(["--exact", "fingerprint_of_a_two_rank_run", "--nocapture"])
-        .env("TENSOR_THREADS", "1")
         .output()
         .unwrap();
-    assert!(out.status.success(), "TENSOR_THREADS=1: {out:?}");
+    assert!(out.status.success(), "lone world: {out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let lone = stdout.lines().find(|l| l.starts_with("fingerprint ["));
     let lone = lone.unwrap_or_else(|| panic!("no fingerprint in {stdout}"));
