@@ -13,6 +13,8 @@
 //!   three forms, hot and against 32 MB of cycled weights, each as a
 //!   share of the square GEMM timed between them;
 //! * the vector activations in ns per element;
+//! * layer norm and its backward at `wire_2r`'s 512×256 token block,
+//!   each beside the one-row-at-a-time loop it replaced;
 //! * an end-to-end GShard MoE layer forward **and backward**, and what a
 //!   warm forward + backward costs the memory system: allocations
 //!   ≥ 64 KiB (from a counting `#[global_allocator]`, this binary only)
@@ -89,6 +91,13 @@ const GEMM_RUNS: usize = 15;
 const MOE_RUNS: usize = 5;
 /// Warm forward + backward steps the memory rows are averaged over.
 const MEMORY_STEPS: usize = 20;
+/// `wire_2r`'s token block, which every block's two layer norms see.
+const NORM_SHAPE: [usize; 2] = [512, 256];
+const NORM_EPS: f32 = 1e-5;
+/// How much faster than the per-row loop, timed in the same process,
+/// layer norm and its backward must run (2.5–3.0× and 2.2–2.4× on one
+/// core of the AVX-512 reference box).
+const NORM_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Minor page faults this process has taken so far (`minflt`, the tenth
 /// field of `/proc/self/stat`); `None` where there is no such file.
@@ -307,6 +316,87 @@ fn bench_activations() -> Vec<(&'static str, f64)> {
     rows
 }
 
+/// Per-row layer norm: the loop [`Tensor::layer_norm`] replaced.
+fn per_row_layer_norm(x: &Tensor) -> Tensor {
+    let cols = x.dims()[1];
+    let mut out = x.clone();
+    for row in out.data_mut().chunks_mut(cols) {
+        let mean = row.iter().sum::<f32>() / cols as f32;
+        let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
+        let denom = (var + NORM_EPS).sqrt();
+        for v in row.iter_mut() {
+            *v = (*v - mean) / denom;
+        }
+    }
+    out
+}
+
+/// Per-row layer-norm backward: the loop [`grad::layer_norm_backward`]
+/// replaced.
+fn per_row_layer_norm_backward(grad_y: &Tensor, x: &Tensor) -> Tensor {
+    let cols = x.dims()[1];
+    let n = cols as f32;
+    let mut out = tensor::buf::take(x.num_elements());
+    for ((x_row, g_row), o_row) in x
+        .data()
+        .chunks(cols)
+        .zip(grad_y.data().chunks(cols))
+        .zip(out.chunks_mut(cols))
+    {
+        let mean = x_row.iter().sum::<f32>() / n;
+        let var = x_row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
+        let sigma = (var + NORM_EPS).sqrt();
+        for (h, v) in o_row.iter_mut().zip(x_row) {
+            *h = (v - mean) / sigma;
+        }
+        let g_mean = g_row.iter().sum::<f32>() / n;
+        let gx_mean = g_row.iter().zip(&*o_row).map(|(g, h)| g * h).sum::<f32>() / n;
+        for (o, g) in o_row.iter_mut().zip(g_row) {
+            *o = (g - g_mean - *o * gx_mean) / sigma;
+        }
+    }
+    Tensor::from_vec(out, x.dims()).expect("one output per input")
+}
+
+/// Times layer norm and its backward at [`NORM_SHAPE`], each beside the
+/// per-row loop it replaced; `(name, µs, per-row µs)`.
+fn bench_row_norms() -> Vec<(&'static str, f64, f64)> {
+    let mut rng = TensorRng::seed_from(0x1A7);
+    let x = rng.normal(&NORM_SHAPE, 0.0, 1.0);
+    let g = rng.normal(&NORM_SHAPE, 0.0, 1.0);
+    let us = |f: &dyn Fn() -> f32| {
+        best_of_ms(GEMM_RUNS, || {
+            std::hint::black_box(f());
+        }) * 1e3
+    };
+    let forward = || x.layer_norm(NORM_EPS).expect("rank 2").data()[0];
+    let backward = || {
+        let dx = grad::layer_norm_backward(&g, &x, NORM_EPS).expect("shapes");
+        dx.data()[0]
+    };
+    let rows = vec![
+        (
+            "layer_norm",
+            us(&forward),
+            us(&|| per_row_layer_norm(&x).data()[0]),
+        ),
+        (
+            "layer_norm_backward",
+            us(&backward),
+            us(&|| per_row_layer_norm_backward(&g, &x).data()[0]),
+        ),
+    ];
+    println!(
+        "
+row norms at {}x{} (µs, per-row loop):",
+        NORM_SHAPE[0], NORM_SHAPE[1]
+    );
+    for (name, us, per_row) in &rows {
+        println!("  {name}: {us:.1} ({per_row:.1}, {:.2}x)", per_row / us);
+    }
+    rows
+}
+
 /// Times one MoE-layer forward and one backward, then counts what
 /// [`MEMORY_STEPS`] more warm forward + backward steps cost in large
 /// allocations (on this thread) and minor faults (process-wide); returns
@@ -408,6 +498,7 @@ fn main() {
     let (skinny_rows, skinny_shares) =
         std::thread::scope(|s| s.spawn(bench_skinny).join().expect("skinny GEMM bench"));
     let activations = bench_activations();
+    let norms = bench_row_norms();
     let (moe_row, large_allocs, minor_faults) = bench_moe();
 
     let control = bench_control_plane();
@@ -458,6 +549,15 @@ fn main() {
             format!("{name}: {ns:.2} ns/element, ceiling {ACTIVATION_NS_CEILING:.1}"),
         );
     }
+    for (name, us, per_row) in &norms {
+        gate.require(
+            per_row / us >= NORM_SPEEDUP_FLOOR,
+            format!(
+                "{name}: {us:.1} µs, {:.2}x the per-row loop, floor {NORM_SPEEDUP_FLOOR:.1}x",
+                per_row / us
+            ),
+        );
+    }
     gate.require(
         large_allocs == 0.0,
         format!(
@@ -502,8 +602,27 @@ fn main() {
             ),
         ),
         (
+            "row_norm_us",
+            Json::obj(
+                norms
+                    .iter()
+                    .map(|(name, us, per_row)| {
+                        let row = vec![
+                            ("us", Json::from(*us)),
+                            ("per_row_us", Json::from(*per_row)),
+                        ];
+                        (*name, Json::obj(row))
+                    })
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
             "floors",
             Json::obj(vec![
+                (
+                    "row_norm_speedup_vs_per_row",
+                    Json::from(NORM_SPEEDUP_FLOOR),
+                ),
                 ("activation_ns_ceiling", Json::from(ACTIVATION_NS_CEILING)),
                 ("transposed_vs_plain", Json::from(TRANSPOSED_FLOOR)),
                 ("moe_large_allocs_per_step", Json::from(0.0)),

@@ -17,8 +17,12 @@
 //!
 //! The payload is fixed-size (`slots` blocks of `T + 1` rows per EP
 //! position), but each block's header row carries its row count and the
-//! experts compute on exactly the counted rows (`ShardLayout`); the ESP
-//! collectives are issued only when the ESP group has several members.
+//! experts compute on exactly the counted rows, where they lie: the
+//! grouped GEMM reads each block's rows out of the gathered buffer and
+//! writes the outputs at the same rows of the combine buffer
+//! (`ShardLayout::segments`) — no row is gathered or scattered between
+//! the wire and the experts. The ESP collectives are issued only when
+//! the ESP group has several members.
 //!
 //! The equivalence suite asserts every world shape matches the one-rank
 //! layer, whose exchange is the identity — distribution, like
@@ -27,7 +31,7 @@
 use std::time::Duration;
 
 use collectives::{CommError, Communicator, GroupComm, HybridTopology};
-use tensor::{buf, Tensor, TensorRng};
+use tensor::{buf, Segments, Tensor, TensorRng};
 
 use crate::checkpoint::LayerCheckpoint;
 use crate::dispatch::{DispatchCtx, Dispatcher};
@@ -203,11 +207,14 @@ fn a2a_with_policy(
 ///
 /// The count's life cycle: the sender writes it after `before_dispatch`
 /// ran (hooks see a zero header); the expert host reads it out of the
-/// gathered buffer and compacts the counted rows, so `after_dispatch`
-/// never sees a header; the layer saves the counts with its forward
-/// state, and the combine leg and both backward legs reuse them. A
-/// zero-filled (degraded or payload-dropped) block reads as count 0 —
-/// the capacity-drop semantics.
+/// gathered buffer as the experts' row segments
+/// ([`ShardLayout::segments`]) — `after_dispatch` sees the gathered
+/// buffer, headers included, and the experts read their counted rows
+/// where they lie and write their outputs at the same rows of a buffer
+/// whose headers are zero again. The layer saves the segments with its
+/// forward state for the backward to reuse. A zero-filled (degraded or
+/// payload-dropped) block reads as count 0 — the capacity-drop
+/// semantics.
 #[derive(Clone, Copy)]
 struct ShardLayout {
     m: usize,
@@ -219,87 +226,39 @@ struct ShardLayout {
 }
 
 impl ShardLayout {
-    /// Elements of one wire block, header row included.
-    fn block_elems(&self) -> usize {
-        (self.t + 1) * self.m
-    }
-
     /// Wire blocks each local expert receives (one per source rank).
     fn sources(&self) -> usize {
         self.n_esp * self.n_ep
     }
 
-    /// Elements of the whole gathered buffer, pad slots included.
-    fn gathered_elems(&self) -> usize {
-        self.sources() * self.slots * self.block_elems()
+    /// Rows of the whole gathered buffer, pad slots included.
+    fn gathered_rows(&self) -> usize {
+        self.sources() * self.slots * (self.t + 1)
     }
 
-    /// Where each local expert's blocks start in the gathered buffer, in
-    /// the order the experts compute on them: `[expert][esp][ep]`.
-    fn blocks(self) -> impl Iterator<Item = usize> {
-        (0..self.local_experts).flat_map(move |el| {
-            (0..self.sources()).map(move |sp| (sp * self.slots + el) * self.block_elems())
-        })
-    }
-
-    /// Every block's row count, in [`ShardLayout::blocks`] order: a wire
-    /// value, validated before anything is indexed by it.
-    fn read_counts(self, gathered: &[f32]) -> Result<Vec<usize>> {
-        self.blocks()
-            .map(|block| {
-                let count = gathered[block];
+    /// The experts' rows in the gathered buffer: per local expert, in
+    /// `[esp][ep]` order, each source block's counted rows, one past its
+    /// header. A count is a wire value, validated before anything is
+    /// indexed by it.
+    fn segments(self, gathered: &[f32]) -> Result<Segments> {
+        let mut segments = Segments::new();
+        for el in 0..self.local_experts {
+            let runs = (0..self.sources()).map(|sp| {
+                let header = (sp * self.slots + el) * (self.t + 1);
+                let count = gathered[header * self.m];
                 if count >= 0.0 && count <= self.t as f32 && count.fract() == 0.0 {
-                    Ok(count as usize)
+                    Ok((header + 1, count as usize))
                 } else {
                     Err(MoeError::BadInput {
                         expected: format!("a wire block row count in 0..={}, got {count}", self.t),
-                        actual: vec![block / self.block_elems()],
+                        actual: vec![header / (self.t + 1)],
                     })
                 }
-            })
-            .collect()
-    }
-
-    /// The experts' group offsets over the compacted rows of `counts`.
-    fn offsets(self, counts: &[usize]) -> Vec<usize> {
-        let mut offsets = vec![0; self.local_experts + 1];
-        for (el, blocks) in counts.chunks(self.sources()).enumerate() {
-            offsets[el + 1] = offsets[el] + blocks.iter().sum::<usize>();
+            });
+            segments.push_group(runs.collect::<Result<Vec<_>>>()?);
         }
-        offsets
+        Ok(segments)
     }
-}
-
-/// Expands the experts' compacted rows back into the gathered layout
-/// (headers, uncounted rows and pad slots zero) — the inverse of
-/// [`grouped_input`].
-fn scatter_expert_rows(layout: ShardLayout, counts: &[usize], rows: &[f32]) -> Vec<f32> {
-    let mut buffer = buf::take_zeroed(layout.gathered_elems());
-    let mut src = 0usize;
-    for (block, &count) in layout.blocks().zip(counts) {
-        let (dst, len) = (block + layout.m, count * layout.m);
-        buffer[dst..dst + len].copy_from_slice(&rows[src..src + len]);
-        src += len;
-    }
-    buffer
-}
-
-/// Gathers the counted rows of every local expert's blocks to the front
-/// of one grouped buffer. The buffer keeps the capacity bound's height
-/// with a zero tail no group owns, so every tensor the experts derive
-/// from it has a step-invariant size (a warm step allocates nothing,
-/// whatever the routing) while the GEMMs run over the counted rows only.
-fn grouped_input(layout: ShardLayout, gathered: &[f32], counts: &[usize]) -> Result<Tensor> {
-    let rows = layout.local_experts * layout.sources() * layout.t;
-    let mut grouped = buf::take(rows * layout.m);
-    let mut dst = 0usize;
-    for (block, &count) in layout.blocks().zip(counts) {
-        let (src, len) = (block + layout.m, count * layout.m);
-        grouped[dst..dst + len].copy_from_slice(&gathered[src..src + len]);
-        dst += len;
-    }
-    grouped[dst..].fill(0.0);
-    Ok(Tensor::from_vec(grouped, &[rows, layout.m])?)
 }
 
 /// The hierarchical dispatchers' two slices of this rank's EP group:
@@ -396,57 +355,59 @@ impl MoeLayer {
 
     /// Tokens to experts: the order buffer, in wire block layout
     /// ([`Routing::into_placed`](crate::routing::Routing::into_placed)) →
-    /// AlltoAll(EP) → ESP-AllGather when experts are sharded → every
-    /// block's counted rows grouped per local shard, their group offsets
-    /// and the counts. Forward (`saved: None`) writes each block's load
-    /// into its header and reads the counts off the wire; backward runs
-    /// its output-side gradients through the same legs (the combine
-    /// exchange's adjoint), strict, cut by the forward's `saved` counts.
+    /// AlltoAll(EP) → ESP-AllGather when experts are sharded → the
+    /// gathered buffer itself and the local shards' rows in it. Forward
+    /// (`saved: None`) writes each block's load into its header and
+    /// reads the rows off the wire; backward runs its output-side
+    /// gradients through the same legs (the combine exchange's adjoint),
+    /// strict, on the rows the forward delivered (`saved`).
     pub(crate) fn wire_in(
         &mut self,
         mut buffer: Tensor,
         routing: &Routing,
-        saved: Option<&[usize]>,
+        saved: Option<&Segments>,
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
-    ) -> Result<(Tensor, Vec<usize>, Vec<usize>)> {
+    ) -> Result<(Tensor, Segments)> {
         let layout = self.shard_layout();
         if saved.is_none() {
             for (e, &load) in routing.expert_loads().iter().enumerate() {
-                buffer.data_mut()[self.expert_map.slot_of(e) * layout.block_elems()] = load as f32;
+                let header = self.expert_map.slot_of(e) * (layout.t + 1);
+                buffer.data_mut()[header * layout.m] = load as f32;
             }
         }
         let mut gathered = self.ep_all_to_all(buffer.data(), policy, at_risk)?;
         // ESP-AllGather: replicate the node's token set to all shards.
         if layout.n_esp > 1 {
-            let received = std::mem::replace(&mut gathered, buf::take(layout.gathered_elems()));
+            let all = buf::take(layout.gathered_rows() * layout.m);
+            let received = std::mem::replace(&mut gathered, all);
             self.esp_group.all_gather_into(&received, &mut gathered)?;
             buf::give(received);
         }
-        let counts = match saved {
-            Some(counts) => counts.to_vec(),
-            None => layout.read_counts(&gathered)?,
+        let rows = match saved {
+            Some(rows) => rows.clone(),
+            None => layout.segments(&gathered)?,
         };
-        let grouped = grouped_input(layout, &gathered, &counts)?;
-        buf::give(gathered);
-        Ok((grouped, layout.offsets(&counts), counts))
+        let gathered = Tensor::from_vec(gathered, &[layout.gathered_rows(), layout.m])?;
+        Ok((gathered, rows))
     }
 
-    /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: grouped
-    /// shard rows, expanded by the same `counts` → ESP-ReduceScatter when
-    /// experts are sharded (sum the shard partials, keep our token slice)
-    /// → AlltoAll(EP) (the transpose is its own inverse) → the order
-    /// buffer, in the block layout it left in. Backward runs its
-    /// input-side gradients through it (the dispatch exchange's adjoint).
+    /// Experts to tokens, the mirror of [`MoeLayer::wire_in`]: the
+    /// experts' output rows, already at their rows of the gathered
+    /// layout (headers, uncounted rows and pad slots zero) →
+    /// ESP-ReduceScatter when experts are sharded (sum the shard
+    /// partials, keep our token slice) → AlltoAll(EP) (the transpose is
+    /// its own inverse) → the order buffer, in the block layout it left
+    /// in. Backward runs its input-side gradients through it (the
+    /// dispatch exchange's adjoint).
     pub(crate) fn wire_out(
         &mut self,
-        rows: &Tensor,
-        counts: &[usize],
+        rows: Tensor,
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Tensor> {
         let layout = self.shard_layout();
-        let mut reduced = scatter_expert_rows(layout, counts, rows.data());
+        let mut reduced = rows.into_vec();
         if layout.n_esp > 1 {
             let slice = buf::take(reduced.len() / layout.n_esp);
             let shard_out = std::mem::replace(&mut reduced, slice);
@@ -746,26 +707,29 @@ mod tests {
     };
 
     fn gathered(count0: f32, count1: f32) -> Vec<f32> {
-        let mut buffer: Vec<f32> = (0..LAYOUT.gathered_elems()).map(|i| i as f32).collect();
+        let elems = LAYOUT.gathered_rows() * LAYOUT.m;
+        let mut buffer: Vec<f32> = (0..elems).map(|i| i as f32).collect();
         buffer[0] = count0;
-        buffer[2 * LAYOUT.block_elems()] = count1;
+        buffer[2 * (LAYOUT.t + 1) * LAYOUT.m] = count1;
         buffer
     }
 
     #[test]
-    fn counted_rows_compact_and_expand_back() {
+    fn counted_rows_become_segments_past_each_header() {
         let wire = gathered(3.0, 1.0);
-        let counts = LAYOUT.read_counts(&wire).unwrap();
-        assert_eq!(counts, [3, 1]);
-        assert_eq!(LAYOUT.offsets(&counts), [0, 4]);
-        let rows = grouped_input(LAYOUT, &wire, &counts).unwrap();
-        assert_eq!(rows.dims(), &[6, 2]);
-        // block 0 rows 1..=3, then block 2 row 1, then the zero tail;
-        // headers and the pad slot's blocks (1 and 3) are never read
-        assert_eq!(&rows.data()[..8], [2., 3., 4., 5., 6., 7., 18., 19.]);
-        assert_eq!(&rows.data()[8..], [0.; 4]);
-        let back = scatter_expert_rows(LAYOUT, &counts, rows.data());
-        for (i, &v) in back.iter().enumerate() {
+        // block 0 rows 1..=3, then block 2 row 1; headers, the rows past
+        // each count and the pad slot's blocks (1 and 3) belong to no run
+        let segments = LAYOUT.segments(&wire).unwrap();
+        assert_eq!(segments.groups(), 1);
+        assert_eq!(segments.group(0), [(1, 3), (9, 1)]);
+        // an identity expert reads them in place and writes them back at
+        // the same rows, zeros everywhere else
+        let rows = LAYOUT.gathered_rows();
+        let x = Tensor::from_vec(wire.clone(), &[rows, 2]).unwrap();
+        let y = x
+            .matmul_segments(&[&Tensor::eye(2)], &segments, &segments, rows)
+            .unwrap();
+        for (i, &v) in y.data().iter().enumerate() {
             let kept = (2..8).contains(&i) || (18..20).contains(&i);
             assert_eq!(v, if kept { wire[i] } else { 0.0 }, "element {i}");
         }
@@ -773,10 +737,11 @@ mod tests {
 
     #[test]
     fn a_corrupt_header_is_a_typed_error_not_an_index() {
-        assert_eq!(LAYOUT.read_counts(&gathered(-0.0, 0.0)).unwrap(), [0, 0]);
+        let empty = LAYOUT.segments(&gathered(-0.0, 0.0)).unwrap();
+        assert_eq!(empty.group(0), [(1, 0), (9, 0)]);
         for bad in [f32::NAN, f32::INFINITY, -1.0, 0.5, 4.0, 1e30] {
             for wire in [gathered(bad, 1.0), gathered(1.0, bad)] {
-                let err = LAYOUT.read_counts(&wire).unwrap_err();
+                let err = LAYOUT.segments(&wire).unwrap_err();
                 assert!(matches!(err, MoeError::BadInput { .. }), "{bad}: {err}");
             }
         }

@@ -22,7 +22,7 @@ pub struct ExpertState {
 
 /// A borrowed view of an expert's FFN weight matrices, exposed so the
 /// grouped-GEMM dispatch ([`crate::grouped`]) can batch the matching
-/// projection of every expert into one [`Tensor::matmul_grouped`] call
+/// projection of every expert into one [`Tensor::matmul_segments`] call
 /// instead of looping expert by expert.
 ///
 /// Experts whose compute is not one of these two shapes return `None`
@@ -524,8 +524,9 @@ mod tests {
             Box::new(MixtralFfn::new(4, 6, &mut rng)),
         ];
         let offsets = [0, 2, 3, 3, 5];
+        let rows = tensor::Segments::from_offsets(&offsets);
         let x = rng.normal(&[5, 4], 0.0, 1.0);
-        let (_, state) = forward_experts(&experts, x, &offsets).unwrap();
+        let (_, state) = forward_experts(&experts, x, &rows).unwrap();
         let FfnState::PerExpert(states) = state else {
             panic!("a mixed set must not group");
         };
@@ -542,10 +543,10 @@ mod tests {
         bad[1] = states[0].clone();
         bad[3] = states[1].clone();
         let gy = rng.normal(&[5, 4], 0.0, 1.0);
-        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad.clone()), &offsets);
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad.clone()), &rows);
         assert!(matches!(err, Err(MoeError::NoForwardState)), "{err:?}");
         bad[1] = states[1].clone();
-        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad), &offsets);
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(bad), &rows);
         assert!(matches!(err, Err(MoeError::Tensor(_))), "{err:?}");
     }
 
@@ -565,9 +566,10 @@ mod tests {
             Box::new(MixtralFfn::new(6, 8, &mut rng)),
         ];
         let offsets = [0, 3, 3, 6, 8];
+        let groups = tensor::Segments::from_offsets(&offsets);
         let x = rng.normal(&[8, 6], 0.0, 1.0);
         for experts in [&uniform, &mixed] {
-            let (y, _) = crate::grouped::forward_experts(experts, x.clone(), &offsets).unwrap();
+            let (y, _) = crate::grouped::forward_experts(experts, x.clone(), &groups).unwrap();
             let serial: Vec<Tensor> = (0..experts.len())
                 .map(|e| {
                     let rows = x.slice_rows(offsets[e], offsets[e + 1]).unwrap();

@@ -1,20 +1,18 @@
-//! Dropless grouped expert GEMM (the MegaBlocks formulation).
+//! Dropless grouped expert GEMM (the MegaBlocks formulation), in place.
 //!
-//! Instead of looping expert by expert over `(T, M)` slices, the layer
-//! hands every local expert's rows over as one concatenated buffer with
-//! per-expert group offsets and runs each FFN projection of **all**
-//! experts as a single [`Tensor::matmul_grouped`] pass. The groups are
-//! whatever the exchange delivered, pad-free and uneven either way: the
-//! order buffer itself on a one-rank layer
-//! ([`Routing::into_dense`](crate::routing::Routing::into_dense)), the
-//! counted rows of every wire block off the wire (rows past the last
-//! offset are spare capacity) — the compute path neither drops nor pads
-//! a token, and empty experts cost nothing.
-//!
-//! Numerically this is exact: the grouped kernel computes each row with
-//! the same ascending-`k` microkernel as the per-expert loop.
+//! The layer hands every local expert's rows over as [`Segments`] of one
+//! buffer — the `(base, rows)` runs each expert owns, uneven and pad-free:
+//! contiguous groups of the order buffer on a one-rank layer
+//! ([`Routing::into_dense`](crate::routing::Routing::into_dense)), every
+//! wire block's counted rows off the wire — and runs each FFN projection
+//! of **all** experts as one [`Tensor::matmul_segments`] pass. The GEMMs
+//! read those rows where they lie and write the output at the same rows
+//! of a buffer of the input's shape: no gather, no scatter, no padded row
+//! computed. The activations in between hold each expert's rows packed
+//! from row 0, at the input's height, so their size never follows the
+//! routing. Each row is the per-expert loop's, bit for bit.
 
-use tensor::{grad, Tensor};
+use tensor::{grad, Segments, Tensor};
 
 use crate::expert::{Expert, ExpertState, FfnWeights};
 use crate::{MoeError, Result};
@@ -62,42 +60,21 @@ enum GroupedWeights<'a> {
 /// all are the same architecture; `None` sends the caller to the
 /// per-expert fallback loop.
 fn collect_views(experts: &[Box<dyn Expert>]) -> Option<GroupedWeights<'_>> {
-    let mut views = Vec::with_capacity(experts.len());
-    for e in experts {
-        views.push(e.ffn_weights()?);
+    let (mut w1, mut w3, mut w2) = (vec![], vec![], vec![]);
+    for expert in experts {
+        let (a, c, b) = match expert.ffn_weights()? {
+            FfnWeights::Gpt { w1, w2 } => (w1, None, w2),
+            FfnWeights::Mixtral { w1, w3, w2 } => (w1, Some(w3), w2),
+        };
+        w1.push(a);
+        w3.extend(c);
+        w2.push(b);
     }
-    match views.first()? {
-        FfnWeights::Gpt { .. } => {
-            let mut w1 = Vec::with_capacity(views.len());
-            let mut w2 = Vec::with_capacity(views.len());
-            for v in &views {
-                let FfnWeights::Gpt { w1: a, w2: b } = v else {
-                    return None;
-                };
-                w1.push(*a);
-                w2.push(*b);
-            }
-            Some(GroupedWeights::Gpt { w1, w2 })
-        }
-        FfnWeights::Mixtral { .. } => {
-            let mut w1 = Vec::with_capacity(views.len());
-            let mut w3 = Vec::with_capacity(views.len());
-            let mut w2 = Vec::with_capacity(views.len());
-            for v in &views {
-                let FfnWeights::Mixtral {
-                    w1: a,
-                    w3: c,
-                    w2: b,
-                } = v
-                else {
-                    return None;
-                };
-                w1.push(*a);
-                w3.push(*c);
-                w2.push(*b);
-            }
-            Some(GroupedWeights::Mixtral { w1, w3, w2 })
-        }
+    match w3.len() {
+        _ if w1.is_empty() => None,
+        0 => Some(GroupedWeights::Gpt { w1, w2 }),
+        n if n == w1.len() => Some(GroupedWeights::Mixtral { w1, w3, w2 }),
+        _ => None,
     }
 }
 
@@ -116,29 +93,34 @@ pub fn forward_ffn(
     offsets: &[usize],
     _threads: usize,
 ) -> Result<Option<(Tensor, GroupedState)>> {
+    let rows = Segments::from_offsets(offsets);
     collect_views(experts)
-        .map(|views| forward_grouped(views, x.clone(), offsets))
+        .map(|views| forward_grouped(views, x.clone(), &rows))
         .transpose()
 }
 
-/// The grouped forward proper; the saved state takes `x` by move.
+/// The grouped forward proper; the saved state takes `x` by move. The
+/// activations hold each expert's rows packed from row 0, in `x`'s
+/// height (a step-invariant size whatever the routing); `y` lands at
+/// `x`'s rows.
 fn forward_grouped(
     views: GroupedWeights<'_>,
     x: Tensor,
-    offsets: &[usize],
+    rows: &Segments,
 ) -> Result<(Tensor, GroupedState)> {
+    let (packed, height) = (rows.packed(), x.dims()[0]);
     match views {
         GroupedWeights::Gpt { w1, w2 } => {
-            let h = x.matmul_grouped(&w1, offsets, 1)?;
+            let h = x.matmul_segments(&w1, rows, &packed, height)?;
             let a = h.gelu();
-            let y = a.matmul_grouped(&w2, offsets, 1)?;
+            let y = a.matmul_segments(&w2, &packed, rows, height)?;
             Ok((y, GroupedState::Gpt { x, h, a }))
         }
         GroupedWeights::Mixtral { w1, w3, w2 } => {
-            let g = x.matmul_grouped(&w1, offsets, 1)?;
-            let u = x.matmul_grouped(&w3, offsets, 1)?;
+            let g = x.matmul_segments(&w1, rows, &packed, height)?;
+            let u = x.matmul_segments(&w3, rows, &packed, height)?;
             let a = g.silu().mul(&u)?;
-            let y = a.matmul_grouped(&w2, offsets, 1)?;
+            let y = a.matmul_segments(&w2, &packed, rows, height)?;
             Ok((y, GroupedState::Mixtral { x, g, u, a }))
         }
     }
@@ -162,14 +144,25 @@ pub fn backward_ffn(
     offsets: &[usize],
     _threads: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
+    backward_grouped(experts, grad_y, state, &Segments::from_offsets(offsets))
+}
+
+/// [`backward_ffn`] over the rows of `rows`, which the forward ran on.
+fn backward_grouped(
+    experts: &[Box<dyn Expert>],
+    grad_y: &Tensor,
+    state: &GroupedState,
+    rows: &Segments,
+) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
     let views = collect_views(experts).ok_or(MoeError::NoForwardState)?;
+    let (packed, height) = (rows.packed(), grad_y.dims()[0]);
     match (views, state) {
         (GroupedWeights::Gpt { w1, w2 }, GroupedState::Gpt { x, h, a }) => {
-            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets)?;
-            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets)?;
+            let grad_a = grad_y.matmul_segments_nt(&w2, rows, &packed, height)?;
+            let grad_w2 = a.matmul_segments_tn(grad_y, &packed, rows)?;
             let grad_h = grad::gelu_backward(&grad_a, h)?;
-            let grad_x = grad_h.matmul_grouped_nt(&w1, offsets)?;
-            let grad_w1 = x.matmul_grouped_tn(&grad_h, offsets)?;
+            let grad_x = grad_h.matmul_segments_nt(&w1, &packed, rows, height)?;
+            let grad_w1 = x.matmul_segments_tn(&grad_h, rows, &packed)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w2)
@@ -178,16 +171,15 @@ pub fn backward_ffn(
             Ok((grad_x, grads))
         }
         (GroupedWeights::Mixtral { w1, w3, w2 }, GroupedState::Mixtral { x, g, u, a }) => {
-            let grad_a = grad_y.matmul_grouped_nt(&w2, offsets)?;
-            let grad_w2 = a.matmul_grouped_tn(grad_y, offsets)?;
+            let grad_a = grad_y.matmul_segments_nt(&w2, rows, &packed, height)?;
+            let grad_w2 = a.matmul_segments_tn(grad_y, &packed, rows)?;
             // a = silu(g) ⊙ u
             let grad_u = grad_a.mul(&g.silu())?;
             let grad_g = grad::silu_backward(&grad_a.mul(u)?, g)?;
-            let gx1 = grad_g.matmul_grouped_nt(&w1, offsets)?;
-            let gx3 = grad_u.matmul_grouped_nt(&w3, offsets)?;
-            let grad_x = gx1.add(&gx3)?;
-            let grad_w1 = x.matmul_grouped_tn(&grad_g, offsets)?;
-            let grad_w3 = x.matmul_grouped_tn(&grad_u, offsets)?;
+            let mut grad_x = grad_g.matmul_segments_nt(&w1, &packed, rows, height)?;
+            grad_x.add_assign(&grad_u.matmul_segments_nt(&w3, &packed, rows, height)?)?;
+            let grad_w1 = x.matmul_segments_tn(&grad_g, rows, &packed)?;
+            let grad_w3 = x.matmul_segments_tn(&grad_u, rows, &packed)?;
             let grads = grad_w1
                 .into_iter()
                 .zip(grad_w3)
@@ -210,10 +202,40 @@ pub enum FfnState {
     PerExpert(Vec<ExpertState>),
 }
 
-/// Runs every expert over its group of `x`: the grouped pass of
+/// The per-expert loop: `run(e, expert e's rows of t)` in index order
+/// on the calling thread, stopping at the first error; each output lands
+/// at its expert's rows of a zero tensor of `t`'s shape.
+fn per_expert<S>(
+    t: &Tensor,
+    rows: &Segments,
+    mut run: impl FnMut(usize, &Tensor) -> Result<(Tensor, S)>,
+) -> Result<(Tensor, Vec<S>)> {
+    let mut out = Tensor::zeros(t.dims());
+    let saved = (0..rows.groups())
+        .map(|e| {
+            let mut parts = vec![t.slice_rows(0, 0)?];
+            for &(base, n) in rows.group(e) {
+                parts.push(t.slice_rows(base, base + n)?);
+            }
+            let (y, saved) = run(e, &Tensor::cat(&parts)?)?;
+            let (m, mut src) = (t.dims()[1], y.data());
+            for &(base, n) in rows.group(e) {
+                let (head, rest) = src.split_at(n * m);
+                out.data_mut()[base * m..(base + n) * m].copy_from_slice(head);
+                src = rest;
+            }
+            Ok(saved)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((out, saved))
+}
+
+/// Runs every expert over its rows of `x` (expert `e` owns
+/// `rows.group(e)`), writing its output at the same rows of a tensor of
+/// `x`'s shape whose other rows are zero: the grouped pass of
 /// [`forward_ffn`] when the set is groupable (`x` moves into the saved
-/// state), else the per-expert loop over the same row slices, in index
-/// order on the calling thread.
+/// state), else the per-expert loop over the same rows, in index order
+/// on the calling thread.
 ///
 /// # Errors
 ///
@@ -222,18 +244,14 @@ pub enum FfnState {
 pub fn forward_experts(
     experts: &[Box<dyn Expert>],
     x: Tensor,
-    offsets: &[usize],
+    rows: &Segments,
 ) -> Result<(Tensor, FfnState)> {
     if let Some(views) = collect_views(experts) {
-        let (y, state) = forward_grouped(views, x, offsets)?;
+        let (y, state) = forward_grouped(views, x, rows)?;
         return Ok((y, FfnState::Grouped(state)));
     }
-    let (ys, states): (Vec<_>, Vec<_>) = (0..experts.len())
-        .map(|e| experts[e].forward(&x.slice_rows(offsets[e], offsets[e + 1])?))
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .unzip();
-    Ok((Tensor::cat(&ys)?, FfnState::PerExpert(states)))
+    let (y, states) = per_expert(&x, rows, |e, x| experts[e].forward(x))?;
+    Ok((y, FfnState::PerExpert(states)))
 }
 
 /// Backward of [`forward_experts`]: input-gradient rows in the layout
@@ -246,19 +264,16 @@ pub fn backward_experts(
     experts: &[Box<dyn Expert>],
     grad_y: &Tensor,
     state: &FfnState,
-    offsets: &[usize],
+    rows: &Segments,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>)> {
     let states = match state {
-        FfnState::Grouped(st) => return backward_ffn(experts, grad_y, st, offsets, 1),
+        FfnState::Grouped(st) => return backward_grouped(experts, grad_y, st, rows),
         FfnState::PerExpert(states) => states,
     };
-    let (grad_x, grads): (Vec<_>, Vec<_>) = (0..experts.len())
-        .map(|e| experts[e].backward(&grad_y.slice_rows(offsets[e], offsets[e + 1])?, &states[e]))
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .map(|g| (g.input, g.weights))
-        .unzip();
-    Ok((Tensor::cat(&grad_x)?, grads))
+    per_expert(grad_y, rows, |e, grad_y| {
+        let grads = experts[e].backward(grad_y, &states[e])?;
+        Ok((grads.input, grads.weights))
+    })
 }
 
 #[cfg(test)]
@@ -337,14 +352,15 @@ mod tests {
         ];
         // expert 2 gets no rows
         let offsets = [0, 1, 3, 3, 5];
+        let rows = Segments::from_offsets(&offsets);
         let x = rng.normal(&[5, 4], 0.0, 1.0);
         assert!(forward_ffn(&experts, &x, &offsets, 1).unwrap().is_none());
-        let (y, state) = forward_experts(&experts, x.clone(), &offsets).unwrap();
+        let (y, state) = forward_experts(&experts, x.clone(), &rows).unwrap();
         let FfnState::PerExpert(states) = &state else {
             panic!("a mixed set must not group");
         };
         let gy = rng.normal(&[5, 4], 0.0, 1.0);
-        let (gx, gw) = backward_experts(&experts, &gy, &state, &offsets).unwrap();
+        let (gx, gw) = backward_experts(&experts, &gy, &state, &rows).unwrap();
         for (e, expert) in experts.iter().enumerate() {
             let (lo, hi) = (offsets[e], offsets[e + 1]);
             let (want_y, st) = expert.forward(&x.slice_rows(lo, hi).unwrap()).unwrap();
@@ -359,11 +375,11 @@ mod tests {
         // expert 0 (GPT) handed expert 1's Mixtral state
         let mut swapped = states.clone();
         swapped.swap(0, 1);
-        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(swapped), &offsets);
+        let err = backward_experts(&experts, &gy, &FfnState::PerExpert(swapped), &rows);
         assert!(matches!(err, Err(MoeError::NoForwardState)), "{err:?}");
         // an expert of the wrong width fails the forward
         experts[1] = Box::new(MixtralFfn::new(3, 8, &mut rng));
-        let err = forward_experts(&experts, x, &offsets);
+        let err = forward_experts(&experts, x, &rows);
         assert!(matches!(err, Err(MoeError::Tensor(_))), "{err:?}");
     }
 }

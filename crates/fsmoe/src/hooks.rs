@@ -16,10 +16,10 @@
 //! Hooks 2 and 5 see the order buffer in the layout their `&Routing`
 //! argument describes (assignment `a` at row `routing.row_of(a)` of
 //! `routing.rows()`, zero header rows included); hooks 3 and 4 see the
-//! rows the local experts compute on — that same buffer on a one-rank
-//! layer, whose exchange is the identity, and off the wire every
-//! source's counted rows per local expert, packed to the front of a
-//! capacity-high buffer whose zero tail no expert computes on.
+//! buffer the local experts compute on in place — that same buffer on a
+//! one-rank layer, whose exchange is the identity, and off the wire the
+//! gathered `[esp][ep][slot]` blocks of a header (its first element the
+//! block's row count; zero in hook 4) and `T` rows, the counted first.
 
 use tensor::Tensor;
 
@@ -50,8 +50,9 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the rows the local experts are about to compute on, just
-    /// after the dispatch exchange.
+    /// Runs on the buffer the local experts are about to compute on, just
+    /// after the dispatch exchange (on the wire path, the gathered wire
+    /// layout; see the module docs).
     ///
     /// # Errors
     ///
@@ -61,8 +62,8 @@ pub trait MoeHooks: std::fmt::Debug + Send {
         Ok(())
     }
 
-    /// Runs on the local experts' output rows before the combine
-    /// exchange.
+    /// Runs on the local experts' output, in the layout of their input,
+    /// before the combine exchange.
     ///
     /// # Errors
     ///

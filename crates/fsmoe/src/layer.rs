@@ -17,8 +17,9 @@
 //!   order buffer is born in wire block layout
 //!   ([`Routing::into_placed`]) → AlltoAll(EP) → ESP-AllGather → expert
 //!   shards → ESP-ReduceScatter → AlltoAll(EP) → i-order. Each block
-//!   carries its row count, so the shards too compute pad-free, and the
-//!   ESP collectives exist only when experts are sharded.
+//!   carries its row count, so the shards too compute pad-free — in
+//!   place on the wire buffer — and the ESP collectives exist only when
+//!   experts are sharded.
 //!
 //! A local layer is the same type built over a one-rank world
 //! ([`Communicator::solo`] and `HybridTopology::flat(1)`).
@@ -35,7 +36,7 @@
 //! DESIGN.md records the simplification.
 
 use collectives::{Communicator, GroupComm, HybridTopology};
-use tensor::{Tensor, TensorRng};
+use tensor::{Segments, Tensor, TensorRng};
 
 use crate::config::MoeConfig;
 use crate::dispatch::{Dispatcher, NcclA2A};
@@ -62,8 +63,8 @@ pub struct MoeGrads {
 struct ForwardState {
     routing: Routing,
     compute: FfnState,
-    /// Wire block row counts the forward dispatch delivered (see `dist`).
-    counts: Vec<usize>,
+    /// The experts' rows the forward dispatch delivered (see `dist`).
+    rows: Segments,
 }
 
 /// One rank's slice of a Mixture-of-Experts layer with swappable
@@ -364,35 +365,35 @@ impl MoeLayer {
     }
 
     /// The dispatch exchange (in backward, the combine exchange's
-    /// adjoint): order buffer → local shards' grouped rows, their offsets
-    /// and wire block counts (backward cuts by the forward's, `saved`).
+    /// adjoint): order buffer → the buffer the local shards compute on
+    /// and their rows in it (backward reuses the forward's, `saved`).
     fn exchange_in(
         &mut self,
         buffer: Tensor,
         routing: &Routing,
-        saved: Option<&[usize]>,
+        saved: Option<&Segments>,
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
-    ) -> Result<(Tensor, Vec<usize>, Vec<usize>)> {
+    ) -> Result<(Tensor, Segments)> {
         if self.exchange_is_identity() {
-            return Ok((buffer, routing.group_offsets(), Vec::new()));
+            return Ok((buffer, Segments::from_offsets(&routing.group_offsets())));
         }
         self.wire_in(buffer, routing, saved, policy, at_risk)
     }
 
     /// The combine exchange (in backward, the dispatch exchange's
-    /// adjoint): local shards' grouped rows → order buffer.
+    /// adjoint): the local shards' output rows, in the layout they were
+    /// computed in → order buffer.
     fn exchange_out(
         &mut self,
         rows: Tensor,
-        counts: &[usize],
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Tensor> {
         if self.exchange_is_identity() {
             return Ok(rows);
         }
-        self.wire_out(&rows, counts, policy, at_risk)
+        self.wire_out(rows, policy, at_risk)
     }
 
     /// Runs the layer on this rank's `(tokens, M)` input block.
@@ -444,18 +445,18 @@ impl MoeLayer {
         let mut buffer = self.order.order(&input, &routing)?;
         let dispatch_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_DISPATCH);
         self.hooks.before_dispatch(&mut buffer, &routing)?;
-        let (mut x, offsets, counts) =
+        let (mut x, rows) =
             self.exchange_in(buffer, &routing, None, self.fault_policy, &mut at_risk)?;
         self.hooks.after_dispatch(&mut x, &routing)?;
         drop(dispatch_span);
 
         let compute_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_EXPERT_COMPUTE);
-        let (mut y, compute) = grouped::forward_experts(&self.shards, x, &offsets)?;
+        let (mut y, compute) = grouped::forward_experts(&self.shards, x, &rows)?;
         drop(compute_span);
 
         let combine_span = obs::span(obs::names::CAT_FSMOE, obs::names::SPAN_COMBINE);
         self.hooks.before_combine(&mut y, &routing)?;
-        let mut combined = self.exchange_out(y, &counts, self.fault_policy, &mut at_risk)?;
+        let mut combined = self.exchange_out(y, self.fault_policy, &mut at_risk)?;
         self.hooks.after_combine(&mut combined, &routing)?;
         let mut output = self.order.inverse(&combined, &routing)?;
         self.hooks.before_moe_end(&mut output)?;
@@ -464,7 +465,7 @@ impl MoeLayer {
         self.state = Some(ForwardState {
             routing,
             compute,
-            counts,
+            rows,
         });
         Ok(output)
     }
@@ -499,14 +500,13 @@ impl MoeLayer {
         // i-order adjoint, then the combine exchange's adjoint back to
         // the expert hosts
         let grad_combined = combine_backward(grad_output, routing)?;
-        let saved = Some(&state.counts[..]);
-        let (grad_y, offsets, _) =
-            self.exchange_in(grad_combined, routing, saved, strict, &mut None)?;
+        let saved = Some(&state.rows);
+        let (grad_y, rows) = self.exchange_in(grad_combined, routing, saved, strict, &mut None)?;
         let (grad_x, shard_grads) =
-            grouped::backward_experts(&self.shards, &grad_y, &state.compute, &offsets)?;
+            grouped::backward_experts(&self.shards, &grad_y, &state.compute, &rows)?;
         // dispatch exchange's adjoint back to the token sources, then
         // the order adjoint
-        let grad_buffer = self.exchange_out(grad_x, &state.counts, strict, &mut None)?;
+        let grad_buffer = self.exchange_out(grad_x, strict, &mut None)?;
         let grad_input = order_backward(&grad_buffer, routing)?;
         Ok(MoeGrads {
             input: grad_input,

@@ -60,8 +60,9 @@ fn check_rows(t: &Tensor, rows: usize) -> Result<usize> {
 }
 
 /// Token rows → buffer rows: `write(buffer_row, token_row, weight)` once
-/// per assignment. Every buffer row is written at most once, so only a
-/// layout with unoccupied rows pays for a zero-fill.
+/// per assignment. Every buffer row is written at most once, and only
+/// the rows no assignment occupies — a wire block's header, the rows
+/// past its load, pad slots — are zero-filled.
 fn scatter_rows(
     tokens: &Tensor,
     routing: &Routing,
@@ -69,13 +70,15 @@ fn scatter_rows(
 ) -> Result<Tensor> {
     let m = check_rows(tokens, routing.num_tokens())?;
     let mut out = buf::take(routing.rows() * m);
-    if routing.rows() > routing.assignments().len() {
-        out.fill(0.0);
-    }
+    let mut occupied = vec![false; routing.rows()];
     for a in routing.assignments() {
         let row = routing.row_of(a);
+        occupied[row] = true;
         let src = &tokens.data()[a.token * m..(a.token + 1) * m];
         write(&mut out[row * m..(row + 1) * m], src, a.weight);
+    }
+    for (row, _) in occupied.iter().enumerate().filter(|(_, &taken)| !taken) {
+        out[row * m..(row + 1) * m].fill(0.0);
     }
     Ok(Tensor::from_vec(out, &[routing.rows(), m])?)
 }

@@ -254,11 +254,20 @@ impl RoutingBuilder {
         true
     }
 
-    /// Finishes the routing, sorting assignments by `(expert, slot)` so
-    /// ordering functions can stream expert buffers sequentially.
+    /// Finishes the routing, ordering assignments by `(expert, slot)` so
+    /// ordering functions can stream expert buffers sequentially: one
+    /// bucket pass, an assignment going to its expert's start + its slot.
     pub fn finish(mut self) -> Routing {
-        self.assignments
-            .sort_by_key(|a| (a.expert, a.slot, a.token));
+        // a prefix sum turns each expert's load into its first place
+        let mut start = 0;
+        for next in &mut self.next_slot {
+            (*next, start) = (start, start + *next);
+        }
+        let mut ordered = self.assignments.clone();
+        for a in &self.assignments {
+            ordered[self.next_slot[a.expert] + a.slot] = *a;
+        }
+        self.assignments = ordered;
         Routing {
             num_experts: self.num_experts,
             capacity: self.capacity,

@@ -60,20 +60,75 @@ impl MoeHooks for SharedDropCounter {
     }
 }
 
-/// Hook that publishes how many token rows the local experts were handed
-/// (the buffer's zero tail is spare capacity no expert computes on) and
-/// how many drop records the layer wrote.
-#[derive(Debug, Clone, Default)]
+/// Hook that publishes how many token rows the local experts computed
+/// on, and how many drop records the layer wrote.
+///
+/// Both hooks around the experts see the gathered wire buffer: blocks of
+/// `T + 1` rows, a header whose first element counts the block's rows,
+/// then `T` token rows. `after_dispatch` checks that exactly the counted
+/// rows carry a token; `before_combine` counts the expert output rows
+/// that are not zero and checks that every one of them lies in a counted
+/// row — so a zeroed or abandoned exchange provably computes on nothing.
+#[derive(Debug, Clone)]
 struct ComputeLog {
+    block_rows: usize,
+    counts: Vec<usize>,
     rows: Arc<AtomicUsize>,
     drop_records: Arc<AtomicUsize>,
 }
 
+impl ComputeLog {
+    fn new(cfg: &MoeConfig) -> Self {
+        ComputeLog {
+            block_rows: cfg.capacity() + 1,
+            counts: Vec::new(),
+            rows: Arc::default(),
+            drop_records: Arc::default(),
+        }
+    }
+
+    /// `(block, row in block, whether the row is not all zero)` for every
+    /// token row of `buffer`.
+    fn token_rows(&self, buffer: &Tensor) -> Vec<(usize, usize, bool)> {
+        let m = buffer.dims()[1];
+        buffer
+            .data()
+            .chunks(self.block_rows * m)
+            .enumerate()
+            .flat_map(|(b, block)| {
+                block[m..]
+                    .chunks(m)
+                    .enumerate()
+                    .map(move |(r, row)| (b, r, row.iter().any(|&v| v != 0.0)))
+            })
+            .collect()
+    }
+}
+
 impl MoeHooks for ComputeLog {
     fn after_dispatch(&mut self, buffer: &mut Tensor, _: &Routing) -> fsmoe::Result<()> {
-        let rows = buffer.data().chunks(buffer.dims()[1]);
-        let occupied = rows.filter(|row| row.iter().any(|&v| v != 0.0)).count();
-        self.rows.store(occupied, Ordering::SeqCst);
+        let m = buffer.dims()[1];
+        let headers = buffer.data().chunks(self.block_rows * m);
+        self.counts = headers.map(|block| block[0] as usize).collect();
+        for (b, r, occupied) in self.token_rows(buffer) {
+            let count = self.counts[b];
+            assert_eq!(occupied, r < count, "block {b} row {r}, count {count}");
+        }
+        Ok(())
+    }
+
+    fn before_combine(&mut self, buffer: &mut Tensor, _: &Routing) -> fsmoe::Result<()> {
+        let mut computed = 0;
+        for (b, r, occupied) in self.token_rows(buffer) {
+            if occupied {
+                assert!(
+                    r < self.counts[b],
+                    "output in uncounted row {r} of block {b}"
+                );
+                computed += 1;
+            }
+        }
+        self.rows.store(computed, Ordering::SeqCst);
         Ok(())
     }
 
@@ -91,7 +146,7 @@ fn computed_rows_under(faults: FaultInjector) -> Vec<(Vec<usize>, usize, usize, 
     run_world_within(world, BUDGET, |comm| {
         let cfg = config();
         let mut layer = MoeLayer::gshard(&cfg, &comm, &two_rank_topology(), SEED).unwrap();
-        let log = ComputeLog::default();
+        let log = ComputeLog::new(&cfg);
         layer.set_hooks(Box::new(log.clone()));
         let x = input_block(&cfg, comm.rank());
         let done = layer.forward(&x, &mut TensorRng::seed_from(0)).is_ok();
@@ -310,7 +365,7 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
             drop_on_failure: true,
             ..FaultPolicy::default()
         });
-        let log = ComputeLog::default();
+        let log = ComputeLog::new(&cfg);
         layer.set_hooks(Box::new(log.clone()));
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);

@@ -17,7 +17,7 @@ use fsmoe::gate::Gate;
 use fsmoe::hooks::NoopHooks;
 use fsmoe::layer::MoeLayer;
 use fsmoe::order::{combine_backward, order_backward, GShardOrdering, OrderFn, TutelOrdering};
-use fsmoe::reshard::ExpertMap;
+use fsmoe::reshard::{ExpertMap, ReshardPlan};
 use fsmoe::routing::{Routing, RoutingBuilder};
 use fsmoe::Result;
 use proptest::prelude::*;
@@ -344,14 +344,26 @@ impl Wire {
     }
 }
 
-/// One rank's layer over the scripted gate and counted experts, one
-/// forward + backward on `input`: output, input gradient, this rank's
-/// post-drop loads, and the rows each expert was handed here.
+/// The experts of [`scripted_step`].
+#[derive(Debug, Clone)]
+enum Experts {
+    /// [`Counted`] experts on the layer's block placement.
+    Counted,
+    /// The built-in experts — which compute on the wire buffer in place,
+    /// through the grouped GEMM — on the given placement, or the block
+    /// one.
+    Grouped(Option<ExpertMap>),
+}
+
+/// One rank's layer over the scripted gate and experts of `kind`, one forward +
+/// backward on `input`: output, input gradient, this rank's post-drop
+/// loads, and the rows each counted expert was handed here.
 fn scripted_step(
     config: &MoeConfig,
     comm: &Communicator,
     topo: &HybridTopology,
     dispatcher: Option<Box<dyn Dispatcher>>,
+    kind: Experts,
     input: &Tensor,
 ) -> (Tensor, Tensor, Vec<usize>, Vec<usize>) {
     let rows: Arc<Vec<AtomicUsize>> = Arc::new(
@@ -363,6 +375,9 @@ fn scripted_step(
     let experts = (0..config.num_experts)
         .map(|id| -> Box<dyn Expert> {
             let inner = build_expert(config.ffn, config.embed_dim, config.hidden_dim, &mut rng);
+            if matches!(kind, Experts::Grouped(_)) {
+                return inner;
+            }
             Box::new(Counted {
                 inner,
                 id,
@@ -386,6 +401,12 @@ fn scripted_step(
     .unwrap();
     if let Some(dispatcher) = dispatcher {
         layer.set_dispatcher(dispatcher);
+    }
+    if let Experts::Grouped(Some(map)) = kind {
+        let checkpoint = layer.checkpoint_global().unwrap();
+        layer
+            .reshard(&ReshardPlan::custom(map), &checkpoint, comm, topo)
+            .unwrap();
     }
     let y = layer.forward(input, &mut TensorRng::seed_from(0)).unwrap();
     let grads = layer.backward(&y.scale(0.5)).unwrap();
@@ -449,18 +470,22 @@ proptest! {
                     x
                 })
                 .collect();
-            let want: Vec<_> = inputs
-                .iter()
-                .map(|x| scripted_step(&config, &Communicator::solo(), &HybridTopology::flat(1).unwrap(), None, x))
-                .collect();
-            let (cfg, blocks) = (config.clone(), inputs.clone());
-            let got = run_ranks(ranks, move |comm| {
-                let dispatcher = match world {
-                    Wire::Grid(make) => Some(make()),
-                    _ => None,
-                };
-                scripted_step(&cfg, &comm, &world.topology(), dispatcher, &blocks[comm.rank()])
-            });
+            let solo = |experts: Experts, x: &Tensor| {
+                scripted_step(&config, &Communicator::solo(), &HybridTopology::flat(1).unwrap(), None, experts, x)
+            };
+            let want: Vec<_> = inputs.iter().map(|x| solo(Experts::Counted, x)).collect();
+            let on_world = |experts: Experts| {
+                let (cfg, blocks) = (config.clone(), inputs.clone());
+                run_ranks(ranks, move |comm| {
+                    let dispatcher = match world {
+                        Wire::Grid(make) => Some(make()),
+                        _ => None,
+                    };
+                    let (topo, x) = (world.topology(), &blocks[comm.rank()]);
+                    scripted_step(&cfg, &comm, &topo, dispatcher, experts.clone(), x)
+                })
+            };
+            let got = on_world(Experts::Counted);
             for (r, ((y, grad, loads, seen), (want_y, want_grad, want_loads, _))) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(loads, want_loads, "{:?} rank {}: the gate is the layer's own", world, r);
                 if matches!(world, Wire::Fig2) {
@@ -481,6 +506,32 @@ proptest! {
             let kept: usize = got.iter().map(|g| g.2.iter().sum::<usize>()).sum();
             let computed: usize = got.iter().map(|g| g.3.iter().sum::<usize>()).sum();
             prop_assert_eq!(computed, kept * topo.dims().esp, "useful ratio 1.0: {:?}", world);
+
+            // The grouped experts read each block's counted rows where the
+            // wire left them and write their outputs at the same rows —
+            // on the block placement and (where experts are whole, as a
+            // re-shard needs) on a lopsided one whose short EP position
+            // sends pad slots — with the one-rank layer's numbers.
+            let n_ep = topo.dims().ep;
+            let mut lists = vec![vec![]; n_ep];
+            for e in 0..experts {
+                lists[if e == 0 { 0 } else { 1 + e % (n_ep - 1) }].push(e);
+            }
+            let lopsided = ExpertMap::from_lists(lists).unwrap();
+            prop_assert!(!lopsided.is_uniform());
+            let want: Vec<_> = inputs.iter().map(|x| solo(Experts::Grouped(None), x)).collect();
+            let placements = if topo.dims().esp == 1 { vec![None, Some(lopsided)] } else { vec![None] };
+            for placement in placements {
+                let got = on_world(Experts::Grouped(placement.clone()));
+                for (r, ((y, grad, ..), (want_y, want_grad, ..))) in got.iter().zip(&want).enumerate() {
+                    if matches!(world, Wire::Fig2) {
+                        prop_assert!(y.allclose(want_y, 1e-4) && grad.allclose(want_grad, 1e-4), "{:?} rank {}", world, r);
+                    } else {
+                        prop_assert_eq!(bits(y.data()), bits(want_y.data()), "{:?} {:?} rank {} output", world, placement, r);
+                        prop_assert_eq!(bits(grad.data()), bits(want_grad.data()), "{:?} {:?} rank {} input grad", world, placement, r);
+                    }
+                }
+            }
         }
     }
 }

@@ -6,6 +6,8 @@
 //! backward uses; each one is validated against finite differences in the
 //! tests.
 
+use crate::kernel::{self, transpose_into};
+use crate::nn::{lane_sums, row_moments, square, widest_simd, LANES};
 use crate::vmath::Map;
 use crate::{buf, Result, Tensor};
 
@@ -48,8 +50,8 @@ pub fn softmax_backward(grad_out: &Tensor, probs: &Tensor) -> Result<Tensor> {
     let mut out = buf::take(probs.num_elements());
     for (row, (p_row, g_row)) in probs
         .data()
-        .chunks(cols)
-        .zip(grad_out.data().chunks(cols))
+        .chunks(cols.max(1))
+        .zip(grad_out.data().chunks(cols.max(1)))
         .enumerate()
     {
         let dot: f32 = p_row.iter().zip(g_row).map(|(p, g)| p * g).sum();
@@ -102,7 +104,9 @@ pub fn relu_backward(grad_y: &Tensor, x: &Tensor) -> Result<Tensor> {
 /// Backward of row-wise [`Tensor::layer_norm`] (unit gain, zero bias).
 ///
 /// With `x̂ = (x − μ)/σ` per row, the input gradient is
-/// `dx = (g − mean(g) − x̂ · mean(g ⊙ x̂)) / σ`.
+/// `dx = (g − mean(g) − x̂ · mean(g ⊙ x̂)) / σ`. The four row sums are
+/// folded like [`Tensor::layer_norm`]'s: 16 rows side by side, each in
+/// column order, bit-identical to a per-row loop.
 ///
 /// # Errors
 ///
@@ -118,27 +122,53 @@ pub fn layer_norm_backward(grad_y: &Tensor, x: &Tensor, eps: f32) -> Result<Tens
     }
     let cols = x.dims()[x.rank() - 1];
     let mut out = buf::take(x.num_elements());
-    for ((x_row, g_row), o_row) in x
-        .data()
-        .chunks(cols)
-        .zip(grad_y.data().chunks(cols))
-        .zip(out.chunks_mut(cols))
-    {
-        let n = cols as f32;
-        let mean = x_row.iter().sum::<f32>() / n;
-        let var = x_row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-        let sigma = (var + eps).sqrt();
-        // the output row holds x̂ until the last pass overwrites it
-        for (h, v) in o_row.iter_mut().zip(x_row) {
-            *h = (v - mean) / sigma;
-        }
-        let g_mean = g_row.iter().sum::<f32>() / n;
-        let gx_mean = g_row.iter().zip(&*o_row).map(|(g, h)| g * h).sum::<f32>() / n;
-        for (o, g) in o_row.iter_mut().zip(g_row) {
-            *o = (g - g_mean - *o * gx_mean) / sigma;
-        }
+    if cols > 0 {
+        layer_norm_backward_rows(x.data(), grad_y.data(), &mut out, cols, eps);
     }
     Tensor::from_vec(out, x.dims())
+}
+
+widest_simd! {
+    /// The layer-norm input gradient of every `cols`-wide row of `x`
+    /// under `grad_y`, into `out`.
+    fn layer_norm_backward_rows(x: &[f32], grad_y: &[f32], out: &mut [f32], cols: usize, eps: f32) {
+        let n = cols as f32;
+        let x_hat = |v: f32, mean: f32, sigma: f32| (v - mean) / sigma;
+        // per row: μ, σ, mean(g), mean(g ⊙ x̂) — LANES rows at a time, then
+        // the rows left over one by one
+        let mut stats = Vec::with_capacity(x.len() / cols);
+        let (mut xs, mut gs) = (buf::take(LANES * cols), buf::take(LANES * cols));
+        let x_blocks = x.chunks_exact(LANES * cols);
+        let g_blocks = grad_y.chunks_exact(LANES * cols);
+        let tail = (x_blocks.remainder(), g_blocks.remainder());
+        for (x_block, g_block) in x_blocks.zip(g_blocks) {
+            transpose_into(x_block, cols, &mut xs, LANES, LANES, cols);
+            transpose_into(g_block, cols, &mut gs, LANES, LANES, cols);
+            let mean = lane_sums(&xs, &xs, |_, v, _| v).map(|s| s / n);
+            let var = lane_sums(&xs, &xs, |l, v, _| square(v - mean[l])).map(|s| s / n);
+            let sigma = var.map(|var| (var + eps).sqrt());
+            let g_mean = lane_sums(&gs, &gs, |_, g, _| g).map(|s| s / n);
+            let gx = lane_sums(&xs, &gs, |l, v, g| g * x_hat(v, mean[l], sigma[l]));
+            stats.extend((0..LANES).map(|l| [mean[l], sigma[l], g_mean[l], gx[l] / n]));
+        }
+        for (x_row, g_row) in tail.0.chunks_exact(cols).zip(tail.1.chunks_exact(cols)) {
+            let (mean, var) = row_moments(x_row);
+            let sigma = (var + eps).sqrt();
+            let g_mean = g_row.iter().sum::<f32>() / n;
+            let gx = g_row.iter().zip(x_row).map(|(&g, &v)| g * x_hat(v, mean, sigma));
+            stats.push([mean, sigma, g_mean, gx.sum::<f32>() / n]);
+        }
+        buf::give(xs);
+        buf::give(gs);
+        let rows = x.chunks_exact(cols).zip(grad_y.chunks_exact(cols));
+        for ((o_row, (x_row, g_row)), &[mean, sigma, g_mean, gx_mean]) in
+            out.chunks_exact_mut(cols).zip(rows).zip(&stats)
+        {
+            for ((o, &v), &g) in o_row.iter_mut().zip(x_row).zip(g_row) {
+                *o = (g - g_mean - x_hat(v, mean, sigma) * gx_mean) / sigma;
+            }
+        }
+    }
 }
 
 fn elementwise_backward<F: Fn(f32) -> f32>(grad_y: &Tensor, x: &Tensor, dfdx: F) -> Result<Tensor> {

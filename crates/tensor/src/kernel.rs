@@ -17,9 +17,10 @@
 //!   transposed operand is never copied (at `N = 32` that copy costs
 //!   what the multiply does). Only a band's ragged last strip goes
 //!   through [`pack_a`], zero-padded, into one strip-sized buffer;
-//! * the microkernel loads an `MR × NR` tile of `C` into registers,
-//!   accumulates `kc` rank-1 updates in ascending `k` order, and stores
-//!   it back;
+//! * the microkernel loads an `MR × NR` tile of `C` into registers — or,
+//!   in the first `KC` block of an output it overwrites, starts from
+//!   zeros without reading `C` — accumulates `kc` rank-1 updates in
+//!   ascending `k` order, and stores it back;
 //! * `MR × NR` belongs to the microkernel, chosen once per process
 //!   ([`Tile::host`]); packing and the band routine are written once
 //!   over a [`Geometry`] and monomorphised per microkernel.
@@ -178,7 +179,8 @@ trait Geometry {
     const TILE: Tile;
 
     /// `C[MR × NR] += A[MR × kc] · Bpack[kc × NR]`: loads the tile of `C`
-    /// (rows `ldc` apart), folds the `kc` rank-1 updates into it in
+    /// (rows `ldc` apart) — or starts from `+0.0` without reading it when
+    /// `load_c` is false — folds the `kc` rank-1 updates into it in
     /// ascending `k`, and stores it, reading `A` where it lies.
     ///
     /// # Safety
@@ -189,7 +191,14 @@ trait Geometry {
     /// packed, never read in place. `bpack` must hold `kc · NR` elements,
     /// and the `MR` rows of `NR` elements at `c`, `ldc` apart, must all
     /// be in bounds.
-    unsafe fn micro(kc: usize, a: Strip<'_>, bpack: *const f32, c: *mut f32, ldc: usize);
+    unsafe fn micro(
+        kc: usize,
+        a: Strip<'_>,
+        bpack: *const f32,
+        c: *mut f32,
+        ldc: usize,
+        load_c: bool,
+    );
 }
 
 /// A hand-written FMA geometry: `$mr` rows of two `$lanes`-wide vector
@@ -216,15 +225,18 @@ macro_rules! fma_geometry {
                 mut bpack: *const f32,
                 c: *mut f32,
                 ldc: usize,
+                load_c: bool,
             ) {
                 use std::arch::x86_64::{
                     _mm_prefetch, $fma, $load, $splat, $store, $zero, _MM_HINT_T0,
                 };
                 let (mut a, row_stride, k_stride) = (a.data.as_ptr(), a.row_stride, a.k_stride);
                 let mut acc = [[$zero(); 2]; $mr];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    row[0] = $load(c.add(r * ldc));
-                    row[1] = $load(c.add(r * ldc + $lanes));
+                if load_c {
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        row[0] = $load(c.add(r * ldc));
+                        row[1] = $load(c.add(r * ldc + $lanes));
+                    }
                 }
                 for _ in 0..kc {
                     let b0 = $load(bpack);
@@ -277,10 +289,19 @@ impl Geometry for Scalar {
     /// # Safety
     ///
     /// The [`Geometry::micro`] contract; any host will do.
-    unsafe fn micro(kc: usize, a: Strip<'_>, bpack: *const f32, c: *mut f32, ldc: usize) {
+    unsafe fn micro(
+        kc: usize,
+        a: Strip<'_>,
+        bpack: *const f32,
+        c: *mut f32,
+        ldc: usize,
+        load_c: bool,
+    ) {
         let mut acc = [[0.0f32; Self::NR]; Self::MR];
-        for (r, row) in acc.iter_mut().enumerate() {
-            std::ptr::copy_nonoverlapping(c.add(r * ldc), row.as_mut_ptr(), Self::NR);
+        if load_c {
+            for (r, row) in acc.iter_mut().enumerate() {
+                std::ptr::copy_nonoverlapping(c.add(r * ldc), row.as_mut_ptr(), Self::NR);
+            }
         }
         for kk in 0..kc {
             let brow = std::slice::from_raw_parts(bpack.add(kk * Self::NR), Self::NR);
@@ -495,21 +516,24 @@ fn pack_a<G: Geometry>(a: Strip<'_>, live: usize, kc: usize, out: &mut [f32]) {
 }
 
 /// Computes `band += a[a_row0..a_row0+band_rows, :] × B` for one
-/// contiguous row band of the output, where `a` is the whole
+/// contiguous row band of the output — or, with `accumulate` false,
+/// `band = …`, never reading what `band` held — where `a` is the whole
 /// `(m, bp.k)` left operand and `band` is `band_rows` rows of `bp.n`
 /// contiguous elements.
 ///
 /// Every matmul — and every group of the grouped GEMM — runs this exact
 /// routine, which is what makes a group's rows bit-identical to the same
-/// rows multiplied alone (see the module docs).
+/// rows multiplied alone (see the module docs). Overwriting is adding to
+/// `+0.0`: the fold starts from the value a zeroed band would load.
 pub(crate) fn gemm_band(
     a: Operand<'_>,
     a_row0: usize,
     bp: &PackedB,
     band: &mut [f32],
     band_rows: usize,
+    accumulate: bool,
 ) {
-    with_geometry!(bp.tile, G => gemm_band_as::<G>(a, a_row0, bp, band, band_rows));
+    with_geometry!(bp.tile, G => gemm_band_as::<G>(a, a_row0, bp, band, band_rows, accumulate));
 }
 
 /// [`gemm_band`] on geometry `G` — the one loop nest, monomorphised per
@@ -520,6 +544,7 @@ fn gemm_band_as<G: Geometry>(
     bp: &PackedB,
     band: &mut [f32],
     band_rows: usize,
+    accumulate: bool,
 ) {
     let (mr, nr) = (G::MR, G::NR);
     let (k, n) = (bp.k, bp.n);
@@ -535,6 +560,9 @@ fn gemm_band_as<G: Geometry>(
         "band outside A"
     );
     if band_rows == 0 || n == 0 || k == 0 {
+        if !accumulate {
+            band.fill(0.0);
+        }
         return;
     }
     let (full, ragged) = (band_rows / mr, band_rows % mr);
@@ -547,6 +575,7 @@ fn gemm_band_as<G: Geometry>(
     let tile_buf = &mut tile_buf[..mr * nr];
     for kb0 in (0..k).step_by(KC) {
         let kc = KC.min(k - kb0);
+        let load_c = accumulate || kb0 > 0;
         if ragged > 0 {
             pack_a::<G>(a.at(a_row0 + full * mr, kb0), ragged, kc, &mut last_strip);
         }
@@ -578,7 +607,7 @@ fn gemm_band_as<G: Geometry>(
                 if !direct {
                     for (r, row) in tile_buf.chunks_exact_mut(nr).enumerate() {
                         row.fill(0.0);
-                        if r < live {
+                        if r < live && load_c {
                             row[..jn].copy_from_slice(&band[(r0 + r) * n + j0..][..jn]);
                         }
                     }
@@ -596,7 +625,7 @@ fn gemm_band_as<G: Geometry>(
                 // `btile` holds kc·NR elements. `c` is the scratch tile —
                 // MR×NR at stride NR — or rows r0..r0+MR, columns
                 // j0..j0+NR of `band` (`direct`).
-                unsafe { G::micro(kc, strip, btile.as_ptr(), c, ldc) };
+                unsafe { G::micro(kc, strip, btile.as_ptr(), c, ldc, load_c || !direct) };
                 if !direct {
                     for r in 0..live {
                         band[(r0 + r) * n + j0..][..jn].copy_from_slice(&tile_buf[r * nr..][..jn]);
@@ -629,12 +658,13 @@ mod tests {
     /// `A × B` through the band routine of `tile`, rows cut at `split`.
     fn gemm_on(tile: Tile, a: Operand<'_>, b: Operand<'_>, split: usize) -> Vec<f32> {
         let (m, n) = (a.rows, b.cols);
-        let mut out = vec![0.0f32; m * n];
+        // NaN where an overwriting band must not read
+        let mut out = vec![f32::NAN; m * n];
         let (top, bottom) = out.split_at_mut(split * n);
         with_geometry!(tile, G => {
             let bp = pack_b_as::<G>(b);
-            gemm_band_as::<G>(a, 0, &bp, top, split);
-            gemm_band_as::<G>(a, split, &bp, bottom, m - split);
+            gemm_band_as::<G>(a, 0, &bp, top, split, false);
+            gemm_band_as::<G>(a, split, &bp, bottom, m - split, false);
         });
         out
     }

@@ -42,6 +42,7 @@ mod support;
 
 pub use error::TensorError;
 pub use init::TensorRng;
+pub use ops::Segments;
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use topk::{top_k_indices, top_k_into, TopK};

@@ -8,7 +8,7 @@
 //! that feeds a gate stays on libm so routing is bit-stable.
 
 use crate::vmath::{self, Map};
-use crate::{Result, Tensor, TensorError};
+use crate::{buf, kernel, Result, Tensor, TensorError};
 
 impl Tensor {
     /// Numerically stable softmax over the last axis.
@@ -33,7 +33,8 @@ impl Tensor {
         }
         let cols = self.dims()[self.rank() - 1];
         let mut out = self.clone();
-        for (r, row) in out.data_mut().chunks_mut(cols).enumerate() {
+        // a zero-width tensor has no rows to visit
+        for (r, row) in out.data_mut().chunks_mut(cols.max(1)).enumerate() {
             if row.iter().any(|v| v.is_nan()) {
                 return Err(TensorError::NonFiniteInput {
                     op: "softmax",
@@ -92,6 +93,11 @@ impl Tensor {
 
     /// Layer normalisation over the last axis with unit gain and zero bias.
     ///
+    /// Each row's mean and variance are left folds over its columns, in
+    /// order, exactly as a per-row loop sums them: 16 rows are folded
+    /// side by side, one per vector lane, the rows left over one at a
+    /// time, and both give the same bits.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for rank-0 tensors.
@@ -105,13 +111,8 @@ impl Tensor {
         }
         let cols = self.dims()[self.rank() - 1];
         let mut out = self.clone();
-        for row in out.data_mut().chunks_mut(cols) {
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
-            let denom = (var + eps).sqrt();
-            for v in row.iter_mut() {
-                *v = (*v - mean) / denom;
-            }
+        if cols > 0 {
+            layer_norm_rows(out.data_mut(), cols, eps);
         }
         Ok(out)
     }
@@ -134,7 +135,7 @@ impl Tensor {
         }
         let cols = self.dims()[self.rank() - 1];
         let mut out = self.clone();
-        for row in out.data_mut().chunks_mut(cols) {
+        for row in out.data_mut().chunks_mut(cols.max(1)) {
             let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
             if norm > eps {
                 for v in row.iter_mut() {
@@ -144,6 +145,107 @@ impl Tensor {
         }
         Ok(out)
     }
+}
+
+/// Defines `fn $name`, which runs `$body` from a copy compiled for
+/// AVX-512 when the host has it — the process-wide probe behind the
+/// GEMM's tile ([`kernel::Tile::host`]) — so its loops vectorise 16
+/// lanes wide, and as compiled for the baseline everywhere else. Both
+/// copies perform the same IEEE operations in the same order (Rust
+/// never fuses a multiply and an add on its own), so they give the same
+/// bits.
+macro_rules! widest_simd {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $body:block) => {
+        $(#[$doc])*
+        pub(crate) fn $name($($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+            /// # Safety
+            ///
+            /// The host must run AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            unsafe fn avx512($($arg: $ty),*) {
+                body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            if kernel::Tile::host() == kernel::Tile::Avx512 {
+                // SAFETY: `Tile::host` found AVX-512F on this host.
+                return unsafe { avx512($($arg),*) };
+            }
+            body($($arg),*)
+        }
+    };
+}
+pub(crate) use widest_simd;
+
+widest_simd! {
+    /// Layer-normalises every `cols`-wide row of `data` in place.
+    fn layer_norm_rows(data: &mut [f32], cols: usize, eps: f32) {
+        let n = cols as f32;
+        let normalize = |row: &mut [f32], mean: f32, var: f32| {
+            let denom = (var + eps).sqrt();
+            for v in row.iter_mut() {
+                *v = (*v - mean) / denom;
+            }
+        };
+        let mut columns = buf::take(LANES * cols);
+        let mut blocks = data.chunks_exact_mut(LANES * cols);
+        for block in &mut blocks {
+            kernel::transpose_into(block, cols, &mut columns, LANES, LANES, cols);
+            let mean = lane_sums(&columns, &columns, |_, v, _| v).map(|s| s / n);
+            let var = lane_sums(&columns, &columns, |l, v, _| square(v - mean[l])).map(|s| s / n);
+            for (l, row) in block.chunks_exact_mut(cols).enumerate() {
+                normalize(row, mean[l], var[l]);
+            }
+        }
+        for row in blocks.into_remainder().chunks_exact_mut(cols) {
+            let (mean, var) = row_moments(row);
+            normalize(row, mean, var);
+        }
+        buf::give(columns);
+    }
+}
+
+/// Rows the row reductions fold side by side.
+pub(crate) const LANES: usize = 16;
+
+/// `v · v`.
+#[inline(always)]
+pub(crate) fn square(v: f32) -> f32 {
+    v * v
+}
+
+/// A row's mean and (biased) variance, each a left fold over the row in
+/// order from `-0.0`, as [`Iterator::sum`] folds.
+#[inline(always)]
+pub(crate) fn row_moments(row: &[f32]) -> (f32, f32) {
+    let n = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / n;
+    let var = row.iter().map(|&v| square(v - mean)).sum::<f32>() / n;
+    (mean, var)
+}
+
+/// The [`LANES`] sums of `term(lane, a, b)` down the columns of two
+/// `[column][lane]` blocks — rows transposed so that lane `l` is row
+/// `l` — each a left fold from `-0.0` in column order: what summing
+/// each row on its own computes, bit for bit. The lanes' adds are
+/// independent, so they overlap instead of each waiting on the last.
+#[inline(always)]
+pub(crate) fn lane_sums(
+    a: &[f32],
+    b: &[f32],
+    term: impl Fn(usize, f32, f32) -> f32,
+) -> [f32; LANES] {
+    let mut acc = [-0.0f32; LANES];
+    let (a, _) = a.as_chunks::<LANES>();
+    let (b, _) = b.as_chunks::<LANES>();
+    for (a, b) in a.iter().zip(b) {
+        for l in 0..LANES {
+            acc[l] += term(l, a[l], b[l]);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -25,10 +25,11 @@ fn shape_mismatch(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> TensorError {
 fn gemm(a: Operand<'_>, b: Operand<'_>) -> Vec<f32> {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(k, b.rows);
-    let mut out = buf::take_zeroed(m * n);
-    if m > 0 && n > 0 && k > 0 {
-        kernel::gemm_band(a, 0, &kernel::pack_b(b), &mut out, m);
+    if m == 0 || n == 0 || k == 0 {
+        return buf::take_zeroed(m * n);
     }
+    let mut out = buf::take(m * n);
+    kernel::gemm_band(a, 0, &kernel::pack_b(b), &mut out, m, false);
     out
 }
 
@@ -49,6 +50,145 @@ fn check_offsets(offsets: &[usize], groups: usize, rows: usize) -> Result<()> {
         });
     }
     Ok(())
+}
+
+/// Where the rows of a grouped GEMM's groups lie in a buffer: group `g`
+/// is a list of `(base, rows)` runs — `rows` consecutive rows from row
+/// `base` — taken in order.
+///
+/// Contiguous groups ([`Segments::from_offsets`]) are one run each; the
+/// MoE layer's wire buffer is one run per `(expert, source)` block, so
+/// the experts read and write it where it lies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Segments {
+    runs: Vec<(usize, usize)>,
+    /// Group `g` is `runs[starts[g]..starts[g + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Default for Segments {
+    fn default() -> Self {
+        Segments::new()
+    }
+}
+
+impl Segments {
+    /// No groups yet.
+    pub fn new() -> Self {
+        Segments {
+            runs: Vec::new(),
+            starts: vec![0],
+        }
+    }
+
+    /// Contiguous groups: group `g` is rows `offsets[g] .. offsets[g + 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `offsets` descends.
+    pub fn from_offsets(offsets: &[usize]) -> Self {
+        let mut segments = Segments::new();
+        for w in offsets.windows(2) {
+            segments.push_group([(w[0], w[1] - w[0])]);
+        }
+        segments
+    }
+
+    /// Appends a group made of `runs`, in order (empty runs allowed).
+    pub fn push_group(&mut self, runs: impl IntoIterator<Item = (usize, usize)>) {
+        self.runs.extend(runs);
+        self.starts.push(self.runs.len());
+    }
+
+    /// The same group sizes packed from row 0: each group one run, right
+    /// after the one before it.
+    pub fn packed(&self) -> Segments {
+        let mut packed = Segments::new();
+        let mut base = 0;
+        for g in 0..self.groups() {
+            let rows = self.group_rows(g);
+            packed.push_group([(base, rows)]);
+            base += rows;
+        }
+        packed
+    }
+
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The runs of group `g`, in order.
+    pub fn group(&self, g: usize) -> &[(usize, usize)] {
+        &self.runs[self.starts[g]..self.starts[g + 1]]
+    }
+
+    /// Rows of group `g`.
+    pub fn group_rows(&self, g: usize) -> usize {
+        self.group(g).iter().map(|&(_, rows)| rows).sum()
+    }
+
+    /// One past the last row any run covers.
+    fn end(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|&(base, rows)| base + rows)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Checks that there are `groups` groups, all inside `rows` rows.
+    fn check(&self, op: &'static str, groups: usize, rows: usize) -> Result<()> {
+        if groups == 0 || self.groups() != groups {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: vec![groups],
+                rhs: vec![self.groups()],
+            });
+        }
+        if self.end() > rows {
+            return Err(TensorError::IndexOutOfBounds {
+                index: self.end(),
+                bound: rows,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Checks that `a` and `b` hold groups of the same sizes.
+fn check_paired(op: &'static str, a: &Segments, b: &Segments) -> Result<()> {
+    if let Some(g) = (0..a.groups()).find(|&g| a.group_rows(g) != b.group_rows(g)) {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: vec![g, a.group_rows(g)],
+            rhs: vec![g, b.group_rows(g)],
+        });
+    }
+    Ok(())
+}
+
+/// Walks one group's rows in two layouts at once, cut wherever a run of
+/// either ends: `f(row in a, row in b, rows)` in order. Both sides hold
+/// the same number of rows.
+fn zip_runs(a: &[(usize, usize)], b: &[(usize, usize)], mut f: impl FnMut(usize, usize, usize)) {
+    let mut a_runs = a.iter().copied().filter(|&(_, rows)| rows > 0);
+    let mut b_runs = b.iter().copied().filter(|&(_, rows)| rows > 0);
+    let (mut x, mut y) = (a_runs.next(), b_runs.next());
+    while let (Some((a_row, a_len)), Some((b_row, b_len))) = (x, y) {
+        let len = a_len.min(b_len);
+        f(a_row, b_row, len);
+        x = if a_len > len {
+            Some((a_row + len, a_len - len))
+        } else {
+            a_runs.next()
+        };
+        y = if b_len > len {
+            Some((b_row + len, b_len - len))
+        } else {
+            b_runs.next()
+        };
+    }
 }
 
 impl Tensor {
@@ -144,16 +284,8 @@ impl Tensor {
     /// Grouped GEMM over contiguous row groups of `self`, one weight
     /// matrix per group: rows `offsets[g] .. offsets[g+1]` of the output
     /// are `self[offsets[g]..offsets[g+1], :] × weights[g]`. `threads`
-    /// is ignored (kept for existing callers).
-    ///
-    /// This is the dropless expert-batch primitive: tokens gathered per
-    /// expert form variable-size groups (empty groups allowed — no
-    /// padding, no capacity drops), and one call computes every expert's
-    /// FFN projection, packing each live expert's weight once.
-    ///
-    /// Each group's rows run through the same microkernel as
-    /// [`Tensor::matmul`], so per-group results are bit-identical to
-    /// `self.slice_rows(..)?.matmul(w)`.
+    /// is ignored (kept for existing callers). The contiguous case of
+    /// [`Tensor::matmul_segments`], in place on both sides.
     ///
     /// # Errors
     ///
@@ -169,83 +301,162 @@ impl Tensor {
         offsets: &[usize],
         _threads: usize,
     ) -> Result<Tensor> {
-        self.grouped(weights, offsets, false)
+        let (m, _) = check_matrix(self, "matmul_grouped")?;
+        check_offsets(offsets, weights.len(), m)?;
+        let groups = Segments::from_offsets(offsets);
+        self.grouped(weights, &groups, &groups, m, false)
     }
 
-    /// [`Tensor::matmul_grouped`] against transposed weights: rows of
-    /// group `g` are `self[group g] × weights[g]ᵀ` with every weight
-    /// `(n, k)` — the grouped input-gradient GEMM, reading the forward
-    /// weights where they lie. Bit-identical to transposing each weight
-    /// and calling `matmul_grouped`.
+    /// Grouped GEMM over row segments, one weight matrix per group: the
+    /// rows of group `g` of `self` (at `rows.group(g)`, in order) times
+    /// `weights[g]` land, in the same order, at `out.group(g)` of a
+    /// `(height, n)` result whose other rows are zero.
+    ///
+    /// This is the dropless expert-batch primitive: tokens routed to an
+    /// expert form variable-size groups (empty groups allowed — no
+    /// padding, no capacity drops) wherever they lie, and one call
+    /// computes every expert's FFN projection, packing each live
+    /// expert's weight once. Each row runs through the same microkernel
+    /// as [`Tensor::matmul`], so it is bit-identical to that row
+    /// multiplied alone, however the groups are cut into runs.
     ///
     /// # Errors
     ///
-    /// As [`Tensor::matmul_grouped`], with `(n, k)` weights.
-    pub fn matmul_grouped_nt(&self, weights: &[&Tensor], offsets: &[usize]) -> Result<Tensor> {
-        self.grouped(weights, offsets, true)
+    /// Returns an error unless `self` is rank 2, every weight is rank 2
+    /// with the same `(k, n)` shape matching `self`'s inner dimension,
+    /// and `rows` and `out` hold `weights.len()` groups of equal sizes
+    /// inside `self` and the result respectively.
+    pub fn matmul_segments(
+        &self,
+        weights: &[&Tensor],
+        rows: &Segments,
+        out: &Segments,
+        height: usize,
+    ) -> Result<Tensor> {
+        self.grouped(weights, rows, out, height, false)
     }
 
-    fn grouped(&self, weights: &[&Tensor], offsets: &[usize], transposed: bool) -> Result<Tensor> {
+    /// [`Tensor::matmul_segments`] against transposed weights: group
+    /// `g` is multiplied by `weights[g]ᵀ`, every weight `(n, k)` — the
+    /// grouped input-gradient GEMM, reading the forward weights where
+    /// they lie. Bit-identical to transposing each weight and calling
+    /// `matmul_segments`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul_segments`], with `(n, k)` weights.
+    pub fn matmul_segments_nt(
+        &self,
+        weights: &[&Tensor],
+        rows: &Segments,
+        out: &Segments,
+        height: usize,
+    ) -> Result<Tensor> {
+        self.grouped(weights, rows, out, height, true)
+    }
+
+    fn grouped(
+        &self,
+        weights: &[&Tensor],
+        rows: &Segments,
+        out_rows: &Segments,
+        height: usize,
+        transposed: bool,
+    ) -> Result<Tensor> {
         const OP: &str = "matmul_grouped";
         let (m, k) = check_matrix(self, OP)?;
-        check_offsets(offsets, weights.len(), m)?;
-        let (rows, cols) = check_matrix(weights[0], OP)?;
+        rows.check(OP, weights.len(), m)?;
+        out_rows.check(OP, weights.len(), height)?;
+        check_paired(OP, rows, out_rows)?;
+        let (w_rows, w_cols) = check_matrix(weights[0], OP)?;
         if let Some(w) = weights.iter().find(|w| w.dims() != weights[0].dims()) {
             return Err(shape_mismatch(OP, weights[0], w));
         }
         let (wk, n) = if transposed {
-            (cols, rows)
+            (w_cols, w_rows)
         } else {
-            (rows, cols)
+            (w_rows, w_cols)
         };
         if k != wk {
             return Err(shape_mismatch(OP, self, weights[0]));
         }
-        let mut out = buf::take_zeroed(m * n);
-        if m > 0 && n > 0 && k > 0 {
-            let a = Operand::plain(self.data(), m, k);
-            for (g, w) in weights.iter().enumerate() {
-                let (lo, hi) = (offsets[g], offsets[g + 1]);
-                // empty groups never touch their weight
-                if lo == hi {
-                    continue;
-                }
-                let bp = kernel::pack_b(if transposed {
-                    Operand::transposed(w.data(), k, n)
-                } else {
-                    Operand::plain(w.data(), k, n)
-                });
-                kernel::gemm_band(a, lo, &bp, &mut out[lo * n..hi * n], hi - lo);
-            }
+        if n == 0 || k == 0 {
+            return Tensor::from_vec(buf::take_zeroed(height * n), &[height, n]);
         }
-        Tensor::from_vec(out, &[m, n])
+        // rows no group writes are zeroed; the groups' rows overwritten
+        let mut out = buf::take(height * n);
+        let mut written = vec![false; height];
+        for &(base, rows) in &out_rows.runs {
+            written[base..base + rows].fill(true);
+        }
+        for (row, _) in written.iter().enumerate().filter(|(_, &w)| !w) {
+            out[row * n..(row + 1) * n].fill(0.0);
+        }
+        let a = Operand::plain(self.data(), m, k);
+        for (g, w) in weights.iter().enumerate() {
+            // empty groups never touch their weight
+            if rows.group_rows(g) == 0 {
+                continue;
+            }
+            let bp = kernel::pack_b(if transposed {
+                Operand::transposed(w.data(), k, n)
+            } else {
+                Operand::plain(w.data(), k, n)
+            });
+            zip_runs(rows.group(g), out_rows.group(g), |a_row, c_row, len| {
+                let band = &mut out[c_row * n..(c_row + len) * n];
+                kernel::gemm_band(a, a_row, &bp, band, len, false);
+            });
+        }
+        Tensor::from_vec(out, &[height, n])
     }
 
-    /// Per-group `self[group g]ᵀ × rhs[group g]` over the shared row
-    /// groups of `self` `(rows, m)` and `rhs` `(rows, n)`: one `(m, n)`
-    /// tensor per group — the grouped weight-gradient GEMM. Empty groups
-    /// yield zeros. Each result is bit-identical to slicing the group
-    /// out of both operands and calling [`Tensor::matmul_tn`].
+    /// Per-group `self[rows.group(g)]ᵀ × rhs[rhs_rows.group(g)]`, the
+    /// `k`-th row of one side paired with the `k`-th of the other: one
+    /// `(m, n)` tensor per group of `self` `(·, m)` and `rhs` `(·, n)` —
+    /// the grouped weight-gradient GEMM. Empty groups yield zeros.
+    ///
+    /// The contraction walks each group's rows in order, one band per
+    /// piece where neither side's run breaks; the microkernel stores and
+    /// reloads its accumulators between pieces, so every element is the
+    /// same ascending-`k` fold — bit-identical to gathering both groups
+    /// into contiguous rows and calling [`Tensor::matmul_tn`].
     ///
     /// # Errors
     ///
-    /// Returns an error unless both operands are rank 2 with the same
-    /// row count and `offsets` ascends from 0 to at most that count.
-    pub fn matmul_grouped_tn(&self, rhs: &Tensor, offsets: &[usize]) -> Result<Vec<Tensor>> {
-        let (rows, m) = check_matrix(self, "matmul_grouped_tn")?;
-        let (rows2, n) = check_matrix(rhs, "matmul_grouped_tn")?;
-        if rows != rows2 {
-            return Err(shape_mismatch("matmul_grouped_tn", self, rhs));
-        }
-        check_offsets(offsets, offsets.len().saturating_sub(1), rows)?;
-        offsets
-            .windows(2)
-            .map(|w| {
-                let k = w[1] - w[0];
-                let out = gemm(
-                    Operand::transposed(&self.data()[w[0] * m..w[1] * m], m, k),
-                    Operand::plain(&rhs.data()[w[0] * n..w[1] * n], k, n),
-                );
+    /// Returns an error unless both operands are rank 2 and `rows` and
+    /// `rhs_rows` hold the same number of groups, of equal sizes, inside
+    /// `self` and `rhs` respectively.
+    pub fn matmul_segments_tn(
+        &self,
+        rhs: &Tensor,
+        rows: &Segments,
+        rhs_rows: &Segments,
+    ) -> Result<Vec<Tensor>> {
+        const OP: &str = "matmul_grouped_tn";
+        let (self_rows, m) = check_matrix(self, OP)?;
+        let (rhs_height, n) = check_matrix(rhs, OP)?;
+        rows.check(OP, rows.groups(), self_rows)?;
+        rhs_rows.check(OP, rows.groups(), rhs_height)?;
+        check_paired(OP, rows, rhs_rows)?;
+        (0..rows.groups())
+            .map(|g| {
+                // the first piece overwrites, the rest fold on
+                let mut out = buf::take(m * n);
+                let mut accumulate = false;
+                if m > 0 && n > 0 {
+                    zip_runs(rows.group(g), rhs_rows.group(g), |a_row, b_row, len| {
+                        let a = &self.data()[a_row * m..(a_row + len) * m];
+                        let b = &rhs.data()[b_row * n..(b_row + len) * n];
+                        let bp = kernel::pack_b(Operand::plain(b, len, n));
+                        let a = Operand::transposed(a, m, len);
+                        kernel::gemm_band(a, 0, &bp, &mut out, m, accumulate);
+                        accumulate = true;
+                    });
+                }
+                if !accumulate {
+                    out.fill(0.0);
+                }
                 Tensor::from_vec(out, &[m, n])
             })
             .collect()
@@ -535,25 +746,52 @@ mod tests {
         assert!(a.matmul_tn(&Tensor::zeros(&[3, 2])).is_err());
         assert!(a.matmul_nt(&Tensor::zeros(&[3])).is_err());
         let w = Tensor::zeros(&[2, 3]);
-        assert!(a.matmul_grouped_nt(&[&w], &[0, 4]).is_ok());
-        assert!(a.matmul_grouped_nt(&[&w], &[0, 5]).is_err());
-        assert!(a.matmul_grouped_nt(&[&w], &[1, 4]).is_err());
+        let seg = |offsets: &[usize]| Segments::from_offsets(offsets);
+        let nt = |w: &Tensor, offsets: &[usize]| {
+            a.matmul_segments_nt(&[w], &seg(offsets), &seg(offsets), 4)
+        };
+        assert!(nt(&w, &[0, 4]).is_ok());
+        assert!(nt(&w, &[0, 5]).is_err());
+        assert!(nt(&Tensor::zeros(&[3, 2]), &[0, 4]).is_err());
         // groups may stop short of the rows: the rest belongs to nobody
         let ones = Tensor::ones(&[4, 3]);
-        let short = ones.matmul_grouped_nt(&[&Tensor::ones(&[2, 3])], &[0, 3]);
+        let short =
+            ones.matmul_segments_nt(&[&Tensor::ones(&[2, 3])], &seg(&[0, 3]), &seg(&[0, 3]), 4);
         assert_eq!(short.unwrap().data(), [3., 3., 3., 3., 3., 3., 0., 0.]);
+        // both sides must hold as many rows per group
         assert!(a
-            .matmul_grouped_nt(&[&Tensor::zeros(&[3, 2])], &[0, 4])
+            .matmul_segments_nt(&[&w], &seg(&[0, 4]), &seg(&[0, 3]), 4)
             .is_err());
         assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 1, 4])
-            .is_ok());
-        assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[5, 2]), &[0, 4])
+            .matmul_grouped(&[&Tensor::zeros(&[3, 2])], &[1, 4], 1)
             .is_err());
+        let tn =
+            |g: &Tensor, offsets: &[usize]| a.matmul_segments_tn(g, &seg(offsets), &seg(offsets));
+        assert!(tn(&Tensor::zeros(&[4, 2]), &[0, 1, 4]).is_ok());
+        assert!(tn(&Tensor::zeros(&[5, 2]), &[0, 4]).is_ok());
+        assert!(tn(&Tensor::zeros(&[4, 2]), &[0, 5]).is_err());
         assert!(a
-            .matmul_grouped_tn(&Tensor::zeros(&[4, 2]), &[0, 5])
+            .matmul_segments_tn(&Tensor::zeros(&[4, 2]), &seg(&[0, 4]), &seg(&[0, 1, 4]))
             .is_err());
+    }
+
+    #[test]
+    fn segments_cut_groups_into_runs() {
+        let mut s = Segments::from_offsets(&[0, 2, 2, 7]);
+        s.push_group([(9, 1), (12, 0), (14, 3)]);
+        assert_eq!(s.groups(), 4);
+        assert_eq!(s.group(3), [(9, 1), (12, 0), (14, 3)]);
+        assert_eq!(
+            (0..4).map(|g| s.group_rows(g)).collect::<Vec<_>>(),
+            [2, 0, 5, 4]
+        );
+        assert_eq!(s.end(), 17);
+        assert_eq!(s.packed(), Segments::from_offsets(&[0, 2, 2, 7, 11]));
+        let mut pieces = Vec::new();
+        zip_runs(&[(0, 3), (10, 2)], &[(5, 1), (20, 4)], |a, b, len| {
+            pieces.push((a, b, len));
+        });
+        assert_eq!(pieces, [(0, 5, 1), (1, 20, 2), (10, 22, 2)]);
     }
 
     #[test]

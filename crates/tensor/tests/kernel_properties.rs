@@ -19,7 +19,7 @@
 //! must each get a lone call's bits.
 
 use proptest::prelude::*;
-use tensor::{Tensor, TensorRng};
+use tensor::{Segments, Tensor, TensorRng};
 
 mod support;
 use support::at_once;
@@ -194,8 +194,9 @@ proptest! {
         for load in &loads {
             offsets.push(offsets.last().unwrap() + load);
         }
+        let groups = Segments::from_offsets(&offsets);
         let nt = a
-            .matmul_grouped_nt(&weights.iter().collect::<Vec<_>>(), &offsets)
+            .matmul_segments_nt(&weights.iter().collect::<Vec<_>>(), &groups, &groups, m)
             .unwrap();
         let reference = a
             .matmul_grouped(&transposed.iter().collect::<Vec<_>>(), &offsets, 1)
@@ -204,7 +205,7 @@ proptest! {
 
         // per-group aᵀ·g against slice → transpose → matmul; an empty
         // group must still yield a (k, n) block of zeros
-        let tn = a.matmul_grouped_tn(&g, &offsets).unwrap();
+        let tn = a.matmul_segments_tn(&g, &groups, &groups).unwrap();
         prop_assert_eq!(tn.len(), loads.len());
         for (e, got) in tn.iter().enumerate() {
             let rows_a = a.slice_rows(offsets[e], offsets[e + 1]).unwrap();
@@ -212,6 +213,93 @@ proptest! {
             let want = rows_a.transpose().unwrap().matmul(&rows_g).unwrap();
             prop_assert_eq!(got, &want, "group {} load {}", e, loads[e]);
         }
+    }
+}
+
+/// `loads` cut into runs placed with gaps in a taller buffer — each
+/// group a run per piece, zero-row pieces included — plus the buffer's
+/// height. The gap rows are NaN in every operand built on it, so a run
+/// read past its end shows.
+fn scattered(loads: &[usize], rng: &mut TensorRng) -> (Segments, usize) {
+    let mut segments = Segments::new();
+    let mut row = 0;
+    for &load in loads {
+        let mut runs = Vec::new();
+        let mut left = load;
+        while left > 0 || runs.is_empty() {
+            let len = if left == 0 { 0 } else { 1 + rng.index(left) };
+            row += rng.index(3);
+            runs.push((row, len));
+            row += len;
+            left -= len;
+            if rng.index(4) == 0 {
+                runs.push((row, 0));
+            }
+        }
+        segments.push_group(runs);
+    }
+    (segments, row + rng.index(3))
+}
+
+/// `packed`'s rows of `t` placed at `segments`' rows of a `height`-row
+/// tensor whose other rows are `fill`.
+fn spread(t: &Tensor, packed: &Segments, segments: &Segments, height: usize, fill: f32) -> Tensor {
+    let n = t.dims()[1];
+    let mut out = Tensor::full(&[height, n], fill);
+    for g in 0..segments.groups() {
+        let mut src = packed.group(g)[0].0;
+        for &(base, rows) in segments.group(g) {
+            out.data_mut()[base * n..(base + rows) * n]
+                .copy_from_slice(&t.data()[src * n..(src + rows) * n]);
+            src += rows;
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn segment_form_equals_offsets_form(
+        loads in prop::collection::vec(prop::sample::select(vec![0usize, 1, 2, 5, 12, 13, 25]), 1..5),
+        k in prop::sample::select(vec![1usize, 4, 17, 257]),
+        n in prop::sample::select(vec![1usize, 8, 19, 33]),
+        seed in any::<u64>(),
+    ) {
+        // The offsets form computes on contiguous groups; the segment
+        // form reads the same rows out of runs scattered over a taller
+        // buffer (and writes them back to runs). Both sides hold the
+        // same values, so the results must match bit for bit — `_tn`
+        // included, whose contraction is cut wherever a run breaks.
+        let mut rng = TensorRng::seed_from(seed);
+        let rows: usize = loads.iter().sum();
+        let mut offsets = vec![0usize];
+        for load in &loads {
+            offsets.push(offsets.last().unwrap() + load);
+        }
+        let packed = Segments::from_offsets(&offsets);
+        let (wire, height) = scattered(&loads, &mut rng);
+        let a = rng.uniform(&[rows, k], -1.0, 1.0);
+        let g = rng.uniform(&[rows, n], -1.0, 1.0);
+        let a_wire = spread(&a, &packed, &wire, height, f32::NAN);
+        let g_wire = spread(&g, &packed, &wire, height, f32::NAN);
+        let plain: Vec<Tensor> = loads.iter().map(|_| rng.uniform(&[k, n], -1.0, 1.0)).collect();
+        let flipped: Vec<Tensor> = loads.iter().map(|_| rng.uniform(&[n, k], -1.0, 1.0)).collect();
+        let (plain, flipped): (Vec<&Tensor>, Vec<&Tensor>) = (plain.iter().collect(), flipped.iter().collect());
+
+        let want = a.matmul_grouped(&plain, &offsets, 1).unwrap();
+        prop_assert_eq!(&a_wire.matmul_segments(&plain, &wire, &packed, rows).unwrap(), &want);
+        let out = a.matmul_segments(&plain, &packed, &wire, height).unwrap();
+        prop_assert_eq!(&out, &spread(&want, &packed, &wire, height, 0.0));
+
+        let want = a.matmul_segments_nt(&flipped, &packed, &packed, rows).unwrap();
+        prop_assert_eq!(&a_wire.matmul_segments_nt(&flipped, &wire, &packed, rows).unwrap(), &want);
+        let out = a_wire.matmul_segments_nt(&flipped, &wire, &wire, height).unwrap();
+        prop_assert_eq!(&out, &spread(&want, &packed, &wire, height, 0.0));
+
+        let want = a.matmul_segments_tn(&g, &packed, &packed).unwrap();
+        prop_assert_eq!(&a_wire.matmul_segments_tn(&g, &wire, &packed).unwrap(), &want);
+        prop_assert_eq!(&a.matmul_segments_tn(&g_wire, &packed, &wire).unwrap(), &want);
+        prop_assert_eq!(&a_wire.matmul_segments_tn(&g_wire, &wire, &wire).unwrap(), &want);
     }
 }
 
@@ -245,12 +333,14 @@ fn grouped_gemms_above_the_parallel_threshold_match_serial_exactly() {
         .collect();
     let plain: Vec<&Tensor> = plain.iter().collect();
     let flipped: Vec<&Tensor> = flipped.iter().collect();
+    let groups = Segments::from_offsets(&offsets);
     let all_three = |i: usize| {
         let (a, g) = &operands[i];
         (
             a.matmul_grouped(&plain, &offsets, 1).unwrap(),
-            a.matmul_grouped_nt(&flipped, &offsets).unwrap(),
-            a.matmul_grouped_tn(g, &offsets).unwrap(),
+            a.matmul_segments_nt(&flipped, &groups, &groups, rows)
+                .unwrap(),
+            a.matmul_segments_tn(g, &groups, &groups).unwrap(),
         )
     };
     let lone: Vec<_> = (0..4).map(all_three).collect();

@@ -20,7 +20,7 @@
 //! `min`/`max` would quietly replace it with the bound).
 
 use tensor::grad;
-use tensor::Tensor;
+use tensor::{Segments, Tensor};
 
 mod support;
 
@@ -166,15 +166,16 @@ fn grouped_transposed_forms_propagate_nan_per_group() {
     let clean = Tensor::ones(&[n, k]);
     let mut poisoned = Tensor::ones(&[n, k]);
     poisoned.data_mut()[0] = f32::NAN;
+    let groups = Segments::from_offsets(&[0, 2, 4]);
     let nt = x
-        .matmul_grouped_nt(&[&clean, &poisoned], &[0, 2, 4])
+        .matmul_segments_nt(&[&clean, &poisoned], &groups, &groups, 4)
         .unwrap();
     assert!(nt.data()[..2 * n].iter().all(|v| *v == 0.0));
     assert!(nt.data()[2 * n].is_nan() && nt.data()[3 * n].is_nan());
 
     let mut g = Tensor::zeros(&[4, n]);
     g.data_mut()[3 * n] = f32::NAN; // a row of group 1
-    let tn = x.matmul_grouped_tn(&g, &[0, 2, 4]).unwrap();
+    let tn = x.matmul_segments_tn(&g, &groups, &groups).unwrap();
     assert!(tn[0].data().iter().all(|v| *v == 0.0));
     // column 0 of group 1's (k, n) gradient sums 0 · NaN
     assert!((0..k).all(|r| tn[1].data()[r * n].is_nan()));
