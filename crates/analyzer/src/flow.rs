@@ -672,8 +672,7 @@ fn propagate_taint(nodes: &[Node], tainted: &mut BTreeSet<String>) {
 }
 
 /// Rule `spmd-wallclock-decision` over one file's tree. Scoped by the
-/// caller to verdict modules (the deadline controller's `FileClass`
-/// keeps it exempt).
+/// caller to verdict modules.
 pub fn check_wallclock(nodes: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
     let sinks = param_sink_summaries(nodes);
     for item in functions(nodes) {

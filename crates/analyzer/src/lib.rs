@@ -19,9 +19,9 @@
 //! * `comm-wildcard` — `_ =>` arms in `CommError` matches in the
 //!   crates that must distinguish `Reconfigured`/`Abandoned`;
 //! * `deadline-literals` — hardcoded `Duration::from_*` in
-//!   `crates/collectives/src` outside the deadline controller (op
-//!   budgets belong to the `DeadlineController`; non-budget durations
-//!   carry a line-scoped allow naming what they are);
+//!   `crates/collectives/src` (op budgets come from the caller's
+//!   `CommWorld::with_deadline`; non-budget durations carry a
+//!   line-scoped allow naming what they are);
 //! * `no-adhoc-spawn` — `std::thread::{scope,spawn,Builder}` in the
 //!   compute crates (`crates/{tensor,fsmoe,models}/src`);
 //! * `unsafe-needs-safety` — an `unsafe` block or `unsafe impl` under
@@ -116,10 +116,6 @@ pub enum FileClass {
     Shim,
     /// `crates/obs/**` — hosts the registry itself; only the sync ban.
     ObsCrate,
-    /// `crates/collectives/src/deadline.rs` — the one collectives file
-    /// allowed to hold duration literals (it *is* the budget policy);
-    /// still unwrap-guarded.
-    DeadlineController,
     /// `crates/collectives/src/**` — unwrap-guarded distributed core.
     GuardedSource,
     /// `crates/fsmoe/src/{dist,layer,order,routing}.rs` — the MoE layer,
@@ -145,8 +141,6 @@ pub fn classify(rel: &str) -> FileClass {
         FileClass::ObsCrate
     } else if rel.contains("/tests/") {
         FileClass::Test
-    } else if rel == "crates/collectives/src/deadline.rs" {
-        FileClass::DeadlineController
     } else if rel.starts_with("crates/collectives/src/") {
         FileClass::GuardedSource
     } else if matches!(
@@ -211,7 +205,6 @@ pub fn spmd_decision(rel: &str) -> bool {
             | "crates/models/src/elastic.rs"
             | "crates/fsmoe/src/reshard.rs"
             | "crates/fsmoe/src/order.rs"
-            | "crates/collectives/src/deadline.rs"
             | "crates/collectives/src/group/plane.rs"
     )
 }

@@ -24,8 +24,7 @@ pub const RULE_OBS_DEAD_NAME: &str = "obs-dead-name";
 pub const RULE_COMM_WILDCARD: &str = "comm-wildcard";
 /// Rule id: a `// lint: allow(...)` directive with no justification.
 pub const RULE_ALLOW_REASON: &str = "allow-needs-reason";
-/// Rule id: hardcoded `Duration::from_*` in `collectives/src` outside
-/// the deadline controller.
+/// Rule id: hardcoded `Duration::from_*` in `collectives/src`.
 pub const RULE_DEADLINE_LITERALS: &str = "deadline-literals";
 /// Rule id: iteration over a std `HashMap`/`HashSet` in SPMD-decision
 /// code without an order-insensitive consumer ([`crate::flow`]).
@@ -310,10 +309,9 @@ pub fn check_comm_wildcard(tree: &[Node], tests: &TestRegions, out: &mut Vec<Vio
 }
 
 /// `deadline-literals`: flags `Duration :: from_*(…)` constructions in
-/// the guarded collectives core outside test regions. Adaptive budgets
-/// made static per-op deadlines legacy: a hardcoded duration in
-/// `collectives/src` is either an op budget that belongs in the
-/// `DeadlineController` (the one exempt file) or a genuine non-budget
+/// the guarded collectives core outside test regions. A hardcoded
+/// duration in `collectives/src` is either an op budget, which belongs
+/// to the caller's `CommWorld::with_deadline`, or a genuine non-budget
 /// constant that must carry a line-scoped allow naming its purpose.
 pub fn check_deadline_literals(tree: &[Node], tests: &TestRegions, out: &mut Vec<Violation>) {
     visit(tree, &mut |sibs, i| {
@@ -326,8 +324,8 @@ pub fn check_deadline_literals(tree: &[Node], tests: &TestRegions, out: &mut Vec
                     RULE_DEADLINE_LITERALS,
                     sibs[i].line(),
                     format!(
-                        "Duration::{name} — op budgets come from the DeadlineController \
-                         (collectives/src/deadline.rs); a true non-budget duration needs \
+                        "Duration::{name} — op budgets come from the caller's \
+                         CommWorld::with_deadline; a true non-budget duration needs \
                          `// lint: allow(deadline-literals) — <what it is>`"
                     ),
                 ));
@@ -516,10 +514,8 @@ pub type Check = fn(&[Node], &TestRegions, &mut Vec<Violation>);
 /// Which rules run on the file at `rel`, in order: the pattern rules of
 /// its class, then the rules scoped by file role (DESIGN.md §13) —
 /// test assertions everywhere, thread spawns in the compute crates,
-/// iteration and accumulation order
-/// in verdict logic, wall-clock flow in verdict modules (the deadline
-/// controller is the sanctioned clock user), rank-conditional
-/// collectives wherever comm is issued.
+/// iteration and accumulation order and wall-clock flow in verdict
+/// logic, rank-conditional collectives wherever comm is issued.
 #[must_use]
 pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
     let mut checks: Vec<Check> = match class {
@@ -531,7 +527,6 @@ pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
             check_obs_names,
             check_deadline_literals,
         ],
-        FileClass::DeadlineController => vec![check_std_sync, check_unwrap, check_obs_names],
         FileClass::GuardedCommSource => vec![
             check_std_sync,
             check_unwrap,
@@ -547,9 +542,7 @@ pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
     }
     if crate::spmd_decision(rel) {
         checks.push(flow::check_unordered_iteration);
-        if class != FileClass::DeadlineController {
-            checks.push(flow::check_wallclock);
-        }
+        checks.push(flow::check_wallclock);
     }
     if matches!(
         class,

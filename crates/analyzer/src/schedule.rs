@@ -18,6 +18,7 @@
 //!   and the rank-conditional case is separately an error under
 //!   `spmd-rank-divergent-collective` ([`crate::flow`]).
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use jsonio::Json;
@@ -52,8 +53,6 @@ pub enum OpNode {
     Op {
         /// The operation name.
         op: String,
-        /// 1-based source line of the call.
-        line: u32,
     },
     /// An `if`/`else` chain or `match`: one sub-sequence per arm.
     Branch {
@@ -68,8 +67,6 @@ pub enum OpNode {
     },
     /// A `for`/`while`/`loop` body.
     Loop {
-        /// Line of the loop keyword.
-        line: u32,
         /// Ops issued per iteration.
         body: Seq,
     },
@@ -91,8 +88,6 @@ pub struct Seq {
 pub struct FnSchedule {
     /// Function name.
     pub name: String,
-    /// Line of its `fn` keyword.
-    pub line: u32,
     /// The op-graph of its body.
     pub graph: Seq,
 }
@@ -214,7 +209,6 @@ pub fn extract_seq(nodes: &[Node]) -> Seq {
             continue;
         }
         if n.is_ident("for") || n.is_ident("while") || n.is_ident("loop") {
-            let line = n.line();
             let Some(body_off) = nodes[i..].iter().position(|n| n.group_with('{').is_some()) else {
                 i += 1;
                 continue;
@@ -229,7 +223,7 @@ pub fn extract_seq(nodes: &[Node]) -> Seq {
             // not the function.
             body.exits = false;
             if !body.nodes.is_empty() {
-                seq.nodes.push(OpNode::Loop { line, body });
+                seq.nodes.push(OpNode::Loop { body });
             }
             i += body_off + 1;
             continue;
@@ -237,10 +231,7 @@ pub fn extract_seq(nodes: &[Node]) -> Seq {
         // `.op(args)`: argument ops evaluate first, then the call.
         if let Some((op, args)) = collective_call_at(nodes, i) {
             seq.nodes.extend(extract_seq(&args.children).nodes);
-            seq.nodes.push(OpNode::Op {
-                op: op.to_string(),
-                line: nodes[i + 1].line(),
-            });
+            seq.nodes.push(OpNode::Op { op: op.to_string() });
             i += 3;
             continue;
         }
@@ -341,16 +332,8 @@ fn seq_to_json(seq: &Seq) -> Json {
 
 fn node_to_json(node: &OpNode) -> Json {
     match node {
-        OpNode::Op { op, line } => Json::obj([
-            ("op", Json::from(op.as_str())),
-            ("line", Json::from(f64::from(*line))),
-        ]),
-        OpNode::Branch {
-            line,
-            arms,
-            has_else,
-        } => Json::obj([
-            ("branch_line", Json::from(f64::from(*line))),
+        OpNode::Op { op } => Json::obj([("op", Json::from(op.as_str()))]),
+        OpNode::Branch { arms, has_else, .. } => Json::obj([
             ("has_else", Json::from(*has_else)),
             ("arms", Json::Arr(arms.iter().map(seq_to_json).collect())),
             (
@@ -358,10 +341,7 @@ fn node_to_json(node: &OpNode) -> Json {
                 Json::Arr(arms.iter().map(|a| Json::from(a.exits)).collect()),
             ),
         ]),
-        OpNode::Loop { line, body } => Json::obj([
-            ("loop_line", Json::from(f64::from(*line))),
-            ("body", seq_to_json(body)),
-        ]),
+        OpNode::Loop { body } => Json::obj([("body", seq_to_json(body))]),
     }
 }
 
@@ -376,11 +356,41 @@ pub fn file_schedules(src: &str) -> Vec<FnSchedule> {
         .filter(|f| !tests.contains(f.line))
         .map(|f| FnSchedule {
             name: f.name.clone(),
-            line: f.line,
             graph: extract_seq(&f.body.children),
         })
         .filter(|s| count_sites(&s.graph) > 0)
         .collect()
+}
+
+/// One file's report entries, keyed by function name so that moving
+/// code up or down a file leaves them untouched. Where several reported
+/// functions share a name (trait impls of one method), each key carries
+/// its 1-based ordinal among them in source order: `name#k`.
+#[must_use]
+pub fn file_entries(schedules: &[FnSchedule]) -> BTreeMap<String, Json> {
+    let count = |name: &str| schedules.iter().filter(|s| s.name == name).count();
+    let mut seen = BTreeMap::<&str, usize>::new();
+    let mut entries = BTreeMap::new();
+    for s in schedules {
+        let key = if count(&s.name) > 1 {
+            let k = seen.entry(&s.name).or_default();
+            *k += 1;
+            format!("{}#{k}", s.name)
+        } else {
+            s.name.clone()
+        };
+        entries.insert(
+            key,
+            Json::obj([
+                ("graph", seq_to_json(&s.graph)),
+                (
+                    "sequence",
+                    Json::Arr(flatten(&s.graph).into_iter().map(Json::from).collect()),
+                ),
+            ]),
+        );
+    }
+    entries
 }
 
 /// The crates whose sources form the collective schedule.
@@ -394,7 +404,7 @@ const SCHEDULE_SCOPE: [&str; 3] = [
 /// per-file, per-function op-graphs plus the named divergences.
 #[must_use]
 pub fn schedule_report(root: &Path) -> Json {
-    let mut files = std::collections::BTreeMap::new();
+    let mut files = BTreeMap::new();
     let mut divergences = Vec::new();
     let mut total_sites = 0usize;
     for rel_path in crate::workspace_files(root) {
@@ -409,23 +419,11 @@ pub fn schedule_report(root: &Path) -> Json {
         if schedules.is_empty() {
             continue;
         }
-        let mut fns = std::collections::BTreeMap::new();
         for s in &schedules {
             total_sites += count_sites(&s.graph);
             find_divergences(&rel, &s.name, &s.graph, &mut divergences);
-            fns.insert(
-                format!("{}@{}", s.name, s.line),
-                Json::obj([
-                    ("line", Json::from(f64::from(s.line))),
-                    ("graph", seq_to_json(&s.graph)),
-                    (
-                        "sequence",
-                        Json::Arr(flatten(&s.graph).into_iter().map(Json::from).collect()),
-                    ),
-                ]),
-            );
         }
-        files.insert(rel, Json::Obj(fns));
+        files.insert(rel, Json::Obj(file_entries(&schedules)));
     }
     divergences.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Json::obj([

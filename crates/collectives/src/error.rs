@@ -43,8 +43,8 @@ pub enum CommError {
         /// Global ranks that had not joined (or drained) when the
         /// deadline expired.
         waiting_on: Vec<usize>,
-        /// The budget the op was given (static per-world deadline or
-        /// the adaptive controller's per-op budget).
+        /// The budget the op was given: the deadline its communicator
+        /// or group was armed with ([`crate::CommWorld::with_deadline`]).
         deadline: Duration,
         /// How long the caller actually waited before giving up —
         /// always `>= deadline`, the overshoot being poll granularity.

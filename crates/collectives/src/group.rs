@@ -485,17 +485,6 @@ impl GroupComm {
             obs::counter_add(obs::names::COLLECTIVES_RETRIES, 1);
         }
         let bytes = std::mem::size_of_val(io.send());
-        // Adaptive budgets override the static deadline: the controller
-        // sizes this op's budget to its name and payload. Timing starts
-        // *after* the fault gates — an injected straggler delay is this
-        // rank arriving late, and must not feed back into the budget as
-        // wire time.
-        let adaptive = self.inner.ctrl.adaptive().cloned();
-        let budget = match &adaptive {
-            Some(ctl) => Some(ctl.budget(tag.name(), bytes)),
-            None => self.deadline,
-        };
-        let started = Instant::now();
         // Key epoch captured *before* the rendezvous: a live eviction can
         // bump the world epoch between this op's completion and the span
         // commit below, and a commit-time read would stamp the late-waking
@@ -510,20 +499,10 @@ impl GroupComm {
             self.inner.streams[self.index].store(pos + 1, Ordering::Relaxed);
             Ok(())
         } else {
-            self.run_inner(tag, &mut io, dropped, budget)
+            self.run_inner(tag, &mut io, dropped)
         };
         match result {
             Ok(()) => {
-                if let Some(ctl) = &adaptive {
-                    // Success-only: error paths measure the failure
-                    // mode, not the op's cost, and would poison p99.
-                    let elapsed = started.elapsed();
-                    ctl.observe(tag.name(), elapsed);
-                    if obs::is_enabled() {
-                        let name = obs::names::deadline_budget_ms(tag.name());
-                        obs::set_gauge(&name, budget.unwrap_or_default().as_secs_f64() * 1e3);
-                    }
-                }
                 let mut span = span;
                 if obs::is_enabled() {
                     span.attr("rank", self.global_rank);
@@ -625,13 +604,7 @@ impl GroupComm {
     /// same group (an SPMD violation), or pass payloads of different
     /// lengths to anything but an AllGather; the group is poisoned first
     /// so peers error out rather than deadlock.
-    fn run_inner(
-        &self,
-        tag: OpTag,
-        io: &mut Io<'_>,
-        dropped: bool,
-        budget: Option<Duration>,
-    ) -> Result<()> {
+    fn run_inner(&self, tag: OpTag, io: &mut Io<'_>, dropped: bool) -> Result<()> {
         let ctrl = &self.inner.ctrl;
         // Redundant with [`GroupComm::run`]'s gates, deliberately: the
         // checks are cheap, and keeping them here means no path into the
@@ -649,12 +622,12 @@ impl GroupComm {
 
         let op = tag.name();
         let started = Instant::now();
-        let deadline = budget.map(|d| started + d);
+        let deadline = self.deadline.map(|d| started + d);
         let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
         let timeout = |waiting_on| CommError::Timeout {
             op,
             waiting_on,
-            deadline: budget.unwrap_or_default(),
+            deadline: self.deadline.unwrap_or_default(),
             elapsed: started.elapsed(),
         };
         let n = self.size();

@@ -22,8 +22,9 @@
 //!
 //! Production clusters lose ranks. The runtime therefore supports:
 //!
-//! * **deadlines** ([`CommWorld::with_deadline`]) — an absent peer turns
-//!   into [`CommError::Timeout`] instead of a hang;
+//! * **deadlines** ([`CommWorld::with_deadline`]) — one static budget
+//!   per world, inherited by every group: an absent peer turns into
+//!   [`CommError::Timeout`] instead of a hang;
 //! * **dead-rank tracking** ([`Communicator::declare_dead`]) — peers of a
 //!   dead rank fail fast with [`CommError::RankDown`];
 //! * **panic poisoning** — a rank that panics mid-collective poisons the
@@ -37,11 +38,6 @@
 //!   — deterministic, seedable schedules of rank kills, straggler delays,
 //!   payload drops and persistent brownouts ([`Brownout`]), so every
 //!   collective can be attacked in tests;
-//! * **adaptive deadlines** ([`DeadlineController`],
-//!   [`CommWorld::with_adaptive_deadlines`]) — per-op budgets derived
-//!   from profiler α–β fits and observed p99 instead of one static
-//!   world-wide deadline, so gray failures surface as health decay
-//!   rather than being masked by generous fixed timeouts;
 //! * **elastic membership** ([`Communicator::propose_evict`],
 //!   [`Communicator::reconfigured`]) — survivors of a permanently dead
 //!   rank agree to evict it, the membership epoch bumps, the old world
@@ -73,14 +69,12 @@
 //! }
 //! ```
 
-mod deadline;
 mod error;
 mod fault;
 mod group;
 mod topology;
 mod world;
 
-pub use deadline::{DeadlineConfig, DeadlineController};
 pub use error::CommError;
 pub use fault::{Brownout, FaultAction, FaultInjector};
 pub use group::GroupComm;

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::deadline::DeadlineController;
 use crate::fault::FaultInjector;
 use crate::group::{GroupInner, FAULT_POLL};
 use crate::{CommError, GroupComm, Result};
@@ -54,10 +53,6 @@ struct MigrationFenceState {
 pub(crate) struct WorldCtrl {
     dead: Vec<AtomicBool>,
     injector: Option<FaultInjector>,
-    /// Adaptive per-op deadline controller, when armed. Shared by all
-    /// ranks and carried into reconfigured worlds, so per-op budget
-    /// state survives membership changes.
-    adaptive: Option<Arc<DeadlineController>>,
     /// Per-rank cumulative time (µs) spent blocked in collective
     /// rendezvous waits — the live signal health scoring subtracts from
     /// step wall time to get per-rank *self* time.
@@ -80,16 +75,10 @@ pub(crate) struct WorldCtrl {
 }
 
 impl WorldCtrl {
-    fn new(
-        size: usize,
-        injector: Option<FaultInjector>,
-        epoch: u64,
-        adaptive: Option<Arc<DeadlineController>>,
-    ) -> Self {
+    fn new(size: usize, injector: Option<FaultInjector>, epoch: u64) -> Self {
         WorldCtrl {
             dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
             injector,
-            adaptive,
             waited: (0..size).map(|_| AtomicU64::new(0)).collect(),
             epoch: AtomicU64::new(epoch),
             fenced: AtomicBool::new(false),
@@ -123,10 +112,6 @@ impl WorldCtrl {
 
     pub(crate) fn injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
-    }
-
-    pub(crate) fn adaptive(&self) -> Option<&Arc<DeadlineController>> {
-        self.adaptive.as_ref()
     }
 
     /// Accumulates `us` microseconds of blocked rendezvous wait for
@@ -202,7 +187,6 @@ pub struct CommWorld {
     size: usize,
     deadline: Option<Duration>,
     injector: Option<FaultInjector>,
-    adaptive: Option<Arc<DeadlineController>>,
 }
 
 impl CommWorld {
@@ -217,7 +201,6 @@ impl CommWorld {
             size,
             deadline: None,
             injector: None,
-            adaptive: None,
         }
     }
 
@@ -237,20 +220,6 @@ impl CommWorld {
         self
     }
 
-    /// Arms the adaptive deadline controller: every collective derives
-    /// its budget from `controller` ([`DeadlineController::budget`],
-    /// keyed by op name and payload bytes) instead of the static
-    /// [`CommWorld::with_deadline`] value, and feeds its completion
-    /// time back as an observed sample. The static deadline (if any)
-    /// still applies to control-plane ops ([`Communicator::propose_evict`],
-    /// [`Communicator::migration_fence`]), whose costs are
-    /// vote-latency-bound, not payload-bound.
-    #[must_use]
-    pub fn with_adaptive_deadlines(mut self, controller: Arc<DeadlineController>) -> Self {
-        self.adaptive = Some(controller);
-        self
-    }
-
     /// Number of ranks in the world.
     pub fn size(&self) -> usize {
         self.size
@@ -259,7 +228,7 @@ impl CommWorld {
     /// Consumes the world, producing one [`Communicator`] per rank, in
     /// rank order.
     pub fn into_communicators(self) -> Vec<Communicator> {
-        let ctrl = Arc::new(WorldCtrl::new(self.size, self.injector, 0, self.adaptive));
+        let ctrl = Arc::new(WorldCtrl::new(self.size, self.injector, 0));
         let registry = Arc::new(GroupRegistry {
             groups: Mutex::new(BTreeMap::new()),
             ctrl,
@@ -313,11 +282,6 @@ impl Communicator {
     /// *after* this call.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
-    }
-
-    /// The adaptive deadline controller armed on this world, if any.
-    pub fn deadline_controller(&self) -> Option<Arc<DeadlineController>> {
-        self.registry.ctrl.adaptive().cloned()
     }
 
     /// Cumulative time `rank` has spent blocked in collective
@@ -428,15 +392,7 @@ impl Communicator {
                 // one. Survivors are the live ranks in ascending order;
                 // a survivor's new rank is its index in that list.
                 let epoch = ctrl.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                // The adaptive controller carries over: its per-op
-                // budget state is rank-agnostic, so the shrunken world
-                // starts with warm budgets instead of ceilings.
-                let new_ctrl = Arc::new(WorldCtrl::new(
-                    live.len(),
-                    None,
-                    epoch,
-                    ctrl.adaptive.clone(),
-                ));
+                let new_ctrl = Arc::new(WorldCtrl::new(live.len(), None, epoch));
                 let registry = Arc::new(GroupRegistry {
                     groups: Mutex::new(BTreeMap::new()),
                     ctrl: new_ctrl,

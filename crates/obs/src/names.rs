@@ -245,9 +245,3 @@ pub fn attrib_model_drift_pct(phase: &str) -> String {
 pub fn health_score(rank: usize) -> String {
     format!("health.score.r{rank}")
 }
-
-/// Gauge: the adaptive deadline controller's last budget for `op`, ms.
-#[must_use]
-pub fn deadline_budget_ms(op: &str) -> String {
-    format!("deadline.budget_ms.{op}")
-}

@@ -86,11 +86,6 @@ impl Tensor {
         Tensor::from_vec(vmath::apply(map, self.data()), self.dims()).expect("map preserves shape")
     }
 
-    /// ReLU, element-wise.
-    pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
-    }
-
     /// Layer normalisation over the last axis with unit gain and zero bias.
     ///
     /// Each row's mean and variance are left folds over its columns, in

@@ -251,11 +251,6 @@ impl WorkloadGen {
     pub fn attractor(&self) -> usize {
         self.attractor
     }
-
-    /// Calibrated pool sizes per expert (diagnostics).
-    pub fn pool_sizes(&self) -> Vec<usize> {
-        self.pools.iter().map(Vec::len).collect()
-    }
 }
 
 #[cfg(test)]
