@@ -146,16 +146,15 @@ soak "elastic chaos soak" ELASTIC_SOAK_WIDE=1 \
     FLIGHT_DUMP=target/flight_elastic_soak.json FLIGHT_WATCHDOG_MS=540000 \
     'cargo test -q -p models --test elastic --test elastic_obs'
 
-echo "==> migration capstone: chaos+skew soak under the lock doctor"
-# Adversarially skewed (Zipf) workloads drive the imbalance detector
-# into live hot-expert migrations while straggler faults delay random
-# ranks mid-fence, with lock-order tracking armed the whole time. Runs
-# the fence protocol suite, the workload generator's distribution
-# tests, and the 4-seed migration soak.
-soak "migration capstone soak" LOCK_DOCTOR=1 \
+echo "==> migration soak: fence suite and straggler soak under the lock doctor"
+# Live hot-expert migrations (the health ladder's quarantine drain)
+# run with lock-order tracking armed the whole time: the fence protocol
+# suite, the migrated-vs-unmigrated bit-identity test, and the 4-seed
+# soak that delays one rank around both migration steps and requires
+# every rank to end bit-identical to the fault-free migrated run.
+soak "migration soak" LOCK_DOCTOR=1 \
     FLIGHT_DUMP=target/flight_migration.json FLIGHT_WATCHDOG_MS=540000 \
     'cargo test -q -p collectives --test migration_fence &&
-     cargo test -q -p workloadgen &&
      cargo test -q -p models --test migrate'
 
 echo "==> gray-failure smoke: 4-rank run surviving a browned-out rank"

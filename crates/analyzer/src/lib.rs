@@ -201,7 +201,6 @@ pub fn spmd_decision(rel: &str) -> bool {
     matches!(
         rel,
         "crates/models/src/health.rs"
-            | "crates/models/src/imbalance.rs"
             | "crates/models/src/elastic.rs"
             | "crates/fsmoe/src/reshard.rs"
             | "crates/fsmoe/src/order.rs"

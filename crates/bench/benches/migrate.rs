@@ -1,7 +1,7 @@
 //! Pause budget for an eviction-free hot-expert migration.
 //!
-//! The headline robustness claim (DESIGN.md §10) is that rebalancing a
-//! skewed fleet by migrating one expert is a *pause*, not an outage:
+//! The headline robustness claim (DESIGN.md §10) is that draining one
+//! expert off a quarantined rank is a *pause*, not an outage:
 //! the world fences, the weights move, every rank rebinds, and training
 //! resumes — no snapshot reload, no world renumbering. This bench
 //! measures that pause end to end on a real 4-rank world: the wall time

@@ -150,35 +150,6 @@ impl Routing {
         }
     }
 
-    /// The GShard-style auxiliary load-balancing loss:
-    /// `E · Σ_e f_e · w̄_e`, where `f_e` is the fraction of assignments
-    /// landing on expert `e` and `w̄_e` the mean combine weight it
-    /// receives. Perfectly uniform routing scores 1.0; concentration on
-    /// few experts scores higher. Training loops add this (scaled) to
-    /// the task loss to keep experts balanced.
-    pub fn load_balance_loss(&self) -> f64 {
-        if self.assignments.is_empty() {
-            return 0.0;
-        }
-        let mut count = vec![0usize; self.num_experts];
-        let mut weight = vec![0.0f64; self.num_experts];
-        for a in &self.assignments {
-            count[a.expert] += 1;
-            weight[a.expert] += f64::from(a.weight);
-        }
-        let total = self.assignments.len() as f64;
-        let total_weight: f64 = weight.iter().sum();
-        if total_weight == 0.0 {
-            return 0.0;
-        }
-        self.num_experts as f64
-            * count
-                .iter()
-                .zip(&weight)
-                .map(|(&c, &w)| (c as f64 / total) * (w / total_weight))
-                .sum::<f64>()
-    }
-
     /// Coefficient of variation of expert loads — the load-balance metric
     /// gating papers report (0 = perfectly balanced).
     pub fn load_imbalance(&self) -> f64 {
@@ -353,37 +324,6 @@ mod tests {
         }
         let r = b.finish();
         assert!(r.load_imbalance() > 0.9);
-    }
-
-    #[test]
-    fn balance_loss_is_one_when_uniform_and_larger_when_skewed() {
-        // uniform: 4 experts, equal counts, equal weights → loss = 1
-        let mut b = RoutingBuilder::new(8, 4, 8);
-        for t in 0..8 {
-            b.assign(t, t % 4, 0.5);
-        }
-        let uniform = b.finish().load_balance_loss();
-        assert!((uniform - 1.0).abs() < 1e-9, "{uniform}");
-
-        // all traffic on one expert → loss = E = 4
-        let mut b = RoutingBuilder::new(8, 4, 8);
-        for t in 0..8 {
-            b.assign(t, 0, 0.5);
-        }
-        let skewed = b.finish().load_balance_loss();
-        assert!((skewed - 4.0).abs() < 1e-9, "{skewed}");
-        assert!(skewed > uniform);
-    }
-
-    #[test]
-    fn balance_loss_edge_cases() {
-        assert_eq!(
-            RoutingBuilder::new(0, 3, 1).finish().load_balance_loss(),
-            0.0
-        );
-        let mut b = RoutingBuilder::new(1, 2, 1);
-        b.assign(0, 1, 0.0); // zero-weight assignment
-        assert_eq!(b.finish().load_balance_loss(), 0.0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! (gshard, sigmoid, softmoe, xmoe) because each token keeps all `k`
 //! assignments, and the expert-choice gate because `capacity_factor =
 //! 1.0` with `E | k·tokens` gives each expert exactly `k·tokens / E`
-//! picks. The imbalance detector trusts this signal; a gate that leaks
-//! or double-counts assignments would skew every migration decision.
+//! picks. The quarantine drain picks its expert from the same loads; a
+//! gate that leaks or double-counts assignments would drain the wrong
+//! expert.
 
 use collectives::{Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;

@@ -14,8 +14,8 @@
 //!   in place with [`ElasticTrainer::rollback`]: weights, RNG stream and
 //!   step counter return to the snapshot and the loop replays from
 //!   there;
-//! * a fault blamed on a dead peer — in the step, the snapshot, the
-//!   rebalance or the health check — drives the elastic pipeline:
+//! * a fault blamed on a dead peer — in the step, the snapshot or the
+//!   health check — drives the elastic pipeline:
 //!
 //!   1. **blame** — classify the fault onto a dead peer
 //!      ([`CommError::RankDown`] names it; timeouts and abandoned ops
@@ -30,9 +30,9 @@
 //!   5. **roll back** — the same rollback, restoring every survivor's
 //!      (new) expert set from the last snapshot.
 //!
-//! Placement policy is per block (expert map, imbalance window, deal);
-//! fleet state — health monitor, quarantine set, eviction and strike
-//! counts, snapshot clock, route RNG — is one.
+//! Placement is per block (expert map, eviction deal); fleet state —
+//! health monitor, quarantine set, eviction and strike counts, snapshot
+//! clock, route RNG — is one.
 //!
 //! The property that makes this trustworthy (pinned by the recovery and
 //! elastic tests): a run that faults and rolls back ends with weights
@@ -60,8 +60,9 @@ use fsmoe::{MoeError, Result};
 use tensor::{Tensor, TensorRng};
 
 use crate::block::MoeTransformer;
-use crate::health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor};
-use crate::imbalance::{ImbalanceDetector, MigrationDecision};
+use crate::health::{
+    drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, MigrationDecision,
+};
 
 /// Knobs for the elastic pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,12 +114,10 @@ pub struct ElasticTrainer {
     evictions: usize,
     strikes: usize,
     last_fallback: Option<MoeError>,
-    /// One imbalance window per block, when rebalancing is on.
-    rebalancers: Vec<ImbalanceDetector>,
     migrations: usize,
-    last_migration: Option<(usize, MigrationDecision)>,
-    health: Option<HealthMonitor>,
-    gray: Option<GrayFailurePolicy>,
+    /// The gray-failure defense, when armed: the monitor and the
+    /// pricing its last rung consults.
+    health: Option<(HealthMonitor, GrayFailurePolicy)>,
     /// EP positions currently quarantined (ascending, fleet-identical).
     quarantined: Vec<usize>,
     quarantines: usize,
@@ -154,11 +153,8 @@ impl ElasticTrainer {
             evictions: 0,
             strikes: 0,
             last_fallback: None,
-            rebalancers: Vec::new(),
             migrations: 0,
-            last_migration: None,
             health: None,
-            gray: None,
             quarantined: Vec::new(),
             quarantines: 0,
         })
@@ -197,40 +193,27 @@ impl ElasticTrainer {
         self
     }
 
-    /// Enables automatic load rebalancing: after every completed step
-    /// each block's fleet-wide expert loads feed its own copy of
-    /// `detector`, and a sustained-skew decision drives an eviction-free
-    /// hot-expert migration ([`fsmoe::layer::MoeLayer::migrate`]).
-    ///
-    /// SPMD: every rank must enable rebalancing with an identically
-    /// configured detector, or ranks disagree about when to fence.
-    #[must_use]
-    pub fn with_rebalancing(mut self, detector: ImbalanceDetector) -> Self {
-        self.rebalancers = vec![detector; self.model.depth()];
-        self
-    }
-
     /// Arms the gray-failure defense: after every completed step the
     /// per-rank self times (step wall time minus blocked-rendezvous
     /// wait) are all-reduced and fed to `monitor`, and its verdicts
     /// drive the escalation ladder — log, quarantine (hot experts drain
-    /// off the slow rank, which also stops being a rebalancing
-    /// destination), and finally a *live* eviction once `gray`'s
-    /// keep-limping-vs-evict pricing says eviction wins.
+    /// off the slow rank through eviction-free migrations,
+    /// [`fsmoe::layer::MoeLayer::migrate`]), and finally a *live*
+    /// eviction once `gray`'s keep-limping-vs-evict pricing says
+    /// eviction wins.
     ///
     /// SPMD: every rank must arm an identically configured monitor and
     /// policy, or ranks walk different ladders and the vote never
     /// converges.
     #[must_use]
     pub fn with_health(mut self, monitor: HealthMonitor, gray: GrayFailurePolicy) -> Self {
-        self.health = Some(monitor);
-        self.gray = Some(gray);
+        self.health = Some((monitor, gray));
         self
     }
 
     /// The health monitor, when armed (scores reflect the last step).
     pub fn health(&self) -> Option<&HealthMonitor> {
-        self.health.as_ref()
+        self.health.as_ref().map(|(monitor, _)| monitor)
     }
 
     /// EP positions currently quarantined, ascending.
@@ -246,12 +229,6 @@ impl ElasticTrainer {
     /// Eviction-free expert migrations completed so far.
     pub fn migrations(&self) -> usize {
         self.migrations
-    }
-
-    /// The most recent migration acted on, if any: the block and the
-    /// decision.
-    pub fn last_migration(&self) -> Option<(usize, MigrationDecision)> {
-        self.last_migration
     }
 
     /// The wrapped model.
@@ -447,8 +424,8 @@ impl ElasticTrainer {
         self.rollback_with(|model, checkpoint| {
             model.reshard(&plans, checkpoint, &new_comm, &topo)
         })?;
-        if let Some(m) = self.health.as_mut() {
-            m.reset(new_comm.world_size());
+        if let Some((monitor, _)) = self.health.as_mut() {
+            monitor.reset(new_comm.world_size());
         }
         self.quarantined.clear();
         self.comm = new_comm;
@@ -456,43 +433,14 @@ impl ElasticTrainer {
         Ok(())
     }
 
-    /// After a completed step: all-reduce this rank's expert loads so
-    /// every rank sees identical fleet-wide totals, feed each block's
-    /// detector, and on a sustained-skew decision migrate the hot expert.
-    /// A migration that loses its fence to a concurrent eviction
-    /// ([`CommError::MigrationConflict`]) is skipped, not fatal — the
-    /// eviction path owns recovery and the detector re-fires after its
-    /// cooldown.
-    fn maybe_rebalance(&mut self) -> Result<()> {
-        if self.rebalancers.is_empty() {
-            return Ok(());
-        }
-        // Per-rank routings differ; the decision must not. Summing over
-        // the world gives every rank the same detector input.
-        let Some(loads) = self.fleet_loads()? else {
-            return Ok(());
-        };
-        for (block, loads) in loads.iter().enumerate() {
-            let map = self.model.blocks()[block].moe().expert_map();
-            // Quarantined positions are off-limits as destinations: the
-            // rebalancer must not pile load back onto a slow rank.
-            let decision = self.rebalancers[block].observe_excluding(map, loads, &self.quarantined);
-            if let Some(decision) = decision {
-                self.apply_migration(block, decision)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Executes a fenced migration in `block`, tolerating a lost fence
     /// race ([`CommError::MigrationConflict`] — the eviction path owns
-    /// recovery and the decision re-fires later).
+    /// recovery).
     fn apply_migration(&mut self, block: usize, decision: MigrationDecision) -> Result<()> {
         let layer = self.model.layer_mut(block);
         match layer.migrate(decision.expert, decision.to, &self.comm) {
             Ok(()) => {
                 self.migrations += 1;
-                self.last_migration = Some((block, decision));
                 Ok(())
             }
             Err(MoeError::Comm(CommError::MigrationConflict { .. })) => Ok(()),
@@ -551,15 +499,20 @@ impl ElasticTrainer {
     /// the monitor's verdict. Runs only when health is armed, and every
     /// branch is SPMD-deterministic.
     ///
+    /// The ladder's last rung prices keep-limping vs evict, and evicts
+    /// the live-but-slow rank only when the arithmetic says so. Every
+    /// pricing input is fleet-identical (all-reduced scores and medians,
+    /// the shared config), so all ranks decide alike.
+    ///
     /// Returns whether a live slow rank was evicted (the clock rolled
     /// back: replay), and `Err(RankDown{me})` when *this* rank is the
     /// priced-out victim: peers evict it, and the canonical self-down
     /// error tells the caller to stop stepping — exactly what a dead
     /// rank's caller sees.
     fn maybe_check_health(&mut self, self_us: f64) -> Result<bool> {
-        if self.health.is_none() {
+        let Some((monitor, gray)) = self.health.as_mut() else {
             return Ok(false);
-        }
+        };
         let me = self.comm.rank();
         let mut v = vec![0.0f32; self.comm.world_size()];
         v[me] = self_us as f32;
@@ -568,9 +521,6 @@ impl ElasticTrainer {
             .all_reduce(&mut v)
             .map_err(MoeError::Comm)?;
         let times: Vec<f64> = v.iter().map(|&t| f64::from(t)).collect();
-        let Some(monitor) = self.health.as_mut() else {
-            return Ok(false);
-        };
         match monitor.observe(&times) {
             None | Some(HealthAction::Log { .. }) => Ok(false),
             Some(HealthAction::Quarantine { rank, .. }) => {
@@ -583,43 +533,21 @@ impl ElasticTrainer {
                 Ok(false)
             }
             Some(HealthAction::EvictCandidate { rank, score }) => {
-                self.consider_eviction(rank, score)
+                let healthy_step_ms = monitor.median_self_us() / 1e3;
+                let replay_steps = self.step - self.snapshot.step;
+                let cost = gray.price(self.comm.world_size(), healthy_step_ms, score, replay_steps);
+                if !cost.eviction_wins() || self.evictions >= self.policy.max_evictions {
+                    monitor.defer();
+                    return Ok(false);
+                }
+                obs::counter_add(obs::names::HEALTH_EVICTIONS, 1);
+                if rank == me {
+                    return Err(MoeError::Comm(CommError::RankDown { rank }));
+                }
+                self.recover_from_eviction(rank)?;
+                Ok(true)
             }
         }
-    }
-
-    /// The ladder's last rung: price keep-limping vs evict, and only
-    /// evict the live-but-slow rank when the arithmetic says so. Every
-    /// pricing input is fleet-identical (all-reduced scores and medians,
-    /// the shared config), so all ranks decide alike.
-    fn consider_eviction(&mut self, victim: usize, score: f64) -> Result<bool> {
-        let defer = |health: &mut Option<HealthMonitor>| {
-            if let Some(m) = health.as_mut() {
-                m.defer();
-            }
-        };
-        let Some(gray) = self.gray else {
-            // No pricing policy: never auto-evict a live rank.
-            defer(&mut self.health);
-            return Ok(false);
-        };
-        let healthy_step_ms = self
-            .health
-            .as_ref()
-            .map_or(0.0, HealthMonitor::median_self_us)
-            / 1e3;
-        let replay_steps = self.step - self.snapshot.step;
-        let cost = gray.price(self.comm.world_size(), healthy_step_ms, score, replay_steps);
-        if !cost.eviction_wins() || self.evictions >= self.policy.max_evictions {
-            defer(&mut self.health);
-            return Ok(false);
-        }
-        obs::counter_add(obs::names::HEALTH_EVICTIONS, 1);
-        if victim == self.comm.rank() {
-            return Err(MoeError::Comm(CommError::RankDown { rank: victim }));
-        }
-        self.recover_from_eviction(victim)?;
-        Ok(true)
     }
 
     /// Runs one training step, driving the elastic pipeline when a peer
@@ -645,7 +573,6 @@ impl ElasticTrainer {
                     self.model
                         .train_step(input, target, lr, &mut self.route_rng)
                 })
-                .and_then(|loss| self.maybe_rebalance().map(|()| loss))
                 .and_then(|loss| {
                     self.step += 1;
                     self.strikes = 0;
@@ -663,7 +590,7 @@ impl ElasticTrainer {
                     self.maybe_check_health(self_us)
                         .map(|evicted| (loss, evicted))
                 });
-            // A peer that dies at any of the four — the health
+            // A peer that dies at any of the three — the health
             // all-reduce included — is blamed and evicted below.
             let err = match result {
                 Ok((loss, false)) => return Ok(loss),

@@ -2,9 +2,8 @@
 //!
 //! A dead rank trips a deadline; a *limping* rank never does — it just
 //! makes every step as slow as itself, forever. The [`HealthMonitor`]
-//! closes that gap with the same detect-then-restructure pattern the
-//! [`ImbalanceDetector`](crate::ImbalanceDetector) applies to data
-//! skew, now applied to hardware skew:
+//! closes that gap by detecting sustained hardware skew and
+//! restructuring around it:
 //!
 //! * every step, each rank's *self time* (step wall time minus its
 //!   blocked-rendezvous wait, [`collectives::Communicator::blocked_wait_us`])
@@ -28,7 +27,18 @@
 use fsmoe::reshard::ExpertMap;
 use simnet::{price_gray_failure, GrayFailureCost, OpCosts};
 
-use crate::imbalance::MigrationDecision;
+/// A concrete "move this expert" plan: the input to eviction-free
+/// migration ([`fsmoe::layer::MoeLayer::migrate`]), emitted by
+/// [`drain_decision`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationDecision {
+    /// Global expert id to move.
+    pub expert: usize,
+    /// EP position currently hosting it (the quarantined position).
+    pub from: usize,
+    /// EP position to move it to (the least-loaded healthy position).
+    pub to: usize,
+}
 
 /// Knobs for [`HealthMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +106,7 @@ enum Stage {
 }
 
 /// Sliding-window per-rank health scorer with sustained-degradation
-/// escalation (the ImbalanceDetector pattern, applied to rank speed).
+/// escalation.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     policy: HealthPolicy,
@@ -277,10 +287,10 @@ impl HealthMonitor {
 /// quarantined position's heaviest expert (tie → lowest id) to the
 /// least-loaded *non-quarantined* position (tie → lowest index).
 ///
-/// Unlike the imbalance planner this does not require the move to
-/// improve balance — the point is getting load *off the slow rank*, and
-/// a position must merely keep ≥ 1 expert. Inputs are all-reduced loads
-/// and the shared map, so the decision is SPMD-deterministic.
+/// The move need not improve balance — the point is getting load *off
+/// the slow rank*, and a position must merely keep ≥ 1 expert. Inputs
+/// are all-reduced loads and the shared map, so the decision is
+/// SPMD-deterministic.
 #[must_use]
 pub fn drain_decision(
     map: &ExpertMap,

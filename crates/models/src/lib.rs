@@ -21,7 +21,6 @@ pub mod block;
 pub mod breakdown;
 pub mod elastic;
 pub mod health;
-pub mod imbalance;
 pub mod iteration;
 pub mod layerspec;
 pub mod pipeline;
@@ -29,8 +28,9 @@ pub mod presets;
 
 pub use block::{MoeTransformer, TransformerBlock};
 pub use elastic::{ElasticPolicy, ElasticTrainer};
-pub use health::{drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, HealthPolicy};
-pub use imbalance::{ImbalanceDetector, MigrationDecision};
+pub use health::{
+    drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, HealthPolicy, MigrationDecision,
+};
 pub use iteration::{build_iteration_graph, iteration_time, plan_iteration, IterationPlan};
 pub use layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 pub use presets::ModelPreset;

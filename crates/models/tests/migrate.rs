@@ -1,20 +1,17 @@
 //! Eviction-free migration properties: the headline bit-identity
 //! theorem (a run that migrates a hot expert mid-training computes
-//! exactly what the unmigrated run computes) and the chaos+skew soak
-//! ci.sh runs under the hang watchdog — Zipf-skewed workloads drive the
-//! imbalance detector into at least one migration that strictly lowers
-//! the max/mean position load, with zero dropped tokens.
+//! exactly what the unmigrated run computes) and the straggler soak
+//! ci.sh runs under the hang watchdog — collective delays on one rank
+//! around the two migration steps change neither the migrated weights
+//! nor the dropped-token count (zero).
 
 use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology};
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
-use fsmoe::gate::GShardGate;
-use fsmoe::reshard::ExpertMap;
-use models::{ElasticPolicy, ElasticTrainer, ImbalanceDetector, MigrationDecision, MoeTransformer};
+use models::MoeTransformer;
 use tensor::{Tensor, TensorRng};
-use workloadgen::{Distribution, WorkloadGen};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
@@ -26,6 +23,15 @@ type Shape = (Option<usize>, usize);
 const LAYER: Shape = (None, 1);
 /// Two attention + MoE blocks.
 const MODEL: Shape = (Some(2), 2);
+
+/// Each rank's collective count just before the first fence, less one:
+/// a step on the lone layer issues four AlltoAlls and a migration one
+/// weight broadcast, so steps 0–1 are ops 0–7 and the first broadcast
+/// is op 8.
+const FIRST_MOVE_OP: usize = 7;
+/// The same for the second fence: steps 2–3 are ops 9–16 and the second
+/// broadcast is op 17.
+const SECOND_MOVE_OP: usize = 16;
 
 fn model(cfg: &MoeConfig, (heads, depth): Shape, comm: &Communicator) -> MoeTransformer {
     let topo = HybridTopology::flat(comm.world_size()).unwrap();
@@ -62,16 +68,27 @@ fn world(n: usize) -> CommWorld {
 
 /// An `n`-rank training run that performs the given `(step, block,
 /// expert, to_position)` migrations just before the named steps. Returns
-/// each rank's final global checkpoint and whether every block's
-/// placement ended uniform.
+/// each rank's final global checkpoint, whether every block's placement
+/// ended uniform, and the tokens the run dropped.
 fn migrating_run(
     cfg: &MoeConfig,
     shape: Shape,
     n: usize,
     total: usize,
     migrations: Vec<(usize, usize, usize, usize)>,
-) -> Vec<(ModelCheckpoint, bool)> {
-    run_world_within(world(n), BUDGET, {
+) -> Vec<(ModelCheckpoint, bool, usize)> {
+    migrating_run_in(world(n), cfg, shape, total, migrations)
+}
+
+/// [`migrating_run`] over a given world (one rank per member).
+fn migrating_run_in(
+    world: CommWorld,
+    cfg: &MoeConfig,
+    shape: Shape,
+    total: usize,
+    migrations: Vec<(usize, usize, usize, usize)>,
+) -> Vec<(ModelCheckpoint, bool, usize)> {
+    run_world_within(world, BUDGET, {
         let cfg = cfg.clone();
         move |comm| {
             let mut model = model(&cfg, shape, &comm);
@@ -89,6 +106,7 @@ fn migrating_run(
             (
                 model.checkpoint_global().unwrap(),
                 model.blocks().iter().all(uniform),
+                model.dropped_tokens(),
             )
         }
     })
@@ -123,143 +141,44 @@ fn migration_is_bit_identical_to_unmigrated_run() {
     }
 }
 
-/// The same generator + gate every rank of the skew soak uses: the
-/// gate is rebuilt from the layer's own construction seed, so the
-/// calibrated batches steer the *actual* routing inside the trainer.
-fn skew_generator(cfg: &MoeConfig, calib_seed: u64) -> WorkloadGen {
-    let mut gate_rng = TensorRng::seed_from(SEED);
-    let gate = GShardGate::new(cfg.embed_dim, cfg.num_experts, cfg.top_k, &mut gate_rng);
-    WorkloadGen::calibrate(&gate, cfg.embed_dim, calib_seed).unwrap()
-}
-
-struct SoakOutcome {
-    migrations: usize,
-    last: Option<(usize, MigrationDecision)>,
-    dropped: usize,
-    checkpoint: ModelCheckpoint,
-    /// max/mean position-load ratio of the final step's fleet-wide
-    /// loads under (block placement, final placement).
-    ratio_block: f64,
-    ratio_final: f64,
-    uniform: bool,
-}
-
-/// Zipf-skewed soak body: calibrated batches drive a real 4-rank
-/// trainer with rebalancing enabled; returns what each rank saw.
-fn skew_soak(n: usize, steps: usize, faults: Option<FaultInjector>) -> Vec<SoakOutcome> {
+/// **Straggler soak.** The headline run's two moves on the lone layer
+/// (expert 0 leaves position 0 after step 2; expert 7 joins it after
+/// step 4), with `Delay` faults on one rank around both migration
+/// steps: case `k` delays rank `k` on its collectives `FIRST_MOVE_OP + k`
+/// and `SECOND_MOVE_OP + k`, which walk from the AlltoAll before each
+/// fence through the weight broadcast into the next step. The delays
+/// sit far under the 5 s deadline, so nothing may change: every rank
+/// ends bit-identical to the fault-free migrated run, on the same
+/// non-uniform placement, with no token dropped. Delay faults only — a
+/// Kill drives eviction (soaked in `elastic.rs`) and a DropPayload
+/// would drop tokens by design.
+#[test]
+fn migration_under_straggler_delays_matches_the_fault_free_run() {
     let cfg = config(8);
-    let mut w = world(n);
-    if let Some(injector) = faults {
-        w = w.with_faults(injector);
-    }
-    run_world_within(w, BUDGET, move |comm| {
-        let rank = comm.rank();
-        let mut trainer = ElasticTrainer::new(
-            model(&cfg, LAYER, &comm),
-            comm,
-            route_rng_for(rank),
-            ElasticPolicy::default(),
-        )
-        .unwrap()
-        .with_rebalancing(ImbalanceDetector::new(2, 1.25, 3));
-        // Same calibration seed everywhere: the batches differ per rank
-        // only through the shared generator's deterministic stream, so
-        // every rank observes the same fleet-wide skew.
-        let mut gen = skew_generator(&cfg, 17);
-        let dist = Distribution::Zipf { s: 2.0 };
-        let (_, t) = rank_data(&cfg, rank);
-        let mut last_loads = vec![0.0f64; cfg.num_experts];
-        for _ in 0..steps {
-            let x = gen.next_batch(&dist, cfg.tokens()).unwrap();
-            trainer.train_step(&x, &t, LR).unwrap();
-            // A migration inside the step clears the saved routing (on
-            // every rank alike), so sample loads only when it survives.
-            if let Some(routing) = trainer.model().blocks()[0].moe().last_routing() {
-                let mut local: Vec<f32> =
-                    routing.expert_loads().iter().map(|&l| l as f32).collect();
-                trainer.comm().world_group().all_reduce(&mut local).unwrap();
-                last_loads = local.iter().map(|&l| f64::from(l)).collect();
-            }
-        }
-        let block = ExpertMap::block(cfg.num_experts, n).unwrap();
-        let map = trainer.model().blocks()[0].moe().expert_map();
-        SoakOutcome {
-            migrations: trainer.migrations(),
-            last: trainer.last_migration(),
-            dropped: trainer.model().dropped_tokens(),
-            ratio_block: ImbalanceDetector::ratio(&block, &last_loads),
-            ratio_final: ImbalanceDetector::ratio(map, &last_loads),
-            uniform: map.is_uniform(),
-            checkpoint: trainer.model().checkpoint_global().unwrap(),
-        }
-    })
-}
-
-/// **Skew soak.** Under a sharp Zipf workload the detector must drive
-/// at least one migration, the final placement must carry a strictly
-/// lower max/mean position load than the block placement would under
-/// the same routing, and graceful degradation must never fire.
-#[test]
-fn zipf_skew_drives_a_migration_that_reduces_imbalance() {
-    let outcomes = skew_soak(4, 12, None);
-    let first = &outcomes[0];
-    assert!(
-        first.migrations >= 1,
-        "sustained Zipf skew must trigger a migration"
-    );
-    assert!(
-        !first.uniform,
-        "a migration makes the placement non-uniform"
-    );
-    assert!(
-        first.ratio_final < first.ratio_block,
-        "migration must strictly reduce max/mean position load: \
-         {} (final) vs {} (block)",
-        first.ratio_final,
-        first.ratio_block
-    );
-    for (rank, o) in outcomes.iter().enumerate() {
-        assert_eq!(o.dropped, 0, "rank {rank}: no token may drop");
-        assert_eq!(
-            o.migrations, first.migrations,
-            "rank {rank}: migration counts must agree (SPMD)"
-        );
-        assert_eq!(o.last, first.last, "rank {rank}: decisions must agree");
-        assert_eq!(
-            o.checkpoint, first.checkpoint,
-            "rank {rank}: checkpoints must agree"
-        );
-    }
-}
-
-/// **Chaos+skew soak.** The same detector-driven soak with seeded
-/// straggler (Delay) faults injected into the collectives: a late rank
-/// exercises fence withdrawal/retry timing but must not change the
-/// outcome — every run completes (the ci.sh watchdog turns a hang into
-/// exit 124), ranks agree, and nothing drops.
-#[test]
-fn skew_soak_survives_straggler_chaos() {
-    for seed in 0u64..4 {
-        // Deterministic per-seed straggler schedule: two delays on one
-        // rank, early and mid-run. Delay faults only — a Kill would
-        // trigger eviction (a different protocol, soaked elsewhere) and
-        // a DropPayload would violate the no-dropped-tokens property.
-        let rank = (seed as usize) % 4;
+    let total = 6;
+    let moves = vec![(2, 0, 0, 1), (4, 0, 7, 0)];
+    let clean = migrating_run(&cfg, LAYER, 4, total, moves.clone());
+    for k in 0..4 {
         let injector = FaultInjector::new()
-            .delay(rank, 3 + seed as usize, Duration::from_millis(30))
-            .delay(rank, 20 + 2 * seed as usize, Duration::from_millis(50));
-        let outcomes = skew_soak(4, 8, Some(injector));
-        let first = &outcomes[0];
-        for (r, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.dropped, 0, "seed {seed} rank {r}: no token may drop");
+            .delay(k, FIRST_MOVE_OP + k, Duration::from_millis(30))
+            .delay(k, SECOND_MOVE_OP + k, Duration::from_millis(50));
+        let faulty = migrating_run_in(
+            world(4).with_faults(injector),
+            &cfg,
+            LAYER,
+            total,
+            moves.clone(),
+        );
+        for (r, (ck, uniform, dropped)) in faulty.iter().enumerate() {
             assert_eq!(
-                o.migrations, first.migrations,
-                "seed {seed} rank {r}: migration counts must agree"
+                *ck, clean[r].0,
+                "case {k} rank {r}: straggler run diverged from the fault-free run"
             );
-            assert_eq!(
-                o.checkpoint, first.checkpoint,
-                "seed {seed} rank {r}: checkpoints must agree"
+            assert!(
+                !uniform,
+                "case {k} rank {r}: placement must end non-uniform"
             );
+            assert_eq!(*dropped, 0, "case {k} rank {r}: no token may drop");
         }
     }
 }

@@ -130,9 +130,6 @@ pub const MOE_EXPERT_LOAD: &str = "moe.expert_load";
 /// Counter: completed hot-expert migrations (counted once, on the
 /// receiving rank).
 pub const MOE_MIGRATIONS: &str = "moe.migrations";
-/// Gauge: max/mean per-position expert load, as last observed by the
-/// imbalance detector (1.0 = perfectly balanced).
-pub const MOE_IMBALANCE_RATIO: &str = "moe.imbalance_ratio";
 /// Counter: completed migration fences (one per world-wide quiesce).
 pub const COLLECTIVES_MIGRATION_FENCES: &str = "collectives.migration_fences";
 /// Counter: ranks quarantined by the health monitor (escalation ladder

@@ -52,8 +52,7 @@ pub use engine::{Engine, Span, Straggler, Timeline};
 pub use error::SimError;
 pub use gantt::render_gantt;
 pub use pricing::{
-    price_gray_failure, price_migration, price_reconfiguration, price_step, GrayFailureCost,
-    PricedEvent,
+    price_gray_failure, price_migration, price_reconfiguration, GrayFailureCost, PricedEvent,
 };
 pub use task::{ResourceId, Task, TaskGraph, TaskId};
 pub use testbed::{Testbed, TestbedKind};

@@ -3,7 +3,7 @@
 //! Every disruptive thing the elastic runtime does to a training run is
 //! the same object to the simulator — a [`PricedEvent`]: named phases
 //! that run strictly back to back, each priced from the same
-//! α–β models as the rest of the simulator. Four events are priced
+//! α–β models as the rest of the simulator. Three events are priced
 //! today:
 //!
 //! * a **reconfiguration** (DESIGN.md §6) — a rank died: *detect* (the
@@ -25,20 +25,14 @@
 //!   reconfiguration whose detect phase is free — health scoring
 //!   already named the rank — then the rolled-back steps replayed and
 //!   the horizon resumed on one fewer rank). `ElasticTrainer` evicts a
-//!   live-but-slow rank only once [`GrayFailureCost::eviction_wins`];
-//! * an **unoverlapped training step** (§11) — the prediction
-//!   `obs::attrib`'s measured phase split is checked against: the
-//!   serial chain *dispatch* → *experts* → *combine* from per-phase
-//!   fits. A real run whose attribution drifts far from it has
-//!   behaviour the model does not capture (a straggler, contention, a
-//!   scheduling bug).
+//!   live-but-slow rank only once [`GrayFailureCost::eviction_wins`].
 //!
 //! Pricing is decision input, not reporting: every rank of an SPMD
 //! program prices from fleet-identical inputs, so phase order and the
 //! left-to-right sum in [`PricedEvent::total`] are part of the
 //! contract.
 
-use crate::{CostModel, OpCosts};
+use crate::OpCosts;
 
 /// Named sequential phases, each with a cost in ms.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,24 +102,6 @@ pub fn price_migration(
             ("quiesce", costs.all_reduce.time(8.0 * world)),
             ("transfer", costs.a2a.time(expert_bytes.max(0.0))),
             ("rebind", rebind_ms.max(0.0)),
-        ],
-    }
-}
-
-/// Prices one unoverlapped MoE training step at workload `n`.
-///
-/// Both models must be fitted against the same workload axis (tokens,
-/// bytes, FLOPs — the caller's choice; only consistency matters).
-/// `wire` prices the step's *total* collective time; it is split evenly
-/// between the dispatch and combine phases, matching how `obs::attrib`
-/// measures the two jointly.
-pub fn price_step(compute: &CostModel, wire: &CostModel, n: f64) -> PricedEvent {
-    let half_wire = (wire.time(n) / 2.0).max(0.0);
-    PricedEvent {
-        phases: vec![
-            ("dispatch", half_wire),
-            ("experts", compute.time(n).max(0.0)),
-            ("combine", half_wire),
         ],
     }
 }
@@ -304,22 +280,6 @@ mod tests {
             migrate.total(),
             evict.total()
         );
-    }
-
-    #[test]
-    fn step_wall_is_the_sum_of_its_serial_phases() {
-        let (compute, wire) = (CostModel::new(1.0, 0.002), CostModel::new(0.5, 0.001));
-        let p = price_step(&compute, &wire, 1000.0);
-        assert!((p.phase("experts") - 3.0).abs() < 1e-9);
-        assert!((p.phase("dispatch") + p.phase("combine") - 1.5).abs() < 1e-9);
-        assert!((p.total() - 4.5).abs() < 1e-9, "no overlap: {p:?}");
-    }
-
-    #[test]
-    fn zero_workload_step_still_pays_startup() {
-        let (compute, wire) = (CostModel::new(1.0, 0.002), CostModel::new(0.5, 0.001));
-        let p = price_step(&compute, &wire, 0.0);
-        assert!((p.total() - 1.5).abs() < 1e-9, "α terms only: {p:?}");
     }
 
     #[test]

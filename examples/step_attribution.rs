@@ -7,8 +7,8 @@
 //!    models (expert compute and wire vs. tokens) with
 //!    [`profiler::fit_cost_model`] — the paper's §3.2 profiling
 //!    discipline applied to the attribution instrument itself.
-//! 2. **Predict**: price the serial step chain from the fits
-//!    ([`simnet::price_step`]) at a target scale inside that range.
+//! 2. **Predict**: price the serial step chain (wire, then experts) from
+//!    the fits at a target scale inside that range.
 //! 3. **Validate**: run the target scale for real and require the
 //!    measured best-of phase costs to match the prediction (compute
 //!    within 25%; wire within a looser, documented single-core bound).
@@ -34,7 +34,7 @@ use fsmoe::config::MoeConfig;
 use models::MoeTransformer;
 use obs::attrib::{self, Phase, StepReport};
 use obs::ensure;
-use simnet::{price_step, CostModel};
+use simnet::CostModel;
 use tensor::TensorRng;
 
 const RANKS: usize = 4;
@@ -177,13 +177,12 @@ fn main() {
 
     // -- 2. predict the target scale ------------------------------------
     let target_tokens = tokens(TARGET_SEQ);
-    let predicted = price_step(&compute_model, &wire_model, target_tokens);
-    let predicted_compute = predicted.phase("experts");
-    let predicted_wire = predicted.phase("dispatch") + predicted.phase("combine");
+    let predicted_compute = compute_model.time(target_tokens).max(0.0);
+    let predicted_wire = wire_model.time(target_tokens).max(0.0);
+    let predicted_wall = predicted_compute + predicted_wire;
     println!(
         "modeled step @ {target_tokens} tokens: compute {predicted_compute:.0} µs, \
-         wire {predicted_wire:.0} µs, wall {:.0} µs",
-        predicted.total()
+         wire {predicted_wire:.0} µs, wall {predicted_wall:.0} µs"
     );
 
     // -- 3. validate against the measured target scale -------------------
@@ -191,7 +190,7 @@ fn main() {
     let (session, clean) = target_run.expect("the target scale ran");
     let compute_drift = attrib::publish_drift("compute", measured_compute, predicted_compute);
     let wire_drift = attrib::publish_drift("wire", measured_wire, predicted_wire);
-    let wall_drift = attrib::drift_pct(clean.steps[STEPS / 2].wall_us as f64, predicted.total());
+    let wall_drift = attrib::drift_pct(clean.steps[STEPS / 2].wall_us as f64, predicted_wall);
     println!(
         "fault-free drift vs model: compute {compute_drift:.1}%, wire {wire_drift:.1}%, \
          wall {wall_drift:.1}% (wall includes unmodeled gating/optimiser time)"
