@@ -385,7 +385,7 @@ fn schedule_report_is_valid_and_divergence_free() {
     let report = analyzer::schedule::schedule_report(&root);
     let text = report.to_pretty_string().unwrap();
     let parsed = jsonio::Json::parse(&text).unwrap();
-    assert!(parsed.get("total_sites").unwrap().as_usize().unwrap() >= 14);
+    assert!(parsed.get("total_sites").unwrap().as_usize().unwrap() >= 10);
     let files = parsed.get("files").unwrap();
     let dist = files.get("crates/fsmoe/src/dist.rs").unwrap();
     let jsonio::Json::Obj(fns) = dist else {
@@ -413,14 +413,13 @@ fn schedule_report_is_valid_and_divergence_free() {
 }
 
 /// Report entries carry no line numbers: blank lines put in front of a
-/// source file leave them byte-identical. `dispatch.rs` holds three
+/// source file leave them byte-identical. The fixture holds three
 /// `all_to_all` impls, which the keys tell apart by ordinal.
 #[test]
 fn schedule_entries_do_not_move_with_line_numbers() {
     use analyzer::schedule::{file_entries, file_schedules};
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../fsmoe/src/dispatch.rs");
-    let src = std::fs::read_to_string(&path).unwrap();
+    let src = fixture("same_named_fns.rs");
     let entries = |src: &str| {
         jsonio::Json::Obj(file_entries(&file_schedules(src)))
             .to_pretty_string()

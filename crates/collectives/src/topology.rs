@@ -8,10 +8,12 @@
 //! module constructs those partitions.
 //!
 //! The paper's target deployment (§4) aligns the MP and ESP groups with
-//! the GPUs of one node — making MP/ESP traffic intra-node (NVLink) while
-//! AlltoAll (EP) and Gradient-AllReduce (DP) traffic crosses nodes. That
-//! alignment is what [`HybridTopology::is_node_aligned`] checks and what
-//! the FSMoE schedule exploits.
+//! the GPUs of one node (`mp == esp == gpus_per_node`): MP/ESP groups
+//! are then each one node's contiguous ranks, so their traffic is
+//! intra-node (NVLink), while the strided AlltoAll (EP) and
+//! Gradient-AllReduce (DP) groups take one rank per node and cross
+//! nodes. The FSMoE schedule prices the two kinds of link separately;
+//! the groups themselves carry no link information.
 
 use crate::{CommError, Result};
 
@@ -43,7 +45,6 @@ pub struct ParallelDims {
 /// let topo = HybridTopology::new(2, 2, ParallelDims { dp: 2, mp: 2, ep: 2, esp: 2 }).unwrap();
 /// assert_eq!(topo.mp_group(0), vec![0, 1]);
 /// assert_eq!(topo.ep_group(0), vec![0, 2]);
-/// assert!(topo.is_node_aligned());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridTopology {
@@ -113,16 +114,6 @@ impl HybridTopology {
         HybridTopology::new(1, n, dims)
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// GPUs per node.
-    pub fn gpus_per_node(&self) -> usize {
-        self.gpus_per_node
-    }
-
     /// Total ranks.
     pub fn world_size(&self) -> usize {
         self.nodes * self.gpus_per_node
@@ -131,23 +122,6 @@ impl HybridTopology {
     /// The configured parallel dims.
     pub fn dims(&self) -> ParallelDims {
         self.dims
-    }
-
-    /// Node index hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.gpus_per_node
-    }
-
-    /// Local GPU index of `rank` within its node.
-    pub fn local_of(&self, rank: usize) -> usize {
-        rank % self.gpus_per_node
-    }
-
-    /// `true` when MP and ESP both equal the node width, the paper's
-    /// scenario where MP/ESP traffic is intra-node and EP/DP traffic is
-    /// inter-node (§4).
-    pub fn is_node_aligned(&self) -> bool {
-        self.dims.mp == self.gpus_per_node && self.dims.esp == self.gpus_per_node
     }
 
     /// Ranks of the model-parallel group containing `rank` (contiguous
@@ -172,18 +146,6 @@ impl HybridTopology {
     /// across MP blocks) — the group Gradient-AllReduce runs over.
     pub fn dp_group(&self, rank: usize) -> Vec<usize> {
         strided_group(rank, self.dims.mp, self.dims.dp)
-    }
-
-    /// `true` when every member of `ranks` lives on one node, i.e. the
-    /// group's collectives are intra-node traffic.
-    pub fn is_intra_node(&self, ranks: &[usize]) -> bool {
-        match ranks.first() {
-            None => true,
-            Some(&r0) => {
-                let node = self.node_of(r0);
-                ranks.iter().all(|&r| self.node_of(r) == node)
-            }
-        }
     }
 }
 
@@ -230,7 +192,6 @@ mod tests {
         assert_eq!(t.ep_group(0), vec![0, 2]);
         assert_eq!(t.ep_group(1), vec![1, 3]);
         assert_eq!(t.dp_group(2), vec![0, 2]);
-        assert!(t.is_node_aligned());
     }
 
     #[test]
@@ -280,12 +241,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(t.is_node_aligned());
-        // MP/ESP groups intra-node, EP/DP groups inter-node
-        assert!(t.is_intra_node(&t.mp_group(5)));
-        assert!(t.is_intra_node(&t.esp_group(5)));
-        assert!(!t.is_intra_node(&t.ep_group(5)));
-        assert!(!t.is_intra_node(&t.dp_group(5)));
+        // node 0 = ranks 0..4, node 1 = ranks 4..8: MP/ESP groups are
+        // one node's contiguous ranks, EP/DP groups one rank per node
+        assert_eq!(t.mp_group(5), vec![4, 5, 6, 7]);
+        assert_eq!(t.esp_group(5), vec![4, 5, 6, 7]);
+        assert_eq!(t.ep_group(5), vec![1, 5]);
+        assert_eq!(t.dp_group(5), vec![1, 5]);
     }
 
     #[test]
@@ -301,8 +262,9 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!t.is_node_aligned());
-        assert!(t.is_intra_node(&t.mp_group(0)));
+        // MP is half a node; EP mixes node-local and cross-node peers
+        assert_eq!(t.mp_group(0), vec![0, 1]);
+        assert_eq!(t.ep_group(0), vec![0, 2, 4, 6]);
     }
 
     #[test]
@@ -367,8 +329,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(t.node_of(7), 1);
-        assert_eq!(t.local_of(7), 3);
         assert_eq!(t.world_size(), 12);
     }
 }

@@ -34,7 +34,6 @@ use collectives::{CommError, Communicator, GroupComm, HybridTopology};
 use tensor::{buf, Segments, Tensor, TensorRng};
 
 use crate::checkpoint::LayerCheckpoint;
-use crate::dispatch::{DispatchCtx, Dispatcher};
 use crate::expert::{build_expert, Expert};
 use crate::layer::MoeLayer;
 use crate::reshard::ReshardPlan;
@@ -158,25 +157,24 @@ fn recoverable(err: &CommError, self_rank: usize) -> bool {
     }
 }
 
-/// Runs one AlltoAll into `recv` under `policy`. `Ok(true)` is a
-/// completed exchange; `Ok(false)` means the exchange was abandoned after
-/// retries — the groups' op streams are already advanced past it
-/// ([`DispatchCtx::skip_op`]) so no later collective can rendezvous with
+/// Runs one AlltoAll over `group` into `recv` under `policy`. `Ok(true)`
+/// is a completed exchange; `Ok(false)` means the exchange was abandoned
+/// after retries — the group's op stream is already advanced past it
+/// ([`GroupComm::skip_op`]) so no later collective can rendezvous with
 /// a straggler's stale deposit for it — and the caller must degrade by
 /// zero-filling `recv`.
 fn a2a_with_policy(
-    dispatcher: &dyn Dispatcher,
+    group: &GroupComm,
     policy: FaultPolicy,
     self_rank: usize,
     data: &[f32],
     recv: &mut Vec<f32>,
-    ctx: &DispatchCtx<'_>,
-) -> Result<bool> {
+) -> collectives::Result<bool> {
     let mut attempt = 0usize;
     loop {
-        match dispatcher.all_to_all(data, recv, ctx) {
+        match group.all_to_all_into(data, recv) {
             Ok(()) => return Ok(true),
-            Err(MoeError::Comm(e)) if recoverable(&e, self_rank) => {
+            Err(e) if recoverable(&e, self_rank) => {
                 // `Abandoned` can never succeed on retry: the peers' op
                 // stream has provably moved past this exchange.
                 let retryable = !matches!(e, CommError::Abandoned { .. });
@@ -186,15 +184,16 @@ fn a2a_with_policy(
                     continue;
                 }
                 if policy.drop_on_failure {
-                    ctx.skip_op();
+                    group.skip_op();
                     return Ok(false);
                 }
-                return Err(MoeError::Comm(e));
+                return Err(e);
             }
             Err(e) => return Err(e),
         }
     }
 }
+
 /// Geometry of the gathered `[esp][ep][slot]` buffer of wire blocks.
 ///
 /// A block is `T + 1` rows: a header row whose first element is the
@@ -261,29 +260,6 @@ impl ShardLayout {
     }
 }
 
-/// The hierarchical dispatchers' two slices of this rank's EP group:
-/// `intra`, its members on this rank's node, and `inter`, its members
-/// with this rank's local index. Every [`HybridTopology`] tiles the EP
-/// group as such a grid in node-major order (`intra` is this rank alone
-/// when ESP fills the node).
-pub(crate) fn ep_grid(
-    comm: &Communicator,
-    topo: &HybridTopology,
-) -> Result<(GroupComm, GroupComm)> {
-    let me = comm.rank();
-    let ep = topo.ep_group(me);
-    let sharing = |key: fn(&HybridTopology, usize) -> usize| -> Vec<usize> {
-        let mine = key(topo, me);
-        ep.iter()
-            .copied()
-            .filter(|&r| key(topo, r) == mine)
-            .collect()
-    };
-    let intra = comm.subgroup(&sharing(HybridTopology::node_of))?;
-    let inter = comm.subgroup(&sharing(HybridTopology::local_of))?;
-    Ok((intra, inter))
-}
-
 /// Splits one expert's flat wire weights back into tensors of `shapes`.
 fn unflatten(flat: &[f32], shapes: &[Vec<usize>]) -> Result<Vec<Tensor>> {
     let mut off = 0usize;
@@ -336,14 +312,8 @@ impl MoeLayer {
         policy: FaultPolicy,
         at_risk: &mut Option<usize>,
     ) -> Result<Vec<f32>> {
-        let ctx = DispatchCtx {
-            ep_group: &self.ep_group,
-            intra: Some(&self.ep_intra),
-            inter: Some(&self.ep_inter),
-        };
         let mut recv = buf::take(data.len());
-        let dispatcher = self.dispatcher.as_ref();
-        if !a2a_with_policy(dispatcher, policy, self.rank, data, &mut recv, &ctx)? {
+        if !a2a_with_policy(&self.ep_group, policy, self.rank, data, &mut recv)? {
             if let Some(count) = at_risk.take() {
                 self.record_drop(count);
             }
@@ -527,7 +497,6 @@ impl MoeLayer {
             });
         }
         self.ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
-        (self.ep_intra, self.ep_inter) = ep_grid(comm, topo)?;
         self.esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
         self.expert_map = plan.map.clone();
         self.rank = comm.rank();

@@ -109,42 +109,6 @@ pub struct NoopHooks;
 
 impl MoeHooks for NoopHooks {}
 
-/// A statistics hook exposing degradation drops — a thin **read**
-/// adapter over the process-wide `obs` counters.
-///
-/// The layer is the single writer: `MoeLayer` records every drop
-/// into [`obs::names::MOE_DROPPED_TOKENS`] / [`obs::names::MOE_DROP_EVENTS`]
-/// *before* invoking [`MoeHooks::on_tokens_dropped`], and this adapter
-/// only reads those counters back — so the hook's view and the registry
-/// can never diverge (they are the same account). Requires an enabled
-/// `obs` session ([`obs::session`]); with the registry disabled the
-/// counters stay 0 and the per-layer `MoeLayer::dropped_tokens`
-/// field remains the local source of truth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DropCounterHooks;
-
-impl DropCounterHooks {
-    /// Total token assignments dropped process-wide (all layers).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        obs::counter_value(obs::names::MOE_DROPPED_TOKENS)
-    }
-
-    /// Drop events (degraded forwards) process-wide, regardless of size.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        obs::counter_value(obs::names::MOE_DROP_EVENTS)
-    }
-}
-
-impl MoeHooks for DropCounterHooks {
-    fn on_tokens_dropped(&mut self, _count: usize) {
-        // Intentionally empty: the layer already recorded this drop into
-        // the obs counters this adapter reads. Counting here again would
-        // re-create the double-accounting this type exists to prevent.
-    }
-}
-
 /// A demonstration hook that emulates communication compression: it
 /// quantises the dispatch buffer before the AlltoAll and tracks how many
 /// elements were touched. Mirrors the paper's compression example for
@@ -204,26 +168,6 @@ mod tests {
         h.before_dispatch(&mut t, &routing).unwrap();
         assert_eq!(t.data(), &[0.5, 1.5, -0.0]);
         assert_eq!(h.elements, 3);
-    }
-
-    #[test]
-    fn drop_counter_reads_the_obs_account() {
-        let _session = obs::session();
-        let mut h = DropCounterHooks;
-        // The layer is the writer; the hook notification itself must not
-        // count (that would double-account against the obs registry).
-        h.on_tokens_dropped(3);
-        assert_eq!(h.dropped(), 0);
-        assert_eq!(h.events(), 0);
-        // What the layer records is exactly what the adapter reads.
-        obs::counter_add(obs::names::MOE_DROPPED_TOKENS, 8);
-        obs::counter_add(obs::names::MOE_DROP_EVENTS, 2);
-        assert_eq!(h.dropped(), 8);
-        assert_eq!(h.events(), 2);
-        // default impl is a no-op on other hooks
-        let mut t = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-        h.before_moe_end(&mut t).unwrap();
-        assert_eq!(t.data(), &[1.0]);
     }
 
     #[test]

@@ -39,7 +39,6 @@ use collectives::{Communicator, GroupComm, HybridTopology};
 use tensor::{Segments, Tensor, TensorRng};
 
 use crate::config::MoeConfig;
-use crate::dispatch::{Dispatcher, NcclA2A};
 use crate::dist::FaultPolicy;
 use crate::expert::{build_expert, Expert};
 use crate::gate::{ExpertChoiceGate, GShardGate, Gate, SigmoidGate, SoftMoeGate, XMoeGate};
@@ -80,16 +79,10 @@ pub struct MoeLayer {
     pub(crate) config: MoeConfig,
     pub(crate) gate: Box<dyn Gate>,
     order: Box<dyn OrderFn>,
-    pub(crate) dispatcher: Box<dyn Dispatcher>,
     /// ESP shards of this rank's local experts, in
     /// [`ExpertMap::experts_on`] order.
     pub(crate) shards: Vec<Box<dyn Expert>>,
     pub(crate) ep_group: GroupComm,
-    /// The EP group's members on this node, for the hierarchical
-    /// dispatchers ([`crate::dist::ep_grid`]).
-    pub(crate) ep_intra: GroupComm,
-    /// The EP group's members with this rank's local index.
-    pub(crate) ep_inter: GroupComm,
     pub(crate) esp_group: GroupComm,
     /// Which global expert lives at which EP position (block placement
     /// until a reshard installs something else).
@@ -157,7 +150,6 @@ impl MoeLayer {
             });
         }
         let ep_group = comm.subgroup(&topo.ep_group(comm.rank()))?;
-        let (ep_intra, ep_inter) = crate::dist::ep_grid(comm, topo)?;
         let esp_group = comm.subgroup(&topo.esp_group(comm.rank()))?;
         let expert_map = ExpertMap::block(config.num_experts, ep_group.size())?;
         let shards = expert_map
@@ -169,11 +161,8 @@ impl MoeLayer {
             config: config.clone(),
             gate,
             order,
-            dispatcher: Box::new(NcclA2A),
             shards,
             ep_group,
-            ep_intra,
-            ep_inter,
             esp_group,
             expert_map,
             state: None,
@@ -320,11 +309,6 @@ impl MoeLayer {
     /// The active expert placement.
     pub fn expert_map(&self) -> &ExpertMap {
         &self.expert_map
-    }
-
-    /// Replaces the AlltoAll algorithm.
-    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
-        self.dispatcher = dispatcher;
     }
 
     /// Replaces the retry/degradation policy for dispatch collectives.

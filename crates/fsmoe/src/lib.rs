@@ -2,8 +2,7 @@
 //!
 //! This crate reproduces the system design of *FSMoE: A Flexible and
 //! Scalable Training System for Sparse Mixture-of-Experts Models*
-//! (ASPLOS 2025), §3: the MoE layer is decomposed into six swappable
-//! sub-modules —
+//! (ASPLOS 2025), §3: the MoE layer is decomposed into sub-modules —
 //!
 //! * [`Gate`](gate::Gate) — token-to-expert routing, with the paper's
 //!   four pre-implemented families ([`gate::GShardGate`],
@@ -13,9 +12,10 @@
 //! * [`OrderFn`](order::OrderFn) / its inverse — data-layout
 //!   transformation from `(B·L, M)` to `(E, T, M)` and back, in both the
 //!   GShard einsum style and the Tutel sparse style;
-//! * [`Dispatcher`](dispatch::Dispatcher) / combine — the AlltoAll
-//!   collectives of expert parallelism, with NCCL-direct and hierarchical
-//!   (1DH/2DH) algorithms;
+//! * dispatch / combine — the AlltoAll collectives of expert
+//!   parallelism, one direct exchange over the EP group ([`dist`]); the
+//!   paper's hierarchical 1DH/2DH alternatives are priced, not run, by
+//!   `scheduler::dispatch_cost`;
 //! * [`Expert`](expert::Expert) — the feed-forward computation, GPT-2
 //!   style and Mixtral (SwiGLU) style, with exact ESP sharding;
 //! * [`MoeHooks`](hooks::MoeHooks) — the six non-invasive extension
@@ -30,7 +30,7 @@
 //! The numerical contract that makes schedule experiments trustworthy:
 //! **schedules never change results**. The integration tests verify that
 //! outputs are identical (up to fp tolerance) across pipeline degrees,
-//! ordering implementations, and dispatch algorithms.
+//! ordering implementations, and world shapes.
 //!
 //! # Quickstart
 //!
@@ -62,7 +62,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod dispatch;
 pub mod dist;
 pub mod expert;
 pub mod gate;

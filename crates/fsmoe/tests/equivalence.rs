@@ -4,14 +4,13 @@
 //! the numbers. The one-rank layer — whose exchange is the identity over
 //! a pad-free order buffer — is the reference; every rank of every world
 //! shape must reproduce it on that rank's token block. Every swappable
-//! seam (ordering, dispatcher, hooks) is honoured on every world shape.
+//! seam (ordering, hooks) is honoured on every world shape.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
 use fsmoe::config::{FfnKind, MoeConfig};
-use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH, NcclA2A};
 use fsmoe::expert::{build_expert, Expert};
 use fsmoe::gate::GShardGate;
 use fsmoe::hooks::{MoeHooks, NoopHooks, QuantizeHooks};
@@ -33,9 +32,6 @@ enum World {
     Two,
     /// The paper's Fig. 2: four ranks, `ep = 2`, `esp = 2`.
     Fig2,
-    /// Two nodes of two GPUs, pure expert parallelism: the EP group is
-    /// a 2 × 2 grid, which the hierarchical dispatchers need.
-    Grid,
 }
 
 const WORLDS: [World; 3] = [World::One, World::Two, World::Fig2];
@@ -45,7 +41,7 @@ impl World {
         match self {
             World::One => 1,
             World::Two => 2,
-            World::Fig2 | World::Grid => 4,
+            World::Fig2 => 4,
         }
     }
 
@@ -58,15 +54,6 @@ impl World {
                     mp: 2,
                     ep: 2,
                     esp: 2,
-                };
-                HybridTopology::new(2, 2, dims).unwrap()
-            }
-            World::Grid => {
-                let dims = ParallelDims {
-                    dp: 4,
-                    mp: 1,
-                    ep: 4,
-                    esp: 1,
                 };
                 HybridTopology::new(2, 2, dims).unwrap()
             }
@@ -544,28 +531,6 @@ fn misuse_is_rejected() {
     let three = config(FfnKind::Gpt, 3, 1);
     for r in World::Two.run(move |comm, topo| MoeLayer::gshard(&three, &comm, &topo, 1).is_err()) {
         assert!(r, "3 experts over 2 EP positions must be rejected");
-    }
-}
-
-#[test]
-fn hierarchical_dispatchers_match_the_flat_alltoall() {
-    // the layer derives the intra/inter slices of its EP group from the
-    // topology: a degenerate grid (one EP member per node) on Fig. 2, a
-    // true 2 x 2 one on the grid world
-    let cfg = config(FfnKind::Gpt, 4, 2);
-    for world in [World::Fig2, World::Grid] {
-        let run = |dispatcher: fn() -> Box<dyn Dispatcher>| {
-            let cfg = cfg.clone();
-            world.run(move |comm, topo| {
-                let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
-                layer.set_dispatcher(dispatcher());
-                let (y, grads) = step(&mut layer, &cfg, comm.rank());
-                (y, grads.input, grads.shards)
-            })
-        };
-        let flat = run(|| Box::new(NcclA2A));
-        assert_eq!(run(|| Box::new(Hier1DH)), flat, "{world:?}: 1DH");
-        assert_eq!(run(|| Box::new(Hier2DH)), flat, "{world:?}: 2DH");
     }
 }
 

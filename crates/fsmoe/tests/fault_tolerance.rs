@@ -11,7 +11,6 @@ use collectives::{
     run_world_within, CommError, CommWorld, FaultInjector, HybridTopology, ParallelDims,
 };
 use fsmoe::config::MoeConfig;
-use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH};
 use fsmoe::dist::FaultPolicy;
 use fsmoe::hooks::{MoeHooks, NoopHooks};
 use fsmoe::layer::MoeLayer;
@@ -243,13 +242,15 @@ fn dead_peer_degrades_survivor_and_errors_the_dead_rank() {
 }
 
 #[test]
-fn lost_hierarchical_dispatch_counts_its_tokens_once() {
-    // Rank 3 dies entering its first collective. Under a hierarchical
-    // dispatcher that is a *sub*-exchange, so the survivors lose
-    // different legs (a dead node-mate, a dead same-index peer, a peer
-    // that already gave up), on a grid whose slices alias the EP group
-    // (Fig. 2: one EP member per node) and on a true 2 x 2 one. Whoever
-    // completes the forward counts its routed assignments exactly once.
+fn lost_grid_rank_counts_its_tokens_once() {
+    // Rank 3 dies entering its first collective, on four ranks. On
+    // Fig. 2 (two EP groups of two, sharded experts) rank 1 loses its
+    // EP peer, rank 2 fails in the ESP AllGather with rank 3 (the ESP
+    // legs run strict), so rank 0 loses its combine with rank 2; on a
+    // 2 x 2 grid (one EP group of four) the three survivors lose the
+    // same exchange.
+    // Whoever completes the forward counts its routed assignments
+    // exactly once.
     let fig2 = ParallelDims {
         dp: 2,
         mp: 2,
@@ -262,33 +263,28 @@ fn lost_hierarchical_dispatch_counts_its_tokens_once() {
         ep: 4,
         esp: 1,
     };
-    let dispatchers: [fn() -> Box<dyn Dispatcher>; 2] =
-        [|| Box::new(Hier1DH), || Box::new(Hier2DH)];
     for (dims, survivors) in [(fig2, vec![0, 1]), (grid, vec![0, 1, 2])] {
-        for dispatcher in dispatchers {
-            let world = CommWorld::new(4)
-                .with_deadline(Duration::from_millis(300))
-                .with_faults(FaultInjector::new().kill(3, 0));
-            let results = run_world_within(world, BUDGET, move |comm| {
-                let topo = HybridTopology::new(2, 2, dims).unwrap();
-                let cfg = config_of(4, 2);
-                let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
-                layer.set_dispatcher(dispatcher());
-                let x = input_block(&cfg, comm.rank());
-                let out = layer.forward(&x, &mut TensorRng::seed_from(0));
-                (
-                    out.is_ok(),
-                    layer.dropped_tokens(),
-                    cfg.tokens() * cfg.top_k,
-                )
-            });
-            for (rank, (completed, drops, routed)) in results.into_iter().enumerate() {
-                if survivors.contains(&rank) {
-                    assert!(completed, "{dims:?} rank {rank} must degrade, not fail");
-                }
-                let want = if completed { routed } else { 0 };
-                assert_eq!(drops, want, "{dims:?} rank {rank}");
+        let world = CommWorld::new(4)
+            .with_deadline(Duration::from_millis(300))
+            .with_faults(FaultInjector::new().kill(3, 0));
+        let results = run_world_within(world, BUDGET, move |comm| {
+            let topo = HybridTopology::new(2, 2, dims).unwrap();
+            let cfg = config_of(4, 2);
+            let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
+            let x = input_block(&cfg, comm.rank());
+            let out = layer.forward(&x, &mut TensorRng::seed_from(0));
+            (
+                out.is_ok(),
+                layer.dropped_tokens(),
+                cfg.tokens() * cfg.top_k,
+            )
+        });
+        for (rank, (completed, drops, routed)) in results.into_iter().enumerate() {
+            if survivors.contains(&rank) {
+                assert!(completed, "{dims:?} rank {rank} must degrade, not fail");
             }
+            let want = if completed { routed } else { 0 };
+            assert_eq!(drops, want, "{dims:?} rank {rank}");
         }
     }
 }

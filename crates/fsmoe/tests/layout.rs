@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use collectives::{run_ranks, Communicator, HybridTopology, ParallelDims};
 use fsmoe::config::MoeConfig;
-use fsmoe::dispatch::{Dispatcher, Hier1DH, Hier2DH, NcclA2A};
 use fsmoe::expert::{build_expert, Expert, ExpertGrads, ExpertState};
 use fsmoe::gate::Gate;
 use fsmoe::hooks::NoopHooks;
@@ -328,7 +327,7 @@ impl Expert for Counted {
 #[derive(Debug, Clone, Copy)]
 enum Wire {
     Two,
-    Grid(fn() -> Box<dyn Dispatcher>),
+    Grid,
     Fig2,
 }
 
@@ -337,7 +336,7 @@ impl Wire {
         let dims = |dp, mp, ep, esp| ParallelDims { dp, mp, ep, esp };
         match self {
             Wire::Two => HybridTopology::flat(2),
-            Wire::Grid(_) => HybridTopology::new(2, 2, dims(4, 1, 4, 1)),
+            Wire::Grid => HybridTopology::new(2, 2, dims(4, 1, 4, 1)),
             Wire::Fig2 => HybridTopology::new(2, 2, dims(2, 2, 2, 2)),
         }
         .unwrap()
@@ -362,7 +361,6 @@ fn scripted_step(
     config: &MoeConfig,
     comm: &Communicator,
     topo: &HybridTopology,
-    dispatcher: Option<Box<dyn Dispatcher>>,
     kind: Experts,
     input: &Tensor,
 ) -> (Tensor, Tensor, Vec<usize>, Vec<usize>) {
@@ -399,9 +397,6 @@ fn scripted_step(
         topo,
     )
     .unwrap();
-    if let Some(dispatcher) = dispatcher {
-        layer.set_dispatcher(dispatcher);
-    }
     if let Experts::Grouped(Some(map)) = kind {
         let checkpoint = layer.checkpoint_global().unwrap();
         layer
@@ -442,11 +437,7 @@ proptest! {
         };
         let config = builder.build().unwrap();
         let (empty, hot, remote_rank) = (below(experts), below(experts), below(2));
-        let dispatchers: [fn() -> Box<dyn Dispatcher>; 3] =
-            [|| Box::new(NcclA2A), || Box::new(Hier1DH), || Box::new(Hier2DH)];
-        let mut worlds = vec![Wire::Two, Wire::Fig2];
-        worlds.extend(dispatchers.map(Wire::Grid));
-        for world in worlds {
+        for world in [Wire::Two, Wire::Fig2, Wire::Grid] {
             let topo = world.topology();
             let ranks = topo.world_size();
             let position = |r: usize| topo.ep_group(r).iter().position(|&q| q == r).unwrap();
@@ -471,18 +462,14 @@ proptest! {
                 })
                 .collect();
             let solo = |experts: Experts, x: &Tensor| {
-                scripted_step(&config, &Communicator::solo(), &HybridTopology::flat(1).unwrap(), None, experts, x)
+                scripted_step(&config, &Communicator::solo(), &HybridTopology::flat(1).unwrap(), experts, x)
             };
             let want: Vec<_> = inputs.iter().map(|x| solo(Experts::Counted, x)).collect();
             let on_world = |experts: Experts| {
                 let (cfg, blocks) = (config.clone(), inputs.clone());
                 run_ranks(ranks, move |comm| {
-                    let dispatcher = match world {
-                        Wire::Grid(make) => Some(make()),
-                        _ => None,
-                    };
                     let (topo, x) = (world.topology(), &blocks[comm.rank()]);
-                    scripted_step(&cfg, &comm, &topo, dispatcher, experts.clone(), x)
+                    scripted_step(&cfg, &comm, &topo, experts.clone(), x)
                 })
             };
             let got = on_world(Experts::Counted);

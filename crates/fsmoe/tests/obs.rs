@@ -1,5 +1,5 @@
 //! Observability integration for the MoE layers: the unified drop
-//! account (layer field == obs counter == hook adapter), the per-expert
+//! account (layer field == obs counter), the per-expert
 //! load histogram, and the forward span taxonomy.
 
 use std::time::Duration;
@@ -8,7 +8,6 @@ use collectives::{
     run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology, ParallelDims,
 };
 use fsmoe::config::MoeConfig;
-use fsmoe::hooks::DropCounterHooks;
 use fsmoe::layer::MoeLayer;
 use tensor::{Tensor, TensorRng};
 
@@ -45,7 +44,6 @@ fn drop_account_is_unified_across_layer_obs_and_hook() {
         let topo = two_rank_topology();
         let cfg = config();
         let mut layer = MoeLayer::gshard(&cfg, &comm, &topo, SEED).unwrap();
-        layer.set_hooks(Box::new(DropCounterHooks));
         let mut rng = TensorRng::seed_from(4000 + comm.rank() as u64);
         let x = rng.normal(&[cfg.tokens(), cfg.embed_dim], 0.0, 1.0);
         let mut route_rng = TensorRng::seed_from(0);
@@ -66,11 +64,13 @@ fn drop_account_is_unified_across_layer_obs_and_hook() {
         "the obs counter and the per-layer fields are one account"
     );
     assert_eq!(snap.counter(obs::names::MOE_DROP_EVENTS), 1);
-    // The hook adapter reads the same account (counter reads work after
-    // the session guard is still alive, so the registry is this run's).
-    let hooks = DropCounterHooks;
-    assert_eq!(hooks.dropped(), per_layer_total as u64);
-    assert_eq!(hooks.events(), 1);
+    // A live read sees the same account (the session guard is still
+    // alive, so the registry is this run's).
+    assert_eq!(
+        obs::counter_value(obs::names::MOE_DROPPED_TOKENS),
+        per_layer_total as u64
+    );
+    assert_eq!(obs::counter_value(obs::names::MOE_DROP_EVENTS), 1);
     // Fault bookkeeping made it into the same snapshot.
     assert_eq!(snap.counter(obs::names::COLLECTIVES_FAULTS_INJECTED), 1);
     assert!(snap.counter(obs::names::COLLECTIVES_SKIPPED_OPS) >= 1);

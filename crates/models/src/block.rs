@@ -232,8 +232,8 @@ impl MoeTransformer {
         &self.blocks
     }
 
-    /// Block `block`'s MoE layer, to configure (fault policy, hooks,
-    /// dispatcher) or to [`MoeLayer::migrate`] an expert of.
+    /// Block `block`'s MoE layer, to configure (fault policy, hooks) or
+    /// to [`MoeLayer::migrate`] an expert of.
     ///
     /// # Panics
     ///

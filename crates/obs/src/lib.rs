@@ -426,7 +426,7 @@ pub fn counter_add(name: &str, delta: u64) {
 }
 
 /// Current value of counter `name` (0 when never incremented). Reads
-/// work even while disabled — adapters poll counters after a session.
+/// work even while disabled — callers poll counters after a session.
 #[must_use]
 pub fn counter_value(name: &str) -> u64 {
     inner().counters.get(name).copied().unwrap_or(0)

@@ -1,13 +1,12 @@
 //! Cost models for the AlltoAll algorithm variants (§3.1's *Dispatch*
 //! sub-module).
 //!
-//! The `fsmoe` crate implements three semantically identical AlltoAll
-//! algorithms — NCCL-direct, Hetu's 1DH and Tutel/DeepSpeed's 2DH.
-//! They differ only in which links carry which bytes; this module prices
-//! each on a `nodes × gpus_per_node` topology so the scheduler (or a
-//! user) can pick the cheapest for a given message size, reproducing the
-//! trade-off that motivated the paper to make the dispatch algorithm
-//! swappable.
+//! The paper makes the AlltoAll swappable between three semantically
+//! identical algorithms — NCCL-direct, Hetu's 1DH and Tutel/DeepSpeed's
+//! 2DH — which differ only in which links carry which bytes. This module
+//! prices each on a `nodes × gpus_per_node` topology, reproducing the
+//! trade-off that motivated the swap; the live `fsmoe` layer runs only
+//! the direct exchange.
 //!
 //! Per-GPU byte accounting, with `g` GPUs/node, `n` nodes and message
 //! `b` bytes (one AlltoAll over `P = g·n` peers):
