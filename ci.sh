@@ -186,7 +186,8 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
 #               activations <= 4 ns/element, nt/tn >= 0.9x plain, the
 #               skinny training-shape GEMMs (hot and cold) as shares of
 #               the square rate, no large allocation and <= 2% of the
-#               pre-recycler minor faults per warm MoE step
+#               pre-recycler minor faults per warm MoE step, the §5
+#               partitioner's t_moe(t_gar) curve >= 20x the degree scan
 #               (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run
 #   migrate     hot-expert migration pause < 250 ms (best of 5)

@@ -20,22 +20,29 @@
 //!   ≥ 64 KiB (from a counting `#[global_allocator]`, this binary only)
 //!   and minor page faults (from `/proc/self/stat`, where there is one);
 //! * the control-plane kernels (pipeline-degree solver, α–β model fit)
-//!   the paper benchmarks against SLSQP.
+//!   the paper benchmarks against SLSQP, and the §5 gradient partitioner
+//!   at the planner's settings, with the per-layer `t_moe(t_gar)` curve
+//!   its objective reads beside the 64-degree scan that curve replaces.
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
 //! so successive runs can be diffed. The budgets: a GFLOPS floor per
 //! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, a share
 //! of the square rate per skinny shape, no large allocation and ≤ 2 % of
-//! the pre-recycler page faults per warm MoE step — so a kernel,
-//! packing or buffer-recycling regression fails `ci.sh` instead of
+//! the pre-recycler page faults per warm MoE step, a `t_gar` priced by
+//! the curve ≥ 20× faster than by the scan — so a kernel, packing,
+//! buffer-recycling or planner regression fails `ci.sh` instead of
 //! silently shipping.
 
 use bench::gate::{best_of_ms, reference_layer, Gate};
 use bench::{perf_model, table4_grid};
 use jsonio::Json;
+use models::{attention_backward_time, TransformerLayerSpec};
 use numopt::LinearFit;
 use profiler::microbench::{comm_message_sizes, profile_op};
-use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
+use scheduler::{
+    exhaustive_best, find_optimal_pipeline_degree, partition_gradients, GarCurve, GeneralizedLayer,
+    MoePerfModel, Phase, PLANNER_DE,
+};
 use simnet::Testbed;
 use tensor::{grad, Tensor, TensorRng};
 
@@ -98,6 +105,15 @@ const NORM_EPS: f32 = 1e-5;
 /// layer norm and its backward must run (2.5–3.0× and 2.2–2.4× on one
 /// core of the AVX-512 reference box).
 const NORM_SPEEDUP_FLOOR: f64 = 1.5;
+/// How much faster than `exhaustive_best` on the same models and
+/// budgets, timed in the same process, a `GarCurve` must price a
+/// Gradient-AllReduce budget (~11 ns against ~1.9 µs, ≈ 175×, on one
+/// core of the AVX-512 reference box).
+const GAR_CURVE_SPEEDUP_FLOOR: f64 = 20.0;
+/// Gradient-AllReduce budgets the curve and the scan are priced at, ms.
+const GAR_BUDGETS_MS: [f64; 8] = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0];
+/// Passes over the budgets per curve timing, so a pass outlasts the clock.
+const CURVE_PASSES: usize = 200;
 
 /// Minor page faults this process has taken so far (`minflt`, the tenth
 /// field of `/proc/self/stat`); `None` where there is no such file.
@@ -452,23 +468,70 @@ fn bench_moe() -> (Json, f64, Option<f64>) {
     (Json::obj(row), large_allocs, minor_faults)
 }
 
-fn bench_control_plane() -> Vec<(&'static str, f64)> {
+/// Times the control-plane kernels; returns their `(name, ms)` rows and
+/// how many times faster the curve prices a budget than the scan.
+fn bench_control_plane() -> (Vec<(&'static str, f64)>, f64) {
     // §6.2: the SLSQP solve averages 193 ms per configuration; our exact
     // solver should be orders of magnitude faster
     let tb = Testbed::a();
-    let specs: Vec<MoePerfModel> = table4_grid(&tb)
+    let layer_specs: Vec<TransformerLayerSpec> = table4_grid(&tb)
         .iter()
         .step_by(97)
-        .map(|cfg| {
-            let spec = cfg.layer_spec(&tb).expect("valid").moe;
-            perf_model(&tb, &spec, Phase::Backward, 1.0)
-        })
+        .map(|cfg| cfg.layer_spec(&tb).expect("valid"))
+        .collect();
+    let specs: Vec<MoePerfModel> = layer_specs
+        .iter()
+        .map(|spec| perf_model(&tb, &spec.moe, Phase::Backward, 1.0))
         .collect();
     let solver_ms = best_of_ms(GEMM_RUNS, || {
         for m in &specs {
             std::hint::black_box(find_optimal_pipeline_degree(std::hint::black_box(m)));
         }
     });
+
+    // §5.3: the partitioner `plan_iteration` runs, on 4-layer stacks
+    let stacks: Vec<Vec<GeneralizedLayer>> = layer_specs
+        .iter()
+        .zip(&specs)
+        .map(|(spec, m)| {
+            let layer = GeneralizedLayer {
+                moe: *m,
+                t_olp_dense: attention_backward_time(&tb.costs, spec),
+                grad_bytes: spec.dense_param_bytes,
+            };
+            vec![layer; 4]
+        })
+        .collect();
+    let partition_ms = best_of_ms(MOE_RUNS, || {
+        for stack in &stacks {
+            std::hint::black_box(partition_gradients(
+                std::hint::black_box(stack),
+                tb.costs.all_reduce,
+                PLANNER_DE,
+            ));
+        }
+    }) / stacks.len() as f64;
+
+    // what the partitioner's objective reads per layer and candidate
+    let evals = (specs.len() * GAR_BUDGETS_MS.len()) as f64;
+    let scan_ms = best_of_ms(GEMM_RUNS, || {
+        for m in &specs {
+            for t in GAR_BUDGETS_MS {
+                let m = std::hint::black_box(m).with_t_gar(std::hint::black_box(t));
+                std::hint::black_box(exhaustive_best(&m).t_moe);
+            }
+        }
+    }) / evals;
+    let curves: Vec<GarCurve> = specs.iter().map(GarCurve::new).collect();
+    let curve_ms = best_of_ms(GEMM_RUNS, || {
+        for _ in 0..CURVE_PASSES {
+            for curve in &curves {
+                for t in GAR_BUDGETS_MS {
+                    std::hint::black_box(std::hint::black_box(curve).at(std::hint::black_box(t)));
+                }
+            }
+        }
+    }) / (evals * CURVE_PASSES as f64);
 
     // §6.2: least-squares fitting takes <10 ms in the paper
     let tb = Testbed::b();
@@ -478,10 +541,14 @@ fn bench_control_plane() -> Vec<(&'static str, f64)> {
     let fit_ms = best_of_ms(GEMM_RUNS, || {
         std::hint::black_box(LinearFit::fit(&xs, &ys).expect("fit"));
     });
-    vec![
+    let rows = vec![
         ("find_optimal_pipeline_degree_sweep", solver_ms),
+        ("partition_gradients_4_layers", partition_ms),
+        ("exhaustive_best_per_budget", scan_ms),
+        ("gar_curve_per_budget", curve_ms),
         ("linear_fit_24_points", fit_ms),
-    ]
+    ];
+    (rows, scan_ms / curve_ms)
 }
 
 fn main() {
@@ -501,11 +568,12 @@ fn main() {
     let norms = bench_row_norms();
     let (moe_row, large_allocs, minor_faults) = bench_moe();
 
-    let control = bench_control_plane();
+    let (control, curve_speedup) = bench_control_plane();
     println!("\ncontrol plane:");
     for (name, ms) in &control {
-        println!("  {name}: {ms:.4} ms");
+        println!("  {name}: {ms:.3e} ms");
     }
+    println!("  gar_curve_speedup_vs_scan: {curve_speedup:.1}x");
 
     for (dim, floor) in GFLOPS_FLOORS {
         let (_, gflops) = *gemm_rates
@@ -564,6 +632,13 @@ fn main() {
             "MoE layer: {large_allocs:.2} allocations >= {} KiB per warm forward + backward, \
              must be 0 — a tensor-sized buffer bypasses the recycler",
             counting_alloc::LARGE >> 10
+        ),
+    );
+    gate.require(
+        curve_speedup >= GAR_CURVE_SPEEDUP_FLOOR,
+        format!(
+            "GarCurve: prices a t_gar budget {curve_speedup:.1}x faster than the degree scan, \
+             floor {GAR_CURVE_SPEEDUP_FLOOR:.0}x — the partitioner's objective regressed"
         ),
     );
     let faults_ceiling = FAULTS_VS_PARENT_CEILING * PARENT_FAULTS_PER_STEP;
@@ -627,6 +702,10 @@ fn main() {
                 ("transposed_vs_plain", Json::from(TRANSPOSED_FLOOR)),
                 ("moe_large_allocs_per_step", Json::from(0.0)),
                 ("moe_minor_faults_per_step", Json::from(faults_ceiling)),
+                (
+                    "gar_curve_speedup_vs_scan",
+                    Json::from(GAR_CURVE_SPEEDUP_FLOOR),
+                ),
             ]),
         ),
         ("moe_layer", moe_row),
@@ -636,6 +715,7 @@ fn main() {
                 control
                     .iter()
                     .map(|(name, ms)| (*name, Json::from(*ms)))
+                    .chain([("gar_curve_speedup_vs_scan", Json::from(curve_speedup))])
                     .collect::<Vec<_>>(),
             ),
         ),

@@ -639,10 +639,17 @@ impl GroupComm {
         let mut st = self.inner.state.lock();
 
         // Wait out the drain of a previous collective. Dead ranks never
-        // take their results, so write them off as we go.
+        // take their results, so write them off as we go. A caller evicted
+        // while it waited is told of its own death before the fence that
+        // eviction raised, as at entry.
         loop {
             if let Some(rank) = st.poisoned {
                 return Err(CommError::Poisoned { rank });
+            }
+            if ctrl.is_dead(self.global_rank) {
+                return Err(CommError::RankDown {
+                    rank: self.global_rank,
+                });
             }
             if let Some(err) = ctrl.reconfig_error() {
                 return Err(err);
@@ -729,6 +736,13 @@ impl GroupComm {
                 // would leave the op's key with a missing participant.
                 if st.plane.member(self.index) == Member::Owed {
                     break;
+                }
+                // Otherwise a dead caller hears of its own death first: its
+                // eviction fences the world, and the victim must not take
+                // that fence for a verdict on someone else.
+                if ctrl.is_dead(self.global_rank) {
+                    let rank = self.global_rank;
+                    return self.exit(st, &mut wait, Err(CommError::RankDown { rank }));
                 }
                 if let Some(err) = ctrl.reconfig_error() {
                     return self.exit(st, &mut wait, Err(err));

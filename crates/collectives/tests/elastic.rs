@@ -103,6 +103,27 @@ fn in_flight_op_is_fenced_mid_wait() {
 }
 
 #[test]
+fn evicted_waiter_hears_of_its_own_death() {
+    // The victim's deposit is waiting on a live peer when the survivors
+    // evict it. Its death comes before the fence its eviction raised:
+    // it must leave with RankDown for itself, not Reconfigured, which
+    // would read as a verdict on the rest of the world.
+    let comms = CommWorld::new(3).into_communicators();
+    let victim = comms[2].clone();
+    let (c0, c1) = (comms[0].clone(), comms[1].clone());
+    let waiter = std::thread::spawn(move || {
+        let g = victim.subgroup(&[1, 2]).unwrap();
+        g.barrier().unwrap_err()
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let voter0 = std::thread::spawn(move || c0.propose_evict(2).unwrap());
+    let voter1 = std::thread::spawn(move || c1.propose_evict(2).unwrap());
+    assert_eq!(voter0.join().unwrap(), 1);
+    assert_eq!(voter1.join().unwrap(), 1);
+    assert_eq!(waiter.join().unwrap(), CommError::RankDown { rank: 2 });
+}
+
+#[test]
 fn vote_failure_modes_are_typed() {
     let comms = CommWorld::new(4).into_communicators();
     // out-of-range victim

@@ -13,8 +13,9 @@
 //!   inverse AllReduce model and differential evolution.
 
 use baselines::{ScheduleKind, LINA_CHUNK_BYTES};
-use numopt::DeConfig;
-use scheduler::{lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, StreamSet};
+use scheduler::{
+    lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, StreamSet, PLANNER_DE,
+};
 use simnet::{Engine, OpCosts, TaskGraph, TaskId, Testbed};
 
 use crate::layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
@@ -125,13 +126,7 @@ pub fn plan_iteration(
                     grad_bytes: bytes,
                 })
                 .collect();
-            let de = DeConfig {
-                population: 12,
-                generations: 40,
-                seed: 0xF5,
-                ..DeConfig::default()
-            };
-            let partition = partition_gradients(&gls, ar, de);
+            let partition = partition_gradients(&gls, ar, PLANNER_DE);
             for i in 0..layers {
                 if partition.t_gar[i] > 0.0 {
                     gar_in_moe[i].push(partition.t_gar[i]);

@@ -123,6 +123,7 @@ impl DifferentialEvolution {
             fitness.push(v);
         }
 
+        let mut trial = vec![0.0; dim];
         for _gen in 0..self.config.generations {
             for i in 0..np {
                 // pick three distinct indices != i
@@ -134,7 +135,7 @@ impl DifferentialEvolution {
                 };
                 let (a, b, c) = (pick(), pick(), pick());
                 let forced = rng.gen_range(0..dim);
-                let mut trial = pop[i].clone();
+                trial.copy_from_slice(&pop[i]);
                 for d in 0..dim {
                     if d == forced || rng.gen_range(0.0..1.0) < self.config.crossover {
                         let v = pop[a][d] + self.config.weight * (pop[b][d] - pop[c][d]);
@@ -143,7 +144,7 @@ impl DifferentialEvolution {
                 }
                 let tv = objective(&trial);
                 if tv.is_finite() && tv <= fitness[i] {
-                    pop[i] = trial;
+                    pop[i].copy_from_slice(&trial);
                     fitness[i] = tv;
                 }
             }

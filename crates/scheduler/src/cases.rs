@@ -68,17 +68,7 @@ pub struct Predicates {
 impl Predicates {
     /// Evaluates all seven constraints.
     pub fn evaluate(m: &MoePerfModel, r: u32) -> Self {
-        let rf = f64::from(r);
-        let (a2a, ag, rs, exp) = (m.t_a2a(r), m.t_ag(r), m.t_rs(r), m.t_exp(r));
-        Predicates {
-            q1: a2a > ag,
-            q2: rf * exp > 2.0 * (rf - 1.0) * a2a,
-            q3: rf * exp > (rf - 1.0) * (ag + rs),
-            q4: m.t_gar > ag + rs,
-            q5: m.t_gar > rf * exp - 2.0 * (rf - 1.0) * a2a + ag + rs,
-            q6: m.t_gar > rf * (ag + rs) - 2.0 * (rf - 1.0) * a2a,
-            q7: m.t_gar > ag + rs + rf * exp - 2.0 * (rf - 1.0) * a2a,
-        }
+        Terms::new(m, r).at(m.t_gar)
     }
 
     /// The case these truth values select (§4.2's four disjunctions).
@@ -107,6 +97,84 @@ impl Predicates {
             // ¬Q1 ∧ ¬Q3 ∧ ¬Q6 — the only remaining combination
             CaseId::Case4
         }
+    }
+}
+
+/// Everything Q1–Q7 read of `(model, r)` but `t_gar`: the truth of
+/// Q1–Q3 and the right-hand sides Q4–Q7 compare `t_gar` against.
+struct Terms {
+    q1: bool,
+    q2: bool,
+    q3: bool,
+    /// Right-hand sides of Q4, Q5, Q6, Q7.
+    gar: [f64; 4],
+}
+
+impl Terms {
+    fn new(m: &MoePerfModel, r: u32) -> Self {
+        let rf = f64::from(r);
+        let (a2a, ag, rs, exp) = (m.t_a2a(r), m.t_ag(r), m.t_rs(r), m.t_exp(r));
+        Terms {
+            q1: a2a > ag,
+            q2: rf * exp > 2.0 * (rf - 1.0) * a2a,
+            q3: rf * exp > (rf - 1.0) * (ag + rs),
+            gar: [
+                ag + rs,
+                rf * exp - 2.0 * (rf - 1.0) * a2a + ag + rs,
+                rf * (ag + rs) - 2.0 * (rf - 1.0) * a2a,
+                ag + rs + rf * exp - 2.0 * (rf - 1.0) * a2a,
+            ],
+        }
+    }
+
+    /// The predicates at a Gradient-AllReduce time of `t_gar`.
+    fn at(&self, t_gar: f64) -> Predicates {
+        let [h4, h5, h6, h7] = self.gar;
+        Predicates {
+            q1: self.q1,
+            q2: self.q2,
+            q3: self.q3,
+            q4: t_gar > h4,
+            q5: t_gar > h5,
+            q6: t_gar > h6,
+            q7: t_gar > h7,
+        }
+    }
+}
+
+/// How the makespan at one degree depends on the Gradient-AllReduce
+/// time `t`: `t_moe(&m.with_t_gar(t), r).0` is `case1 + t` when
+/// `t > threshold` and `otherwise` for every other `t`.
+///
+/// Q1–Q3 and the per-chunk times do not read `t_gar`, so Q1–Q3 pick the
+/// one of Q4–Q7 that decides case 1 and `threshold` is its right-hand
+/// side; cases 2–4 do not read `t_gar` either.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GarStep {
+    /// Case 1 holds exactly for `t_gar > threshold`.
+    pub threshold: f64,
+    /// Case 1's objective less its `t_gar`: `2r·t_a2a,r`.
+    pub case1: f64,
+    /// The case-2/3/4 objective that applies at or below the threshold.
+    pub otherwise: f64,
+}
+
+/// The [`GarStep`] of `m` at degree `r` (`m.t_gar` is ignored).
+pub fn gar_step(m: &MoePerfModel, r: u32) -> GarStep {
+    let terms = Terms::new(m, r);
+    let [h4, h5, h6, h7] = terms.gar;
+    let threshold = match (terms.q1, terms.q2, terms.q3) {
+        (true, false, _) => h4,
+        (true, true, _) => h5,
+        (false, _, false) => h6,
+        (false, _, true) => h7,
+    };
+    let m0 = m.with_t_gar(0.0);
+    GarStep {
+        threshold,
+        case1: case_objective(&m0, CaseId::Case1, r),
+        // every Q4–Q7 false: `case` reads only the one Q1–Q3 picked
+        otherwise: case_objective(&m0, terms.at(f64::NEG_INFINITY).case(), r),
     }
 }
 

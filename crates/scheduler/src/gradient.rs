@@ -13,7 +13,10 @@
 //! 2. **Optimise the remainder** (§5.3): leftover bytes are distributed
 //!    across layers by differential evolution, minimising the sum of the
 //!    per-layer `t_moe` predicted by Algorithm 1 with each layer's
-//!    Gradient-AllReduce budget as input.
+//!    Gradient-AllReduce budget as input. Each layer's `t_moe(t_gar)` is
+//!    read from a [`GarCurve`] built once per layer, which equals the
+//!    exact degree scan bit for bit, so a candidate costs one binary
+//!    search per layer rather than a 64-degree scan.
 //!
 //! Unlike Lina's fixed 30 MB chunks, both steps adapt to the measured
 //! cost models — this is the paper's key advantage in Fig. 6.
@@ -27,8 +30,18 @@ use numopt::{DeConfig, DifferentialEvolution};
 use simnet::CostModel;
 
 use crate::cases::t_olp_moe;
-use crate::optimize::exhaustive_best;
+use crate::optimize::{exhaustive_best, GarCurve};
 use crate::perf::MoePerfModel;
+
+/// The differential-evolution settings the iteration planner solves
+/// step 2 with.
+pub const PLANNER_DE: DeConfig = DeConfig {
+    population: 12,
+    generations: 40,
+    weight: 0.7,
+    crossover: 0.9,
+    seed: 0xF5,
+};
 
 /// One generalized layer: an MoE layer and the dense operations before
 /// the next MoE layer (§5.2's unit of scheduling).
@@ -113,12 +126,13 @@ pub fn partition_gradients(
         if n == 1 {
             bytes[0] += remaining;
         } else {
+            let curves: Vec<GarCurve> = layers.iter().map(|l| GarCurve::new(&l.moe)).collect();
             let objective = |shares: &[f64]| -> f64 {
                 let total: f64 = shares.iter().sum();
-                layers
+                curves
                     .iter()
                     .enumerate()
-                    .map(|(i, layer)| {
+                    .map(|(i, curve)| {
                         let extra = if total > 0.0 {
                             remaining * shares[i] / total
                         } else {
@@ -126,7 +140,7 @@ pub fn partition_gradients(
                         };
                         let b = step1[i] + extra;
                         let t_gar = if b > 0.0 { ar.time(b) } else { 0.0 };
-                        exhaustive_best(&layer.moe.with_t_gar(t_gar)).t_moe
+                        curve.at(t_gar)
                     })
                     .sum()
             };
@@ -298,6 +312,74 @@ mod tests {
         let p = partition_gradients(&single, costs.all_reduce, fast_de());
         assert!((p.bytes[0] - 4.0e7).abs() < 1.0);
         assert!(p.t_gar[0] > 0.0);
+    }
+
+    #[test]
+    fn planner_partitions_are_pinned() {
+        // four unequal layers at the planner's settings, on both
+        // testbeds; the bits were recorded with every budget priced by
+        // `exhaustive_best`, so the curve must reproduce the scan's
+        // partition exactly
+        let pins: [(Testbed, [u64; 4], [u64; 4]); 2] = [
+            (
+                Testbed::a(),
+                [
+                    0x418bd481d04540ac,
+                    0x4189755123f23a51,
+                    0x4187dd7476ed8177,
+                    0x419042724a6d81c4,
+                ],
+                [
+                    0x403d66b280375d6b,
+                    0x403af0610e1ec866,
+                    0x403948fb468207da,
+                    0x404122672d213908,
+                ],
+            ),
+            (
+                Testbed::b(),
+                [
+                    0x418ba49800e37dd7,
+                    0x419d731c8a7b0b0d,
+                    0x417a65e593c3a1f5,
+                    0x4173dcd040893628,
+                ],
+                [
+                    0x4041678046f8dd51,
+                    0x405284a6795b2659,
+                    0x4030aa0ac46d9c7c,
+                    0x40291e5de8e15ccd,
+                ],
+            ),
+        ];
+        for (tb, bytes, t_gar) in pins {
+            let layers: Vec<GeneralizedLayer> = [
+                (4.0e6, 8.0e10, 6.0e7, 3.0),
+                (2.0e6, 1.0e9, 4.0e7, 0.5),
+                (8.0e6, 3.0e10, 8.0e7, 2.0),
+                (1.0e6, 2.0e10, 5.0e7, 1.0),
+            ]
+            .iter()
+            .map(|&(n_a2a, n_exp, grad_bytes, dense)| GeneralizedLayer {
+                moe: MoePerfModel::new(
+                    &tb.costs,
+                    n_a2a,
+                    n_a2a,
+                    n_a2a,
+                    n_exp,
+                    2,
+                    Phase::Backward,
+                    0.0,
+                ),
+                t_olp_dense: dense,
+                grad_bytes,
+            })
+            .collect();
+            let p = partition_gradients(&layers, tb.costs.all_reduce, PLANNER_DE);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p.bytes), bytes, "{:?} bytes", tb.kind);
+            assert_eq!(bits(&p.t_gar), t_gar, "{:?} t_gar", tb.kind);
+        }
     }
 
     #[test]

@@ -36,11 +36,11 @@ pub mod schedule;
 #[path = "sim_tests.rs"]
 mod lowering;
 
-pub use cases::{t_moe, t_olp_moe, CaseId, Predicates};
+pub use cases::{gar_step, t_moe, t_olp_moe, CaseId, GarStep, Predicates};
 pub use dispatch_cost::{a2a_cost, best_a2a_algorithm, A2aAlgorithm, A2aCost};
-pub use gradient::{partition_gradients, GeneralizedLayer, GradientPartition};
+pub use gradient::{partition_gradients, GeneralizedLayer, GradientPartition, PLANNER_DE};
 pub use optimize::{
-    exhaustive_best, find_optimal_pipeline_degree, PipelineSolution, MAX_PIPELINE_DEGREE,
+    exhaustive_best, find_optimal_pipeline_degree, GarCurve, PipelineSolution, MAX_PIPELINE_DEGREE,
 };
 pub use perf::{MoePerfModel, Phase};
 pub use schedule::{lower, moe_layer, Op, Stream, StreamSet};

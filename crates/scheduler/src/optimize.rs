@@ -7,14 +7,17 @@
 //! golden-section search plus integer refinement, then validates
 //! feasibility (the case's constraints must hold at the chosen integer
 //! degree). A full integer scan (`exhaustive_best`) provides the ground
-//! truth the property tests compare against.
+//! truth the property tests compare against; [`GarCurve`] is that scan's
+//! optimum tabulated over the Gradient-AllReduce budget, for the §5
+//! partitioner.
 
-use crate::cases::{case_objective, t_moe, CaseId, Predicates};
+use crate::cases::{case_objective, gar_step, t_moe, CaseId, Predicates};
 use crate::perf::MoePerfModel;
 
 /// Upper bound on the pipeline degree (chunks of the token batch). The
 /// paper's search space is small; 64 comfortably covers it.
 pub const MAX_PIPELINE_DEGREE: u32 = 64;
+const DEGREES: usize = MAX_PIPELINE_DEGREE as usize;
 
 /// The optimizer's output: degree, predicted time, active case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +101,52 @@ pub fn exhaustive_best(m: &MoePerfModel) -> PipelineSolution {
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
         .expect("non-empty range")
+}
+
+/// [`exhaustive_best`]'s `t_moe` as a function of the model's `t_gar`,
+/// built once per model so that pricing a budget is a binary search
+/// instead of a scan over every degree.
+///
+/// Each degree `r` costs `c_r + t` above its case-1 threshold `h_r` and
+/// a constant `b_r` at or below it ([`gar_step`]). With the degrees
+/// sorted by `h_r`, those in case 1 at `t` are a prefix, so the optimum
+/// is `min(min c_r + t over the prefix, min b_r over the rest)`. Float
+/// addition rounds monotonically, so the least `c_r` plus `t` is the
+/// least `c_r + t`: [`GarCurve::at`] equals the scan bit for bit.
+#[derive(Debug, Clone)]
+pub struct GarCurve {
+    /// The case-1 thresholds `h_r`, ascending.
+    thresholds: [f64; DEGREES],
+    /// `case1_min[k]`: the least `c_r` of the first `k` thresholds.
+    case1_min: [f64; DEGREES + 1],
+    /// `otherwise_min[k]`: the least `b_r` from threshold `k` on.
+    otherwise_min: [f64; DEGREES + 1],
+}
+
+impl GarCurve {
+    /// Tabulates the curve of `m` (its own `t_gar` is ignored).
+    pub fn new(m: &MoePerfModel) -> Self {
+        let mut steps: [_; DEGREES] = std::array::from_fn(|i| gar_step(m, i as u32 + 1));
+        steps.sort_by(|a, b| a.threshold.total_cmp(&b.threshold));
+        let mut curve = GarCurve {
+            thresholds: steps.map(|s| s.threshold),
+            case1_min: [f64::INFINITY; DEGREES + 1],
+            otherwise_min: [f64::INFINITY; DEGREES + 1],
+        };
+        for (k, s) in steps.iter().enumerate() {
+            curve.case1_min[k + 1] = curve.case1_min[k].min(s.case1);
+        }
+        for (k, s) in steps.iter().enumerate().rev() {
+            curve.otherwise_min[k] = curve.otherwise_min[k + 1].min(s.otherwise);
+        }
+        curve
+    }
+
+    /// `exhaustive_best(&m.with_t_gar(t_gar)).t_moe`.
+    pub fn at(&self, t_gar: f64) -> f64 {
+        let k = self.thresholds.partition_point(|&h| h < t_gar);
+        (self.case1_min[k] + t_gar).min(self.otherwise_min[k])
+    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 use numopt::DeConfig;
 use proptest::prelude::*;
 use scheduler::{
-    exhaustive_best, find_optimal_pipeline_degree, partition_gradients, t_moe, t_olp_moe, CaseId,
-    GeneralizedLayer, MoePerfModel, Phase, Predicates, MAX_PIPELINE_DEGREE,
+    exhaustive_best, find_optimal_pipeline_degree, gar_step, partition_gradients, t_moe, t_olp_moe,
+    CaseId, GarCurve, GeneralizedLayer, MoePerfModel, Phase, Predicates, MAX_PIPELINE_DEGREE,
 };
-use simnet::{CostModel, OpCosts};
+use simnet::{CostModel, OpCosts, Testbed};
 
 fn costs(a2a_beta: f64, intra_beta: f64) -> OpCosts {
     OpCosts {
@@ -94,6 +94,44 @@ proptest! {
         // the window can never exceed the layer's own makespan
         let (t, _) = t_moe(&m, r);
         prop_assert!(w <= t + 1e-9, "window {w} > layer time {t}");
+    }
+
+    #[test]
+    fn gar_curve_is_the_degree_scan_bit_for_bit(
+        testbed_b in any::<bool>(),
+        backward in any::<bool>(),
+        gemms in 2usize..=3,
+        a2a_decade in 3.0f64..9.0,
+        intra_decade in 3.0f64..9.0,
+        exp_decade in 6.0f64..13.0,
+        t_decade in -3.0f64..4.0,
+    ) {
+        let tb = if testbed_b { Testbed::b() } else { Testbed::a() };
+        let phase = if backward { Phase::Backward } else { Phase::Forward };
+        let n_intra = 10f64.powf(intra_decade);
+        let m = MoePerfModel::new(
+            &tb.costs,
+            10f64.powf(a2a_decade),
+            n_intra,
+            n_intra,
+            10f64.powf(exp_decade),
+            gemms,
+            phase,
+            0.0,
+        );
+        let curve = GarCurve::new(&m);
+        // every budget at which some degree enters case 1, and the
+        // floats either side of it
+        let mut ts = vec![0.0, 10f64.powf(t_decade)];
+        for r in 1..=MAX_PIPELINE_DEGREE {
+            let h = gar_step(&m, r).threshold;
+            ts.extend([h.next_down(), h, h.next_up()]);
+        }
+        for t in ts {
+            let scan = exhaustive_best(&m.with_t_gar(t)).t_moe;
+            prop_assert_eq!(curve.at(t).to_bits(), scan.to_bits(),
+                "t_gar {}: curve {} vs scan {}", t, curve.at(t), scan);
+        }
     }
 
     #[test]
