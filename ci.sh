@@ -187,7 +187,9 @@ soak "gray-failure soak" LOCK_DOCTOR=1 \
 #               skinny training-shape GEMMs (hot and cold) as shares of
 #               the square rate, no large allocation and <= 2% of the
 #               pre-recycler minor faults per warm MoE step, the §5
-#               partitioner's t_moe(t_gar) curve >= 20x the degree scan
+#               partitioner's t_moe(t_gar) curve >= 20x the degree scan,
+#               Tutel's degree selection by op-list walk >= 4x the same
+#               selection through task graphs (DEGREE_WALK_SPEEDUP_FLOOR)
 #               (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run
 #   migrate     hot-expert migration pause < 250 ms (best of 5)

@@ -58,8 +58,9 @@ impl ScheduleKind {
     ///
     /// * DS-MoE runs sequentially (`r = 1`).
     /// * The Tutel family runs PipeMoE's optimiser, which we realise as
-    ///   an exact scan of its *own* lowering's simulated makespan with no
-    ///   Gradient-AllReduce term (PipeMoE ignores it).
+    ///   an exact scan over degrees, each candidate priced by walking its
+    ///   *own* op list (`scheduler::makespan`, bit-equal to simulating its
+    ///   lowering) with no Gradient-AllReduce term (PipeMoE ignores it).
     /// * FSMoE-No-IIO keeps FSMoE's gradient-aware degree selection but
     ///   evaluates candidates against its own single-comm-stream
     ///   lowering (the §4.2 closed forms assume separate intra/inter
@@ -80,9 +81,10 @@ impl ScheduleKind {
         }
     }
 
-    /// The degree in `1..=16` whose lowering under `self` simulates
-    /// fastest, each candidate simulated once; ties (and incomparable
-    /// makespans) keep the lowest degree, as `Iterator::min_by` does.
+    /// The degree in `1..=16` whose op list under `self` runs fastest,
+    /// each candidate walked once by [`simulate_layer`]; ties (and
+    /// incomparable makespans) keep the lowest degree, as
+    /// `Iterator::min_by` does.
     fn scan_degree(self, m: &MoePerfModel, gar: &[f64]) -> u32 {
         let mut best = (1u32, simulate_layer(self, m, 1, gar));
         for r in 2..=16u32 {

@@ -1,12 +1,33 @@
 //! Each schedule's description of one MoE layer, lowered through the
 //! scheduler's one `lower`.
 
-use scheduler::{lower, moe_layer, MoePerfModel, StreamSet};
-use simnet::{Engine, TaskGraph, TaskId};
+use scheduler::{lower, makespan, moe_layer, MoePerfModel, Op, StreamSet};
+use simnet::{TaskGraph, TaskId};
 
 use crate::ScheduleKind;
 
 impl ScheduleKind {
+    /// One MoE layer under this schedule: its ops in issue order and
+    /// their prices.
+    ///
+    /// DeepSpeed-MoE always routes through its 2DH hierarchical
+    /// AlltoAll; on the node-aligned topology its intra-node phase
+    /// re-moves the full buffer and serialises on the same blocking
+    /// queue, so each AlltoAll also pays an intra-node pass.
+    fn layer<'a>(
+        self,
+        m: &MoePerfModel,
+        r: u32,
+        gar_times: &'a [f64],
+    ) -> (Vec<Op>, impl Fn(Op) -> f64 + 'a) {
+        let a2a_extra = match self {
+            ScheduleKind::DsMoe => m.ag.time_chunked(m.n_a2a, r),
+            _ => 0.0,
+        };
+        let ops = moe_layer(self == ScheduleKind::FsMoe, r, gar_times.len());
+        (ops, m.op_ms(r, a2a_extra, gar_times))
+    }
+
     /// Lowers one MoE layer under this schedule and returns its last
     /// combine — what the next layer waits for.
     ///
@@ -40,38 +61,26 @@ impl ScheduleKind {
         deps: &[TaskId],
         label: &str,
     ) -> TaskId {
-        // DeepSpeed-MoE always routes through its 2DH hierarchical
-        // AlltoAll; on the node-aligned topology its intra-node phase
-        // re-moves the full buffer and serialises on the same blocking
-        // queue, so each AlltoAll also pays an intra-node pass.
-        let a2a_extra = match self {
-            ScheduleKind::DsMoe => m.ag.time_chunked(m.n_a2a, r),
-            _ => 0.0,
-        };
-        let ops = moe_layer(self == ScheduleKind::FsMoe, r, gar_times.len());
-        let ms = m.op_ms(r, a2a_extra, gar_times);
+        let (ops, ms) = self.layer(m, r, gar_times);
         *lower(&ops, graph, streams, ms, deps, label)
             .last()
             .expect("a layer ends with its last combine")
     }
 }
 
-/// Simulated makespan of one isolated MoE layer under `kind`.
+/// Simulated makespan of one isolated MoE layer under `kind`: what
+/// simulating [`ScheduleKind::lower_layer`]'s graph reports, bit for bit,
+/// walked straight off the op list.
 pub fn simulate_layer(kind: ScheduleKind, m: &MoePerfModel, r: u32, gar_times: &[f64]) -> f64 {
-    let mut graph = TaskGraph::new();
-    let streams = StreamSet::add_to(&mut graph);
-    let _ = kind.lower_layer(&mut graph, &streams, m, r, gar_times, &[], "moe");
-    Engine::new()
-        .simulate(&graph)
-        .expect("builder-constructed graphs always simulate")
-        .makespan()
+    let (ops, ms) = kind.layer(m, r, gar_times);
+    makespan(&ops, ms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scheduler::Phase;
-    use simnet::Testbed;
+    use simnet::{Engine, Testbed};
 
     fn model(n_a2a: f64, n_exp: f64, t_gar: f64) -> MoePerfModel {
         MoePerfModel::new(
@@ -162,33 +171,79 @@ mod tests {
         assert!(with > without);
     }
 
+    /// Random layer models on both testbeds, in both phases, with every
+    /// workload drawn log-uniformly across several decades.
+    fn random_models(count: usize) -> Vec<MoePerfModel> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut uniform = move || {
+            // xorshift64*: a fixed stream, no dependency
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut decades = move |lo: f64, hi: f64| 10f64.powf(lo + (hi - lo) * uniform());
+        let mut models = Vec::new();
+        for testbed in [Testbed::a(), Testbed::b()] {
+            for phase in [Phase::Forward, Phase::Backward] {
+                for k in 0..count {
+                    let t_gar = decades(-2.0, 1.5);
+                    models.push(MoePerfModel::new(
+                        &testbed.costs,
+                        decades(4.0, 8.5),
+                        decades(4.0, 8.5),
+                        decades(4.0, 8.5),
+                        decades(6.0, 12.0),
+                        2 + k % 2,
+                        phase,
+                        t_gar,
+                    ));
+                }
+            }
+        }
+        models
+    }
+
     #[test]
     fn all_schedules_simulate_cleanly() {
-        // no deadlock under head-of-line issue order at any degree, and
-        // the inter-node link carries exactly the AlltoAlls and the pieces
-        let m = model(4.0e6, 2.0e9, 1.0);
-        for kind in ScheduleKind::ALL {
-            assert!(kind.pipeline_degree(&m) >= 1);
-            for r in 1..=16u32 {
-                for gar in [&[][..], &[1.0], &[1.0, 2.5]] {
-                    let mut graph = TaskGraph::new();
-                    let streams = StreamSet::add_to(&mut graph);
-                    let _ = kind.lower_layer(&mut graph, &streams, &m, r, gar, &[], "moe");
-                    let tl = Engine::new()
-                        .simulate(&graph)
-                        .unwrap_or_else(|e| panic!("{kind} r={r}: {e}"));
-                    let t = tl.makespan();
-                    assert!(t.is_finite() && t > 0.0, "{kind} r={r}: {t}");
-                    let mut t_a2a = m.t_a2a(r);
-                    if kind == ScheduleKind::DsMoe {
-                        t_a2a += m.ag.time_chunked(m.n_a2a, r);
+        // every schedule's lowering simulates at any degree, the inter-node
+        // link carries exactly the AlltoAlls and the pieces, and the walk
+        // `simulate_layer` prices it to the same bit as the engine
+        let kinds: Vec<ScheduleKind> = ScheduleKind::ALL
+            .into_iter()
+            .chain([ScheduleKind::FasterMoe])
+            .collect();
+        for m in std::iter::once(model(4.0e6, 2.0e9, 1.0)).chain(random_models(6)) {
+            let (x, y) = (m.t_gar, 2.5 * m.t_gar);
+            for &kind in &kinds {
+                assert!(kind.pipeline_degree(&m) >= 1);
+                for r in (1..=16u32).chain([17, 32]) {
+                    for gar in [&[][..], &[x], &[x, y]] {
+                        let mut graph = TaskGraph::new();
+                        let streams = StreamSet::add_to(&mut graph);
+                        let _ = kind.lower_layer(&mut graph, &streams, &m, r, gar, &[], "moe");
+                        let tl = Engine::new()
+                            .simulate(&graph)
+                            .unwrap_or_else(|e| panic!("{kind} r={r}: {e}"));
+                        let t = tl.makespan();
+                        assert!(t.is_finite() && t > 0.0, "{kind} r={r}: {t}");
+                        let walked = simulate_layer(kind, &m, r, gar);
+                        assert_eq!(
+                            walked.to_bits(),
+                            t.to_bits(),
+                            "{kind} r={r} gar={gar:?} {m:?}: walk {walked} vs engine {t}"
+                        );
+                        let mut t_a2a = m.t_a2a(r);
+                        if kind == ScheduleKind::DsMoe {
+                            t_a2a += m.ag.time_chunked(m.n_a2a, r);
+                        }
+                        let busy = 2.0 * f64::from(r) * t_a2a + gar.iter().sum::<f64>();
+                        assert!(
+                            (tl.busy_time(streams.inter) - busy).abs() < 1e-9,
+                            "{kind} r={r}: inter busy {} vs {busy}",
+                            tl.busy_time(streams.inter)
+                        );
                     }
-                    let busy = 2.0 * f64::from(r) * t_a2a + gar.iter().sum::<f64>();
-                    assert!(
-                        (tl.busy_time(streams.inter) - busy).abs() < 1e-9,
-                        "{kind} r={r}: inter busy {} vs {busy}",
-                        tl.busy_time(streams.inter)
-                    );
                 }
             }
         }

@@ -22,17 +22,22 @@
 //! * the control-plane kernels (pipeline-degree solver, α–β model fit)
 //!   the paper benchmarks against SLSQP, and the §5 gradient partitioner
 //!   at the planner's settings, with the per-layer `t_moe(t_gar)` curve
-//!   its objective reads beside the 64-degree scan that curve replaces.
+//!   its objective reads beside the 64-degree scan that curve replaces;
+//! * a baseline's 16-degree pipeline-degree selection, each candidate
+//!   priced by walking its op list beside the same scan lowering every
+//!   candidate to a task graph and simulating it.
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
 //! so successive runs can be diffed. The budgets: a GFLOPS floor per
 //! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, a share
 //! of the square rate per skinny shape, no large allocation and ≤ 2 % of
 //! the pre-recycler page faults per warm MoE step, a `t_gar` priced by
-//! the curve ≥ 20× faster than by the scan — so a kernel, packing,
+//! the curve ≥ 20× faster than by the scan, a degree selection by the
+//! walk ≥ 4× faster than through task graphs — so a kernel, packing,
 //! buffer-recycling or planner regression fails `ci.sh` instead of
 //! silently shipping.
 
+use baselines::ScheduleKind;
 use bench::gate::{best_of_ms, reference_layer, Gate};
 use bench::{perf_model, table4_grid};
 use jsonio::Json;
@@ -41,9 +46,9 @@ use numopt::LinearFit;
 use profiler::microbench::{comm_message_sizes, profile_op};
 use scheduler::{
     exhaustive_best, find_optimal_pipeline_degree, partition_gradients, GarCurve, GeneralizedLayer,
-    MoePerfModel, Phase, PLANNER_DE,
+    MoePerfModel, Phase, StreamSet, PLANNER_DE,
 };
-use simnet::Testbed;
+use simnet::{Engine, TaskGraph, Testbed};
 use tensor::{grad, Tensor, TensorRng};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -114,6 +119,12 @@ const GAR_CURVE_SPEEDUP_FLOOR: f64 = 20.0;
 const GAR_BUDGETS_MS: [f64; 8] = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0];
 /// Passes over the budgets per curve timing, so a pass outlasts the clock.
 const CURVE_PASSES: usize = 200;
+/// How much faster than lowering every candidate to a task graph and
+/// simulating it, timed in the same process on the same models, Tutel's
+/// 16-degree selection must run by walking each candidate's op list
+/// (~6 µs against ~49 µs, 7.7×, on one core of the AVX-512 reference
+/// box, under this binary's counting allocator).
+const DEGREE_WALK_SPEEDUP_FLOOR: f64 = 4.0;
 
 /// Minor page faults this process has taken so far (`minflt`, the tenth
 /// field of `/proc/self/stat`); `None` where there is no such file.
@@ -468,9 +479,42 @@ fn bench_moe() -> (Json, f64, Option<f64>) {
     (Json::obj(row), large_allocs, minor_faults)
 }
 
-/// Times the control-plane kernels; returns their `(name, ms)` rows and
-/// how many times faster the curve prices a budget than the scan.
-fn bench_control_plane() -> (Vec<(&'static str, f64)>, f64) {
+/// Tutel's pipeline-degree selection through task graphs: every degree
+/// in `1..=16` lowered by `lower_layer`, simulated by the engine, the
+/// first fastest kept — what `ScheduleKind::pipeline_degree` computes by
+/// walking op lists.
+fn tutel_degree_through_graphs(m: &MoePerfModel) -> u32 {
+    let m = m.with_t_gar(0.0);
+    let mut best = (0u32, f64::INFINITY);
+    for r in 1..=16u32 {
+        let mut graph = TaskGraph::new();
+        let streams = StreamSet::add_to(&mut graph);
+        let _ = ScheduleKind::Tutel.lower_layer(&mut graph, &streams, &m, r, &[], &[], "moe");
+        let t = Engine::new()
+            .simulate(&graph)
+            .expect("lowered graphs simulate");
+        if best.0 == 0 || t.makespan() < best.1 {
+            best = (r, t.makespan());
+        }
+    }
+    best.0
+}
+
+/// The control plane's timings: `(name, ms)` rows plus the speedups the
+/// floors read.
+struct ControlPlane {
+    rows: Vec<(&'static str, f64)>,
+    /// How many times faster the curve prices a budget than the scan.
+    curve_speedup: f64,
+    /// How many times faster the walk selects Tutel's degree than the
+    /// task-graph scan.
+    walk_speedup: f64,
+    /// Whether both selections picked the same degree for every model.
+    walk_agrees: bool,
+}
+
+/// Times the control-plane kernels.
+fn bench_control_plane() -> ControlPlane {
     // §6.2: the SLSQP solve averages 193 ms per configuration; our exact
     // solver should be orders of magnitude faster
     let tb = Testbed::a();
@@ -533,6 +577,21 @@ fn bench_control_plane() -> (Vec<(&'static str, f64)>, f64) {
         }
     }) / (evals * CURVE_PASSES as f64);
 
+    // a baseline's degree selection: the walk against the task graphs
+    let walk_ms = best_of_ms(GEMM_RUNS, || {
+        for m in &specs {
+            std::hint::black_box(ScheduleKind::Tutel.pipeline_degree(std::hint::black_box(m)));
+        }
+    }) / specs.len() as f64;
+    let graph_ms = best_of_ms(GEMM_RUNS, || {
+        for m in &specs {
+            std::hint::black_box(tutel_degree_through_graphs(std::hint::black_box(m)));
+        }
+    }) / specs.len() as f64;
+    let walk_agrees = specs
+        .iter()
+        .all(|m| ScheduleKind::Tutel.pipeline_degree(m) == tutel_degree_through_graphs(m));
+
     // §6.2: least-squares fitting takes <10 ms in the paper
     let tb = Testbed::b();
     let p = profile_op("AlltoAll", &tb.costs.a2a, &comm_message_sizes(), 0.01, 5, 3);
@@ -546,9 +605,16 @@ fn bench_control_plane() -> (Vec<(&'static str, f64)>, f64) {
         ("partition_gradients_4_layers", partition_ms),
         ("exhaustive_best_per_budget", scan_ms),
         ("gar_curve_per_budget", curve_ms),
+        ("tutel_degree_walk", walk_ms),
+        ("tutel_degree_task_graphs", graph_ms),
         ("linear_fit_24_points", fit_ms),
     ];
-    (rows, scan_ms / curve_ms)
+    ControlPlane {
+        rows,
+        curve_speedup: scan_ms / curve_ms,
+        walk_speedup: graph_ms / walk_ms,
+        walk_agrees,
+    }
 }
 
 fn main() {
@@ -568,12 +634,14 @@ fn main() {
     let norms = bench_row_norms();
     let (moe_row, large_allocs, minor_faults) = bench_moe();
 
-    let (control, curve_speedup) = bench_control_plane();
+    let control = bench_control_plane();
+    let (curve_speedup, walk_speedup) = (control.curve_speedup, control.walk_speedup);
     println!("\ncontrol plane:");
-    for (name, ms) in &control {
+    for (name, ms) in &control.rows {
         println!("  {name}: {ms:.3e} ms");
     }
     println!("  gar_curve_speedup_vs_scan: {curve_speedup:.1}x");
+    println!("  degree_walk_speedup_vs_task_graphs: {walk_speedup:.1}x");
 
     for (dim, floor) in GFLOPS_FLOORS {
         let (_, gflops) = *gemm_rates
@@ -641,6 +709,19 @@ fn main() {
              floor {GAR_CURVE_SPEEDUP_FLOOR:.0}x — the partitioner's objective regressed"
         ),
     );
+    gate.require(
+        walk_speedup >= DEGREE_WALK_SPEEDUP_FLOOR,
+        format!(
+            "Tutel degree selection: the op-list walk runs {walk_speedup:.1}x faster than \
+             the task-graph scan, floor {DEGREE_WALK_SPEEDUP_FLOOR:.0}x — the walk regressed"
+        ),
+    );
+    gate.require(
+        control.walk_agrees,
+        "Tutel degree selection: the op-list walk and the task-graph scan picked \
+         different degrees"
+            .to_string(),
+    );
     let faults_ceiling = FAULTS_VS_PARENT_CEILING * PARENT_FAULTS_PER_STEP;
     if let Some(faults) = minor_faults {
         gate.require(
@@ -706,6 +787,10 @@ fn main() {
                     "gar_curve_speedup_vs_scan",
                     Json::from(GAR_CURVE_SPEEDUP_FLOOR),
                 ),
+                (
+                    "degree_walk_speedup_vs_task_graphs",
+                    Json::from(DEGREE_WALK_SPEEDUP_FLOOR),
+                ),
             ]),
         ),
         ("moe_layer", moe_row),
@@ -713,9 +798,16 @@ fn main() {
             "control_plane",
             Json::obj(
                 control
+                    .rows
                     .iter()
                     .map(|(name, ms)| (*name, Json::from(*ms)))
-                    .chain([("gar_curve_speedup_vs_scan", Json::from(curve_speedup))])
+                    .chain([
+                        ("gar_curve_speedup_vs_scan", Json::from(curve_speedup)),
+                        (
+                            "degree_walk_speedup_vs_task_graphs",
+                            Json::from(walk_speedup),
+                        ),
+                    ])
                     .collect::<Vec<_>>(),
             ),
         ),

@@ -349,6 +349,107 @@ mod tests {
     }
 
     #[test]
+    fn fig6_iteration_makespans_are_pinned() {
+        // every schedule x the Fig. 6 presets on both testbeds, to the
+        // last bit, recorded from the head-selection engine the one
+        // issue-order pass replaced
+        let kinds = [
+            ScheduleKind::DsMoe,
+            ScheduleKind::Tutel,
+            ScheduleKind::TutelImproved,
+            ScheduleKind::PipeMoeLina,
+            ScheduleKind::FasterMoe,
+            ScheduleKind::FsMoeNoIio,
+            ScheduleKind::FsMoe,
+        ];
+        let (a, b) = (Testbed::a(), Testbed::b());
+        let cases: [(&Testbed, ModelPreset, [u64; 7]); 5] = [
+            (
+                &a,
+                ModelPreset::gpt2_xl_moe()
+                    .with_seq_len(1024)
+                    .with_layers(12),
+                [
+                    0x4085fa7c56099b5e,
+                    0x407b9bd0518119f2,
+                    0x407b0c27919c4e98,
+                    0x407abc1be04acbda,
+                    0x407c0f044e07e8aa,
+                    0x40795318d14cac32,
+                    0x4073bcd4b4bd2973,
+                ],
+            ),
+            (
+                &a,
+                ModelPreset::mixtral_7b().with_seq_len(1024).with_layers(32),
+                [
+                    0x40b8831dccb230a0,
+                    0x40b10459e3c24b0e,
+                    0x40b0a776a1b47e43,
+                    0x40ade54f98d1246b,
+                    0x40b1ac244c283282,
+                    0x40adc0fe6d70229d,
+                    0x40a44989093a4606,
+                ],
+            ),
+            (
+                &a,
+                ModelPreset::mixtral_22b()
+                    .with_seq_len(1024)
+                    .with_layers(33),
+                [
+                    0x40c49507be2a6284,
+                    0x40bd320ee7c80e3b,
+                    0x40bc6f0853e5f3f0,
+                    0x40b8824889aa4ba4,
+                    0x40be8d48124dc024,
+                    0x40b84ff1ab3c16bd,
+                    0x40b0a9c939f28ba2,
+                ],
+            ),
+            (
+                &b,
+                ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(12),
+                [
+                    0x40712829f394f2cf,
+                    0x406b5ab2231f5f26,
+                    0x4069d25a4b6a2786,
+                    0x406a3127babfe911,
+                    0x406b92d89eb42afb,
+                    0x406683d78f25d3cb,
+                    0x4065be96de0e4ccd,
+                ],
+            ),
+            (
+                &b,
+                ModelPreset::mixtral_7b().with_seq_len(256).with_layers(7),
+                [
+                    0x40862df40db12048,
+                    0x4083418a3851182e,
+                    0x4082ad4b78f5ec00,
+                    0x407f2f187bc238c2,
+                    0x4083879fb4a4a5ca,
+                    0x407d9ea83e88d2d5,
+                    0x407c4fa6ce323f8d,
+                ],
+            ),
+        ];
+        for (tb, preset, want) in &cases {
+            for (&kind, &bits) in kinds.iter().zip(want) {
+                let t = iteration_time(kind, tb, preset).unwrap();
+                assert_eq!(
+                    t.to_bits(),
+                    bits,
+                    "{kind} {} on {}: {t} vs {}",
+                    preset.name,
+                    tb.kind,
+                    f64::from_bits(bits)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fsmoe_partitions_conserve_gradient_bytes_in_time() {
         // FSMoE's in-MoE GAR time must price at least the AllReduce of
         // all dense bytes (alpha terms may add per piece)

@@ -16,7 +16,9 @@
 //!   ([`moe_layer`]: the orders of Figs. 3d/4 and of Tutel/PipeMoE), and
 //!   [`lower`] turns any such list into a `simnet::TaskGraph` over three
 //!   streams (compute / intra-node link / inter-node link) so makespans
-//!   come from simulation, not from trusting the closed forms.
+//!   come from simulation, not from trusting the closed forms;
+//!   [`makespan`] is that simulation's result for one list run alone,
+//!   from a single pass over it.
 //!
 //! The invariant the tests enforce: the optimizer's chosen `r` is never
 //! worse (in simulated makespan) than any other `r` by more than the
@@ -43,4 +45,4 @@ pub use optimize::{
     exhaustive_best, find_optimal_pipeline_degree, GarCurve, PipelineSolution, MAX_PIPELINE_DEGREE,
 };
 pub use perf::{MoePerfModel, Phase};
-pub use schedule::{lower, moe_layer, Op, Stream, StreamSet};
+pub use schedule::{lower, makespan, moe_layer, Op, Stream, StreamSet};

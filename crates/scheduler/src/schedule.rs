@@ -1,5 +1,6 @@
-//! The schedule as data: a `Vec<Op>` in issue order, and its one
-//! lowering to a `simnet` task graph.
+//! The schedule as data: a `Vec<Op>` in issue order, its one lowering
+//! to a `simnet` task graph, and the makespan of that graph walked
+//! straight off the list.
 //!
 //! A schedule occupies three exclusive streams, mirroring the hardware
 //! the paper targets (§4): the GPU compute stream, the intra-node link
@@ -77,8 +78,8 @@ impl Op {
 }
 
 impl std::fmt::Display for Op {
-    // Two direct writes, not a nested `write!`: every task of every
-    // candidate degree is named through this.
+    // Two direct writes, not a nested `write!`: every lowered task is
+    // named through this.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (tag, index) = match *self {
             Op::Dispatch(i) => ("D", i),
@@ -92,6 +93,89 @@ impl std::fmt::Display for Op {
         };
         f.write_str(tag)?;
         std::fmt::Display::fmt(&index, f)
+    }
+}
+
+impl Op {
+    /// Number of distinct variants, the first half of [`Op::key`].
+    const VARIANTS: usize = 8;
+
+    /// `(variant, index)`: which kind of op this is and its chunk (or
+    /// piece) index.
+    fn key(self) -> (usize, u32) {
+        match self {
+            Op::Dispatch(i) => (0, i),
+            Op::AllGather(i) => (1, i),
+            Op::Expert(i) => (2, i),
+            Op::ReduceScatter(i) => (3, i),
+            Op::Block(i) => (4, i),
+            Op::Combine(i) => (5, i),
+            Op::Gar(j) => (6, j),
+            Op::Attn => (7, 0),
+        }
+    }
+}
+
+/// What each op issued so far left for its consumers — the task it was
+/// lowered to, or the time it ends — keyed by op, so resolving a
+/// producer is two lookups instead of a search back along the list.
+struct Issued<T> {
+    /// One more than the largest index among the ops being issued.
+    indices: usize,
+    /// `(issue position, value)` of each op's latest issue, at
+    /// `variant * indices + index`.
+    latest: Vec<Option<(usize, T)>>,
+    count: usize,
+}
+
+impl<T: Copy> Issued<T> {
+    fn for_ops(ops: &[Op]) -> Self {
+        let indices = ops
+            .iter()
+            .map(|op| op.key().1 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        Issued {
+            indices,
+            latest: vec![None; Op::VARIANTS * indices],
+            count: 0,
+        }
+    }
+
+    fn latest(&self, op: Op) -> Option<(usize, T)> {
+        let (variant, index) = op.key();
+        let index = index as usize;
+        (index < self.indices)
+            .then(|| self.latest[variant * self.indices + index])
+            .flatten()
+    }
+
+    /// The value of `op`'s producer: the latest-issued of its
+    /// [`Op::producers`], `None` when it has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op` as `name()`, when it has producers but none of
+    /// them is issued yet.
+    fn producer(&self, op: Op, name: impl FnOnce() -> String) -> Option<T> {
+        let [first, second] = op.producers();
+        // an op without producers waits only for the schedule's gate
+        first?;
+        let issued = [first, second]
+            .into_iter()
+            .flatten()
+            .filter_map(|p| self.latest(p));
+        let (_, value) = issued
+            .max_by_key(|&(at, _)| at)
+            .unwrap_or_else(|| panic!("{} is issued before its producer", name()));
+        Some(value)
+    }
+
+    /// Records the next op of the list as issued with `value`.
+    fn issue(&mut self, op: Op, value: T) {
+        let (variant, index) = op.key();
+        self.latest[variant * self.indices + index as usize] = Some((self.count, value));
+        self.count += 1;
     }
 }
 
@@ -205,27 +289,53 @@ pub fn lower(
     deps: &[TaskId],
     label: &str,
 ) -> Vec<TaskId> {
+    let mut issued = Issued::for_ops(ops);
     let mut tasks: Vec<TaskId> = Vec::with_capacity(ops.len());
-    for (k, &op) in ops.iter().enumerate() {
-        let [first, second] = op.producers();
-        let producer = first.map(|_| {
-            let at = ops[..k]
-                .iter()
-                .rposition(|&p| Some(p) == first || Some(p) == second)
-                .unwrap_or_else(|| panic!("{label}.{op} is issued before its producer"));
-            tasks[at]
-        });
+    for &op in ops {
+        let producer = issued.producer(op, || format!("{label}.{op}"));
         let after = producer.as_ref().map_or(deps, std::slice::from_ref);
         let resource = streams.resource(op.stream());
-        // `{label}.{op}`, pushed: `format!` over both parts costs a Tutel
-        // 16-degree scan 42 -> 52 us
+        // `{label}.{op}`, pushed into a buffer sized up front
         let mut name = String::with_capacity(label.len() + 8);
         name.push_str(label);
         name.push('.');
         write!(name, "{op}").expect("writing to a String cannot fail");
-        tasks.push(graph.add_task(name, resource, ms(op), after));
+        let task = graph.add_task(name, resource, ms(op), after);
+        issued.issue(op, task);
+        tasks.push(task);
     }
     tasks
+}
+
+/// Makespan of `ops` run alone, ms: the time [`lower`] followed by
+/// `simnet::Engine::simulate` would report, bit for bit, without
+/// building the graph. Each stream runs its ops in list order, head of
+/// line, so one pass in issue order places every op: it starts once its
+/// stream is free and its producer has ended, and runs for `ms(op)`.
+///
+/// # Panics
+///
+/// Panics when an op's producer is not issued before it, and on a
+/// negative or non-finite price (which [`lower`] rejects too).
+pub fn makespan(ops: &[Op], ms: impl Fn(Op) -> f64) -> f64 {
+    let mut issued = Issued::for_ops(ops);
+    // when each stream is next free, indexed by `Stream as usize`
+    let mut free = [0.0f64; 3];
+    let mut last = 0.0f64;
+    for &op in ops {
+        let ready = issued.producer(op, || op.to_string()).unwrap_or(0.0);
+        let duration = ms(op);
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "{op} has invalid duration {duration}"
+        );
+        let stream = &mut free[op.stream() as usize];
+        let end = stream.max(ready) + duration;
+        *stream = end;
+        issued.issue(op, end);
+        last = last.max(end);
+    }
+    last
 }
 
 #[cfg(test)]

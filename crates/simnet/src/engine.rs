@@ -84,6 +84,12 @@ pub struct Straggler {
 /// semantics): the head task of each resource queue starts as soon as its
 /// dependencies complete and the resource is free; tasks issued later on
 /// the same resource never overtake it.
+///
+/// That makes one pass over the tasks in issue order the whole
+/// simulation. [`TaskGraph::add_task`] admits only dependencies on
+/// earlier tasks, and a resource's queue is its insertion order, so when
+/// the pass reaches a task its dependencies and every task ahead of it on
+/// its resource are already placed — no graph can deadlock.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     _private: (),
@@ -99,10 +105,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] when dependencies form a cycle, or a
-    /// cross-resource dependency pattern deadlocks under issue-order
-    /// (head-of-line) execution — e.g. task A on stream 1 waiting on task
-    /// B that was issued *behind* another stream-1 waiter.
+    /// Never: with no stragglers there is nothing to reject, and every
+    /// graph a [`TaskGraph`] can hold simulates.
     pub fn simulate(&self, graph: &TaskGraph) -> Result<Timeline> {
         self.simulate_with_stragglers(graph, &[])
     }
@@ -113,9 +117,8 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownTask`] when a straggler names a task
-    /// outside the graph, [`SimError::BadDuration`] when its extra delay
-    /// is negative or non-finite, and the same scheduling errors as
-    /// [`Engine::simulate`].
+    /// outside the graph, and [`SimError::BadDuration`] when its extra
+    /// delay is negative or non-finite.
     pub fn simulate_with_stragglers(
         &self,
         graph: &TaskGraph,
@@ -132,59 +135,22 @@ impl Engine {
             }
             extra[s.task.0] += s.extra;
         }
-        let n = graph.len();
         let n_res = graph.resource_count();
-        // Per-resource FIFO queues in issue order.
-        let mut queues: Vec<std::collections::VecDeque<usize>> =
-            vec![std::collections::VecDeque::new(); n_res];
-        for (i, t) in graph.tasks().iter().enumerate() {
-            queues[t.resource.0].push_back(i);
-        }
-        let mut finish: Vec<Option<f64>> = vec![None; n];
-        let mut spans: Vec<Span> = vec![
-            Span {
-                start: 0.0,
-                end: 0.0,
-            };
-            n
-        ];
+        let mut spans: Vec<Span> = Vec::with_capacity(graph.len());
         let mut res_free = vec![0.0f64; n_res];
         let mut busy = vec![0.0f64; n_res];
-        let mut done = 0usize;
-
-        while done < n {
-            // Choose, among resource heads whose deps are satisfied, the
-            // one that can start earliest (ties: lowest resource index).
-            let mut best: Option<(f64, usize, usize)> = None; // (start, res, task)
-            for (r, q) in queues.iter().enumerate() {
-                let Some(&t) = q.front() else { continue };
-                let deps_ready = graph.tasks()[t]
-                    .deps
-                    .iter()
-                    .try_fold(0.0f64, |acc, d| finish[d.0].map(|f| acc.max(f)));
-                let Some(deps_ready) = deps_ready else {
-                    continue;
-                };
-                let start = res_free[r].max(deps_ready);
-                let better = match best {
-                    None => true,
-                    Some((bs, br, _)) => start < bs || (start == bs && r < br),
-                };
-                if better {
-                    best = Some((start, r, t));
-                }
-            }
-            let Some((start, r, t)) = best else {
-                return Err(SimError::Deadlock { stuck: n - done });
-            };
-            let dur = graph.tasks()[t].duration + extra[t];
+        for (t, task) in graph.tasks().iter().enumerate() {
+            let r = task.resource.0;
+            let deps_ready = task
+                .deps
+                .iter()
+                .fold(0.0f64, |acc, d| acc.max(spans[d.0].end));
+            let start = res_free[r].max(deps_ready);
+            let dur = task.duration + extra[t];
             let end = start + dur;
-            spans[t] = Span { start, end };
-            finish[t] = Some(end);
+            spans.push(Span { start, end });
             res_free[r] = end;
             busy[r] += dur;
-            queues[r].pop_front();
-            done += 1;
         }
 
         let makespan = spans.iter().map(|s| s.end).fold(0.0, f64::max);

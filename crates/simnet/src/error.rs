@@ -21,12 +21,6 @@ pub enum SimError {
         /// Offending duration.
         duration: f64,
     },
-    /// The dependency graph contains a cycle (or cross-stream deadlock
-    /// with issue-order blocking).
-    Deadlock {
-        /// Number of tasks that could not be scheduled.
-        stuck: usize,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -36,9 +30,6 @@ impl fmt::Display for SimError {
             SimError::UnknownResource { id } => write!(f, "unknown resource id {id}"),
             SimError::BadDuration { task, duration } => {
                 write!(f, "task {task:?} has invalid duration {duration}")
-            }
-            SimError::Deadlock { stuck } => {
-                write!(f, "schedule deadlocked with {stuck} tasks unscheduled")
             }
         }
     }
@@ -53,6 +44,5 @@ mod tests {
     #[test]
     fn display_nonempty() {
         assert!(!SimError::UnknownTask { id: 3 }.to_string().is_empty());
-        assert!(SimError::Deadlock { stuck: 2 }.to_string().contains('2'));
     }
 }
