@@ -120,6 +120,24 @@ for fig in ablations dispatch_algos fig3_timeline fig4_cases fig6_models fig7_sc
     fi
 done
 
+echo "==> plan_sweep: the benchmark's planning workload, bit for bit"
+# plan_sweep plans, lowers and simulates a seeded sample of the Table 4
+# grid through models::iteration; its objective is a pure function of
+# the schedules, so a change to planning, the step, its lowering or the
+# engine that moves any makespan moves these bits.
+for pair in 3:0.7350841691192694 5:0.7355275825197632; do
+    seed=${pair%%:*} want=${pair#*:}
+    out=$(bash benchmark/run.sh --workload plan_sweep --seed "$seed" --seconds 1 --trace 0 | tail -n 1)
+    case "$out" in
+        *'"correct":true'*'"failed":0'*'"objective":{"unit":"loss","value":'"$want"'}'*)
+            echo "plan_sweep seed $seed: correct, 0 failed, objective $want" ;;
+        *)
+            printf 'plan_sweep seed %s: want correct, 0 failed, objective %s; got\n%s\n' \
+                "$seed" "$want" "$out" >&2
+            exit 1 ;;
+    esac
+done
+
 echo "==> conformance: chaos suite under the lock doctor"
 # Re-run the fault-injection suites with lock-order tracking armed.
 # Every test holds a check_guard, so any potential-deadlock cycle or

@@ -7,25 +7,30 @@ use simnet::{TaskGraph, TaskId};
 use crate::ScheduleKind;
 
 impl ScheduleKind {
-    /// One MoE layer under this schedule: its ops in issue order and
-    /// their prices.
+    /// One MoE layer's ops under this schedule at degree `r`, with `n_gar`
+    /// Gradient-AllReduce pieces (see [`Self::lower_layer`]).
+    pub fn layer_ops(self, r: u32, n_gar: usize) -> Vec<Op> {
+        moe_layer(self == ScheduleKind::FsMoe, r, n_gar)
+    }
+
+    /// The prices of one MoE layer's ops under this schedule, piece `j`
+    /// of the Gradient-AllReduce taking `gar_times[j]`.
     ///
     /// DeepSpeed-MoE always routes through its 2DH hierarchical
     /// AlltoAll; on the node-aligned topology its intra-node phase
     /// re-moves the full buffer and serialises on the same blocking
     /// queue, so each AlltoAll also pays an intra-node pass.
-    fn layer<'a>(
+    pub fn layer_prices<'a>(
         self,
         m: &MoePerfModel,
         r: u32,
         gar_times: &'a [f64],
-    ) -> (Vec<Op>, impl Fn(Op) -> f64 + 'a) {
+    ) -> impl Fn(Op) -> f64 + 'a {
         let a2a_extra = match self {
             ScheduleKind::DsMoe => m.ag.time_chunked(m.n_a2a, r),
             _ => 0.0,
         };
-        let ops = moe_layer(self == ScheduleKind::FsMoe, r, gar_times.len());
-        (ops, m.op_ms(r, a2a_extra, gar_times))
+        m.op_ms(r, a2a_extra, gar_times)
     }
 
     /// Lowers one MoE layer under this schedule and returns its last
@@ -61,7 +66,8 @@ impl ScheduleKind {
         deps: &[TaskId],
         label: &str,
     ) -> TaskId {
-        let (ops, ms) = self.layer(m, r, gar_times);
+        let ops = self.layer_ops(r, gar_times.len());
+        let ms = self.layer_prices(m, r, gar_times);
         *lower(&ops, graph, streams, ms, deps, label)
             .last()
             .expect("a layer ends with its last combine")
@@ -72,8 +78,8 @@ impl ScheduleKind {
 /// simulating [`ScheduleKind::lower_layer`]'s graph reports, bit for bit,
 /// walked straight off the op list.
 pub fn simulate_layer(kind: ScheduleKind, m: &MoePerfModel, r: u32, gar_times: &[f64]) -> f64 {
-    let (ops, ms) = kind.layer(m, r, gar_times);
-    makespan(&ops, ms)
+    let ops = kind.layer_ops(r, gar_times.len());
+    makespan(&ops, kind.layer_prices(m, r, gar_times))
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@ use baselines::ScheduleKind;
 use collectives::ParallelDims;
 use fsmoe::config::{FfnKind, MoeConfig};
 use fsmoe::spec::MoeLayerSpec;
-use models::iteration::{build_iteration_graph, plan_iteration};
+use models::iteration::plan_iteration;
 use models::layerspec::TransformerLayerSpec;
 use scheduler::{find_optimal_pipeline_degree, MoePerfModel, Phase};
-use simnet::{Engine, Testbed};
+use simnet::Testbed;
 
 /// One point of the Table 4 configuration grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,12 +129,7 @@ pub fn configured_layer_time(
     testbed: &Testbed,
     spec: &TransformerLayerSpec,
 ) -> f64 {
-    let plan = plan_iteration(kind, &testbed.costs, spec, 4);
-    let (graph, _) = build_iteration_graph(&plan);
-    Engine::new()
-        .simulate(&graph)
-        .expect("builder graphs simulate")
-        .makespan()
+    plan_iteration(kind, &testbed.costs, spec, 4).makespan()
 }
 
 /// The §4.2 performance model of one MoE layer spec in `phase`, with

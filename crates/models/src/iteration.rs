@@ -1,28 +1,30 @@
-//! Whole-iteration planning and task-graph construction.
+//! Whole-iteration planning: the training step as one list of
+//! [`Segment`]s, built once by [`plan_iteration`], walked for its
+//! makespan and lowered for task graphs.
 //!
-//! An iteration is: forward through `n` transformer layers (attention →
-//! MoE), then backward in reverse (MoE → attention), with the schedule's
-//! Gradient-AllReduce policy deciding where each layer's dense-gradient
-//! AllReduce rides:
+//! Forward, per layer: `[Attn]`, then `[MoE]`. Backward, per layer:
+//! `[MoE + Gar…]`, then the dense window `[Gar…, Attn]`. Then the tail
+//! `[Gar…]`. A schedule's Gradient-AllReduce policy is which segment
+//! gets each layer's dense-gradient pieces:
 //!
-//! * DS-MoE / Tutel — all of it after backward finishes;
-//! * Tutel-Improved — alongside the *next* layer's attention backward
-//!   (dense parts only, Fig. 3b);
-//! * PipeMoE+Lina — fixed 30 MB buckets squeezed behind MoE dispatches;
+//! * DS-MoE / Tutel / FasterMoE — all of them in the tail;
+//! * Tutel-Improved — the *next* backward layer's dense window (Fig. 3b);
+//! * PipeMoE+Lina — fixed 30 MB buckets behind the MoE dispatches;
 //! * FSMoE(-No-IIO) — the §5 adaptive partition, sized per layer by the
 //!   inverse AllReduce model and differential evolution.
 
 use baselines::{ScheduleKind, LINA_CHUNK_BYTES};
 use scheduler::{
-    lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, StreamSet, PLANNER_DE,
+    lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, Segment, StreamSet,
+    Walk, PLANNER_DE,
 };
-use simnet::{Engine, OpCosts, TaskGraph, TaskId, Testbed};
+use simnet::{OpCosts, TaskGraph, Testbed};
 
 use crate::layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 use crate::presets::ModelPreset;
 
-/// A fully resolved per-iteration schedule: pipeline degrees and
-/// Gradient-AllReduce placement for every layer.
+/// A fully resolved per-iteration schedule: pipeline degrees, and the
+/// step with every Gradient-AllReduce piece placed.
 #[derive(Debug, Clone)]
 pub struct IterationPlan {
     /// The schedule being planned.
@@ -38,84 +40,76 @@ pub struct IterationPlan {
     pub r_fwd: u32,
     /// Backward pipeline degrees, backward order.
     pub r_bwd: Vec<u32>,
-    /// Gradient-AllReduce pieces issued inside each backward MoE layer.
-    pub gar_in_moe: Vec<Vec<f64>>,
-    /// Pieces issued alongside each layer's attention backward.
-    pub gar_with_dense: Vec<Vec<f64>>,
-    /// Pieces flushed after backward completes.
-    pub gar_tail: Vec<f64>,
-    /// Attention forward / backward durations.
+    /// Attention forward duration.
     pub attn_fwd: f64,
     /// Attention backward duration.
     pub attn_bwd: f64,
+    /// The training step in issue order; a segment's `layer` counts its
+    /// phase's execution order, and the tail carries the last backward
+    /// layer's.
+    pub step: Vec<Segment>,
 }
 
 /// Resolves pipeline degrees and the Gradient-AllReduce policy for
 /// `kind` on a layer stack of `layers` copies of `spec`.
+///
+/// # Panics
+///
+/// Panics when `layers == 0`.
 pub fn plan_iteration(
     kind: ScheduleKind,
     costs: &OpCosts,
     spec: &TransformerLayerSpec,
     layers: usize,
 ) -> IterationPlan {
+    assert!(layers >= 1, "an iteration needs at least one layer");
     let moe = &spec.moe;
-    let fwd_model = MoePerfModel::new(
-        costs,
-        moe.n_a2a,
-        moe.n_ag,
-        moe.n_rs,
-        moe.n_exp,
-        moe.gemms,
-        Phase::Forward,
-        0.0,
-    );
-    let bwd_base = MoePerfModel::new(
-        costs,
-        moe.n_a2a,
-        moe.n_ag,
-        moe.n_rs,
-        moe.n_exp,
-        moe.gemms,
-        Phase::Backward,
-        0.0,
-    );
+    let model = |phase| {
+        MoePerfModel::new(
+            costs, moe.n_a2a, moe.n_ag, moe.n_rs, moe.n_exp, moe.gemms, phase, 0.0,
+        )
+    };
+    let (fwd_model, bwd_base) = (model(Phase::Forward), model(Phase::Backward));
     let attn_fwd = attention_forward_time(costs, spec);
     let attn_bwd = attention_backward_time(costs, spec);
     let ar = costs.all_reduce;
     let bytes = spec.dense_param_bytes;
 
-    let mut gar_in_moe = vec![Vec::new(); layers];
-    let mut gar_with_dense = vec![Vec::new(); layers];
-    let mut gar_tail = Vec::new();
+    // The pieces of each backward segment: `in_moe(i)` is backward
+    // layer i's MoE segment, `window(i)` its dense window, `tail` the last.
+    let in_moe = |i: usize| 2 * i;
+    let window = |i: usize| 2 * i + 1;
+    let tail = 2 * layers;
+    let mut gar = vec![Vec::new(); tail + 1];
     let mut bwd_models = vec![bwd_base; layers];
 
     match kind {
         ScheduleKind::DsMoe | ScheduleKind::Tutel | ScheduleKind::FasterMoe => {
             // everything at the end, one AllReduce per layer
-            gar_tail = vec![ar.time(bytes); layers];
+            gar[tail] = vec![ar.time(bytes); layers];
         }
         ScheduleKind::TutelImproved => {
             // layer i−1's gradient rides the dense window of backward
             // layer i; the last layer's gradient has no window left
-            for slot in gar_with_dense.iter_mut().take(layers).skip(1) {
-                slot.push(ar.time(bytes));
+            for i in 1..layers {
+                gar[window(i)].push(ar.time(bytes));
             }
-            gar_tail.push(ar.time(bytes));
+            gar[tail].push(ar.time(bytes));
         }
         ScheduleKind::PipeMoeLina => {
             // fixed 30 MB buckets behind the MoE dispatches
             let chunk_time = ar.time(LINA_CHUNK_BYTES);
             let mut carry = 0.0f64;
-            for slot in gar_in_moe.iter_mut().take(layers).skip(1) {
+            for i in 1..layers {
                 carry += bytes;
                 while carry >= LINA_CHUNK_BYTES {
-                    slot.push(chunk_time);
+                    gar[in_moe(i)].push(chunk_time);
                     carry -= LINA_CHUNK_BYTES;
                 }
             }
             carry += bytes; // last layer's gradient
             if carry > 0.0 {
-                gar_tail.push(ar.time(carry));
+                gar[tail].push(ar.time(carry));
             }
         }
         ScheduleKind::FsMoeNoIio | ScheduleKind::FsMoe => {
@@ -129,7 +123,7 @@ pub fn plan_iteration(
             let partition = partition_gradients(&gls, ar, PLANNER_DE);
             for i in 0..layers {
                 if partition.t_gar[i] > 0.0 {
-                    gar_in_moe[i].push(partition.t_gar[i]);
+                    gar[in_moe(i)].push(partition.t_gar[i]);
                     bwd_models[i] = bwd_base.with_t_gar(partition.t_gar[i]);
                 }
             }
@@ -139,18 +133,37 @@ pub fn plan_iteration(
     let r_fwd = kind.pipeline_degree(&fwd_model);
     // Layers that share a backward model share its degree: solve each
     // distinct model once (one solve for the Tutel family).
-    let mut solved: Vec<(MoePerfModel, u32)> = Vec::new();
-    let r_bwd = bwd_models
-        .iter()
-        .map(|m| {
-            if let Some(&(_, r)) = solved.iter().find(|(s, _)| s == m) {
-                return r;
-            }
-            let r = kind.pipeline_degree(m);
-            solved.push((*m, r));
-            r
-        })
-        .collect();
+    let mut r_bwd: Vec<u32> = Vec::with_capacity(layers);
+    for (i, m) in bwd_models.iter().enumerate() {
+        let seen = bwd_models[..i].iter().position(|s| s == m);
+        r_bwd.push(seen.map_or_else(|| kind.pipeline_degree(m), |j| r_bwd[j]));
+    }
+
+    let segment = |phase, layer, ops, gar| Segment {
+        phase,
+        layer,
+        ops,
+        gar,
+    };
+    let pieces = |gar: &[f64]| (0..gar.len() as u32).map(Op::Gar);
+    let mut step = Vec::with_capacity(4 * layers + 1);
+    for l in 0..layers {
+        step.push(segment(Phase::Forward, l, vec![Op::Attn], Vec::new()));
+        let ops = kind.layer_ops(r_fwd, 0);
+        step.push(segment(Phase::Forward, l, ops, Vec::new()));
+    }
+    for (i, &r) in r_bwd.iter().enumerate() {
+        let pieces_in_moe = std::mem::take(&mut gar[in_moe(i)]);
+        let ops = kind.layer_ops(r, pieces_in_moe.len());
+        step.push(segment(Phase::Backward, i, ops, pieces_in_moe));
+        let pieces_in_window = std::mem::take(&mut gar[window(i)]);
+        let ops = pieces(&pieces_in_window).chain([Op::Attn]).collect();
+        step.push(segment(Phase::Backward, i, ops, pieces_in_window));
+    }
+    let pieces_in_tail = std::mem::take(&mut gar[tail]);
+    let ops = pieces(&pieces_in_tail).collect();
+    step.push(segment(Phase::Backward, layers - 1, ops, pieces_in_tail));
+
     IterationPlan {
         kind,
         layers,
@@ -158,80 +171,66 @@ pub fn plan_iteration(
         bwd_models,
         r_fwd,
         r_bwd,
-        gar_in_moe,
-        gar_with_dense,
-        gar_tail,
         attn_fwd,
         attn_bwd,
+        step,
     }
 }
 
-/// Lowers the forward half of a plan (attention → MoE per layer);
-/// returns what the backward half waits for.
-pub(crate) fn forward_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet, Vec<TaskId>) {
+impl IterationPlan {
+    /// The prices of `seg`'s ops, ms: the schedule's price list for its
+    /// layer's model, and attention's for its phase.
+    pub fn prices<'a>(&'a self, seg: &'a Segment) -> impl Fn(Op) -> f64 + 'a {
+        let i = seg.layer;
+        let (m, r, attn) = match seg.phase {
+            Phase::Forward => (&self.fwd_model, self.r_fwd, self.attn_fwd),
+            Phase::Backward => (&self.bwd_models[i], self.r_bwd[i], self.attn_bwd),
+        };
+        let moe = self.kind.layer_prices(m, r, &seg.gar);
+        move |op| if op == Op::Attn { attn } else { moe(op) }
+    }
+
+    /// Walks the step: each segment with the makespan so far once it is
+    /// placed, ms.
+    pub(crate) fn walk(&self) -> impl Iterator<Item = (&Segment, f64)> {
+        let mut walk = Walk::default();
+        self.step
+            .iter()
+            .map(move |seg| (seg, walk.segment(&seg.ops, self.prices(seg))))
+    }
+
+    /// Makespan of the whole step, ms.
+    pub fn makespan(&self) -> f64 {
+        self.walk().last().map_or(0.0, |(_, t)| t)
+    }
+}
+
+/// Lowers a plan's step to a simulatable task graph: each segment
+/// through `scheduler::lower`, gated on the previous one's last task.
+pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let mut prev = Vec::new();
-    for l in 0..plan.layers {
-        let attn = lower(
-            &[Op::Attn],
-            &mut graph,
-            &streams,
-            |_| plan.attn_fwd,
-            &prev,
-            &format!("f{l}"),
-        );
-        let moe = plan.kind.lower_layer(
-            &mut graph,
-            &streams,
-            &plan.fwd_model,
-            plan.r_fwd,
-            &[],
-            &attn,
-            &format!("f{l}.moe"),
-        );
-        prev = vec![moe];
+    let mut gate = None;
+    for seg in &plan.step {
+        let (ms, name) = (plan.prices(seg), label(seg));
+        let tasks = lower(&seg.ops, &mut graph, &streams, ms, gate.as_slice(), &name);
+        gate = tasks.last().copied().or(gate);
     }
-    (graph, streams, prev)
+    (graph, streams)
 }
 
-/// Lowers a plan to a simulatable task graph.
-pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
-    let (mut graph, streams, mut prev) = forward_graph(plan);
-
-    // Backward (index i counts backward execution order).
-    for i in 0..plan.bwd_models.len() {
-        let moe = plan.kind.lower_layer(
-            &mut graph,
-            &streams,
-            &plan.bwd_models[i],
-            plan.r_bwd[i],
-            &plan.gar_in_moe[i],
-            &prev,
-            &format!("b{i}.moe"),
-        );
-        // The dense window: the pieces occupy the inter-node stream
-        // alongside the attention backward; later layers contend with
-        // them via issue order, they do not data-depend on them.
-        let pieces = &plan.gar_with_dense[i];
-        let window: Vec<Op> = std::iter::once(Op::Attn)
-            .chain((0..pieces.len() as u32).map(Op::Gar))
-            .collect();
-        let ms = |op| match op {
-            Op::Gar(j) => pieces[j as usize],
-            _ => plan.attn_bwd,
-        };
-        prev = lower(&window, &mut graph, &streams, ms, &[moe], &format!("b{i}"));
-        prev.truncate(1);
+/// The task-name prefix of a segment: `f3` / `f3.moe` (forward layer 3's
+/// attention / MoE), `b0` / `b0.moe` (backward), and `tail`.
+fn label(seg: &Segment) -> String {
+    let phase = match seg.phase {
+        Phase::Forward => 'f',
+        Phase::Backward => 'b',
+    };
+    match seg.ops.last() {
+        Some(Op::Attn) => format!("{phase}{}", seg.layer),
+        Some(Op::Gar(_)) | None => "tail".to_owned(),
+        _ => format!("{phase}{}.moe", seg.layer),
     }
-
-    // Tail flush, one piece after the other.
-    for (j, &t) in plan.gar_tail.iter().enumerate() {
-        let piece = [Op::Gar(j as u32)];
-        prev = lower(&piece, &mut graph, &streams, |_| t, &prev, "tail");
-    }
-
-    (graph, streams)
 }
 
 /// Simulated time of one training iteration of `preset` on `testbed`
@@ -246,19 +245,13 @@ pub fn iteration_time(
     preset: &ModelPreset,
 ) -> fsmoe::Result<f64> {
     let spec = preset.layer_spec(testbed)?;
-    let plan = plan_iteration(kind, &testbed.costs, &spec, preset.layers);
-    Ok(makespan(&build_iteration_graph(&plan).0))
-}
-
-/// Simulated makespan of a graph built by this crate, ms.
-pub(crate) fn makespan(graph: &TaskGraph) -> f64 {
-    let timeline = Engine::new().simulate(graph);
-    timeline.expect("builder graphs simulate").makespan()
+    Ok(plan_iteration(kind, &testbed.costs, &spec, preset.layers).makespan())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::Engine;
 
     fn times(testbed: &Testbed, preset: &ModelPreset) -> Vec<(ScheduleKind, f64)> {
         ScheduleKind::ALL
@@ -337,13 +330,7 @@ mod tests {
             assert_eq!(plan.r_bwd.len(), 4);
             assert!(plan.r_fwd >= 1);
             // total GAR time is positive somewhere for every schedule
-            let total: f64 = plan
-                .gar_in_moe
-                .iter()
-                .chain(&plan.gar_with_dense)
-                .flatten()
-                .sum::<f64>()
-                + plan.gar_tail.iter().sum::<f64>();
+            let total: f64 = plan.step.iter().flat_map(|seg| &seg.gar).sum();
             assert!(total > 0.0, "{kind} lost its gradients");
         }
     }
@@ -450,6 +437,105 @@ mod tests {
     }
 
     #[test]
+    fn step_walk_is_the_engine_bit_for_bit() {
+        // every schedule x the Fig. 6 presets on both testbeds: the walk
+        // of the step, and of its forward half, prices the lowered graph
+        // to the engine's last bit
+        let (a, b) = (Testbed::a(), Testbed::b());
+        let cases = [
+            (
+                &a,
+                ModelPreset::gpt2_xl_moe()
+                    .with_seq_len(1024)
+                    .with_layers(12),
+            ),
+            (
+                &a,
+                ModelPreset::mixtral_7b().with_seq_len(1024).with_layers(32),
+            ),
+            (
+                &a,
+                ModelPreset::mixtral_22b()
+                    .with_seq_len(1024)
+                    .with_layers(33),
+            ),
+            (
+                &b,
+                ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(12),
+            ),
+            (
+                &b,
+                ModelPreset::mixtral_7b().with_seq_len(256).with_layers(7),
+            ),
+        ];
+        let engine = |plan: &IterationPlan| {
+            let timeline = Engine::new().simulate(&build_iteration_graph(plan).0);
+            timeline.unwrap().makespan()
+        };
+        for (tb, preset) in &cases {
+            let spec = preset.layer_spec(tb).unwrap();
+            for kind in ScheduleKind::ALL
+                .into_iter()
+                .chain([ScheduleKind::FasterMoe])
+            {
+                let plan = plan_iteration(kind, &tb.costs, &spec, preset.layers);
+                let mut forward = plan.clone();
+                forward.step.retain(|seg| seg.phase == Phase::Forward);
+                let fwd_in_walk = plan
+                    .walk()
+                    .filter(|(seg, _)| seg.phase == Phase::Forward)
+                    .last()
+                    .map(|(_, t)| t);
+                let at = format!("{kind} {} on {}", preset.name, tb.kind);
+                assert_eq!(fwd_in_walk, Some(forward.makespan()), "{at}");
+                for (half, p) in [("forward", &forward), ("step", &plan)] {
+                    let (walked, simulated) = (p.makespan(), engine(p));
+                    assert_eq!(
+                        walked.to_bits(),
+                        simulated.to_bits(),
+                        "{at} {half}: walk {walked} vs engine {simulated}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_placement_is_pinned() {
+        // which segments of a 3-layer step carry Gradient-AllReduce
+        // pieces, and how many each
+        let tb = Testbed::b();
+        let preset = ModelPreset::mixtral_7b().with_seq_len(256).with_layers(3);
+        let spec = preset.layer_spec(&tb).unwrap();
+        let placement = |kind| {
+            let plan = plan_iteration(kind, &tb.costs, &spec, 3);
+            let carrying = plan.step.iter().filter(|seg| !seg.gar.is_empty());
+            let placed: Vec<String> = carrying
+                .map(|seg| format!("{}:{}", label(seg), seg.gar.len()))
+                .collect();
+            placed.join(" ")
+        };
+        for kind in [
+            ScheduleKind::DsMoe,
+            ScheduleKind::Tutel,
+            ScheduleKind::FasterMoe,
+        ] {
+            assert_eq!(placement(kind), "tail:3", "{kind}");
+        }
+        assert_eq!(placement(ScheduleKind::TutelImproved), "b1:1 b2:1 tail:1");
+        // 30 MB buckets: two fill behind each later MoE layer's
+        // dispatches, the remainder flushes at the end
+        assert_eq!(
+            placement(ScheduleKind::PipeMoeLina),
+            "b1.moe:2 b2.moe:2 tail:1"
+        );
+        for kind in [ScheduleKind::FsMoeNoIio, ScheduleKind::FsMoe] {
+            let want = "b0.moe:1 b1.moe:1 b2.moe:1";
+            assert_eq!(placement(kind), want, "{kind}");
+        }
+    }
+
+    #[test]
     fn fsmoe_partitions_conserve_gradient_bytes_in_time() {
         // FSMoE's in-MoE GAR time must price at least the AllReduce of
         // all dense bytes (alpha terms may add per piece)
@@ -457,7 +543,12 @@ mod tests {
         let preset = ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(4);
         let spec = preset.layer_spec(&tb).unwrap();
         let plan = plan_iteration(ScheduleKind::FsMoe, &tb.costs, &spec, 4);
-        let in_moe: f64 = plan.gar_in_moe.iter().flatten().sum();
+        let in_moe: f64 = plan
+            .step
+            .iter()
+            .filter(|seg| label(seg).ends_with(".moe"))
+            .flat_map(|seg| &seg.gar)
+            .sum();
         let floor = tb.costs.all_reduce.time(4.0 * spec.dense_param_bytes);
         assert!(in_moe >= floor * 0.8, "{in_moe} vs floor {floor}");
     }

@@ -9,9 +9,10 @@
 //! transfers on a point-to-point link.
 
 use baselines::ScheduleKind;
-use simnet::{TaskGraph, Testbed};
+use scheduler::Phase;
+use simnet::{Engine, TaskGraph, Testbed};
 
-use crate::iteration::{build_iteration_graph, forward_graph, makespan, plan_iteration};
+use crate::iteration::plan_iteration;
 use crate::presets::ModelPreset;
 
 /// One training iteration under GPipe with `n_pp` stages and
@@ -49,12 +50,14 @@ pub fn gpipe_iteration_time(
     let micro = preset.clone().with_seq_len(preset.seq_len / micro_batches);
     let layers_per_stage = preset.layers / n_pp;
 
-    // One plan per stage; its forward half is lowered on its own to
-    // split the stage's makespan into the two GPipe waves.
+    // One plan per stage; one walk of its step gives the two GPipe
+    // waves: where the forward segments end, then the rest.
     let spec = micro.layer_spec(&stage_testbed)?;
     let plan = plan_iteration(kind, &stage_testbed.costs, &spec, layers_per_stage);
-    let fwd = makespan(&forward_graph(&plan).0);
-    let bwd = (makespan(&build_iteration_graph(&plan).0) - fwd).max(0.0);
+    let (fwd, total) = plan.walk().fold((0.0, 0.0), |(fwd, _), (seg, t)| {
+        (if seg.phase == Phase::Forward { t } else { fwd }, t)
+    });
+    let bwd = (total - fwd).max(0.0);
     // activation transfer: tokens × M × 4 bytes / MP shard over the
     // inter-node link
     let dims = ModelPreset::dims_for(&stage_testbed);
@@ -110,7 +113,8 @@ pub fn gpipe_iteration_time(
         }
     }
 
-    Ok(makespan(&graph))
+    let timeline = Engine::new().simulate(&graph);
+    Ok(timeline.expect("simulate cannot fail").makespan())
 }
 
 #[cfg(test)]

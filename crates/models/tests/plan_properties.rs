@@ -7,6 +7,7 @@ use fsmoe::config::{FfnKind, MoeConfig};
 use models::iteration::{build_iteration_graph, plan_iteration};
 use models::layerspec::TransformerLayerSpec;
 use proptest::prelude::*;
+use scheduler::Phase;
 use simnet::{Engine, Testbed};
 
 fn spec_for(
@@ -68,13 +69,7 @@ proptest! {
 
             // the gradient never disappears: total GAR time prices at
             // least one AllReduce of all the dense bytes
-            let total_gar: f64 = plan
-                .gar_in_moe
-                .iter()
-                .chain(&plan.gar_with_dense)
-                .flatten()
-                .sum::<f64>()
-                + plan.gar_tail.iter().sum::<f64>();
+            let total_gar: f64 = plan.step.iter().flat_map(|seg| &seg.gar).sum();
             let floor = testbed
                 .costs
                 .all_reduce
@@ -85,10 +80,17 @@ proptest! {
                 "{kind}: gar {total_gar} below floor {floor}"
             );
 
-            // and the lowered graph simulates to a finite makespan
+            // and the lowered graph simulates to a finite makespan, the
+            // walk of the step's to the last bit
             let (graph, _) = build_iteration_graph(&plan);
             let tl = Engine::new().simulate(&graph).unwrap();
             prop_assert!(tl.makespan().is_finite() && tl.makespan() > 0.0);
+            prop_assert_eq!(plan.makespan().to_bits(), tl.makespan().to_bits());
+            let mut forward = plan.clone();
+            forward.step.retain(|seg| seg.phase == Phase::Forward);
+            let (graph, _) = build_iteration_graph(&forward);
+            let fwd = Engine::new().simulate(&graph).unwrap().makespan();
+            prop_assert_eq!(forward.makespan().to_bits(), fwd.to_bits());
             makespans.push((kind, tl.makespan()));
         }
 

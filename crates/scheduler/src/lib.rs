@@ -13,12 +13,13 @@
 //!   via the inverse AllReduce model, step 2 assigns the remainder by
 //!   differential evolution;
 //! * [`schedule`] — a schedule is a `Vec<`[`Op`]`>` in issue order
-//!   ([`moe_layer`]: the orders of Figs. 3d/4 and of Tutel/PipeMoE), and
-//!   [`lower`] turns any such list into a `simnet::TaskGraph` over three
-//!   streams (compute / intra-node link / inter-node link) so makespans
-//!   come from simulation, not from trusting the closed forms;
-//!   [`makespan`] is that simulation's result for one list run alone,
-//!   from a single pass over it.
+//!   ([`moe_layer`]: the orders of Figs. 3d/4 and of Tutel/PipeMoE), a
+//!   training step a list of them ([`Segment`]), and [`lower`] turns
+//!   each into a `simnet::TaskGraph` over three streams (compute /
+//!   intra-node link / inter-node link) so makespans come from
+//!   simulation, not from trusting the closed forms; [`Walk`] is that
+//!   simulation's result from a single pass over the lists, and
+//!   [`makespan`] its one-list case.
 //!
 //! The invariant the tests enforce: the optimizer's chosen `r` is never
 //! worse (in simulated makespan) than any other `r` by more than the
@@ -45,4 +46,4 @@ pub use optimize::{
     exhaustive_best, find_optimal_pipeline_degree, GarCurve, PipelineSolution, MAX_PIPELINE_DEGREE,
 };
 pub use perf::{MoePerfModel, Phase};
-pub use schedule::{lower, makespan, moe_layer, Op, Stream, StreamSet};
+pub use schedule::{lower, makespan, moe_layer, Op, Segment, Stream, StreamSet, Walk};

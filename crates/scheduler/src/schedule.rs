@@ -1,6 +1,6 @@
-//! The schedule as data: a `Vec<Op>` in issue order, its one lowering
-//! to a `simnet` task graph, and the makespan of that graph walked
-//! straight off the list.
+//! The schedule as data: a `Vec<Op>` in issue order, a training step as
+//! a list of such [`Segment`]s, their one lowering to a `simnet` task
+//! graph, and the makespan of that graph walked straight off the lists.
 //!
 //! A schedule occupies three exclusive streams, mirroring the hardware
 //! the paper targets (§4): the GPU compute stream, the intra-node link
@@ -16,6 +16,8 @@
 use std::fmt::Write;
 
 use simnet::{ResourceId, TaskGraph, TaskId};
+
+use crate::Phase;
 
 /// One schedulable operation; the index is the pipeline chunk (or the
 /// Gradient-AllReduce piece).
@@ -42,6 +44,22 @@ pub enum Op {
     Attn,
 }
 
+/// One segment of a training step: ops a layer issues in one phase. An
+/// op starts after its producer ([`Op::producers`]) or, without one,
+/// after the previous segment's last op.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Segment {
+    /// The phase it runs in.
+    pub phase: Phase,
+    /// The layer, counted in its phase's execution order.
+    pub layer: usize,
+    /// The ops, in issue order.
+    pub ops: Vec<Op>,
+    /// The price of each Gradient-AllReduce piece, ms: `Gar(j)` takes
+    /// `gar[j]`.
+    pub gar: Vec<f64>,
+}
+
 /// The stream an [`Op`] occupies exclusively while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stream {
@@ -65,7 +83,7 @@ impl Op {
 
     /// The ops whose result this one consumes; it starts after whichever
     /// of them its schedule issued (a combine follows `RS_i` or the fused
-    /// `Block_i`). All `None`: the op waits only for the schedule's gate.
+    /// `Block_i`). All `None`: the op waits only for the segment's gate.
     pub fn producers(self) -> [Option<Op>; 2] {
         match self {
             Op::AllGather(i) | Op::Block(i) => [Some(Op::Dispatch(i)), None],
@@ -159,7 +177,7 @@ impl<T: Copy> Issued<T> {
     /// them is issued yet.
     fn producer(&self, op: Op, name: impl FnOnce() -> String) -> Option<T> {
         let [first, second] = op.producers();
-        // an op without producers waits only for the schedule's gate
+        // an op without producers waits only for the segment's gate
         first?;
         let issued = [first, second]
             .into_iter()
@@ -274,8 +292,8 @@ impl StreamSet {
 
 /// Lowers `ops`, in order, to one task each: `{label}.{op}` on the op's
 /// stream for `ms(op)` milliseconds, after its producer — or after `deps`
-/// (the schedule's gate, e.g. the previous layer's last combine) when it
-/// has none. Returns the task of each op, in `ops` order.
+/// (the segment's gate: the previous segment's last task) when it has
+/// none. Returns the task of each op, in `ops` order.
 ///
 /// # Panics
 ///
@@ -307,35 +325,54 @@ pub fn lower(
     tasks
 }
 
-/// Makespan of `ops` run alone, ms: the time [`lower`] followed by
-/// `simnet::Engine::simulate` would report, bit for bit, without
-/// building the graph. Each stream runs its ops in list order, head of
-/// line, so one pass in issue order places every op: it starts once its
-/// stream is free and its producer has ended, and runs for `ms(op)`.
-///
-/// # Panics
-///
-/// Panics when an op's producer is not issued before it, and on a
-/// negative or non-finite price (which [`lower`] rejects too).
-pub fn makespan(ops: &[Op], ms: impl Fn(Op) -> f64) -> f64 {
-    let mut issued = Issued::for_ops(ops);
-    // when each stream is next free, indexed by `Stream as usize`
-    let mut free = [0.0f64; 3];
-    let mut last = 0.0f64;
-    for &op in ops {
-        let ready = issued.producer(op, || op.to_string()).unwrap_or(0.0);
-        let duration = ms(op);
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "{op} has invalid duration {duration}"
-        );
-        let stream = &mut free[op.stream() as usize];
-        let end = stream.max(ready) + duration;
-        *stream = end;
-        issued.issue(op, end);
-        last = last.max(end);
+/// A walk of a step, one segment at a time: the makespan that [`lower`]
+/// (each segment gated on the previous one's last task) followed by
+/// `simnet::Engine::simulate` would report, bit for bit, without the
+/// graph. Each stream runs its ops in list order, head of line, so one
+/// pass places every op: it starts once its stream is free and its
+/// producer (without one, the previous segment's last op) has ended.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Walk {
+    /// When each stream is next free, indexed by `Stream as usize`.
+    free: [f64; 3],
+    /// When the previous segment's last op ended.
+    gate: f64,
+    makespan: f64,
+}
+
+impl Walk {
+    /// Places the next segment's `ops`, priced by `ms`; returns the
+    /// makespan so far, ms.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an op's producer is not issued before it, and on a
+    /// negative or non-finite price (which [`lower`] rejects too).
+    pub fn segment(&mut self, ops: &[Op], ms: impl Fn(Op) -> f64) -> f64 {
+        let mut issued = Issued::for_ops(ops);
+        let gate = self.gate;
+        for &op in ops {
+            let ready = issued.producer(op, || op.to_string()).unwrap_or(gate);
+            let duration = ms(op);
+            assert!(
+                duration.is_finite() && duration >= 0.0,
+                "{op} has invalid duration {duration}"
+            );
+            let stream = &mut self.free[op.stream() as usize];
+            let end = stream.max(ready) + duration;
+            *stream = end;
+            issued.issue(op, end);
+            self.makespan = self.makespan.max(end);
+            self.gate = end;
+        }
+        self.makespan
     }
-    last
+}
+
+/// Makespan of `ops` run alone, ms: the one-segment [`Walk`], with its
+/// panics.
+pub fn makespan(ops: &[Op], ms: impl Fn(Op) -> f64) -> f64 {
+    Walk::default().segment(ops, ms)
 }
 
 #[cfg(test)]

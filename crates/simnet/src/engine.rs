@@ -1,6 +1,6 @@
 //! The discrete-event execution engine.
 
-use crate::{Result, SimError, TaskGraph, TaskId};
+use crate::{Result, TaskGraph, TaskId};
 
 /// The scheduled execution window of one task.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,22 +62,6 @@ impl Timeline {
     }
 }
 
-/// A fault-model perturbation: `task` runs `extra` ms longer than its
-/// modelled duration (a slow GPU, a contended NIC, a flaky link).
-///
-/// Stragglers feed what-if analysis for the fault-tolerant runtime: an
-/// extra delay on the critical path lengthens the iteration by exactly
-/// that delay; off the critical path it is absorbed by slack. The
-/// engine's [`Engine::simulate_with_stragglers`] makes that exact
-/// accounting available to tests and schedulers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Straggler {
-    /// The task being slowed down.
-    pub task: TaskId,
-    /// Additional duration, ms (must be finite and non-negative).
-    pub extra: f64,
-}
-
 /// Simulates task graphs.
 ///
 /// Resources run their tasks strictly in issue order (CUDA-stream
@@ -105,52 +89,25 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Never: with no stragglers there is nothing to reject, and every
-    /// graph a [`TaskGraph`] can hold simulates.
+    /// Never: every graph a [`TaskGraph`] can hold simulates. The
+    /// `Result` stays only because the benchmark's planning workload
+    /// applies `?` to it.
     pub fn simulate(&self, graph: &TaskGraph) -> Result<Timeline> {
-        self.simulate_with_stragglers(graph, &[])
-    }
-
-    /// Runs the graph with injected [`Straggler`] delays added to the
-    /// named tasks' durations. Repeated entries for one task accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownTask`] when a straggler names a task
-    /// outside the graph, and [`SimError::BadDuration`] when its extra
-    /// delay is negative or non-finite.
-    pub fn simulate_with_stragglers(
-        &self,
-        graph: &TaskGraph,
-        stragglers: &[Straggler],
-    ) -> Result<Timeline> {
-        let mut extra = vec![0.0f64; graph.len()];
-        for s in stragglers {
-            let task = graph.task(s.task)?;
-            if !s.extra.is_finite() || s.extra < 0.0 {
-                return Err(SimError::BadDuration {
-                    task: task.name.clone(),
-                    duration: s.extra,
-                });
-            }
-            extra[s.task.0] += s.extra;
-        }
         let n_res = graph.resource_count();
         let mut spans: Vec<Span> = Vec::with_capacity(graph.len());
         let mut res_free = vec![0.0f64; n_res];
         let mut busy = vec![0.0f64; n_res];
-        for (t, task) in graph.tasks().iter().enumerate() {
+        for task in graph.tasks() {
             let r = task.resource.0;
             let deps_ready = task
                 .deps
                 .iter()
                 .fold(0.0f64, |acc, d| acc.max(spans[d.0].end));
             let start = res_free[r].max(deps_ready);
-            let dur = task.duration + extra[t];
-            let end = start + dur;
+            let end = start + task.duration;
             spans.push(Span { start, end });
             res_free[r] = end;
-            busy[r] += dur;
+            busy[r] += task.duration;
         }
 
         let makespan = spans.iter().map(|s| s.end).fold(0.0, f64::max);

@@ -14,13 +14,6 @@ pub enum SimError {
         /// The offending id value.
         id: usize,
     },
-    /// A task was given a negative or non-finite duration.
-    BadDuration {
-        /// Task name.
-        task: String,
-        /// Offending duration.
-        duration: f64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -28,9 +21,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::UnknownTask { id } => write!(f, "unknown task id {id}"),
             SimError::UnknownResource { id } => write!(f, "unknown resource id {id}"),
-            SimError::BadDuration { task, duration } => {
-                write!(f, "task {task:?} has invalid duration {duration}")
-            }
         }
     }
 }

@@ -48,7 +48,7 @@ mod testbed;
 mod trace;
 
 pub use cost::{CostModel, OpCosts};
-pub use engine::{Engine, Span, Straggler, Timeline};
+pub use engine::{Engine, Span, Timeline};
 pub use error::SimError;
 pub use gantt::render_gantt;
 pub use pricing::{

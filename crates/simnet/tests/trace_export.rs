@@ -3,14 +3,13 @@
 //! trace JSON must describe the same schedule — same task count, same
 //! resource rows, same start/end ordering.
 
-use simnet::{render_gantt, timeline_trace, Engine, ResourceId, TaskGraph, TaskId};
+use simnet::{render_gantt, timeline_trace, Engine, ResourceId, TaskGraph};
 
 /// A small two-node MoE-iteration-shaped graph with deliberate overlap
 /// and one zero-duration task (the renderers' only divergence point).
 /// Task names carry distinct leading glyphs so each gets its own legend
-/// entry. Returns the graph, its resources, and the gpu1 task (the
-/// straggler target).
-fn testbed_graph() -> (TaskGraph, Vec<ResourceId>, TaskId) {
+/// entry. Returns the graph and its resources.
+fn testbed_graph() -> (TaskGraph, Vec<ResourceId>) {
     let mut g = TaskGraph::new();
     let gpu0 = g.add_resource("gpu0.compute");
     let gpu1 = g.add_resource("gpu1.compute");
@@ -20,7 +19,7 @@ fn testbed_graph() -> (TaskGraph, Vec<ResourceId>, TaskId) {
     let e1 = g.add_task("overlap", gpu1, 4.0, &[a2a0]);
     let marker = g.add_task("marker", gpu0, 0.0, &[e0]);
     let _ = g.add_task("combine", nic, 2.0, &[marker, e1]);
-    (g, vec![gpu0, gpu1, nic], e1)
+    (g, vec![gpu0, gpu1, nic])
 }
 
 /// Thread rows declared in the trace document, as (tid, name).
@@ -48,7 +47,7 @@ fn trace_thread_rows(doc: &jsonio::Json) -> Vec<(u64, String)> {
 
 #[test]
 fn gantt_and_trace_agree_on_tasks_rows_and_ordering() {
-    let (graph, resources, _) = testbed_graph();
+    let (graph, resources) = testbed_graph();
     let timeline = Engine::new().simulate(&graph).unwrap();
     let chart = render_gantt(&graph, &timeline, 60);
     let doc = timeline_trace(&graph, &timeline);
@@ -99,25 +98,4 @@ fn gantt_and_trace_agree_on_tasks_rows_and_ordering() {
     // and the trace extends exactly to the chart's makespan axis
     assert_eq!(stats.max_ts_us as f64, timeline.makespan() * 1000.0);
     assert!(chart.contains(&format!("{:.3} ms", timeline.makespan())));
-}
-
-#[test]
-fn straggler_timeline_exports_cleanly() {
-    use simnet::Straggler;
-    let (graph, _, slow_task) = testbed_graph();
-    let baseline = Engine::new().simulate(&graph).unwrap();
-    let slowed = Engine::new()
-        .simulate_with_stragglers(
-            &graph,
-            &[Straggler {
-                task: slow_task,
-                extra: 6.0,
-            }],
-        )
-        .unwrap();
-    assert!(slowed.makespan() > baseline.makespan());
-    let text = timeline_trace(&graph, &slowed).to_string().unwrap();
-    let stats = obs::validate_trace(&text).unwrap();
-    assert_eq!(stats.spans, graph.tasks().len());
-    assert_eq!(stats.max_ts_us as f64, slowed.makespan() * 1000.0);
 }

@@ -7,7 +7,7 @@
 use baselines::ScheduleKind;
 use models::iteration::{iteration_time, plan_iteration};
 use models::ModelPreset;
-use scheduler::StreamSet;
+use scheduler::{lower, Op, Phase, StreamSet};
 use simnet::{render_gantt, Engine, TaskGraph, Testbed};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,10 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for kind in ScheduleKind::ALL {
         let plan = plan_iteration(kind, &testbed.costs, &spec, preset.layers);
         let t = iteration_time(kind, &testbed, &preset)?;
-        let any = |pieces: &[Vec<f64>]| pieces.iter().any(|p| !p.is_empty());
-        let placement = if any(&plan.gar_in_moe) {
+        // what the segments that carry Gar pieces hold besides them
+        let carries = |op: Op| {
+            let mut carrying = plan.step.iter().filter(|seg| !seg.gar.is_empty());
+            carrying.any(|seg| seg.ops.contains(&op))
+        };
+        let placement = if carries(Op::Dispatch(0)) {
             "inside MoE layers"
-        } else if any(&plan.gar_with_dense) {
+        } else if carries(Op::Attn) {
             "with dense parts"
         } else {
             "at the end"
@@ -47,20 +51,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Render one backward MoE layer under FSMoE.
+    // Render backward layer 1's MoE segment under FSMoE.
     println!("\n## FSMoE backward timeline of one MoE layer\n");
     let plan = plan_iteration(ScheduleKind::FsMoe, &testbed.costs, &spec, preset.layers);
+    let moe = plan
+        .step
+        .iter()
+        .find(|seg| seg.phase == Phase::Backward && seg.layer == 1)
+        .ok_or("the plan has no second backward layer")?;
     let mut graph = TaskGraph::new();
     let streams = StreamSet::add_to(&mut graph);
-    let _ = ScheduleKind::FsMoe.lower_layer(
-        &mut graph,
-        &streams,
-        &plan.bwd_models[1],
-        plan.r_bwd[1],
-        &plan.gar_in_moe[1],
-        &[],
-        "moe",
-    );
+    let _ = lower(&moe.ops, &mut graph, &streams, plan.prices(moe), &[], "moe");
     let timeline = Engine::new().simulate(&graph)?;
     println!("{}", render_gantt(&graph, &timeline, 100));
     Ok(())
