@@ -70,8 +70,8 @@ done
 
 echo "==> step attribution: measured-vs-modeled phase split on 4 ranks"
 # Calibrates per-phase alpha-beta models from fault-free runs, predicts
-# the phase split at a larger scale through simnet's serial step chain,
-# then validates the prediction against a real run — and reruns with an
+# the phase split at a larger scale by summing the compute and wire
+# fits, then validates the prediction against a real run — and reruns with an
 # injected 15 ms straggler, which attribution must name the critical
 # rank and whose stall must be booked as the victims' blocked wait.
 # Writes a validated Chrome trace (stitched op keys included) plus a
@@ -164,16 +164,16 @@ soak "elastic chaos soak" ELASTIC_SOAK_WIDE=1 \
     FLIGHT_DUMP=target/flight_elastic_soak.json FLIGHT_WATCHDOG_MS=540000 \
     'cargo test -q -p models --test elastic --test elastic_obs'
 
-echo "==> migration soak: fence suite and straggler soak under the lock doctor"
+echo "==> migration soak: straggler soak under the lock doctor"
 # Live hot-expert migrations (the health ladder's quarantine drain)
-# run with lock-order tracking armed the whole time: the fence protocol
-# suite, the migrated-vs-unmigrated bit-identity test, and the 4-seed
-# soak that delays one rank around both migration steps and requires
-# every rank to end bit-identical to the fault-free migrated run.
+# run with lock-order tracking armed the whole time: the
+# migrated-vs-unmigrated bit-identity test, the 4-seed soak that delays
+# one rank around both migration steps and requires every rank to end
+# bit-identical to the fault-free migrated run, and the death at the
+# weight broadcast that must install the new placement nowhere.
 soak "migration soak" LOCK_DOCTOR=1 \
     FLIGHT_DUMP=target/flight_migration.json FLIGHT_WATCHDOG_MS=540000 \
-    'cargo test -q -p collectives --test migration_fence &&
-     cargo test -q -p models --test migrate'
+    'cargo test -q -p models --test migrate'
 
 echo "==> gray-failure smoke: 4-rank run surviving a browned-out rank"
 # Rank 3 limps (~5 ms per collective) but never dies. The health

@@ -2,7 +2,7 @@
 //!
 //! Walks the token tree of every comm-issuing crate (`collectives`,
 //! `fsmoe`, `models`) and builds a per-function op-graph of collective
-//! calls (`all_reduce`, `broadcast`, `migration_fence`, …) with their
+//! calls (`all_reduce`, `broadcast`, `propose_evict`, …) with their
 //! control-flow structure: straight-line ops, branches with arms,
 //! loops. From the graph it derives:
 //!
@@ -32,7 +32,7 @@ use crate::rules::TestRegions;
 /// forms are reported under the plain verb — the same collective into a
 /// caller-provided buffer) and the control-plane collectives
 /// (`Communicator`).
-pub const COLLECTIVE_OPS: [&str; 11] = [
+pub const COLLECTIVE_OPS: [&str; 10] = [
     "all_gather",
     "all_gather_into",
     "all_reduce",
@@ -40,7 +40,6 @@ pub const COLLECTIVE_OPS: [&str; 11] = [
     "all_to_all_into",
     "barrier",
     "broadcast",
-    "migration_fence",
     "propose_evict",
     "reduce_scatter",
     "reduce_scatter_into",

@@ -2,11 +2,11 @@
 //!
 //! The headline robustness claim (DESIGN.md §10) is that draining one
 //! expert off a quarantined rank is a *pause*, not an outage:
-//! the world fences, the weights move, every rank rebinds, and training
-//! resumes — no snapshot reload, no world renumbering. This bench
-//! measures that pause end to end on a real 4-rank world: the wall time
-//! of `MoeLayer::migrate` from fence entry to new-placement
-//! install, taken as the max across ranks (the slowest rank is the one
+//! the weights move over one world broadcast (the move's only
+//! rendezvous), every rank rebinds, and training resumes — no snapshot
+//! reload, no world renumbering. This bench measures that pause end to
+//! end on a real 4-rank world: the wall time of `MoeLayer::migrate`
+//! from entry to new-placement install, taken as the max across ranks (the slowest rank is the one
 //! training waits for), best-of several worlds.
 //!
 //! For context it also prints what the simulator's α–β models predict
@@ -96,14 +96,13 @@ fn main() {
         worst_pause_ms = worst_pause_ms.max(pause);
     }
 
-    let modeled = price_migration(&Testbed::a().costs, WORLD, expert_bytes, 1.0);
+    let modeled = price_migration(&Testbed::a().costs, expert_bytes, 1.0);
     println!(
         "migrate pause: best {best_pause_ms:.3} ms, worst {worst_pause_ms:.3} ms \
          ({expert_bytes:.0} B payload, budget {BUDGET_MS} ms)"
     );
     println!(
-        "modeled (testbed A): quiesce {:.3} + transfer {:.3} + rebind {:.3} = {:.3} ms",
-        modeled.phase("quiesce"),
+        "modeled (testbed A): transfer {:.3} + rebind {:.3} = {:.3} ms",
         modeled.phase("transfer"),
         modeled.phase("rebind"),
         modeled.total()
@@ -121,7 +120,6 @@ fn main() {
         ("expert_bytes", expert_bytes),
         ("pause_ms_best", best_pause_ms),
         ("pause_ms_worst", worst_pause_ms),
-        ("modeled_quiesce_ms", modeled.phase("quiesce")),
         ("modeled_transfer_ms", modeled.phase("transfer")),
         ("modeled_rebind_ms", modeled.phase("rebind")),
         ("modeled_total_ms", modeled.total()),

@@ -96,22 +96,6 @@ pub enum CommError {
         /// The victim already under agreement.
         agreed: usize,
     },
-    /// A hot-expert migration fence lost to a concurrent membership
-    /// change: an eviction vote is in progress (evictions always win
-    /// over migrations), or another fence with a *different*
-    /// `(expert, from, to)` key is already collecting joins. The
-    /// migration did not happen anywhere — every joiner withdraws, so
-    /// no rank installs the new placement. The caller should finish
-    /// the membership change (or let the other fence drain) and
-    /// re-evaluate.
-    MigrationConflict {
-        /// Global expert id the losing fence tried to move.
-        expert: usize,
-        /// Source global rank of the losing fence.
-        from: usize,
-        /// Destination global rank of the losing fence.
-        to: usize,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -169,10 +153,6 @@ impl fmt::Display for CommError {
             CommError::EvictConflict { proposed, agreed } => write!(
                 f,
                 "eviction conflict: proposed victim {proposed} but rank {agreed} is already under agreement"
-            ),
-            CommError::MigrationConflict { expert, from, to } => write!(
-                f,
-                "migration conflict: fence for expert {expert} ({from} -> {to}) lost to a concurrent eviction or disagreeing fence"
             ),
         }
     }
@@ -232,14 +212,6 @@ mod tests {
         assert!(conflict.to_string().contains("2"));
         assert!(conflict.to_string().contains("3"));
         assert!(conflict.to_string().contains("conflict"));
-        let migration = CommError::MigrationConflict {
-            expert: 5,
-            from: 1,
-            to: 2,
-        };
-        assert!(migration.to_string().contains("expert 5"));
-        assert!(migration.to_string().contains("1 -> 2"));
-        assert!(migration.to_string().contains("conflict"));
     }
 
     #[test]

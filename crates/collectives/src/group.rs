@@ -90,9 +90,10 @@ struct Wait {
 type State<'a> = MutexGuard<'a, OpState>;
 
 /// Which collective the group is currently executing, used to detect SPMD
-/// violations (two ranks calling different collectives on one group) and
-/// to say what a member's result is made of.
-#[derive(Debug, Clone, Copy)]
+/// violations (two ranks calling different collectives on one group, or
+/// broadcasts from different roots) and to say what a member's result is
+/// made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpTag {
     AllReduce,
     AllGather,
@@ -119,11 +120,6 @@ impl OpTag {
     /// deposits rather than from the deposits themselves.
     fn reduces(self) -> bool {
         matches!(self, OpTag::AllReduce | OpTag::ReduceScatter)
-    }
-
-    /// Whether two members are in the same collective.
-    fn same_op(self, other: OpTag) -> bool {
-        std::mem::discriminant(&self) == std::mem::discriminant(&other)
     }
 }
 
@@ -691,7 +687,7 @@ impl GroupComm {
         debug_assert_eq!(st.round_id, my_id, "round claimed at the caller's op id");
         match st.tag {
             None => st.tag = Some(tag),
-            Some(t) if t.same_op(tag) => {}
+            Some(t) if t == tag => {}
             Some(t) => {
                 st.poisoned = Some(self.global_rank);
                 let ranks = self.inner.ranks.clone();

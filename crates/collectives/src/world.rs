@@ -32,19 +32,6 @@ struct ReconfigVote {
     next: Option<NextWorld>,
 }
 
-/// The in-progress hot-expert migration fence: at most one
-/// `(expert, from, to)` key at a time, one join per live rank.
-/// `generation` counts completed fences; joiners detect completion by
-/// the generation advancing past the value they captured at join time,
-/// so withdraw-on-error (timeout, eviction conflict) is atomic: either
-/// the fence completed for everyone or the withdrawn rank never counted.
-#[derive(Debug)]
-struct MigrationFenceState {
-    key: Option<(usize, usize, usize)>,
-    joined: Vec<bool>,
-    generation: u64,
-}
-
 /// World-wide control plane shared by every group: which ranks are dead,
 /// which faults are scheduled, and the membership epoch. Dead-rank and
 /// fence reads are lock-free so the rendezvous hot path can consult them
@@ -66,12 +53,6 @@ pub(crate) struct WorldCtrl {
     fenced: AtomicBool,
     reconfig: Mutex<ReconfigVote>,
     reconfig_cond: Condvar,
-    /// Set as soon as any rank proposes an eviction; read lock-free by
-    /// the migration fence so it can yield to membership changes
-    /// without nesting the reconfig mutex under the migration mutex.
-    evict_pending: AtomicBool,
-    migration: Mutex<MigrationFenceState>,
-    migration_cond: Condvar,
 }
 
 impl WorldCtrl {
@@ -88,13 +69,6 @@ impl WorldCtrl {
                 next: None,
             }),
             reconfig_cond: Condvar::new(),
-            evict_pending: AtomicBool::new(false),
-            migration: Mutex::new(MigrationFenceState {
-                key: None,
-                joined: vec![false; size],
-                generation: 0,
-            }),
-            migration_cond: Condvar::new(),
         }
     }
 
@@ -305,7 +279,6 @@ impl Communicator {
     /// [`CommError::RankDown`] instead of waiting for it.
     pub fn declare_dead(&self, rank: usize) {
         self.registry.ctrl.mark_dead(rank);
-        self.registry.ctrl.migration_cond.notify_all();
         self.registry.wake_all_groups();
     }
 
@@ -359,12 +332,8 @@ impl Communicator {
         if ctrl.is_dead(self.rank) {
             return Err(CommError::RankDown { rank: self.rank });
         }
-        // Fail in-flight data-plane ops involving the victim fast, and
-        // signal any migration fence that membership is changing:
-        // evictions always win over migrations.
+        // Fail in-flight data-plane ops involving the victim fast.
         ctrl.mark_dead(victim);
-        ctrl.evict_pending.store(true, Ordering::Release);
-        ctrl.migration_cond.notify_all();
         self.registry.wake_all_groups();
 
         let started = Instant::now();
@@ -426,157 +395,6 @@ impl Communicator {
             };
             let _ = ctrl.reconfig_cond.wait_for(&mut vote, dur);
         }
-    }
-
-    /// Joins the world-wide migration fence for moving `expert` from
-    /// rank `from` to rank `to`, blocking until every *live* rank has
-    /// joined with the same key — an epoch-style control-plane barrier
-    /// that quiesces in-flight work without renumbering the world.
-    ///
-    /// Because every live rank is *inside* the fence when it releases,
-    /// no rank can be mid-collective at that moment: the fence is the
-    /// quiesce point after which the expert's weights can be
-    /// transferred rank-to-rank and the new placement installed with no
-    /// in-flight dispatch addressed to the old owner. Completion bumps
-    /// the fence generation and the `collectives.migration_fences`
-    /// counter.
-    ///
-    /// Error paths withdraw atomically: under the fence lock, a rank
-    /// first checks whether the generation already advanced (in which
-    /// case the fence completed and it reports success) and only
-    /// otherwise retracts its join — so either every joiner observes
-    /// completion or the fence never completes for anyone, and no two
-    /// ranks can disagree about whether the migration happened.
-    ///
-    /// Returns the completed fence generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::RankOutOfRange`] / [`CommError::InvalidGroup`]
-    /// for malformed keys, [`CommError::RankDown`] when the caller, the
-    /// source or the destination rank is dead,
-    /// [`CommError::Reconfigured`] on a fenced (post-eviction) world,
-    /// [`CommError::MigrationConflict`] when an eviction vote is in
-    /// progress (evictions win) or another fence with a different key
-    /// is collecting joins, and [`CommError::Timeout`] (with
-    /// `op = "migration_fence"`) when the communicator's deadline
-    /// expires before every live rank joins.
-    pub fn migration_fence(&self, expert: usize, from: usize, to: usize) -> Result<u64> {
-        let ctrl = &self.registry.ctrl;
-        for r in [from, to] {
-            if r >= self.world_size {
-                return Err(CommError::RankOutOfRange {
-                    rank: r,
-                    world_size: self.world_size,
-                });
-            }
-        }
-        if from == to {
-            return Err(CommError::InvalidGroup {
-                reason: format!("migration fence from rank {from} to itself"),
-            });
-        }
-        if ctrl.is_dead(self.rank) {
-            return Err(CommError::RankDown { rank: self.rank });
-        }
-        for r in [from, to] {
-            if ctrl.is_dead(r) {
-                return Err(CommError::RankDown { rank: r });
-            }
-        }
-        if let Some(err) = ctrl.reconfig_error() {
-            return Err(err);
-        }
-        if ctrl.evict_pending.load(Ordering::Acquire) {
-            return Err(CommError::MigrationConflict { expert, from, to });
-        }
-
-        let started = Instant::now();
-        let deadline = self.deadline.map(|d| started + d);
-        let mut fence = ctrl.migration.lock();
-        match fence.key {
-            None => fence.key = Some((expert, from, to)),
-            Some(k) if k == (expert, from, to) => {}
-            Some((e, f, t)) => {
-                return Err(CommError::MigrationConflict {
-                    expert: e,
-                    from: f,
-                    to: t,
-                })
-            }
-        }
-        fence.joined[self.rank] = true;
-        let joined_at = fence.generation;
-        ctrl.migration_cond.notify_all();
-        loop {
-            if fence.generation > joined_at {
-                return Ok(fence.generation);
-            }
-            let live: Vec<usize> = (0..self.world_size).filter(|&r| !ctrl.is_dead(r)).collect();
-            // A dead endpoint can never hand over (or receive) the
-            // expert weights, so the fence must fail even if every
-            // survivor has joined — only the endpoints are special;
-            // a dead *bystander* shrinks the live set and the fence
-            // completes without it.
-            let endpoint_dead = ctrl.is_dead(from) || ctrl.is_dead(to);
-            if !endpoint_dead && live.iter().all(|&r| fence.joined[r]) {
-                // Last joiner: complete the fence for everyone.
-                fence.generation += 1;
-                fence.key = None;
-                fence.joined.iter_mut().for_each(|j| *j = false);
-                obs::counter_add(obs::names::COLLECTIVES_MIGRATION_FENCES, 1);
-                ctrl.migration_cond.notify_all();
-                return Ok(fence.generation);
-            }
-            // Error paths below all run under the lock *after* the
-            // generation check above, so a completed fence is reported
-            // as success even when the error condition arose later.
-            let bail = if ctrl.fenced.load(Ordering::Acquire) {
-                Some(CommError::Reconfigured {
-                    epoch: ctrl.epoch(),
-                })
-            } else if ctrl.is_dead(self.rank) {
-                Some(CommError::RankDown { rank: self.rank })
-            } else if endpoint_dead {
-                // More specific than the eviction the death is about to
-                // trigger: name the dead endpoint, not the vote.
-                let rank = if ctrl.is_dead(from) { from } else { to };
-                Some(CommError::RankDown { rank })
-            } else if ctrl.evict_pending.load(Ordering::Acquire) {
-                Some(CommError::MigrationConflict { expert, from, to })
-            } else if deadline.is_some_and(|d| Instant::now() >= d) {
-                let waiting_on = live.iter().copied().filter(|&r| !fence.joined[r]).collect();
-                Some(CommError::Timeout {
-                    op: "migration_fence",
-                    waiting_on,
-                    deadline: self.deadline.unwrap_or_default(),
-                    elapsed: started.elapsed(),
-                })
-            } else {
-                None
-            };
-            if let Some(err) = bail {
-                fence.joined[self.rank] = false;
-                if !fence.joined.iter().any(|&j| j) {
-                    fence.key = None;
-                }
-                ctrl.migration_cond.notify_all();
-                return Err(err);
-            }
-            // Bounded wait: a joiner may die (or an eviction may start)
-            // without notifying this condvar, so re-check every
-            // FAULT_POLL.
-            let dur = match deadline {
-                Some(d) => d.saturating_duration_since(Instant::now()).min(FAULT_POLL),
-                None => FAULT_POLL,
-            };
-            let _ = ctrl.migration_cond.wait_for(&mut fence, dur);
-        }
-    }
-
-    /// Completed migration-fence generations on this world.
-    pub fn migration_generation(&self) -> u64 {
-        self.registry.ctrl.migration.lock().generation
     }
 
     /// Rebinds this rank into the shrunken world a completed eviction

@@ -250,6 +250,37 @@ fn panicking_rank_poisons_group_for_peers() {
 }
 
 #[test]
+fn disagreeing_broadcast_roots_poison_the_group() {
+    let _doctor = parking_lot::lock_doctor::check_guard();
+    let world = CommWorld::new(2).with_deadline(DEADLINE);
+    let comms = world.into_communicators();
+    let mut comms = comms.into_iter();
+    let c0 = comms.next().unwrap();
+    let c1 = comms.next().unwrap();
+
+    let t1 = std::thread::spawn(move || {
+        let g = c1.world_group();
+        // Arrive last naming a different root: the members would read
+        // different views, so the late rank panics instead.
+        std::thread::sleep(Duration::from_millis(100));
+        let mut v = vec![1.0f32];
+        let _ = g.broadcast(1, &mut v);
+    });
+    let t0 = std::thread::spawn(move || {
+        let g = c0.world_group();
+        let mut v = vec![0.0f32];
+        g.broadcast(0, &mut v)
+    });
+
+    assert!(t1.join().is_err(), "rank 1 must panic (root mismatch)");
+    let r0 = t0.join().unwrap();
+    match r0 {
+        Err(CommError::Poisoned { .. }) | Err(CommError::Timeout { .. }) => {}
+        other => panic!("rank 0 should observe poisoning or timeout, got {other:?}"),
+    }
+}
+
+#[test]
 fn declare_dead_fails_in_flight_collective() {
     let _doctor = parking_lot::lock_doctor::check_guard();
     let world = CommWorld::new(2).with_deadline(Duration::from_secs(5));

@@ -152,8 +152,7 @@ fn recoverable(err: &CommError, self_rank: usize) -> bool {
         | CommError::BadParallelism { .. }
         | CommError::Poisoned { .. }
         | CommError::Reconfigured { .. }
-        | CommError::EvictConflict { .. }
-        | CommError::MigrationConflict { .. } => false,
+        | CommError::EvictConflict { .. } => false,
     }
 }
 
@@ -504,7 +503,7 @@ impl MoeLayer {
     }
 
     /// Migrates `expert` to EP position `to_pos` without an eviction:
-    /// detect (the caller's job) → fence → transfer → rebind.
+    /// detect (the caller's job) → transfer → rebind.
     ///
     /// Every live rank of the world must call `migrate` with the same
     /// arguments, like any collective. The call:
@@ -512,14 +511,13 @@ impl MoeLayer {
     /// 1. validates the move and computes the new placement locally
     ///    (maps are SPMD-replicated, so every rank rejects a bad move
     ///    in lockstep before touching the network),
-    /// 2. joins the world-wide migration fence
-    ///    ([`Communicator::migration_fence`]) — the quiesce point:
-    ///    every live rank is inside the fence, so no dispatch
-    ///    addressed to the old owner can be in flight,
-    /// 3. transfers the expert's weights rank-to-rank over a pair
-    ///    broadcast (only the source and destination participate; the
-    ///    bytes are copied verbatim, so weights stay bit-identical),
-    /// 4. rebinds: installs the new `ExpertMap` everywhere and
+    /// 2. transfers the expert's weights from the source over a *world*
+    ///    broadcast — every rank joins it, so it is also the move's one
+    ///    rendezvous: no rank returns from it until every world member
+    ///    has deposited, and no dispatch addressed to the old owner can
+    ///    be in flight (the bytes are copied verbatim, so weights stay
+    ///    bit-identical),
+    /// 3. rebinds: installs the new `ExpertMap` everywhere and
     ///    drops stale forward state, so the next dispatch targets the
     ///    new owner.
     ///
@@ -535,10 +533,12 @@ impl MoeLayer {
     ///
     /// Returns [`MoeError::BadConfig`] under ESP sharding or for an
     /// invalid move (unknown expert, out-of-range or unchanged
-    /// position, emptied source), and propagates fence and transfer
-    /// failures as [`MoeError::Comm`] — including
-    /// [`CommError::MigrationConflict`] when a concurrent eviction
-    /// wins the fence.
+    /// position, emptied source), and propagates broadcast failures as
+    /// [`MoeError::Comm`]. The broadcast's outcome is shared, so a
+    /// failed move fails on every rank and none installs the new map:
+    /// a dead member gives [`CommError::RankDown`], a completed
+    /// eviction [`CommError::Reconfigured`], a missing member past the
+    /// deadline [`CommError::Timeout`].
     pub fn migrate(&mut self, expert: usize, to_pos: usize, comm: &Communicator) -> Result<()> {
         if self.esp_group.size() != 1 {
             return Err(MoeError::BadConfig {
@@ -559,8 +559,6 @@ impl MoeLayer {
         span.attr("expert", expert);
         span.attr("from", from_rank);
         span.attr("to", to_rank);
-
-        comm.migration_fence(expert, from_rank, to_rank)?;
 
         // Transfer over a *world* broadcast rather than a pair
         // exchange: every rank shares the same collective outcome, so

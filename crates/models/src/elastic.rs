@@ -315,12 +315,10 @@ impl ElasticTrainer {
             | CommError::Reconfigured { .. } => {
                 (0..self.comm.world_size()).find(|&r| r != self.comm.rank() && self.comm.is_dead(r))
             }
-            // This rank itself is down, a lost eviction or migration
-            // race, or a structural/config error: no peer to blame,
-            // propagate.
+            // This rank itself is down, a lost eviction race, or a
+            // structural/config error: no peer to blame, propagate.
             CommError::RankDown { .. }
             | CommError::EvictConflict { .. }
-            | CommError::MigrationConflict { .. }
             | CommError::RankOutOfRange { .. }
             | CommError::InvalidGroup { .. }
             | CommError::NotAMember { .. }
@@ -433,19 +431,15 @@ impl ElasticTrainer {
         Ok(())
     }
 
-    /// Executes a fenced migration in `block`, tolerating a lost fence
-    /// race ([`CommError::MigrationConflict`] — the eviction path owns
-    /// recovery).
+    /// Executes a migration in `block`. A failed move installs nothing
+    /// anywhere (its world broadcast fails on every rank), and its error
+    /// takes the step-error path: [`Self::blame`], strikes, eviction.
     fn apply_migration(&mut self, block: usize, decision: MigrationDecision) -> Result<()> {
-        let layer = self.model.layer_mut(block);
-        match layer.migrate(decision.expert, decision.to, &self.comm) {
-            Ok(()) => {
-                self.migrations += 1;
-                Ok(())
-            }
-            Err(MoeError::Comm(CommError::MigrationConflict { .. })) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.model
+            .layer_mut(block)
+            .migrate(decision.expert, decision.to, &self.comm)?;
+        self.migrations += 1;
+        Ok(())
     }
 
     /// Fleet-wide expert loads per block, identical on every rank: one

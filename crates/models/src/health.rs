@@ -21,7 +21,7 @@
 //! Every input is identical on every rank (all-reduced self times, the
 //! shared policy) and every rule breaks ties by lowest rank, so the
 //! verdicts are SPMD-deterministic: all ranks walk the same ladder at
-//! the same step — the property the quarantine drain fence and the
+//! the same step — the property the quarantine drain and the
 //! eviction vote both rely on.
 
 use fsmoe::reshard::ExpertMap;

@@ -1,15 +1,19 @@
 //! Eviction-free migration properties: the headline bit-identity
 //! theorem (a run that migrates a hot expert mid-training computes
-//! exactly what the unmigrated run computes) and the straggler soak
+//! exactly what the unmigrated run computes), the straggler soak
 //! ci.sh runs under the hang watchdog — collective delays on one rank
 //! around the two migration steps change neither the migrated weights
-//! nor the dropped-token count (zero).
+//! nor the dropped-token count (zero) — and the all-or-nothing move: a
+//! death at the weight broadcast installs the new placement nowhere.
 
 use std::time::Duration;
 
-use collectives::{run_world_within, CommWorld, Communicator, FaultInjector, HybridTopology};
+use collectives::{
+    run_world_within, CommError, CommWorld, Communicator, FaultInjector, HybridTopology,
+};
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
+use fsmoe::MoeError;
 use models::MoeTransformer;
 use tensor::{Tensor, TensorRng};
 
@@ -24,12 +28,12 @@ const LAYER: Shape = (None, 1);
 /// Two attention + MoE blocks.
 const MODEL: Shape = (Some(2), 2);
 
-/// Each rank's collective count just before the first fence, less one:
+/// Each rank's collective count just before the first move, less one:
 /// a step on the lone layer issues four AlltoAlls and a migration one
 /// weight broadcast, so steps 0–1 are ops 0–7 and the first broadcast
 /// is op 8.
 const FIRST_MOVE_OP: usize = 7;
-/// The same for the second fence: steps 2–3 are ops 9–16 and the second
+/// The same for the second move: steps 2–3 are ops 9–16 and the second
 /// broadcast is op 17.
 const SECOND_MOVE_OP: usize = 16;
 
@@ -113,7 +117,7 @@ fn migrating_run_in(
 }
 
 /// **Headline property.** A 4-rank run that migrates a hot expert
-/// mid-training (and a second expert later, stacking two fences)
+/// mid-training (and a second expert later, stacking two moves)
 /// finishes with weights **bit-identical** to the run that never
 /// migrates: expert placement is pure data movement, so where an expert
 /// lives can never change what it computes. On the lone configured
@@ -146,7 +150,7 @@ fn migration_is_bit_identical_to_unmigrated_run() {
 /// step 4), with `Delay` faults on one rank around both migration
 /// steps: case `k` delays rank `k` on its collectives `FIRST_MOVE_OP + k`
 /// and `SECOND_MOVE_OP + k`, which walk from the AlltoAll before each
-/// fence through the weight broadcast into the next step. The delays
+/// move through the weight broadcast into the next step. The delays
 /// sit far under the 5 s deadline, so nothing may change: every rank
 /// ends bit-identical to the fault-free migrated run, on the same
 /// non-uniform placement, with no token dropped. Delay faults only — a
@@ -179,6 +183,52 @@ fn migration_under_straggler_delays_matches_the_fault_free_run() {
                 "case {k} rank {r}: placement must end non-uniform"
             );
             assert_eq!(*dropped, 0, "case {k} rank {r}: no token may drop");
+        }
+    }
+}
+
+/// **All or nothing.** The weight broadcast is the move's one world-wide
+/// rendezvous, so a death there fails the move on every rank. Expert 0
+/// moves from rank 0 to rank 1 after two steps; case by case the source
+/// (0), the destination (1) or a bystander (2) dies as it enters the
+/// broadcast (`FIRST_MOVE_OP + 1`). Every rank's `migrate` returns
+/// `RankDown` naming the victim, and no rank installs the new map or
+/// adds or drops a shard.
+#[test]
+fn death_at_the_weight_broadcast_installs_nothing() {
+    let cfg = config(8);
+    for victim in [0, 1, 2] {
+        let injector = FaultInjector::new().kill(victim, FIRST_MOVE_OP + 1);
+        let results = run_world_within(world(4).with_faults(injector), BUDGET, {
+            let cfg = cfg.clone();
+            move |comm| {
+                let mut model = model(&cfg, LAYER, &comm);
+                let mut route_rng = route_rng_for(comm.rank());
+                let (x, t) = rank_data(&cfg, comm.rank());
+                for _ in 0..2 {
+                    model.train_step(&x, &t, LR, &mut route_rng).unwrap();
+                }
+                let layer = model.layer_mut(0);
+                let map = layer.expert_map().clone();
+                let shards = layer.shards().len();
+                let moved = layer.migrate(0, 1, &comm);
+                (
+                    moved,
+                    *layer.expert_map() == map,
+                    layer.shards().len() == shards,
+                )
+            }
+        });
+        for (r, (moved, same_map, same_shards)) in results.iter().enumerate() {
+            assert!(
+                matches!(moved, Err(MoeError::Comm(CommError::RankDown { rank })) if *rank == victim),
+                "victim {victim} rank {r}: got {moved:?}"
+            );
+            assert!(same_map, "victim {victim} rank {r}: map must not change");
+            assert!(
+                same_shards,
+                "victim {victim} rank {r}: shards must not change"
+            );
         }
     }
 }

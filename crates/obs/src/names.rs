@@ -59,8 +59,8 @@ pub const SPAN_SNAPSHOT: &str = "snapshot";
 pub const SPAN_RECOVER: &str = "recover";
 /// Span: the elastic eviction + re-shard + rollback sequence.
 pub const SPAN_ELASTIC_RECONFIGURE: &str = "elastic.reconfigure";
-/// Span: an eviction-free hot-expert migration (fence → transfer →
-/// rebind).
+/// Span: an eviction-free hot-expert migration (world-broadcast
+/// transfer → rebind).
 pub const SPAN_ELASTIC_MIGRATE: &str = "elastic.migrate";
 
 /// Span: an MoE layer forward pass.
@@ -130,8 +130,6 @@ pub const MOE_EXPERT_LOAD: &str = "moe.expert_load";
 /// Counter: completed hot-expert migrations (counted once, on the
 /// receiving rank).
 pub const MOE_MIGRATIONS: &str = "moe.migrations";
-/// Counter: completed migration fences (one per world-wide quiesce).
-pub const COLLECTIVES_MIGRATION_FENCES: &str = "collectives.migration_fences";
 /// Counter: ranks quarantined by the health monitor (escalation ladder
 /// stage 2: the rank keeps its experts but loses migration-destination
 /// eligibility and its hot experts drain off it).

@@ -14,9 +14,9 @@
 //!   checkpoint) and *restore* (every survivor reloads the rolled-back
 //!   snapshot);
 //! * a **migration** (§10) — one hot expert moves, nobody leaves:
-//!   *quiesce* (the world-wide fence, an AllReduce of one fence word
-//!   each), *transfer* (the expert's weights, on the AlltoAll model as
-//!   the point-to-point stand-in) and *rebind* (local shard rebuild and
+//!   *transfer* (the expert's weights over the world broadcast that is
+//!   also the move's one rendezvous, on the AlltoAll model as the
+//!   point-to-point stand-in) and *rebind* (local shard rebuild and
 //!   placement install). No deadline to sit out and no snapshot to
 //!   reload, which is why it prices far below a reconfiguration;
 //! * the **gray-failure crossover** (§12) — a browned-out rank taxes
@@ -85,21 +85,12 @@ pub fn price_reconfiguration(
 
 /// Prices one eviction-free expert migration.
 ///
-/// * `world` — live rank count (the fence spans the whole world, one
-///   8-byte word per rank).
 /// * `expert_bytes` — the migrated expert's weight payload.
 /// * `rebind_ms` — local rebuild time on the destination (measured or
 ///   modeled; clamped to ≥ 0).
-pub fn price_migration(
-    costs: &OpCosts,
-    world: usize,
-    expert_bytes: f64,
-    rebind_ms: f64,
-) -> PricedEvent {
-    let world = world.max(1) as f64;
+pub fn price_migration(costs: &OpCosts, expert_bytes: f64, rebind_ms: f64) -> PricedEvent {
     PricedEvent {
         phases: vec![
-            ("quiesce", costs.all_reduce.time(8.0 * world)),
             ("transfer", costs.a2a.time(expert_bytes.max(0.0))),
             ("rebind", rebind_ms.max(0.0)),
         ],
@@ -203,14 +194,10 @@ mod tests {
     #[test]
     fn migration_phases_follow_the_alpha_beta_models() {
         let costs = Testbed::a().costs;
-        let m = price_migration(&costs, 4, 2e6, 3.0);
-        assert_eq!(m.phase("quiesce"), costs.all_reduce.time(32.0));
+        let m = price_migration(&costs, 2e6, 3.0);
         assert_eq!(m.phase("transfer"), costs.a2a.time(2e6));
         assert_eq!(m.phase("rebind"), 3.0);
-        assert_eq!(
-            m.total(),
-            m.phase("quiesce") + m.phase("transfer") + m.phase("rebind")
-        );
+        assert_eq!(m.total(), m.phase("transfer") + m.phase("rebind"));
     }
 
     #[test]
@@ -226,10 +213,9 @@ mod tests {
     #[test]
     fn migration_cost_is_monotone_in_every_input() {
         let costs = Testbed::b().costs;
-        let base = price_migration(&costs, 4, 2e6, 3.0).total();
-        assert!(price_migration(&costs, 8, 2e6, 3.0).total() > base);
-        assert!(price_migration(&costs, 4, 4e6, 3.0).total() > base);
-        assert!(price_migration(&costs, 4, 2e6, 6.0).total() > base);
+        let base = price_migration(&costs, 2e6, 3.0).total();
+        assert!(price_migration(&costs, 4e6, 3.0).total() > base);
+        assert!(price_migration(&costs, 2e6, 6.0).total() > base);
     }
 
     #[test]
@@ -246,8 +232,7 @@ mod tests {
     #[test]
     fn degenerate_migration_clamps_instead_of_poisoning() {
         let costs = Testbed::a().costs;
-        let m = price_migration(&costs, 0, -5.0, -2.0);
-        assert_eq!(m.phase("quiesce"), costs.all_reduce.time(8.0));
+        let m = price_migration(&costs, -5.0, -2.0);
         assert_eq!(m.phase("transfer"), costs.a2a.alpha);
         assert_eq!(m.phase("rebind"), 0.0);
         assert!(m.total().is_finite());
@@ -270,7 +255,7 @@ mod tests {
     #[test]
     fn migration_prices_far_below_eviction_for_the_same_payload() {
         let costs = Testbed::a().costs;
-        let migrate = price_migration(&costs, 4, 2e6, 3.0);
+        let migrate = price_migration(&costs, 2e6, 3.0);
         // The eviction moves the same orphan payload but also sits out
         // the detection deadline and reloads a full snapshot.
         let evict = price_reconfiguration(&costs, 4, 50.0, 2e6, 8e6);
