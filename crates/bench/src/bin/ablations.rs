@@ -14,7 +14,9 @@ use bench::{geomean, perf_model, table4_grid};
 use models::iteration::iteration_time;
 use models::ModelPreset;
 use numopt::DeConfig;
-use scheduler::{exhaustive_best, partition_gradients, t_olp_moe, GeneralizedLayer, Phase};
+use scheduler::{
+    find_optimal_pipeline_degree, partition_gradients, t_olp_moe, GeneralizedLayer, Phase,
+};
 use simnet::Testbed;
 
 fn phase_separation_ablation(testbed: &Testbed) {
@@ -29,8 +31,8 @@ fn phase_separation_ablation(testbed: &Testbed) {
         let spec = cfg.layer_spec(testbed).expect("valid grid config").moe;
         let fwd = perf_model(testbed, &spec, Phase::Forward, 0.0);
         let bwd = perf_model(testbed, &spec, Phase::Backward, 0.0);
-        let r_f = exhaustive_best(&fwd);
-        let r_b = exhaustive_best(&bwd);
+        let r_f = find_optimal_pipeline_degree(&fwd);
+        let r_b = find_optimal_pipeline_degree(&bwd);
         // tied: force the backward to reuse the forward's degree
         let (tied_bwd, _) = scheduler::cases::t_moe(&bwd, r_f.r);
         separate.push(r_f.t_moe + r_b.t_moe);
@@ -71,7 +73,7 @@ fn gradient_partition_ablation(testbed: &Testbed) {
     // (a) no partitioning: all bytes after backward
     let base: f64 = layers
         .iter()
-        .map(|l| exhaustive_best(&l.moe).t_moe)
+        .map(|l| find_optimal_pipeline_degree(&l.moe).t_moe)
         .sum::<f64>()
         + ar.time(total_bytes);
 
@@ -82,11 +84,11 @@ fn gradient_partition_ablation(testbed: &Testbed) {
         if i > 0 {
             carry += l.grad_bytes;
         }
-        let r0 = exhaustive_best(&l.moe);
+        let r0 = find_optimal_pipeline_degree(&l.moe);
         let window = t_olp_moe(&l.moe, r0.r) + l.t_olp_dense;
         let absorbed = carry.min(ar.invert(window));
         carry -= absorbed;
-        step1_total += exhaustive_best(&l.moe.with_t_gar(if absorbed > 0.0 {
+        step1_total += find_optimal_pipeline_degree(&l.moe.with_t_gar(if absorbed > 0.0 {
             ar.time(absorbed)
         } else {
             0.0
@@ -107,7 +109,7 @@ fn gradient_partition_ablation(testbed: &Testbed) {
     let full: f64 = layers
         .iter()
         .zip(&partition.t_gar)
-        .map(|(l, &t)| exhaustive_best(&l.moe.with_t_gar(t)).t_moe)
+        .map(|(l, &t)| find_optimal_pipeline_degree(&l.moe.with_t_gar(t)).t_moe)
         .sum();
 
     println!("  no partitioning      : {base:8.1} ms  (1.000x)");

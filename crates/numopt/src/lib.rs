@@ -1,17 +1,17 @@
 //! Numerical optimisation substrate for FSMoE-RS.
 //!
-//! The paper leans on three numeric tools, all provided here from scratch:
+//! The paper leans on two numeric tools, both provided here from scratch:
 //!
 //! * **least-squares linear fitting** (`y = α + β·x`) for the online
 //!   profiler's performance models (§4.1, Fig. 5), including the r² the
 //!   paper reports;
-//! * a **1-D constrained minimiser** standing in for scipy's SLSQP in
-//!   Algorithm 1 — the four case objectives are single-variable convex
-//!   functions of the pipeline degree `r`, so golden-section search plus
-//!   integer refinement finds the same optimum;
 //! * **differential evolution** (rand/1/bin) for the gradient-partitioning
 //!   step 2 (§5.3), which scipy's `differential_evolution` solves in the
 //!   original.
+//!
+//! Algorithm 1's SLSQP solve needs neither: the pipeline degree is an
+//! integer in `1..=64`, so `scheduler::find_optimal_pipeline_degree`
+//! scans every degree exactly.
 //!
 //! # Example
 //!
@@ -25,12 +25,10 @@
 //! assert!(fit.r_squared > 0.99);
 //! ```
 
-mod convex;
 mod de;
 mod error;
 mod linfit;
 
-pub use convex::{integer_argmin, minimize_golden, GoldenResult};
 pub use de::{DeConfig, DeResult, DifferentialEvolution};
 pub use error::OptError;
 pub use linfit::LinearFit;

@@ -1,6 +1,6 @@
 //! Property-based tests for the numerical routines.
 
-use numopt::{integer_argmin, minimize_golden, DeConfig, DifferentialEvolution, LinearFit};
+use numopt::{DeConfig, DifferentialEvolution, LinearFit};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,23 +30,6 @@ proptest! {
         let ys: Vec<f64> = (0..n).map(|_| next() * 100.0).collect();
         let f = LinearFit::fit(&xs, &ys).unwrap();
         prop_assert!(f.r_squared <= 1.0 + 1e-12);
-    }
-
-    #[test]
-    fn golden_section_matches_analytic_hyperbola(a in 0.1f64..10.0, b in 0.1f64..500.0) {
-        // min of a*x + b/x on x>0 is at sqrt(b/a)
-        let expected = (b / a).sqrt();
-        let r = minimize_golden(|x| a * x + b / x, 1e-3, 1e4, 1e-10).unwrap();
-        prop_assert!((r.x - expected).abs() < 1e-3 * (1.0 + expected));
-    }
-
-    #[test]
-    fn integer_argmin_never_beaten_by_exhaustive(a in 0.1f64..5.0, b in 0.1f64..400.0, c in 0.0f64..10.0) {
-        let f = |r: u32| a * r as f64 + b / r as f64 + c;
-        let cont = (b / a).sqrt();
-        let (_, best) = integer_argmin(f, cont, 1, 64).unwrap();
-        let exhaustive = (1..=64u32).map(f).fold(f64::INFINITY, f64::min);
-        prop_assert!((best - exhaustive).abs() < 1e-12);
     }
 
     #[test]

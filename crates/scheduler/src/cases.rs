@@ -40,11 +40,6 @@ impl std::fmt::Display for CaseId {
     }
 }
 
-impl CaseId {
-    /// All four cases.
-    pub const ALL: [CaseId; 4] = [CaseId::Case1, CaseId::Case2, CaseId::Case3, CaseId::Case4];
-}
-
 /// The truth values of Q1–Q7 at a given `(model, r)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Predicates {
@@ -330,6 +325,5 @@ mod tests {
     #[test]
     fn case_display() {
         assert_eq!(CaseId::Case1.to_string(), "case1");
-        assert_eq!(CaseId::ALL.len(), 4);
     }
 }

@@ -12,11 +12,12 @@
 //!    gradient bytes it absorbs (Eqs. 3–4).
 //! 2. **Optimise the remainder** (§5.3): leftover bytes are distributed
 //!    across layers by differential evolution, minimising the sum of the
-//!    per-layer `t_moe` predicted by Algorithm 1 with each layer's
-//!    Gradient-AllReduce budget as input. Each layer's `t_moe(t_gar)` is
-//!    read from a [`GarCurve`] built once per layer, which equals the
-//!    exact degree scan bit for bit, so a candidate costs one binary
-//!    search per layer rather than a 64-degree scan.
+//!    per-layer `t_moe` at the degree Algorithm 1 picks, with each
+//!    layer's Gradient-AllReduce budget as input. Algorithm 1 is a scan
+//!    of every degree ([`find_optimal_pipeline_degree`]); each layer's
+//!    `t_moe(t_gar)` is read from a [`GarCurve`] built once per layer,
+//!    which equals that scan bit for bit, so a candidate costs one
+//!    binary search per layer rather than a 64-degree scan.
 //!
 //! Unlike Lina's fixed 30 MB chunks, both steps adapt to the measured
 //! cost models — this is the paper's key advantage in Fig. 6.
@@ -30,7 +31,7 @@ use numopt::{DeConfig, DifferentialEvolution};
 use simnet::CostModel;
 
 use crate::cases::t_olp_moe;
-use crate::optimize::{exhaustive_best, GarCurve};
+use crate::optimize::{find_optimal_pipeline_degree, GarCurve};
 use crate::perf::MoePerfModel;
 
 /// The differential-evolution settings the iteration planner solves
@@ -109,7 +110,7 @@ pub fn partition_gradients(
         if carry <= 0.0 {
             continue;
         }
-        let r0 = exhaustive_best(&layers[i].moe.with_t_gar(0.0));
+        let r0 = find_optimal_pipeline_degree(&layers[i].moe.with_t_gar(0.0));
         let window = t_olp_moe(&layers[i].moe, r0.r) + layers[i].t_olp_dense;
         let capacity = ar.invert(window); // g⁻¹: bytes the window absorbs
         let assigned = carry.min(capacity);
@@ -231,7 +232,7 @@ mod tests {
         let p = partition_gradients(&layers, costs.all_reduce, fast_de());
         for (i, &b) in p.step1_bytes.iter().enumerate() {
             if b > 0.0 {
-                let r0 = exhaustive_best(&layers[i].moe);
+                let r0 = find_optimal_pipeline_degree(&layers[i].moe);
                 let window = t_olp_moe(&layers[i].moe, r0.r) + layers[i].t_olp_dense;
                 assert!(
                     costs.all_reduce.time(b) <= window + 1e-9,
@@ -283,13 +284,13 @@ mod tests {
         let adaptive: f64 = layers
             .iter()
             .zip(&p.t_gar)
-            .map(|(l, &t)| exhaustive_best(&l.moe.with_t_gar(t)).t_moe)
+            .map(|(l, &t)| find_optimal_pipeline_degree(&l.moe.with_t_gar(t)).t_moe)
             .sum();
         let total: f64 = layers.iter().map(|l| l.grad_bytes).sum();
         let uniform: f64 = layers
             .iter()
             .map(|l| {
-                exhaustive_best(
+                find_optimal_pipeline_degree(
                     &l.moe
                         .with_t_gar(costs.all_reduce.time(total / layers.len() as f64)),
                 )
@@ -318,7 +319,7 @@ mod tests {
     fn planner_partitions_are_pinned() {
         // four unequal layers at the planner's settings, on both
         // testbeds; the bits were recorded with every budget priced by
-        // `exhaustive_best`, so the curve must reproduce the scan's
+        // the degree scan, so the curve must reproduce the scan's
         // partition exactly
         let pins: [(Testbed, [u64; 4], [u64; 4]); 2] = [
             (

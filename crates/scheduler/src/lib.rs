@@ -7,7 +7,8 @@
 //! * [`optimize`] — the four-case pipeline-degree optimizer
 //!   (Algorithm 1): predicates **Q1–Q7** classify which resource
 //!   dominates, each case has a closed-form makespan `t_i(r)`, and the
-//!   optimal integer pipeline degree is the feasible argmin;
+//!   optimal integer pipeline degree is the argmin of the active case's
+//!   makespan over every admissible degree;
 //! * [`gradient`] — the §5 adaptive gradient partitioner: step 1 fills
 //!   each generalized layer's *overlappable window* with gradient bytes
 //!   via the inverse AllReduce model, step 2 assigns the remainder by
@@ -42,8 +43,6 @@ mod lowering;
 pub use cases::{gar_step, t_moe, t_olp_moe, CaseId, GarStep, Predicates};
 pub use dispatch_cost::{a2a_cost, best_a2a_algorithm, A2aAlgorithm, A2aCost};
 pub use gradient::{partition_gradients, GeneralizedLayer, GradientPartition, PLANNER_DE};
-pub use optimize::{
-    exhaustive_best, find_optimal_pipeline_degree, GarCurve, PipelineSolution, MAX_PIPELINE_DEGREE,
-};
+pub use optimize::{find_optimal_pipeline_degree, GarCurve, PipelineSolution, MAX_PIPELINE_DEGREE};
 pub use perf::{MoePerfModel, Phase};
 pub use schedule::{lower, makespan, moe_layer, Op, Segment, Stream, StreamSet, Walk};

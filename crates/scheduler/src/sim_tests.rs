@@ -6,7 +6,7 @@
 
 mod tests {
     use crate::cases::{t_moe, CaseId};
-    use crate::optimize::{exhaustive_best, find_optimal_pipeline_degree};
+    use crate::optimize::find_optimal_pipeline_degree;
     use crate::perf::{MoePerfModel, Phase};
     use crate::schedule::{lower, moe_layer, Op, StreamSet};
     use simnet::{CostModel, Engine, OpCosts, TaskGraph, TaskId};
@@ -200,6 +200,6 @@ mod tests {
         let m = MoePerfModel::new(&costs(), 2.0e6, 2.0e6, 2.0e6, 1.0e9, 2, Phase::Forward, 0.0);
         let sim = simulate(&m, 1, &[]);
         assert!((sim - m.sequential_time()).abs() < 1e-9);
-        let _ = exhaustive_best(&m);
+        let _ = find_optimal_pipeline_degree(&m);
     }
 }

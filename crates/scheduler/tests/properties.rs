@@ -4,8 +4,8 @@
 use numopt::DeConfig;
 use proptest::prelude::*;
 use scheduler::{
-    exhaustive_best, find_optimal_pipeline_degree, gar_step, partition_gradients, t_moe, t_olp_moe,
-    CaseId, GarCurve, GeneralizedLayer, MoePerfModel, Phase, Predicates, MAX_PIPELINE_DEGREE,
+    find_optimal_pipeline_degree, gar_step, partition_gradients, t_moe, t_olp_moe, CaseId,
+    GarCurve, GeneralizedLayer, MoePerfModel, Phase, Predicates, MAX_PIPELINE_DEGREE,
 };
 use simnet::{CostModel, OpCosts, Testbed};
 
@@ -49,21 +49,6 @@ proptest! {
         // and the objective at the active case is finite and positive
         let (t, case) = t_moe(&m, r);
         prop_assert!(t.is_finite() && t > 0.0, "case {case} gave {t}");
-    }
-
-    #[test]
-    fn algorithm1_never_beats_and_rarely_trails_exhaustive(
-        n_a2a in 1.0e5f64..5.0e7,
-        n_exp in 1.0e7f64..1.0e11,
-        t_gar in 0.0f64..50.0,
-    ) {
-        let m = model(3.0e-7, 1.5e-7, n_a2a, n_exp, t_gar);
-        let alg = find_optimal_pipeline_degree(&m);
-        let exact = exhaustive_best(&m);
-        prop_assert!(alg.t_moe >= exact.t_moe - 1e-9);
-        prop_assert!(alg.t_moe <= exact.t_moe * 1.10 + 1e-9,
-            "alg {:?} vs exact {:?}", alg, exact);
-        prop_assert!((1..=MAX_PIPELINE_DEGREE).contains(&alg.r));
     }
 
     #[test]
@@ -128,7 +113,7 @@ proptest! {
             ts.extend([h.next_down(), h, h.next_up()]);
         }
         for t in ts {
-            let scan = exhaustive_best(&m.with_t_gar(t)).t_moe;
+            let scan = find_optimal_pipeline_degree(&m.with_t_gar(t)).t_moe;
             prop_assert_eq!(curve.at(t).to_bits(), scan.to_bits(),
                 "t_gar {}: curve {} vs scan {}", t, curve.at(t), scan);
         }
@@ -176,5 +161,62 @@ proptest! {
         prop_assert_eq!(c1, CaseId::Case1);
         prop_assert_eq!(c2, CaseId::Case1);
         prop_assert!((t2 - t1 - extra).abs() < 1e-9);
+    }
+}
+
+proptest! {
+    // Fitted per-op costs put about 1.4 % of draws' optimum on a case
+    // boundary, which a per-case relaxation misses; 256 cases reach
+    // several of them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn degree_solver_returns_the_exact_optimum(
+        backward in any::<bool>(),
+        gemm in (0.01f64..0.1, -12.0f64..-10.0),
+        a2a in (0.01f64..0.3, -8.5f64..-6.0),
+        ag in (0.005f64..0.1, -8.5f64..-6.0),
+        rs in (0.005f64..0.1, -8.5f64..-6.0),
+        a2a_decade in 5.0f64..8.0,
+        intra_ratio in 0.1f64..3.1,
+        exp_decade in 6.0f64..12.0,
+        gemms in 2usize..=3,
+        t_gar in 0.0f64..50.0,
+    ) {
+        // fitted per-op costs: every op its own α and β, and the
+        // ReduceScatter drawn apart from the AllGather
+        let op = |(alpha, beta_decade): (f64, f64)| CostModel::new(alpha, 10f64.powf(beta_decade));
+        let costs = OpCosts {
+            gemm: op(gemm),
+            a2a: op(a2a),
+            all_gather: op(ag),
+            reduce_scatter: op(rs),
+            all_reduce: CostModel::new(0.1, 6.0e-7),
+        };
+        let (phase, t_gar) = if backward {
+            (Phase::Backward, t_gar)
+        } else {
+            (Phase::Forward, 0.0)
+        };
+        let n_a2a = 10f64.powf(a2a_decade);
+        let n_intra = intra_ratio * n_a2a;
+        let m = MoePerfModel::new(
+            &costs,
+            n_a2a,
+            n_intra,
+            n_intra,
+            10f64.powf(exp_decade),
+            gemms,
+            phase,
+            t_gar,
+        );
+        let s = find_optimal_pipeline_degree(&m);
+        prop_assert!((1..=MAX_PIPELINE_DEGREE).contains(&s.r));
+        prop_assert_eq!(s.t_moe.to_bits(), t_moe(&m, s.r).0.to_bits());
+        for r in 1..=MAX_PIPELINE_DEGREE {
+            let (t, case) = t_moe(&m, r);
+            prop_assert!(s.t_moe <= t, "{:?} trails r = {} ({}) at {}", s, r, case, t);
+            prop_assert!(r >= s.r || s.t_moe < t, "{:?} ties lower r = {}", s, r);
+        }
     }
 }
