@@ -1,6 +1,6 @@
 //! Token tree: the delimiter-balanced layer between the flat token
 //! stream ([`crate::lexer`]) and every rule ([`crate::rules`],
-//! [`crate::flow`], [`crate::schedule`]).
+//! [`crate::flow`]).
 //!
 //! The tree pairs every `{`/`(`/`[` with its closer and nests the
 //! tokens in between, so rules ask structural questions ("is this
@@ -245,7 +245,7 @@ fn collect_fns<'a>(nodes: &'a [Node], out: &mut Vec<FnItem<'a>>) {
 
 /// Tries to parse a `fn name … (params) … { body }` item starting at
 /// `nodes[i]`; returns the item and the index just past the body.
-pub(crate) fn parse_fn_at(nodes: &[Node], i: usize) -> Option<(FnItem<'_>, usize)> {
+fn parse_fn_at(nodes: &[Node], i: usize) -> Option<(FnItem<'_>, usize)> {
     if !nodes[i].is_ident("fn") {
         return None;
     }

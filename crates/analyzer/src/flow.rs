@@ -34,7 +34,6 @@ use crate::rules::{
     TestRegions, RULE_FLOAT_ACCUM, RULE_RANK_COLLECTIVE, RULE_TEST_WALLCLOCK, RULE_UNORDERED_ITER,
     RULE_WALLCLOCK,
 };
-use crate::schedule::collective_call_at;
 use crate::Violation;
 
 /// Methods that iterate a container in storage order.
@@ -73,6 +72,36 @@ const ORDERED_REDUCERS: [&str; 3] = ["sum", "fold", "product"];
 
 /// The std unordered containers.
 const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+
+/// The collective operations a call site can name: the transport verbs
+/// of `GroupComm` (an `_into` form is the same collective into a
+/// caller-provided buffer, reported under the plain verb) and the
+/// control-plane collectives of `Communicator`.
+const COLLECTIVE_OPS: [&str; 10] = [
+    "all_gather",
+    "all_gather_into",
+    "all_reduce",
+    "all_to_all",
+    "all_to_all_into",
+    "barrier",
+    "broadcast",
+    "propose_evict",
+    "reduce_scatter",
+    "reduce_scatter_into",
+];
+
+/// The collective call `.op(args)` whose `.` is `nodes[i]`: the op's
+/// name and its argument group.
+fn collective_call_at(nodes: &[Node], i: usize) -> Option<(&str, &Group)> {
+    if !nodes[i].is_punct('.') {
+        return None;
+    }
+    let op = nodes.get(i + 1)?.ident()?;
+    let args = nodes.get(i + 2)?.group_with('(')?;
+    COLLECTIVE_OPS
+        .contains(&op)
+        .then_some((op.strip_suffix("_into").unwrap_or(op), args))
+}
 
 fn is_unordered_type(name: &str) -> bool {
     UNORDERED_TYPES.contains(&name)

@@ -34,7 +34,9 @@
 //! * `spmd-unordered-iteration` — `HashMap`/`HashSet` iteration in
 //!   verdict logic without an order-insensitive consumer;
 //! * `spmd-rank-divergent-collective` — a collective op dominated by a
-//!   rank-conditional branch;
+//!   rank-conditional branch (the runtime halves are the group's
+//!   per-op `OpTag` agreement and the traced-step pin in
+//!   `crates/models/tests/collective_schedule.rs`);
 //! * `spmd-wallclock-decision` — `Instant`/`SystemTime` readings
 //!   flowing into branch conditions or collective payloads in verdict
 //!   modules;
@@ -43,11 +45,6 @@
 //! * `test-wallclock-assert` — a test assertion whose condition depends
 //!   on an `Instant`/`SystemTime`/`elapsed()` reading (timing belongs in
 //!   benches with budgets, not in `cargo test`).
-//!
-//! [`schedule`] additionally extracts the per-function static
-//! collective op-graph (`--schedule-report`) and cross-checks that
-//! every function issues the same op sequence on all non-exiting
-//! control paths, naming any divergence.
 //!
 //! # Allow policy
 //!
@@ -64,7 +61,6 @@ pub mod ast;
 pub mod flow;
 pub mod lexer;
 pub mod rules;
-pub mod schedule;
 
 use lexer::tokenize;
 use rules::{

@@ -2,15 +2,12 @@
 //! violation (`RULE file:line message`), exits 1 on any finding.
 //!
 //! Usage:
-//!   `cargo run --release -p analyzer [flags] [workspace-root]`
+//!   `cargo run --release -p analyzer [--json] [workspace-root]`
 //!
-//! Flags:
-//!   `--json`              emit findings as a JSON array (rule id,
-//!                         file, line, message) for one-glance triage;
-//!   `--schedule-report`   emit the static collective op-graph instead
-//!                         of linting (DESIGN.md §13);
-//!   `--write-golden`      with `--schedule-report`: rewrite the
-//!                         checked-in `results/schedule_report.json`.
+//! `--json` emits the findings as a JSON array (rule id, file, line,
+//! message) for one-glance triage. Any other `--` flag prints the usage
+//! line and exits 2; a root whose walk finds no `.rs` file exits 1, so
+//! a mistyped path cannot pass as a clean tree.
 //!
 //! Default root: the directory two levels above this crate. Publishes
 //! `analyzer.findings` / `analyzer.files_scanned` through obs when a
@@ -21,16 +18,18 @@ use std::process::ExitCode;
 
 use jsonio::Json;
 
+const USAGE: &str = "usage: analyzer [--json] [workspace-root]";
+
 fn main() -> ExitCode {
     let mut json = false;
-    let mut schedule = false;
-    let mut write_golden = false;
     let mut root_arg: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
-            "--schedule-report" => schedule = true,
-            "--write-golden" => write_golden = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("analyzer: unknown flag `{flag}`\n{USAGE}");
+                return ExitCode::from(2);
+            }
             other => root_arg = Some(PathBuf::from(other)),
         }
     }
@@ -41,32 +40,11 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| PathBuf::from("."))
     });
 
-    if schedule || write_golden {
-        let report = analyzer::schedule::schedule_report(&root);
-        let text = match report.to_pretty_string() {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("analyzer: schedule report serialisation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if write_golden {
-            let golden = root.join("results/schedule_report.json");
-            if let Some(dir) = golden.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            if let Err(e) = std::fs::write(&golden, &text) {
-                eprintln!("analyzer: write {}: {e}", golden.display());
-                return ExitCode::FAILURE;
-            }
-            println!("analyzer: wrote {}", golden.display());
-        } else {
-            print!("{text}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let files_scanned = analyzer::workspace_files(&root).len();
+    if files_scanned == 0 {
+        eprintln!("analyzer: no .rs files under {}", root.display());
+        return ExitCode::FAILURE;
+    }
     let violations = analyzer::run_workspace(&root);
     obs::counter_add(obs::names::ANALYZER_FINDINGS, violations.len() as u64);
     obs::set_gauge(obs::names::ANALYZER_FILES_SCANNED, files_scanned as f64);

@@ -334,106 +334,6 @@ fn test_wallclock_assert_fixture_fires_in_test_regions_only() {
     assert!(check_file("shims/demo/src/lib.rs", &fixture).is_empty());
 }
 
-/// Every collective call site in the comm-issuing crates appears in
-/// the schedule report: the extractor's site count must equal a direct
-/// token-level count of `.op(` patterns outside test regions.
-#[test]
-fn schedule_report_covers_every_collective_call_site() {
-    use analyzer::schedule::{count_sites, file_schedules, COLLECTIVE_OPS};
-
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut extracted = 0usize;
-    let mut direct = 0usize;
-    for rel_path in analyzer::workspace_files(&root) {
-        let rel = rel_path.to_string_lossy().replace('\\', "/");
-        if ![
-            "crates/collectives/src/",
-            "crates/fsmoe/src/",
-            "crates/models/src/",
-        ]
-        .iter()
-        .any(|p| rel.starts_with(p))
-        {
-            continue;
-        }
-        let src = std::fs::read_to_string(root.join(&rel_path)).unwrap();
-        extracted += file_schedules(&src)
-            .iter()
-            .map(|s| count_sites(&s.graph))
-            .sum::<usize>();
-        let toks = tokenize(&src);
-        let tests = analyzer::rules::test_regions(&toks);
-        for w in toks.windows(3) {
-            if w[0].is_punct('.')
-                && w[1].ident().is_some_and(|id| COLLECTIVE_OPS.contains(&id))
-                && w[2].is_punct('(')
-                && !tests.contains(w[1].line)
-            {
-                direct += 1;
-            }
-        }
-    }
-    assert!(direct > 0, "no collective call sites found at all");
-    assert_eq!(extracted, direct, "extractor missed call sites");
-}
-
-/// The report is valid JSON, names the known schedule-bearing
-/// functions, and the real tree has no schedule divergences.
-#[test]
-fn schedule_report_is_valid_and_divergence_free() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = analyzer::schedule::schedule_report(&root);
-    let text = report.to_pretty_string().unwrap();
-    let parsed = jsonio::Json::parse(&text).unwrap();
-    assert!(parsed.get("total_sites").unwrap().as_usize().unwrap() >= 9);
-    let files = parsed.get("files").unwrap();
-    let dist = files.get("crates/fsmoe/src/dist.rs").unwrap();
-    let jsonio::Json::Obj(fns) = dist else {
-        panic!("files entries are objects");
-    };
-    let migrate = fns.get("migrate").expect("migrate is in the schedule");
-    let seq: Vec<&str> = migrate
-        .get("sequence")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|s| s.as_str().unwrap())
-        .collect();
-    assert_eq!(seq, ["broadcast"]);
-    assert!(
-        parsed
-            .get("divergences")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .is_empty(),
-        "real tree must be schedule-symmetric"
-    );
-}
-
-/// Report entries carry no line numbers: blank lines put in front of a
-/// source file leave them byte-identical. The fixture holds three
-/// `all_to_all` impls, which the keys tell apart by ordinal.
-#[test]
-fn schedule_entries_do_not_move_with_line_numbers() {
-    use analyzer::schedule::{file_entries, file_schedules};
-
-    let src = fixture("same_named_fns.rs");
-    let entries = |src: &str| {
-        jsonio::Json::Obj(file_entries(&file_schedules(src)))
-            .to_pretty_string()
-            .unwrap()
-    };
-    let before = entries(&src);
-    assert_eq!(entries(&format!("\n\n\n{src}")), before);
-    let jsonio::Json::Obj(keys) = jsonio::Json::parse(&before).unwrap() else {
-        panic!("entries are an object");
-    };
-    let keys: Vec<&str> = keys.keys().map(String::as_str).collect();
-    assert_eq!(keys, ["all_to_all#1", "all_to_all#2", "all_to_all#3"]);
-}
-
 /// The acceptance criterion: the analyzer exits clean on the real tree.
 #[test]
 fn real_workspace_is_clean() {
@@ -474,4 +374,31 @@ fn workspace_walk_sees_the_known_crates() {
         !paths.iter().any(|p| p.contains("fixtures")),
         "fixtures must not be linted"
     );
+}
+
+/// The gate cannot pass on nothing: a mistyped flag is a usage error
+/// (exit 2) and a root whose walk finds no source is a failure (exit
+/// 1), never `0 files clean`.
+#[test]
+fn cli_rejects_unknown_flags_and_empty_walks() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_analyzer"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (out.status.code(), stderr)
+    };
+    let (code, stderr) = run(&["--jsn"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage: analyzer"), "{stderr}");
+
+    let manifest = env!("CARGO_MANIFEST_DIR");
+    let no_crates = format!("{manifest}/tests/fixtures");
+    let missing = format!("{manifest}/no-such-root");
+    for args in [vec![no_crates.as_str()], vec!["--json", missing.as_str()]] {
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("no .rs files"), "{args:?}: {stderr}");
+    }
 }

@@ -515,8 +515,6 @@ struct ControlPlane {
 
 /// Times the control-plane kernels.
 fn bench_control_plane() -> ControlPlane {
-    // §6.2: the SLSQP solve averages 193 ms per configuration; the exact
-    // scan of all 64 degrees takes microseconds
     let tb = Testbed::a();
     let layer_specs: Vec<TransformerLayerSpec> = table4_grid(&tb)
         .iter()
@@ -527,12 +525,6 @@ fn bench_control_plane() -> ControlPlane {
         .iter()
         .map(|spec| perf_model(&tb, &spec.moe, Phase::Backward, 1.0))
         .collect();
-    let solver_ms = best_of_ms(GEMM_RUNS, || {
-        for m in &specs {
-            std::hint::black_box(find_optimal_pipeline_degree(std::hint::black_box(m)));
-        }
-    });
-
     // §5.3: the partitioner `plan_iteration` runs, on 4-layer stacks
     let stacks: Vec<Vec<GeneralizedLayer>> = layer_specs
         .iter()
@@ -556,7 +548,9 @@ fn bench_control_plane() -> ControlPlane {
         }
     }) / stacks.len() as f64;
 
-    // what the partitioner's objective reads per layer and candidate
+    // §6.2: the SLSQP solve averages 193 ms per configuration; the exact
+    // scan of all 64 degrees takes microseconds. This is also what the
+    // partitioner's objective reads per layer and candidate
     let evals = (specs.len() * GAR_BUDGETS_MS.len()) as f64;
     let scan_ms = best_of_ms(GEMM_RUNS, || {
         for m in &specs {
@@ -601,10 +595,11 @@ fn bench_control_plane() -> ControlPlane {
         std::hint::black_box(LinearFit::fit(&xs, &ys).expect("fit"));
     });
     let rows = vec![
-        ("find_optimal_pipeline_degree_sweep", solver_ms),
         ("partition_gradients_4_layers", partition_ms),
         // the degree scan's row keeps the key it had when the scan was a
-        // separate function, so `bench_history.jsonl` stays comparable
+        // separate function, so `bench_history.jsonl` stays comparable;
+        // older lines also carry `find_optimal_pipeline_degree_sweep`,
+        // the same scan timed over all 16 models at one budget
         ("exhaustive_best_per_budget", scan_ms),
         ("gar_curve_per_budget", curve_ms),
         ("tutel_degree_walk", walk_ms),

@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
-use collectives::{run_world, run_world_within, CommError, CommWorld, FaultAction, FaultInjector};
+use collectives::{
+    run_world, run_world_within, CommError, CommWorld, FaultAction, FaultInjector, GroupComm,
+};
 
 const DEADLINE: Duration = Duration::from_millis(500);
 /// Watchdog budget: generous, but far below "hang forever".
@@ -249,34 +251,46 @@ fn panicking_rank_poisons_group_for_peers() {
     }
 }
 
+/// The runtime half of SPMD agreement: ranks that disagree on one op of
+/// a group — its broadcast root, or the op itself — poison the group.
 #[test]
 fn disagreeing_broadcast_roots_poison_the_group() {
-    let _doctor = parking_lot::lock_doctor::check_guard();
-    let world = CommWorld::new(2).with_deadline(DEADLINE);
-    let comms = world.into_communicators();
-    let mut comms = comms.into_iter();
-    let c0 = comms.next().unwrap();
-    let c1 = comms.next().unwrap();
+    type Op = fn(&GroupComm) -> collectives::Result<()>;
+    // (what, the early rank's op, the late rank's op)
+    let cases: [(&str, Op, Op); 2] = [
+        (
+            "root mismatch",
+            |g| g.broadcast(0, &mut [0.0]),
+            |g| g.broadcast(1, &mut [1.0]),
+        ),
+        (
+            "op-kind mismatch",
+            |g| g.all_reduce(&mut [1.0]),
+            GroupComm::barrier,
+        ),
+    ];
+    for (what, early, late) in cases {
+        let _doctor = parking_lot::lock_doctor::check_guard();
+        let world = CommWorld::new(2).with_deadline(DEADLINE);
+        let comms = world.into_communicators();
+        let mut comms = comms.into_iter();
+        let c0 = comms.next().unwrap();
+        let c1 = comms.next().unwrap();
 
-    let t1 = std::thread::spawn(move || {
-        let g = c1.world_group();
-        // Arrive last naming a different root: the members would read
-        // different views, so the late rank panics instead.
-        std::thread::sleep(Duration::from_millis(100));
-        let mut v = vec![1.0f32];
-        let _ = g.broadcast(1, &mut v);
-    });
-    let t0 = std::thread::spawn(move || {
-        let g = c0.world_group();
-        let mut v = vec![0.0f32];
-        g.broadcast(0, &mut v)
-    });
+        let t1 = std::thread::spawn(move || {
+            // Arrive last with a different op: the members would read
+            // different views, so the late rank panics instead.
+            std::thread::sleep(Duration::from_millis(100));
+            let _ = late(&c1.world_group());
+        });
+        let t0 = std::thread::spawn(move || early(&c0.world_group()));
 
-    assert!(t1.join().is_err(), "rank 1 must panic (root mismatch)");
-    let r0 = t0.join().unwrap();
-    match r0 {
-        Err(CommError::Poisoned { .. }) | Err(CommError::Timeout { .. }) => {}
-        other => panic!("rank 0 should observe poisoning or timeout, got {other:?}"),
+        assert!(t1.join().is_err(), "rank 1 must panic ({what})");
+        let r0 = t0.join().unwrap();
+        match r0 {
+            Err(CommError::Poisoned { .. }) | Err(CommError::Timeout { .. }) => {}
+            other => panic!("{what}: rank 0 should observe poisoning or timeout, got {other:?}"),
+        }
     }
 }
 
