@@ -26,6 +26,12 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
+# Also the pattern invariants of DESIGN.md §8, set in Cargo.toml's
+# [workspace.lints] and clippy.toml: no std::sync lock outside the
+# parking_lot shim, no unwrap/expect on the distributed paths, no
+# wildcard enum arm in fsmoe/models, no thread spawn or hardcoded
+# Duration in the runtime crates, a safety argument on every unsafe,
+# and a reason on every exception.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q --no-fail-fast"
@@ -80,14 +86,12 @@ timeout --kill-after=30 300 \
     cargo run --release -p models --example step_attribution -- target/step_attribution.json
 
 echo "==> conformance: workspace invariant linter"
-# Static gates: no std::sync locks outside shims/, no unjustified
-# unwrap/expect in the guarded crates, obs names only via the registry,
-# no wildcard arms over CommError where Reconfigured/Abandoned must be
-# distinguished — plus the dataflow auditor (unordered iteration,
+# What clippy cannot see: obs names only via the registry (and every
+# registry name used), plus the dataflow auditor (unordered iteration,
 # rank-divergent collectives, wall-clock decisions, float accumulation
 # order, wall-clock assertions in tests). Non-zero exit on any
 # violation; on failure the findings are re-emitted as JSON for
-# one-glance triage. Also: no thread spawned in the compute crates.
+# one-glance triage.
 if ! cargo run --release -p analyzer; then
     echo "analyzer findings (JSON):" >&2
     cargo run --release -p analyzer -- --json >&2 || true

@@ -4,8 +4,7 @@
 //!
 //! The tree pairs every `{`/`(`/`[` with its closer and nests the
 //! tokens in between, so rules ask structural questions ("is this
-//! collective call inside the body of that `if`?", "which arms does
-//! this `match` have?") instead of counting depth by hand. Stray
+//! collective call inside the body of that `if`?") instead of counting depth by hand. Stray
 //! closers are tolerated — a lint must never panic on the code it is
 //! linting — by closing the innermost open group and dropping the
 //! orphan.
@@ -115,33 +114,6 @@ pub fn path_at(nodes: &[Node], i: usize, segs: &[&str]) -> Option<usize> {
         at += 1;
     }
     Some(at)
-}
-
-/// Splits a `match` body into `(pattern, value)` arms: `pat => expr,` /
-/// `pat => { block }`. The pattern keeps its `if` guard; an expression
-/// value runs to the next top-level `,`.
-#[must_use]
-pub fn match_arms(body: &[Node]) -> Vec<(&[Node], &[Node])> {
-    let mut arms = Vec::new();
-    let mut i = 0usize;
-    while let Some(arrow) = body[i..]
-        .windows(2)
-        .position(|w| w[0].is_punct('=') && w[1].is_punct('>'))
-    {
-        let start = i + arrow + 2;
-        let end = if body.get(start).is_some_and(|n| n.group_with('{').is_some()) {
-            start + 1
-        } else {
-            body[start..]
-                .iter()
-                .position(|n| n.is_punct(','))
-                .map_or(body.len(), |p| start + p)
-        };
-        arms.push((&body[i..i + arrow], &body[start..end]));
-        // The `,` after an arm is optional behind a block.
-        i = end + usize::from(body.get(end).is_some_and(|n| n.is_punct(',')));
-    }
-    arms
 }
 
 fn closer(open: char) -> char {
@@ -361,21 +333,5 @@ mod tests {
         assert_eq!(path_at(&nodes, 1, &["std", "cell"]), None);
         assert_eq!(colons_at(&nodes, 5), Some(7));
         assert_eq!(colons_at(&nodes, 8), None, "`;` is not `::`");
-    }
-
-    #[test]
-    fn match_arms_split_patterns_guards_and_values() {
-        let nodes = tree("A | B => x.f(1, 2), C { d: _ } if ok => { y } _ => z");
-        let arms = match_arms(&nodes);
-        assert_eq!(arms.len(), 3, "the `,` after a block arm is optional");
-        fn idents(ns: &[Node]) -> Vec<&str> {
-            ns.iter().filter_map(Node::ident).collect()
-        }
-        assert_eq!(idents(arms[0].0), ["A", "B"]);
-        assert_eq!(idents(arms[0].1), ["x", "f"]);
-        assert_eq!(idents(arms[1].0), ["C", "if", "ok"]);
-        assert!(arms[1].1[0].group_with('{').is_some());
-        assert_eq!(idents(arms[2].0), ["_"]);
-        assert_eq!(idents(arms[2].1), ["z"]);
     }
 }

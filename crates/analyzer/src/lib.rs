@@ -2,31 +2,23 @@
 //! conformance toolchain (the dynamic half is the lock doctor in
 //! `shims/parking_lot`).
 //!
-//! A source-level lint over the repository's own conventions, built on
-//! a lightweight tokenizer ([`lexer`]) and one delimiter-balanced token
+//! A source-level lint over what clippy cannot see: the obs-name
+//! registry and the SPMD dataflow of the runtime. It is built on a
+//! lightweight tokenizer ([`lexer`]) and one delimiter-balanced token
 //! tree ([`ast`]) that every rule reads — no `syn`, no external
 //! dependencies. `cargo run --release -p analyzer` walks the workspace
-//! and exits non-zero on any violation; ci.sh gates on it. The pattern
-//! rules live in [`rules`] (DESIGN.md §8):
+//! and exits non-zero on any violation; ci.sh gates on it. The
+//! invariants that are plain patterns — no std lock outside the shim,
+//! no panic on the collective path, no wildcard arm that could swallow
+//! a `CommError`, no ad-hoc thread or hardcoded duration in the
+//! runtime crates, a safety argument on every `unsafe` — are clippy
+//! lints, set in the root `Cargo.toml`'s `[workspace.lints]` and
+//! `clippy.toml` (DESIGN.md §8). The pattern rules here live in
+//! [`rules`]:
 //!
-//! * `no-std-sync` — `std::sync::{Mutex,RwLock,Condvar}` outside
-//!   `shims/` (a std lock is invisible to the lock doctor);
-//! * `no-unwrap` — `.unwrap()`/`.expect(` in the guarded distributed
-//!   core (`crates/collectives/src`, `crates/fsmoe/src/{dist,layer}.rs`);
 //! * `obs-names` — string literals fed straight to obs record calls
 //!   instead of `obs::names` consts;
 //! * `obs-dead-name` — registry consts nothing references;
-//! * `comm-wildcard` — `_ =>` arms in `CommError` matches in the
-//!   crates that must distinguish `Reconfigured`/`Abandoned`;
-//! * `deadline-literals` — hardcoded `Duration::from_*` in
-//!   `crates/collectives/src` (op budgets come from the caller's
-//!   `CommWorld::with_deadline`; non-budget durations carry a
-//!   line-scoped allow naming what they are);
-//! * `no-adhoc-spawn` — `std::thread::{scope,spawn,Builder}` in the
-//!   compute crates (`crates/{tensor,fsmoe,models}/src`);
-//! * `unsafe-needs-safety` — an `unsafe` block or `unsafe impl` under
-//!   `crates/*/src` or `shims/*/src` without a `// SAFETY:` comment
-//!   directly above, or an `unsafe fn` without a `# Safety` section;
 //! * `allow-needs-reason` — an allow directive without justification.
 //!
 //! The per-function dataflow rules live in [`flow`] (DESIGN.md §13):
@@ -50,8 +42,10 @@
 //!
 //! `// lint: allow(<rule>) — <reason>` on the line of (or the comment
 //! block immediately above) a flagged expression suppresses that rule
-//! there. The reason is mandatory; `unwrap` is accepted as shorthand
-//! for `no-unwrap` (and likewise for the other `no-` rules).
+//! there. The reason is mandatory; the short keys the rule messages
+//! suggest (`unordered-iter`, `wallclock-decision`, …) are accepted.
+//! A clippy lint is excepted with `#[expect(<lint>, reason = "…")]`
+//! instead.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -72,7 +66,7 @@ use rules::{
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`no-unwrap`, `obs-names`, …).
+    /// Rule id (`obs-names`, `spmd-unordered-iteration`, …).
     pub rule: &'static str,
     /// Repo-relative path, filled in by the caller that knows it.
     pub file: String,
@@ -110,18 +104,11 @@ impl fmt::Display for Violation {
 pub enum FileClass {
     /// `shims/**` — the shims implement the conventions, no rules.
     Shim,
-    /// `crates/obs/**` — hosts the registry itself; only the sync ban.
+    /// `crates/obs/**` — hosts the registry itself; no name rule.
     ObsCrate,
-    /// `crates/collectives/src/**` — unwrap-guarded distributed core.
-    GuardedSource,
-    /// `crates/fsmoe/src/{dist,layer,order,routing}.rs` — the MoE layer,
-    /// its wire exchange (where the collectives are called from) and the
-    /// row map and movements every forward of every world shape runs:
-    /// unwrap-guarded *and* must enumerate `CommError` variants.
-    GuardedCommSource,
-    /// `crates/fsmoe/src/**`, `crates/models/src/**` — must enumerate
-    /// `CommError` variants.
-    CommMatchSource,
+    /// `crates/fsmoe/src/**`, `crates/models/src/**` — where the
+    /// collectives are issued: the rank-divergence rule runs here.
+    CommSource,
     /// Any other non-test source (src, benches, examples).
     Source,
     /// Files under a `tests/` directory.
@@ -137,18 +124,8 @@ pub fn classify(rel: &str) -> FileClass {
         FileClass::ObsCrate
     } else if rel.contains("/tests/") {
         FileClass::Test
-    } else if rel.starts_with("crates/collectives/src/") {
-        FileClass::GuardedSource
-    } else if matches!(
-        rel,
-        "crates/fsmoe/src/dist.rs"
-            | "crates/fsmoe/src/layer.rs"
-            | "crates/fsmoe/src/order.rs"
-            | "crates/fsmoe/src/routing.rs"
-    ) {
-        FileClass::GuardedCommSource
     } else if rel.starts_with("crates/fsmoe/src/") || rel.starts_with("crates/models/src/") {
-        FileClass::CommMatchSource
+        FileClass::CommSource
     } else {
         FileClass::Source
     }
@@ -170,9 +147,7 @@ struct AllowDirective {
 
 impl AllowDirective {
     fn suppresses(&self, v: &Violation) -> bool {
-        let matches_rule = v.rule == self.key
-            || v.rule == format!("no-{}", self.key)
-            || shorthand_rule(&self.key) == Some(v.rule);
+        let matches_rule = v.rule == self.key || shorthand_rule(&self.key) == Some(v.rule);
         matches_rule && (self.line..=self.target_line).contains(&v.line)
     }
 }
@@ -202,27 +177,6 @@ pub fn spmd_decision(rel: &str) -> bool {
             | "crates/fsmoe/src/order.rs"
             | "crates/collectives/src/group/plane.rs"
     )
-}
-
-/// Whether a file is library source — `crates/*/src/**`, `shims/*/src/**`
-/// — the scope of `unsafe-needs-safety`.
-#[must_use]
-pub fn library_source(rel: &str) -> bool {
-    let mut parts = rel.split('/');
-    matches!(parts.next(), Some("crates" | "shims")) && parts.nth(1) == Some("src")
-}
-
-/// Whether a file belongs to the compute layer, which starts no threads
-/// — the scope of `no-adhoc-spawn`.
-#[must_use]
-pub fn compute_layer(rel: &str) -> bool {
-    [
-        "crates/tensor/src/",
-        "crates/fsmoe/src/",
-        "crates/models/src/",
-    ]
-    .iter()
-    .any(|dir| rel.starts_with(dir))
 }
 
 /// Scans raw source lines for allow directives (the tokenizer drops
@@ -277,11 +231,8 @@ pub fn check_file(rel: &str, src: &str) -> Vec<Violation> {
     let checks = rules_for(class, rel);
     let directives = allow_directives(src);
     let mut raw = Vec::new();
-    if !checks.is_empty() || library_source(rel) {
+    if !checks.is_empty() {
         let tree = ast::build(&tokenize(src));
-        if library_source(rel) {
-            rules::check_unsafe(src, &tree, &mut raw);
-        }
         let tests = if class == FileClass::Test {
             TestRegions::whole_file()
         } else {

@@ -55,7 +55,10 @@ impl ScheduleKind {
     /// # Panics
     ///
     /// Panics when `r == 0`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per input of the layer's lowering"
+    )]
     pub fn lower_layer(
         self,
         graph: &mut TaskGraph,

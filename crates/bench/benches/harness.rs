@@ -29,8 +29,9 @@
 //!
 //! Results are printed as a table and written to `BENCH_compute.json`
 //! so successive runs can be diffed. The budgets: a GFLOPS floor per
-//! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain, a share
-//! of the square rate per skinny shape, no large allocation and ≤ 2 % of
+//! GEMM dim, activations ≤ 4 ns/element, `nt`/`tn` ≥ 0.9× plain (the
+//! median of per-round ratios), a share of the square rate per skinny
+//! shape, no large allocation and ≤ 2 % of
 //! the pre-recycler page faults per warm MoE step, a `t_gar` priced by
 //! the curve ≥ 20× faster than by the scan, a degree selection by the
 //! walk ≥ 4× faster than through task graphs — so a kernel, packing,
@@ -38,7 +39,7 @@
 //! silently shipping.
 
 use baselines::ScheduleKind;
-use bench::gate::{best_of_ms, reference_layer, Gate};
+use bench::gate::{best_of_ms, median_ms, reference_layer, Gate};
 use bench::{perf_model, table4_grid};
 use jsonio::Json;
 use models::{attention_backward_time, TransformerLayerSpec};
@@ -161,7 +162,11 @@ fn bench_gemm() -> (Vec<Json>, Vec<(usize, f64)>) {
     (rows, rates)
 }
 
-/// Times `matmul_nt` and `matmul_tn` beside the plain GEMM; returns the JSON rows plus `(dim, nt ÷ plain, tn ÷ plain)`.
+/// Times `matmul_nt` and `matmul_tn` beside the plain GEMM; returns the
+/// JSON rows (best-of rates) plus `(dim, nt ÷ plain, tn ÷ plain)`, each
+/// ratio the median over rounds of that round's back-to-back calls — a
+/// ratio of two minima taken in different rounds follows the host's
+/// slow stretches, not the kernel.
 fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
     let mut rng = TensorRng::seed_from(0xBEEF);
     let mut rows = Vec::new();
@@ -179,16 +184,23 @@ fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
             &|| a.matmul_tn(&b).expect("gemm"),
         ];
         let mut best_ms = [f64::INFINITY; 3];
+        let (mut nt_ratios, mut tn_ratios) = (Vec::new(), Vec::new());
         for _ in 0..GEMM_RUNS {
-            for (best, form) in best_ms.iter_mut().zip(forms) {
-                *best = best.min(best_of_ms(1, || {
+            let round = forms.map(|form| {
+                best_of_ms(1, || {
                     std::hint::black_box(form().data()[0]);
-                }));
+                })
+            });
+            for (best, ms) in best_ms.iter_mut().zip(round) {
+                *best = best.min(ms);
             }
+            // a rate ratio is the inverse of the time ratio
+            nt_ratios.push(round[0] / round[1]);
+            tn_ratios.push(round[0] / round[2]);
         }
         let [plain, nt, tn] = best_ms.map(|ms| 2.0 * (d as f64).powi(3) / (ms * 1e-3) / 1e9);
         println!("  {d:>5}  {plain:>8.2}  {nt:>8.2}  {tn:>8.2}");
-        ratios.push((d, nt / plain, tn / plain));
+        ratios.push((d, median_ms(&mut nt_ratios), median_ms(&mut tn_ratios)));
         rows.push(Json::obj(vec![
             ("dim", Json::from(d)),
             ("plain_gflops", Json::from(plain)),

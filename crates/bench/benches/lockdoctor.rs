@@ -50,8 +50,10 @@ fn main() {
     // difference is the doctor's fast path — one relaxed load + branch.
     let shim = parking_lot::Mutex::new(0u64);
     let shim_ns = per_call_ns(LOCK_CALLS, || *std::hint::black_box(&shim).lock() += 1);
-    // lint: allow(std-sync) — this IS the raw baseline the shim's
-    // fast-path cost is measured against.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this IS the raw baseline the shim's fast-path cost is measured against"
+    )]
     let raw = std::sync::Mutex::new(0u64);
     let raw_ns = per_call_ns(LOCK_CALLS, || {
         *std::hint::black_box(&raw).lock().expect("unpoisoned") += 1;

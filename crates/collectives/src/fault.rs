@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-#[allow(unused_imports)] // doc links
+#[allow(unused_imports, reason = "doc links")]
 use crate::CommError;
 
 /// One scheduled fault.
@@ -97,7 +97,10 @@ impl Brownout {
         // Scale factor in [100 - j, 100 + j] percent.
         let pct = 100 - jitter + (draw % (2 * jitter + 1));
         let base_us = self.mean_delay.as_micros() as u64;
-        // lint: allow(deadline-literals) — jittered fault magnitude, not an op budget
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "jittered fault magnitude, not an op budget"
+        )]
         let mut delay = Duration::from_micros(base_us.saturating_mul(pct) / 100);
         if self.stutter_every > 0 && (op_index - self.from_op).is_multiple_of(self.stutter_every) {
             delay += self.stutter_delay;
@@ -196,7 +199,10 @@ impl FaultInjector {
                 inj.schedule.insert((rank, at_op), FaultAction::Kill);
             }
             1 => {
-                // lint: allow(deadline-literals) — injected fault magnitude, not an op budget
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "injected fault magnitude, not an op budget"
+                )]
                 let delay = Duration::from_millis(1 + next() % max_delay_ms.max(1));
                 inj.schedule
                     .insert((rank, at_op), FaultAction::Delay(delay));
@@ -205,7 +211,10 @@ impl FaultInjector {
                 inj.schedule.insert((rank, at_op), FaultAction::DropPayload);
             }
             _ => {
-                // lint: allow(deadline-literals) — injected brownout magnitude, not an op budget
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "injected brownout magnitude, not an op budget"
+                )]
                 let mean = Duration::from_millis(1 + next() % (max_delay_ms / 4).max(1));
                 let spec = Brownout {
                     mean_delay: mean,

@@ -58,14 +58,20 @@ use plane::{Member, Plane};
 /// poisoning, membership fences) even without a notification. Bounds the
 /// detection latency for ranks blocked on *other* groups than the one a
 /// fault hit.
-// lint: allow(deadline-literals) — poll cadence for fault re-checks, not an op budget
+#[expect(
+    clippy::disallowed_methods,
+    reason = "poll cadence for fault re-checks, not an op budget"
+)]
 pub(crate) const FAULT_POLL: Duration = Duration::from_millis(25);
 
 /// How long a wait polls — lock released, `yield_now` (ranks may
 /// outnumber cores), re-check — before it parks in the condvar, whose
 /// wake-up costs tens of microseconds: a zero-copy round has two waits,
 /// arrival and release. Changes when a rank wakes, never what it computes.
-// lint: allow(deadline-literals) — poll-before-park window of a wait, not an op budget
+#[expect(
+    clippy::disallowed_methods,
+    reason = "poll-before-park window of a wait, not an op budget"
+)]
 const POLL: Duration = Duration::from_micros(100);
 
 /// Adds `ns` of waiting to `carry_ns` and takes out the whole
@@ -192,10 +198,13 @@ struct OpState {
 
 /// Process-global group-instance counter: every [`GroupInner`] gets a
 /// unique id, shared by all ranks bound to it (the inner is one `Arc`).
-/// Distinct groups over the *same* rank set (e.g. a dp group and the
-/// world group on a 1-node layout) have independent op streams, so the
-/// id is part of every op key — (ranks, epoch, op_id) alone would
-/// collide across them.
+/// Within one world, groups over the same rank set (e.g. a dp group and
+/// the world group on a 1-node layout) are one `GroupInner` with one op
+/// stream: the world's registry keys groups by rank set. The id tells
+/// apart group instances of *different* worlds in one process —
+/// parallel tests, and the fresh registry of a reconfigured world — so
+/// it is part of every op key: (ranks, epoch, op_id) alone would collide
+/// across them.
 static NEXT_GID: AtomicU64 = AtomicU64::new(1);
 
 /// Shared state for one communication group.

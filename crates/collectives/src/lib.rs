@@ -69,6 +69,13 @@
 //! }
 //! ```
 
+// The distributed core never panics and starts no ad-hoc thread:
+// failures flow as `CommError`, op budgets come from `with_deadline`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_methods)
+)]
+
 mod error;
 mod fault;
 mod group;
@@ -84,8 +91,18 @@ pub use world::{CommWorld, Communicator};
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CommError>;
 
+/// The collective deadline [`run_ranks`] arms on its world: so generous
+/// that no healthy op comes near it, it turns a rank-divergent op in a
+/// test into a [`CommError::Timeout`] instead of a hang.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness's hang bound, not an op budget"
+)]
+pub const RUN_RANKS_DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);
+
 /// Runs `f` once per rank on `size` threads, passing each its
 /// [`Communicator`], and returns the per-rank results in rank order.
+/// Every collective is bounded by [`RUN_RANKS_DEADLINE`].
 ///
 /// This is the harness every multi-rank test and example uses.
 ///
@@ -97,7 +114,7 @@ where
     T: Send + 'static,
     F: Fn(Communicator) -> T + Send + Sync + 'static,
 {
-    run_world(CommWorld::new(size), f)
+    run_world(CommWorld::new(size).with_deadline(RUN_RANKS_DEADLINE), f)
 }
 
 /// Like [`run_ranks`], but over a pre-configured [`CommWorld`] (deadline,
@@ -106,6 +123,14 @@ where
 /// # Panics
 ///
 /// Propagates panics from rank threads.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness starts the rank threads: one thread per rank"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "test harness: a rank panic must propagate to the calling test, not become a Result"
+)]
 pub fn run_world<T, F>(world: CommWorld, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -128,8 +153,6 @@ where
         .collect();
     handles
         .into_iter()
-        // lint: allow(unwrap) — test harness: a rank panic must
-        // propagate to the calling test, not become a Result.
         .map(|h| h.join().expect("rank thread panicked"))
         .collect()
 }
@@ -144,6 +167,14 @@ where
 /// # Panics
 ///
 /// Panics when a rank thread panics or does not finish within `budget`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness starts the rank threads: one thread per rank"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "the watchdog loop panics before the collect unless every slot was filled"
+)]
 pub fn run_world_within<T, F>(world: CommWorld, budget: std::time::Duration, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -191,8 +222,6 @@ where
     }
     slots
         .into_iter()
-        // lint: allow(unwrap) — the watchdog loop above panics before
-        // this point unless every slot was filled.
         .map(|s| s.expect("all ranks reported"))
         .collect()
 }

@@ -437,11 +437,13 @@ impl Communicator {
     }
 
     /// The group containing every rank in the world.
+    #[expect(
+        clippy::expect_used,
+        reason = "0..world_size is non-empty, duplicate-free and contains self.rank by construction"
+    )]
     pub fn world_group(&self) -> GroupComm {
         let ranks: Vec<usize> = (0..self.world_size).collect();
         self.subgroup(&ranks)
-            // lint: allow(unwrap) — 0..world_size is non-empty,
-            // duplicate-free and contains self.rank by construction.
             .expect("every rank is a member of the world group")
     }
 

@@ -1,7 +1,17 @@
 //! Multi-rank semantic tests: every collective's algebraic post-condition,
 //! exercised over real threads.
 
-use collectives::{run_ranks, CommWorld, HybridTopology, ParallelDims};
+use collectives::{run_ranks, CommWorld, HybridTopology, ParallelDims, RUN_RANKS_DEADLINE};
+
+/// A rank-divergent op in a test built on `run_ranks` times out
+/// instead of hanging the suite: every rank, and every group it binds,
+/// carries the harness's hang bound.
+#[test]
+fn run_ranks_arms_its_deadline_on_every_communicator() {
+    let deadlines = run_ranks(3, |comm| (comm.deadline(), comm.world_group().deadline()));
+    let armed = Some(RUN_RANKS_DEADLINE);
+    assert_eq!(deadlines, vec![(armed, armed); 3]);
+}
 
 #[test]
 fn all_reduce_is_elementwise_sum() {

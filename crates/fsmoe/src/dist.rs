@@ -28,6 +28,9 @@
 //! layer, whose exchange is the identity — distribution, like
 //! scheduling, must never change the numbers.
 
+// The MoE layer's wire path never panics: failures flow as `CommError`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::time::Duration;
 
 use collectives::{CommError, Communicator, GroupComm, HybridTopology};
@@ -78,6 +81,10 @@ pub struct FaultPolicy {
 }
 
 impl Default for FaultPolicy {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "retry backoffs: a wait between attempts, not an op budget"
+    )]
     fn default() -> Self {
         FaultPolicy {
             max_retries: 2,

@@ -66,7 +66,11 @@ impl Error for MoeError {
         match self {
             MoeError::Tensor(e) => Some(e),
             MoeError::Comm(e) => Some(e),
-            _ => None,
+            MoeError::BadConfig { .. }
+            | MoeError::BadInput { .. }
+            | MoeError::NoForwardState
+            | MoeError::CheckpointIo { .. }
+            | MoeError::CorruptCheckpoint { .. } => None,
         }
     }
 }

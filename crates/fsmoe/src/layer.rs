@@ -35,6 +35,9 @@
 //! and keeps the reproduction's scheduling-relevant compute identical;
 //! DESIGN.md records the simplification.
 
+// The MoE layer's wire path never panics: failures flow as `CommError`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use collectives::{Communicator, GroupComm, HybridTopology};
 use tensor::{Segments, Tensor, TensorRng};
 

@@ -60,6 +60,14 @@
 //! # }
 //! ```
 
+// The compute crates start no thread (one thread per rank), and every
+// match names its variants, so a `CommError::Reconfigured` or
+// `Abandoned` is never swallowed by a wildcard arm.
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::wildcard_enum_match_arm)
+)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod dist;

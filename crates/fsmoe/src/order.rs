@@ -20,6 +20,9 @@
 //! a GPU. Token-shaped results accumulate in assignment order, never row
 //! order, which is what makes them bit-identical under every layout.
 
+// The MoE layer's wire path never panics: failures flow as `CommError`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use tensor::{buf, Tensor};
 
 use crate::routing::Routing;

@@ -16,6 +16,9 @@
 //! `(expert, slot)` order of the assignments never change, so whatever
 //! is accumulated over them is layout-independent.
 
+// The MoE layer's wire path never panics: failures flow as `CommError`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::reshard::ExpertMap;
 
 /// One token-to-expert assignment.

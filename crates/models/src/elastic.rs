@@ -80,6 +80,10 @@ pub struct ElasticPolicy {
 }
 
 impl Default for ElasticPolicy {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the eviction vote's own deadline, a policy default the caller may override"
+    )]
     fn default() -> Self {
         ElasticPolicy {
             snapshot_interval: 2,
@@ -305,7 +309,12 @@ impl ElasticTrainer {
     fn blame(&self, err: &MoeError) -> Option<usize> {
         let comm_err = match err {
             MoeError::Comm(e) => e,
-            _ => return None,
+            MoeError::BadConfig { .. }
+            | MoeError::BadInput { .. }
+            | MoeError::NoForwardState
+            | MoeError::Tensor(_)
+            | MoeError::CheckpointIo { .. }
+            | MoeError::CorruptCheckpoint { .. } => return None,
         };
         match comm_err {
             CommError::RankDown { rank } if *rank != self.comm.rank() => Some(*rank),

@@ -16,6 +16,14 @@
 //! synchronised over which group). [`ElasticTrainer`] drives it and owns
 //! what surrounds it: snapshots, rollback, eviction, migration, health.
 
+// The compute crates start no thread (one thread per rank), and every
+// match names its variants, so a `CommError::Reconfigured` or
+// `Abandoned` is never swallowed by a wildcard arm.
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::wildcard_enum_match_arm)
+)]
+
 pub mod attention;
 pub mod block;
 pub mod breakdown;

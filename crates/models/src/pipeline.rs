@@ -75,9 +75,10 @@ pub fn gpipe_iteration_time(
 
     // forward wave
     let mut fwd_done = vec![vec![None; micro_batches]; n_pp];
-    // j indexes two different stage rows of fwd_done, so enumerate
-    // cannot replace it
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "j indexes two different stage rows of fwd_done, so enumerate cannot replace it"
+    )]
     for j in 0..micro_batches {
         for s in 0..n_pp {
             let mut deps: Vec<simnet::TaskId> = Vec::new();

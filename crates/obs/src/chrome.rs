@@ -62,7 +62,10 @@ impl TraceBuilder {
     }
 
     /// One complete ("X") event: a closed interval on a thread row.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of a Chrome \"X\" event"
+    )]
     pub fn complete(
         &mut self,
         pid: u64,

@@ -77,9 +77,10 @@ impl Predicates {
             q6,
             q7,
         } = *self;
-        // written to mirror the paper's four-case predicate table, not
-        // minimised boolean form
-        #[allow(clippy::nonminimal_bool)]
+        #[expect(
+            clippy::nonminimal_bool,
+            reason = "mirrors the paper's four-case predicate table, not its minimised form"
+        )]
         let case1 =
             (q1 && !q2 && q4) || (q1 && q2 && q5) || (!q1 && !q3 && q6) || (!q1 && q3 && q7);
         if case1 {

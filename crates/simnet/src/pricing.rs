@@ -131,7 +131,10 @@ impl GrayFailureCost {
 /// Every input is identical on every rank of an SPMD program (scores
 /// are all-reduced, sizes derive from the config), so every rank prices
 /// the same crossover and the eviction decision is itself SPMD.
-#[allow(clippy::too_many_arguments)] // mirrors price_reconfiguration's flat signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors price_reconfiguration's flat signature"
+)]
 pub fn price_gray_failure(
     costs: &OpCosts,
     world: usize,

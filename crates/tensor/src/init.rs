@@ -72,11 +72,6 @@ impl TensorRng {
         self.normal(&[1], 0.0, 1.0).data()[0]
     }
 
-    /// One uniform sample in `[0, 1)`.
-    pub fn uniform_scalar(&mut self) -> f32 {
-        self.rng.gen_range(0.0..1.0)
-    }
-
     /// A uniformly random index in `[0, bound)`.
     ///
     /// # Panics

@@ -22,6 +22,9 @@
 //! # }
 //! ```
 
+// The compute crates start no thread (one thread per rank).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 mod error;
 mod init;
 mod kernel;

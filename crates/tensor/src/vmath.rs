@@ -36,6 +36,12 @@
 //! one division each — and, with `1 − s` taken as `e^{−2u}·s`, cancel
 //! nowhere. `silu(x) = x/(1 + e^{−x})`, `silu'(x) = s(1 + x(1−s))`.
 
+#![expect(
+    clippy::missing_safety_doc,
+    reason = "one contract covers every lane op and kernel: `Lanes`'s `# Safety` \
+              (the CPU supports the implementing type's instruction set)"
+)]
+
 use crate::kernel::simd_available;
 
 const LANES: usize = 8;

@@ -14,6 +14,11 @@
 //! detector (enable with `LOCK_DOCTOR=1`) whose disabled fast path is a
 //! single relaxed atomic load per acquisition.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the shim is the one place std locks live: it wraps them for the lock doctor"
+)]
+
 pub mod lock_doctor;
 
 use std::fmt;

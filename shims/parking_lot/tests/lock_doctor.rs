@@ -13,6 +13,10 @@ use parking_lot::{lock_doctor, Condvar, Mutex};
 /// left behind. Uses a std mutex on purpose: the subject under test is
 /// the shim, so the harness must not flow through it.
 fn doctor_test<R>(f: impl FnOnce() -> R) -> R {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the harness must not flow through the shim under test"
+    )]
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _g = GATE
         .lock()

@@ -216,7 +216,7 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
@@ -358,7 +358,10 @@ macro_rules! proptest {
                     let mut rng = $crate::test_runner::TestRng::for_case(name_hash, case);
                     $(let $pat = $crate::Strategy::sample(&($strat), &mut rng);)+
                     // bodies may `return Ok(())` or reject via prop_assume!
-                    #[allow(clippy::redundant_closure_call)]
+                    #[allow(
+                        clippy::redundant_closure_call,
+                        reason = "the closure gives the body's `return` and `?` a scope"
+                    )]
                     let outcome: ::std::result::Result<(), $crate::TestCaseError> =
                         (|| {
                             $body
