@@ -4,15 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# soak NAME [VAR=value ...] 'SHELL COMMAND'
-# Runs the command, with the given environment, under a 10-minute GNU
-# timeout watchdog and tells a hang from a broken property: a wedged
+# soak NAME SECONDS [VAR=value ...] 'SHELL COMMAND'
+# Runs the command, with the given environment, under a GNU timeout
+# watchdog of SECONDS and tells a hang from a broken property: a wedged
 # fence or deadlocked eviction ends as exit 124/137 (surfaced as 124),
-# an assertion failure as any other non-zero exit (surfaced as 1).
+# an assertion failure as any other non-zero exit (surfaced as 1). The
+# command's stdout passes through, so `$(soak …)` captures it.
 soak() {
-    local name="$1" rc=0
-    shift
-    env "${@:1:$#-1}" timeout --kill-after=30 600 sh -c "${!#}" || rc=$?
+    local name="$1" secs="$2" rc=0
+    shift 2
+    env "${@:1:$#-1}" timeout --kill-after=30 "$secs" sh -c "${!#}" || rc=$?
     if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
         echo "$name HANG (watchdog fired)" >&2
         exit 124
@@ -28,27 +29,29 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 # Also the pattern invariants of DESIGN.md §8, set in Cargo.toml's
 # [workspace.lints] and clippy.toml: no std::sync lock outside the
-# parking_lot shim, no unwrap/expect on the distributed paths, no
-# wildcard enum arm in fsmoe/models, no thread spawn or hardcoded
-# Duration in the runtime crates, a safety argument on every unsafe,
-# and a reason on every exception.
+# parking_lot shim, no std HashMap/HashSet (iteration order differs per
+# process), no unwrap/expect on the distributed paths, no wildcard enum
+# arm in fsmoe/models, no thread spawn, hardcoded Duration or clock read
+# in the runtime crates, a safety argument on every unsafe, and a
+# reason on every exception.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release && cargo test -q --no-fail-fast"
 cargo build --release
 # Hang watchdog: the fault-injection suites exercise deadline paths in the
 # thread-backed collectives; a regression there shows up as a hang, not a
-# failure. Kill the whole test run if it exceeds the budget.
+# failure. Kill the whole test run if it exceeds the budget. Every later
+# stage runs under the same soak watchdog.
 # --no-fail-fast: one failing crate must not hide the crates after it.
-timeout --kill-after=30 900 cargo test -q --no-fail-fast
+soak "tier-1 tests" 900 'cargo test -q --no-fail-fast'
 
 echo "==> observability smoke: traced 2-rank training step"
 # One training iteration of a 2-rank attention + MoE block with an
 # injected stall; the example writes a Chrome trace and self-validates it
 # (span nesting, retry counters, expert-load histogram) via the in-tree
 # checker, exiting non-zero on any miss.
-timeout --kill-after=30 120 \
-    cargo run --release -p models --example trace_training_step -- target/trace_smoke.json
+soak "trace smoke" 120 \
+    'cargo run --release -p models --example trace_training_step -- target/trace_smoke.json'
 
 echo "==> digest identity: the program's own step reproduces the benchmark's losses"
 # benchmark/src/step.rs composes its own training step; the program's is
@@ -62,8 +65,8 @@ for seed in 3 11; do
         workload=${pair%:*}
         theirs=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
             grep '^loss_digest ')
-        ours=$(timeout --kill-after=30 300 cargo run --release -q -p models \
-            --example train_transformer -- digest "$workload" "$seed")
+        ours=$(soak "digest $workload seed $seed" 300 \
+            "cargo run --release -q -p models --example train_transformer -- digest $workload $seed")
         if [ "$ours" != "$theirs
 collectives_per_step ${pair#*:}" ]; then
             printf '%s seed %s: benchmark printed\n%s\nthe program printed\n%s\n' \
@@ -82,16 +85,14 @@ echo "==> step attribution: measured-vs-modeled phase split on 4 ranks"
 # rank and whose stall must be booked as the victims' blocked wait.
 # Writes a validated Chrome trace (stitched op keys included) plus a
 # flight-recorder dump, and self-checks every property.
-timeout --kill-after=30 300 \
-    cargo run --release -p models --example step_attribution -- target/step_attribution.json
+soak "step attribution" 300 \
+    'cargo run --release -p models --example step_attribution -- target/step_attribution.json'
 
 echo "==> conformance: workspace invariant linter"
 # What clippy cannot see: obs names only via the registry (and every
-# registry name used), plus the dataflow auditor (unordered iteration,
-# rank-divergent collectives, wall-clock decisions, float accumulation
-# order, wall-clock assertions in tests). Non-zero exit on any
-# violation; on failure the findings are re-emitted as JSON for
-# one-glance triage.
+# registry name used), collectives under a rank-conditional branch, and
+# wall-clock assertions in tests. Non-zero exit on any violation; on
+# failure the findings are re-emitted as JSON for one-glance triage.
 if ! cargo run --release -p analyzer; then
     echo "analyzer findings (JSON):" >&2
     cargo run --release -p analyzer -- --json >&2 || true
@@ -132,25 +133,25 @@ echo "==> conformance: chaos suite under the lock doctor"
 # Re-run the fault-injection suites with lock-order tracking armed.
 # Every test holds a check_guard, so any potential-deadlock cycle or
 # blocking hazard observed anywhere in the run fails the suite.
-LOCK_DOCTOR=1 timeout --kill-after=30 300 \
-    cargo test -q -p collectives --test chaos --test faults
-LOCK_DOCTOR=1 timeout --kill-after=30 300 \
-    cargo test -q -p models --test lock_doctor
+soak "chaos suite" 300 LOCK_DOCTOR=1 \
+    'cargo test -q -p collectives --test chaos --test faults'
+soak "lock-doctor recovery" 300 LOCK_DOCTOR=1 \
+    'cargo test -q -p models --test lock_doctor'
 
 echo "==> elastic recovery smoke: 3-rank run surviving a dead rank"
 # Rank 2 dies permanently after one step; the survivors evict it,
 # re-shard the orphaned experts, roll back to the last snapshot, and
 # finish. The example self-validates the elastic.reconfigure spans, the
 # membership-epoch gauge, the eviction counter, and the exported trace.
-timeout --kill-after=30 120 \
-    cargo run --release -p models --example elastic_recovery -- target/elastic_recovery.json
+soak "elastic recovery smoke" 120 \
+    'cargo run --release -p models --example elastic_recovery -- target/elastic_recovery.json'
 
 echo "==> elastic chaos soak: >= 8 seeds x 2-8 ranks under a hang watchdog"
 # ELASTIC_SOAK_WIDE=1 widens the soak to 6- and 8-rank worlds. The
 # in-process flight watchdog fires before the GNU one (9 min) and drains
 # the last-N ring events of every thread to
 # target/flight_elastic_soak.json, so a hang leaves a trace.
-soak "elastic chaos soak" ELASTIC_SOAK_WIDE=1 \
+soak "elastic chaos soak" 600 ELASTIC_SOAK_WIDE=1 \
     FLIGHT_DUMP=target/flight_elastic_soak.json FLIGHT_WATCHDOG_MS=540000 \
     'cargo test -q -p models --test elastic --test elastic_obs'
 
@@ -161,7 +162,7 @@ echo "==> migration soak: straggler soak under the lock doctor"
 # one rank around both migration steps and requires every rank to end
 # bit-identical to the fault-free migrated run, and the death at the
 # weight broadcast that must install the new placement nowhere.
-soak "migration soak" LOCK_DOCTOR=1 \
+soak "migration soak" 600 LOCK_DOCTOR=1 \
     FLIGHT_DUMP=target/flight_migration.json FLIGHT_WATCHDOG_MS=540000 \
     'cargo test -q -p models --test migrate'
 
@@ -173,8 +174,8 @@ echo "==> gray-failure smoke: 4-rank run surviving a browned-out rank"
 # self-validates SPMD-identical scores, the health counters, the
 # reconfigure spans, bit-identity against a fresh 3-rank world, and the
 # exported trace.
-timeout --kill-after=30 180 \
-    cargo run --release -p bench --example gray_failure -- target/gray_failure.json
+soak "gray-failure smoke" 180 \
+    'cargo run --release -p bench --example gray_failure -- target/gray_failure.json'
 
 echo "==> gray-failure soak: escalation ladder under the lock doctor"
 # The trainer-level gray-failure soak: per-seed brownout magnitudes and
@@ -183,7 +184,7 @@ echo "==> gray-failure soak: escalation ladder under the lock doctor"
 # bit-identical survivors. Lock-order tracking is armed. (The brownout
 # chaos proptests live in collectives/tests/chaos.rs, which the chaos
 # stage above already runs under the lock doctor.)
-soak "gray-failure soak" LOCK_DOCTOR=1 \
+soak "gray-failure soak" 600 LOCK_DOCTOR=1 \
     'cargo test -q -p models --test health'
 
 # The budget gates: every [[bench]] target of crates/bench, all on the
@@ -212,7 +213,7 @@ gates=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"/\1/p}' crates/bench/Cargo.
 [ -n "$gates" ] || { echo "no [[bench]] targets found" >&2; exit 1; }
 for gate in $gates; do
     echo "==> budget gate: $gate"
-    timeout --kill-after=30 300 cargo bench -q -p bench --bench "$gate"
+    soak "budget gate $gate" 300 "cargo bench -q -p bench --bench $gate"
 done
 
 echo "CI OK"

@@ -180,8 +180,6 @@ pub struct FnItem<'a> {
     pub name: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// The parameter-list `( … )` group.
-    pub params: &'a Group,
     /// The body `{ … }` group (absent for trait-method signatures).
     pub body: &'a Group,
 }
@@ -228,12 +226,10 @@ fn parse_fn_at(nodes: &[Node], i: usize) -> Option<(FnItem<'_>, usize)> {
     // `->` arrows inside generic bounds must not decrement the depth.
     let mut j = i + 2;
     let mut angle = 0i32;
-    let params = loop {
+    loop {
         let n = nodes.get(j)?;
-        if angle == 0 {
-            if let Some(g) = n.group_with('(') {
-                break g;
-            }
+        if angle == 0 && n.group_with('(').is_some() {
+            break;
         }
         if n.is_punct('<') {
             angle += 1;
@@ -243,22 +239,14 @@ fn parse_fn_at(nodes: &[Node], i: usize) -> Option<(FnItem<'_>, usize)> {
             return None; // malformed; bail rather than mis-parse
         }
         j += 1;
-    };
+    }
     // Return type / where clause, then the body (or `;` for a
     // bodyless trait signature).
     j += 1;
     loop {
         let n = nodes.get(j)?;
         if let Some(body) = n.group_with('{') {
-            return Some((
-                FnItem {
-                    name,
-                    line,
-                    params,
-                    body,
-                },
-                j + 1,
-            ));
+            return Some((FnItem { name, line, body }, j + 1));
         }
         if n.is_punct(';') {
             return None;

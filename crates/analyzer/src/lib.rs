@@ -3,18 +3,20 @@
 //! `shims/parking_lot`).
 //!
 //! A source-level lint over what clippy cannot see: the obs-name
-//! registry and the SPMD dataflow of the runtime. It is built on a
+//! registry, collectives issued under a rank-conditional branch, and
+//! wall-clock readings in test assertions. It is built on a
 //! lightweight tokenizer ([`lexer`]) and one delimiter-balanced token
 //! tree ([`ast`]) that every rule reads — no `syn`, no external
 //! dependencies. `cargo run --release -p analyzer` walks the workspace
 //! and exits non-zero on any violation; ci.sh gates on it. The
 //! invariants that are plain patterns — no std lock outside the shim,
-//! no panic on the collective path, no wildcard arm that could swallow
-//! a `CommError`, no ad-hoc thread or hardcoded duration in the
-//! runtime crates, a safety argument on every `unsafe` — are clippy
-//! lints, set in the root `Cargo.toml`'s `[workspace.lints]` and
-//! `clippy.toml` (DESIGN.md §8). The pattern rules here live in
-//! [`rules`]:
+//! no std hash container anywhere (iteration order differs per
+//! process), no clock read steering the runtime crates, no panic on
+//! the collective path, no wildcard arm that could swallow a
+//! `CommError`, no ad-hoc thread or hardcoded duration in the runtime
+//! crates, a safety argument on every `unsafe` — are clippy lints, set
+//! in the root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`
+//! (DESIGN.md §8). The pattern rules here live in [`rules`]:
 //!
 //! * `obs-names` — string literals fed straight to obs record calls
 //!   instead of `obs::names` consts;
@@ -23,31 +25,22 @@
 //!
 //! The per-function dataflow rules live in [`flow`] (DESIGN.md §13):
 //!
-//! * `spmd-unordered-iteration` — `HashMap`/`HashSet` iteration in
-//!   verdict logic without an order-insensitive consumer;
 //! * `spmd-rank-divergent-collective` — a collective op dominated by a
 //!   rank-conditional branch (the runtime halves are the group's
 //!   per-op `OpTag` agreement and the traced-step pin in
 //!   `crates/models/tests/collective_schedule.rs`);
-//! * `spmd-wallclock-decision` — `Instant`/`SystemTime` readings
-//!   flowing into branch conditions or collective payloads in verdict
-//!   modules;
-//! * `float-accum-order` — `sum`/`fold` reductions over unordered
-//!   containers;
 //! * `test-wallclock-assert` — a test assertion whose condition depends
 //!   on an `Instant`/`SystemTime`/`elapsed()` reading (timing belongs in
 //!   benches with budgets, not in `cargo test`).
 //!
 //! # Allow policy
 //!
-//! `// lint: allow(<rule>) — <reason>` on the line of (or the comment
-//! block immediately above) a flagged expression suppresses that rule
-//! there. The reason is mandatory; the short keys the rule messages
-//! suggest (`unordered-iter`, `wallclock-decision`, …) are accepted.
-//! A clippy lint is excepted with `#[expect(<lint>, reason = "…")]`
-//! instead.
+//! `// lint: allow(<rule id>) — <reason>` on the line of (or the
+//! comment block immediately above) a flagged expression suppresses
+//! that rule there. The reason is mandatory. A clippy lint is excepted
+//! with `#[expect(<lint>, reason = "…")]` instead.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -59,14 +52,13 @@ pub mod rules;
 use lexer::tokenize;
 use rules::{
     check_dead_names, ident_set, registry_consts, rules_for, TestRegions, RULE_ALLOW_REASON,
-    RULE_FLOAT_ACCUM, RULE_OBS_DEAD_NAME, RULE_RANK_COLLECTIVE, RULE_UNORDERED_ITER,
-    RULE_WALLCLOCK,
+    RULE_OBS_DEAD_NAME,
 };
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`obs-names`, `spmd-unordered-iteration`, …).
+    /// Rule id (`obs-names`, `spmd-rank-divergent-collective`, …).
     pub rule: &'static str,
     /// Repo-relative path, filled in by the caller that knows it.
     pub file: String,
@@ -134,7 +126,7 @@ pub fn classify(rel: &str) -> FileClass {
 /// A `// lint: allow(<rule>) — <reason>` directive.
 #[derive(Debug)]
 struct AllowDirective {
-    /// The rule key inside the parens (shorthand accepted).
+    /// The rule id inside the parens.
     key: String,
     /// The directive's own line.
     line: u32,
@@ -147,36 +139,8 @@ struct AllowDirective {
 
 impl AllowDirective {
     fn suppresses(&self, v: &Violation) -> bool {
-        let matches_rule = v.rule == self.key || shorthand_rule(&self.key) == Some(v.rule);
-        matches_rule && (self.line..=self.target_line).contains(&v.line)
+        v.rule == self.key && (self.line..=self.target_line).contains(&v.line)
     }
-}
-
-/// Documented short allow keys for the longer SPMD rule ids (the rule
-/// messages themselves suggest these spellings).
-fn shorthand_rule(key: &str) -> Option<&'static str> {
-    match key {
-        "unordered-iter" => Some(RULE_UNORDERED_ITER),
-        "rank-divergent-collective" => Some(RULE_RANK_COLLECTIVE),
-        "wallclock-decision" => Some(RULE_WALLCLOCK),
-        "float-accum" => Some(RULE_FLOAT_ACCUM),
-        _ => None,
-    }
-}
-
-/// Whether a file holds SPMD verdict logic — the scope of the
-/// unordered-iteration and float-accumulation rules (DESIGN.md §13):
-/// code whose outputs every rank must reproduce bit-identically.
-#[must_use]
-pub fn spmd_decision(rel: &str) -> bool {
-    matches!(
-        rel,
-        "crates/models/src/health.rs"
-            | "crates/models/src/elastic.rs"
-            | "crates/fsmoe/src/reshard.rs"
-            | "crates/fsmoe/src/order.rs"
-            | "crates/collectives/src/group/plane.rs"
-    )
 }
 
 /// Scans raw source lines for allow directives (the tokenizer drops
@@ -228,7 +192,7 @@ fn allow_directives(src: &str) -> Vec<AllowDirective> {
 #[must_use]
 pub fn check_file(rel: &str, src: &str) -> Vec<Violation> {
     let class = classify(rel);
-    let checks = rules_for(class, rel);
+    let checks = rules_for(class);
     let directives = allow_directives(src);
     let mut raw = Vec::new();
     if !checks.is_empty() {
@@ -305,7 +269,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
 pub fn run_workspace(root: &Path) -> Vec<Violation> {
     let files = workspace_files(root);
     let mut violations = Vec::new();
-    let mut used = HashSet::new();
+    let mut used = BTreeSet::new();
     let mut registry: Vec<(String, u32)> = Vec::new();
     for rel_path in &files {
         let rel = rel_path.to_string_lossy().replace('\\', "/");

@@ -6,7 +6,7 @@
 //! registry check works on the workspace-wide name table instead.)
 //! DESIGN.md §8 documents rule semantics and the allow policy.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::ast::{self, path_at, visit, Node};
 use crate::lexer::{Tok, Token};
@@ -19,18 +19,9 @@ pub const RULE_OBS_NAMES: &str = "obs-names";
 pub const RULE_OBS_DEAD_NAME: &str = "obs-dead-name";
 /// Rule id: a `// lint: allow(...)` directive with no justification.
 pub const RULE_ALLOW_REASON: &str = "allow-needs-reason";
-/// Rule id: iteration over a std `HashMap`/`HashSet` in SPMD-decision
-/// code without an order-insensitive consumer ([`crate::flow`]).
-pub const RULE_UNORDERED_ITER: &str = "spmd-unordered-iteration";
 /// Rule id: collective op lexically dominated by a rank-conditional
 /// branch ([`crate::flow`]).
 pub const RULE_RANK_COLLECTIVE: &str = "spmd-rank-divergent-collective";
-/// Rule id: `Instant`/`SystemTime`-derived value flowing into a branch
-/// condition or collective payload in a verdict module ([`crate::flow`]).
-pub const RULE_WALLCLOCK: &str = "spmd-wallclock-decision";
-/// Rule id: `sum`/`fold`/`product` reduction over an unordered
-/// container ([`crate::flow`]).
-pub const RULE_FLOAT_ACCUM: &str = "float-accum-order";
 /// Rule id: a test assertion whose condition depends on a wall-clock
 /// reading ([`crate::flow`]).
 pub const RULE_TEST_WALLCLOCK: &str = "test-wallclock-assert";
@@ -160,7 +151,7 @@ pub fn registry_consts(toks: &[Token]) -> Vec<(String, u32)> {
 /// All identifiers in a token stream — the use-side input of the
 /// dead-name check.
 #[must_use]
-pub fn ident_set(toks: &[Token]) -> HashSet<String> {
+pub fn ident_set(toks: &[Token]) -> BTreeSet<String> {
     toks.iter()
         .filter_map(|t| t.ident().map(String::from))
         .collect()
@@ -172,7 +163,7 @@ pub fn ident_set(toks: &[Token]) -> HashSet<String> {
 /// vocabulary of the codebase.
 pub fn check_dead_names(
     consts: &[(String, u32)],
-    used: &HashSet<String>,
+    used: &BTreeSet<String>,
     out: &mut Vec<Violation>,
 ) {
     for (name, line) in consts {
@@ -189,23 +180,18 @@ pub fn check_dead_names(
 /// A rule over one file's tree, exempting the given test regions.
 pub type Check = fn(&[Node], &TestRegions, &mut Vec<Violation>);
 
-/// Which rules run on the file at `rel`, in order: `obs-names` outside
-/// the obs crate and test files, then the rules scoped by file role
-/// (DESIGN.md §13) — test assertions everywhere, iteration and
-/// accumulation order and wall-clock flow in verdict logic,
-/// rank-conditional collectives wherever comm is issued.
+/// Which rules run on a file of the given class, in order: `obs-names`
+/// outside the obs crate and test files, then the rules scoped by file
+/// role (DESIGN.md §13) — test assertions everywhere, rank-conditional
+/// collectives wherever comm is issued.
 #[must_use]
-pub fn rules_for(class: FileClass, rel: &str) -> Vec<Check> {
+pub fn rules_for(class: FileClass) -> Vec<Check> {
     let mut checks: Vec<Check> = match class {
         FileClass::Shim => return Vec::new(),
         FileClass::ObsCrate | FileClass::Test => Vec::new(),
         FileClass::CommSource | FileClass::Source => vec![check_obs_names],
     };
     checks.push(flow::check_test_wallclock);
-    if crate::spmd_decision(rel) {
-        checks.push(flow::check_unordered_iteration);
-        checks.push(flow::check_wallclock);
-    }
     if class == FileClass::CommSource {
         checks.push(flow::check_rank_divergent);
     }

@@ -25,7 +25,7 @@ fn match_on_rank(&self) {
 
 fn justified(&self) {
     if self.rank == 0 {
-        // lint: allow(rank-divergent-collective) — the follower side issues
+        // lint: allow(spmd-rank-divergent-collective) — the follower side issues
         // the matching broadcast below; both schedules agree
         self.group.broadcast(0, &mut self.buf);
     }

@@ -7,8 +7,8 @@ use crate::lower::simulate_layer;
 /// The six schedules compared in the paper's evaluation.
 ///
 /// `Ord` follows declaration order so `BTreeMap<ScheduleKind, _>`
-/// aggregations iterate deterministically (DESIGN.md §13's
-/// `spmd-unordered-iteration` policy).
+/// aggregations iterate deterministically (std hash containers are a
+/// clippy `disallowed_types` ban, DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScheduleKind {
     /// DeepSpeed-MoE: fully sequential MoE layer (Fig. 3a's default).

@@ -172,7 +172,10 @@ fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     println!("\ntransposed-operand GEMM (GFLOP/s):");
-    println!("  {:>5}  {:>8}  {:>8}  {:>8}", "dim", "plain", "nt", "tn");
+    println!(
+        "  {:>5}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}",
+        "dim", "plain", "nt", "tn", "nt/plain", "tn/plain"
+    );
     for &d in &GEMM_DIMS[1..] {
         let a = rng.uniform(&[d, d], -1.0, 1.0);
         let b = rng.uniform(&[d, d], -1.0, 1.0);
@@ -199,13 +202,20 @@ fn bench_transposed() -> (Vec<Json>, Vec<(usize, f64, f64)>) {
             tn_ratios.push(round[0] / round[2]);
         }
         let [plain, nt, tn] = best_ms.map(|ms| 2.0 * (d as f64).powi(3) / (ms * 1e-3) / 1e9);
-        println!("  {d:>5}  {plain:>8.2}  {nt:>8.2}  {tn:>8.2}");
-        ratios.push((d, median_ms(&mut nt_ratios), median_ms(&mut tn_ratios)));
+        // the gate decides on the median per-round ratios, not on the
+        // ratios of the best rates
+        let (nt_ratio, tn_ratio) = (median_ms(&mut nt_ratios), median_ms(&mut tn_ratios));
+        println!(
+            "  {d:>5}  {plain:>8.2}  {nt:>8.2}  {tn:>8.2}  {nt_ratio:>7.3}x  {tn_ratio:>7.3}x"
+        );
+        ratios.push((d, nt_ratio, tn_ratio));
         rows.push(Json::obj(vec![
             ("dim", Json::from(d)),
             ("plain_gflops", Json::from(plain)),
             ("nt_gflops", Json::from(nt)),
             ("tn_gflops", Json::from(tn)),
+            ("nt_ratio", Json::from(nt_ratio)),
+            ("tn_ratio", Json::from(tn_ratio)),
         ]));
     }
     (rows, ratios)

@@ -345,7 +345,7 @@ mod tests {
         };
         assert_eq!(spec.delay_for(7, 1, 0), None);
         assert_eq!(spec.delay_for(7, 1, 1), None);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for op in 2..32 {
             let d = spec.delay_for(7, 1, op).expect("active from op 2");
             assert!(d >= Duration::from_millis(80), "jitter floor: {d:?}");

@@ -390,6 +390,11 @@ impl GroupComm {
     /// then a block on the condvar, never longer than the remaining
     /// deadline or the fault-poll interval. Either way the time counts as
     /// blocked ([`crate::Communicator::blocked_wait_us`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the op deadline's clock: it only decides when this rank stops waiting \
+                  and returns Timeout, never what a rank computes"
+    )]
     fn wait_step<'a>(&'a self, mut st: State<'a>, wait: &mut Wait) -> State<'a> {
         let now = Instant::now();
         if now < *wait.poll_until.get_or_insert(now + POLL) {
@@ -609,6 +614,11 @@ impl GroupComm {
     /// same group (an SPMD violation), or pass payloads of different
     /// lengths to anything but an AllGather; the group is poisoned first
     /// so peers error out rather than deadlock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the op deadline's clock: it only decides when this rank stops waiting \
+                  and returns Timeout, never what a rank computes"
+    )]
     fn run_inner(&self, tag: OpTag, io: &mut Io<'_>, dropped: bool) -> Result<()> {
         let ctrl = &self.inner.ctrl;
         // Redundant with [`GroupComm::run`]'s gates, deliberately: the

@@ -169,7 +169,8 @@ where
 /// Panics when a rank thread panics or does not finish within `budget`.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the harness starts the rank threads: one thread per rank"
+    reason = "the harness starts the rank threads, one per rank, and its watchdog reads \
+              the clock only to give up on them"
 )]
 #[expect(
     clippy::expect_used,

@@ -316,6 +316,11 @@ impl Communicator {
     /// under agreement this epoch, and [`CommError::Timeout`] (with
     /// `op = "propose_evict"`) when the communicator's deadline expires
     /// before every live rank votes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the op deadline's clock: it only decides when this rank stops waiting \
+                  and returns Timeout, never what a rank computes"
+    )]
     pub fn propose_evict(&self, victim: usize) -> Result<u64> {
         let ctrl = &self.registry.ctrl;
         if victim >= self.world_size {

@@ -159,7 +159,7 @@ proptest! {
             }
             // every assignment indexes a real token/expert with a finite,
             // non-negative weight; slots unique per expert
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for a in routing.assignments() {
                 prop_assert!(a.token < tokens);
                 prop_assert!(a.expert < experts);

@@ -569,6 +569,11 @@ impl ElasticTrainer {
             // *wait* — which the subtraction removes, so the slow rank
             // stands out instead of dragging everyone's score up.
             let wait_before = self.comm.blocked_wait_us(self.comm.rank());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the per-rank self time is all-reduced inside maybe_check_health \
+                          before any verdict, so every rank scores the same fleet-wide vector"
+            )]
             let wall_start = Instant::now();
             let result = self
                 .maybe_snapshot()
@@ -579,17 +584,16 @@ impl ElasticTrainer {
                 .and_then(|loss| {
                     self.step += 1;
                     self.strikes = 0;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the self-time reading: all-reduced before any verdict"
+                    )]
                     let wall_us = wall_start.elapsed().as_micros() as u64;
                     let waited = self
                         .comm
                         .blocked_wait_us(self.comm.rank())
                         .saturating_sub(wait_before);
                     let self_us = wall_us.saturating_sub(waited) as f64;
-                    // lint: allow(wallclock-decision) — the per-rank
-                    // self time is all-reduced inside maybe_check_health
-                    // before any verdict, so every rank scores the same
-                    // fleet-wide vector; the wall-clock reading itself
-                    // never steers a branch locally.
                     self.maybe_check_health(self_us)
                         .map(|evicted| (loss, evicted))
                 });

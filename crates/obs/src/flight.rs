@@ -38,7 +38,7 @@
 //!   collective errors in `collectives`, and to the in-process hang
 //!   watchdog armed by `$FLIGHT_WATCHDOG_MS` ([`init_from_env`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -109,10 +109,16 @@ fn unpack_meta(meta: u64) -> (u64, u32, u32) {
 
 // --- name interning ---------------------------------------------------
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only interner table, never iterated: hash order reaches no output"
+)]
+type NameIds = std::collections::HashMap<String, u32>;
+
 #[derive(Default)]
 struct Interner {
     names: Vec<String>,
-    ids: HashMap<String, u32>,
+    ids: NameIds,
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -121,8 +127,7 @@ fn interner() -> &'static Mutex<Interner> {
 }
 
 thread_local! {
-    static INTERN_CACHE: std::cell::RefCell<HashMap<String, u32>> =
-        std::cell::RefCell::new(HashMap::new());
+    static INTERN_CACHE: std::cell::RefCell<NameIds> = std::cell::RefCell::new(NameIds::new());
 }
 
 fn intern(name: &str) -> u32 {

@@ -23,9 +23,9 @@
 //! Recording is **opt-in**. The registry starts disabled, and every
 //! record call begins with one relaxed atomic load and a branch — when
 //! disabled, no locks are taken, no strings are formatted, and nothing
-//! allocates (the bench guard in `crates/bench/benches/obs.rs` holds
-//! this below 2% of the expert-compute hot path). Code that must build
-//! an attribute value eagerly should gate on [`is_enabled`].
+//! allocates (the `attrib` gate, `crates/bench/benches/attrib.rs`,
+//! holds its `disabled_overhead_pct` below 2% of a forward). Code that
+//! must build an attribute value eagerly should gate on [`is_enabled`].
 //!
 //! # Sessions
 //!

@@ -17,7 +17,7 @@
 use crate::perf::MoePerfModel;
 
 /// Which of the four §4.2 scheduling cases applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CaseId {
     /// Inter-node communications dominate (Fig. 4a).
     Case1,
@@ -273,7 +273,7 @@ mod tests {
     fn exactly_one_case_for_any_configuration() {
         // the four §4.2 disjunctions are exhaustive and mutually
         // exclusive over all 2^7 predicate combinations that can arise
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n_a2a in [1.0e4, 1.0e6, 5.0e7] {
             for n_exp in [1.0e6, 1.0e9, 1.0e12] {
                 for t_gar in [0.0, 1.0, 100.0] {

@@ -16,7 +16,8 @@
 
 #![allow(
     clippy::disallowed_types,
-    reason = "the shim is the one place std locks live: it wraps them for the lock doctor"
+    reason = "the shim is the one place std locks live: it wraps them for the lock doctor, \
+              whose lock-order graph is rank-independent diagnostics held in hash maps"
 )]
 
 pub mod lock_doctor;
