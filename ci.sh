@@ -91,13 +91,8 @@ soak "step attribution" 300 \
 echo "==> conformance: workspace invariant linter"
 # What clippy cannot see: obs names only via the registry (and every
 # registry name used), collectives under a rank-conditional branch, and
-# wall-clock assertions in tests. Non-zero exit on any violation; on
-# failure the findings are re-emitted as JSON for one-glance triage.
-if ! cargo run --release -p analyzer; then
-    echo "analyzer findings (JSON):" >&2
-    cargo run --release -p analyzer -- --json >&2 || true
-    exit 1
-fi
+# wall-clock assertions in tests. Non-zero exit on any violation.
+cargo run --release -p analyzer
 
 echo "==> figures golden: the nine deterministic experiment binaries"
 # Modeled numbers are pinned to the last digit (table6_gating and

@@ -204,9 +204,9 @@ fn cli_rejects_unknown_flags_and_empty_walks() {
     let manifest = env!("CARGO_MANIFEST_DIR");
     let no_crates = format!("{manifest}/tests/fixtures");
     let missing = format!("{manifest}/no-such-root");
-    for args in [vec![no_crates.as_str()], vec!["--json", missing.as_str()]] {
-        let (code, stderr) = run(&args);
-        assert_eq!(code, Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains("no .rs files"), "{args:?}: {stderr}");
+    for root in [no_crates, missing] {
+        let (code, stderr) = run(&[root.as_str()]);
+        assert_eq!(code, Some(1), "{root}: {stderr}");
+        assert!(stderr.contains("no .rs files"), "{root}: {stderr}");
     }
 }

@@ -9,9 +9,7 @@ use std::time::Duration;
 use collectives::{run_world, Brownout, CommWorld, Communicator, FaultInjector, HybridTopology};
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
-use models::{
-    ElasticPolicy, ElasticTrainer, GrayFailurePolicy, HealthMonitor, HealthPolicy, MoeTransformer,
-};
+use models::{ElasticTrainer, HealthPolicy, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 /// Model seed shared by every world of the scenario.
@@ -21,6 +19,8 @@ pub const WORLD: usize = 4;
 /// The browned-out rank — the highest, so survivor numbering (data and
 /// RNG streams included) is unchanged by its eviction.
 pub const VICTIM: usize = 3;
+/// Snapshot only at step 0 (see [`trainer`]).
+const SNAPSHOT_ONCE: usize = 100_000;
 /// Learning rate of every step.
 pub const LR: f32 = 0.05;
 /// Stall the victim adds to every collective it joins, ms.
@@ -60,18 +60,12 @@ fn model(cfg: &MoeConfig, comm: &Communicator) -> MoeTransformer {
 /// [`fresh_reference`] resumes.
 pub fn trainer(cfg: &MoeConfig, comm: Communicator) -> ElasticTrainer {
     let route_rng = route_rng_for(comm.rank());
-    ElasticTrainer::new(model(cfg, &comm), comm, route_rng, policy()).expect("scenario trainer")
+    ElasticTrainer::new(model(cfg, &comm), comm, route_rng, SNAPSHOT_ONCE)
+        .expect("scenario trainer")
 }
 
 fn route_rng_for(old_rank: usize) -> TensorRng {
     TensorRng::seed_from(7000 + old_rank as u64)
-}
-
-fn policy() -> ElasticPolicy {
-    ElasticPolicy {
-        snapshot_interval: 100_000,
-        ..ElasticPolicy::default()
-    }
 }
 
 /// The world with [`VICTIM`] browned out.
@@ -92,13 +86,7 @@ pub fn defended_trainer(cfg: &MoeConfig, comm: Communicator) -> ElasticTrainer {
         sustain: 2,
         cooldown: 1,
     };
-    let pricing = GrayFailurePolicy {
-        costs: simnet::Testbed::a().costs,
-        horizon_steps: 100_000,
-        moved_bytes: 1e6,
-        checkpoint_bytes: 4e6,
-    };
-    trainer(cfg, comm).with_health(HealthMonitor::new(WORLD, ladder), pricing)
+    trainer(cfg, comm).with_health(ladder, 100_000)
 }
 
 /// A fresh 3-rank world resumed from the scenario's initial snapshot
@@ -121,7 +109,7 @@ pub fn fresh_reference(cfg: &MoeConfig, total: usize) -> ModelCheckpoint {
             let route_rng = route_rng_for(rank);
             let model = model(&cfg, &comm);
             let mut trainer =
-                ElasticTrainer::resume(model, comm, &snapshot, route_rng, 0, policy())
+                ElasticTrainer::resume(model, comm, &snapshot, route_rng, 0, SNAPSHOT_ONCE)
                     .expect("fresh resume");
             let (x, t) = rank_data(&cfg, rank);
             while trainer.step() < total {

@@ -70,15 +70,21 @@ pub struct FaultPolicy {
     /// Backoff before the first retry; attempt `k` waits
     /// `base_backoff · 2^(k−1)` before jitter.
     pub base_backoff: Duration,
-    /// Ceiling on the un-jittered backoff — the exponential curve
-    /// saturates here instead of growing without bound.
-    pub max_backoff: Duration,
-    /// Seed for the jitter stream. Reproducible runs keep it fixed;
-    /// deployments that want decorrelated ranks vary it per process.
-    pub jitter_seed: u64,
     /// Degrade (drop tokens) instead of failing the whole layer.
     pub drop_on_failure: bool,
 }
+
+/// Ceiling on the un-jittered backoff — the exponential curve saturates
+/// here instead of growing without bound.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "retry backoffs: a wait between attempts, not an op budget"
+)]
+const MAX_BACKOFF: Duration = Duration::from_millis(80);
+
+/// Seed of the jitter stream: fixed, so runs replay exactly; the rank
+/// salt decorrelates ranks.
+const JITTER_SEED: u64 = 0x5EED;
 
 impl Default for FaultPolicy {
     #[expect(
@@ -89,8 +95,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             max_retries: 2,
             base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(80),
-            jitter_seed: 0x5EED,
             drop_on_failure: true,
         }
     }
@@ -101,9 +105,9 @@ impl FaultPolicy {
     /// `salt` (callers pass their rank so ranks decorrelate).
     ///
     /// The un-jittered wait doubles per attempt from `base_backoff` and
-    /// saturates at `max_backoff`; it is then scaled by a deterministic
+    /// saturates at `MAX_BACKOFF`; it is then scaled by a deterministic
     /// jitter fraction in `[0.5, 1.0)` drawn from splitmix64 over
-    /// `(jitter_seed, salt, attempt)`. Same policy, salt and attempt ⇒
+    /// `(JITTER_SEED, salt, attempt)`. Same policy, salt and attempt ⇒
     /// same wait, so fault-injection tests replay exactly; different
     /// ranks or attempts decorrelate, so retry stampedes spread out.
     pub fn backoff_for(&self, attempt: u32, salt: u64) -> Duration {
@@ -114,9 +118,9 @@ impl FaultPolicy {
         let raw = self
             .base_backoff
             .saturating_mul(1u32 << shift)
-            .min(self.max_backoff);
+            .min(MAX_BACKOFF);
         let bits = splitmix64(
-            self.jitter_seed ^ salt.rotate_left(17) ^ u64::from(attempt).wrapping_mul(0x9E37_79B9),
+            JITTER_SEED ^ salt.rotate_left(17) ^ u64::from(attempt).wrapping_mul(0x9E37_79B9),
         );
         // 53 high bits → uniform fraction in [0, 1); map to [0.5, 1.0).
         let frac = 0.5 + ((bits >> 11) as f64) / ((1u64 << 53) as f64) * 0.5;

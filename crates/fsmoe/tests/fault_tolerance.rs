@@ -302,7 +302,6 @@ fn strict_policy_propagates_instead_of_dropping() {
             max_retries: 1,
             base_backoff: Duration::from_millis(1),
             drop_on_failure: false,
-            ..FaultPolicy::default()
         });
         let x = input_block(&cfg, comm.rank());
         let mut rng = TensorRng::seed_from(0);
@@ -359,7 +358,6 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
             max_retries: 1,
             base_backoff: Duration::from_millis(5),
             drop_on_failure: true,
-            ..FaultPolicy::default()
         });
         let log = ComputeLog::new(&cfg);
         layer.set_hooks(Box::new(log.clone()));
@@ -382,7 +380,6 @@ fn straggler_beyond_retry_budget_degrades_then_realigns() {
             max_retries: 30,
             base_backoff: Duration::from_millis(5),
             drop_on_failure: true,
-            ..FaultPolicy::default()
         });
         let second = layer.forward(&x, &mut rng).unwrap();
         (first, drops_after_first, second, layer.dropped_tokens())

@@ -2,12 +2,11 @@
 //!
 //! [`ElasticTrainer`] drives [`MoeTransformer::train_step`] — the model
 //! owns the step; the trainer owns what surrounds it — over a model of
-//! any depth and world size, snapshotting every
-//! [`ElasticPolicy::snapshot_interval`] steps: the model's full
-//! checkpoint *and* the routing RNG, both needed for exact replay
-//! because gates consume randomness every step. A step that fails
-//! leaves weights and RNG in partial state; what happens next depends
-//! on the fault:
+//! any depth and world size, snapshotting every `snapshot_interval`
+//! steps: the model's full checkpoint *and* the routing RNG, both
+//! needed for exact replay because gates consume randomness every
+//! step. A step that fails leaves weights and RNG in partial state;
+//! what happens next depends on the fault:
 //!
 //! * a fault with no dead peer to blame (this rank's own link, a
 //!   corrupted step) propagates, and the caller rolls the trainer back
@@ -31,8 +30,8 @@
 //!      (new) expert set from the last snapshot.
 //!
 //! Placement is per block (expert map, eviction deal); fleet state —
-//! health monitor, quarantine set, eviction and strike counts, snapshot
-//! clock, route RNG — is one.
+//! health monitor, quarantine set, eviction count, snapshot clock,
+//! route RNG — is one.
 //!
 //! The property that makes this trustworthy (pinned by the recovery and
 //! elastic tests): a run that faults and rolls back ends with weights
@@ -57,42 +56,22 @@ use collectives::{CommError, Communicator, HybridTopology};
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::reshard::ReshardPlan;
 use fsmoe::{MoeError, Result};
+use simnet::{price_gray_failure, GrayFailureCost};
 use tensor::{Tensor, TensorRng};
 
 use crate::block::MoeTransformer;
-use crate::health::{
-    drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, MigrationDecision,
-};
+use crate::health::{drain_decision, HealthAction, HealthMonitor, HealthPolicy, MigrationDecision};
 
-/// Knobs for the elastic pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticPolicy {
-    /// Snapshot every this many steps (the rollback granularity).
-    pub snapshot_interval: usize,
-    /// Blamable step failures tolerated before driving an eviction.
-    pub strikes_to_evict: usize,
-    /// How many evictions to survive before giving up and propagating
-    /// the failure.
-    pub max_evictions: usize,
-    /// Deadline for the eviction vote itself (longer than the op
-    /// deadline — survivors may reach the vote at different times).
-    pub vote_deadline: Duration,
-}
+/// Evictions survived before a blamable failure propagates instead.
+const MAX_EVICTIONS: usize = 1;
 
-impl Default for ElasticPolicy {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the eviction vote's own deadline, a policy default the caller may override"
-    )]
-    fn default() -> Self {
-        ElasticPolicy {
-            snapshot_interval: 2,
-            strikes_to_evict: 1,
-            max_evictions: 1,
-            vote_deadline: Duration::from_secs(5),
-        }
-    }
-}
+/// Deadline for the eviction vote itself (longer than the op deadline —
+/// survivors may reach the vote at different times).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the eviction vote's own deadline, one fixed protocol constant"
+)]
+const VOTE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A consistent distributed snapshot: everything exact replay needs.
 #[derive(Debug, Clone)]
@@ -108,20 +87,18 @@ struct ElasticSnapshot {
 pub struct ElasticTrainer {
     comm: Communicator,
     model: MoeTransformer,
-    policy: ElasticPolicy,
+    /// Snapshot every this many steps (the rollback granularity).
+    snapshot_interval: usize,
     route_rng: TensorRng,
     step: usize,
     snapshot: ElasticSnapshot,
-    /// Guards against re-snapshotting the step we just rolled back to.
-    last_snapshot_step: usize,
     checkpoint_dir: Option<PathBuf>,
     evictions: usize,
-    strikes: usize,
     last_fallback: Option<MoeError>,
     migrations: usize,
     /// The gray-failure defense, when armed: the monitor and the
-    /// pricing its last rung consults.
-    health: Option<(HealthMonitor, GrayFailurePolicy)>,
+    /// horizon (steps) its last rung's pricing amortizes over.
+    health: Option<(HealthMonitor, usize)>,
     /// EP positions currently quarantined (ascending, fleet-identical).
     quarantined: Vec<usize>,
     quarantines: usize,
@@ -129,7 +106,9 @@ pub struct ElasticTrainer {
 
 impl ElasticTrainer {
     /// Wraps `model`, built over `comm`'s flat topology, and takes the
-    /// initial collective snapshot (all ranks must call together).
+    /// initial collective snapshot (all ranks must call together). A
+    /// snapshot is then taken every `snapshot_interval` steps: the
+    /// rollback granularity.
     ///
     /// # Errors
     ///
@@ -138,7 +117,7 @@ impl ElasticTrainer {
         model: MoeTransformer,
         comm: Communicator,
         route_rng: TensorRng,
-        policy: ElasticPolicy,
+        snapshot_interval: usize,
     ) -> Result<Self> {
         let snapshot = ElasticSnapshot {
             step: 0,
@@ -148,14 +127,12 @@ impl ElasticTrainer {
         Ok(ElasticTrainer {
             comm,
             model,
-            policy,
+            snapshot_interval,
             snapshot,
             route_rng,
             step: 0,
-            last_snapshot_step: 0,
             checkpoint_dir: None,
             evictions: 0,
-            strikes: 0,
             last_fallback: None,
             migrations: 0,
             health: None,
@@ -179,13 +156,12 @@ impl ElasticTrainer {
         checkpoint: &ModelCheckpoint,
         route_rng: TensorRng,
         step: usize,
-        policy: ElasticPolicy,
+        snapshot_interval: usize,
     ) -> Result<Self> {
         model.restore_full(checkpoint)?;
-        let mut trainer = Self::new(model, comm, route_rng, policy)?;
+        let mut trainer = Self::new(model, comm, route_rng, snapshot_interval)?;
         trainer.step = step;
         trainer.snapshot.step = step;
-        trainer.last_snapshot_step = step;
         Ok(trainer)
     }
 
@@ -199,19 +175,19 @@ impl ElasticTrainer {
 
     /// Arms the gray-failure defense: after every completed step the
     /// per-rank self times (step wall time minus blocked-rendezvous
-    /// wait) are all-reduced and fed to `monitor`, and its verdicts
-    /// drive the escalation ladder — log, quarantine (hot experts drain
-    /// off the slow rank through eviction-free migrations,
+    /// wait) are all-reduced and fed to a [`HealthMonitor`] over this
+    /// world walking `policy`'s ladder — log, quarantine (hot experts
+    /// drain off the slow rank through eviction-free migrations,
     /// [`fsmoe::layer::MoeLayer::migrate`]), and finally a *live*
-    /// eviction once `gray`'s keep-limping-vs-evict pricing says
-    /// eviction wins.
+    /// eviction once keep-limping-vs-evict over `horizon_steps` prices
+    /// eviction cheaper ([`Self::price_eviction`]).
     ///
-    /// SPMD: every rank must arm an identically configured monitor and
-    /// policy, or ranks walk different ladders and the vote never
-    /// converges.
+    /// SPMD: every rank must pass an identical `policy` and horizon, or
+    /// ranks walk different ladders and the vote never converges.
     #[must_use]
-    pub fn with_health(mut self, monitor: HealthMonitor, gray: GrayFailurePolicy) -> Self {
-        self.health = Some((monitor, gray));
+    pub fn with_health(mut self, policy: HealthPolicy, horizon_steps: usize) -> Self {
+        let monitor = HealthMonitor::new(self.comm.world_size(), policy);
+        self.health = Some((monitor, horizon_steps));
         self
     }
 
@@ -279,9 +255,9 @@ impl ElasticTrainer {
     }
 
     fn maybe_snapshot(&mut self) -> Result<()> {
-        if !self.step.is_multiple_of(self.policy.snapshot_interval)
-            || self.step == self.last_snapshot_step
-        {
+        // The second guard skips re-snapshotting the step just rolled
+        // back to.
+        if !self.step.is_multiple_of(self.snapshot_interval) || self.step == self.snapshot.step {
             return Ok(());
         }
         let mut span = obs::span(obs::names::CAT_MODELS, obs::names::SPAN_SNAPSHOT);
@@ -297,7 +273,6 @@ impl ElasticTrainer {
             checkpoint,
             route_rng: self.route_rng.clone(),
         };
-        self.last_snapshot_step = self.step;
         Ok(())
     }
 
@@ -393,8 +368,6 @@ impl ElasticTrainer {
         restore(&mut self.model, &checkpoint)?;
         self.route_rng = self.snapshot.route_rng.clone();
         self.step = self.snapshot.step;
-        self.last_snapshot_step = self.snapshot.step;
-        self.strikes = 0;
         Ok(self.step)
     }
 
@@ -407,7 +380,7 @@ impl ElasticTrainer {
         span.attr("victim", victim);
         span.attr("from_step", self.step);
         let mut vote_comm = self.comm.clone();
-        vote_comm.set_deadline(Some(self.policy.vote_deadline));
+        vote_comm.set_deadline(Some(VOTE_DEADLINE));
         let epoch = match vote_comm.propose_evict(victim) {
             Ok(epoch) => epoch,
             // Another handle already drove the world past us — rebind.
@@ -442,7 +415,7 @@ impl ElasticTrainer {
 
     /// Executes a migration in `block`. A failed move installs nothing
     /// anywhere (its world broadcast fails on every rank), and its error
-    /// takes the step-error path: [`Self::blame`], strikes, eviction.
+    /// takes the step-error path: [`Self::blame`], then eviction.
     fn apply_migration(&mut self, block: usize, decision: MigrationDecision) -> Result<()> {
         self.model
             .layer_mut(block)
@@ -502,10 +475,11 @@ impl ElasticTrainer {
     /// the monitor's verdict. Runs only when health is armed, and every
     /// branch is SPMD-deterministic.
     ///
-    /// The ladder's last rung prices keep-limping vs evict, and evicts
-    /// the live-but-slow rank only when the arithmetic says so. Every
-    /// pricing input is fleet-identical (all-reduced scores and medians,
-    /// the shared config), so all ranks decide alike.
+    /// The ladder's last rung prices keep-limping vs evict
+    /// ([`Self::price_eviction`]), and evicts the live-but-slow rank
+    /// only when the arithmetic says so. Every pricing input is
+    /// fleet-identical (all-reduced scores and medians, the shared
+    /// model), so all ranks decide alike.
     ///
     /// Returns whether a live slow rank was evicted (the clock rolled
     /// back: replay), and `Err(RankDown{me})` when *this* rank is the
@@ -513,9 +487,10 @@ impl ElasticTrainer {
     /// error tells the caller to stop stepping — exactly what a dead
     /// rank's caller sees.
     fn maybe_check_health(&mut self, self_us: f64) -> Result<bool> {
-        let Some((monitor, gray)) = self.health.as_mut() else {
+        let Some((monitor, horizon_steps)) = self.health.as_mut() else {
             return Ok(false);
         };
+        let horizon_steps = *horizon_steps;
         let me = self.comm.rank();
         let mut v = vec![0.0f32; self.comm.world_size()];
         v[me] = self_us as f32;
@@ -524,7 +499,9 @@ impl ElasticTrainer {
             .all_reduce(&mut v)
             .map_err(MoeError::Comm)?;
         let times: Vec<f64> = v.iter().map(|&t| f64::from(t)).collect();
-        match monitor.observe(&times) {
+        let action = monitor.observe(&times);
+        let healthy_step_ms = monitor.median_self_us() / 1e3;
+        match action {
             None | Some(HealthAction::Log { .. }) => Ok(false),
             Some(HealthAction::Quarantine { rank, .. }) => {
                 if !self.quarantined.contains(&rank) {
@@ -536,11 +513,11 @@ impl ElasticTrainer {
                 Ok(false)
             }
             Some(HealthAction::EvictCandidate { rank, score }) => {
-                let healthy_step_ms = monitor.median_self_us() / 1e3;
-                let replay_steps = self.step - self.snapshot.step;
-                let cost = gray.price(self.comm.world_size(), healthy_step_ms, score, replay_steps);
-                if !cost.eviction_wins() || self.evictions >= self.policy.max_evictions {
-                    monitor.defer();
+                let cost = self.price_eviction(rank, healthy_step_ms, score, horizon_steps);
+                if !cost.eviction_wins() || self.evictions >= MAX_EVICTIONS {
+                    if let Some((monitor, _)) = self.health.as_mut() {
+                        monitor.defer();
+                    }
                     return Ok(false);
                 }
                 obs::counter_add(obs::names::HEALTH_EVICTIONS, 1);
@@ -553,6 +530,50 @@ impl ElasticTrainer {
         }
     }
 
+    /// Prices keep-limping vs evicting `victim`, whose health score is
+    /// `slowdown`, over `horizon_steps`
+    /// ([`simnet::price_gray_failure`]). The sizes come from state every
+    /// rank holds identically, at 4 bytes a parameter: the snapshot
+    /// every survivor reloads, and the victim's experts summed over
+    /// blocks (flat topology: the victim's rank is its EP position). The
+    /// rollback would replay the steps since that snapshot.
+    fn price_eviction(
+        &self,
+        victim: usize,
+        healthy_step_ms: f64,
+        slowdown: f64,
+        horizon_steps: usize,
+    ) -> GrayFailureCost {
+        let bytes = |params: usize| (params * std::mem::size_of::<f32>()) as f64;
+        let checkpoint_params: usize = self
+            .snapshot
+            .checkpoint
+            .blocks
+            .iter()
+            .map(|b| b.dense.iter().map(Tensor::num_elements).sum::<usize>() + b.moe.num_params())
+            .sum();
+        let moved_params: usize = self
+            .model
+            .blocks()
+            .iter()
+            .map(|b| {
+                b.moe().config().params_per_expert() * b.moe().expert_map().experts_on(victim).len()
+            })
+            .sum();
+        // Testbed A's α–β costs until the host's own fits replace them
+        // (ROADMAP item 8).
+        price_gray_failure(
+            &simnet::Testbed::a().costs,
+            self.comm.world_size(),
+            healthy_step_ms,
+            slowdown,
+            horizon_steps,
+            self.step - self.snapshot.step,
+            bytes(moved_params),
+            bytes(checkpoint_params),
+        )
+    }
+
     /// Runs one training step, driving the elastic pipeline when a peer
     /// is down: retried steps replay from the last snapshot on the
     /// surviving world, so a returned loss is always a *completed* step.
@@ -560,7 +581,7 @@ impl ElasticTrainer {
     /// # Errors
     ///
     /// Propagates unblamable failures, and blamable ones once the
-    /// eviction budget ([`ElasticPolicy::max_evictions`]) is spent.
+    /// eviction budget (one eviction) is spent.
     pub fn train_step(&mut self, input: &Tensor, target: &Tensor, lr: f32) -> Result<f32> {
         loop {
             // Self time = step wall time minus time spent blocked in
@@ -583,7 +604,6 @@ impl ElasticTrainer {
                 })
                 .and_then(|loss| {
                     self.step += 1;
-                    self.strikes = 0;
                     #[expect(
                         clippy::disallowed_methods,
                         reason = "the self-time reading: all-reduced before any verdict"
@@ -610,17 +630,67 @@ impl ElasticTrainer {
             let Some(victim) = self.blame(&err) else {
                 return Err(err);
             };
-            self.strikes += 1;
-            if self.strikes < self.policy.strikes_to_evict {
-                // Under the strike budget: retry the step as-is (the
-                // rollback on eviction erases any RNG drift from failed
-                // attempts).
-                continue;
-            }
-            if self.evictions >= self.policy.max_evictions {
+            if self.evictions >= MAX_EVICTIONS {
                 return Err(err);
             }
             self.recover_from_eviction(victim)?;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use collectives::{run_world, CommWorld};
+    use fsmoe::config::MoeConfig;
+
+    use super::*;
+
+    /// The eviction price reads its sizes off the model: `restore`
+    /// reloads the whole snapshot and `reshard` moves the victim's
+    /// experts, at 4 bytes a parameter.
+    #[test]
+    fn eviction_price_reads_its_sizes_from_the_model() {
+        let cfg = MoeConfig::builder()
+            .batch_size(1)
+            .seq_len(4)
+            .embed_dim(8)
+            .hidden_dim(16)
+            .num_experts(4)
+            .top_k(2)
+            .no_drop()
+            .build()
+            .unwrap();
+        let run_cfg = cfg.clone();
+        let priced = run_world(CommWorld::new(2), move |comm| {
+            let topo = HybridTopology::flat(2).unwrap();
+            let model = MoeTransformer::new(&run_cfg, Some(2), 2, &comm, &topo, 5).unwrap();
+            let trainer = ElasticTrainer::new(model, comm, TensorRng::seed_from(0), 2).unwrap();
+            let snapshot_params: usize = trainer
+                .snapshot
+                .checkpoint
+                .blocks
+                .iter()
+                .flat_map(|b| {
+                    b.dense
+                        .iter()
+                        .chain(&b.moe.gate)
+                        .chain(b.moe.experts.iter().flatten())
+                })
+                .map(Tensor::num_elements)
+                .sum();
+            let cost = trainer.price_eviction(1, 10.0, 2.0, 1000);
+            (
+                snapshot_params,
+                cost.evict.phase("restore"),
+                cost.evict.phase("reshard"),
+            )
+        });
+        let all_gather = simnet::Testbed::a().costs.all_gather;
+        // Two blocks, each with two of its four experts on the victim.
+        let victim_params = 2 * 2 * cfg.params_per_expert();
+        for (snapshot_params, restore, reshard) in priced {
+            assert_eq!(restore, all_gather.time(4.0 * snapshot_params as f64));
+            assert_eq!(reshard, all_gather.time(4.0 * victim_params as f64));
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   steps escalates the rank up the ladder: **log** (first offence) →
 //!   **quarantine** (keeps its experts, loses migration-destination
 //!   eligibility, hot experts drain off it) → **evict candidate**
-//!   (handed to simnet's [`price_gray_failure`] crossover; the trainer
+//!   (handed to [`simnet::price_gray_failure`]'s crossover; the trainer
 //!   evicts only when the arithmetic says eviction beats limping).
 //!
 //! Every input is identical on every rank (all-reduced self times, the
@@ -25,7 +25,6 @@
 //! eviction vote both rely on.
 
 use fsmoe::reshard::ExpertMap;
-use simnet::{price_gray_failure, GrayFailureCost, OpCosts};
 
 /// A concrete "move this expert" plan: the input to eviction-free
 /// migration ([`fsmoe::layer::MoeLayer::migrate`]), emitted by
@@ -93,7 +92,7 @@ pub enum HealthAction {
         /// The degraded rank.
         rank: usize,
         /// Its score at escalation time — the `slowdown` input to
-        /// [`price_gray_failure`].
+        /// [`simnet::price_gray_failure`].
         score: f64,
     },
 }
@@ -319,45 +318,6 @@ pub fn drain_decision(
     Some(MigrationDecision { expert, from, to })
 }
 
-/// The keep-limping-vs-evict inputs the trainer hands to simnet when
-/// the ladder reaches [`HealthAction::EvictCandidate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GrayFailurePolicy {
-    /// α–β op costs to price the reconfiguration with.
-    pub costs: OpCosts,
-    /// How many future steps the comparison amortizes over.
-    pub horizon_steps: usize,
-    /// Orphaned expert bytes an eviction would move.
-    pub moved_bytes: f64,
-    /// Snapshot bytes every survivor would reload.
-    pub checkpoint_bytes: f64,
-}
-
-impl GrayFailurePolicy {
-    /// Prices the crossover for the current fleet state. `replay_steps`
-    /// is how far the rollback would rewind (current step minus
-    /// snapshot step).
-    #[must_use]
-    pub fn price(
-        &self,
-        world: usize,
-        healthy_step_ms: f64,
-        slowdown: f64,
-        replay_steps: usize,
-    ) -> GrayFailureCost {
-        price_gray_failure(
-            &self.costs,
-            world,
-            healthy_step_ms,
-            slowdown,
-            self.horizon_steps,
-            replay_steps,
-            self.moved_bytes,
-            self.checkpoint_bytes,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,18 +470,5 @@ mod tests {
     fn drain_refuses_to_empty_a_single_expert_position() {
         let map = ExpertMap::from_lists(vec![vec![0], vec![1, 2]]).unwrap();
         assert_eq!(drain_decision(&map, &[9.0, 1.0, 1.0], &[0]), None);
-    }
-
-    #[test]
-    fn gray_policy_prices_through_to_simnet() {
-        let costs = simnet::Testbed::a().costs;
-        let policy = GrayFailurePolicy {
-            costs,
-            horizon_steps: 1000,
-            moved_bytes: 1e6,
-            checkpoint_bytes: 4e6,
-        };
-        assert!(policy.price(4, 10.0, 2.0, 2).eviction_wins());
-        assert!(!policy.price(4, 10.0, 1.05, 2).eviction_wins());
     }
 }

@@ -35,10 +35,8 @@ pub mod pipeline;
 pub mod presets;
 
 pub use block::{MoeTransformer, TransformerBlock};
-pub use elastic::{ElasticPolicy, ElasticTrainer};
-pub use health::{
-    drain_decision, GrayFailurePolicy, HealthAction, HealthMonitor, HealthPolicy, MigrationDecision,
-};
+pub use elastic::ElasticTrainer;
+pub use health::{drain_decision, HealthAction, HealthMonitor, HealthPolicy, MigrationDecision};
 pub use iteration::{build_iteration_graph, iteration_time, plan_iteration, IterationPlan};
 pub use layerspec::{attention_backward_time, attention_forward_time, TransformerLayerSpec};
 pub use presets::ModelPreset;

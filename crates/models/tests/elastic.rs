@@ -9,11 +9,13 @@ use std::time::Duration;
 use collectives::{run_world_within, CommWorld, Communicator, HybridTopology};
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
+use models::{ElasticTrainer, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
+/// Snapshot every other step.
+const INTERVAL: usize = 2;
 const BUDGET: Duration = Duration::from_secs(120);
 
 /// Attention heads and depth of the model under the trainer.
@@ -76,7 +78,7 @@ fn reference_state(
                 model(&cfg, shape, &comm),
                 comm,
                 route_rng_for(rank),
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, rank);
@@ -111,7 +113,7 @@ fn elastic_run(
                 model(&cfg, shape, &comm),
                 comm,
                 route_rng_for(rank),
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, rank);
@@ -159,7 +161,7 @@ fn fresh_world(
                 &snapshot,
                 rngs[comm.rank()].clone(),
                 snap_step,
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, old_rank);
@@ -247,7 +249,7 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
 fn gray_failure_chaos_soak() {
     use collectives::{Brownout, CommError, FaultInjector};
     use fsmoe::MoeError;
-    use models::{GrayFailurePolicy, HealthMonitor, HealthPolicy};
+    use models::HealthPolicy;
 
     for n in [3usize, 4] {
         for seed in 0u64..4 {
@@ -272,30 +274,16 @@ fn gray_failure_chaos_soak() {
                 let cfg = cfg.clone();
                 move |comm| {
                     let rank = comm.rank();
-                    let policy = ElasticPolicy {
-                        snapshot_interval: 10_000,
-                        ..ElasticPolicy::default()
-                    };
                     let model = model(&cfg, LAYER, &comm);
-                    let mut trainer = ElasticTrainer::new(model, comm, route_rng_for(rank), policy)
+                    let ladder = HealthPolicy {
+                        window: 2,
+                        threshold: 1.5,
+                        sustain: 2,
+                        cooldown: 1,
+                    };
+                    let mut trainer = ElasticTrainer::new(model, comm, route_rng_for(rank), 10_000)
                         .unwrap()
-                        .with_health(
-                            HealthMonitor::new(
-                                n,
-                                HealthPolicy {
-                                    window: 2,
-                                    threshold: 1.5,
-                                    sustain: 2,
-                                    cooldown: 1,
-                                },
-                            ),
-                            GrayFailurePolicy {
-                                costs: simnet::Testbed::a().costs,
-                                horizon_steps: horizon,
-                                moved_bytes: 1e6,
-                                checkpoint_bytes: 4e6,
-                            },
-                        );
+                        .with_health(ladder, horizon);
                     let (x, t) = rank_data(&cfg, rank);
                     while trainer.step() < 8 {
                         match trainer.train_step(&x, &t, LR) {

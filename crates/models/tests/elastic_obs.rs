@@ -15,11 +15,13 @@ use std::time::Duration;
 use collectives::{run_world_within, CommWorld, Communicator, HybridTopology};
 use fsmoe::config::MoeConfig;
 use fsmoe::MoeError;
-use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
+use models::{ElasticTrainer, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
+/// Snapshot every other step.
+const INTERVAL: usize = 2;
 const BUDGET: Duration = Duration::from_secs(120);
 
 fn config(num_experts: usize) -> MoeConfig {
@@ -71,7 +73,7 @@ fn drop_accounting_is_exactly_once_through_eviction() {
                 model(&cfg, &comm),
                 comm,
                 TensorRng::seed_from(7000 + rank as u64),
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, rank);
@@ -125,7 +127,7 @@ fn corrupt_checkpoint_scenario(tag: &str, corrupt: fn(&PathBuf)) {
                 model(&cfg, &comm),
                 comm,
                 TensorRng::seed_from(7000 + rank as u64),
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap()
             .with_checkpoint_dir(dir.clone());

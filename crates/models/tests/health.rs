@@ -14,9 +14,7 @@ use collectives::{
 use fsmoe::checkpoint::ModelCheckpoint;
 use fsmoe::config::MoeConfig;
 use fsmoe::MoeError;
-use models::{
-    ElasticPolicy, ElasticTrainer, GrayFailurePolicy, HealthMonitor, HealthPolicy, MoeTransformer,
-};
+use models::{ElasticTrainer, HealthPolicy, MoeTransformer};
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
@@ -39,7 +37,7 @@ fn trainer(cfg: &MoeConfig, (heads, depth): Shape, comm: Communicator) -> Elasti
     let topo = HybridTopology::flat(comm.world_size()).unwrap();
     let model = MoeTransformer::new(cfg, heads, depth, &comm, &topo, SEED).unwrap();
     let route_rng = route_rng_for(comm.rank());
-    ElasticTrainer::new(model, comm, route_rng, policy_snapshot_once()).unwrap()
+    ElasticTrainer::new(model, comm, route_rng, SNAPSHOT_ONCE).unwrap()
 }
 
 fn config(num_experts: usize) -> MoeConfig {
@@ -80,27 +78,15 @@ fn health_policy() -> HealthPolicy {
     }
 }
 
-/// A pricing policy whose long horizon makes eviction win against any
-/// real brownout (the slow rank's score is enormous here).
-fn gray_policy() -> GrayFailurePolicy {
-    GrayFailurePolicy {
-        costs: simnet::Testbed::a().costs,
-        horizon_steps: 100_000,
-        moved_bytes: 1e6,
-        checkpoint_bytes: 4e6,
-    }
-}
+/// A pricing horizon long enough that eviction wins against any real
+/// brownout (the slow rank's score is enormous here).
+const HORIZON: usize = 100_000;
 
 /// Snapshot only at step 0, so a rollback always lands on the initial
 /// state — the one step number the timing-dependent eviction step
 /// cannot perturb, which is what lets the bit-identity half of the test
 /// pin its reference.
-fn policy_snapshot_once() -> ElasticPolicy {
-    ElasticPolicy {
-        snapshot_interval: 10_000,
-        ..ElasticPolicy::default()
-    }
-}
+const SNAPSHOT_ONCE: usize = 10_000;
 
 /// What a survivor reports at the end of the browned-out run.
 #[derive(Debug, Clone)]
@@ -142,8 +128,7 @@ fn gray_run(cfg: &MoeConfig, shape: Shape, n: usize, victim: usize) -> Vec<Optio
         let cfg = cfg.clone();
         move |comm| {
             let rank = comm.rank();
-            let mut trainer = trainer(&cfg, shape, comm)
-                .with_health(HealthMonitor::new(n, health_policy()), gray_policy());
+            let mut trainer = trainer(&cfg, shape, comm).with_health(health_policy(), HORIZON);
             let (x, t) = rank_data(&cfg, rank);
             let report = run_to_total(&mut trainer, &x, &t);
             // The canonical self-eviction exit: the fleet priced this
@@ -184,7 +169,7 @@ fn fresh_three_rank_world(cfg: &MoeConfig, shape: Shape) -> ModelCheckpoint {
                 &snapshot,
                 route_rng_for(old_rank),
                 0,
-                policy_snapshot_once(),
+                SNAPSHOT_ONCE,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, old_rank);
@@ -265,10 +250,8 @@ fn peer_death_at_any_op_of_a_step_is_evicted_bit_identically() {
                 let rank = comm.rank();
                 // Default ladder: three rungs of sustain 3 cannot reach
                 // an eviction before the kill does.
-                let mut trainer = trainer(&cfg, LAYER, comm).with_health(
-                    HealthMonitor::new(4, HealthPolicy::default()),
-                    gray_policy(),
-                );
+                let mut trainer =
+                    trainer(&cfg, LAYER, comm).with_health(HealthPolicy::default(), HORIZON);
                 let (x, t) = rank_data(&cfg, rank);
                 run_to_total(&mut trainer, &x, &t)
             }
@@ -295,14 +278,11 @@ fn healthy_fleet_with_defense_armed_never_escalates() {
             let topo = HybridTopology::flat(3).unwrap();
             let model = MoeTransformer::new(&cfg, None, 1, &comm, &topo, SEED).unwrap();
             let route_rng = route_rng_for(rank);
-            let mut trainer = ElasticTrainer::new(model, comm, route_rng, ElasticPolicy::default())
+            let mut trainer = ElasticTrainer::new(model, comm, route_rng, 2)
                 .unwrap()
                 // Default policy: threshold 1.75 with sustain 3 — scheduler
                 // jitter on equal ranks must stay under it.
-                .with_health(
-                    HealthMonitor::new(3, HealthPolicy::default()),
-                    gray_policy(),
-                );
+                .with_health(HealthPolicy::default(), HORIZON);
             let (x, t) = rank_data(&cfg, rank);
             for _ in 0..6 {
                 trainer.train_step(&x, &t, LR).unwrap();

@@ -13,12 +13,14 @@ use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
+use models::{ElasticTrainer, MoeTransformer};
 use parking_lot::lock_doctor;
 use tensor::{Tensor, TensorRng};
 
 const SEED: u64 = 33;
 const LR: f32 = 0.1;
+/// Snapshot every other step.
+const INTERVAL: usize = 2;
 const BUDGET: Duration = Duration::from_secs(120);
 
 fn config(num_experts: usize) -> MoeConfig {
@@ -63,7 +65,7 @@ fn four_rank_elastic_recovery_is_hazard_free() {
                 model,
                 comm,
                 TensorRng::seed_from(7000 + rank as u64),
-                ElasticPolicy::default(),
+                INTERVAL,
             )
             .unwrap();
             let (x, t) = rank_data(&cfg, rank);

@@ -19,7 +19,7 @@ use fsmoe::order::TutelOrdering;
 use fsmoe::routing::Routing;
 use fsmoe::{MoeError, Result};
 use models::attention::MultiHeadAttention;
-use models::{ElasticPolicy, ElasticTrainer, MoeTransformer, TransformerBlock};
+use models::{ElasticTrainer, MoeTransformer, TransformerBlock};
 use tensor::{Tensor, TensorRng};
 
 /// Attention heads and depth of the model under the trainer.
@@ -122,13 +122,6 @@ fn step_batch(cfg: &MoeConfig, step: usize, rank: usize) -> (Tensor, Tensor) {
     (rng.normal(&dims, 0.0, 1.0), rng.normal(&dims, 0.0, 1.0))
 }
 
-fn policy() -> ElasticPolicy {
-    ElasticPolicy {
-        snapshot_interval: INTERVAL,
-        ..ElasticPolicy::default()
-    }
-}
-
 /// Trains `STEPS` steps on every rank of a `ranks`-rank world, rolling
 /// back on a fault; returns each rank's final full checkpoint and how
 /// many rollbacks it took.
@@ -144,7 +137,7 @@ fn run(
         let rank = comm.rank();
         let model = noisy_model(&cfg, shape, seed, &comm, fail_at);
         let mut trainer =
-            ElasticTrainer::new(model, comm, TensorRng::seed_from(7), policy()).unwrap();
+            ElasticTrainer::new(model, comm, TensorRng::seed_from(7), INTERVAL).unwrap();
         if let Some(dir) = &dir {
             trainer = trainer.with_checkpoint_dir(dir.clone());
         }
@@ -232,7 +225,7 @@ fn rollback_before_first_step_falls_back_to_memory() {
     let comm = Communicator::solo();
     let model = noisy_model(&cfg, LAYER, 23, &comm, None);
     let initial = model.checkpoint_global().unwrap();
-    let mut trainer = ElasticTrainer::new(model, comm, TensorRng::seed_from(1), policy())
+    let mut trainer = ElasticTrainer::new(model, comm, TensorRng::seed_from(1), INTERVAL)
         .unwrap()
         .with_checkpoint_dir(dir.clone());
     assert_eq!(trainer.rollback().unwrap(), 0);

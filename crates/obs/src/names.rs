@@ -172,12 +172,6 @@ pub const LOCKDOCTOR_EDGES: &str = "lockdoctor.edges";
 /// Gauge: total instrumented lock acquisitions.
 pub const LOCKDOCTOR_ACQUISITIONS: &str = "lockdoctor.acquisitions";
 
-/// Counter: lint findings the workspace analyzer reported on its last
-/// run (published by the analyzer binary).
-pub const ANALYZER_FINDINGS: &str = "analyzer.findings";
-/// Gauge: source files the workspace analyzer scanned on its last run.
-pub const ANALYZER_FILES_SCANNED: &str = "analyzer.files_scanned";
-
 // --- composed names ---------------------------------------------------
 
 /// Histogram: per-sample wall time (µs) of the profiler micro-bench for

@@ -276,6 +276,10 @@ mod tests {
         let c = price_gray_failure(&costs, 4, 10.0, 2.0, 1000, 2, MOVED, CKPT);
         // Limp: 1000 × 10 × 2.0 = 20 s; evict: reconfig + ~1002 × 13.3 ms.
         assert!(c.eviction_wins(), "2× slowdown for 1000 steps: {c:?}");
+        // A slowdown under the shrunken world's 4/3 step tax never
+        // amortizes, however long the horizon.
+        let c = price_gray_failure(&costs, 4, 10.0, 1.05, 1000, 2, MOVED, CKPT);
+        assert!(!c.eviction_wins(), "1.05× for 1000 steps: {c:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use collectives::{run_world_within, CommWorld, HybridTopology};
 use fsmoe::config::MoeConfig;
-use models::{ElasticPolicy, ElasticTrainer, MoeTransformer};
+use models::{ElasticTrainer, MoeTransformer};
 use obs::ensure;
 use tensor::TensorRng;
 
@@ -49,13 +49,9 @@ fn main() {
         let rank = comm.rank();
         let topo = HybridTopology::flat(3).expect("3-rank EP layout is valid");
         let model = MoeTransformer::new(&run_cfg, None, 1, &comm, &topo, 42).expect("model builds");
-        let mut trainer = ElasticTrainer::new(
-            model,
-            comm,
-            TensorRng::seed_from(7000 + rank as u64),
-            ElasticPolicy::default(),
-        )
-        .expect("elastic trainer construction");
+        let mut trainer =
+            ElasticTrainer::new(model, comm, TensorRng::seed_from(7000 + rank as u64), 2)
+                .expect("elastic trainer construction");
         let mut data_rng = TensorRng::seed_from(1000 + rank as u64);
         let x = data_rng.normal(&[run_cfg.tokens(), run_cfg.embed_dim], 0.0, 1.0);
         let t = data_rng.normal(&[run_cfg.tokens(), run_cfg.embed_dim], 0.0, 1.0);
@@ -127,7 +123,7 @@ fn main() {
     );
 
     // Each survivor traces the recovery as one elastic.reconfigure span.
-    let spans = snap.spans_named("elastic.reconfigure");
+    let spans = snap.spans_named(obs::names::SPAN_ELASTIC_RECONFIGURE);
     ensure(
         spans.len() == 2,
         "one elastic.reconfigure span per survivor",

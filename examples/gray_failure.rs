@@ -164,7 +164,7 @@ fn main() {
     );
 
     // Each survivor traces the live eviction as one reconfigure span.
-    let spans = snap.spans_named("elastic.reconfigure");
+    let spans = snap.spans_named(obs::names::SPAN_ELASTIC_RECONFIGURE);
     ensure(
         spans.len() == WORLD - 1,
         "one elastic.reconfigure span per survivor",

@@ -47,7 +47,6 @@ fn main() {
             max_retries: 12,
             base_backoff: Duration::from_millis(10),
             drop_on_failure: true,
-            ..FaultPolicy::default()
         });
         let mut data_rng = TensorRng::seed_from(500 + comm.rank() as u64);
         let input = data_rng.normal(&[run_cfg.tokens(), run_cfg.embed_dim], 0.0, 1.0);
