@@ -111,7 +111,7 @@ enum OpTag {
 }
 
 impl OpTag {
-    fn name(self) -> &'static str {
+    fn name(self) -> obs::Name {
         match self {
             OpTag::AllReduce => obs::names::SPAN_ALL_REDUCE,
             OpTag::AllGather => obs::names::SPAN_ALL_GATHER,
@@ -635,7 +635,7 @@ impl GroupComm {
             return Err(err);
         }
 
-        let op = tag.name();
+        let op = tag.name().as_str();
         let started = Instant::now();
         let deadline = self.deadline.map(|d| started + d);
         let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
@@ -935,7 +935,7 @@ impl GroupComm {
         let group_size = self.size();
         if !matches!(tag, OpTag::AllGather) && !send.len().is_multiple_of(group_size) {
             return Err(CommError::BadBufferLength {
-                op: tag.name(),
+                op: tag.name().as_str(),
                 len: send.len(),
                 group_size,
             });

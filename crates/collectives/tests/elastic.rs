@@ -295,7 +295,8 @@ fn eviction_is_counted_and_epoch_gauged() {
         "one agreed eviction counts once, not once per voter"
     );
     assert_eq!(
-        snap.gauges.get(obs::names::COLLECTIVES_MEMBERSHIP_EPOCH),
+        snap.gauges
+            .get(obs::names::COLLECTIVES_MEMBERSHIP_EPOCH.as_str()),
         Some(&1.0)
     );
     assert_eq!(evictions.load(Ordering::Relaxed), 3);

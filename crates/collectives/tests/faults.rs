@@ -36,11 +36,11 @@ fn kill_mid_all_to_all_errors_all_survivors_within_deadline() {
                 deadline,
                 elapsed,
             } => {
-                assert_eq!(*op, obs::names::SPAN_ALL_TO_ALL);
+                assert_eq!(*op, obs::names::SPAN_ALL_TO_ALL.as_str());
                 assert!(waiting_on.contains(&2), "rank {rank}: {waiting_on:?}");
                 assert_eq!(*deadline, DEADLINE, "the configured budget is reported");
-                // lint: allow(test-wallclock-assert) — a lower bound: a timeout
-                // cannot fire before its deadline, and load only adds to it
+                // A lower bound: a timeout cannot fire before its deadline, and
+                // load only adds to it.
                 assert!(
                     elapsed >= deadline,
                     "rank {rank}: gave up after {elapsed:?} < deadline {deadline:?}"
@@ -111,8 +111,8 @@ fn straggler_beyond_deadline_times_out_peers() {
             assert_eq!(*op, "barrier");
             assert_eq!(*waiting_on, vec![1]);
             assert_eq!(*deadline, Duration::from_millis(100));
-            // lint: allow(test-wallclock-assert) — a lower bound: a timeout
-            // cannot fire before its deadline, and load only adds to it
+            // A lower bound: a timeout cannot fire before its deadline, and
+            // load only adds to it.
             assert!(elapsed >= deadline, "{elapsed:?} < {deadline:?}");
         }
         other => panic!("rank 0 must time out, got {other:?}"),
@@ -188,7 +188,7 @@ fn abandoned_op_fails_typed_instead_of_crosswiring() {
                     op_id,
                     stream_id,
                 }) => {
-                    assert_eq!(op, obs::names::SPAN_ALL_TO_ALL);
+                    assert_eq!(op, obs::names::SPAN_ALL_TO_ALL.as_str());
                     assert!(stream_id > op_id, "stream {stream_id} vs op {op_id}");
                 }
                 other => panic!("expected Abandoned, got {other:?}"),

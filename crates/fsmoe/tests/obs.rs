@@ -94,10 +94,10 @@ fn fault_free_distributed_forward_traces_spans_and_load_histogram() {
     // one span per rank for each forward phase
     for name in [
         obs::names::SPAN_MOE_FORWARD,
-        "gate",
-        "dispatch",
+        obs::names::SPAN_GATE,
+        obs::names::SPAN_DISPATCH,
         obs::names::SPAN_EXPERT_COMPUTE,
-        "combine",
+        obs::names::SPAN_COMBINE,
     ] {
         assert_eq!(snap.spans_named(name).len(), 2, "two ranks ran {name}");
     }
@@ -176,11 +176,11 @@ fn one_rank_layer_traces_the_same_taxonomy_without_collectives() {
     let snap = session.snapshot();
     for name in [
         obs::names::SPAN_MOE_FORWARD,
-        "gate",
-        "dispatch",
+        obs::names::SPAN_GATE,
+        obs::names::SPAN_DISPATCH,
         obs::names::SPAN_EXPERT_COMPUTE,
-        "combine",
-        "moe.backward",
+        obs::names::SPAN_COMBINE,
+        obs::names::SPAN_MOE_BACKWARD,
     ] {
         assert_eq!(snap.spans_named(name).len(), 1, "{name}");
     }

@@ -208,7 +208,7 @@ impl HealthMonitor {
             .collect();
         if obs::is_enabled() {
             for (r, &s) in self.scores.iter().enumerate() {
-                obs::set_gauge(&obs::names::health_score(r), s);
+                obs::set_gauge(obs::names::health_score(r), s);
             }
             let worst = self.scores.iter().copied().fold(1.0f64, f64::max);
             obs::set_gauge(obs::names::HEALTH_WORST_SCORE, worst);

@@ -230,13 +230,6 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
     }
 }
 
-/// Chaos soak: many seeds × world sizes, every run must finish (the
-/// watchdog turns a hang into a panic, which ci.sh distinguishes from
-/// assertion failures by exit code) with one eviction, epoch 1, and all
-/// survivors agreeing on the final weights.
-///
-/// World sizes 6 and 8 join in when `ELASTIC_SOAK_WIDE=1` (the ci.sh
-/// chaos-soak stage sets it).
 /// Gray-failure half of the chaos soak: persistent brownouts (slow,
 /// never dead) across seeds, world sizes, severities, and pricing
 /// horizons. The liveness property: every rank either finishes all its
@@ -244,7 +237,9 @@ fn eviction_bit_identity_holds_from_snapshot_failure() {
 /// trips the watchdog panic, which ci.sh's `timeout` wrapper
 /// distinguishes from assertion failures via exit 124), no untyped
 /// error. When an eviction does land, exactly the victim escalates and
-/// every survivor agrees on the final weights.
+/// every survivor agrees on the final weights. Both ladder outcomes
+/// must show at each world size: every 1-step-horizon seed limps, and
+/// some long-horizon seed evicts.
 #[test]
 fn gray_failure_chaos_soak() {
     use collectives::{Brownout, CommError, FaultInjector};
@@ -252,6 +247,7 @@ fn gray_failure_chaos_soak() {
     use models::HealthPolicy;
 
     for n in [3usize, 4] {
+        let mut long_horizon_evictions = 0;
         for seed in 0u64..4 {
             let cfg = config(n * (n - 1));
             let victim = (seed as usize) % n;
@@ -260,7 +256,8 @@ fn gray_failure_chaos_soak() {
             // in; a 1-step horizon can never amortize the
             // reconfiguration, so pricing defers forever and the whole
             // fleet must limp to completion instead.
-            let horizon = if seed % 2 == 0 { 100_000 } else { 1 };
+            let must_limp = seed % 2 == 1;
+            let horizon = if must_limp { 1 } else { 100_000 };
             let spec = Brownout {
                 mean_delay: Duration::from_millis(mean_ms),
                 jitter_pct: 25,
@@ -302,6 +299,11 @@ fn gray_failure_chaos_soak() {
             });
             let finished: Vec<_> = results.iter().flatten().collect();
             let escalated = results.iter().filter(|r| r.is_none()).count();
+            if must_limp {
+                assert_eq!(escalated, 0, "n={n} seed={seed}: a 1-step horizon limps");
+            } else if escalated > 0 {
+                long_horizon_evictions += 1;
+            }
             if escalated == 0 {
                 assert_eq!(finished.len(), n, "n={n} seed={seed}: all must finish");
             } else {
@@ -317,9 +319,20 @@ fn gray_failure_chaos_soak() {
                 }
             }
         }
+        assert!(
+            long_horizon_evictions > 0,
+            "n={n}: no long-horizon seed evicted"
+        );
     }
 }
 
+/// Chaos soak: many seeds × world sizes, every run must finish (the
+/// watchdog turns a hang into a panic, which ci.sh distinguishes from
+/// assertion failures by exit code) with one eviction, epoch 1, and all
+/// survivors agreeing on the final weights.
+///
+/// World sizes 6 and 8 join in when `ELASTIC_SOAK_WIDE=1` (the ci.sh
+/// chaos-soak stage sets it).
 #[test]
 fn elastic_chaos_soak() {
     let mut sizes = vec![2usize, 3, 4];

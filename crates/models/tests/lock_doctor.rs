@@ -111,8 +111,8 @@ fn four_rank_elastic_recovery_is_hazard_free() {
     assert_eq!(snap.counter(obs::names::LOCKDOCTOR_CYCLES), 0);
     assert_eq!(snap.counter(obs::names::LOCKDOCTOR_HAZARDS), 0);
     assert_eq!(
-        snap.gauges[obs::names::LOCKDOCTOR_ACQUISITIONS],
+        snap.gauges[obs::names::LOCKDOCTOR_ACQUISITIONS.as_str()],
         report.acquisitions as f64
     );
-    assert!(snap.gauges[obs::names::LOCKDOCTOR_SITES] >= 1.0);
+    assert!(snap.gauges[obs::names::LOCKDOCTOR_SITES.as_str()] >= 1.0);
 }

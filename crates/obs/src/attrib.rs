@@ -283,7 +283,7 @@ pub fn attribute(snapshot: &Snapshot) -> Result<StepReport, String> {
     // -- step windows: the k-th train_step span per rank ---------------
     let mut steps_by_rank: BTreeMap<usize, Vec<&SpanRecord>> = BTreeMap::new();
     for span in &snapshot.spans {
-        if span.name != names::SPAN_TRAIN_STEP {
+        if span.name != names::SPAN_TRAIN_STEP.0 {
             continue;
         }
         let Some(&rank) = rank_by_tid.get(&span.tid) else {
@@ -312,7 +312,7 @@ pub fn attribute(snapshot: &Snapshot) -> Result<StepReport, String> {
     // -- per-tid compute intervals -------------------------------------
     let mut compute_by_tid: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
     for span in &snapshot.spans {
-        if span.name == names::SPAN_EXPERT_COMPUTE && rank_by_tid.contains_key(&span.tid) {
+        if span.name == names::SPAN_EXPERT_COMPUTE.0 && rank_by_tid.contains_key(&span.tid) {
             compute_by_tid
                 .entry(span.tid)
                 .or_default()
@@ -324,7 +324,7 @@ pub fn attribute(snapshot: &Snapshot) -> Result<StepReport, String> {
     let mut ops: BTreeMap<&str, Vec<OpMember<'_>>> = BTreeMap::new();
     let mut solo = Vec::new(); // collective spans without a key: wire-only
     for span in &snapshot.spans {
-        if span.cat != names::CAT_COLLECTIVES {
+        if span.cat != names::CAT_COLLECTIVES.0 {
             continue;
         }
         let Some(&rank) = rank_by_tid.get(&span.tid) else {
@@ -461,17 +461,18 @@ pub fn drift_pct(measured_us: f64, modeled_us: f64) -> f64 {
 /// (gauge writes are no-ops while the registry is disabled).
 pub fn publish_drift(phase: &str, measured_us: f64, modeled_us: f64) -> f64 {
     let drift = drift_pct(measured_us, modeled_us);
-    crate::set_gauge(&names::attrib_model_drift_pct(phase), drift);
+    crate::set_gauge(names::attrib_model_drift_pct(phase), drift);
     drift
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Name;
 
     fn span(
-        cat: &'static str,
-        name: &'static str,
+        Name(cat): Name,
+        Name(name): Name,
         tid: u64,
         start_us: u64,
         dur_us: u64,

@@ -238,10 +238,12 @@ fn histogram_json(h: &Histogram) -> Json {
 
 #[cfg(test)]
 mod tests {
+    use crate::Name;
+
     #[test]
     fn write_validated_trace_creates_dirs_and_revalidates_the_file() {
         let session = crate::session();
-        drop(crate::span("test", "written"));
+        drop(crate::span(Name("test"), Name("written")));
         let snap = session.snapshot();
         let dir = std::env::temp_dir().join(format!("obs_trace_{}", std::process::id()));
         let path = dir.join("nested/trace.json");
@@ -260,11 +262,11 @@ mod tests {
         let session = crate::session();
         crate::set_thread_name("exporter-test");
         {
-            let mut s = crate::span("test", "op");
+            let mut s = crate::span(Name("test"), Name("op"));
             s.attr("bytes", 64);
         }
-        crate::counter_add("test.counter", 3);
-        crate::record_hist("test.hist", 5.0);
+        crate::counter_add(Name("test.counter"), 3);
+        crate::record_hist(Name("test.hist"), 5.0);
         let doc = session.snapshot().chrome_trace();
 
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();

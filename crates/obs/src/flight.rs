@@ -46,7 +46,7 @@ use std::time::Instant;
 use jsonio::Json;
 use parking_lot::Mutex;
 
-use crate::{current_tid, names, TraceBuilder};
+use crate::{current_tid, names, Name, TraceBuilder};
 
 /// Events retained per thread — the "last N" of the post-mortem.
 pub const RING_CAPACITY: usize = 4096;
@@ -255,7 +255,7 @@ pub(crate) fn on_counter(name: &str, delta: u64) {
         return;
     }
     let name_id = intern(name);
-    let cat_id = intern(names::CAT_FLIGHT);
+    let cat_id = intern(names::CAT_FLIGHT.0);
     with_ring(|ring| ring.push(KIND_COUNTER, cat_id, name_id, delta));
 }
 
@@ -273,12 +273,12 @@ pub(crate) fn note_thread_name(name: &str) {
 /// Drops an instant marker into the calling thread's ring — breadcrumbs
 /// for post-mortems (`"flight.panic"`, `"flight.watchdog"`, …). Name
 /// discipline is the registry's: declare the marker in `obs::names`.
-pub fn annotate(name: &str) {
+pub fn annotate(Name(name): Name) {
     if !is_enabled() {
         return;
     }
     let name_id = intern(name);
-    let cat_id = intern(names::CAT_FLIGHT);
+    let cat_id = intern(names::CAT_FLIGHT.0);
     with_ring(|ring| ring.push(KIND_MARK, cat_id, name_id, 0));
 }
 
@@ -440,8 +440,8 @@ pub fn dump_json(reason: &str) -> Json {
     builder.complete(
         FLIGHT_PID,
         0,
-        names::CAT_FLIGHT,
-        names::FLIGHT_DUMP_SPAN,
+        names::CAT_FLIGHT.0,
+        names::FLIGHT_DUMP_SPAN.0,
         now,
         0,
         &[("reason", reason)],
@@ -558,9 +558,9 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let _serial = crate::session();
         set_enabled(false);
-        annotate("flight.test.disabled");
+        annotate(Name("flight.test.disabled"));
         {
-            let _s = crate::span("flighttest", "while.disabled");
+            let _s = crate::span(Name("flighttest"), Name("while.disabled"));
         }
         set_enabled(true);
         assert!(
@@ -576,10 +576,10 @@ mod tests {
         let _serial = crate::session();
         let before = events_recorded();
         {
-            let _s = crate::span("flighttest", "ring.span");
+            let _s = crate::span(Name("flighttest"), Name("ring.span"));
         }
-        crate::counter_add("flight.test.counter", 3);
-        annotate("flight.test.mark");
+        crate::counter_add(Name("flight.test.counter"), 3);
+        annotate(Name("flight.test.mark"));
         assert!(events_recorded() >= before + 4, "begin+end+counter+mark");
 
         let events = recent_events();

@@ -34,16 +34,20 @@
 //! take the session lock, [`reset`] the registry, enable it, and disable
 //! it again when the guard drops.
 //!
+//! Every record call takes a [`Name`] from the [`names`] registry.
+//!
 //! ```
+//! use obs::names;
+//!
 //! let session = obs::session();
 //! {
-//!     let mut span = obs::span("demo", "work");
+//!     let mut span = obs::span(names::CAT_MODELS, names::SPAN_TRAIN_STEP);
 //!     span.attr("items", 3);
-//!     obs::counter_add("demo.events", 1);
+//!     obs::counter_add(names::MOE_MIGRATIONS, 1);
 //! }
 //! let snap = session.snapshot();
 //! assert_eq!(snap.spans.len(), 1);
-//! assert_eq!(snap.counter("demo.events"), 1);
+//! assert_eq!(snap.counter(names::MOE_MIGRATIONS), 1);
 //! let trace = snap.chrome_trace().to_string().unwrap();
 //! obs::validate_trace(&trace).unwrap();
 //! ```
@@ -62,6 +66,7 @@ pub mod names;
 mod validate;
 
 pub use chrome::TraceBuilder;
+pub use names::Name;
 pub use validate::{ensure, validate_trace, TraceStats};
 
 /// Writes `text` to `path`, creating its parent directories.
@@ -352,7 +357,7 @@ impl Drop for Span {
     }
 }
 
-fn new_span(cat: &'static str, name: &'static str, record_on_drop: bool) -> Span {
+fn new_span(Name(cat): Name, Name(name): Name, record_on_drop: bool) -> Span {
     let flight = flight::on_span_begin(cat, name);
     if !is_enabled() {
         return Span {
@@ -374,14 +379,14 @@ fn new_span(cat: &'static str, name: &'static str, record_on_drop: bool) -> Span
 
 /// Opens a span that records when it goes out of scope.
 #[must_use]
-pub fn span(cat: &'static str, name: &'static str) -> Span {
+pub fn span(cat: Name, name: Name) -> Span {
     new_span(cat, name, true)
 }
 
 /// Opens a span that records **only** when [`Span::commit`] is called —
 /// dropping it (e.g. on an error return) records nothing.
 #[must_use]
-pub fn deferred_span(cat: &'static str, name: &'static str) -> Span {
+pub fn deferred_span(cat: Name, name: Name) -> Span {
     new_span(cat, name, false)
 }
 
@@ -411,7 +416,8 @@ fn record_span(active: &ActiveSpan) {
 
 /// Adds `delta` to the monotonic counter `name`. No-op in the registry
 /// while disabled; the delta still lands in the [`flight`] ring.
-pub fn counter_add(name: &str, delta: u64) {
+pub fn counter_add(name: Name<impl AsRef<str>>, delta: u64) {
+    let name = name.as_ref();
     flight::on_counter(name, delta);
     if !is_enabled() {
         return;
@@ -428,16 +434,17 @@ pub fn counter_add(name: &str, delta: u64) {
 /// Current value of counter `name` (0 when never incremented). Reads
 /// work even while disabled — callers poll counters after a session.
 #[must_use]
-pub fn counter_value(name: &str) -> u64 {
-    inner().counters.get(name).copied().unwrap_or(0)
+pub fn counter_value(name: impl AsRef<str>) -> u64 {
+    inner().counters.get(name.as_ref()).copied().unwrap_or(0)
 }
 
 /// Records one sample into histogram `name`. Non-finite samples are
 /// ignored. No-op while disabled.
-pub fn record_hist(name: &str, value: f64) {
+pub fn record_hist(name: Name<impl AsRef<str>>, value: f64) {
     if !is_enabled() || !value.is_finite() {
         return;
     }
+    let name = name.as_ref();
     let mut guard = inner();
     match guard.histograms.get_mut(name) {
         Some(h) => h.record(value),
@@ -451,11 +458,11 @@ pub fn record_hist(name: &str, value: f64) {
 
 /// Sets gauge `name` to `value` (last write wins). Non-finite values
 /// are ignored. No-op while disabled.
-pub fn set_gauge(name: &str, value: f64) {
+pub fn set_gauge(name: Name<impl AsRef<str>>, value: f64) {
     if !is_enabled() || !value.is_finite() {
         return;
     }
-    inner().gauges.insert(name.to_string(), value);
+    inner().gauges.insert(name.as_ref().to_string(), value);
 }
 
 /// Publishes the lock doctor's current findings as obs metrics
@@ -521,25 +528,27 @@ pub fn snapshot() -> Snapshot {
 impl Snapshot {
     /// Counter value by name (0 when absent).
     #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, name: impl AsRef<str>) -> u64 {
+        self.counters.get(name.as_ref()).copied().unwrap_or(0)
     }
 
     /// Histogram by name.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    pub fn histogram(&self, name: impl AsRef<str>) -> Option<&Histogram> {
+        self.histograms.get(name.as_ref())
     }
 
     /// Spans whose category is `cat`.
     #[must_use]
-    pub fn spans_in(&self, cat: &str) -> Vec<&SpanRecord> {
+    pub fn spans_in(&self, cat: impl AsRef<str>) -> Vec<&SpanRecord> {
+        let cat = cat.as_ref();
         self.spans.iter().filter(|s| s.cat == cat).collect()
     }
 
     /// Spans named `name` (any category).
     #[must_use]
-    pub fn spans_named(&self, name: &str) -> Vec<&SpanRecord> {
+    pub fn spans_named(&self, name: impl AsRef<str>) -> Vec<&SpanRecord> {
+        let name = name.as_ref();
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
@@ -598,12 +607,12 @@ mod tests {
         set_enabled(false); // keep the lock so no other test interferes
         let before = snapshot().spans.len();
         {
-            let mut s = span("test", "ignored");
+            let mut s = span(Name("test"), Name("ignored"));
             s.attr("k", 1);
         }
-        counter_add("test.counter", 5);
-        record_hist("test.hist", 2.0);
-        set_gauge("test.gauge", 1.5);
+        counter_add(Name("test.counter"), 5);
+        record_hist(Name("test.hist"), 2.0);
+        set_gauge(Name("test.gauge"), 1.5);
         let snap = snapshot();
         assert_eq!(snap.spans.len(), before);
         assert_eq!(snap.counter("test.counter"), 0);
@@ -616,19 +625,19 @@ mod tests {
         let session = session();
         set_thread_name("unit-test");
         {
-            let mut s = span("test", "outer");
+            let mut s = span(Name("test"), Name("outer"));
             s.attr("rank", 0);
             {
-                let _inner = span("test", "inner");
+                let _inner = span(Name("test"), Name("inner"));
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         }
-        counter_add("test.counter", 2);
-        counter_add("test.counter", 3);
-        record_hist("test.hist", 0.5);
-        record_hist("test.hist", 3.0);
-        record_hist("test.hist", 1e30); // overflow bucket
-        set_gauge("test.gauge", 0.25);
+        counter_add(Name("test.counter"), 2);
+        counter_add(Name("test.counter"), 3);
+        record_hist(Name("test.hist"), 0.5);
+        record_hist(Name("test.hist"), 3.0);
+        record_hist(Name("test.hist"), 1e30); // overflow bucket
+        set_gauge(Name("test.gauge"), 0.25);
 
         let snap = session.snapshot();
         assert_eq!(snap.spans.len(), 2, "inner drops first, then outer");
@@ -656,11 +665,11 @@ mod tests {
     fn deferred_span_discards_on_drop_and_records_on_commit() {
         let session = session();
         {
-            let dropped = deferred_span("test", "error_path");
+            let dropped = deferred_span(Name("test"), Name("error_path"));
             drop(dropped);
         }
         {
-            let committed = deferred_span("test", "success_path");
+            let committed = deferred_span(Name("test"), Name("success_path"));
             committed.commit();
         }
         let snap = session.snapshot();
@@ -671,9 +680,9 @@ mod tests {
     #[test]
     fn metrics_text_lists_everything() {
         let session = session();
-        counter_add("a.counter", 7);
-        record_hist("b.hist", 2.5);
-        set_gauge("c.gauge", 1.0);
+        counter_add(Name("a.counter"), 7);
+        record_hist(Name("b.hist"), 2.5);
+        set_gauge(Name("c.gauge"), 1.0);
         let text = session.snapshot().metrics_text();
         assert!(text.contains("counter a.counter 7"));
         assert!(text.contains("hist b.hist count=1"));

@@ -6,14 +6,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use obs::flight::{self, FlightKind, RING_CAPACITY};
+use obs::{names, Name};
 
 /// Events recorded by this test's own writer threads, grouped by tid.
 fn wrap_events_by_tid(
-    marker: &str,
+    marker: Name,
 ) -> std::collections::BTreeMap<u64, Vec<obs::flight::FlightEvent>> {
     let mut by_tid = std::collections::BTreeMap::new();
     for ev in flight::recent_events() {
-        if ev.name == marker {
+        if ev.name == marker.as_str() {
             by_tid.entry(ev.tid).or_insert_with(Vec::new).push(ev);
         }
     }
@@ -24,7 +25,8 @@ fn wrap_events_by_tid(
 fn wraparound_under_concurrent_writers_keeps_per_thread_order() {
     const WRITERS: usize = 3;
     const PUSHES: usize = 2 * RING_CAPACITY; // every ring wraps fully
-    let marker = "flight.test.wrap";
+                                             // No other test in this binary records the bench probe name.
+    let marker = names::BENCH_SPAN_NOOP;
 
     let running = Arc::new(AtomicBool::new(true));
     let handles: Vec<_> = (0..WRITERS)
@@ -104,7 +106,7 @@ fn dump_on_panic_is_valid_and_once_only() {
 
     // A panicking thread triggers the hook: marker + dump.
     let result = std::thread::spawn(|| {
-        let _open = obs::span("flighttest", "doomed.work");
+        let _open = obs::span(names::CAT_MODELS, names::SPAN_TRAIN_STEP);
         panic!("intentional test panic");
     })
     .join();
@@ -114,11 +116,11 @@ fn dump_on_panic_is_valid_and_once_only() {
     let stats = obs::validate_trace(&text).expect("dump is a valid trace");
     assert!(stats.spans >= 2, "dump marker + the doomed span: {stats:?}");
     assert!(
-        text.contains(obs::names::FLIGHT_PANIC),
+        text.contains(names::FLIGHT_PANIC.as_str()),
         "panic marker recorded before draining"
     );
     assert!(
-        text.contains("doomed.work") && text.contains("open"),
+        text.contains(names::SPAN_TRAIN_STEP.as_str()) && text.contains("open"),
         "the span still open at panic time is the exhibit"
     );
     assert!(
@@ -140,17 +142,17 @@ fn dump_on_panic_is_valid_and_once_only() {
 
 #[test]
 fn explicit_dump_replays_open_spans_and_validates() {
-    let open = obs::span("flighttest", "still.running");
+    let open = obs::span(names::CAT_MODELS, names::SPAN_UPDATE);
     let doc = flight::dump_json("unit-test");
     drop(open);
 
     let text = doc.to_string().unwrap();
     obs::validate_trace(&text).expect("explicit dump validates");
     assert!(
-        text.contains("still.running"),
+        text.contains(names::SPAN_UPDATE.as_str()),
         "open span synthesized into the dump"
     );
-    assert!(text.contains(obs::names::FLIGHT_DUMP_SPAN));
+    assert!(text.contains(names::FLIGHT_DUMP_SPAN.as_str()));
     let flight_meta = doc.get("flight").unwrap();
     assert_eq!(
         flight_meta.get("reason").unwrap().as_str().unwrap(),

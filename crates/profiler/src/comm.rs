@@ -148,11 +148,11 @@ pub fn profile_collective(
     if obs::is_enabled() {
         let name = op.name();
         for s in &samples {
-            obs::record_hist(&obs::names::profiler_sample_us(name), s.millis * 1000.0);
+            obs::record_hist(obs::names::profiler_sample_us(name), s.millis * 1000.0);
         }
-        obs::set_gauge(&obs::names::profiler_alpha(name), fitted.model.alpha);
-        obs::set_gauge(&obs::names::profiler_beta(name), fitted.model.beta);
-        obs::set_gauge(&obs::names::profiler_r_squared(name), fitted.r_squared);
+        obs::set_gauge(obs::names::profiler_alpha(name), fitted.model.alpha);
+        obs::set_gauge(obs::names::profiler_beta(name), fitted.model.beta);
+        obs::set_gauge(obs::names::profiler_r_squared(name), fitted.r_squared);
     }
     Ok(fitted)
 }

@@ -72,11 +72,11 @@ pub fn profile_op(
         // lands in a per-op histogram (ms → µs) and the recovered α–β
         // fit in gauges, so a trace dump carries the Fig. 5 data.
         for &(_, t_ms) in &samples {
-            obs::record_hist(&obs::names::profiler_sample_us(name), t_ms * 1000.0);
+            obs::record_hist(obs::names::profiler_sample_us(name), t_ms * 1000.0);
         }
-        obs::set_gauge(&obs::names::profiler_alpha(name), fitted.model.alpha);
-        obs::set_gauge(&obs::names::profiler_beta(name), fitted.model.beta);
-        obs::set_gauge(&obs::names::profiler_r_squared(name), fitted.r_squared);
+        obs::set_gauge(obs::names::profiler_alpha(name), fitted.model.alpha);
+        obs::set_gauge(obs::names::profiler_beta(name), fitted.model.beta);
+        obs::set_gauge(obs::names::profiler_r_squared(name), fitted.r_squared);
     }
     OpProfile {
         name,

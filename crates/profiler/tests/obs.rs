@@ -12,7 +12,7 @@ fn profiling_mirrors_sweeps_into_the_registry() {
     let snap = session.snapshot();
     for p in &profiles {
         let hist = snap
-            .histogram(&obs::names::profiler_sample_us(p.name))
+            .histogram(obs::names::profiler_sample_us(p.name))
             .unwrap_or_else(|| panic!("{} histogram recorded", p.name));
         assert_eq!(hist.count, p.samples.len() as u64);
         let to_us: f64 = p.samples.iter().map(|&(_, t)| t * 1000.0).sum();

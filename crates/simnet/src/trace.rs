@@ -31,7 +31,7 @@ pub const SIMNET_PID: u64 = 2;
 #[must_use]
 pub fn timeline_trace(graph: &TaskGraph, timeline: &Timeline) -> Json {
     let mut builder = TraceBuilder::new();
-    builder.process_name(SIMNET_PID, obs::names::CAT_SIMNET);
+    builder.process_name(SIMNET_PID, obs::names::CAT_SIMNET.as_str());
     for r in 0..graph.resource_count() {
         let name = graph.resource_name(ResourceId(r)).unwrap_or("<unknown>");
         builder.thread_name(SIMNET_PID, r as u64, name);
@@ -55,7 +55,7 @@ pub fn timeline_trace(graph: &TaskGraph, timeline: &Timeline) -> Json {
         builder.complete(
             SIMNET_PID,
             task.resource.index() as u64,
-            obs::names::CAT_SIMNET,
+            obs::names::CAT_SIMNET.as_str(),
             &task.name,
             ts_us,
             dur_us,
@@ -64,7 +64,7 @@ pub fn timeline_trace(graph: &TaskGraph, timeline: &Timeline) -> Json {
     }
 
     builder.into_trace([(
-        obs::names::CAT_SIMNET,
+        obs::names::CAT_SIMNET.as_str(),
         Json::obj([
             ("makespan_ms", Json::from(timeline.makespan())),
             ("tasks", Json::from(graph.tasks().len())),

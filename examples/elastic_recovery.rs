@@ -114,7 +114,9 @@ fn main() {
         "collectives.evictions must read 1",
     );
     ensure(
-        snap.gauges.get(obs::names::COLLECTIVES_MEMBERSHIP_EPOCH) == Some(&1.0),
+        snap.gauges
+            .get(obs::names::COLLECTIVES_MEMBERSHIP_EPOCH.as_str())
+            == Some(&1.0),
         "collectives.membership_epoch gauge must read 1",
     );
     ensure(
@@ -130,7 +132,7 @@ fn main() {
     );
     for s in &spans {
         ensure(
-            s.cat == obs::names::CAT_MODELS,
+            s.cat == obs::names::CAT_MODELS.as_str(),
             "recovery span lives in the models layer",
         );
     }

@@ -159,7 +159,8 @@ fn main() {
         "health.evictions must count every rank's pricing decision",
     );
     ensure(
-        snap.gauges.contains_key(obs::names::HEALTH_WORST_SCORE),
+        snap.gauges
+            .contains_key(obs::names::HEALTH_WORST_SCORE.as_str()),
         "health.worst_score gauge must be exported",
     );
 
