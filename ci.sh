@@ -189,7 +189,7 @@ soak "gray-failure soak" 600 LOCK_DOCTOR=1 \
 #               the square rate, no large allocation and <= 2% of the
 #               pre-recycler minor faults per warm MoE step, the §5
 #               partitioner's t_moe(t_gar) curve >= 20x the degree scan,
-#               Tutel's degree selection by op-list walk >= 4x the same
+#               Tutel's degree selection by op-list walk >= 3x the same
 #               selection through task graphs (DEGREE_WALK_SPEEDUP_FLOOR)
 #               (BENCH_compute)
 #   lockdoctor  disabled lock-doctor fast path < 2% of a collectives run

@@ -1,8 +1,6 @@
 //! Schedule taxonomy and per-schedule pipeline-degree selection.
 
-use scheduler::{find_optimal_pipeline_degree, MoePerfModel};
-
-use crate::lower::simulate_layer;
+use scheduler::{find_optimal_pipeline_degree, makespan, MoePerfModel};
 
 /// The six schedules compared in the paper's evaluation.
 ///
@@ -82,13 +80,20 @@ impl ScheduleKind {
     }
 
     /// The degree in `1..=16` whose op list under `self` runs fastest,
-    /// each candidate walked once by [`simulate_layer`]; ties (and
+    /// each candidate walked once as [`crate::simulate_layer`] walks it,
+    /// in one list refilled per candidate; ties (and
     /// incomparable makespans) keep the lowest degree, as
     /// `Iterator::min_by` does.
     fn scan_degree(self, m: &MoePerfModel, gar: &[f64]) -> u32 {
-        let mut best = (1u32, simulate_layer(self, m, 1, gar));
+        let mut ops = Vec::new();
+        let mut walk = |r| {
+            ops.clear();
+            self.extend_layer_ops(&mut ops, r, gar.len());
+            makespan(&ops, self.layer_prices(m, r, gar))
+        };
+        let mut best = (1u32, walk(1));
         for r in 2..=16u32 {
-            let t = simulate_layer(self, m, r, gar);
+            let t = walk(r);
             if t < best.1 {
                 best = (r, t);
             }

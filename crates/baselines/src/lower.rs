@@ -10,7 +10,14 @@ impl ScheduleKind {
     /// One MoE layer's ops under this schedule at degree `r`, with `n_gar`
     /// Gradient-AllReduce pieces (see [`Self::lower_layer`]).
     pub fn layer_ops(self, r: u32, n_gar: usize) -> Vec<Op> {
-        moe_layer(self == ScheduleKind::FsMoe, r, n_gar)
+        let mut ops = Vec::new();
+        self.extend_layer_ops(&mut ops, r, n_gar);
+        ops
+    }
+
+    /// Appends [`Self::layer_ops`] to `ops`.
+    pub(crate) fn extend_layer_ops(self, ops: &mut Vec<Op>, r: u32, n_gar: usize) {
+        moe_layer(ops, self == ScheduleKind::FsMoe, r, n_gar);
     }
 
     /// The prices of one MoE layer's ops under this schedule, piece `j`
@@ -71,9 +78,7 @@ impl ScheduleKind {
     ) -> TaskId {
         let ops = self.layer_ops(r, gar_times.len());
         let ms = self.layer_prices(m, r, gar_times);
-        *lower(&ops, graph, streams, ms, deps, label)
-            .last()
-            .expect("a layer ends with its last combine")
+        lower(&ops, graph, streams, ms, deps, label).expect("a layer ends with its last combine")
     }
 }
 
@@ -266,16 +271,18 @@ mod tests {
         let gate = graph.add_task("gate", streams.compute, 1.0, &[]);
         let m = model(4.0e6, 2.0e9, 0.0);
         let _ = kind.lower_layer(&mut graph, &streams, &m, r, gar, &[gate], "moe");
-        let name = |id: TaskId| graph.task(id).expect("own task").name.as_str();
-        let got: Vec<(&str, &str, String)> = graph.tasks()[1..]
-            .iter()
-            .map(|t| {
-                let deps: Vec<&str> = t.deps.iter().map(|&d| name(d)).collect();
-                let stream = graph.resource_name(t.resource).expect("own stream");
-                (t.name.as_str(), stream, deps.join(" "))
+        let name = |id: TaskId| graph.name(id).to_string();
+        let got: Vec<(String, &str, String)> = graph
+            .ids()
+            .skip(1)
+            .map(|id| {
+                let deps: Vec<String> = graph.deps(id).iter().map(|&d| name(d)).collect();
+                let resource = graph.task(id).expect("own task").resource;
+                let stream = graph.resource_name(resource).expect("own stream");
+                (name(id), stream, deps.join(" "))
             })
             .collect();
-        let got: Vec<(&str, &str, &str)> = got.iter().map(|(n, s, d)| (*n, *s, &**d)).collect();
+        let got: Vec<(&str, &str, &str)> = got.iter().map(|(n, s, d)| (&**n, *s, &**d)).collect();
         assert_eq!(got, want, "{kind} r={r}");
     }
 

@@ -13,6 +13,8 @@
 //! * FSMoE(-No-IIO) — the §5 adaptive partition, sized per layer by the
 //!   inverse AllReduce model and differential evolution.
 
+use std::fmt::{self, Display};
+
 use baselines::{ScheduleKind, LINA_CHUNK_BYTES};
 use scheduler::{
     lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, Segment, StreamSet,
@@ -207,29 +209,38 @@ impl IterationPlan {
 
 /// Lowers a plan's step to a simulatable task graph: each segment
 /// through `scheduler::lower`, gated on the previous one's last task.
+/// The graph is sized up front and each segment writes its label once, so
+/// this allocates per segment at most, not per task.
 pub fn build_iteration_graph(plan: &IterationPlan) -> (TaskGraph, StreamSet) {
-    let mut graph = TaskGraph::new();
+    let tasks = plan.step.iter().map(|seg| seg.ops.len()).sum();
+    let mut graph = TaskGraph::with_capacity(tasks);
     let streams = StreamSet::add_to(&mut graph);
     let mut gate = None;
     for seg in &plan.step {
-        let (ms, name) = (plan.prices(seg), label(seg));
-        let tasks = lower(&seg.ops, &mut graph, &streams, ms, gate.as_slice(), &name);
-        gate = tasks.last().copied().or(gate);
+        let (ms, name) = (plan.prices(seg), Label(seg));
+        let last = lower(&seg.ops, &mut graph, &streams, ms, gate.as_slice(), name);
+        gate = last.or(gate);
     }
     (graph, streams)
 }
 
 /// The task-name prefix of a segment: `f3` / `f3.moe` (forward layer 3's
-/// attention / MoE), `b0` / `b0.moe` (backward), and `tail`.
-fn label(seg: &Segment) -> String {
-    let phase = match seg.phase {
-        Phase::Forward => 'f',
-        Phase::Backward => 'b',
-    };
-    match seg.ops.last() {
-        Some(Op::Attn) => format!("{phase}{}", seg.layer),
-        Some(Op::Gar(_)) | None => "tail".to_owned(),
-        _ => format!("{phase}{}.moe", seg.layer),
+/// attention / MoE), `b0` / `b0.moe` (backward), and `tail`, written
+/// where it is shown.
+struct Label<'a>(&'a Segment);
+
+impl Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let seg = self.0;
+        let phase = match seg.phase {
+            Phase::Forward => 'f',
+            Phase::Backward => 'b',
+        };
+        match seg.ops.last() {
+            Some(Op::Attn) => write!(f, "{phase}{}", seg.layer),
+            Some(Op::Gar(_)) | None => f.write_str("tail"),
+            _ => write!(f, "{phase}{}.moe", seg.layer),
+        }
     }
 }
 
@@ -251,7 +262,8 @@ pub fn iteration_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::Engine;
+    use scheduler::Stream;
+    use simnet::{Engine, TaskId};
 
     fn times(testbed: &Testbed, preset: &ModelPreset) -> Vec<(ScheduleKind, f64)> {
         ScheduleKind::ALL
@@ -335,6 +347,44 @@ mod tests {
         }
     }
 
+    /// The Fig. 6 presets on both testbeds.
+    fn fig6_cases() -> [(Testbed, ModelPreset); 5] {
+        let (a, b) = (Testbed::a(), Testbed::b());
+        [
+            (
+                a.clone(),
+                ModelPreset::gpt2_xl_moe()
+                    .with_seq_len(1024)
+                    .with_layers(12),
+            ),
+            (
+                a.clone(),
+                ModelPreset::mixtral_7b().with_seq_len(1024).with_layers(32),
+            ),
+            (
+                a,
+                ModelPreset::mixtral_22b()
+                    .with_seq_len(1024)
+                    .with_layers(33),
+            ),
+            (
+                b.clone(),
+                ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(12),
+            ),
+            (
+                b,
+                ModelPreset::mixtral_7b().with_seq_len(256).with_layers(7),
+            ),
+        ]
+    }
+
+    /// Every schedule, the Fig. 6 set and FasterMoE.
+    fn every_kind() -> impl Iterator<Item = ScheduleKind> {
+        ScheduleKind::ALL
+            .into_iter()
+            .chain([ScheduleKind::FasterMoe])
+    }
+
     #[test]
     fn fig6_iteration_makespans_are_pinned() {
         // every schedule x the Fig. 6 presets on both testbeds, to the
@@ -349,79 +399,54 @@ mod tests {
             ScheduleKind::FsMoeNoIio,
             ScheduleKind::FsMoe,
         ];
-        let (a, b) = (Testbed::a(), Testbed::b());
-        let cases: [(&Testbed, ModelPreset, [u64; 7]); 5] = [
-            (
-                &a,
-                ModelPreset::gpt2_xl_moe()
-                    .with_seq_len(1024)
-                    .with_layers(12),
-                [
-                    0x4085fa7c56099b5e,
-                    0x407b9bd0518119f2,
-                    0x407b0c27919c4e98,
-                    0x407abc1be04acbda,
-                    0x407c0f044e07e8aa,
-                    0x40795318d14cac32,
-                    0x4073bcd4b4bd2973,
-                ],
-            ),
-            (
-                &a,
-                ModelPreset::mixtral_7b().with_seq_len(1024).with_layers(32),
-                [
-                    0x40b8831dccb230a0,
-                    0x40b10459e3c24b0e,
-                    0x40b0a776a1b47e43,
-                    0x40ade54f98d1246b,
-                    0x40b1ac244c283282,
-                    0x40adc0fe6d70229d,
-                    0x40a44989093a4606,
-                ],
-            ),
-            (
-                &a,
-                ModelPreset::mixtral_22b()
-                    .with_seq_len(1024)
-                    .with_layers(33),
-                [
-                    0x40c49507be2a6284,
-                    0x40bd320ee7c80e3b,
-                    0x40bc6f0853e5f3f0,
-                    0x40b8824889aa4ba4,
-                    0x40be8d48124dc024,
-                    0x40b84ff1ab3c16bd,
-                    0x40b0a9c939f28ba2,
-                ],
-            ),
-            (
-                &b,
-                ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(12),
-                [
-                    0x40712829f394f2cf,
-                    0x406b5ab2231f5f26,
-                    0x4069d25a4b6a2786,
-                    0x406a3127babfe911,
-                    0x406b92d89eb42afb,
-                    0x406683d78f25d3cb,
-                    0x4065be96de0e4ccd,
-                ],
-            ),
-            (
-                &b,
-                ModelPreset::mixtral_7b().with_seq_len(256).with_layers(7),
-                [
-                    0x40862df40db12048,
-                    0x4083418a3851182e,
-                    0x4082ad4b78f5ec00,
-                    0x407f2f187bc238c2,
-                    0x4083879fb4a4a5ca,
-                    0x407d9ea83e88d2d5,
-                    0x407c4fa6ce323f8d,
-                ],
-            ),
+        let wants: [[u64; 7]; 5] = [
+            [
+                0x4085fa7c56099b5e,
+                0x407b9bd0518119f2,
+                0x407b0c27919c4e98,
+                0x407abc1be04acbda,
+                0x407c0f044e07e8aa,
+                0x40795318d14cac32,
+                0x4073bcd4b4bd2973,
+            ],
+            [
+                0x40b8831dccb230a0,
+                0x40b10459e3c24b0e,
+                0x40b0a776a1b47e43,
+                0x40ade54f98d1246b,
+                0x40b1ac244c283282,
+                0x40adc0fe6d70229d,
+                0x40a44989093a4606,
+            ],
+            [
+                0x40c49507be2a6284,
+                0x40bd320ee7c80e3b,
+                0x40bc6f0853e5f3f0,
+                0x40b8824889aa4ba4,
+                0x40be8d48124dc024,
+                0x40b84ff1ab3c16bd,
+                0x40b0a9c939f28ba2,
+            ],
+            [
+                0x40712829f394f2cf,
+                0x406b5ab2231f5f26,
+                0x4069d25a4b6a2786,
+                0x406a3127babfe911,
+                0x406b92d89eb42afb,
+                0x406683d78f25d3cb,
+                0x4065be96de0e4ccd,
+            ],
+            [
+                0x40862df40db12048,
+                0x4083418a3851182e,
+                0x4082ad4b78f5ec00,
+                0x407f2f187bc238c2,
+                0x4083879fb4a4a5ca,
+                0x407d9ea83e88d2d5,
+                0x407c4fa6ce323f8d,
+            ],
         ];
-        for (tb, preset, want) in &cases {
+        for ((tb, preset), want) in fig6_cases().iter().zip(&wants) {
             for (&kind, &bits) in kinds.iter().zip(want) {
                 let t = iteration_time(kind, tb, preset).unwrap();
                 assert_eq!(
@@ -441,43 +466,13 @@ mod tests {
         // every schedule x the Fig. 6 presets on both testbeds: the walk
         // of the step, and of its forward half, prices the lowered graph
         // to the engine's last bit
-        let (a, b) = (Testbed::a(), Testbed::b());
-        let cases = [
-            (
-                &a,
-                ModelPreset::gpt2_xl_moe()
-                    .with_seq_len(1024)
-                    .with_layers(12),
-            ),
-            (
-                &a,
-                ModelPreset::mixtral_7b().with_seq_len(1024).with_layers(32),
-            ),
-            (
-                &a,
-                ModelPreset::mixtral_22b()
-                    .with_seq_len(1024)
-                    .with_layers(33),
-            ),
-            (
-                &b,
-                ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(12),
-            ),
-            (
-                &b,
-                ModelPreset::mixtral_7b().with_seq_len(256).with_layers(7),
-            ),
-        ];
         let engine = |plan: &IterationPlan| {
             let timeline = Engine::new().simulate(&build_iteration_graph(plan).0);
             timeline.unwrap().makespan()
         };
-        for (tb, preset) in &cases {
+        for (tb, preset) in &fig6_cases() {
             let spec = preset.layer_spec(tb).unwrap();
-            for kind in ScheduleKind::ALL
-                .into_iter()
-                .chain([ScheduleKind::FasterMoe])
-            {
+            for kind in every_kind() {
                 let plan = plan_iteration(kind, &tb.costs, &spec, preset.layers);
                 let mut forward = plan.clone();
                 forward.step.retain(|seg| seg.phase == Phase::Forward);
@@ -501,6 +496,47 @@ mod tests {
     }
 
     #[test]
+    fn lowered_names_and_edges_are_the_steps() {
+        // every schedule x the Fig. 6 presets on both testbeds: segment
+        // by segment, each op of the step is one task named
+        // `{label}.{op}`, on its op's stream, after the latest of its
+        // producers issued earlier in the segment — or, without one, after
+        // the last task of the segments before
+        for (tb, preset) in &fig6_cases() {
+            let spec = preset.layer_spec(tb).unwrap();
+            for kind in every_kind() {
+                let plan = plan_iteration(kind, &tb.costs, &spec, preset.layers);
+                let (graph, streams) = build_iteration_graph(&plan);
+                let at = format!("{kind} {} on {}", preset.name, tb.kind);
+                let mut ids = graph.ids();
+                let mut gate = None;
+                for seg in &plan.step {
+                    let tasks: Vec<TaskId> = ids.by_ref().take(seg.ops.len()).collect();
+                    assert_eq!(tasks.len(), seg.ops.len(), "{at}: too few tasks");
+                    for (k, (&op, &id)) in seg.ops.iter().zip(&tasks).enumerate() {
+                        let name = format!("{}.{op}", Label(seg));
+                        assert_eq!(graph.name(id).to_string(), name, "{at}");
+                        let resource = match op.stream() {
+                            Stream::Compute => streams.compute,
+                            Stream::Intra => streams.intra,
+                            Stream::Inter => streams.inter,
+                        };
+                        assert_eq!(graph.task(id).unwrap().resource, resource, "{at} {name}");
+                        let producers = op.producers();
+                        let producer = seg.ops[..k]
+                            .iter()
+                            .rposition(|&p| producers.contains(&Some(p)));
+                        let want = producer.map_or(gate, |j| Some(tasks[j]));
+                        assert_eq!(graph.deps(id), want.as_slice(), "{at} {name}");
+                    }
+                    gate = tasks.last().copied().or(gate);
+                }
+                assert_eq!(ids.next(), None, "{at}: too many tasks");
+            }
+        }
+    }
+
+    #[test]
     fn gradient_placement_is_pinned() {
         // which segments of a 3-layer step carry Gradient-AllReduce
         // pieces, and how many each
@@ -511,7 +547,7 @@ mod tests {
             let plan = plan_iteration(kind, &tb.costs, &spec, 3);
             let carrying = plan.step.iter().filter(|seg| !seg.gar.is_empty());
             let placed: Vec<String> = carrying
-                .map(|seg| format!("{}:{}", label(seg), seg.gar.len()))
+                .map(|seg| format!("{}:{}", Label(seg), seg.gar.len()))
                 .collect();
             placed.join(" ")
         };
@@ -546,7 +582,7 @@ mod tests {
         let in_moe: f64 = plan
             .step
             .iter()
-            .filter(|seg| label(seg).ends_with(".moe"))
+            .filter(|seg| Label(seg).to_string().ends_with(".moe"))
             .flat_map(|seg| &seg.gar)
             .sum();
         let floor = tb.costs.all_reduce.time(4.0 * spec.dense_param_bytes);

@@ -84,14 +84,14 @@ pub fn gpipe_iteration_time(
             let mut deps: Vec<simnet::TaskId> = Vec::new();
             if s > 0 {
                 let xfer = graph.add_task(
-                    format!("x{s}.{j}"),
+                    format_args!("x{s}.{j}"),
                     links[s - 1],
                     transfer,
                     &[fwd_done[s - 1][j].expect("previous stage scheduled")],
                 );
                 deps.push(xfer);
             }
-            let t = graph.add_task(format!("f{s}.{j}"), stages[s], fwd, &deps);
+            let t = graph.add_task(format_args!("f{s}.{j}"), stages[s], fwd, &deps);
             fwd_done[s][j] = Some(t);
         }
     }
@@ -102,14 +102,14 @@ pub fn gpipe_iteration_time(
             let mut deps = vec![fwd_done[s][micro_batches - 1].expect("forward scheduled")];
             if s + 1 < n_pp {
                 let xfer = graph.add_task(
-                    format!("gx{s}.{j}"),
+                    format_args!("gx{s}.{j}"),
                     links[s],
                     transfer,
                     &[bwd_prev[s + 1].expect("downstream backward scheduled")],
                 );
                 deps.push(xfer);
             }
-            let t = graph.add_task(format!("b{s}.{j}"), stages[s], bwd, &deps);
+            let t = graph.add_task(format_args!("b{s}.{j}"), stages[s], bwd, &deps);
             bwd_prev[s] = Some(t);
         }
     }

@@ -13,9 +13,9 @@
 //! An `Op` carries no duration and no executor handle — pricing is the
 //! executor's ([`crate::MoePerfModel::op_ms`] for the simulator).
 
-use std::fmt::Write;
+use std::fmt::Display;
 
-use simnet::{ResourceId, TaskGraph, TaskId};
+use simnet::{ResourceId, TaskGraph, TaskId, TaskName};
 
 use crate::Phase;
 
@@ -95,77 +95,89 @@ impl Op {
     }
 }
 
-impl std::fmt::Display for Op {
-    // Two direct writes, not a nested `write!`: every lowered task is
-    // named through this.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (tag, index) = match *self {
-            Op::Dispatch(i) => ("D", i),
-            Op::AllGather(i) => ("AG", i),
-            Op::Expert(i) => ("E", i),
-            Op::ReduceScatter(i) => ("RS", i),
-            Op::Block(i) => ("B", i),
-            Op::Combine(i) => ("C", i),
-            Op::Gar(j) => ("GAR", j),
-            Op::Attn => return f.write_str("attn"),
-        };
-        f.write_str(tag)?;
-        std::fmt::Display::fmt(&index, f)
-    }
-}
-
 impl Op {
-    /// Number of distinct variants, the first half of [`Op::key`].
-    const VARIANTS: usize = 8;
-
-    /// `(variant, index)`: which kind of op this is and its chunk (or
-    /// piece) index.
-    fn key(self) -> (usize, u32) {
+    /// The op's name as a tag and an index: `("AG", Some(0))` reads
+    /// `AG0`, `("attn", None)` reads `attn`. [`lower`] names each task by
+    /// it and `Display` shows it, so the two cannot drift apart.
+    pub fn tag(self) -> (&'static str, Option<u32>) {
         match self {
-            Op::Dispatch(i) => (0, i),
-            Op::AllGather(i) => (1, i),
-            Op::Expert(i) => (2, i),
-            Op::ReduceScatter(i) => (3, i),
-            Op::Block(i) => (4, i),
-            Op::Combine(i) => (5, i),
-            Op::Gar(j) => (6, j),
-            Op::Attn => (7, 0),
+            Op::Dispatch(i) => ("D", Some(i)),
+            Op::AllGather(i) => ("AG", Some(i)),
+            Op::Expert(i) => ("E", Some(i)),
+            Op::ReduceScatter(i) => ("RS", Some(i)),
+            Op::Block(i) => ("B", Some(i)),
+            Op::Combine(i) => ("C", Some(i)),
+            Op::Gar(j) => ("GAR", Some(j)),
+            Op::Attn => ("attn", None),
+        }
+    }
+
+    /// `(kind, chunk)` of an op others consume ([`Op::producers`]): which
+    /// of the [`PRODUCER_KINDS`] it is and its chunk index. `None` for the
+    /// ops nothing waits on.
+    fn producer_key(self) -> Option<(usize, u32)> {
+        match self {
+            Op::Dispatch(i) => Some((0, i)),
+            Op::AllGather(i) => Some((1, i)),
+            Op::Expert(i) => Some((2, i)),
+            Op::ReduceScatter(i) => Some((3, i)),
+            Op::Block(i) => Some((4, i)),
+            Op::Combine(_) | Op::Gar(_) | Op::Attn => None,
         }
     }
 }
 
-/// What each op issued so far left for its consumers — the task it was
-/// lowered to, or the time it ends — keyed by op, so resolving a
+impl std::fmt::Display for Op {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (tag, index) = self.tag();
+        f.write_str(tag)?;
+        match index {
+            Some(index) => std::fmt::Display::fmt(&index, f),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Number of op kinds that [`Op::producers`] names.
+const PRODUCER_KINDS: usize = 5;
+
+/// Slots [`Issued`] keeps on the stack: every producer of chunks below
+/// 16, which covers every degree the baselines' scans try.
+const INLINE_SLOTS: usize = PRODUCER_KINDS * 16;
+
+/// What each producer issued so far left for its consumers — the task it
+/// was lowered to, or the time it ends — keyed by op, so resolving a
 /// producer is two lookups instead of a search back along the list.
 struct Issued<T> {
-    /// One more than the largest index among the ops being issued.
-    indices: usize,
-    /// `(issue position, value)` of each op's latest issue, at
-    /// `variant * indices + index`.
-    latest: Vec<Option<(usize, T)>>,
-    count: usize,
+    /// `(issue position, value)` of each producer's latest issue, at
+    /// `chunk * PRODUCER_KINDS + kind`: the first chunks here, the rest
+    /// in `spill`, grown only when a deeper pipeline issues them.
+    inline: [Option<(u32, T)>; INLINE_SLOTS],
+    spill: Vec<Option<(u32, T)>>,
+    count: u32,
 }
 
 impl<T: Copy> Issued<T> {
-    fn for_ops(ops: &[Op]) -> Self {
-        let indices = ops
-            .iter()
-            .map(|op| op.key().1 as usize + 1)
-            .max()
-            .unwrap_or(0);
+    fn new() -> Self {
         Issued {
-            indices,
-            latest: vec![None; Op::VARIANTS * indices],
+            inline: [None; INLINE_SLOTS],
+            spill: Vec::new(),
             count: 0,
         }
     }
 
-    fn latest(&self, op: Op) -> Option<(usize, T)> {
-        let (variant, index) = op.key();
-        let index = index as usize;
-        (index < self.indices)
-            .then(|| self.latest[variant * self.indices + index])
-            .flatten()
+    /// `op`'s slot, `None` for an op nothing consumes.
+    fn slot(op: Op) -> Option<usize> {
+        let (kind, chunk) = op.producer_key()?;
+        Some(chunk as usize * PRODUCER_KINDS + kind)
+    }
+
+    fn latest(&self, op: Op) -> Option<(u32, T)> {
+        let at = Self::slot(op)?;
+        match at.checked_sub(INLINE_SLOTS) {
+            None => self.inline[at],
+            Some(at) => self.spill.get(at).copied().flatten(),
+        }
     }
 
     /// The value of `op`'s producer: the latest-issued of its
@@ -191,9 +203,18 @@ impl<T: Copy> Issued<T> {
 
     /// Records the next op of the list as issued with `value`.
     fn issue(&mut self, op: Op, value: T) {
-        let (variant, index) = op.key();
-        self.latest[variant * self.indices + index as usize] = Some((self.count, value));
+        let latest = Some((self.count, value));
         self.count += 1;
+        let Some(at) = Self::slot(op) else { return };
+        match at.checked_sub(INLINE_SLOTS) {
+            None => self.inline[at] = latest,
+            Some(at) => {
+                if self.spill.len() <= at {
+                    self.spill.resize(at + 1, None);
+                }
+                self.spill[at] = latest;
+            }
+        }
     }
 }
 
@@ -208,13 +229,16 @@ impl<T: Copy> Issued<T> {
 /// every baseline) — inter: `D_1 … D_r, GAR…, C_1 … C_r`; compute: the
 /// fused `B_1 … B_r`. The layer ends with its last combine.
 ///
+/// The ops are appended to `ops`, so a scan over degrees can reuse one
+/// list.
+///
 /// # Panics
 ///
 /// Panics when `r == 0`.
-pub fn moe_layer(iio: bool, r: u32, n_gar: usize) -> Vec<Op> {
+pub fn moe_layer(ops: &mut Vec<Op>, iio: bool, r: u32, n_gar: usize) {
     assert!(r >= 1, "pipeline degree must be at least 1");
     let gar = (0..n_gar as u32).map(Op::Gar);
-    let mut ops = Vec::with_capacity(5 * r as usize + n_gar);
+    ops.reserve(5 * r as usize + n_gar);
     if iio {
         ops.extend((0..r).map(Op::Dispatch).chain(gar));
         for i in 0..r {
@@ -232,7 +256,6 @@ pub fn moe_layer(iio: bool, r: u32, n_gar: usize) -> Vec<Op> {
         );
     }
     ops.extend((0..r).map(Op::Combine));
-    ops
 }
 
 impl crate::MoePerfModel {
@@ -293,36 +316,39 @@ impl StreamSet {
 /// Lowers `ops`, in order, to one task each: `{label}.{op}` on the op's
 /// stream for `ms(op)` milliseconds, after its producer — or after `deps`
 /// (the segment's gate: the previous segment's last task) when it has
-/// none. Returns the task of each op, in `ops` order.
+/// none. `label` is written into the graph once; each task's name is that
+/// label and [`Op::tag`], composed only when shown. Returns the last op's
+/// task, `None` for no ops.
 ///
 /// # Panics
 ///
 /// Panics when an op's producer is not issued before it, and on
-/// [`TaskGraph::add_task`]'s resource / duration / dependency checks.
+/// [`TaskGraph::add_named`]'s resource / duration / dependency checks.
 pub fn lower(
     ops: &[Op],
     graph: &mut TaskGraph,
     streams: &StreamSet,
     ms: impl Fn(Op) -> f64,
     deps: &[TaskId],
-    label: &str,
-) -> Vec<TaskId> {
-    let mut issued = Issued::for_ops(ops);
-    let mut tasks: Vec<TaskId> = Vec::with_capacity(ops.len());
+    label: impl Display,
+) -> Option<TaskId> {
+    let mut issued = Issued::new();
+    let segment = graph.label(&label);
+    let mut last = None;
     for &op in ops {
         let producer = issued.producer(op, || format!("{label}.{op}"));
         let after = producer.as_ref().map_or(deps, std::slice::from_ref);
-        let resource = streams.resource(op.stream());
-        // `{label}.{op}`, pushed into a buffer sized up front
-        let mut name = String::with_capacity(label.len() + 8);
-        name.push_str(label);
-        name.push('.');
-        write!(name, "{op}").expect("writing to a String cannot fail");
-        let task = graph.add_task(name, resource, ms(op), after);
+        let (tag, index) = op.tag();
+        let name = TaskName {
+            label: segment,
+            tag,
+            index,
+        };
+        let task = graph.add_named(name, streams.resource(op.stream()), ms(op), after);
         issued.issue(op, task);
-        tasks.push(task);
+        last = Some(task);
     }
-    tasks
+    last
 }
 
 /// A walk of a step, one segment at a time: the makespan that [`lower`]
@@ -349,7 +375,7 @@ impl Walk {
     /// Panics when an op's producer is not issued before it, and on a
     /// negative or non-finite price (which [`lower`] rejects too).
     pub fn segment(&mut self, ops: &[Op], ms: impl Fn(Op) -> f64) -> f64 {
-        let mut issued = Issued::for_ops(ops);
+        let mut issued = Issued::new();
         let gate = self.gate;
         for &op in ops {
             let ready = issued.producer(op, || op.to_string()).unwrap_or(gate);
@@ -388,9 +414,15 @@ mod tests {
         names.join(" ")
     }
 
+    fn layer(iio: bool, r: u32, n_gar: usize) -> Vec<Op> {
+        let mut ops = Vec::new();
+        moe_layer(&mut ops, iio, r, n_gar);
+        ops
+    }
+
     #[test]
     fn issue_orders_are_the_papers() {
-        let fsmoe = moe_layer(true, 4, 2);
+        let fsmoe = layer(true, 4, 2);
         assert_eq!(
             on(&fsmoe, Stream::Inter),
             "D0 D1 D2 D3 GAR0 GAR1 C0 C1 C2 C3"
@@ -398,7 +430,7 @@ mod tests {
         assert_eq!(on(&fsmoe, Stream::Intra), "AG0 AG1 RS0 AG2 RS1 AG3 RS2 RS3");
         assert_eq!(on(&fsmoe, Stream::Compute), "E0 E1 E2 E3");
 
-        let pipemoe: Vec<String> = moe_layer(false, 2, 1).iter().map(Op::to_string).collect();
+        let pipemoe: Vec<String> = layer(false, 2, 1).iter().map(Op::to_string).collect();
         assert_eq!(pipemoe.join(" "), "D0 B0 D1 B1 GAR0 C0 C1");
     }
 

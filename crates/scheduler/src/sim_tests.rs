@@ -8,7 +8,7 @@ mod tests {
     use crate::cases::{t_moe, CaseId};
     use crate::optimize::find_optimal_pipeline_degree;
     use crate::perf::{MoePerfModel, Phase};
-    use crate::schedule::{lower, moe_layer, Op, StreamSet};
+    use crate::schedule::{lower, moe_layer, StreamSet};
     use simnet::{CostModel, Engine, OpCosts, TaskGraph, TaskId};
 
     fn costs() -> OpCosts {
@@ -30,15 +30,16 @@ mod tests {
         r: u32,
         gar: &[f64],
         deps: &[TaskId],
-    ) -> Vec<TaskId> {
-        let ops = moe_layer(true, r, gar.len());
-        lower(&ops, g, s, m.op_ms(r, 0.0, gar), deps, "moe")
+    ) {
+        let mut ops = Vec::new();
+        moe_layer(&mut ops, true, r, gar.len());
+        let _ = lower(&ops, g, s, m.op_ms(r, 0.0, gar), deps, "moe");
     }
 
     fn simulate(m: &MoePerfModel, r: u32, gar: &[f64]) -> f64 {
         let mut g = TaskGraph::new();
         let s = StreamSet::add_to(&mut g);
-        let _ = lower_fsmoe(&mut g, &s, m, r, gar, &[]);
+        lower_fsmoe(&mut g, &s, m, r, gar, &[]);
         Engine::new().simulate(&g).unwrap().makespan()
     }
 
@@ -176,7 +177,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let s = StreamSet::add_to(&mut g);
         let r = 2;
-        let _ = lower_fsmoe(&mut g, &s, &m, r, &[3.0, 4.0], &[]);
+        lower_fsmoe(&mut g, &s, &m, r, &[3.0, 4.0], &[]);
         let tl = Engine::new().simulate(&g).unwrap();
         let expected_busy = 2.0 * f64::from(r) * m.t_a2a(r) + 7.0;
         assert!((tl.busy_time(s.inter) - expected_busy).abs() < 1e-9);
@@ -188,10 +189,12 @@ mod tests {
         let mut g = TaskGraph::new();
         let s = StreamSet::add_to(&mut g);
         let gate = g.add_task("attn", s.compute, 5.0, &[]);
-        let tasks = lower_fsmoe(&mut g, &s, &m, 2, &[], &[gate]);
-        assert_eq!(moe_layer(true, 2, 0)[0], Op::Dispatch(0));
+        lower_fsmoe(&mut g, &s, &m, 2, &[], &[gate]);
+        let first = g.ids().nth(1).expect("the layer's first task");
+        assert_eq!(g.name(first).to_string(), "moe.D0");
+        assert_eq!(g.deps(first), [gate]);
         let tl = Engine::new().simulate(&g).unwrap();
-        assert!(tl.span(tasks[0]).start >= 5.0);
+        assert!(tl.span(first).start >= 5.0);
     }
 
     #[test]

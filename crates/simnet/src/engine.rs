@@ -99,8 +99,8 @@ impl Engine {
         let mut busy = vec![0.0f64; n_res];
         for task in graph.tasks() {
             let r = task.resource.0;
-            let deps_ready = task
-                .deps
+            let deps_ready = graph
+                .deps_of(task)
                 .iter()
                 .fold(0.0f64, |acc, d| acc.max(spans[d.0].end));
             let start = res_free[r].max(deps_ready);
@@ -231,9 +231,9 @@ mod tests {
         }
         let tl = Engine::new().simulate(&g).unwrap();
         // every dep finishes before its dependent starts
-        for (i, t) in g.tasks().iter().enumerate() {
-            for d in &t.deps {
-                assert!(tl.span(*d).end <= tl.spans()[i].start + 1e-12);
+        for id in g.ids() {
+            for &d in g.deps(id) {
+                assert!(tl.span(d).end <= tl.span(id).start + 1e-12);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The `fig3_timeline` and `fig4_cases` bench binaries use this to
 //! regenerate the schedule diagrams of Figs. 3 and 4 as text.
 
-use crate::{TaskGraph, Timeline};
+use crate::{TaskGraph, TaskId, Timeline};
 
 /// Renders a timeline as an ASCII Gantt chart, one row per resource.
 ///
@@ -22,12 +22,13 @@ pub fn render_gantt(graph: &TaskGraph, timeline: &Timeline, width: usize) -> Str
         if span.duration() <= 0.0 {
             continue;
         }
+        let name = graph.name(TaskId(i)).to_string();
         // glyph: first char of the final dot-separated segment, so
         // "b3.moe.AG0" renders as 'A' rather than everything as 'b'
-        let seg = task.name.rsplit('.').next().unwrap_or(&task.name);
+        let seg = name.rsplit('.').next().unwrap_or(&name);
         let c = seg.chars().next().unwrap_or('?');
-        if !legend.iter().any(|(lc, ln)| *lc == c && *ln == task.name) {
-            legend.push((c, task.name.clone()));
+        if !legend.iter().any(|(lc, ln)| *lc == c && *ln == name) {
+            legend.push((c, name));
         }
         let start = ((span.start / makespan) * width as f64).floor() as usize;
         let end = (((span.end / makespan) * width as f64).ceil() as usize).min(width);

@@ -13,7 +13,11 @@
 //!
 //! * A [`TaskGraph`] holds tasks; each names an exclusive [`ResourceId`]
 //!   (a GPU compute stream, an intra-node link, an inter-node link), a
-//!   duration, and dependencies.
+//!   duration, and dependencies. The graph is flat: a task's name is a
+//!   `Copy` [`TaskName`] over one label arena, composed into text only
+//!   when shown ([`TaskGraph::name`]), and all dependencies share one
+//!   arena ([`TaskGraph::deps`]), so lowering a schedule allocates per
+//!   segment, not per task.
 //! * Resources execute their tasks **in issue order** with head-of-line
 //!   blocking — exactly the semantics of CUDA/NCCL streams, which is what
 //!   makes the lowering of a pipelined schedule faithful: two collectives
@@ -36,6 +40,8 @@
 //! let tl = Engine::new().simulate(&g).unwrap();
 //! assert_eq!(tl.makespan(), 7.0);
 //! assert_eq!(tl.span(combine).start, 5.0);
+//! assert_eq!(g.deps(combine), [experts]);
+//! assert_eq!(g.name(combine).to_string(), "combine");
 //! ```
 
 mod cost;
@@ -54,7 +60,7 @@ pub use gantt::render_gantt;
 pub use pricing::{
     price_gray_failure, price_migration, price_reconfiguration, GrayFailureCost, PricedEvent,
 };
-pub use task::{ResourceId, Task, TaskGraph, TaskId};
+pub use task::{Label, ResourceId, Task, TaskGraph, TaskId, TaskName};
 pub use testbed::{Testbed, TestbedKind};
 pub use trace::{timeline_trace, SIMNET_PID};
 

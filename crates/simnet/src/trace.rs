@@ -14,7 +14,7 @@
 use jsonio::Json;
 use obs::TraceBuilder;
 
-use crate::{ResourceId, TaskGraph, Timeline};
+use crate::{ResourceId, TaskGraph, TaskId, Timeline};
 
 /// The simulator's process id in exported traces (the live `obs`
 /// registry exports under pid 1).
@@ -56,7 +56,7 @@ pub fn timeline_trace(graph: &TaskGraph, timeline: &Timeline) -> Json {
             SIMNET_PID,
             task.resource.index() as u64,
             obs::names::CAT_SIMNET.as_str(),
-            &task.name,
+            &graph.name(TaskId(i)).to_string(),
             ts_us,
             dur_us,
             &[],

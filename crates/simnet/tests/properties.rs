@@ -45,12 +45,12 @@ proptest! {
         let tl = Engine::new().simulate(&g).unwrap();
 
         // 1. dependencies: no task starts before its deps end
-        for (i, task) in g.tasks().iter().enumerate() {
-            let span = tl.spans()[i];
+        for (id, task) in g.ids().zip(g.tasks()) {
+            let span = tl.span(id);
             prop_assert!(span.end >= span.start);
             prop_assert!((span.duration() - task.duration).abs() < 1e-9);
-            for d in &task.deps {
-                prop_assert!(tl.span(*d).end <= span.start + 1e-9);
+            for &d in g.deps(id) {
+                prop_assert!(tl.span(d).end <= span.start + 1e-9);
             }
         }
 

@@ -57,14 +57,14 @@ fn gantt_and_trace_agree_on_tasks_rows_and_ordering() {
     // Task count: the trace carries every task; the chart paints every
     // task with a positive duration (zero-duration tasks are invisible
     // at any pixel width). 5 tasks, 1 of them instantaneous.
-    assert_eq!(stats.spans, graph.tasks().len());
-    for (task, span) in graph.tasks().iter().zip(timeline.spans()) {
-        let glyph = task.name.chars().next().unwrap();
+    assert_eq!(stats.spans, graph.len());
+    for id in graph.ids() {
+        let name = graph.name(id).to_string();
+        let glyph = name.chars().next().unwrap();
         assert_eq!(
-            chart.contains(&format!("{glyph}={}", task.name)),
-            span.duration() > 0.0,
-            "{} in legend iff drawn",
-            task.name
+            chart.contains(&format!("{glyph}={name}")),
+            timeline.span(id).duration() > 0.0,
+            "{name} in legend iff drawn"
         );
     }
 

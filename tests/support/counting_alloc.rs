@@ -1,6 +1,7 @@
 //! A counting allocator for the binaries that assert "this allocates
-//! nothing": `crates/fsmoe/tests/steady_state_alloc.rs`,
-//! `crates/collectives/tests/alloc_free.rs` and the compute gate
+//! nothing" (or little): `crates/fsmoe/tests/steady_state_alloc.rs`,
+//! `crates/collectives/tests/alloc_free.rs`, `crates/models/tests/step.rs`,
+//! `crates/models/tests/lowering_alloc.rs` and the compute gate
 //! (`crates/bench/benches/harness.rs`) include this file by path and
 //! install [`CountingAlloc`] as their `#[global_allocator]`. Library code
 //! never sees it.
