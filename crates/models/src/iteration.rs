@@ -13,12 +13,13 @@
 //! * FSMoE(-No-IIO) — the §5 adaptive partition, sized per layer by the
 //!   inverse AllReduce model and differential evolution.
 
+use std::cell::RefCell;
 use std::fmt::{self, Display};
 
 use baselines::{ScheduleKind, LINA_CHUNK_BYTES};
 use scheduler::{
-    lower, partition_gradients, GeneralizedLayer, MoePerfModel, Op, Phase, Segment, StreamSet,
-    Walk, PLANNER_DE,
+    lower, partition_gradients, GeneralizedLayer, GradientPartition, MoePerfModel, Op, Phase,
+    Segment, StreamSet, Walk, PLANNER_DE,
 };
 use simnet::{OpCosts, TaskGraph, Testbed};
 
@@ -52,8 +53,27 @@ pub struct IterationPlan {
     pub step: Vec<Segment>,
 }
 
+/// The bits of every input of `plan_iteration`'s §5 partition: the
+/// backward model, then attention's backward time, the dense gradient
+/// bytes and the AllReduce model's α and β, then the layer count.
+type PartitionKey = ([u64; 15], [u64; 4], usize);
+
+thread_local! {
+    /// The last §5 partition this thread solved, under its key.
+    static LAST_PARTITION: RefCell<Option<(PartitionKey, GradientPartition)>> =
+        const { RefCell::new(None) };
+}
+
 /// Resolves pipeline degrees and the Gradient-AllReduce policy for
 /// `kind` on a layer stack of `layers` copies of `spec`.
+///
+/// FSMoE and FSMoE-No-IIO differ only in §4's overlap, so they share the
+/// §5 partition: each thread keeps the last one it solved, keyed by the
+/// bits of everything the solve reads (the backward model, attention's
+/// backward time, the dense gradient bytes, the AllReduce model and the
+/// layer count), and a plan whose key matches reuses it. Every caller
+/// plans FSMoE-No-IIO right before FSMoE on the same spec, so one entry
+/// catches every repeat. A key holding a NaN always solves anew.
 ///
 /// # Panics
 ///
@@ -115,14 +135,29 @@ pub fn plan_iteration(
             }
         }
         ScheduleKind::FsMoeNoIio | ScheduleKind::FsMoe => {
-            let gls: Vec<GeneralizedLayer> = (0..layers)
-                .map(|_| GeneralizedLayer {
-                    moe: bwd_base,
-                    t_olp_dense: attn_bwd,
-                    grad_bytes: bytes,
-                })
-                .collect();
-            let partition = partition_gradients(&gls, ar, PLANNER_DE);
+            let key: PartitionKey = (
+                bwd_base.to_bits(),
+                [attn_bwd, bytes, ar.alpha, ar.beta].map(f64::to_bits),
+                layers,
+            );
+            let nan = key
+                .0
+                .iter()
+                .chain(&key.1)
+                .any(|&b| f64::from_bits(b).is_nan());
+            let partition = LAST_PARTITION.with_borrow_mut(|last| match last {
+                Some((k, partition)) if *k == key && !nan => partition.clone(),
+                _ => {
+                    let layer = GeneralizedLayer {
+                        moe: bwd_base,
+                        t_olp_dense: attn_bwd,
+                        grad_bytes: bytes,
+                    };
+                    let partition = partition_gradients(&vec![layer; layers], ar, PLANNER_DE);
+                    *last = Some((key, partition.clone()));
+                    partition
+                }
+            });
             for i in 0..layers {
                 if partition.t_gar[i] > 0.0 {
                     gar[in_moe(i)].push(partition.t_gar[i]);
@@ -264,6 +299,7 @@ mod tests {
     use super::*;
     use scheduler::Stream;
     use simnet::{Engine, TaskId};
+    use std::collections::BTreeMap;
 
     fn times(testbed: &Testbed, preset: &ModelPreset) -> Vec<(ScheduleKind, f64)> {
         ScheduleKind::ALL
@@ -276,8 +312,7 @@ mod tests {
     fn schedule_ordering_holds_on_gpt2_testbed_b() {
         let tb = Testbed::b();
         let preset = ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(6);
-        let t: std::collections::BTreeMap<ScheduleKind, f64> =
-            times(&tb, &preset).into_iter().collect();
+        let t: BTreeMap<ScheduleKind, f64> = times(&tb, &preset).into_iter().collect();
         let ds = t[&ScheduleKind::DsMoe];
         let tutel = t[&ScheduleKind::Tutel];
         let improved = t[&ScheduleKind::TutelImproved];
@@ -325,8 +360,7 @@ mod tests {
     fn lina_lands_between_tutel_and_fsmoe_usually() {
         let tb = Testbed::b();
         let preset = ModelPreset::gpt2_xl_moe().with_seq_len(256).with_layers(6);
-        let t: std::collections::BTreeMap<ScheduleKind, f64> =
-            times(&tb, &preset).into_iter().collect();
+        let t: BTreeMap<ScheduleKind, f64> = times(&tb, &preset).into_iter().collect();
         // Lina must at least beat leaving all gradients to the end
         assert!(t[&ScheduleKind::PipeMoeLina] <= t[&ScheduleKind::Tutel] * 1.001);
     }
@@ -532,6 +566,73 @@ mod tests {
                     gate = tasks.last().copied().or(gate);
                 }
                 assert_eq!(ids.next(), None, "{at}: too many tasks");
+            }
+        }
+    }
+
+    #[test]
+    fn plans_do_not_depend_on_call_order() {
+        // the Fig. 6 presets, then adjacent pairs that differ in one input
+        // of the §5 partition: the layer count, the testbed's costs, and
+        // the dense gradient bytes
+        let (a, b) = (Testbed::a(), Testbed::b());
+        let gpt2 = ModelPreset::gpt2_xl_moe().with_seq_len(256);
+        let spec = gpt2.layer_spec(&b).unwrap();
+        let mut heavier = spec;
+        heavier.dense_param_bytes *= 1.5;
+        let mut cases: Vec<(OpCosts, TransformerLayerSpec, usize)> = fig6_cases()
+            .iter()
+            .map(|(tb, preset)| (tb.costs, preset.layer_spec(tb).unwrap(), preset.layers))
+            .collect();
+        cases.extend([
+            (b.costs, spec, 4),
+            (b.costs, spec, 5),
+            (a.costs, spec, 4),
+            (b.costs, spec, 4),
+            (b.costs, heavier, 4),
+        ]);
+        let calls: Vec<(usize, ScheduleKind)> = (0..cases.len())
+            .flat_map(|c| every_kind().map(move |k| (c, k)))
+            .collect();
+        // kind-major: each plan follows the same kind on the neighbouring case
+        let interleaved: Vec<(usize, ScheduleKind)> = every_kind()
+            .flat_map(|k| (0..cases.len()).map(move |c| (c, k)))
+            .collect();
+        // what each plan decides, to the bit, by (case, kind)
+        let plan_all = |order: &mut dyn Iterator<Item = &(usize, ScheduleKind)>| {
+            order
+                .map(|&(c, kind)| {
+                    let (costs, spec, layers) = &cases[c];
+                    let p = plan_iteration(kind, costs, spec, *layers);
+                    let gar: Vec<Vec<u64>> = p
+                        .step
+                        .iter()
+                        .map(|seg| seg.gar.iter().map(|t| t.to_bits()).collect())
+                        .collect();
+                    let decided = (p.makespan().to_bits(), p.r_fwd, p.r_bwd, gar);
+                    ((c, kind), decided)
+                })
+                .collect::<BTreeMap<_, _>>()
+        };
+        let forward = plan_all(&mut calls.iter());
+        let orders = [
+            ("reverse", plan_all(&mut calls.iter().rev())),
+            ("interleaved", plan_all(&mut interleaved.iter())),
+            (
+                "fresh thread",
+                std::thread::scope(|s| s.spawn(|| plan_all(&mut calls.iter())).join()).unwrap(),
+            ),
+        ];
+        for (order, plans) in &orders {
+            assert_eq!(plans.len(), forward.len(), "{order}");
+            for (key, want) in &forward {
+                assert_eq!(
+                    plans.get(key),
+                    Some(want),
+                    "{order}: case {} {}",
+                    key.0,
+                    key.1
+                );
             }
         }
     }

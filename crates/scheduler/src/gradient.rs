@@ -15,9 +15,12 @@
 //!    per-layer `t_moe` at the degree Algorithm 1 picks, with each
 //!    layer's Gradient-AllReduce budget as input. Algorithm 1 is a scan
 //!    of every degree ([`find_optimal_pipeline_degree`]); each layer's
-//!    `t_moe(t_gar)` is read from a [`GarCurve`] built once per layer,
-//!    which equals that scan bit for bit, so a candidate costs one
-//!    binary search per layer rather than a 64-degree scan.
+//!    `t_moe(t_gar)` is read from a [`GarCurve`], which equals that scan
+//!    bit for bit, so a candidate costs one binary search per layer
+//!    rather than a 64-degree scan. The curve is built once per distinct
+//!    layer: a layer whose model equals the one before (bit for bit)
+//!    shares its curve, and one that also has the same dense time shares
+//!    step 1's window with the last layer whose window was solved.
 //!
 //! Unlike Lina's fixed 30 MB chunks, both steps adapt to the measured
 //! cost models — this is the paper's key advantage in Fig. 6.
@@ -57,6 +60,15 @@ pub struct GeneralizedLayer {
     /// Gradient bytes this generalized layer produces (its dense,
     /// DP-replicated parameters).
     pub grad_bytes: f64,
+}
+
+impl GeneralizedLayer {
+    /// Whether `other` has the same step-1 window: the same MoE model and
+    /// dense time, bit for bit.
+    fn same_window(&self, other: &GeneralizedLayer) -> bool {
+        self.moe.to_bits() == other.moe.to_bits()
+            && self.t_olp_dense.to_bits() == other.t_olp_dense.to_bits()
+    }
 }
 
 /// The partitioner's output.
@@ -103,6 +115,9 @@ pub fn partition_gradients(
     // i runs (backward order), so bytes flow forward through a carry.
     let mut step1 = vec![0.0f64; n];
     let mut carry = 0.0f64;
+    // the last window solved, and the layer it was solved for: a layer
+    // equal to it reuses the window
+    let mut solved: Option<(&GeneralizedLayer, f64)> = None;
     for i in 0..n {
         if i > 0 {
             carry += layers[i - 1].grad_bytes;
@@ -110,8 +125,16 @@ pub fn partition_gradients(
         if carry <= 0.0 {
             continue;
         }
-        let r0 = find_optimal_pipeline_degree(&layers[i].moe.with_t_gar(0.0));
-        let window = t_olp_moe(&layers[i].moe, r0.r) + layers[i].t_olp_dense;
+        let layer = &layers[i];
+        let window = match solved {
+            Some((s, window)) if s.same_window(layer) => window,
+            _ => {
+                let r0 = find_optimal_pipeline_degree(&layer.moe.with_t_gar(0.0));
+                let window = t_olp_moe(&layer.moe, r0.r) + layer.t_olp_dense;
+                solved = Some((layer, window));
+                window
+            }
+        };
         let capacity = ar.invert(window); // g⁻¹: bytes the window absorbs
         let assigned = carry.min(capacity);
         step1[i] = assigned;
@@ -127,7 +150,15 @@ pub fn partition_gradients(
         if n == 1 {
             bytes[0] += remaining;
         } else {
-            let curves: Vec<GarCurve> = layers.iter().map(|l| GarCurve::new(&l.moe)).collect();
+            // a layer equal to the one before shares its curve
+            let mut curves: Vec<GarCurve> = Vec::with_capacity(n);
+            for (i, l) in layers.iter().enumerate() {
+                let curve = match curves.last() {
+                    Some(prev) if l.moe.to_bits() == layers[i - 1].moe.to_bits() => prev.clone(),
+                    _ => GarCurve::new(&l.moe),
+                };
+                curves.push(curve);
+            }
             let objective = |shares: &[f64]| -> f64 {
                 let total: f64 = shares.iter().sum();
                 curves
@@ -377,6 +408,67 @@ mod tests {
             })
             .collect();
             let p = partition_gradients(&layers, tb.costs.all_reduce, PLANNER_DE);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p.bytes), bytes, "{:?} bytes", tb.kind);
+            assert_eq!(bits(&p.t_gar), t_gar, "{:?} t_gar", tb.kind);
+        }
+    }
+
+    #[test]
+    fn identical_layer_partitions_are_pinned() {
+        // four identical layers at the planner's settings, on both
+        // testbeds, as `plan_iteration` builds an FSMoE stack; the bits
+        // were recorded with a curve and a step-1 window built per layer,
+        // so sharing them between equal layers must change nothing
+        let pins: [(Testbed, [u64; 4], [u64; 4]); 2] = [
+            (
+                Testbed::a(),
+                [
+                    0x41920ef326323be2,
+                    0x4184c473728f8292,
+                    0x418133b40e835a28,
+                    0x41942d69194455be,
+                ],
+                [
+                    0x40430072731da747,
+                    0x403611c5989f4754,
+                    0x40325e41e925e8c1,
+                    0x40453391fd26aa25,
+                ],
+            ),
+            (
+                Testbed::b(),
+                [
+                    0x41824a0eee6cb818,
+                    0x416d8f072776195c,
+                    0x417aee1e07480c61,
+                    0x41a2d30011046ed7,
+                ],
+                [
+                    0x40370f004199877b,
+                    0x4022bbaea04a462e,
+                    0x4030ff9a0cd601ec,
+                    0x4057aaf4cc5fbf29,
+                ],
+            ),
+        ];
+        for (tb, bytes, t_gar) in pins {
+            let moe = MoePerfModel::new(
+                &tb.costs,
+                4.0e6,
+                4.0e6,
+                4.0e6,
+                8.0e10,
+                2,
+                Phase::Backward,
+                0.0,
+            );
+            let layer = GeneralizedLayer {
+                moe,
+                t_olp_dense: 3.0,
+                grad_bytes: 6.0e7,
+            };
+            let p = partition_gradients(&vec![layer; 4], tb.costs.all_reduce, PLANNER_DE);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&p.bytes), bytes, "{:?} bytes", tb.kind);
             assert_eq!(bits(&p.t_gar), t_gar, "{:?} t_gar", tb.kind);

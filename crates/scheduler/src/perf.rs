@@ -117,6 +117,30 @@ impl MoePerfModel {
         MoePerfModel { t_gar, ..*self }
     }
 
+    /// The bit patterns of every field: two models with equal bits price
+    /// every degree and budget alike (`==` would equate `0.0` with
+    /// `-0.0`, and no NaN with itself).
+    pub fn to_bits(&self) -> [u64; 15] {
+        // exhaustive, so a new field cannot be left out
+        let MoePerfModel {
+            a2a,
+            ag,
+            rs,
+            exp,
+            ar,
+            n_a2a,
+            n_ag,
+            n_rs,
+            n_exp,
+            t_gar,
+        } = *self;
+        [
+            a2a.alpha, a2a.beta, ag.alpha, ag.beta, rs.alpha, rs.beta, exp.alpha, exp.beta,
+            ar.alpha, ar.beta, n_a2a, n_ag, n_rs, n_exp, t_gar,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Unpipelined (r = 1) sequential time of the MoE communications and
     /// expert compute — what a no-overlap baseline pays per layer.
     pub fn sequential_time(&self) -> f64 {
